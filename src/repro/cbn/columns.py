@@ -13,11 +13,7 @@ uses to evaluate each bucket's predicate plan **once per batch**:
 * :func:`compile_condition` turns a
   :class:`~repro.cql.predicates.Conjunction` into a closure mapping a
   batch to a boolean *match mask*, specialised per constraint kind so
-  the inner loop is a plain list comprehension over a column;
-* :func:`stream_shard` hashes stream names into a fixed shard space so
-  routing caches can be invalidated per touched shard instead of
-  wholesale (``zlib.crc32`` keeps the mapping stable across processes —
-  builtin ``hash`` of strings is randomised per interpreter).
+  the inner loop is a plain list comprehension over a column.
 
 Everything here is observationally equivalent to per-datagram
 ``Conjunction.evaluate``: the property suite in
@@ -27,7 +23,6 @@ byte-identical to the naive scan.
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable, Dict, List, Sequence
 
 from repro.cbn.datagram import Datagram
@@ -36,21 +31,6 @@ from repro.cql.predicates import Conjunction, Interval
 #: Column sentinel for "attribute absent from this payload".  Distinct
 #: from every payload value (including ``None``) by identity.
 MISSING: object = object()
-
-#: Number of stream shards for cache invalidation.  Small enough that a
-#: broad mutation touches few buckets, large enough that unrelated
-#: streams rarely collide.
-N_STREAM_SHARDS: int = 64
-
-
-def stream_shard(stream: str, n_shards: int = N_STREAM_SHARDS) -> int:
-    """Deterministic shard index of a stream name.
-
-    Uses ``zlib.crc32`` so the mapping is stable across interpreter
-    runs (process-seeded ``hash(str)`` would make cache behaviour — and
-    thus any bug it hides — unreproducible).
-    """
-    return zlib.crc32(stream.encode("utf-8")) % n_shards
 
 
 class ColumnBatch:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -34,9 +33,6 @@ from typing import (
 
 from repro.cbn.datagram import Datagram
 from repro.cql.predicates import Conjunction
-
-if TYPE_CHECKING:
-    from repro.cbn.columns import ColumnBatch
 
 #: Sentinel projection meaning "all attributes of the stream".
 ALL_ATTRIBUTES: FrozenSet[str] = frozenset({"*"})
@@ -106,9 +102,6 @@ class Profile:
         }
         self._streams: FrozenSet[str] = frozenset(self._projections)
         self._filters: Tuple[Filter, ...] = tuple(filters)
-        # Per-stream compiled column evaluators for coverage_mask;
-        # derived from the immutable filters, so never invalidated.
-        self._mask_evaluators: Dict[str, Tuple[object, ...]] = {}
         for flt in self._filters:
             if flt.stream not in self._projections:
                 raise ProfileError(
@@ -159,35 +152,6 @@ class Profile:
         if not stream_filters:
             return True
         return any(flt.covers(datagram) for flt in stream_filters)
-
-    def coverage_mask(self, batch: "ColumnBatch") -> List[bool]:
-        """Vectorized :meth:`covers` over a same-stream column batch.
-
-        Evaluates this profile's filters for ``batch.stream`` once as
-        compiled column closures (cached per profile) instead of walking
-        the predicate tree per datagram; masks of multiple filters OR
-        together, matching the disjunction semantics of :meth:`covers`.
-        """
-        if batch.stream not in self._projections:
-            return [False] * batch.n
-        cached = self._mask_evaluators.get(batch.stream)
-        if cached is None:
-            from repro.cbn.columns import compile_condition
-
-            cached = tuple(
-                compile_condition(flt.condition)
-                for flt in self.filters_for(batch.stream)
-            )
-            self._mask_evaluators[batch.stream] = cached
-        if not cached:
-            return [True] * batch.n
-        mask = cached[0](batch)
-        for evaluate in cached[1:]:
-            if all(mask):
-                break
-            other = evaluate(batch)
-            mask = [a or b for a, b in zip(mask, other)]
-        return mask
 
     def apply(self, datagram: Datagram) -> Optional[Datagram]:
         """Coverage check plus projection: the receiver-side view.

@@ -18,44 +18,42 @@ All data traffic is accounted in :attr:`ContentBasedNetwork.data_stats`
 and control traffic (subscriptions, advertisements) in
 :attr:`ContentBasedNetwork.control_stats`.
 
-Fast path
----------
-Publication is the dominant cost of every experiment, so steady-state
-publishes run on cached state: per stream the network memoizes the
-dissemination tree, the schema width table, each broker's neighbour
-list and — from the routing tables' per-stream index — the *candidate
-interfaces* that have any entry for the stream.  The cache is
-epoch-versioned **per stream shard**
-(:func:`~repro.cbn.columns.stream_shard`): every routing mutation
-(install/remove/remove_interface, reached via subscribe/unsubscribe/
-advertise) bumps the shards of the streams it touched — or a catch-all
-version when the touched set is unknown — and every catalog
-registration bumps the catalog version, so the next publish only
-rebuilds the facts of streams whose shard actually moved.
+The data plane
+--------------
+Publication is the dominant cost of every experiment, so publishes run
+on cached state: per stream the network memoizes the dissemination
+tree, the schema width table, each broker's neighbour list and — from
+the routing tables' per-stream index — the *candidate interfaces* that
+have any entry for the stream.  The cache is versioned **per stream**:
+every routing mutation (install/remove/remove_interface, reached via
+subscribe/unsubscribe/advertise) bumps the version of exactly the
+streams it touched and every catalog registration bumps the catalog
+version, so the next publish only rebuilds the facts of streams that
+actually moved.
 
-:meth:`ContentBasedNetwork.publish_many` is the columnar batch entry
-point: the feed is split into consecutive same-stream runs and each
-run of two or more datagrams is routed **once per batch** through
-:meth:`_route_batch` — a shared DFS over the dissemination tree where
-every broker evaluates its compiled per-bucket plans against the whole
-surviving batch (:meth:`RoutingTable.decide_batch` /
+:meth:`ContentBasedNetwork.publish_many` is the one entry point: the
+feed is split into consecutive same-stream runs; a run of one takes the
+scalar :meth:`_route`, a run of two or more is routed **once per
+batch** through :meth:`_route_batch` — a shared DFS over the
+dissemination tree where every broker evaluates its compiled
+per-bucket plans against the whole surviving batch
+(:meth:`RoutingTable.decide_batch` /
 :meth:`RoutingTable.local_deliveries_batch`) instead of once per
 datagram.  Only *consecutive* same-stream datagrams are batched so the
 per-link traffic accounting accumulates in exactly the per-datagram
 order (float addition is order-sensitive); deliveries and stats are
-byte-identical to per-datagram :meth:`publish` calls.  Constructing
-with ``fast_path=False`` retains the pre-index behaviour (full profile
-scans, per-publish dict rebuilding) as the reference for equivalence
-tests and before/after benchmarks.
+byte-identical to per-datagram :meth:`publish` calls.  The
+scan-every-profile reference both routines are checked against lives
+in :mod:`repro.sim.reference`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.cbn.columns import ColumnBatch, stream_shard
+from repro.cbn.columns import ColumnBatch
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
 from repro.cbn.routing import RoutingTable
@@ -95,8 +93,8 @@ class _StreamFacts:
     """Static per-stream facts the publish hot loop needs.
 
     Everything here is a pure function of (routing state, catalog,
-    stream trees) and is invalidated wholesale when the owning
-    network's epoch moves: the dissemination tree the stream travels
+    stream trees) and is rebuilt when the owning network's version of
+    the stream moves: the dissemination tree the stream travels
     on, its schema width table, each broker's neighbour tuple, and the
     *candidate interfaces* per broker — the neighbours that have at
     least one routing entry for the stream, everything else cannot
@@ -149,11 +147,6 @@ class ContentBasedNetwork:
         the streams they request (default) instead of flooding.
     use_subsumption:
         Enable covering-based routing-table aggregation.
-    fast_path:
-        Route publications through the per-stream routing index and the
-        epoch-versioned decision cache (default).  ``False`` keeps the
-        naive scan-every-profile path; deliveries and traffic accounting
-        are identical either way, only the work per datagram differs.
     """
 
     def __init__(
@@ -163,14 +156,11 @@ class ContentBasedNetwork:
         scope_to_advertisements: bool = True,
         use_subsumption: bool = False,
         stream_trees: Optional[Mapping[str, DisseminationTree]] = None,
-        fast_path: bool = True,
     ) -> None:
         self._tree = tree
         self.catalog = catalog if catalog is not None else Catalog()
         self.use_subsumption = use_subsumption
         self.scope_to_advertisements = scope_to_advertisements
-        self._scope = scope_to_advertisements
-        self.fast_path = fast_path
         #: Optional per-stream dissemination trees ("the nodes in COSMOS
         #: are organized into multiple overlay dissemination trees").
         #: Streams not listed use the default tree; every tree must span
@@ -183,27 +173,19 @@ class ContentBasedNetwork:
                 )
         self._epoch = 0
         self._tables: Dict[NodeId, RoutingTable] = {
-            node: RoutingTable(
-                node,
-                use_subsumption,
-                use_index=fast_path,
-                on_change=self._bump_epoch,
-            )
+            node: RoutingTable(node, use_subsumption, on_change=self._bump_epoch)
             for node in tree.nodes
         }
         self._subscriptions: Dict[str, _Subscription] = {}
         self._advertisements: Dict[str, List[_Advertisement]] = {}
-        #: stream -> (facts, shard version they were built at); each
-        #: entry revalidates lazily against its own stream's shard, so
-        #: churn on one stream leaves the others' facts warm.
-        self._facts: Dict[str, Tuple[_StreamFacts, Tuple[int, int, int]]] = {}
-        #: shard index -> routing-mutation count for streams hashing
-        #: there (fed by the tables' ``on_change`` stream reports).
-        self._shard_epochs: Dict[int, int] = {}
-        #: Bumped by mutations with unknown touched streams.
-        self._all_epoch = 0
-        #: stream -> shard index memo.
-        self._shard_of: Dict[str, int] = {}
+        #: stream -> (facts, (stream version, catalog version) they were
+        #: built at); each entry revalidates lazily against its own
+        #: stream's version, so churn on one stream leaves the others'
+        #: facts warm.
+        self._facts: Dict[str, Tuple[_StreamFacts, Tuple[int, int]]] = {}
+        #: stream -> count of routing mutations that touched it (fed by
+        #: the tables' ``on_change`` stream reports).
+        self._stream_versions: Dict[str, int] = {}
         weights = {edge: tree.weight(*edge) for edge in tree.edges}
         for stree in self._stream_trees.values():
             for edge in stree.edges:
@@ -256,27 +238,12 @@ class ContentBasedNetwork:
 
     # -- the decision cache -------------------------------------------------------
 
-    def _bump_epoch(self, streams: Optional[Iterable[str]] = None) -> None:
-        """Record a routing mutation touching ``streams``.
-
-        ``None`` means the touched set is unknown; the catch-all
-        version moves instead, invalidating every stream's facts.
-        """
+    def _bump_epoch(self, streams: Iterable[str]) -> None:
+        """Record a routing mutation touching ``streams``."""
         self._epoch += 1
-        if streams is None:
-            self._all_epoch += 1
-            return
-        epochs = self._shard_epochs
-        shard_of = self._shard_of
-        touched = set()
+        versions = self._stream_versions
         for stream in streams:
-            shard = shard_of.get(stream)
-            if shard is None:
-                shard = stream_shard(stream)
-                shard_of[stream] = shard
-            touched.add(shard)
-        for shard in sorted(touched):
-            epochs[shard] = epochs.get(shard, 0) + 1
+            versions[stream] = versions.get(stream, 0) + 1
 
     @property
     def routing_epoch(self) -> int:
@@ -284,15 +251,7 @@ class ContentBasedNetwork:
         return self._epoch
 
     def _facts_for(self, stream: str) -> _StreamFacts:
-        shard = self._shard_of.get(stream)
-        if shard is None:
-            shard = stream_shard(stream)
-            self._shard_of[stream] = shard
-        version = (
-            self._shard_epochs.get(shard, 0),
-            self._all_epoch,
-            self.catalog.version,
-        )
+        version = (self._stream_versions.get(stream, 0), self.catalog.version)
         cached = self._facts.get(stream)
         if cached is not None and cached[1] == version:
             return cached[0]
@@ -329,7 +288,7 @@ class ContentBasedNetwork:
             return
         ads.append(_Advertisement(stream, node))
         self._bump_epoch((stream,))
-        if self._scope:
+        if self.scope_to_advertisements:
             for sub in self._subscriptions.values():
                 if stream in sub.profile.streams:
                     self._propagate_toward(sub, stream, node)
@@ -358,7 +317,7 @@ class ContentBasedNetwork:
         sub = _Subscription(subscription_id, node, profile)
         self._subscriptions[subscription_id] = sub
         self._tables[node].install(RoutingTable.LOCAL, subscription_id, profile)
-        if self._scope:
+        if self.scope_to_advertisements:
             for stream in profile.streams:
                 for publisher in self.publishers_of(stream):
                     self._propagate_toward(sub, stream, publisher)
@@ -384,7 +343,7 @@ class ContentBasedNetwork:
             if not shared:
                 continue
             for stream in shared:
-                if self._scope:
+                if self.scope_to_advertisements:
                     for publisher in self.publishers_of(stream):
                         self._propagate_toward(sub, stream, publisher)
                 else:
@@ -452,11 +411,7 @@ class ContentBasedNetwork:
         :attr:`data_stats` using schema widths when the stream's schema
         is in the catalog.
         """
-        if node not in self._tables:
-            raise NetworkError(f"unknown broker {node}")
-        if not self.fast_path:
-            return self._publish_scan(datagram, node)
-        return self._route(datagram, node, self._facts_for(datagram.stream))
+        return self.publish_many([datagram], node)[0]
 
     def publish_many(
         self, datagrams: Iterable[Datagram], node: NodeId
@@ -467,15 +422,13 @@ class ContentBasedNetwork:
         per-datagram :meth:`publish` calls would produce.  Consecutive
         datagrams of the same stream form a *run* routed once per batch
         through the columnar plans (:meth:`_route_batch`); runs of one
-        fall back to the scalar hot path.  Only consecutive datagrams
-        are grouped (not all same-stream datagrams of the feed) so the
-        per-link traffic accounting accumulates float contributions in
-        exactly the per-datagram order.
+        take the scalar routine (:meth:`_route`).  Only consecutive
+        datagrams are grouped (not all same-stream datagrams of the
+        feed) so the per-link traffic accounting accumulates float
+        contributions in exactly the per-datagram order.
         """
         if node not in self._tables:
             raise NetworkError(f"unknown broker {node}")
-        if not self.fast_path:
-            return [self._publish_scan(d, node) for d in datagrams]
         out: List[List[Delivery]] = []
         run: List[Datagram] = []
         run_stream: Optional[str] = None
@@ -615,37 +568,6 @@ class ContentBasedNetwork:
                     stack.append(
                         (neighbor, here, sub_indices, sub_currents, sub_sizes)
                     )
-        return deliveries
-
-    def _publish_scan(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
-        """The pre-index reference path: every profile behind every
-        interface is evaluated and per-publish state is rebuilt."""
-        widths = self._widths_for(datagram.stream)
-        tree = self.tree_for(datagram.stream)
-        deliveries: List[Delivery] = []
-        #: (broker to process, interface it arrived from, datagram copy)
-        stack: List[Tuple[NodeId, Optional[NodeId], Datagram]] = [
-            (node, None, datagram)
-        ]
-        while stack:
-            here, arrived_from, current = stack.pop()
-            table = self._tables[here]
-            for sid, projected in table.local_deliveries(current):
-                deliveries.append(Delivery(sid, here, projected))
-            for neighbor in sorted(tree.neighbors(here)):
-                if neighbor == arrived_from:
-                    continue
-                decision = table.decide(neighbor, current)
-                if not decision.forward:
-                    continue
-                if decision.attributes is None:
-                    outgoing = current
-                else:
-                    outgoing = current.project(decision.attributes)
-                self.data_stats.record(
-                    here, neighbor, outgoing.size_bytes(widths)
-                )
-                stack.append((neighbor, here, outgoing))
         return deliveries
 
     def _widths_for(self, stream: str) -> Optional[Dict[str, int]]:

@@ -12,8 +12,8 @@ installed profile that is subsumed by an existing one on the same
 interface is not stored (and does not need further propagation), the
 classic CBN optimisation (Siena-style covering).
 
-Fast path
----------
+Index and compiled matchers
+---------------------------
 Matching is the hot operation of the whole system: every datagram hop
 evaluates the profiles behind every interface.  The table therefore
 maintains a **per-(interface, stream) index**: each entry is indexed
@@ -29,11 +29,10 @@ upper bound the remaining entries cannot change the decision either.
 
 Every mutation bumps :attr:`RoutingTable.epoch`; compiled state is
 rebuilt lazily when versions move, and the owning network layer uses
-the same signal (via ``on_change``, which now reports the *streams* a
-mutation touched) to invalidate its own per-stream caches.
-Constructing the table with ``use_index=False`` keeps the pre-index
-scan-everything behaviour, used as the reference implementation by the
-equivalence property tests and the before/after benchmarks.
+the same signal (via ``on_change``, which reports the *streams* a
+mutation touched) to invalidate its own per-stream caches.  The
+scan-everything reference the property tests and the chaos twin compare
+against lives in :mod:`repro.sim.reference`.
 
 Columnar batch path
 -------------------
@@ -47,15 +46,14 @@ the subscriptions of a bucket (one projected copy per distinct
 projection set per datagram).  Results are element-wise identical to
 per-datagram :meth:`decide` / :meth:`local_deliveries`.
 
-Shard-scoped invalidation
--------------------------
-Compiled plans are validated per *stream shard*
-(:func:`~repro.cbn.columns.stream_shard`): every mutation bumps only
-the shards of the streams it touched (or a catch-all version when the
-touched set is unknown), so a subscription churn event invalidates the
-plans of the streams it concerns and publishing other streams keeps
-hitting warm caches — per-publish recompilation work is O(touched
-shards), not O(all streams).
+Per-stream invalidation
+-----------------------
+Compiled plans are validated against a *per-stream version*: every
+mutation bumps the counter of exactly the streams it touched, so a
+subscription churn event invalidates the plans of the streams it
+concerns and publishing other streams keeps hitting warm caches —
+per-publish recompilation work is O(touched streams), not O(all
+streams).
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cbn.columns import ColumnBatch, Mask, compile_condition, stream_shard
+from repro.cbn.columns import ColumnBatch, Mask, compile_condition
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Profile
 from repro.overlay.topology import NodeId
@@ -187,15 +185,13 @@ class RoutingTable:
         self,
         node: NodeId,
         use_subsumption: bool = False,
-        use_index: bool = True,
-        on_change: Optional[Callable[[Optional[FrozenSet[str]]], None]] = None,
+        on_change: Optional[Callable[[FrozenSet[str]], None]] = None,
     ) -> None:
         self.node = node
         self._use_subsumption = use_subsumption
-        self._use_index = use_index
         #: Invoked after every state mutation with the streams the
-        #: mutation touched (``None`` when unattributable); the network
-        #: layer hooks its shard-scoped cache invalidation here.
+        #: mutation touched; the network layer hooks its per-stream
+        #: cache invalidation here.
         self.on_change = on_change
         #: Bumped on every mutation; monotone mutation counter.
         self.epoch = 0
@@ -203,40 +199,24 @@ class RoutingTable:
         #: interface -> stream -> entry id -> profile (install order
         #: preserved per bucket, mirroring ``_entries``).
         self._by_stream: Dict[object, Dict[str, Dict[str, Profile]]] = {}
-        #: (interface, stream) -> (compiled plan, shard version it was
-        #: built at).  Entries revalidate lazily against the stream's
-        #: shard version, so a mutation touching stream S leaves the
-        #: cached plans of unrelated streams warm.
-        self._plans: Dict[Tuple[object, str], Tuple[_Plan, Tuple[int, int]]] = {}
-        #: shard index -> mutation count for streams hashing there.
-        self._shard_epochs: Dict[int, int] = {}
-        #: Bumped by mutations whose touched streams are unknown;
-        #: part of every shard version so they invalidate everything.
-        self._all_epoch = 0
-        #: stream -> shard index memo (crc32 paid once per stream).
-        self._shard_of: Dict[str, int] = {}
+        #: (interface, stream) -> (compiled plan, stream version it was
+        #: built at).  Entries revalidate lazily against their stream's
+        #: version, so a mutation touching stream S leaves the cached
+        #: plans of every other stream warm.
+        self._plans: Dict[Tuple[object, str], Tuple[_Plan, int]] = {}
+        #: stream -> count of mutations that touched it.
+        self._stream_versions: Dict[str, int] = {}
 
     # -- maintenance -----------------------------------------------------------
 
-    def _shard(self, stream: str) -> int:
-        shard = self._shard_of.get(stream)
-        if shard is None:
-            shard = stream_shard(stream)
-            self._shard_of[stream] = shard
-        return shard
-
-    def _touch(self, streams: Optional[Iterable[str]] = None) -> None:
+    def _touch(self, streams: Iterable[str]) -> None:
         self.epoch += 1
-        if streams is None:
-            self._all_epoch += 1
-            notify: Optional[FrozenSet[str]] = None
-        else:
-            notify = frozenset(streams)
-            bumped = self._shard_epochs
-            for shard in sorted({self._shard(stream) for stream in notify}):
-                bumped[shard] = bumped.get(shard, 0) + 1
+        touched = frozenset(streams)
+        versions = self._stream_versions
+        for stream in touched:
+            versions[stream] = versions.get(stream, 0) + 1
         if self.on_change is not None:
-            self.on_change(notify)
+            self.on_change(touched)
 
     def _index_entry(self, interface: object, entry_id: str, profile: Profile) -> None:
         streams = self._by_stream.setdefault(interface, {})
@@ -357,12 +337,9 @@ class RoutingTable:
 
     def _plan(self, interface: object, stream: str) -> _Plan:
         """The compiled matchers for one (interface, stream), cached
-        until the next mutation touching the stream's shard."""
+        until the next mutation touching the stream."""
         key = (interface, stream)
-        version = (
-            self._shard_epochs.get(self._shard(stream), 0),
-            self._all_epoch,
-        )
+        version = self._stream_versions.get(stream, 0)
         cached = self._plans.get(key)
         if cached is not None and cached[1] == version:
             return cached[0]
@@ -387,8 +364,6 @@ class RoutingTable:
     def decide(self, interface: object, datagram: Datagram) -> ForwardDecision:
         """Should ``datagram`` be forwarded on ``interface``, and with
         which attributes retained?"""
-        if not self._use_index:
-            return self._decide_scan(interface, datagram)
         compiled, any_wants_all, bound = self._plan(interface, datagram.stream)
         if not compiled:
             return ForwardDecision(False)
@@ -423,11 +398,6 @@ class RoutingTable:
         for the whole batch instead of one scalar evaluation per
         datagram.
         """
-        if not self._use_index:
-            return [
-                self._decide_scan(interface, datagram)
-                for datagram in batch.datagrams
-            ]
         compiled, __, __ = self._plan(interface, batch.stream)
         n = batch.n
         if not compiled:
@@ -462,48 +432,15 @@ class RoutingTable:
                 decisions.append(ForwardDecision(True, frozenset(needed[index])))
         return decisions
 
-    def _decide_scan(self, interface: object, datagram: Datagram) -> ForwardDecision:
-        """The pre-index reference path: evaluate every profile behind
-        the interface, whatever streams it requests."""
-        needed: Set[str] = set()
-        wants_all = False
-        forward = False
-        for profile in self._entries.get(interface, {}).values():
-            if not profile.covers(datagram):
-                continue
-            forward = True
-            projection = profile.projection_for(datagram.stream)
-            if projection == ALL_ATTRIBUTES:
-                wants_all = True
-            else:
-                needed |= projection
-                # Keep attributes the downstream filters evaluate, or the
-                # profile could no longer recognise the datagram at the
-                # next hop after projection.
-                for flt in profile.filters_for(datagram.stream):
-                    needed |= flt.condition.referenced_terms()
-        if not forward:
-            return ForwardDecision(False)
-        if wants_all:
-            return ForwardDecision(True, None)
-        return ForwardDecision(True, frozenset(needed))
-
     def local_deliveries(
         self, datagram: Datagram
     ) -> List[Tuple[str, Datagram]]:
         """(subscription_id, projected datagram) for local matches."""
-        if not self._use_index:
-            out: List[Tuple[str, Datagram]] = []
-            for sid, profile in self._entries.get(self.LOCAL, {}).items():
-                projected = profile.apply(datagram)
-                if projected is not None:
-                    out.append((sid, projected))
-            return out
         compiled, __, __ = self._plan(self.LOCAL, datagram.stream)
         if not compiled:
             return []
         payload = datagram.payload
-        out = []
+        out: List[Tuple[str, Datagram]] = []
         for entry in compiled:
             if not entry.covers(payload):
                 continue
@@ -524,11 +461,6 @@ class RoutingTable:
         subscriptions: per datagram, each distinct projection set is
         materialised once and reused by every entry requesting it.
         """
-        if not self._use_index:
-            return [
-                self.local_deliveries(datagram)
-                for datagram in batch.datagrams
-            ]
         compiled, __, __ = self._plan(self.LOCAL, batch.stream)
         out: List[List[Tuple[str, Datagram]]] = [[] for __ in range(batch.n)]
         if not compiled:

@@ -1,9 +1,10 @@
 """The virtual network: chaos schedules executed against twin systems.
 
 :class:`VirtualNetwork` wraps a pair of :class:`CosmosSystem` twins —
-one routing through the CBN's indexed fast path, one through the naive
-reference scan — and drives both through the *same* resolved chaos
-schedule via the :class:`~repro.system.events.EventSimulator`'s
+one routing through the production CBN data plane, one through the naive
+reference scan of :mod:`repro.sim.reference` — and drives both through
+the *same* resolved chaos schedule via the
+:class:`~repro.system.events.EventSimulator`'s
 ``step()`` API.  Tuple injections go end to end through
 ``CosmosSystem.publish``; crash events route through the real
 fault-tolerance entry points (``fail_broker`` / ``fail_processor``),
@@ -58,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cbn.datagram import Datagram
+from repro.sim.reference import as_reference
 from repro.sim.schedule import (
     ChaosEvent,
     DropEvent,
@@ -124,13 +126,13 @@ class VirtualNetwork:
     """Twin COSMOS systems driven by one chaos schedule.
 
     ``build`` provisions one complete system (topology, tree, sources,
-    queries) and must be deterministic in everything except the
-    ``fast_path`` flag it receives — the twins *must* be structurally
-    identical for the fast-vs-naive oracle to be meaningful.
+    queries) and must be deterministic: it is called twice, and the
+    second result becomes the shadow twin on the reference data plane —
+    the twins *must* be structurally identical for the
+    production-vs-reference oracle to be meaningful.
     """
 
-    build: Callable[..., CosmosSystem]
-    check_fast_path: bool = True
+    build: Callable[[], CosmosSystem]
     #: Run the schedule through the self-healing reliability path.
     recovery: bool = False
     #: Execute migration probes (requires ``recovery``: zero-loss
@@ -139,7 +141,7 @@ class VirtualNetwork:
     params: Optional[ReliabilityParams] = None
     load_params: Optional[LoadParams] = None
     primary: CosmosSystem = field(init=False)
-    shadow: Optional[CosmosSystem] = field(init=False)
+    shadow: CosmosSystem = field(init=False)
     trace: ChaosTrace = field(init=False, default_factory=ChaosTrace)
     counters: ChaosCounters = field(init=False, default_factory=ChaosCounters)
     #: The tuples that actually entered the system (post-perturbation,
@@ -161,26 +163,24 @@ class VirtualNetwork:
                 "migrate=True requires recovery=True (zero-loss "
                 "migration rides the recovery ordering stage)"
             )
-        self.primary = self.build(fast_path=True)
-        self.shadow = self.build(fast_path=False) if self.check_fast_path else None
+        self.primary = self.build()
+        self.shadow = as_reference(self.build())
         self._crashed: Dict[int, str] = {}
         #: Ordering stage: released-but-unpublished (sent, stream, seq,
         #: payload), flushed to the SPE in send-time order at batch end.
         self._pending: List[tuple] = []
         if self.recovery:
             self.state = attach_reliability(self.primary, self.params)
-            if self.shadow is not None:
-                attach_reliability(self.shadow, self.state.params)
+            attach_reliability(self.shadow, self.state.params)
             for node in self.primary.tree.nodes:
                 self.state.detector.register(node, 0.0)
         if self.migrate:
             self.load = attach_load_manager(self.primary, self.load_params)
-            if self.shadow is not None:
-                attach_load_manager(self.shadow, state=self.load)
+            attach_load_manager(self.shadow, state=self.load)
 
     @property
     def systems(self) -> List[CosmosSystem]:
-        return [self.primary] + ([self.shadow] if self.shadow else [])
+        return [self.primary, self.shadow]
 
     def routing_epoch(self) -> int:
         return self.primary.network.routing_epoch
@@ -239,8 +239,7 @@ class VirtualNetwork:
             return
         payload = dict(event.payload)
         delivered = len(self.primary.publish(event.stream, payload, event.time))
-        if self.shadow is not None:
-            self.shadow.publish(event.stream, dict(event.payload), event.time)
+        self.shadow.publish(event.stream, dict(event.payload), event.time)
         self.effective_feed.append(
             Datagram(event.stream, payload, event.time)
         )
@@ -345,8 +344,7 @@ class VirtualNetwork:
             delivered += len(
                 self.primary.publish(stream, dict(payload), sent, seq=seq)
             )
-            if self.shadow is not None:
-                self.shadow.publish(stream, dict(payload), sent, seq=seq)
+            self.shadow.publish(stream, dict(payload), sent, seq=seq)
             self.effective_feed.append(
                 Datagram(stream, dict(payload), sent, seq)
             )

@@ -129,7 +129,6 @@ class ChaosConfig:
     duration: float = 600.0
     epilogue_tuples: int = 3  # per stream, after quiescence
     processor_fault_p: float = 0.35
-    check_fast_path: bool = True
     #: Self-healing mode: sequenced uplinks heal drops/dups/reorders
     #: in-band, crashes are detector-driven, and the oracle demands
     #: *exact* delivery of the pristine feed (zero tolerated losses).
@@ -201,20 +200,17 @@ def query_ids(config: ChaosConfig) -> List[str]:
     return [query_id for query_id, __ in _queries(config)]
 
 
-def build_system(config: ChaosConfig, fast_path: bool = True) -> CosmosSystem:
+def build_system(config: ChaosConfig) -> CosmosSystem:
     """Provision one chaos twin: topology, tree, sources and queries.
 
-    Pure in everything but ``fast_path`` — the VirtualNetwork calls this
-    twice to get structurally identical twins.
+    Pure — the VirtualNetwork calls this twice to get structurally
+    identical twins.
     """
     layout = _layout(config)
     topology = barabasi_albert(config.n_nodes, 2, config.rng("topology"))
     tree = DisseminationTree.minimum_spanning(topology)
     system = CosmosSystem(
-        tree,
-        processor_nodes=layout["processors"],
-        topology=topology,
-        fast_path=fast_path,
+        tree, processor_nodes=layout["processors"], topology=topology
     )
     for schema in layout["schemas"]:
         system.add_source(schema, layout["source_nodes"][schema.name])
@@ -424,8 +420,7 @@ def run_schedule(
     suppressed, reorderings repaired, with zero tolerated losses.
     """
     vnet = VirtualNetwork(
-        build=lambda fast_path: build_system(config, fast_path=fast_path),
-        check_fast_path=config.check_fast_path,
+        build=lambda: build_system(config),
         recovery=config.recovery,
         migrate=config.migrate,
     )
@@ -455,9 +450,8 @@ def run_schedule(
     violations.extend(check_ground_truth(vnet.primary, oracle_feed, ids))
     violations.extend(check_no_orphans(vnet.primary))
     violations.extend(check_chronology(vnet.primary))
-    if vnet.shadow is not None:
-        violations.extend(check_no_orphans(vnet.shadow))
-        violations.extend(compare_systems(vnet.primary, vnet.shadow))
+    violations.extend(check_no_orphans(vnet.shadow))
+    violations.extend(compare_systems(vnet.primary, vnet.shadow))
     return ChaosReport(
         config=config,
         violations=violations,

@@ -102,10 +102,6 @@ class CosmosSystem:
         Run the static analyzer (schema + satisfiability families) on
         every submitted query and reject submissions with errors by
         raising :class:`SystemError_` before anything is installed.
-    fast_path:
-        Route publications through the CBN's indexed fast path
-        (default); ``False`` keeps the naive reference path for
-        equivalence checks and before/after measurements.
     """
 
     def __init__(
@@ -119,7 +115,6 @@ class CosmosSystem:
         use_subsumption: bool = False,
         per_source_trees: bool = False,
         static_check: bool = False,
-        fast_path: bool = True,
     ) -> None:
         if per_source_trees and topology is None:
             raise SystemError_("per_source_trees requires the topology")
@@ -131,10 +126,7 @@ class CosmosSystem:
         self.cost_model = cost_model or CostModel()
         self.merging = merging
         self.network = ContentBasedNetwork(
-            tree,
-            self.catalog,
-            use_subsumption=use_subsumption,
-            fast_path=fast_path,
+            tree, self.catalog, use_subsumption=use_subsumption
         )
         self.processors: Dict[NodeId, Processor] = {}
         for node in processor_nodes:

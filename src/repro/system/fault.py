@@ -27,6 +27,16 @@ class FaultError(Exception):
     """Raised when a failure cannot be repaired."""
 
 
+def refuse_stream_trees(system: CosmosSystem) -> None:
+    """Tree repair swaps the default tree only: ``rebuild_network`` would
+    silently move every per-stream tree's traffic onto it."""
+    if system.network.has_stream_trees:
+        raise FaultError(
+            "per-stream trees must be repaired individually; "
+            "rebuilding over the default tree would drop them"
+        )
+
+
 def repair_tree(
     tree: DisseminationTree, topology: Topology, failed: NodeId
 ) -> DisseminationTree:
@@ -76,12 +86,13 @@ def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
     """Data-layer failure: repair the tree and rebuild routing state.
 
     The node must be a pure broker (no SPE, no attached sources or
-    users).  Routing state is control-plane soft state in a CBN, so
+    users) of a system without per-stream trees.  Routing state is control-plane soft state in a CBN, so
     recovery re-propagates every advertisement and subscription over
     the repaired tree; accumulated traffic statistics carry over.
     """
     if system.topology is None:
         raise FaultError("fault repair needs the underlying topology")
+    refuse_stream_trees(system)
     if node in system.processors:
         raise FaultError(
             f"node {node} is a processor; use fail_processor instead"

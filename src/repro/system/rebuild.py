@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cbn.network import ContentBasedNetwork
 from repro.core.profiles import result_profile, source_profile
 from repro.overlay.tree import DisseminationTree
 
@@ -29,8 +28,9 @@ def rebuild_network(system: "CosmosSystem", tree: DisseminationTree) -> None:
 
     The new tree must contain every node that still hosts a source, a
     processor or a user.  Per-stream trees are not carried over (they
-    would need their own reorganisation); systems using them must
-    rebuild those separately.
+    would need their own reorganisation), so every caller refuses a
+    system that has them before it gets here.  The new network is of
+    the old one's class.
     """
     from repro.system.cosmos import QueryStatus
 
@@ -51,12 +51,11 @@ def rebuild_network(system: "CosmosSystem", tree: DisseminationTree) -> None:
 
     old_network = system.network
     system.tree = tree
-    system.network = ContentBasedNetwork(
+    system.network = type(old_network)(
         tree,
         system.catalog,
         scope_to_advertisements=old_network.scope_to_advertisements,
         use_subsumption=old_network.use_subsumption,
-        fast_path=old_network.fast_path,
     )
     system.network.data_stats.merge(old_network.data_stats)
     system.network.control_stats.merge(old_network.control_stats)

@@ -556,11 +556,12 @@ def quarantine_partitioned(
     a handle, so it stays a hard fault.  Returns the quarantined query
     ids (sorted).
     """
-    from repro.system.fault import FaultError
+    from repro.system.fault import FaultError, refuse_stream_trees
     from repro.system.rebuild import rebuild_network
 
     if system.topology is None:
         raise FaultError("degraded-mode repair needs the underlying topology")
+    refuse_stream_trees(system)
     state = system.reliability
     if state is None:
         state = attach_reliability(system)
@@ -611,6 +612,7 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     Returns the resumed query ids (sorted); quarantined queries whose
     partition still stands are left untouched.
     """
+    from repro.system.fault import refuse_stream_trees
     from repro.system.rebuild import rebuild_network
 
     state = system.reliability
@@ -622,6 +624,7 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     main = next((c for c in components if c & tree_nodes), tree_nodes)
     if not (main - tree_nodes):
         return []  # nothing newly reachable
+    refuse_stream_trees(system)
     base_weights = {
         edge: system.tree.weight(*edge) for edge in system.tree.edges
     }

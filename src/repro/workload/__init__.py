@@ -9,11 +9,10 @@
   Table 1 (OpenAuction / ClosedAuction);
 * :mod:`repro.workload.queries` — the random query generator ("randomly
   selecting the involved streams, their window sizes and the filtering
-  predicates based on a distribution (uniform or zipfian)");
-* :mod:`repro.workload.fastpath` — the matching-heavy publish workload
-  shared by the fast-path/columnar benchmarks and their pytest gates;
-* :mod:`repro.workload.bench` — the shared warm/timed/equivalence
-  measurement harness those benchmarks run the workload through.
+  predicates based on a distribution (uniform or zipfian)").
+
+The repo's benchmark (``bench/``, declared in ``BENCHMARK.json``) builds
+its six workloads from these generators; timing lives there, not here.
 """
 
 from __future__ import annotations
@@ -26,17 +25,6 @@ from repro.workload.auction import (
     TABLE1_Q2,
     TABLE1_Q3,
 )
-from repro.workload.bench import (
-    best_of,
-    group_feed,
-    publish_batched,
-    publish_batched_time,
-    publish_loop,
-    publish_loop_time,
-    snapshot,
-    stats_equal,
-)
-from repro.workload.fastpath import FastPathWorkload, build_fastpath_workload
 from repro.workload.queries import QueryWorkload, WorkloadConfig
 from repro.workload.sensorscope import sensorscope_catalog, SensorScopeReplayer
 from repro.workload.zipf import ZipfSampler
@@ -44,7 +32,6 @@ from repro.workload.zipf import ZipfSampler
 __all__ = [
     "AuctionWorkload",
     "CLOSED_AUCTION_SCHEMA",
-    "FastPathWorkload",
     "OPEN_AUCTION_SCHEMA",
     "QueryWorkload",
     "SensorScopeReplayer",
@@ -53,14 +40,5 @@ __all__ = [
     "TABLE1_Q3",
     "WorkloadConfig",
     "ZipfSampler",
-    "best_of",
-    "build_fastpath_workload",
-    "group_feed",
-    "publish_batched",
-    "publish_batched_time",
-    "publish_loop",
-    "publish_loop_time",
     "sensorscope_catalog",
-    "snapshot",
-    "stats_equal",
 ]

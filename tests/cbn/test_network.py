@@ -7,6 +7,7 @@ from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork, NetworkError
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
+from repro.sim.reference import ReferenceNetwork
 
 
 def cond(*atoms):
@@ -234,7 +235,7 @@ class TestAdvertisementDedup:
         assert sorted(net.publishers_of("S")) == [0, 4]
 
 
-class TestFastPathCache:
+class TestRouteCache:
     def test_epoch_tracks_routing_mutations(self, net):
         before = net.routing_epoch
         sid = net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4)
@@ -265,13 +266,27 @@ class TestFastPathCache:
         )
         assert net.catalog.version > before
 
-    def test_naive_mode_still_available(self, line_tree):
-        network = ContentBasedNetwork(line_tree, fast_path=False)
+    def test_churn_keeps_other_streams_facts_warm(self, net):
+        # "S30" and "S7" have the same crc32 % 64: invalidation is per
+        # stream name, not per hash bucket.
+        for stream in ("S7", "S30"):
+            net.advertise(stream, 0)
+        net.subscribe(Profile({"S30": ALL_ATTRIBUTES}), 4, "u30")
+        touched, warm = net._facts_for("S7"), net._facts_for("S30")
+        net.subscribe(Profile({"S7": ALL_ATTRIBUTES}), 4, "u7")
+        assert net._facts_for("S30") is warm
+        assert net._facts_for("S7") is not touched
+        net.unsubscribe("u7")
+        assert net._facts_for("S30") is warm
+
+    def test_reference_network_routes_the_same(self, line_tree):
+        network = ReferenceNetwork(line_tree)
         network.advertise("S", 0, SCHEMA)
         network.subscribe(Profile({"S": {"a"}}), 4, "u1")
         deliveries = network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
         assert [d.subscription_id for d in deliveries] == ["u1"]
-        assert not network.fast_path
+        with pytest.raises(NetworkError):
+            network.publish(Datagram("S", {"a": 1, "b": 0.5}), 99)
 
 
 class TestPublishMany:

@@ -4,6 +4,7 @@ from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
+from repro.sim import reference
 
 
 def cond(*atoms):
@@ -161,7 +162,7 @@ class TestStreamIndex:
         assert not table.has_stream_entries(1, "S")
         assert table.has_stream_entries(1, "T")
 
-    def test_decide_matches_unindexed_table(self):
+    def test_decide_matches_reference_scan(self):
         datagrams = [
             Datagram("S", {"a": 1, "b": 2}),
             Datagram("S", {"a": 9, "b": 0}),
@@ -172,14 +173,12 @@ class TestStreamIndex:
             ("s2", profile(ALL_ATTRIBUTES, stream="T")),
             ("s3", profile({"b"}, Comparison("b", ">=", 2))),
         ]
-        indexed = RoutingTable(0, use_index=True)
-        plain = RoutingTable(0, use_index=False)
+        table = RoutingTable(0)
         for sid, prof in profiles:
-            indexed.install(1, sid, prof)
-            plain.install(1, sid, prof)
+            table.install(1, sid, prof)
         for datagram in datagrams:
-            a = indexed.decide(1, datagram)
-            b = plain.decide(1, datagram)
+            a = table.decide(1, datagram)
+            b = reference.decide(table, 1, datagram)
             assert (a.forward, a.attributes) == (b.forward, b.attributes)
 
 
@@ -210,6 +209,22 @@ class TestEpoch:
         table.remove("s1")
         # One call per mutation, reporting the streams it touched.
         assert calls == [frozenset({"S"}), frozenset({"S"})]
+
+    def test_mutation_keeps_other_streams_plans_warm(self):
+        # "S30" and "S7" have the same crc32 % 64: invalidation is per
+        # stream name, not per hash bucket.
+        for other in ("T", "S30"):
+            table = RoutingTable(0)
+            table.install(1, "a", profile({"a"}, stream="S7"))
+            table.install(1, "b", profile({"a"}, stream=other))
+            touched, warm = table._plan(1, "S7"), table._plan(1, other)
+            table.install(1, "a2", profile({"b"}, stream="S7"))
+            assert table._plan(1, other) is warm
+            rebuilt = table._plan(1, "S7")
+            assert rebuilt is not touched and len(rebuilt[0]) == 2
+            table.remove("a2")
+            assert table._plan(1, other) is warm
+            assert len(table._plan(1, "S7")[0]) == 1
 
     def test_suppressed_install_keeps_epoch(self):
         table = RoutingTable(0, use_subsumption=True)

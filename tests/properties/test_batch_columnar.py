@@ -21,7 +21,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cbn.columns import ColumnBatch
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
@@ -29,6 +28,7 @@ from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import barabasi_albert
 from repro.overlay.tree import DisseminationTree
+from repro.sim.reference import ReferenceNetwork
 from repro.system.cosmos import CosmosSystem
 from repro.system.fault import FaultError, fail_broker
 
@@ -55,8 +55,8 @@ class TestColumnarBatchEquivalence:
         """Any chunking of a feed — singletons, pairs, odd sizes, one
         big batch — delivers exactly what the naive loop delivers."""
         nodes = tree.nodes
-        fast = ContentBasedNetwork(tree, fast_path=True)
-        naive = ContentBasedNetwork(tree, fast_path=False)
+        fast = ContentBasedNetwork(tree)
+        naive = ReferenceNetwork(tree)
         publisher = data.draw(st.sampled_from(nodes), label="publisher")
         fast.advertise("S", publisher)
         naive.advertise("S", publisher)
@@ -91,8 +91,8 @@ class TestColumnarBatchEquivalence:
         publishes: the columnar plans revalidate against the mutated
         routing state and still match the naive loop exactly."""
         nodes = tree.nodes
-        fast = ContentBasedNetwork(tree, fast_path=True)
-        naive = ContentBasedNetwork(tree, fast_path=False)
+        fast = ContentBasedNetwork(tree)
+        naive = ReferenceNetwork(tree)
         advertisers = {}
         live = []
         counter = itertools.count()
@@ -224,23 +224,3 @@ class TestBatchUnderFailures:
                 continue  # survivors physically partitioned: skip in both
             fail_broker(looped_sys, victim)
             assert sorted(batched_sys.tree.edges) == sorted(looped_sys.tree.edges)
-
-
-class TestCoverageMask:
-    @given(st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_coverage_mask_matches_covers(self, data):
-        """``Profile.coverage_mask`` equals per-datagram ``covers``."""
-        profile = draw_profile(data, "S", "mask")
-        n = data.draw(st.integers(1, 8), label="n")
-        datagrams = [
-            Datagram("S", draw_payload(data, f"d{index}"), float(index))
-            for index in range(n)
-        ]
-        batch = ColumnBatch(datagrams, "S")
-        expected = [profile.covers(d) for d in datagrams]
-        assert profile.coverage_mask(batch) == expected
-        # Second call exercises the per-profile evaluator cache.
-        assert profile.coverage_mask(batch) == expected
-        foreign = ColumnBatch([Datagram("T", {}, 0.0)], "T")
-        assert profile.coverage_mask(foreign) == [False]

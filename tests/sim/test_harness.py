@@ -7,6 +7,7 @@ from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import Topology
 from repro.overlay.tree import DisseminationTree
 from repro.sim.network import VirtualNetwork
+from repro.sim.reference import ReferenceNetwork, as_reference
 from repro.sim.runner import (
     ChaosConfig,
     build_system,
@@ -24,8 +25,9 @@ CONFIG = ChaosConfig(seed=11)
 
 class TestBuildSystem:
     def test_twins_are_structurally_identical(self):
-        fast = build_system(CONFIG, fast_path=True)
-        naive = build_system(CONFIG, fast_path=False)
+        fast = build_system(CONFIG)
+        naive = as_reference(build_system(CONFIG))
+        assert isinstance(naive.network, ReferenceNetwork)
         assert sorted(fast.tree.edges) == sorted(naive.tree.edges)
         assert sorted(fast.network.subscriptions()) == sorted(
             naive.network.subscriptions()
@@ -81,9 +83,7 @@ class TestGenerateSchedule:
 
 class TestVirtualNetwork:
     def test_inject_reaches_both_twins(self):
-        vnet = VirtualNetwork(
-            build=lambda fast_path: build_system(CONFIG, fast_path=fast_path)
-        )
+        vnet = VirtualNetwork(build=lambda: build_system(CONFIG))
         event = InjectEvent(1.0, "Temp", (("celsius", 35.0), ("station", 0)))
         vnet.execute([event])
         assert vnet.counters.injects == 1
@@ -93,7 +93,7 @@ class TestVirtualNetwork:
         assert fast == naive
 
     def test_partitioned_repair_is_recorded_as_refused(self):
-        def build_line(fast_path=True):
+        def build_line():
             topo = Topology()
             for u, v in [(0, 1), (1, 2), (2, 3)]:
                 topo.add_edge(u, v, 1.0)
@@ -101,9 +101,7 @@ class TestVirtualNetwork:
                 [(0, 1), (1, 2), (2, 3)],
                 {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
             )
-            system = CosmosSystem(
-                tree, processor_nodes=[0], topology=topo, fast_path=fast_path
-            )
+            system = CosmosSystem(tree, processor_nodes=[0], topology=topo)
             system.add_source(
                 StreamSchema(
                     "Temp", [Attribute("station", "int", 0, 9)], rate=1.0
@@ -128,14 +126,6 @@ class TestVirtualNetwork:
             [InjectEvent(2.0, "Temp", (("station", 1),))]
         )
         assert vnet.primary.query("q").result_count == 1
-
-    def test_fast_path_check_can_be_disabled(self):
-        vnet = VirtualNetwork(
-            build=lambda fast_path: build_system(CONFIG, fast_path=fast_path),
-            check_fast_path=False,
-        )
-        assert vnet.shadow is None
-        assert vnet.systems == [vnet.primary]
 
 
 class TestRunner:

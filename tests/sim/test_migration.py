@@ -26,7 +26,7 @@ from repro.system.cosmos import CosmosSystem, QueryStatus
 MIGRATE = ChaosConfig(seed=0, recovery=True, migrate=True)
 
 
-def build_pair(fast_path=True):
+def build_pair():
     """0(src+user) - 1(proc) - 2 - 3(proc) - 4.
 
     The source and the user both sit on node 0, so the query lands on
@@ -38,9 +38,7 @@ def build_pair(fast_path=True):
     for u, v in edges:
         topo.add_edge(u, v, 1.0)
     tree = DisseminationTree(edges, {e: 1.0 for e in edges})
-    system = CosmosSystem(
-        tree, processor_nodes=[1, 3], topology=topo, fast_path=fast_path
-    )
+    system = CosmosSystem(tree, processor_nodes=[1, 3], topology=topo)
     system.add_source(
         StreamSchema("Temp", [Attribute("station", "int", 0, 9)], rate=1.0), 0
     )

@@ -12,6 +12,7 @@ from repro.sim.oracle import (
     compare_systems,
     expected_results,
 )
+from repro.sim.reference import as_reference
 from repro.sim.runner import ChaosConfig, build_system, query_ids
 
 TEMP = StreamSchema(
@@ -114,8 +115,8 @@ class TestSystemChecks:
         assert check_chronology(system)
 
     def test_twin_comparison(self):
-        fast = build_system(ChaosConfig(seed=1), fast_path=True)
-        naive = build_system(ChaosConfig(seed=1), fast_path=False)
+        fast = build_system(ChaosConfig(seed=1))
+        naive = as_reference(build_system(ChaosConfig(seed=1)))
         assert compare_systems(fast, naive) == []
         fast.publish("Temp", {"station": 0, "celsius": 30.0}, 1.0)
         assert compare_systems(fast, naive)

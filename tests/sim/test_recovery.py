@@ -169,16 +169,14 @@ class TestRecoveryShrinking:
         assert isinstance(report.ok, bool)  # terminated, verdict either way
 
 
-def build_chain(fast_path=True):
+def build_chain():
     """0(proc) - 1(src) - 2 - 3(user): removing 2 strands the user."""
     topo = Topology()
     edges = [(0, 1), (1, 2), (2, 3)]
     for u, v in edges:
         topo.add_edge(u, v, 1.0)
     tree = DisseminationTree(edges, {e: 1.0 for e in edges})
-    system = CosmosSystem(
-        tree, processor_nodes=[0], topology=topo, fast_path=fast_path
-    )
+    system = CosmosSystem(tree, processor_nodes=[0], topology=topo)
     system.add_source(
         StreamSchema("Temp", [Attribute("station", "int", 0, 9)], rate=1.0), 1
     )
