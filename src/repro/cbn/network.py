@@ -172,10 +172,7 @@ class ContentBasedNetwork:
                     f"tree for stream {stream!r} spans different nodes"
                 )
         self._epoch = 0
-        self._tables: Dict[NodeId, RoutingTable] = {
-            node: RoutingTable(node, use_subsumption, on_change=self._bump_epoch)
-            for node in tree.nodes
-        }
+        self._tables = self._fresh_tables(tree)
         self._subscriptions: Dict[str, _Subscription] = {}
         self._advertisements: Dict[str, List[_Advertisement]] = {}
         #: stream -> (facts, (stream version, catalog version) they were
@@ -186,12 +183,10 @@ class ContentBasedNetwork:
         #: stream -> count of routing mutations that touched it (fed by
         #: the tables' ``on_change`` stream reports).
         self._stream_versions: Dict[str, int] = {}
-        weights = {edge: tree.weight(*edge) for edge in tree.edges}
-        for stree in self._stream_trees.values():
-            for edge in stree.edges:
-                weights.setdefault(edge, stree.weight(*edge))
-        self.data_stats = LinkStats(weights)
-        self.control_stats = LinkStats(weights)
+        self.data_stats = LinkStats()
+        self.control_stats = LinkStats()
+        for each in (tree, *self._stream_trees.values()):
+            self._register_weights(each)
         self._counter = itertools.count()
 
     # -- structure ---------------------------------------------------------------
@@ -225,10 +220,56 @@ class ContentBasedNetwork:
                 )
         self._stream_trees[stream] = tree
         self._bump_epoch((stream,))
+        self._register_weights(tree)
+
+    def _fresh_tables(self, tree: DisseminationTree) -> Dict[NodeId, RoutingTable]:
+        return {
+            node: RoutingTable(node, self.use_subsumption, on_change=self._bump_epoch)
+            for node in tree.nodes
+        }
+
+    def _register_weights(self, tree: DisseminationTree) -> None:
+        """Price ``tree``'s links on both accumulators (a link that
+        already has a cost keeps it)."""
         for edge in tree.edges:
             weight = tree.weight(*edge)
             self.data_stats.add_weight(edge, weight)
             self.control_stats.add_weight(edge, weight)
+
+    def retree(self, tree: DisseminationTree) -> None:
+        """Move the network onto ``tree``, in place, and re-propagate.
+
+        Routing state is soft state: the tables are made afresh and the
+        network replays its own registries over the new tree — every
+        advertisement whose node is still a broker, then every
+        subscription, each in registration order and under its existing
+        id.  Traffic statistics, flags, the catalog and the id counter
+        are untouched (the new links are priced on the existing
+        accumulators); the per-stream fact cache is dropped.  Raises
+        before anything changes when a subscriber's broker is not in
+        ``tree`` or the network has per-stream trees (each would need
+        its own reorganisation).
+        """
+        if self._stream_trees:
+            raise NetworkError("per-stream trees cannot follow a retree")
+        for sub in self._subscriptions.values():
+            if sub.node not in tree:
+                raise NetworkError(
+                    f"subscription {sub.subscription_id!r} lives on broker "
+                    f"{sub.node}, which is not in the new tree"
+                )
+        self._tree = tree
+        self._tables = self._fresh_tables(tree)
+        self._register_weights(tree)
+        self._facts.clear()
+        advertisements, self._advertisements = self._advertisements, {}
+        subscriptions, self._subscriptions = self._subscriptions, {}
+        for ads in advertisements.values():
+            for ad in ads:
+                if ad.node in tree:
+                    self.advertise(ad.stream, ad.node)
+        for sub in subscriptions.values():
+            self.subscribe(sub.profile, sub.node, sub.subscription_id)
 
     def table(self, node: NodeId) -> RoutingTable:
         try:

@@ -74,14 +74,6 @@ class LinkStats:
             for edge, usage in self._usage.items()
         )
 
-    def merge(self, other: "LinkStats") -> None:
-        """Fold another accumulator into this one."""
-        for edge, usage in other._usage.items():
-            mine = self._usage.setdefault(edge, LinkUsage())
-            mine.add(usage.messages, usage.bytes)
-        for edge, weight in other._weights.items():
-            self._weights.setdefault(edge_key(*edge), weight)
-
     def reset(self) -> None:
         self._usage.clear()
 

@@ -175,9 +175,22 @@ class Topology:
                     heapq.heappush(heap, (nd, other))
         return parent
 
-    def minimum_spanning_tree_edges(self) -> List[Edge]:
-        """Kruskal MST over the whole topology (must be connected)."""
-        parent: Dict[NodeId, NodeId] = {node: node for node in self._adjacency}
+    def minimum_spanning_tree_edges(
+        self,
+        nodes: Optional[Iterable[NodeId]] = None,
+        seed_edges: Iterable[Edge] = (),
+    ) -> List[Edge]:
+        """Kruskal: complete ``seed_edges`` to an MST over ``nodes``.
+
+        ``nodes`` defaults to the whole topology; only links with both
+        ends in it are candidates, taken by ``(weight, edge)``.  The
+        seed forest (already-chosen edges, e.g. the tree a repair
+        extends) is kept as is and comes first in the result.  Raises
+        :class:`TopologyError` when the result does not span ``nodes``.
+        """
+        parent: Dict[NodeId, NodeId] = {
+            node: node for node in (self._adjacency if nodes is None else nodes)
+        }
 
         def find(x: NodeId) -> NodeId:
             while parent[x] != x:
@@ -186,13 +199,16 @@ class Topology:
             return x
 
         mst: List[Edge] = []
-        for edge in sorted(self.weights, key=lambda e: (self.weights[e], e)):
-            u, v = edge
-            ru, rv = find(u), find(v)
+        candidates = sorted(
+            (e for e in self.weights if e[0] in parent and e[1] in parent),
+            key=lambda e: (self.weights[e], e),
+        )
+        for edge in (*seed_edges, *candidates):
+            ru, rv = find(edge[0]), find(edge[1])
             if ru != rv:
                 parent[ru] = rv
                 mst.append(edge)
-        if len(mst) != len(self._adjacency) - 1:
+        if len(mst) != len(parent) - 1:
             raise TopologyError("topology is not connected; MST is incomplete")
         return mst
 

@@ -56,7 +56,7 @@ order, so recovery traces replay byte-identically too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.cbn.datagram import Datagram
 from repro.sim.reference import as_reference
@@ -71,7 +71,12 @@ from repro.sim.schedule import (
 from repro.sim.trace import ChaosTrace
 from repro.system.cosmos import CosmosSystem
 from repro.system.events import EventSimulator
-from repro.system.fault import FaultError, fail_broker, fail_processor
+from repro.system.fault import (
+    FaultError,
+    PartitionError,
+    fail_broker,
+    fail_processor,
+)
 from repro.system.loadmgr import (
     GroupMigration,
     LoadParams,
@@ -91,6 +96,9 @@ from repro.system.reliability import (
     attach_reliability,
     quarantine_partitioned,
 )
+
+
+T = TypeVar("T")
 
 
 class ChaosExecutionError(Exception):
@@ -182,6 +190,15 @@ class VirtualNetwork:
     def systems(self) -> List[CosmosSystem]:
         return [self.primary, self.shadow]
 
+    def _on_twins(self, what: str, action: Callable[[CosmosSystem], T]) -> T:
+        """Apply ``action`` to both twins; their outcomes must agree."""
+        primary, shadow = [action(system) for system in self.systems]
+        if primary != shadow:
+            raise ChaosExecutionError(
+                f"twins diverged {what}: {[primary, shadow]}"
+            )
+        return primary
+
     def routing_epoch(self) -> int:
         return self.primary.network.routing_epoch
 
@@ -267,21 +284,18 @@ class VirtualNetwork:
             self._crashed[event.node] = event.kind
             self.trace.record(f"{event.render()} -> crashed")
             return
-        outcomes = []
-        for system in self.systems:
+
+        def fail(system: CosmosSystem) -> str:
             try:
                 if event.kind == "broker":
                     fail_broker(system, event.node)
                 else:
                     fail_processor(system, event.node)
-                outcomes.append("applied")
+                return "applied"
             except FaultError as exc:
-                outcomes.append(f"refused ({exc})")
-        if len(set(outcomes)) > 1:
-            raise ChaosExecutionError(
-                f"twins diverged on {event.render()}: {outcomes}"
-            )
-        outcome = outcomes[0]
+                return f"refused ({exc})"
+
+        outcome = self._on_twins(f"on {event.render()}", fail)
         if outcome == "applied":
             self.counters.faults_applied += 1
         else:
@@ -498,16 +512,13 @@ class VirtualNetwork:
                 f"migrate_skip t={sim.now:g} node={source_node} reason=no-target"
             )
             return
-        quarantined: List[List[str]] = []
-        for system in self.systems:
-            quarantined.append(
-                quarantine_for_migration(system, source_node, group.group_id)
-            )
-        if len({tuple(q) for q in quarantined}) > 1:
-            raise ChaosExecutionError(
-                f"twins diverged quarantining {key}: {quarantined}"
-            )
-        if not quarantined[0]:
+        quarantined = self._on_twins(
+            f"quarantining {key}",
+            lambda system: quarantine_for_migration(
+                system, source_node, group.group_id
+            ),
+        )
+        if not quarantined:
             # Every member already degraded (e.g. partition-owned):
             # nothing was touched and there is nothing to move.
             self.trace.record(
@@ -519,7 +530,7 @@ class VirtualNetwork:
             group_id=group.group_id,
             source_node=source_node,
             target_node=target,
-            members=list(quarantined[0]),
+            members=list(quarantined),
         )
         self.load.active[key] = migration
         self.load.counters.migrations_started += 1
@@ -614,18 +625,15 @@ class VirtualNetwork:
             self._abort_migration(sim, key, "handoff-gaps")
             return
         migration.cut_over()
-        moved: List[List[str]] = []
-        for system in self.systems:
-            moved.append(cutover_group(system, migration))
-        if len({tuple(m) for m in moved}) > 1:
-            raise ChaosExecutionError(
-                f"twins diverged cutting over {key}: {moved}"
-            )
+        moved = self._on_twins(
+            f"cutting over {key}",
+            lambda system: cutover_group(system, migration),
+        )
         migration.complete()
         self.load.active.pop(key, None)
         self.load.counters.migrations_completed += 1
         self.last_recovery_time = sim.now
-        names = ",".join(moved[0]) or "-"
+        names = ",".join(moved) or "-"
         self.trace.record(
             f"cutover t={sim.now:g} group={migration.group_id} "
             f"n{migration.source_node}->n{migration.target_node} "
@@ -642,18 +650,12 @@ class VirtualNetwork:
         migration.abort()
         resumed: List[str] = []
         if reason != "superseded":
-            outcomes: List[List[str]] = []
-            for system in self.systems:
-                outcomes.append(
-                    resume_after_migration(
-                        system, migration.source_node, migration.members
-                    )
-                )
-            if len({tuple(r) for r in outcomes}) > 1:
-                raise ChaosExecutionError(
-                    f"twins diverged aborting {key}: {outcomes}"
-                )
-            resumed = outcomes[0]
+            resumed = self._on_twins(
+                f"aborting {key}",
+                lambda system: resume_after_migration(
+                    system, migration.source_node, migration.members
+                ),
+            )
         self.load.active.pop(key, None)
         self.load.counters.migrations_aborted += 1
         names = ",".join(resumed) or "-"
@@ -679,23 +681,21 @@ class VirtualNetwork:
 
     def _repair(self, sim: EventSimulator, node: int, attempt: int) -> None:
         kind = self._crashed.get(node, "broker")
-        outcomes: List[str] = []
         errors: List[FaultError] = []
-        for system in self.systems:
+
+        def repair(system: CosmosSystem) -> str:
             try:
                 if kind == "broker":
                     fail_broker(system, node)
                 else:
                     fail_processor(system, node)
-                outcomes.append("repaired")
+                return "repaired"
             except FaultError as exc:
-                outcomes.append(f"error ({exc})")
                 errors.append(exc)
-        if len(set(outcomes)) > 1:
-            raise ChaosExecutionError(
-                f"twins diverged repairing node {node}: {outcomes}"
-            )
-        if outcomes[0] == "repaired":
+                return f"error ({exc})"
+
+        outcome = self._on_twins(f"repairing node {node}", repair)
+        if outcome == "repaired":
             self.counters.faults_applied += 1
             self.state.counters.repairs_applied += 1
             self.state.detector.deregister(node)
@@ -704,7 +704,7 @@ class VirtualNetwork:
                 f"repair t={sim.now:g} fail_{kind} node={node} -> applied"
             )
             return
-        if kind == "broker" and "partitioned" in str(errors[0]):
+        if kind == "broker" and isinstance(errors[0], PartitionError):
             self._degrade(sim, node)
             return
         if attempt < self.state.params.max_repair_attempts:
@@ -727,17 +727,14 @@ class VirtualNetwork:
 
     def _degrade(self, sim: EventSimulator, node: int) -> None:
         """Partitioned survivors: quarantine instead of refusing."""
-        quarantined: List[List[str]] = []
-        for system in self.systems:
-            quarantined.append(quarantine_partitioned(system, node))
-        if len({tuple(q) for q in quarantined}) > 1:
-            raise ChaosExecutionError(
-                f"twins diverged degrading node {node}: {quarantined}"
-            )
+        quarantined = self._on_twins(
+            f"degrading node {node}",
+            lambda system: quarantine_partitioned(system, node),
+        )
         self.counters.faults_applied += 1
         self.state.detector.deregister(node)
         self.last_recovery_time = sim.now
-        names = ",".join(quarantined[0]) or "-"
+        names = ",".join(quarantined) or "-"
         self.trace.record(
             f"repair t={sim.now:g} fail_broker node={node} -> "
             f"degraded [{names}]"

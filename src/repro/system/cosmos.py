@@ -236,9 +236,7 @@ class CosmosSystem:
         handle = self._queries.pop(query_id, None)
         if handle is None:
             raise SystemError_(f"unknown query {query_id!r}")
-        sub_id = self._user_subscriptions.pop(query_id, None)
-        if sub_id is not None:
-            self.network.unsubscribe(sub_id)
+        self.detach_result_subscription(query_id)
         processor = self.processors[handle.processor_node]
         group = processor.withdraw(query_id)
         if group is None:
@@ -267,17 +265,25 @@ class CosmosSystem:
             member = self._queries.get(member_name)
             if member is None:
                 continue
-            old = self._user_subscriptions.pop(member_name, None)
-            if old is not None:
-                self.network.unsubscribe(old)
-            sub_id = self.network.subscribe(
-                profile,
-                member.user_node,
-                subscription_id=f"user:{member_name}:v{next(self._sub_version)}",
-            )
-            self._user_subscriptions[member_name] = sub_id
+            self.detach_result_subscription(member_name)
+            self.attach_result_subscription(member_name, profile)
             if result_stream is not None:
                 member.result_stream = result_stream
+
+    def attach_result_subscription(self, query_id: str, profile: object) -> None:
+        """Subscribe ``query_id``'s user to its results under a fresh
+        ``user:<query>:v<n>`` id (the query must hold none)."""
+        self._user_subscriptions[query_id] = self.network.subscribe(
+            profile,
+            self._queries[query_id].user_node,
+            subscription_id=f"user:{query_id}:v{next(self._sub_version)}",
+        )
+
+    def detach_result_subscription(self, query_id: str) -> None:
+        """Withdraw ``query_id``'s result subscription, if it holds one."""
+        sub_id = self._user_subscriptions.pop(query_id, None)
+        if sub_id is not None:
+            self.network.unsubscribe(sub_id)
 
     def query(self, query_id: str) -> SubmittedQuery:
         try:

@@ -16,15 +16,22 @@ details; this module implements a working version of both:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.overlay.topology import Edge, NodeId, Topology, edge_key
-from repro.overlay.tree import DisseminationTree, TreeError
-from repro.system.cosmos import CosmosSystem, SystemError_
+from repro.overlay.topology import NodeId, Topology, TopologyError
+from repro.overlay.tree import DisseminationTree
+from repro.system import rebuild
+from repro.system.cosmos import CosmosSystem
+from repro.system.node import Broker
 
 
 class FaultError(Exception):
     """Raised when a failure cannot be repaired."""
+
+
+class PartitionError(FaultError):
+    """The survivors are physically partitioned; the supervisor degrades
+    (:func:`~repro.system.reliability.quarantine_partitioned`), not retries."""
 
 
 def refuse_stream_trees(system: CosmosSystem) -> None:
@@ -37,58 +44,62 @@ def refuse_stream_trees(system: CosmosSystem) -> None:
         )
 
 
+def spanning_tree(
+    topology: Topology,
+    nodes: Iterable[NodeId],
+    seed: Optional[DisseminationTree] = None,
+) -> DisseminationTree:
+    """The cheapest tree over ``nodes`` that keeps every edge of ``seed``.
+
+    ``seed`` is the tree or forest inside ``nodes`` a repair preserves
+    (subscription paths through it stay stable): its edges keep their
+    weights, the physical links :meth:`Topology.minimum_spanning_tree_edges`
+    adds are priced by ``topology``.  Raises :class:`TopologyError` when
+    ``nodes`` are not physically connected.
+    """
+    nodes = sorted(nodes)
+    kept = seed.edges if seed is not None else []
+    weights = {edge: seed.weight(*edge) for edge in kept}
+    edges = topology.minimum_spanning_tree_edges(nodes, kept)
+    for edge in edges:
+        weights.setdefault(edge, topology.weights[edge])
+    return DisseminationTree(edges, weights, nodes=nodes)
+
+
 def repair_tree(
     tree: DisseminationTree, topology: Topology, failed: NodeId
 ) -> DisseminationTree:
     """Remove ``failed`` and reconnect the fragments.
 
-    Components are merged greedily: at every step the cheapest physical
-    edge of ``topology`` that bridges the growing main component to any
-    orphan is added (failed node's edges are off-limits).  Raises
-    :class:`FaultError` when the survivors are physically partitioned.
+    Every surviving tree edge is kept; the fragments are joined by the
+    cheapest physical links of ``topology`` among the survivors (the
+    failed node's links are off-limits).  Raises :class:`FaultError`
+    when ``failed`` is not in the tree or is its last node, and
+    :class:`PartitionError` when the survivors are physically
+    partitioned.
     """
-    components, forest = tree.remove_node(failed)
-    if not components:
+    if failed not in tree:
+        raise FaultError(f"node {failed} is not in the tree")
+    __, forest = tree.remove_node(failed)
+    if not len(forest):
         raise FaultError("cannot remove the last node of the tree")
-    components = sorted(components, key=len, reverse=True)
-    main = set(components[0])
-    pending = [set(c) for c in components[1:]]
-    edges = list(forest.edges)
-    weights = {edge: forest.weight(*edge) for edge in edges}
-    while pending:
-        best: Optional[Tuple[float, Edge, int]] = None
-        for index, component in enumerate(pending):
-            for edge in topology.edges:
-                u, v = edge
-                if failed in edge:
-                    continue
-                crosses = (u in main and v in component) or (
-                    v in main and u in component
-                )
-                if not crosses:
-                    continue
-                weight = topology.weights[edge]
-                if best is None or weight < best[0]:
-                    best = (weight, edge, index)
-        if best is None:
-            raise FaultError(
-                f"survivors are partitioned after removing {failed}"
-            )
-        weight, edge, index = best
-        edges.append(edge)
-        weights[edge] = weight
-        main |= pending.pop(index)
-    nodes = [n for n in tree.nodes if n != failed]
-    return DisseminationTree(edges, weights, nodes=nodes)
+    try:
+        return spanning_tree(topology, forest.nodes, forest)
+    except TopologyError:
+        raise PartitionError(
+            f"survivors are partitioned after removing {failed}"
+        ) from None
 
 
 def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
     """Data-layer failure: repair the tree and rebuild routing state.
 
     The node must be a pure broker (no SPE, no attached sources or
-    users) of a system without per-stream trees.  Routing state is control-plane soft state in a CBN, so
-    recovery re-propagates every advertisement and subscription over
-    the repaired tree; accumulated traffic statistics carry over.
+    users) in the tree of a system without per-stream trees; anything
+    else raises :class:`FaultError` before the system is touched.
+    Routing state is control-plane soft state in a CBN, so recovery has
+    the network re-propagate its advertisements and subscriptions over
+    the repaired tree (:meth:`ContentBasedNetwork.retree`).
     """
     if system.topology is None:
         raise FaultError("fault repair needs the underlying topology")
@@ -105,10 +116,7 @@ def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
             raise FaultError(f"node {node} has attached users")
 
     repaired = repair_tree(system.tree, system.topology, node)
-
-    from repro.system.rebuild import rebuild_network
-
-    rebuild_network(system, repaired)
+    rebuild.rebuild_network(system, repaired)
     return repaired
 
 
@@ -139,10 +147,7 @@ def fail_processor(system: CosmosSystem, node: NodeId) -> List[str]:
     for group in processor.manager.groups:
         for member in group.members:
             orphaned.append(member.name)
-    for sub_id in processor._source_subscriptions.values():
-        system.network.unsubscribe(sub_id)
-    from repro.system.node import Broker
-
+    processor.drop_source_subscriptions()
     system.brokers[node] = Broker(node)
     rehomed: List[str] = []
     failures: List[Tuple[str, Exception]] = []
@@ -150,18 +155,14 @@ def fail_processor(system: CosmosSystem, node: NodeId) -> List[str]:
         handle = system._queries.pop(query_id, None)
         if handle is None:
             continue
-        sub_id = system._user_subscriptions.pop(query_id, None)
-        if sub_id is not None:
-            system.network.unsubscribe(sub_id)
+        system.detach_result_subscription(query_id)
         try:
             new_handle = system.submit(
                 handle.query, handle.user_node, name=query_id
             )
         except Exception as exc:  # keep re-homing the remaining orphans
             system._queries.pop(query_id, None)
-            leaked = system._user_subscriptions.pop(query_id, None)
-            if leaked is not None:
-                system.network.unsubscribe(leaked)
+            system.detach_result_subscription(query_id)
             failures.append((query_id, exc))
             continue
         # Results collected before the failure come first; the fresh

@@ -427,9 +427,7 @@ def quarantine_for_migration(
             continue
         if handle.status is not QueryStatus.ACTIVE:
             continue
-        sub_id = system._user_subscriptions.pop(member.name, None)
-        if sub_id is not None:
-            system.network.unsubscribe(sub_id)
+        system.detach_result_subscription(member.name)
         handle.status = QueryStatus.DEGRADED
         quarantined.append(member.name)
     return quarantined
@@ -468,13 +466,9 @@ def resume_after_migration(
             continue
         if handle.user_node not in system.tree:
             continue
-        profile = processor.manager.result_profiles_of(group)[member_name]
-        sub_id = system.network.subscribe(
-            profile,
-            handle.user_node,
-            subscription_id=f"user:{member_name}:v{next(system._sub_version)}",
+        system.attach_result_subscription(
+            member_name, processor.manager.result_profiles_of(group)[member_name]
         )
-        system._user_subscriptions[member_name] = sub_id
         handle.status = QueryStatus.ACTIVE
         resumed.append(member_name)
     return resumed

@@ -166,6 +166,14 @@ class Processor:
                 self.network.unsubscribe(sub_id)
         return members
 
+    def drop_source_subscriptions(self) -> None:
+        """Withdraw every group's source subscription (this processor
+        failed; its groups are re-homed elsewhere)."""
+        assert self.network is not None
+        for sub_id in self._source_subscriptions.values():
+            self.network.unsubscribe(sub_id)
+        self._source_subscriptions.clear()
+
     def _subscribe_sources(self, submission: Submission) -> None:
         self._replace_source_subscription(
             submission.group.group_id, submission.source_profile

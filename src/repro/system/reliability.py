@@ -45,9 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.overlay.topology import Edge, NodeId, Topology, edge_key
-from repro.overlay.tree import DisseminationTree
+from repro.overlay.topology import NodeId, Topology
+from repro.system import rebuild
 from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.fault import FaultError, refuse_stream_trees, spanning_tree
 
 
 class ReliabilityError(Exception):
@@ -491,53 +492,6 @@ def _components(topology: Topology, excluded: Set[NodeId]) -> List[Set[NodeId]]:
     return components
 
 
-def _restricted_spanning_tree(
-    topology: Topology,
-    nodes: Set[NodeId],
-    base_edges: Optional[List[Edge]] = None,
-    base_weights: Optional[Dict[Edge, float]] = None,
-) -> DisseminationTree:
-    """Kruskal spanning tree over ``nodes`` using only internal edges.
-
-    ``base_edges`` (with weights) are taken as already chosen — used by
-    :func:`heal_partition` to extend the surviving tree instead of
-    rebuilding it from scratch (subscription paths stay stable).
-    """
-    parent: Dict[NodeId, NodeId] = {node: node for node in nodes}
-
-    def find(x: NodeId) -> NodeId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen: List[Edge] = []
-    weights: Dict[Edge, float] = {}
-    for edge in base_edges or []:
-        u, v = edge
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(edge)
-            weights[edge] = (base_weights or {}).get(edge, 1.0)
-    candidates = sorted(
-        (
-            edge
-            for edge in topology.edges
-            if edge[0] in nodes and edge[1] in nodes
-        ),
-        key=lambda e: (topology.weights[e], e),
-    )
-    for edge in candidates:
-        u, v = edge
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(edge)
-            weights[edge] = topology.weights[edge]
-    return DisseminationTree(chosen, weights, nodes=sorted(nodes))
-
-
 def quarantine_partitioned(
     system: CosmosSystem, failed: NodeId
 ) -> List[str]:
@@ -556,9 +510,6 @@ def quarantine_partitioned(
     a handle, so it stays a hard fault.  Returns the quarantined query
     ids (sorted).
     """
-    from repro.system.fault import FaultError, refuse_stream_trees
-    from repro.system.rebuild import rebuild_network
-
     if system.topology is None:
         raise FaultError("degraded-mode repair needs the underlying topology")
     refuse_stream_trees(system)
@@ -586,15 +537,12 @@ def quarantine_partitioned(
             continue
         if handle.user_node in main:
             continue
-        sub_id = system._user_subscriptions.pop(query_id, None)
-        if sub_id is not None:
-            system.network.unsubscribe(sub_id)
+        system.detach_result_subscription(query_id)
         handle.status = QueryStatus.DEGRADED
         state.quarantined[query_id] = handle.user_node
         state.counters.queries_quarantined += 1
         quarantined.append(query_id)
-    repaired = _restricted_spanning_tree(system.topology, main)
-    rebuild_network(system, repaired)
+    rebuild.rebuild_network(system, spanning_tree(system.topology, main))
     state.failed_nodes.add(failed)
     return quarantined
 
@@ -612,9 +560,6 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     Returns the resumed query ids (sorted); quarantined queries whose
     partition still stands are left untouched.
     """
-    from repro.system.fault import refuse_stream_trees
-    from repro.system.rebuild import rebuild_network
-
     state = system.reliability
     if state is None or not state.quarantined:
         return []
@@ -625,13 +570,9 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     if not (main - tree_nodes):
         return []  # nothing newly reachable
     refuse_stream_trees(system)
-    base_weights = {
-        edge: system.tree.weight(*edge) for edge in system.tree.edges
-    }
-    extended = _restricted_spanning_tree(
-        system.topology, main, system.tree.edges, base_weights
+    rebuild.rebuild_network(
+        system, spanning_tree(system.topology, main, system.tree)
     )
-    rebuild_network(system, extended)
     resumed: List[str] = []
     for query_id in sorted(state.quarantined):
         handle = system._queries.get(query_id)
@@ -648,13 +589,9 @@ def heal_partition(system: CosmosSystem) -> List[str]:
         if group is None:
             del state.quarantined[query_id]
             continue
-        profile = processor.manager.result_profiles_of(group)[query_id]
-        sub_id = system.network.subscribe(
-            profile,
-            handle.user_node,
-            subscription_id=f"user:{query_id}:v{next(system._sub_version)}",
+        system.attach_result_subscription(
+            query_id, processor.manager.result_profiles_of(group)[query_id]
         )
-        system._user_subscriptions[query_id] = sub_id
         handle.status = QueryStatus.ACTIVE
         del state.quarantined[query_id]
         state.counters.queries_resumed += 1

@@ -1,5 +1,7 @@
 """End-to-end CBN behaviour on small trees."""
 
+import random
+
 import pytest
 
 from repro.cbn.datagram import Datagram
@@ -7,6 +9,7 @@ from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork, NetworkError
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
+from repro.overlay.tree import DisseminationTree
 from repro.sim.reference import ReferenceNetwork
 
 
@@ -326,3 +329,115 @@ class TestPublishMany:
     def test_unknown_broker_rejected(self, net):
         with pytest.raises(NetworkError):
             net.publish_many([Datagram("S", {"a": 1, "b": 0.1})], 99)
+
+
+class TestRetree:
+    """``retree`` replays the network's own registries over a new tree."""
+
+    #: node 7 is a leaf of the first tree and absent from the second
+    T1 = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (6, 7)]
+    T2 = [(0, 2), (2, 1), (1, 4), (4, 3), (3, 6), (6, 5)]
+    SCHEMAS = [
+        StreamSchema(
+            name,
+            [Attribute("a", "int", 0, 100), Attribute("b", "float", 0, 1)],
+            rate=1.0,
+        )
+        for name in ("S", "T")
+    ]
+
+    @staticmethod
+    def tree(edges):
+        return DisseminationTree(edges, {tuple(sorted(e)): 1.0 + e[0] for e in edges})
+
+    @staticmethod
+    def random_profile(rng):
+        streams = rng.sample(["S", "T"], rng.randint(1, 2))
+        filters = [
+            Filter(s, cond(Comparison("a", rng.choice([">", "<"]), rng.randint(10, 90))))
+            for s in streams
+            if rng.random() < 0.6
+        ]
+        return Profile(
+            {s: rng.choice([ALL_ATTRIBUTES, {"a"}, {"b"}]) for s in streams}, filters
+        )
+
+    def history(self, network, rng):
+        """Random advertise/subscribe/unsubscribe/publish; returns the
+        advertisements made, in order."""
+        ads = [("S", 0), ("T", 7)]
+        for stream, node in ads:
+            network.advertise(stream, node, self.SCHEMAS["ST".index(stream)])
+        live = []
+        for step in range(40):
+            roll = rng.random()
+            if roll < 0.55 or not live:
+                live.append(
+                    network.subscribe(
+                        self.random_profile(rng), rng.randrange(7), f"s{step}"
+                    )
+                )
+            elif roll < 0.8:
+                network.unsubscribe(live.pop(rng.randrange(len(live))))
+            elif roll < 0.9:
+                ad = (rng.choice("ST"), rng.randrange(7))
+                if ad not in ads:
+                    ads.append(ad)
+                network.advertise(*ad)
+            else:
+                network.publish(Datagram("S", {"a": rng.randint(0, 100), "b": 0.5}), 0)
+        return ads
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cls", [ContentBasedNetwork, ReferenceNetwork])
+    @pytest.mark.parametrize("scoped,subsumption", [(True, False), (True, True), (False, False)])
+    def test_indistinguishable_from_fresh_network(self, seed, cls, scoped, subsumption):
+        rng = random.Random(seed)
+        flags = dict(scope_to_advertisements=scoped, use_subsumption=subsumption)
+        network = cls(self.tree(self.T1), **flags)
+        ads = self.history(network, rng)
+        stats, before = network.data_stats, network.data_stats.as_dict()
+        registered = network.subscriptions()
+
+        t2 = self.tree(self.T2)
+        network.retree(t2)
+
+        assert type(network) is cls and network.tree is t2
+        assert network.data_stats is stats and stats.as_dict() == before
+        assert network.scope_to_advertisements is scoped
+        assert network.use_subsumption is subsumption
+        assert network.publishers_of("T") == [n for s, n in ads if s == "T" and n != 7]
+
+        fresh = ReferenceNetwork(t2, **flags)
+        for schema in self.SCHEMAS:
+            fresh.catalog.register(schema)
+        for stream, node in ads:
+            if node in t2:
+                fresh.advertise(stream, node)
+        for sid, (node, profile) in registered.items():
+            fresh.subscribe(profile, node, sid)
+        assert network.subscriptions() == registered
+        assert list(network.subscriptions()) == list(registered)
+        assert network.routing_state_size() == fresh.routing_state_size()
+        probe = [
+            Datagram(rng.choice("ST"), {"a": rng.randint(0, 100), "b": rng.random()}, float(i))
+            for i in range(30)
+        ]
+        delivered = 0
+        for datagram in probe:
+            origin = rng.randrange(7)
+            deliveries = network.publish(datagram, origin)
+            assert deliveries == fresh.publish(datagram, origin)
+            delivered += len(deliveries)
+        assert delivered
+
+    def test_stranded_subscriber_refused_before_any_change(self):
+        network = ContentBasedNetwork(self.tree(self.T1))
+        network.advertise("S", 0, self.SCHEMAS[0])
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 7, "u1")
+        old_tree, size = network.tree, network.routing_state_size()
+        with pytest.raises(NetworkError):
+            network.retree(self.tree(self.T2))
+        assert network.tree is old_tree
+        assert network.routing_state_size() == size
+        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == 1

@@ -30,16 +30,6 @@ class TestLinkStats:
         stats = LinkStats()
         assert stats.usage(5, 6).messages == 0
 
-    def test_merge(self):
-        a = LinkStats({(0, 1): 2.0})
-        a.record(0, 1, 10.0)
-        b = LinkStats()
-        b.record(0, 1, 5.0)
-        b.record(1, 2, 1.0)
-        a.merge(b)
-        assert a.usage(0, 1).bytes == 15.0
-        assert a.usage(1, 2).bytes == 1.0
-
     def test_reset(self):
         stats = LinkStats()
         stats.record(0, 1, 10.0)
@@ -59,17 +49,3 @@ class TestWeightKeyCanonicalization:
         stats = LinkStats({(1, 0): 2.0})
         stats.record(0, 1, 10.0)
         assert stats.weighted_cost() == 20.0
-
-    def test_merge_canonicalizes_reversed_keys(self):
-        a = LinkStats()
-        b = LinkStats({(3, 2): 4.0})
-        a.merge(b)
-        a.record(2, 3, 5.0)
-        assert a.weighted_cost() == 20.0
-
-    def test_existing_weight_wins_on_merge(self):
-        a = LinkStats({(0, 1): 2.0})
-        b = LinkStats({(1, 0): 9.0})
-        a.merge(b)
-        a.record(0, 1, 1.0)
-        assert a.weighted_cost() == 2.0

@@ -104,6 +104,39 @@ class TestMST:
         with pytest.raises(TopologyError):
             t.minimum_spanning_tree_edges()
 
+    def _square(self):
+        """0-1-2-3-0 with a cheap chord 0-2."""
+        t = Topology()
+        for u, v, w in [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 4.0), (0, 2, 0.5)]:
+            t.add_edge(u, v, w)
+        return t
+
+    def test_restricted_to_a_node_subset(self):
+        # Links through node 2 are off-limits; (0, 3) is all that is left.
+        assert self._square().minimum_spanning_tree_edges(nodes=[0, 1, 3]) == [
+            (0, 1),
+            (0, 3),
+        ]
+
+    def test_seed_edges_are_kept_and_come_first(self):
+        # From scratch the dear (0, 3) link would lose to (2, 3).
+        t = self._square()
+        assert t.minimum_spanning_tree_edges(seed_edges=[(0, 3)]) == [
+            (0, 3),
+            (0, 2),
+            (0, 1),
+        ]
+
+    def test_ties_broken_by_edge(self):
+        t = Topology()
+        for u, v in [(1, 2), (0, 2), (0, 1)]:
+            t.add_edge(u, v, 1.0)
+        assert t.minimum_spanning_tree_edges() == [(0, 1), (0, 2)]
+
+    def test_subset_not_connected_raises(self):
+        with pytest.raises(TopologyError):
+            self._square().minimum_spanning_tree_edges(nodes=[1, 3])
+
 
 class TestBarabasiAlbert:
     def test_node_and_edge_counts(self):

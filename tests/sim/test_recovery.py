@@ -18,6 +18,7 @@ from repro.sim import (
     shrink_failing_schedule,
 )
 from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.fault import FaultError
 from repro.system.reliability import heal_partition
 
 RECOVERY = ChaosConfig(seed=0, recovery=True)
@@ -200,6 +201,23 @@ class TestDegradedMode:
         for system in vnet.systems:
             assert system.query("q").status is QueryStatus.DEGRADED
         assert vnet.state.counters.queries_quarantined == 1
+
+    def test_only_a_partition_error_degrades(self, monkeypatch):
+        # The mode switch is typed: a repair refusal that merely
+        # mentions the word is retried (and given up on), never
+        # answered with quarantine.
+        def refuse(system, node):
+            raise FaultError(f"node {node} says its disk is partitioned")
+
+        monkeypatch.setattr("repro.sim.network.fail_broker", refuse)
+        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet.execute([FaultEvent(1.0, "broker", 2)])
+        assert not any("degraded" in line for line in vnet.trace.lines)
+        assert any("-> retry 2" in line for line in vnet.trace.lines)
+        assert vnet.counters.faults_refused == 1
+        assert vnet.state.counters.queries_quarantined == 0
+        for system in vnet.systems:
+            assert system.query("q").status is QueryStatus.ACTIVE
 
     def test_degraded_query_resumes_on_heal(self):
         vnet = VirtualNetwork(build=build_chain, recovery=True)

@@ -133,6 +133,38 @@ class TestWithdraw:
             system.withdraw("zzz")
 
 
+class TestResultSubscription:
+    """The one attach/detach every quarantine/heal/refresh path uses."""
+
+    def user_subscriptions(self, system):
+        return [s for s in system.network.subscriptions() if s.startswith("user:")]
+
+    def test_detach_stops_delivery_and_is_idempotent(self, system):
+        handle = system.submit(TABLE1_Q1, user_node=4, name="q1")
+        system.detach_result_subscription("q1")
+        system.detach_result_subscription("q1")
+        assert self.user_subscriptions(system) == []
+        open_auction(system, 1, 0.0)
+        close_auction(system, 1, 60.0)
+        assert handle.result_count == 0
+
+    def test_attach_resumes_under_a_fresh_versioned_id(self, system):
+        handle = system.submit(TABLE1_Q1, user_node=4, name="q1")
+        (first,) = self.user_subscriptions(system)
+        processor = system.processors[2]
+        group = processor.manager.grouping.group_of("q1")
+        system.detach_result_subscription("q1")
+        system.attach_result_subscription(
+            "q1", processor.manager.result_profiles_of(group)["q1"]
+        )
+        (second,) = self.user_subscriptions(system)
+        assert second != first and second.startswith("user:q1:v")
+        assert system.network.subscriptions()[second][0] == 4
+        open_auction(system, 1, 0.0)
+        close_auction(system, 1, 60.0)
+        assert handle.result_count == 1
+
+
 class TestMergingToggle:
     def test_non_merging_system_runs_queries_separately(self, line_tree):
         sys_ = CosmosSystem(line_tree, processor_nodes=[2], merging=False)

@@ -9,6 +9,7 @@ from repro.overlay.tree import DisseminationTree
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.fault import (
     FaultError,
+    PartitionError,
     fail_broker,
     fail_node,
     fail_processor,
@@ -60,8 +61,14 @@ class TestRepairTree:
         topo.add_edge(0, 1, 1.0)
         topo.add_edge(1, 2, 1.0)
         tree = DisseminationTree([(0, 1), (1, 2)], {(0, 1): 1.0, (1, 2): 1.0})
-        with pytest.raises(FaultError):
+        with pytest.raises(PartitionError, match="survivors are partitioned"):
             repair_tree(tree, topo, 1)  # 1 is a physical cut vertex
+
+    def test_unknown_node_is_a_fault_not_a_tree_error(self):
+        topo = diamond_topology()
+        tree = DisseminationTree([(0, 1), (1, 2), (0, 3)], {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0})
+        with pytest.raises(FaultError, match="not in the tree"):
+            repair_tree(tree, topo, 9)
 
     def test_random_tree_repair(self):
         rng = random.Random(5)
@@ -113,6 +120,19 @@ class TestBrokerFailure:
         victim = next(n for n in system.tree.nodes if n not in protected)
         repaired = fail_broker(system, victim)
         assert victim not in repaired
+
+    def test_failing_a_broker_twice_is_refused(self, running_system):
+        # Used to leak overlay.tree.TreeError("unknown node ..."), which
+        # no caller catches: a chaos schedule crashing one broker twice
+        # aborted with a traceback instead of recording a refusal.
+        system, __, __ = running_system
+        victim = next(n for n in system.tree.nodes if n not in {0, 1, 2, 3, 4})
+        fail_broker(system, victim)
+        tree, network = system.tree, system.network
+        for fail in (fail_broker, fail_node):
+            with pytest.raises(FaultError, match="not in the tree"):
+                fail(system, victim)
+        assert system.tree is tree and system.network is network
 
     def test_processor_cannot_fail_as_broker(self, running_system):
         system, __, __ = running_system

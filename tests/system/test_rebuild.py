@@ -4,6 +4,7 @@ import pytest
 
 from repro.overlay.tree import DisseminationTree
 from repro.system.cosmos import CosmosSystem
+from repro.system.fault import fail_broker
 from repro.system.rebuild import RebuildError, rebuild_network
 from repro.workload.auction import (
     CLOSED_AUCTION_SCHEMA,
@@ -73,3 +74,19 @@ class TestRebuild:
         sys_.add_source(CLOSED_AUCTION_SCHEMA, 0)
         rebuild_network(sys_, line([0, 2, 1, 3, 4]))
         assert sys_.network.use_subsumption
+
+    def test_network_and_subscription_ids_survive_a_repair(
+        self, auction_system_builder
+    ):
+        # Nothing is replaced: the network re-propagates its own
+        # registrations, so no id is re-derived from outside.
+        sys_, __, __ = auction_system_builder()
+        network, data_stats = sys_.network, sys_.network.data_stats
+        before = sys_.network.subscriptions()
+        victim = next(n for n in sys_.tree.nodes if n not in {0, 1, 2, 3, 4})
+        fail_broker(sys_, victim)
+        assert sys_.network is network
+        assert sys_.network.data_stats is data_stats
+        assert sys_.network.tree is sys_.tree
+        assert sys_.network.subscriptions() == before
+        assert all(p.network is network for p in sys_.processors.values())

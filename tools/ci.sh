@@ -91,4 +91,17 @@ print(
 )
 EOF
 
+echo "== pinned artefacts (the sweeps above rewrote them; a refactor must not move a trace digest) =="
+# BENCH_selfcheck.json carries wall time and stays out.
+for artefact in BENCH_chaos.json BENCH_chaos_recovery.json \
+                BENCH_chaos_migration.json BENCH_chaos_scale.json \
+                BENCH_modelcov.json; do
+    git diff --exit-code --stat -- "$artefact" || {
+        echo "ci: $artefact drifted from the committed copy." >&2
+        echo "ci: an intended behaviour change must commit the new file;" \
+             "anything else moved a chaos trace or the model coverage by accident." >&2
+        exit 1
+    }
+done
+
 echo "== ci: all gates passed =="
