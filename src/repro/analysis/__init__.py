@@ -5,9 +5,9 @@ Four check families, each with stable diagnostic codes:
 * ``COS1xx`` — schema: unknown streams/attributes, type clashes,
   unused projections (:mod:`repro.analysis.schema`).
 * ``COS2xx`` — satisfiability: unsatisfiable or vacuous predicates,
-  filters outside declared attribute domains, disagreements between
-  the independent interval solver and the production covering code
-  (:mod:`repro.analysis.satisfiability`, :mod:`repro.analysis.intervals`).
+  dead profiles, filters outside declared attribute domains
+  (:mod:`repro.analysis.satisfiability`, asking the solver of
+  :mod:`repro.cql.predicates`).
 * ``COS3xx`` — plans: representative containment and re-tightening
   recoverability for query groups (:mod:`repro.analysis.plans`).
 * ``COS4xx`` — overlay/routing: non-tree overlays, unreachable
@@ -71,7 +71,6 @@ from repro.analysis.flowgraph import (
     check_flowgraph,
     extract_flowgraph,
 )
-from repro.analysis.intervals import ConstraintSystem, implies, is_unsatisfiable, solve
 from repro.analysis.lifecycle import (
     MachineSpec,
     StateMachine,
@@ -133,6 +132,7 @@ from repro.analysis.source import (
     spec_matches,
 )
 from repro.analysis.style import check_style
+from repro.cql.predicates import ConstraintSystem, implies
 
 __all__ = [
     "Baseline",
@@ -206,6 +206,4 @@ __all__ = [
     "check_reachability",
     "check_routing_entries",
     "implies",
-    "is_unsatisfiable",
-    "solve",
 ]

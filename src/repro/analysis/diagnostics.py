@@ -46,7 +46,6 @@ CODES = {
     "COS202": (Severity.WARNING, "vacuous conjunct"),
     "COS203": (Severity.WARNING, "dead profile (subsumed)"),
     "COS204": (Severity.WARNING, "filter outside attribute domain"),
-    "COS205": (Severity.ERROR, "solver/covering disagreement"),
     # -- COS3xx: plan / merging --------------------------------------------
     "COS301": (Severity.ERROR, "representative does not contain member"),
     "COS302": (Severity.ERROR, "re-tightening does not reproduce member schema"),

@@ -1,32 +1,27 @@
 """COS2xx: satisfiability checks for predicates, filters and profiles.
 
-Built on the independent interval-domain solver of
-:mod:`repro.analysis.intervals`, and deliberately cross-validated
-against the production implementations in
-:mod:`repro.cql.predicates` (``Conjunction.is_satisfiable`` /
-``implies``) and :mod:`repro.cbn.filters` (``Profile.subsumes``):
-
-* Both satisfiability tests are *sound* — they only ever report
-  "unsatisfiable" for genuinely empty predicates — and the solver is
-  strictly more complete (it follows difference-constraint chains the
-  pairwise legacy check cannot).  So the legacy check reporting
-  unsatisfiable while the solver finds a model is an internal
-  inconsistency: ``COS205``.
-* The same relationship holds for implication/subsumption: legacy
-  ``True`` with solver ``False`` is ``COS205``; the converse is merely
-  the solver being smarter, which is expected and silent.
+Every check asks the one decision procedure of
+:mod:`repro.cql.predicates` — the solved form behind
+``Conjunction.is_satisfiable`` / ``implies`` and ``Profile.subsumes`` —
+seeded with declared schema attribute domains where "can this ever
+match real data?" is the question.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.intervals import ConstraintSystem, implies, vacuous_atoms
 from repro.analysis.schema import attribute_domains, source_name
-from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
+from repro.cbn.filters import Filter, Profile
 from repro.cql.ast import ContinuousQuery
-from repro.cql.predicates import Atom, Comparison, Interval, atom_terms
+from repro.cql.predicates import (
+    Atom,
+    ConstraintSystem,
+    Interval,
+    atom_terms,
+    vacuous_atoms,
+)
 from repro.cql.schema import Catalog, StreamSchema
 
 
@@ -54,7 +49,7 @@ def _term_pos(atoms: Sequence[Atom], term: str) -> Optional[int]:
 
 
 def check_predicate(query: ContinuousQuery, catalog: Catalog) -> Report:
-    """COS201/202/204/205 for one query's WHERE clause."""
+    """COS201/202/204 for one query's WHERE clause."""
     report = Report()
     source = source_name(query)
     conj = query.predicate
@@ -65,22 +60,11 @@ def check_predicate(query: ContinuousQuery, catalog: Catalog) -> Report:
         (p for p in (getattr(a, "pos", None) for a in atoms) if p is not None),
         None,
     )
-    system = ConstraintSystem(conj)
-    legacy_satisfiable = conj.is_satisfiable()
+    system = conj.solved()
     if not system.satisfiable:
         report.add(
             "COS201",
             f"WHERE clause can never be satisfied: {system.unsat_reason}",
-            source,
-            first_pos,
-        )
-        return report
-    if not legacy_satisfiable:
-        report.add(
-            "COS205",
-            "Conjunction.is_satisfiable() reports unsatisfiable but the "
-            "interval solver finds the predicate satisfiable; the two "
-            "implementations disagree",
             source,
             first_pos,
         )
@@ -124,26 +108,16 @@ def check_predicate(query: ContinuousQuery, catalog: Catalog) -> Report:
 def check_filter(
     filt: Filter, catalog: Catalog, source: str = "<filter>"
 ) -> Report:
-    """COS201/204/205 for one CBN filter against its stream's schema."""
+    """COS201/204 for one CBN filter against its stream's schema."""
     report = Report()
     if filt.condition.is_true:
         return report
-    system = ConstraintSystem(filt.condition)
-    legacy_satisfiable = filt.condition.is_satisfiable()
+    system = filt.condition.solved()
     if not system.satisfiable:
         report.add(
             "COS201",
             f"filter on stream {filt.stream!r} can never match: "
             f"{system.unsat_reason}",
-            source,
-        )
-        return report
-    if not legacy_satisfiable:
-        report.add(
-            "COS205",
-            f"filter on stream {filt.stream!r}: "
-            "Conjunction.is_satisfiable() reports unsatisfiable but the "
-            "interval solver finds the condition satisfiable",
             source,
         )
         return report
@@ -170,60 +144,10 @@ def check_profile_filters(
     return report
 
 
-# ---------------------------------------------------------------------------
-# Profile subsumption, solver-side
-# ---------------------------------------------------------------------------
-
-
-def _carried(profile: Profile, stream: str) -> FrozenSet[str]:
-    """Attributes forwarded when the profile matches (projection plus
-    the attributes its own filters evaluate) — re-derived here rather
-    than borrowed from :class:`Profile` so the checker stays an
-    independent implementation."""
-    projection = profile.projection_for(stream)
-    if projection == ALL_ATTRIBUTES:
-        return ALL_ATTRIBUTES
-    carried: Set[str] = set(projection)
-    for flt in profile.filters_for(stream):
-        carried |= flt.condition.referenced_terms()
-    return frozenset(carried)
-
-
-def solver_subsumes(mine: Profile, theirs: Profile) -> bool:
-    """Solver-side mirror of :meth:`Profile.subsumes`.
-
-    Same stream/projection structure, but filter implication goes
-    through the interval solver instead of ``Conjunction.implies``.
-    """
-    for stream in theirs.streams:
-        if stream not in mine.streams:
-            return False
-        carried_mine = _carried(mine, stream)
-        carried_theirs = _carried(theirs, stream)
-        if carried_mine != ALL_ATTRIBUTES:
-            if carried_theirs == ALL_ATTRIBUTES:
-                return False
-            if not carried_theirs <= carried_mine:
-                return False
-        my_filters = mine.filters_for(stream)
-        their_filters = theirs.filters_for(stream)
-        if my_filters:
-            if not their_filters:
-                return False
-            for their_filter in their_filters:
-                if not any(
-                    their_filter.stream == mf.stream
-                    and implies(their_filter.condition, mf.condition)
-                    for mf in my_filters
-                ):
-                    return False
-    return True
-
-
 def check_dead_profiles(
     entries: Sequence[Tuple[str, Profile]], source: str = "<interface>"
 ) -> Report:
-    """COS203/205 across the profiles installed on one interface.
+    """COS203 across the profiles installed on one interface.
 
     ``entries`` lists ``(entry_id, profile)`` in installation order.  A
     later profile subsumed by an earlier one contributes no routing
@@ -235,17 +159,7 @@ def check_dead_profiles(
         later_id, later = entries[j]
         for i in range(j):
             earlier_id, earlier = entries[i]
-            legacy = earlier.subsumes(later)
-            solver = solver_subsumes(earlier, later)
-            if legacy and not solver:
-                report.add(
-                    "COS205",
-                    f"Profile.subsumes says {earlier_id!r} subsumes "
-                    f"{later_id!r} but the interval solver cannot confirm "
-                    "the implication; the two implementations disagree",
-                    source,
-                )
-            if legacy or solver:
+            if earlier.subsumes(later):
                 report.add(
                     "COS203",
                     f"profile {later_id!r} is subsumed by the "

@@ -63,8 +63,10 @@ class Filter:
     def subsumes(self, other: "Filter") -> bool:
         """Does every datagram covered by ``other`` pass this filter?
 
-        Sound but not complete, inheriting the implication test of
-        :class:`~repro.cql.predicates.Conjunction`.
+        Decided by :meth:`~repro.cql.predicates.Conjunction.implies`:
+        sound, and complete for interval, equality and difference
+        constraints over the reals (``!=`` in ``other`` only feeds a
+        point/exclusion analysis).
         """
         if self.stream != other.stream:
             return False
@@ -184,9 +186,6 @@ class Profile:
             carried |= flt.condition.referenced_terms()
         return frozenset(carried)
 
-    #: Backwards-compatible alias (pre-fast-path name).
-    _carried_attributes = carried_attributes
-
     def subsumes(self, other: "Profile") -> bool:
         """Is ``other`` redundant routing state next to this profile?
 
@@ -195,8 +194,10 @@ class Profile:
         subsumed by some filter here, and — because brokers project
         early — the attributes *carried* when this profile matches must
         cover everything ``other`` needs downstream (its projection and
-        the attributes its own filters evaluate).  Sound but not
-        complete.
+        the attributes its own filters evaluate).  Sound; each
+        filter-against-filter test is the complete
+        :meth:`Filter.subsumes`, but a filter of ``other`` covered only
+        by the *union* of several filters here is not recognised.
         """
         for stream in other.streams:
             if stream not in self._projections:

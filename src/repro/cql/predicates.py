@@ -19,13 +19,34 @@ CBN layer uses a datagram's attribute names directly.  A
 * difference constraints ``lo <= a - b <= hi`` (the timestamp-window
   constraints of Lemma 1).
 
-The implication test (:meth:`Conjunction.implies`) is *sound but not
-complete*: when it answers ``True`` the implication genuinely holds;
-a ``False`` answer may occasionally be a missed implication for exotic
-combinations of difference constraints.  This is the standard trade-off
-for subscription-subsumption checks in content-based networks and is
-safe for COSMOS: a missed implication only costs a merging opportunity,
-never correctness.
+Satisfiability, implication and the equality closure are all read off
+one *solved form* per conjunction (:class:`ConstraintSystem`): equality
+classes, one interval and exclusion set per class, and the
+shortest-path closure of the difference-bound matrix (DBM) over the
+constraint graph.  The translation is the classic one for systems of
+difference constraints:
+
+* a value bound ``t <= hi`` becomes the edge ``origin -> t`` of weight
+  ``hi`` (``t - origin <= hi`` with a virtual origin pinned at 0) and
+  ``t >= lo`` becomes ``t -> origin`` of weight ``-lo``;
+* a difference constraint ``a - b <= hi`` becomes ``b -> a`` of weight
+  ``hi`` and ``a - b >= lo`` becomes ``a -> b`` of weight ``-lo``;
+* equality links (equijoins) merge their endpoints into one node.
+
+Edge weights are pairs ``(value, strict)`` ordered lexicographically
+(``(5, strict)`` is tighter than ``(5, non-strict)``), kept in the
+numeric type they were written in so integer bounds stay exact.  The
+conjunction is unsatisfiable over the reals iff the closure puts a
+negative entry on the diagonal — a cycle of negative weight, or of zero
+weight through a strict edge — and the closed matrix gives the
+*tightest* interval per term and per difference.  So the tests are
+sound and complete for conjunctions of interval, equality and
+difference constraints over the reals.  Exclusions (``!=``) and
+string-valued constraints stay out of the matrix and are handled by
+point/exclusion analysis after tightening: complete for satisfiability,
+sound for implication (``x <= 5 AND x != 5`` is not recognised as
+implying ``x < 5``).  A missed implication only costs a merging
+opportunity, never correctness.
 """
 
 from __future__ import annotations
@@ -81,6 +102,22 @@ class Interval:
                     f"interval mixes string and numeric bounds: {self}"
                 )
 
+    def _check_same_kind(self, other: "Interval") -> None:
+        """Reject comparing a string-bounded with a numeric interval.
+
+        Each interval is homogeneous, so one bound of each decides.
+        """
+        mine = self.hi if self.lo is None else self.lo
+        theirs = other.hi if other.lo is None else other.lo
+        if (
+            mine is not None
+            and theirs is not None
+            and isinstance(mine, str) != isinstance(theirs, str)
+        ):
+            raise PredicateError(
+                f"interval mixes string and numeric bounds: {self} with {other}"
+            )
+
     # -- classification -----------------------------------------------------
 
     @property
@@ -126,6 +163,7 @@ class Interval:
 
     def contains_interval(self, other: "Interval") -> bool:
         """True when every value of ``other`` lies inside ``self``."""
+        self._check_same_kind(other)
         if other.is_empty:
             return True
         if self.lo is not None:
@@ -148,6 +186,7 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval":
         """Largest interval contained in both operands."""
+        self._check_same_kind(other)
         lo, lo_strict = self.lo, self.lo_strict
         if other.lo is not None and (
             lo is None
@@ -166,6 +205,7 @@ class Interval:
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both operands (convex hull)."""
+        self._check_same_kind(other)
         if self.is_empty:
             return other
         if other.is_empty:
@@ -327,32 +367,6 @@ Atom = Union[Comparison, JoinPredicate, DifferenceConstraint]
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    """Minimal union-find over hashable items."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[str, str] = {}
-
-    def find(self, item: str) -> str:
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> Dict[str, Set[str]]:
-        out: Dict[str, Set[str]] = {}
-        for item in list(self._parent):
-            out.setdefault(self.find(item), set()).add(item)
-        return out
-
-
 class Conjunction:
     """An immutable conjunction of atomic predicates over string terms.
 
@@ -362,7 +376,7 @@ class Conjunction:
     against a value binding with :meth:`evaluate`.
     """
 
-    __slots__ = ("_intervals", "_excluded", "_links", "_diffs")
+    __slots__ = ("_intervals", "_excluded", "_links", "_diffs", "_solved")
 
     def __init__(
         self,
@@ -387,6 +401,7 @@ class Conjunction:
             for pair, iv in (diffs or {}).items()
             if not iv.is_universal
         }
+        self._solved: Optional[ConstraintSystem] = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -528,102 +543,52 @@ class Conjunction:
 
     # -- semantic analysis --------------------------------------------------------
 
+    def solved(self) -> "ConstraintSystem":
+        """The solved form every test below reads, computed on first use.
+
+        Kept on the (immutable) instance: grouping asks one
+        representative predicate about many members, and a fresh solve
+        per question showed up in install latency (DESIGN.md §10).
+        """
+        if self._solved is None:
+            self._solved = ConstraintSystem(self)
+        return self._solved
+
     def closure(self) -> "Conjunction":
         """Propagate constraints through equality links.
 
         Every term in an equality class receives the intersection of all
         class members' intervals and the union of their exclusions.
         Difference constraints between members of one class intersect
-        with the point interval ``[0, 0]``.  The closure makes the
-        implication test markedly more complete (``R.A = S.B AND
-        R.A > 10`` then implies ``S.B > 10``).
+        with the point interval ``[0, 0]``.  Value intervals are *not*
+        tightened through difference chains: source profiles are
+        composed from this closure and must not move with the solver.
         """
         if not self._links:
             return self
-        uf = _UnionFind()
-        for a, b in self._links:
-            uf.union(a, b)
-        class_interval: Dict[str, Interval] = {}
-        class_excluded: Dict[str, Set[Value]] = {}
-        for term, iv in self._intervals.items():
-            root = uf.find(term)
-            prev = class_interval.get(root, Interval.universal())
-            class_interval[root] = prev.intersect(iv)
-        for term, vals in self._excluded.items():
-            root = uf.find(term)
-            class_excluded.setdefault(root, set()).update(vals)
+        solved = self.solved()
         intervals: Dict[str, Interval] = dict(self._intervals)
         excluded: Dict[str, FrozenSet[Value]] = dict(self._excluded)
-        for root, members in uf.groups().items():
-            iv = class_interval.get(root)
-            vals = class_excluded.get(root)
-            for member in members:
-                if iv is not None:
-                    intervals[member] = intervals.get(
-                        member, Interval.universal()
-                    ).intersect(iv)
-                if vals:
-                    excluded[member] = excluded.get(member, frozenset()) | frozenset(vals)
-        diffs = dict(self._diffs)
-        for (a, b), iv in self._diffs.items():
-            if uf.find(a) == uf.find(b):
-                diffs[(a, b)] = iv.intersect(Interval.point(0))
+        for term in sorted(set(itertools.chain.from_iterable(self._links))):
+            shared = solved.class_interval(term)
+            if shared is not None:
+                intervals[term] = intervals.get(term, _UNIVERSAL).intersect(shared)
+            values = solved.excluded_values(term)
+            if values:
+                excluded[term] = excluded.get(term, frozenset()) | values
+        diffs = {
+            pair: iv.intersect(Interval.point(0)) if solved.same_class(*pair) else iv
+            for pair, iv in self._diffs.items()
+        }
         return Conjunction(intervals, excluded, self._links, diffs)
 
     def is_satisfiable(self) -> bool:
-        """Sound emptiness check for this conjunction.
-
-        Detects per-term empty intervals (after equality closure), point
-        intervals excluded by a ``!=``, difference constraints that are
-        empty or contradict the terms' value intervals, and equality
-        classes forced to incompatible constants.
-        """
-        closed = self.closure()
-        for term, iv in closed._intervals.items():
-            if iv.is_empty:
-                return False
-            if iv.is_point and iv.lo in closed._excluded.get(term, frozenset()):
-                return False
-        for (a, b), iv in closed._diffs.items():
-            if iv.is_empty:
-                return False
-            iv_a = closed._intervals.get(a)
-            iv_b = closed._intervals.get(b)
-            if iv_a is not None and iv_b is not None:
-                feasible = _difference_range(iv_a, iv_b)
-                if feasible is not None and feasible.intersect(iv).is_empty:
-                    return False
-        return True
+        """Can any binding (over the reals) satisfy this conjunction?"""
+        return self.solved().satisfiable
 
     def implies(self, other: "Conjunction") -> bool:
-        """Sound test that every binding satisfying ``self`` satisfies ``other``."""
-        if not self.is_satisfiable():
-            return True
-        mine = self.closure()
-        theirs = other.closure()
-        uf = _UnionFind()
-        for a, b in mine._links:
-            uf.union(a, b)
-        for term, needed in theirs._intervals.items():
-            have = mine._intervals.get(term, Interval.universal())
-            if not needed.contains_interval(have):
-                return False
-        for term, needed_vals in theirs._excluded.items():
-            have_iv = mine._intervals.get(term, Interval.universal())
-            have_vals = mine._excluded.get(term, frozenset())
-            for value in needed_vals:
-                if value in have_vals:
-                    continue
-                if not have_iv.contains_value(value):
-                    continue
-                return False
-        for a, b in theirs._links:
-            if uf.find(a) != uf.find(b):
-                return False
-        for (a, b), needed in theirs._diffs.items():
-            if not _diff_implied(mine, uf, a, b, needed):
-                return False
-        return True
+        """Does every binding satisfying ``self`` satisfy ``other``?"""
+        return implies(self, other)
 
     def equivalent(self, other: "Conjunction") -> bool:
         return self.implies(other) and other.implies(self)
@@ -631,22 +596,11 @@ class Conjunction:
     def unimplied_atoms(self, atoms: Iterable[Atom]) -> List[Atom]:
         """The subset of ``atoms`` this conjunction does *not* imply.
 
-        Equivalent to filtering with
-        ``self.implies(Conjunction.from_atoms([atom]))`` per atom, but
-        computes the closure and equality classes once — this is the
-        inner loop of residual computation during query merging.
+        This is the inner loop of residual computation during query
+        merging; every atom is checked against the one solved form.
         """
-        if not self.is_satisfiable():
-            return []  # an unsatisfiable conjunction implies everything
-        mine = self.closure()
-        uf = _UnionFind()
-        for a, b in mine._links:
-            uf.union(a, b)
-        out: List[Atom] = []
-        for atom in atoms:
-            if not _atom_implied(mine, uf, atom):
-                out.append(atom)
-        return out
+        solved = self.solved()
+        return [atom for atom in atoms if not solved.entails(atom)]
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -722,6 +676,276 @@ class Conjunction:
 
 
 # ---------------------------------------------------------------------------
+# Solved form: the one decision procedure
+# ---------------------------------------------------------------------------
+
+#: A derived bound ``(value, strict)``: ``(5, True)`` means ``< 5``.
+Bound = Tuple[Union[int, float], bool]
+
+_ORIGIN = "\x00origin"
+_UNIVERSAL = Interval()
+_ZERO: Bound = (0, False)
+
+
+def _tighter(current: Optional[Bound], candidate: Bound) -> bool:
+    """Is ``candidate`` strictly tighter than ``current`` (None = +inf)?"""
+    if current is None:
+        return True
+    return candidate[0] < current[0] or (
+        candidate[0] == current[0] and candidate[1] and not current[1]
+    )
+
+
+def _string_bounded(interval: Interval) -> bool:
+    return isinstance(interval.lo, str) or isinstance(interval.hi, str)
+
+
+class ConstraintSystem:
+    """The solved form of one :class:`Conjunction`.
+
+    Equality classes (union-find over the terms), one interval and one
+    exclusion set per class, and the shortest-path closure of the
+    difference-bound matrix.  The closure is computed eagerly only when
+    the conjunction has difference constraints (no CBN filter does);
+    otherwise it is built if a difference between two terms is asked
+    for.  ``seed`` optionally supplies a priori value domains per term:
+    the analyzer passes declared schema attribute domains, turning "can
+    this filter ever match real data?" into the same satisfiability
+    query.  Production passes none.
+    """
+
+    __slots__ = (
+        "unsat_reason",
+        "_terms",
+        "_rep",
+        "_class_interval",
+        "_class_excluded",
+        "_domain",
+        "_edges",
+        "_matrix",
+    )
+
+    def __init__(
+        self,
+        conjunction: Conjunction,
+        seed: Optional[Mapping[str, Interval]] = None,
+    ) -> None:
+        seed = seed or {}
+        #: Every term the conjunction (or the seed) constrains.
+        self._terms: Set[str] = conjunction.referenced_terms() | set(seed)
+        self._rep: Dict[str, str] = {}
+        self._class_interval: Dict[str, Interval] = {}
+        self._class_excluded: Dict[str, Set[Value]] = {}
+        #: Graph edges ``(u, v, weight, strict)`` for ``v - u <= weight``.
+        self._edges: List[Tuple[str, str, Union[int, float], bool]] = []
+        self._matrix: Optional[Dict[str, Dict[str, Bound]]] = None
+        #: Tightest interval per class; the class intervals themselves
+        #: unless difference constraints tighten them.
+        self._domain = self._class_interval
+        #: Why the conjunction has no model (``None`` when it has one).
+        self.unsat_reason: Optional[str] = self._solve(conjunction, seed)
+
+    # -- construction ---------------------------------------------------------
+
+    def _find(self, term: str) -> str:
+        rep = self._rep
+        root = term
+        while rep.get(root, root) != root:
+            root = rep[root]
+        while rep.get(term, term) != root:
+            rep[term], term = root, rep[term]
+        return root
+
+    def _solve(
+        self, conj: Conjunction, seed: Mapping[str, Interval]
+    ) -> Optional[str]:
+        for a, b in conj._links:
+            ra, rb = self._find(a), self._find(b)
+            if ra != rb:
+                self._rep[max(ra, rb)] = min(ra, rb)
+        classes = self._class_interval
+        for term, interval in itertools.chain(conj._intervals.items(), seed.items()):
+            root = self._find(term)
+            try:
+                classes[root] = classes.get(root, _UNIVERSAL).intersect(interval)
+            except PredicateError:
+                # Nothing consistent to propagate through this class.
+                classes.clear()
+                return f"term {term!r} mixes string and numeric constraints"
+        for term, values in conj._excluded.items():
+            self._class_excluded.setdefault(self._find(term), set()).update(values)
+        for root, interval in classes.items():
+            if interval.is_empty:
+                return f"empty value interval for {root!r}"
+        for (a, b), iv in conj._diffs.items():
+            if iv.is_empty:
+                return f"empty difference interval for {a!r} - {b!r}"
+            if _string_bounded(iv):
+                # ``a - b`` can only be evaluated on numbers; a string
+                # bound admits no binding at all.
+                return f"difference {a!r} - {b!r} bounded by a string"
+            ra, rb = self._find(a), self._find(b)
+            if ra == rb:
+                if not iv.contains_value(0):
+                    return f"{a!r} = {b!r} but their difference must lie in {iv}"
+                continue
+            for root in (ra, rb):
+                if _string_bounded(classes.get(root, _UNIVERSAL)):
+                    return f"difference constraint on string-valued term {root!r}"
+            if iv.hi is not None:
+                self._edges.append((rb, ra, iv.hi, iv.hi_strict))
+            if iv.lo is not None:
+                self._edges.append((ra, rb, -iv.lo, iv.lo_strict))
+        if self._edges:
+            matrix = self._closed()
+            for node, row in matrix.items():
+                if _tighter(_ZERO, row[node]):
+                    return "difference constraints form a contradictory cycle"
+            self._domain = dict(classes)  # string-valued classes stay as given
+            for root in matrix:
+                if root != _ORIGIN:
+                    self._domain[root] = self.tightest_diff(root, _ORIGIN)
+        for root, values in self._class_excluded.items():
+            interval = self._domain.get(root, _UNIVERSAL)
+            if interval.is_point and interval.lo in values:
+                return f"{root!r} is pinned to {interval.lo!r} but excludes it"
+        return None
+
+    def _closed(self) -> Dict[str, Dict[str, Bound]]:
+        """Floyd-Warshall closure over the bound semiring, built once.
+
+        ``matrix[u][v]`` is the tightest derivable bound on ``v - u``.
+        A diagonal entry below ``(0, non-strict)`` witnesses an
+        infeasible cycle.  String-valued classes stay out of the matrix.
+        """
+        if self._matrix is not None:
+            return self._matrix
+        edges = list(self._edges)
+        for root, interval in self._class_interval.items():
+            if _string_bounded(interval):
+                continue
+            if interval.hi is not None:
+                edges.append((_ORIGIN, root, interval.hi, interval.hi_strict))
+            if interval.lo is not None:
+                edges.append((root, _ORIGIN, -interval.lo, interval.lo_strict))
+        matrix: Dict[str, Dict[str, Bound]] = {_ORIGIN: {_ORIGIN: _ZERO}}
+        for u, v, weight, strict in edges:
+            matrix.setdefault(v, {v: _ZERO})
+            row = matrix.setdefault(u, {u: _ZERO})
+            if _tighter(row.get(v), (weight, strict)):
+                row[v] = (weight, strict)
+        nodes = sorted(matrix)
+        for k in nodes:
+            through = list(matrix[k].items())
+            for i in nodes:
+                row = matrix[i]
+                d_ik = row.get(k)
+                if d_ik is None:
+                    continue
+                for j, d_kj in through:
+                    candidate = (d_ik[0] + d_kj[0], d_ik[1] or d_kj[1])
+                    if _tighter(row.get(j), candidate):
+                        row[j] = candidate
+        self._matrix = matrix
+        return matrix
+
+    # -- results ----------------------------------------------------------------
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.unsat_reason is None
+
+    def same_class(self, a: str, b: str) -> bool:
+        return self._find(a) == self._find(b)
+
+    def class_interval(self, term: str) -> Optional[Interval]:
+        """Intersection of the value intervals of ``term``'s equality class."""
+        return self._class_interval.get(self._find(term))
+
+    def domain(self, term: str) -> Interval:
+        """The tightest derivable value interval for ``term``."""
+        return self._domain.get(self._find(term), _UNIVERSAL)
+
+    def excluded_values(self, term: str) -> FrozenSet[Value]:
+        return frozenset(self._class_excluded.get(self._find(term), ()))
+
+    def tightest_diff(self, a: str, b: str) -> Interval:
+        """The tightest derivable interval for ``a - b``."""
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
+            return Interval.point(0)
+        matrix = self._closed()
+        if ra not in matrix or rb not in matrix:
+            return _UNIVERSAL
+        upper = matrix[rb].get(ra)  # a - b <= w
+        lower = matrix[ra].get(rb)  # b - a <= w, so a - b >= -w
+        hi, hi_strict = upper if upper is not None else (None, False)
+        lo, lo_strict = (-lower[0], lower[1]) if lower is not None else (None, False)
+        return Interval(lo, hi, lo_strict, hi_strict)
+
+    def entails(self, atom: Atom) -> bool:
+        """Does every model of the system satisfy ``atom``?
+
+        A constraint on a term requires the term to be bound (the CBN
+        treats a datagram lacking a constrained attribute as not
+        covered), so an atom over a term the system leaves unconstrained
+        is never entailed.  A system without models entails everything.
+        """
+        if self.unsat_reason is not None:
+            return True
+        if isinstance(atom, Comparison):
+            if atom.term not in self._terms:
+                return False
+            root = self._find(atom.term)
+            domain = self._domain.get(root, _UNIVERSAL)
+            if atom.op == "!=":
+                return atom.value in self._class_excluded.get(
+                    root, ()
+                ) or not domain.contains_value(atom.value)
+            return _comparison_interval(atom).contains_interval(domain)
+        if atom.left not in self._terms or atom.right not in self._terms:
+            return False
+        between = self.tightest_diff(atom.left, atom.right)
+        if isinstance(atom, JoinPredicate):
+            return between.is_point and between.lo == 0
+        return atom.interval.contains_interval(between)
+
+
+def implies(
+    premise: Conjunction,
+    conclusion: Conjunction,
+    seed: Optional[Mapping[str, Interval]] = None,
+) -> bool:
+    """Does every binding satisfying ``premise`` satisfy ``conclusion``?
+
+    Bindings range over the reals, within the ``seed`` domains when
+    given.
+    """
+    system = ConstraintSystem(premise, seed) if seed else premise.solved()
+    return all(system.entails(atom) for atom in conclusion.atoms())
+
+
+def vacuous_atoms(
+    atoms: Sequence[Atom],
+    seed: Optional[Mapping[str, Interval]] = None,
+) -> List[Atom]:
+    """Atoms implied by the conjunction of their siblings.
+
+    A vacuous conjunct adds nothing to the predicate (``x > 5 AND
+    x > 3`` — the second atom).  Callers must establish satisfiability
+    first: an unsatisfiable sibling set implies everything.
+    """
+    out: List[Atom] = []
+    for index, atom in enumerate(atoms):
+        rest = Conjunction.from_atoms(
+            [a for j, a in enumerate(atoms) if j != index]
+        )
+        if ConstraintSystem(rest, seed).entails(atom):
+            out.append(atom)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
@@ -752,48 +976,6 @@ def _interval_comparisons(term: str, iv: Interval) -> List[Comparison]:
     return out
 
 
-def _difference_range(iv_a: Interval, iv_b: Interval) -> Optional[Interval]:
-    """Feasible range of ``a - b`` given value intervals for ``a`` and ``b``."""
-    if isinstance(iv_a.lo, str) or isinstance(iv_a.hi, str):
-        return None
-    if isinstance(iv_b.lo, str) or isinstance(iv_b.hi, str):
-        return None
-    lo = None
-    lo_strict = False
-    if iv_a.lo is not None and iv_b.hi is not None:
-        lo = iv_a.lo - iv_b.hi
-        lo_strict = iv_a.lo_strict or iv_b.hi_strict
-    hi = None
-    hi_strict = False
-    if iv_a.hi is not None and iv_b.lo is not None:
-        hi = iv_a.hi - iv_b.lo
-        hi_strict = iv_a.hi_strict or iv_b.lo_strict
-    return Interval(lo, hi, lo_strict, hi_strict)
-
-
-def _atom_implied(mine: Conjunction, uf: _UnionFind, atom: Atom) -> bool:
-    """Does the (already closed) conjunction ``mine`` imply ``atom``?
-
-    Mirrors the per-atom cases of :meth:`Conjunction.implies`.
-    """
-    if isinstance(atom, Comparison):
-        needed = _comparison_interval(atom)
-        if needed is None:  # a != constraint
-            have_iv = mine._intervals.get(atom.term, Interval.universal())
-            have_vals = mine._excluded.get(atom.term, frozenset())
-            if atom.value in have_vals:
-                return True
-            return not have_iv.contains_value(atom.value)
-        have = mine._intervals.get(atom.term, Interval.universal())
-        return needed.contains_interval(have)
-    if isinstance(atom, JoinPredicate):
-        return uf.find(atom.left) == uf.find(atom.right)
-    if isinstance(atom, DifferenceConstraint):
-        pair, needed = atom.normalized()
-        return _diff_implied(mine, uf, pair[0], pair[1], needed)
-    raise PredicateError(f"unknown atom type: {atom!r}")
-
-
 def atom_terms(atom: Atom) -> Set[str]:
     """The terms referenced by one atomic predicate."""
     if isinstance(atom, Comparison):
@@ -801,32 +983,3 @@ def atom_terms(atom: Atom) -> Set[str]:
     if isinstance(atom, (JoinPredicate, DifferenceConstraint)):
         return {atom.left, atom.right}
     raise PredicateError(f"unknown atom type: {atom!r}")
-
-
-def _diff_implied(
-    mine: Conjunction,
-    uf: _UnionFind,
-    a: str,
-    b: str,
-    needed: Interval,
-) -> bool:
-    """Does ``mine`` guarantee ``a - b in needed``?
-
-    Checks, in order: an explicit matching difference constraint, the
-    equality classes (difference 0), and the feasible range derived from
-    the two terms' value intervals.
-    """
-    pair = (a, b) if a <= b else (b, a)
-    oriented = needed if a <= b else needed.negate()
-    have = mine._diffs.get(pair)
-    if have is not None and oriented.contains_interval(have):
-        return True
-    if uf.find(a) == uf.find(b) and needed.contains_value(0):
-        return True
-    iv_a = mine._intervals.get(a)
-    iv_b = mine._intervals.get(b)
-    if iv_a is not None and iv_b is not None:
-        feasible = _difference_range(iv_a, iv_b)
-        if feasible is not None and needed.contains_interval(feasible):
-            return True
-    return False

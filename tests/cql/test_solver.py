@@ -1,23 +1,27 @@
-"""The independent difference-bound solver behind the COS2xx checks."""
+"""The difference-bound solver: the one decision procedure of the algebra."""
 
-from repro.analysis.intervals import (
-    ConstraintSystem,
-    implies,
-    is_unsatisfiable,
-    solve,
-    vacuous_atoms,
-)
+import pytest
+
+from repro.cql.parser import parse_query
 from repro.cql.predicates import (
     Comparison,
     Conjunction,
+    ConstraintSystem,
     DifferenceConstraint,
     Interval,
     JoinPredicate,
+    PredicateError,
+    implies,
+    vacuous_atoms,
 )
 
 
 def conj(*atoms):
     return Conjunction.from_atoms(list(atoms))
+
+
+def is_unsatisfiable(conjunction, seed=None):
+    return not ConstraintSystem(conjunction, seed).satisfiable
 
 
 class TestSatisfiability:
@@ -38,8 +42,7 @@ class TestSatisfiability:
             DifferenceConstraint("S.a", "S.c", Interval(0, None)),
         )
         assert is_unsatisfiable(chain)
-        # The pairwise legacy check cannot see this (solver is stronger).
-        assert chain.is_satisfiable()
+        assert not chain.is_satisfiable()
 
     def test_strict_zero_cycle(self):
         # a - b < 0 and b - a <= 0 has no model.
@@ -93,8 +96,8 @@ class TestSolution:
         diff = system.tightest_diff("S.a", "S.c")
         assert diff.hi == -3
 
-    def test_solution_object(self):
-        sol = solve(conj(Comparison("S.a", ">", 3), Comparison("S.a", "!=", 7)))
+    def test_domain_and_exclusions(self):
+        sol = ConstraintSystem(conj(Comparison("S.a", ">", 3), Comparison("S.a", "!=", 7)))
         assert sol.satisfiable
         assert 7 in sol.excluded_values("S.a")
         assert sol.domain("S.a").lo == 3
@@ -112,8 +115,7 @@ class TestImplication:
         )
         conclusion = conj(DifferenceConstraint("S.a", "S.c", Interval(None, 0)))
         assert implies(premise, conclusion)
-        # Legacy pairwise implication cannot chain.
-        assert not premise.implies(conclusion)
+        assert premise.implies(conclusion)
 
     def test_unknown_conclusion_term_not_implied(self):
         assert not implies(conj(Comparison("S.a", ">", 5)), conj(Comparison("S.b", ">", 3)))
@@ -134,3 +136,88 @@ class TestVacuousAtoms:
     def test_independent_atoms_are_kept(self):
         atoms = [Comparison("S.a", ">", 5), Comparison("S.b", ">", 3)]
         assert vacuous_atoms(atoms) == []
+
+
+class TestCompleteness:
+    """Entailments only the shortest-path closure finds."""
+
+    def test_difference_chain_sums(self):
+        premise = conj(
+            DifferenceConstraint("a", "b", Interval(None, -1)),
+            DifferenceConstraint("b", "c", Interval(None, -1)),
+        )
+        assert premise.implies(conj(DifferenceConstraint("a", "c", Interval(None, -2))))
+        assert not premise.implies(conj(DifferenceConstraint("a", "c", Interval(None, -3))))
+
+    def test_strict_three_cycle_is_unsatisfiable(self):
+        strictly_less = Interval(None, 0, hi_strict=True)
+        cycle = conj(
+            DifferenceConstraint("a", "b", strictly_less),
+            DifferenceConstraint("b", "c", strictly_less),
+            DifferenceConstraint("c", "a", strictly_less),
+        )
+        assert not cycle.is_satisfiable()
+
+    def test_difference_plus_value_bounds_the_other_term(self):
+        premise = conj(
+            DifferenceConstraint("a", "b", Interval(0, 5)),
+            Comparison("b", "<=", 10),
+        )
+        assert premise.implies(conj(Comparison("a", "<=", 15)))
+        assert not premise.implies(conj(Comparison("a", "<=", 14)))
+        residual = premise.unimplied_atoms(
+            [Comparison("a", "<=", 15), Comparison("a", "<=", 14)]
+        )
+        assert residual == [Comparison("a", "<=", 14)]
+
+    def test_equal_values_imply_the_equijoin(self):
+        pinned = conj(Comparison("a", "=", 3), Comparison("b", "=", 3))
+        assert pinned.implies(conj(JoinPredicate("a", "b")))
+        zero_apart = conj(DifferenceConstraint("a", "b", Interval(0, 0)))
+        assert zero_apart.implies(conj(JoinPredicate("a", "b")))
+
+
+class TestExactBounds:
+    def test_integer_bounds_beyond_2_53_are_not_rounded(self):
+        big = 2**53
+        premise = conj(
+            Comparison("x", "<=", big + 1),
+            DifferenceConstraint("x", "y", Interval(0, 0)),
+        )
+        assert not premise.implies(conj(Comparison("x", "<=", big)))
+        assert not implies(
+            conj(Comparison("x", "<=", big + 1)), conj(Comparison("x", "<=", big))
+        )
+
+    def test_bounds_keep_the_numeric_type_given(self):
+        system = ConstraintSystem(
+            conj(
+                Comparison("a", ">=", 1),
+                Comparison("a", "<=", 5),
+                DifferenceConstraint("b", "a", Interval(2, 2)),
+            )
+        )
+        assert repr(system.domain("a")) == repr(Interval(1, 5))
+        assert repr(system.domain("b")) == repr(Interval(3, 7))
+        assert repr(system.tightest_diff("a", "b")) == repr(Interval(-2, -2))
+
+
+class TestMixedTypes:
+    def test_mixed_bounds_on_one_term_raise_predicate_error(self):
+        with pytest.raises(PredicateError):
+            parse_query("SELECT S.a FROM S S WHERE S.a > 1 AND S.a > 'x'")
+        numeric, text = Interval(1, None), Interval("x", None)
+        for operation in (numeric.intersect, numeric.contains_interval, numeric.hull):
+            with pytest.raises(PredicateError):
+                operation(text)
+
+    def test_mixed_equality_class_is_unsatisfiable_not_an_exception(self):
+        mixed = conj(
+            JoinPredicate("x", "y"),
+            Comparison("x", ">", 1),
+            Comparison("y", "<", "b"),
+        )
+        assert not mixed.is_satisfiable()
+        assert mixed.implies(conj(Comparison("z", "=", 42)))
+        assert "mixes string and numeric" in mixed.solved().unsat_reason
+        assert mixed.closure().evaluate({"x": 2, "y": 2}) is False

@@ -1,94 +1,28 @@
-"""Property-based checks of the static analyzer's solver.
+"""Property-based checks of the solver as the static analyzer calls it.
 
-The solver must be *sound* (an "unsatisfiable" verdict means no binding
-exists, an implication verdict means no counterexample binding exists)
-and *at least as complete* as the legacy pairwise checks it
-cross-validates — the COS205 diagnostic assumes legacy-unsat implies
-solver-unsat and legacy-implies implies solver-implies.
+The analyzer passes declared schema domains as ``seed``; under them the
+solver must stay *sound*: an "unsatisfiable" verdict means no binding
+inside the domains exists, an implication verdict means no
+counterexample binding inside them exists.
 """
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
-from repro.analysis.intervals import implies as solver_implies
-from repro.analysis.intervals import is_unsatisfiable
-from repro.analysis.satisfiability import solver_subsumes
-from repro.cbn.datagram import Datagram
-from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
-from repro.cql.predicates import Comparison, Conjunction
+from repro.cql.predicates import ConstraintSystem, Interval, implies
 
-from tests.properties.strategies import bindings, conjunctions, values
+from tests.properties.strategies import TERMS, bindings, conjunctions
 
-FLAT_TERMS = ["a", "b", "c", "d"]
-
-
-@st.composite
-def flat_comparisons(draw):
-    term = draw(st.sampled_from(FLAT_TERMS))
-    op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
-    return Comparison(term, op, draw(values))
-
-
-@st.composite
-def profiles(draw):
-    """A single-stream profile with 0-2 comparison-only filters."""
-    n_filters = draw(st.integers(min_value=0, max_value=2))
-    filters = tuple(
-        Filter(
-            "S",
-            Conjunction.from_atoms(
-                draw(st.lists(flat_comparisons(), min_size=0, max_size=3))
-            ),
-        )
-        for _ in range(n_filters)
-    )
-    return Profile({"S": ALL_ATTRIBUTES}, filters)
-
-
-@st.composite
-def datagrams(draw):
-    payload = {term: draw(values) for term in FLAT_TERMS}
-    return Datagram("S", payload, float(draw(values)))
+#: Every binding the shared strategy draws lies inside these domains.
+SEED = {term: Interval(-20, 20) for term in TERMS}
 
 
 class TestSolverSoundness:
     @given(conjunctions(), bindings())
     def test_unsat_means_no_binding_matches(self, conj, binding):
-        if is_unsatisfiable(conj):
+        if not ConstraintSystem(conj, SEED).satisfiable:
             assert not conj.evaluate(binding)
 
     @given(conjunctions(), conjunctions(), bindings())
     def test_implication_has_no_counterexample(self, premise, conclusion, binding):
-        if solver_implies(premise, conclusion) and premise.evaluate(binding):
+        if implies(premise, conclusion, SEED) and premise.evaluate(binding):
             assert conclusion.evaluate(binding)
-
-
-class TestSolverCompleteness:
-    @given(conjunctions())
-    def test_solver_at_least_as_complete_as_legacy(self, conj):
-        # The COS205 contract: whenever the legacy check proves the
-        # predicate empty, the solver must agree.
-        if not conj.is_satisfiable():
-            assert is_unsatisfiable(conj)
-
-    @given(conjunctions(), conjunctions())
-    def test_solver_implication_covers_legacy(self, premise, conclusion):
-        if premise.implies(conclusion):
-            assert solver_implies(premise, conclusion)
-
-
-class TestSubsumptionAgreement:
-    @given(profiles(), profiles(), datagrams())
-    @settings(max_examples=200)
-    def test_solver_subsumption_is_sound_for_covering(self, mine, theirs, datagram):
-        # If the solver says `mine` subsumes `theirs`, every datagram
-        # `theirs` would request is already covered by `mine`.
-        if solver_subsumes(mine, theirs) and theirs.covers(datagram):
-            assert mine.covers(datagram)
-
-    @given(profiles(), profiles())
-    @settings(max_examples=200)
-    def test_solver_confirms_legacy_subsumption(self, mine, theirs):
-        # The COS205 contract at the profile level.
-        if mine.subsumes(theirs):
-            assert solver_subsumes(mine, theirs)

@@ -1,16 +1,26 @@
 """Property-based checks of the predicate algebra.
 
-The implication test is allowed to be incomplete but must be *sound*:
-whenever it answers True, no binding may witness a counterexample.
-Same for hull (weaker than both), and_ (conjunction semantics),
-satisfiability (never False for a satisfied conjunction), and the
-atom round-trip.
+Satisfiability and implication are checked against a brute-force
+oracle that enumerates every binding on a grid fine enough to be exact
+for small integer constants (:class:`TestGridOracle`): the answers must
+*equal* the oracle's, soundness and completeness.  The remaining
+properties are the algebraic laws: hull (weaker than both), and_
+(conjunction semantics), closure and the atom round-trip.
 """
+
+import functools
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cql.predicates import Conjunction, Interval
+from repro.cql.predicates import (
+    Comparison,
+    Conjunction,
+    DifferenceConstraint,
+    Interval,
+    JoinPredicate,
+)
 
 from tests.properties.strategies import (
     bindings,
@@ -107,3 +117,66 @@ class TestConjunctionSemantics:
         restricted = c.restrict_to({"S.a", "S.b"})
         if c.evaluate(binding):
             assert restricted.evaluate(binding)
+
+
+def grid_conjunctions(terms, magnitude):
+    """Conjunctions over ``terms`` with integer constants in ±magnitude."""
+    constants = st.integers(min_value=-magnitude, max_value=magnitude)
+    bound = st.one_of(st.just((None, False)), st.tuples(constants, st.booleans()))
+    interval = st.builds(
+        lambda lo, hi: Interval(lo[0], hi[0], lo[1], hi[1]), bound, bound
+    )
+    term = st.sampled_from(terms)
+    pair = st.permutations(terms).map(lambda order: order[:2])
+    atom = st.one_of(
+        st.builds(Comparison, term, st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), constants),
+        pair.map(lambda p: JoinPredicate(*p)),
+        st.builds(lambda p, iv: DifferenceConstraint(p[0], p[1], iv), pair, interval),
+    )
+    return st.lists(atom, max_size=4).map(Conjunction.from_atoms)
+
+
+@functools.lru_cache(maxsize=None)
+def grid_bindings(terms, magnitude):
+    """Every binding of ``terms`` to quarters within ±(n * magnitude + 1).
+
+    A conjunction of interval, equality and difference constraints with
+    integer constants depends only on the integer parts of the values
+    and on the order of their fractional parts, so it has a model iff it
+    has one whose fractional parts come from any n + 1 distinct values:
+    quarters serve n <= 3 terms and are exact in binary floats.  A
+    counterexample to an implication chains at most n constraints from
+    the origin, so one lies within n * magnitude (+1 for strict slack).
+    """
+    reach = 4 * (len(terms) * magnitude + 1)
+    axis = [k / 4 for k in range(-reach, reach + 1)]
+    return [dict(zip(terms, point)) for point in itertools.product(axis, repeat=len(terms))]
+
+
+def assert_matches_grid(premise, conclusion, terms, magnitude):
+    grid = grid_bindings(terms, magnitude)
+    models = [binding for binding in grid if premise.evaluate(binding)]
+    assert premise.is_satisfiable() == bool(models)
+    entailed = all(conclusion.evaluate(binding) for binding in models)
+    if premise.implies(conclusion):
+        assert entailed
+    elif not premise.excluded:
+        # ``!=`` in a premise only feeds the point/exclusion analysis
+        # (``x <= 5 AND x != 5`` is not seen to imply ``x < 5``); without
+        # it the test is complete.
+        assert not entailed
+
+
+TWO_TERMS, THREE_TERMS = ("x", "y"), ("x", "y", "z")
+
+
+class TestGridOracle:
+    @given(grid_conjunctions(TWO_TERMS, 2), grid_conjunctions(TWO_TERMS, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_two_terms_equal_the_oracle(self, premise, conclusion):
+        assert_matches_grid(premise, conclusion, TWO_TERMS, 2)
+
+    @given(grid_conjunctions(THREE_TERMS, 1), grid_conjunctions(THREE_TERMS, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_three_terms_equal_the_oracle(self, premise, conclusion):
+        assert_matches_grid(premise, conclusion, THREE_TERMS, 1)

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "== lint =="
 python tools/lint_repro.py
 
+echo "== layering (repro.cql owns the predicate algebra and imports no higher layer) =="
+if git grep -nE "^(from|import) repro\.(analysis|cbn|core|system)" -- src/repro/cql; then
+    echo "ci: src/repro/cql must not import repro.analysis/cbn/core/system" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
