@@ -18,6 +18,22 @@ All data traffic is accounted in :attr:`ContentBasedNetwork.data_stats`
 and control traffic (subscriptions, advertisements) in
 :attr:`ContentBasedNetwork.control_stats`.
 
+The control plane
+-----------------
+Routing state is soft state that subscribers, processors and the overlay
+optimizer rewrite continuously, so maintaining it costs in proportion to
+the change, not to the population.  Every subscription carries its
+*footprint*: per ``(stream, publisher)`` it was propagated toward, the
+hops — ``(broker, interface)`` — at which that propagation laid an
+entry; a ``stream -> subscription ids`` registry says who requests a
+stream.  The footprint is the only way forwarding entries are removed
+(:meth:`RoutingTable.discard`, exact): :meth:`unsubscribe` visits the
+tables on the subscription's own paths, and :meth:`retree` keeps every
+table and re-lays exactly the paths that cross an edge the new tree
+lacks, so the compiled plans of every table and stream off those paths
+stay warm.  There is no full-walk or full-replay fallback; the oracle
+in the tests is a fresh build on the current tree.
+
 The data plane
 --------------
 Publication is the dominant cost of every experiment, so publishes run
@@ -25,8 +41,8 @@ on cached state: per stream the network memoizes the dissemination
 tree, the schema width table, each broker's neighbour list and — from
 the routing tables' per-stream index — the *candidate interfaces* that
 have any entry for the stream.  The cache is versioned **per stream**:
-every routing mutation (install/remove/remove_interface, reached via
-subscribe/unsubscribe/advertise) bumps the version of exactly the
+every routing mutation (install/discard/remove_interface, reached via
+subscribe/unsubscribe/advertise/retree) bumps the version of exactly the
 streams it touched and every catalog registration bumps the catalog
 version, so the next publish only rebuilds the facts of streams that
 actually moved.
@@ -50,8 +66,8 @@ in :mod:`repro.sim.reference`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cbn.columns import ColumnBatch
 from repro.cbn.datagram import Datagram
@@ -76,11 +92,24 @@ class Delivery:
     datagram: Datagram
 
 
+#: Where one routing entry sits: (broker holding it, the interface —
+#: neighbour toward the subscriber — it is stored behind).
+Hop = Tuple[NodeId, NodeId]
+
+#: One propagation of a subscription: (stream, publisher it was laid
+#: toward); the publisher is ``None`` for a flood over the whole tree.
+_PathKey = Tuple[str, Optional[NodeId]]
+
+
 @dataclass
 class _Subscription:
     subscription_id: str
     node: NodeId
     profile: Profile
+    #: The *footprint*: per propagation, the hops it laid entries at, in
+    #: laying order.  The only record of where this subscription's
+    #: forwarding entries are, so the only way they are removed.
+    footprint: Dict[_PathKey, Tuple[Hop, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -172,8 +201,11 @@ class ContentBasedNetwork:
                     f"tree for stream {stream!r} spans different nodes"
                 )
         self._epoch = 0
-        self._tables = self._fresh_tables(tree)
+        self._tables = {node: self._new_table(node) for node in tree.nodes}
         self._subscriptions: Dict[str, _Subscription] = {}
+        #: stream -> ids of the subscriptions requesting it, in
+        #: registration order (the dict is an ordered set).
+        self._stream_subscriptions: Dict[str, Dict[str, None]] = {}
         self._advertisements: Dict[str, List[_Advertisement]] = {}
         #: stream -> (facts, (stream version, catalog version) they were
         #: built at); each entry revalidates lazily against its own
@@ -212,21 +244,17 @@ class ContentBasedNetwork:
         """
         if set(tree.nodes) != set(self._tree.nodes):
             raise NetworkError(f"tree for stream {stream!r} spans different nodes")
-        for sub in self._subscriptions.values():
-            if stream in sub.profile.streams:
-                raise NetworkError(
-                    f"stream {stream!r} already has subscriptions; its tree "
-                    "can no longer change"
-                )
+        if stream in self._stream_subscriptions:
+            raise NetworkError(
+                f"stream {stream!r} already has subscriptions; its tree "
+                "can no longer change"
+            )
         self._stream_trees[stream] = tree
         self._bump_epoch((stream,))
         self._register_weights(tree)
 
-    def _fresh_tables(self, tree: DisseminationTree) -> Dict[NodeId, RoutingTable]:
-        return {
-            node: RoutingTable(node, self.use_subsumption, on_change=self._bump_epoch)
-            for node in tree.nodes
-        }
+    def _new_table(self, node: NodeId) -> RoutingTable:
+        return RoutingTable(node, self.use_subsumption, on_change=self._bump_epoch)
 
     def _register_weights(self, tree: DisseminationTree) -> None:
         """Price ``tree``'s links on both accumulators (a link that
@@ -237,18 +265,28 @@ class ContentBasedNetwork:
             self.control_stats.add_weight(edge, weight)
 
     def retree(self, tree: DisseminationTree) -> None:
-        """Move the network onto ``tree``, in place, and re-propagate.
+        """Move the network onto ``tree``, in place, as a diff.
 
-        Routing state is soft state: the tables are made afresh and the
-        network replays its own registries over the new tree — every
-        advertisement whose node is still a broker, then every
-        subscription, each in registration order and under its existing
-        id.  Traffic statistics, flags, the catalog and the id counter
-        are untouched (the new links are priced on the existing
-        accumulators); the per-stream fact cache is dropped.  Raises
-        before anything changes when a subscriber's broker is not in
-        ``tree`` or the network has per-stream trees (each would need
-        its own reorganisation).
+        Routing state is soft state, and the footprints say where all
+        of it lies, so only what the tree change invalidates is redone:
+
+        * *Replayed*: every ``(subscription, stream, publisher)`` path
+          that crosses a removed edge or node is withdrawn and laid
+          again along the new tree (floods cover the whole tree, so
+          they are redone whenever any edge changed).
+        * *Dropped*: tables of departed brokers, the emptied interfaces
+          of removed edges, advertisements whose node left (and with
+          them the paths toward it), the per-stream fact cache (it
+          holds the tree).
+        * *Untouched*: every other table — its entries, epoch and
+          compiled plans — and every LOCAL entry, so per-broker
+          delivery order is what it was; the registries and their
+          order, traffic statistics, flags, the catalog, the id counter
+          (new links are priced on the existing accumulators).
+
+        Raises before anything changes when a subscriber's broker is
+        not in ``tree`` or the network has per-stream trees (each would
+        need its own reorganisation).
         """
         if self._stream_trees:
             raise NetworkError("per-stream trees cannot follow a retree")
@@ -258,18 +296,46 @@ class ContentBasedNetwork:
                     f"subscription {sub.subscription_id!r} lives on broker "
                     f"{sub.node}, which is not in the new tree"
                 )
+        before, kept = set(self._tree.edges), set(tree.edges)
+        gone = before - kept
+        reshaped = before != kept
+        #: the hops — either direction — that sat on a removed edge
+        crossed = gone | {(v, u) for u, v in gone}
+        vacated: Dict[str, Set[Hop]] = {}
+        replay: List[Tuple[_Subscription, List[_PathKey]]] = []
+        for sub in self._subscriptions.values():
+            keys = [
+                key
+                for key, hops in sub.footprint.items()
+                if (reshaped if key[1] is None else not crossed.isdisjoint(hops))
+            ]
+            if keys:
+                for stream, hops in self._withdraw(sub, keys).items():
+                    vacated.setdefault(stream, set()).update(hops)
+                replay.append((sub, keys))
+        for node in [node for node in self._tables if node not in tree]:
+            del self._tables[node]
+        for u, v in gone:
+            for node, interface in ((u, v), (v, u)):
+                if node in self._tables:
+                    self._tables[node].remove_interface(interface)
+        for node in tree.nodes:
+            if node not in self._tables:
+                self._tables[node] = self._new_table(node)
+        for ads in self._advertisements.values():
+            ads[:] = [ad for ad in ads if ad.node in tree]
         self._tree = tree
-        self._tables = self._fresh_tables(tree)
         self._register_weights(tree)
         self._facts.clear()
-        advertisements, self._advertisements = self._advertisements, {}
-        subscriptions, self._subscriptions = self._subscriptions, {}
-        for ads in advertisements.values():
-            for ad in ads:
-                if ad.node in tree:
-                    self.advertise(ad.stream, ad.node)
-        for sub in subscriptions.values():
-            self.subscribe(sub.profile, sub.node, sub.subscription_id)
+        for sub, keys in replay:
+            for stream, publisher in keys:
+                if publisher is None:
+                    self._flood_subscription(sub, stream)
+                elif publisher in tree:
+                    self._propagate_toward(sub, stream, publisher)
+        if self.use_subsumption:
+            for stream, hops in vacated.items():
+                self._restore(stream, hops - crossed)
 
     def table(self, node: NodeId) -> RoutingTable:
         try:
@@ -330,9 +396,8 @@ class ContentBasedNetwork:
         ads.append(_Advertisement(stream, node))
         self._bump_epoch((stream,))
         if self.scope_to_advertisements:
-            for sub in self._subscriptions.values():
-                if stream in sub.profile.streams:
-                    self._propagate_toward(sub, stream, node)
+            for sid in self._stream_subscriptions.get(stream, ()):
+                self._propagate_toward(self._subscriptions[sid], stream, node)
 
     def publishers_of(self, stream: str) -> List[NodeId]:
         return [ad.node for ad in self._advertisements.get(stream, [])]
@@ -357,6 +422,8 @@ class ContentBasedNetwork:
             raise NetworkError(f"duplicate subscription id {subscription_id!r}")
         sub = _Subscription(subscription_id, node, profile)
         self._subscriptions[subscription_id] = sub
+        for stream in profile.streams:
+            self._stream_subscriptions.setdefault(stream, {})[subscription_id] = None
         self._tables[node].install(RoutingTable.LOCAL, subscription_id, profile)
         if self.scope_to_advertisements:
             for stream in profile.streams:
@@ -368,79 +435,121 @@ class ContentBasedNetwork:
         return subscription_id
 
     def unsubscribe(self, subscription_id: str) -> None:
+        """Remove a subscription: its LOCAL entry and its footprint.
+
+        Only the tables on the subscription's own paths are visited.
+        Under covering aggregation its entries may have suppressed
+        others behind the same interfaces; those — and only those — are
+        re-installed at the hops it vacated.
+        """
         if subscription_id not in self._subscriptions:
             raise NetworkError(f"unknown subscription {subscription_id!r}")
         removed = self._subscriptions.pop(subscription_id)
-        for tbl in self._tables.values():
-            tbl.remove(subscription_id)
-        if not self.use_subsumption:
+        for stream in removed.profile.streams:
+            requesting = self._stream_subscriptions[stream]
+            del requesting[subscription_id]
+            if not requesting:
+                del self._stream_subscriptions[stream]
+        self._tables[removed.node].discard(RoutingTable.LOCAL, subscription_id)
+        vacated = self._withdraw(removed, list(removed.footprint))
+        if self.use_subsumption:
+            for stream, hops in vacated.items():
+                self._restore(stream, hops)
+
+    def _withdraw(
+        self, sub: _Subscription, keys: Iterable[_PathKey]
+    ) -> Dict[str, Set[Hop]]:
+        """Take the propagations ``keys`` out of ``sub``'s footprint.
+
+        Paths of one stream share their prefix (and so their entries):
+        an entry goes only when no propagation left in the footprint
+        still runs through its hop.  Returns, per stream, the hops
+        vacated.
+        """
+        vacated: Dict[str, Set[Hop]] = {}
+        for key in keys:
+            vacated.setdefault(key[0], set()).update(sub.footprint.pop(key))
+        for (stream, __), hops in sub.footprint.items():
+            if stream in vacated:
+                vacated[stream].difference_update(hops)
+        for stream, hops in vacated.items():
+            entry_id = f"{sub.subscription_id}#{stream}"
+            for node, interface in hops:
+                self._tables[node].discard(interface, entry_id)
+        return vacated
+
+    def _restore(self, stream: str, hops: Set[Hop]) -> None:
+        """Re-install, at ``hops``, the ``stream`` entry of every
+        subscription whose footprint runs through them: covering
+        aggregation may have dropped it for an entry that has just been
+        removed there (installation is idempotent)."""
+        if not hops:
             return
-        # Covering aggregation may have suppressed other subscriptions'
-        # entries behind the removed one; re-propagate every remaining
-        # subscription that shares a stream so the uncovered ones regain
-        # their own forwarding state (installation is idempotent).
-        for sub in self._subscriptions.values():
-            shared = sub.profile.streams & removed.profile.streams
-            if not shared:
-                continue
-            for stream in shared:
-                if self.scope_to_advertisements:
-                    for publisher in self.publishers_of(stream):
-                        self._propagate_toward(sub, stream, publisher)
-                else:
-                    self._flood_subscription(sub, stream)
+        for sid in self._stream_subscriptions.get(stream, ()):
+            sub = self._subscriptions[sid]
+            shared = {
+                hop
+                for key, laid in sub.footprint.items()
+                if key[0] == stream
+                for hop in laid
+                if hop in hops
+            }
+            if shared:
+                self._lay(sub, stream, shared)
+
+    def _lay(self, sub: _Subscription, stream: str, hops: Iterable[Hop]) -> None:
+        """Install ``sub``'s entry for ``stream`` at every hop.
+
+        The entry is the profile restricted to ``stream``.  A subsumed
+        entry is *not stored* (covering aggregation: the broader profile
+        on the same interface already routes everything we would match,
+        with a carried-attribute superset) but the remaining hops are
+        still visited — the covering subscription may have been
+        propagated toward different publishers, so upstream nodes still
+        need an entry for this one.
+        """
+        restricted = sub.profile.restricted_to(stream)
+        entry_id = f"{sub.subscription_id}#{stream}"
+        size = float(restricted.size_estimate())
+        for here, toward_sub in hops:
+            self._tables[here].install(toward_sub, entry_id, restricted)
+            self.control_stats.record(toward_sub, here, size)
 
     def _propagate_toward(
         self, sub: _Subscription, stream: str, publisher: NodeId
     ) -> None:
-        """Install routing entries along the path subscriber -> publisher.
+        """Lay routing entries along the path subscriber -> publisher.
 
-        Propagation is *per stream*: the installed entry is the profile
-        restricted to ``stream`` and the path follows that stream's own
-        dissemination tree, so configurations with multiple trees route
-        each stream on its tree.  Walking outward from the subscriber,
-        every node on the path stores the restricted profile behind the
-        interface pointing back at the subscriber.  A subsumed entry is
-        *not stored* (covering aggregation: the broader profile on the
-        same interface already routes everything we would match, with a
-        carried-attribute superset) but propagation continues — the
-        covering subscription may have been propagated toward different
-        publishers, so upstream nodes still need an entry for this one.
+        Propagation is *per stream* and the path follows that stream's
+        own dissemination tree, so configurations with multiple trees
+        route each stream on its tree.  Walking outward from the
+        subscriber, every node on the path stores the entry behind the
+        interface pointing back at the subscriber.
         """
         if publisher == sub.node:
             return
-        restricted = sub.profile.restricted_to(stream)
-        entry_id = f"{sub.subscription_id}#{stream}"
-        tree = self.tree_for(stream)
-        path = tree.path(sub.node, publisher)
-        size = float(restricted.size_estimate())
-        for toward_sub, here in zip(path, path[1:]):
-            self._tables[here].install(toward_sub, entry_id, restricted)
-            self.control_stats.record(toward_sub, here, size)
+        path = self.tree_for(stream).path(sub.node, publisher)
+        hops = tuple(zip(path[1:], path))
+        sub.footprint[stream, publisher] = hops
+        self._lay(sub, stream, hops)
 
     def _flood_subscription(self, sub: _Subscription, stream: str) -> None:
-        """Install routing entries everywhere (flooding propagation).
-
-        Like :meth:`_propagate_toward`, per stream on the stream's tree;
-        covering aggregation only prunes stored state — the flood always
-        visits the whole tree.
-        """
-        restricted = sub.profile.restricted_to(stream)
-        entry_id = f"{sub.subscription_id}#{stream}"
+        """Lay routing entries everywhere (flooding propagation), per
+        stream on the stream's tree."""
         tree = self.tree_for(stream)
-        size = float(restricted.size_estimate())
+        hops: List[Hop] = []
         seen = {sub.node}
         frontier = [sub.node]
         while frontier:
             here = frontier.pop()
             for neighbor in sorted(tree.neighbors(here)):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                # At ``neighbor`` the subscriber lies behind ``here``.
-                self._tables[neighbor].install(here, entry_id, restricted)
-                self.control_stats.record(here, neighbor, size)
-                frontier.append(neighbor)
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    # At ``neighbor`` the subscriber lies behind ``here``.
+                    hops.append((neighbor, here))
+                    frontier.append(neighbor)
+        sub.footprint[stream, None] = tuple(hops)
+        self._lay(sub, stream, hops)
 
     # -- publication ---------------------------------------------------------------------
 

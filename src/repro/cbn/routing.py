@@ -53,7 +53,9 @@ mutation bumps the counter of exactly the streams it touched, so a
 subscription churn event invalidates the plans of the streams it
 concerns and publishing other streams keeps hitting warm caches —
 per-publish recompilation work is O(touched streams), not O(all
-streams).
+streams).  A mutation that changes nothing bumps nothing: re-installing
+the stored ``(interface, id, profile)`` or discarding an absent entry
+leaves epoch, versions and warm plans as they were.
 """
 
 from __future__ import annotations
@@ -243,6 +245,12 @@ class RoutingTable:
         it), meaning propagation beyond this node can stop.
         """
         entries = self._entries.setdefault(interface, {})
+        previous = entries.get(subscription_id)
+        if previous is not None and previous == profile:
+            # Idempotent re-propagation (advertise, covering restoration,
+            # retree on a shared path prefix): nothing moved, so neither
+            # the bucket order nor any version does.
+            return True
         touched: Set[str] = set(profile.streams)
         # Local subscribers are delivery endpoints, not forwarding state:
         # every one needs its own entry (own projection), so covering
@@ -259,7 +267,6 @@ class RoutingTable:
                 touched.update(entries[sid].streams)
                 self._unindex_entry(interface, sid, entries[sid])
                 del entries[sid]
-        previous = entries.get(subscription_id)
         if previous is not None:
             touched.update(previous.streams)
             self._unindex_entry(interface, subscription_id, previous)
@@ -268,32 +275,26 @@ class RoutingTable:
         self._touch(touched)
         return True
 
-    def remove(self, subscription_id: str) -> None:
-        """Drop a subscription from every interface.
+    def discard(self, interface: object, entry_id: str) -> bool:
+        """Delete exactly the entry ``entry_id`` behind ``interface``.
 
-        Also removes the per-stream forwarding entries the network
-        layer installs under ``"<id>#<stream>"`` composite keys.
+        Returns ``False`` (and bumps nothing) when it is not stored —
+        covering aggregation may have suppressed or evicted it.
         """
-        prefix = subscription_id + "#"
-        touched: Set[str] = set()
-        changed = False
-        for interface, entries in self._entries.items():
-            doomed = [
-                key
-                for key in entries
-                if key == subscription_id or key.startswith(prefix)
-            ]
-            for key in doomed:
-                touched.update(entries[key].streams)
-                self._unindex_entry(interface, key, entries[key])
-                del entries[key]
-                changed = True
-        if changed:
-            self._touch(touched)
+        entries = self._entries.get(interface)
+        profile = entries.pop(entry_id, None) if entries else None
+        if profile is None:
+            return False
+        self._unindex_entry(interface, entry_id, profile)
+        self._touch(profile.streams)
+        return True
 
     def remove_interface(self, interface: object) -> None:
+        """Forget ``interface``: its entries, index and compiled plans."""
         removed = self._entries.pop(interface, None)
         self._by_stream.pop(interface, None)
+        for key in [key for key in self._plans if key[0] == interface]:
+            del self._plans[key]
         if removed:
             touched: Set[str] = set()
             for profile in removed.values():

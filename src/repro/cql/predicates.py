@@ -548,7 +548,7 @@ class Conjunction:
 
         Kept on the (immutable) instance: grouping asks one
         representative predicate about many members, and a fresh solve
-        per question showed up in install latency (DESIGN.md §10).
+        per question showed up in install latency (DESIGN.md §9).
         """
         if self._solved is None:
             self._solved = ConstraintSystem(self)

@@ -11,25 +11,18 @@ trees over a wide-area topology (section 3.2).  This package provides:
 * :mod:`repro.overlay.metrics` -- per-link traffic accounting used to
   compute communication cost.
 * :mod:`repro.overlay.optimizer` -- the adaptive local tree
-  reorganisation of refs [18, 19] with a configurable cost function,
-  plus the incremental spanning-tree maintainer repairing MSTs
-  locally across node join/leave/link-re-weight churn.
+  reorganisation of refs [18, 19] with a configurable cost function.
 """
 
 from __future__ import annotations
 
 from repro.overlay.metrics import LinkStats
-from repro.overlay.optimizer import (
-    IncrementalOverlay,
-    OverlayOptimizer,
-    weighted_traffic_cost,
-)
+from repro.overlay.optimizer import OverlayOptimizer, weighted_traffic_cost
 from repro.overlay.topology import Topology, barabasi_albert, waxman
 from repro.overlay.tree import DisseminationTree
 
 __all__ = [
     "DisseminationTree",
-    "IncrementalOverlay",
     "LinkStats",
     "OverlayOptimizer",
     "Topology",

@@ -19,46 +19,12 @@ approach of those references:
   considers replacing it by a nearby topology edge that reconnects the
   two components more cheaply, accepting the best improving swap
   (hill-climbing), subject to a node degree cap (server capability).
-
-Incremental maintenance
------------------------
-:class:`IncrementalOverlay` keeps a spanning tree *minimum* across
-churn — node join, node leave, link re-weight — by local repair
-instead of a global MST recompute per event:
-
-* **join**: attach via the cheapest new link (the cut ``{node} | rest``
-  makes it mandatory), then apply each remaining link as a classic
-  edge-insertion improvement — swap it against the max-weight edge on
-  the tree cycle it closes when strictly cheaper.
-* **leave**: drop the node's tree edges; the surviving forest edges
-  remain in some MST of the reduced graph (each was the minimum edge
-  across its tree cut, and removing the node only shrinks that cut),
-  so reconnection is a Kruskal run over the *cut-edge candidates* —
-  topology edges incident to the smaller orphaned fragments, taken
-  from the cached per-node neighbour candidates — contracted onto the
-  fragments.
-* **re-weight**: a tree edge that got heavier is re-auctioned against
-  the minimum candidate crossing its cut; a non-tree edge that got
-  cheaper is an edge-insertion improvement; the other two directions
-  keep the tree minimal as-is.
-
-Each repair is verified (edge count, connectivity of the touched
-fragments); when an invariant fails — e.g. the candidate cache cannot
-reconnect the fragments because the topology itself lost connectivity
-— the maintainer falls back to a full
-:meth:`~repro.overlay.topology.Topology.minimum_spanning_tree_edges`
-recompute and counts it in :attr:`IncrementalOverlay.full_rebuilds`.
-The weight-equality property suite
-(``tests/overlay/test_incremental_repair.py``) holds the maintained
-tree's total weight equal to a from-scratch MST after every event of
-random churn sequences.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.overlay.topology import Edge, NodeId, Topology, edge_key
 from repro.overlay.tree import DisseminationTree, TreeError
@@ -209,309 +175,3 @@ class OverlayOptimizer:
             swaps += 1
         final_cost = self.tree_cost(current, demands)
         return current, OptimizationReport(rounds, swaps, initial_cost, final_cost)
-
-
-class IncrementalOverlay:
-    """A minimum spanning tree maintained incrementally across churn.
-
-    Owns a mutable view of the overlay: the :class:`Topology` (updated
-    in place by the churn methods) plus the current spanning tree kept
-    as adjacency/weight maps.  Each churn event repairs the tree
-    locally; :attr:`local_repairs` and :attr:`full_rebuilds` count how
-    often the local path sufficed versus the fallback fired.
-
-    The maintained tree is always an exact MST of the current topology
-    (the classic online-MST edge rules; see the module docstring), so
-    consumers can swap a full recompute for event-driven repair without
-    a quality loss.
-    """
-
-    def __init__(
-        self, topology: Topology, tree: Optional[DisseminationTree] = None
-    ) -> None:
-        self._topology = topology
-        if tree is None:
-            tree = DisseminationTree.minimum_spanning(topology)
-        self._adjacency: Dict[NodeId, Set[NodeId]] = {
-            node: set(tree.neighbors(node)) for node in tree.nodes
-        }
-        self._weights: Dict[Edge, float] = {
-            edge: tree.weight(*edge) for edge in tree.edges
-        }
-        #: node -> incident (weight, neighbour) candidates, sorted;
-        #: rebuilt lazily per node after churn touches it.  These are
-        #: the "cached neighbour candidates" repairs scan instead of
-        #: the global edge list.
-        self._candidates: Dict[NodeId, Tuple[Tuple[float, NodeId], ...]] = {}
-        self._cached_tree: Optional[DisseminationTree] = tree
-        self.local_repairs = 0
-        self.full_rebuilds = 0
-
-    # -- views ------------------------------------------------------------------
-
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
-    @property
-    def tree(self) -> DisseminationTree:
-        """The current spanning tree, materialised lazily."""
-        if self._cached_tree is None:
-            self._cached_tree = DisseminationTree._from_parts(
-                {node: set(nbrs) for node, nbrs in self._adjacency.items()},
-                dict(self._weights),
-            )
-        return self._cached_tree
-
-    def total_weight(self) -> float:
-        return sum(self._weights.values())
-
-    @property
-    def tree_edges(self) -> List[Edge]:
-        return sorted(self._weights)
-
-    # -- candidate cache --------------------------------------------------------
-
-    def _node_candidates(self, node: NodeId) -> Tuple[Tuple[float, NodeId], ...]:
-        cached = self._candidates.get(node)
-        if cached is None:
-            weights = self._topology.weights
-            cached = tuple(
-                sorted(
-                    (weights[edge_key(node, other)], other)
-                    for other in self._topology.neighbors(node)
-                )
-            )
-            self._candidates[node] = cached
-        return cached
-
-    def _invalidate_candidates(self, nodes: Iterable[NodeId]) -> None:
-        for node in nodes:
-            self._candidates.pop(node, None)
-
-    # -- tree surgery -----------------------------------------------------------
-
-    def _add_tree_edge(self, u: NodeId, v: NodeId, weight: float) -> None:
-        self._adjacency.setdefault(u, set()).add(v)
-        self._adjacency.setdefault(v, set()).add(u)
-        self._weights[edge_key(u, v)] = weight
-        self._cached_tree = None
-
-    def _drop_tree_edge(self, u: NodeId, v: NodeId) -> None:
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
-        self._weights.pop(edge_key(u, v), None)
-        self._cached_tree = None
-
-    def _tree_component(
-        self, start: NodeId, without: Optional[Edge] = None
-    ) -> Set[NodeId]:
-        """Nodes reachable from ``start`` on tree edges, optionally
-        treating ``without`` as cut."""
-        seen = {start}
-        frontier = [start]
-        adjacency = self._adjacency
-        while frontier:
-            here = frontier.pop()
-            for other in adjacency[here]:
-                if without is not None and edge_key(here, other) == without:
-                    continue
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return seen
-
-    def _max_path_edge(self, source: NodeId, target: NodeId) -> Tuple[Edge, float]:
-        """The heaviest tree edge on the unique path source -> target."""
-        parent: Dict[NodeId, NodeId] = {source: source}
-        frontier = [source]
-        adjacency = self._adjacency
-        while frontier and target not in parent:
-            next_frontier: List[NodeId] = []
-            for here in frontier:
-                for other in adjacency[here]:
-                    if other not in parent:
-                        parent[other] = here
-                        next_frontier.append(other)
-            frontier = next_frontier
-        if target not in parent:
-            raise TreeError(f"no tree path from {source} to {target}")
-        weights = self._weights
-        best_edge: Optional[Edge] = None
-        best_weight = -math.inf
-        here = target
-        while here != source:
-            up = parent[here]
-            edge = edge_key(here, up)
-            weight = weights[edge]
-            if weight > best_weight:
-                best_weight = weight
-                best_edge = edge
-            here = up
-        assert best_edge is not None
-        return best_edge, best_weight
-
-    def _insert_improvement(self, u: NodeId, v: NodeId, weight: float) -> None:
-        """Classic edge-insertion rule: swap (u, v) against the heaviest
-        edge on the tree cycle it closes when strictly cheaper."""
-        edge, max_weight = self._max_path_edge(u, v)
-        if weight < max_weight:
-            self._drop_tree_edge(*edge)
-            self._add_tree_edge(u, v, weight)
-
-    def _full_rebuild(self) -> None:
-        edges = self._topology.minimum_spanning_tree_edges()
-        weights = self._topology.weights
-        self._adjacency = {node: set() for node in self._topology.nodes}
-        self._weights = {}
-        for u, v in edges:
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
-            self._weights[edge_key(u, v)] = weights[edge_key(u, v)]
-        self._cached_tree = None
-        self.full_rebuilds += 1
-
-    def _verify_or_rebuild(self) -> None:
-        """Repair invariant: a spanning tree has exactly n - 1 edges.
-
-        (Connectivity follows when every surgery step reconnects what
-        it cuts; the count check catches a violated assumption cheaply.)
-        """
-        if len(self._weights) != len(self._topology) - 1:
-            self._full_rebuild()
-
-    # -- churn events -----------------------------------------------------------
-
-    def join(self, node: NodeId, links: Mapping[NodeId, float]) -> None:
-        """A node joins with physical ``links`` (neighbour -> weight).
-
-        The cheapest link is mandatory by the cut property; every other
-        link is applied as an edge-insertion improvement, so the result
-        is the exact MST of the grown topology.
-        """
-        if node in self._adjacency:
-            raise TreeError(f"node {node} already in the overlay")
-        if not links:
-            raise TreeError(f"node {node} joined without links")
-        for other in links:
-            if other not in self._adjacency:
-                raise TreeError(f"join link to unknown node {other}")
-        self._topology.add_node(node)
-        ordered = sorted(
-            (weight, other) for other, weight in links.items()
-        )
-        for weight, other in ordered:
-            self._topology.add_edge(node, other, weight)
-        self._invalidate_candidates([node, *links])
-        best_weight, best_other = ordered[0]
-        self._adjacency[node] = set()
-        self._add_tree_edge(node, best_other, best_weight)
-        for weight, other in ordered[1:]:
-            self._insert_improvement(node, other, weight)
-        self.local_repairs += 1
-        self._verify_or_rebuild()
-
-    def leave(self, node: NodeId) -> None:
-        """A node leaves; reconnect its orphaned fragments cheaply.
-
-        The surviving forest stays inside some MST of the reduced
-        graph, so running Kruskal over the crossing candidates of the
-        non-largest fragments (from the cached neighbour candidates)
-        completes it to the exact MST.  Falls back to a full recompute
-        when the candidates cannot reconnect every fragment.
-        """
-        if node not in self._adjacency:
-            raise TreeError(f"unknown node {node}")
-        if len(self._adjacency) == 1:
-            raise TreeError("cannot remove the last overlay node")
-        tree_neighbors = sorted(self._adjacency[node])
-        physical = sorted(self._topology.neighbors(node))
-        self._topology.remove_node(node)
-        self._invalidate_candidates([node, *physical])
-        for other in tree_neighbors:
-            self._drop_tree_edge(node, other)
-        del self._adjacency[node]
-        self._cached_tree = None
-        if len(tree_neighbors) > 1:
-            self._reconnect_fragments(tree_neighbors)
-        self.local_repairs += 1
-        self._verify_or_rebuild()
-
-    def _reconnect_fragments(self, seeds: List[NodeId]) -> None:
-        """Kruskal over cut-edge candidates of the orphaned fragments."""
-        fragments: List[Set[NodeId]] = []
-        assigned: Dict[NodeId, int] = {}
-        for seed in seeds:
-            if seed in assigned:
-                continue
-            fragment = self._tree_component(seed)
-            index = len(fragments)
-            fragments.append(fragment)
-            for member in fragment:
-                assigned[member] = index
-        if len(fragments) == 1:
-            return
-        # Scan candidates of every fragment but the largest: an edge
-        # crossing two fragments is incident to a non-largest one.
-        largest = max(range(len(fragments)), key=lambda i: len(fragments[i]))
-        crossing: List[Tuple[float, NodeId, NodeId]] = []
-        for index, fragment in enumerate(fragments):
-            if index == largest:
-                continue
-            for member in sorted(fragment):
-                for weight, other in self._node_candidates(member):
-                    if assigned[other] != index:
-                        crossing.append((weight, member, other))
-        crossing.sort()
-        # Union-find over fragment ids.
-        parent = list(range(len(fragments)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges_needed = len(fragments) - 1
-        for weight, u, v in crossing:
-            ru, rv = find(assigned[u]), find(assigned[v])
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            self._add_tree_edge(u, v, weight)
-            merges_needed -= 1
-            if merges_needed == 0:
-                return
-        # The candidates could not reconnect every fragment: invariant
-        # failed (the fall back recomputes — and raises TopologyError
-        # when the topology itself is partitioned).
-        self._full_rebuild()
-
-    def reweight(self, u: NodeId, v: NodeId, weight: float) -> None:
-        """A physical link changed cost; re-audit the affected cut."""
-        key = edge_key(u, v)
-        old = self._topology.weight(u, v)
-        self._topology.set_weight(u, v, weight)
-        self._invalidate_candidates([u, v])
-        if key in self._weights:
-            self._weights[key] = weight
-            self._cached_tree = None
-            if weight > old:
-                # The heavier tree edge must win its cut again: scan
-                # u's side for the cheapest candidate crossing the cut
-                # and swap when one strictly beats the new weight.
-                inside = self._tree_component(u, without=key)
-                best: Optional[Tuple[float, NodeId, NodeId]] = None
-                for member in sorted(inside):
-                    for cand_weight, other in self._node_candidates(member):
-                        if other not in inside and (
-                            best is None or cand_weight < best[0]
-                        ):
-                            best = (cand_weight, member, other)
-                if best is not None and best[0] < weight:
-                    self._drop_tree_edge(u, v)
-                    self._add_tree_edge(best[1], best[2], best[0])
-        elif weight < old:
-            self._insert_improvement(u, v, weight)
-        self.local_repairs += 1
-        self._verify_or_rebuild()

@@ -65,24 +65,6 @@ class Topology:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
 
-    def remove_node(self, node: NodeId) -> None:
-        """Remove a node and every edge incident to it (churn: leave)."""
-        try:
-            neighbors = self._adjacency.pop(node)
-        except KeyError:
-            raise TopologyError(f"unknown node {node}") from None
-        for other in neighbors:
-            self._adjacency[other].discard(node)
-            self.weights.pop(edge_key(node, other), None)
-        self.positions.pop(node, None)
-
-    def set_weight(self, u: NodeId, v: NodeId, weight: float) -> None:
-        """Update the cost of an existing edge (churn: link re-weight)."""
-        key = edge_key(u, v)
-        if key not in self.weights:
-            raise TopologyError(f"no edge between {u} and {v}")
-        self.weights[key] = float(weight)
-
     # -- queries ------------------------------------------------------------------
 
     @property

@@ -79,10 +79,9 @@ class DisseminationTree:
     ) -> "DisseminationTree":
         """Internal: wrap pre-validated tree parts without re-checking.
 
-        Callers (the incremental overlay maintainer, :meth:`remove_node`)
-        guarantee the structure is consistent; ``adjacency`` and
-        ``weights`` are taken by reference and must not be mutated
-        afterwards.  Skipping the O(n) connectivity re-validation is
+        Callers (:meth:`remove_node`) guarantee the structure is
+        consistent; ``adjacency`` and ``weights`` are taken by reference
+        and must not be mutated afterwards.  Skipping the O(n) connectivity re-validation is
         what makes lazy tree materialisation cheap at 10k nodes.
         """
         tree = cls.__new__(cls)

@@ -85,7 +85,7 @@ class ReferenceNetwork(ContentBasedNetwork):
 
 def as_reference(system: CosmosSystem) -> CosmosSystem:
     """Make ``system`` the shadow twin by re-classing its network in place
-    (no state is added; a repair re-propagates inside the same network
-    object — ``ContentBasedNetwork.retree`` — so the class survives it)."""
+    (no state is added; a repair moves the same network object onto the
+    new tree — ``ContentBasedNetwork.retree`` — so the class survives it)."""
     system.network.__class__ = ReferenceNetwork
     return system

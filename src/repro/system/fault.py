@@ -6,8 +6,9 @@ details; this module implements a working version of both:
 * **Data layer** (:func:`repair_tree`, :func:`fail_broker`): when a
   broker fails, the dissemination tree splits into components; the
   repair reconnects every orphaned component through the cheapest
-  surviving *physical* link of the underlying topology and the CBN's
-  subscriptions are re-propagated over the repaired tree.
+  surviving *physical* link of the underlying topology and the CBN
+  re-lays the subscription paths that crossed the failed broker over the
+  repaired tree.
 * **Query layer** (:func:`fail_processor`): when a processor fails, its
   queries are re-distributed to surviving processors (fresh grouping,
   fresh profiles), and users transparently re-subscribe to the new
@@ -98,8 +99,9 @@ def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
     users) in the tree of a system without per-stream trees; anything
     else raises :class:`FaultError` before the system is touched.
     Routing state is control-plane soft state in a CBN, so recovery has
-    the network re-propagate its advertisements and subscriptions over
-    the repaired tree (:meth:`ContentBasedNetwork.retree`).
+    the network move onto the repaired tree
+    (:meth:`ContentBasedNetwork.retree`), which redoes the subscription
+    paths that ran through the failed broker and nothing else.
     """
     if system.topology is None:
         raise FaultError("fault repair needs the underlying topology")

@@ -2,12 +2,15 @@
 
 Routing state in a CBN is control-plane soft state: advertisements and
 subscriptions can always be re-propagated, and the network holds every
-one it installed.  Both the fault-tolerance path (tree repaired around
-a failed broker) and the self-tuning path (tree reorganised by the
-overlay optimizer) call :func:`rebuild_network`, which only decides
-whether the new tree can host the system; the re-propagation itself is
-:meth:`ContentBasedNetwork.retree`, in place — the network object, its
-class, its subscription ids and its traffic statistics all survive.
+one it installed and the paths it laid them along.  Both the
+fault-tolerance path (tree repaired around a failed broker) and the
+self-tuning path (tree reorganised by the overlay optimizer) call
+:func:`rebuild_network`, which only decides whether the new tree can
+host the system; the move itself is :meth:`ContentBasedNetwork.retree`,
+in place and as a diff — only the subscription paths that cross a
+removed edge are laid again, and the network object, its class, its
+subscription ids, its traffic statistics and every routing table off
+those paths survive.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ class RebuildError(Exception):
 
 
 def rebuild_network(system: "CosmosSystem", tree: DisseminationTree) -> None:
-    """Swap the system onto ``tree`` and re-propagate all soft state.
+    """Swap the system onto ``tree``, re-laying the routing state the
+    tree change invalidates.
 
     The new tree must contain every node that still hosts a source, a
     processor or a user.  Per-stream trees cannot follow (they would

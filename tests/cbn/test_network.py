@@ -7,6 +7,7 @@ import pytest
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork, NetworkError
+from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.tree import DisseminationTree
@@ -66,6 +67,17 @@ class TestSubscribePublish:
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
         net.unsubscribe("u1")
         assert net.publish(Datagram("S", {"a": 1, "b": 0.1}), 0) == []
+
+    def test_unsubscribe_knows_no_id_prefixes(self, net):
+        # "a"'s forwarding entries are keyed "a#S" — which is also a
+        # legal subscription id; removal used to scan for the prefix.
+        net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "a")
+        net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 3, "a#S")
+        net.unsubscribe("a")
+        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.1}), 0)
+        assert [d.subscription_id for d in deliveries] == ["a#S"]
+        net.unsubscribe("a#S")
+        assert net.routing_state_size() == 0
 
     def test_duplicate_subscription_id_rejected(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
@@ -332,11 +344,19 @@ class TestPublishMany:
 
 
 class TestRetree:
-    """``retree`` replays the network's own registries over a new tree."""
+    """``retree`` diffs the trees; the oracle is a fresh build."""
 
-    #: node 7 is a leaf of the first tree and absent from the second
+    #: T1 -> T2 and T2 -> T3 each swap one edge (the second moves a
+    #: branch off a trunk other subscribers keep using), T4 rewires
+    #: everything and loses node 7, T5 brings it back as a pure
+    #: addition, T6 swaps around it.
     T1 = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (6, 7)]
-    T2 = [(0, 2), (2, 1), (1, 4), (4, 3), (3, 6), (6, 5)]
+    T2 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+    T3 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]
+    T4 = [(0, 2), (2, 1), (1, 4), (4, 3), (3, 6), (6, 5)]
+    T5 = T4 + [(3, 7)]
+    T6 = [(0, 2), (2, 1), (1, 4), (4, 7), (7, 3), (3, 6), (6, 5)]
+    TREES = [T1, T2, T3, T4, T5, T6]
     SCHEMAS = [
         StreamSchema(
             name,
@@ -362,74 +382,117 @@ class TestRetree:
             {s: rng.choice([ALL_ATTRIBUTES, {"a"}, {"b"}]) for s in streams}, filters
         )
 
-    def history(self, network, rng):
-        """Random advertise/subscribe/unsubscribe/publish; returns the
-        advertisements made, in order."""
-        ads = [("S", 0), ("T", 7)]
+    @staticmethod
+    def datagram(rng, stream=None):
+        return Datagram(
+            stream or rng.choice("ST"), {"a": rng.randint(0, 100), "b": rng.random()}
+        )
+
+    def assert_like_fresh_build(self, network, tree, ads, live, flags, rng):
+        """``network`` cannot be told from a ``ReferenceNetwork`` built
+        on ``tree`` from the surviving advertisements and the live
+        subscriptions, each in registration order."""
+        fresh = ReferenceNetwork(tree, **flags)
+        for schema in self.SCHEMAS:
+            fresh.catalog.register(schema)
         for stream, node in ads:
-            network.advertise(stream, node, self.SCHEMAS["ST".index(stream)])
-        live = []
-        for step in range(40):
-            roll = rng.random()
-            if roll < 0.55 or not live:
-                live.append(
-                    network.subscribe(
-                        self.random_profile(rng), rng.randrange(7), f"s{step}"
-                    )
+            fresh.advertise(stream, node)
+        for sid, (node, profile) in live.items():
+            fresh.subscribe(profile, node, sid)
+        assert network.tree is tree
+        assert network.subscriptions() == live
+        assert list(network.subscriptions()) == list(live)
+        assert network.routing_state_size() == fresh.routing_state_size()
+        for stream in "ST":
+            assert network.publishers_of(stream) == fresh.publishers_of(stream)
+        for node in range(8):
+            if node not in tree:
+                with pytest.raises(NetworkError):
+                    network.table(node)
+                continue
+            mine, theirs = network.table(node), fresh.table(node)
+            assert list(mine.local_profiles()) == list(theirs.local_profiles())
+            assert set(mine.interfaces) <= {RoutingTable.LOCAL, *tree.neighbors(node)}
+            for interface in set(mine.interfaces) | set(theirs.interfaces):
+                if flags["use_subsumption"]:
+                    # of equal profiles one stays: which id is a matter
+                    # of arrival order, how many entries is not
+                    assert len(mine.entries(interface)) == len(theirs.entries(interface))
+                else:
+                    assert mine.entries(interface) == theirs.entries(interface)
+        delivered = 0
+        for origin in tree.nodes:
+            for stream in "ST":
+                probe = self.datagram(rng, stream)
+                before = [net.data_stats.as_dict() for net in (network, fresh)]
+                deliveries = network.publish(probe, origin)
+                assert deliveries == fresh.publish(probe, origin)
+                delivered += len(deliveries)
+                mine, theirs = (
+                    {
+                        edge: (messages - was.get(edge, (0, 0.0))[0], size - was.get(edge, (0, 0.0))[1])
+                        for edge, (messages, size) in net.data_stats.as_dict().items()
+                        if was.get(edge) != (messages, size)
+                    }
+                    for net, was in zip((network, fresh), before)
                 )
-            elif roll < 0.8:
-                network.unsubscribe(live.pop(rng.randrange(len(live))))
-            elif roll < 0.9:
-                ad = (rng.choice("ST"), rng.randrange(7))
-                if ad not in ads:
-                    ads.append(ad)
-                network.advertise(*ad)
-            else:
-                network.publish(Datagram("S", {"a": rng.randint(0, 100), "b": 0.5}), 0)
-        return ads
+                assert mine == theirs
+        return delivered
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("cls", [ContentBasedNetwork, ReferenceNetwork])
     @pytest.mark.parametrize("scoped,subsumption", [(True, False), (True, True), (False, False)])
-    def test_indistinguishable_from_fresh_network(self, seed, cls, scoped, subsumption):
+    def test_any_interleaving_is_indistinguishable_from_a_fresh_build(
+        self, seed, cls, scoped, subsumption
+    ):
         rng = random.Random(seed)
         flags = dict(scope_to_advertisements=scoped, use_subsumption=subsumption)
-        network = cls(self.tree(self.T1), **flags)
-        ads = self.history(network, rng)
-        stats, before = network.data_stats, network.data_stats.as_dict()
-        registered = network.subscriptions()
-
-        t2 = self.tree(self.T2)
-        network.retree(t2)
-
-        assert type(network) is cls and network.tree is t2
-        assert network.data_stats is stats and stats.as_dict() == before
+        tree = self.tree(self.T1)
+        network = cls(tree, **flags)
+        stats = network.data_stats
+        ads, live, at = [("S", 0), ("T", 7)], {}, 0
+        for stream, node in ads:
+            network.advertise(stream, node, self.SCHEMAS["ST".index(stream)])
+        retrees = delivered = 0
+        for step in range(45):
+            roll = rng.random()
+            if roll < 0.4 or not live:
+                # node 7 comes and goes: a subscriber there pins it
+                node = rng.choice(tree.nodes) if rng.random() < 0.1 else rng.randrange(7)
+                profile = self.random_profile(rng)
+                network.subscribe(profile, node, f"s{step}")
+                live[f"s{step}"] = (node, profile)
+            elif roll < 0.6:
+                network.unsubscribe(rng.choice(list(live)))
+                live = {sid: live[sid] for sid in network.subscriptions()}
+            elif roll < 0.7:
+                ad = (rng.choice("ST"), rng.choice(tree.nodes))
+                if ad not in ads:
+                    ads.append(ad)
+                network.advertise(*ad)
+            elif roll < 0.8:
+                origin, stream = rng.choice(tree.nodes), rng.choice("ST")
+                network.publish_many([self.datagram(rng, stream) for __ in range(3)], origin)
+            else:
+                # mostly the next tree of the cycle, sometimes any
+                at = (at + 1) % 6 if rng.random() < 0.7 else rng.randrange(6)
+                target = self.tree(self.TREES[at])
+                if any(node not in target for node, __ in live.values()):
+                    epoch, size = network.routing_epoch, network.routing_state_size()
+                    with pytest.raises(NetworkError):
+                        network.retree(target)
+                    assert network.routing_epoch == epoch
+                    assert network.routing_state_size() == size
+                else:
+                    network.retree(target)
+                    tree = target
+                    ads = [ad for ad in ads if ad[1] in tree]
+                    retrees += 1
+            delivered += self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
+        assert type(network) is cls and network.data_stats is stats
         assert network.scope_to_advertisements is scoped
         assert network.use_subsumption is subsumption
-        assert network.publishers_of("T") == [n for s, n in ads if s == "T" and n != 7]
-
-        fresh = ReferenceNetwork(t2, **flags)
-        for schema in self.SCHEMAS:
-            fresh.catalog.register(schema)
-        for stream, node in ads:
-            if node in t2:
-                fresh.advertise(stream, node)
-        for sid, (node, profile) in registered.items():
-            fresh.subscribe(profile, node, sid)
-        assert network.subscriptions() == registered
-        assert list(network.subscriptions()) == list(registered)
-        assert network.routing_state_size() == fresh.routing_state_size()
-        probe = [
-            Datagram(rng.choice("ST"), {"a": rng.randint(0, 100), "b": rng.random()}, float(i))
-            for i in range(30)
-        ]
-        delivered = 0
-        for datagram in probe:
-            origin = rng.randrange(7)
-            deliveries = network.publish(datagram, origin)
-            assert deliveries == fresh.publish(datagram, origin)
-            delivered += len(deliveries)
-        assert delivered
+        assert retrees >= 3 and delivered
 
     def test_stranded_subscriber_refused_before_any_change(self):
         network = ContentBasedNetwork(self.tree(self.T1))
@@ -437,7 +500,95 @@ class TestRetree:
         network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 7, "u1")
         old_tree, size = network.tree, network.routing_state_size()
         with pytest.raises(NetworkError):
-            network.retree(self.tree(self.T2))
+            network.retree(self.tree(self.T4))
         assert network.tree is old_tree
         assert network.routing_state_size() == size
         assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == 1
+
+    def test_per_stream_trees_refused_before_any_change(self):
+        network = ContentBasedNetwork(
+            self.tree(self.T1), stream_trees={"T": self.tree(self.T2)}
+        )
+        network.advertise("S", 0, self.SCHEMAS[0])
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 6, "u1")
+        old_tree, epoch = network.tree, network.routing_epoch
+        with pytest.raises(NetworkError):
+            network.retree(self.tree(self.T2))
+        assert network.tree is old_tree and network.routing_epoch == epoch
+
+
+class TestProportionality:
+    """Control operations cost what they change, not what exists."""
+
+    LEGS = 4
+
+    @pytest.fixture
+    def spider(self):
+        """200 brokers: hub 0 and four legs; "S" is published at the hub
+        and each leg's tip holds one subscriber, so the four footprints
+        are disjoint.  Returns (network, legs)."""
+        legs, nxt = [], 1
+        for length in (50, 50, 50, 49):
+            legs.append(list(range(nxt, nxt + length)))
+            nxt += length
+        edges = [e for leg in legs for e in zip([0] + leg, leg)]
+        network = ContentBasedNetwork(
+            DisseminationTree(edges, {e: 1.0 for e in edges})
+        )
+        network.advertise("S", 0, SCHEMA)
+        for k, leg in enumerate(legs):
+            network.subscribe(Profile({"S": {"a"}}), leg[-1], f"u{k}")
+        assert len(network.tree) == 200
+        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS
+        return network, legs
+
+    @staticmethod
+    def snapshot(network, nodes):
+        return {
+            node: (table, table.epoch, dict(table._stream_versions), dict(table._plans))
+            for node in nodes
+            for table in [network.table(node)]
+        }
+
+    @staticmethod
+    def spy_on_discard(monkeypatch):
+        visits, discard = [], RoutingTable.discard
+
+        def spy(table, interface, entry_id):
+            visits.append(table.node)
+            return discard(table, interface, entry_id)
+
+        monkeypatch.setattr(RoutingTable, "discard", spy)
+        return visits
+
+    def assert_untouched(self, network, before):
+        for node, (table, epoch, versions, plans) in before.items():
+            assert network.table(node) is table
+            assert (table.epoch, table._stream_versions) == (epoch, versions)
+            assert table._plans.keys() == plans.keys()
+            assert all(table._plans[key][0] is plans[key][0] for key in plans)
+
+    def test_unsubscribe_visits_its_own_path_only(self, spider, monkeypatch):
+        network, legs = spider
+        off_path = self.snapshot(network, [n for leg in legs[1:] for n in leg])
+        visits = self.spy_on_discard(monkeypatch)
+        network.unsubscribe("u0")
+        # one table per broker on the path tip -> hub, each exactly once
+        assert sorted(visits) == [0] + legs[0]
+        self.assert_untouched(network, off_path)
+        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS - 1
+
+    def test_retree_replays_only_paths_crossing_the_changed_edge(
+        self, spider, monkeypatch
+    ):
+        network, legs = spider
+        a, b, c = legs[0][10:13]
+        swapped = network.tree.with_edge_swap((a, b), (a, c), 1.0)
+        off_path = self.snapshot(network, [n for leg in legs[1:] for n in leg])
+        visits = self.spy_on_discard(monkeypatch)
+        network.retree(swapped)
+        # u0's entries (not its LOCAL one) are withdrawn, nothing else is
+        assert sorted(visits) == [0] + legs[0][:-1]
+        self.assert_untouched(network, off_path)
+        assert network.table(b).entry_count == 0  # now a stub off the path
+        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS

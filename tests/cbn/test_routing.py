@@ -22,13 +22,25 @@ class TestInstallRemove:
         table.install(1, "s1", profile({"a"}))
         assert table.decide(1, Datagram("S", {"a": 1})).forward
 
-    def test_remove_clears_everywhere(self):
+    def test_discard_is_exact(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}))
         table.install(2, "s1", profile({"a"}))
-        table.remove("s1")
+        assert table.discard(1, "s1")
         assert not table.decide(1, Datagram("S", {"a": 1})).forward
-        assert not table.decide(2, Datagram("S", {"a": 1})).forward
+        assert table.decide(2, Datagram("S", {"a": 1})).forward
+
+    def test_discard_knows_no_id_prefixes(self):
+        # The scan this replaced removed "a" and every "a#..." key, so a
+        # subscription whose own id was "a#S" lost its entries with "a".
+        table = RoutingTable(0)
+        table.install(RoutingTable.LOCAL, "a#S", profile({"a"}))
+        table.install(1, "a#S", profile({"a"}))
+        table.install(1, "a#S#S", profile({"a"}))
+        table.discard(RoutingTable.LOCAL, "a")
+        table.discard(1, "a#S")
+        assert list(table.local_profiles()) == ["a#S"]
+        assert list(table.entries(1)) == ["a#S#S"]
 
     def test_remove_interface(self):
         table = RoutingTable(0)
@@ -142,10 +154,10 @@ class TestStreamIndex:
         assert sorted(table.stream_interfaces("S")) == [1, 2]
         assert table.stream_interfaces("T") == [3]
 
-    def test_remove_clears_index(self):
+    def test_discard_clears_index(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, stream="S"))
-        table.remove("s1")
+        table.discard(1, "s1")
         assert not table.has_stream_entries(1, "S")
         assert table.stream_interfaces("S") == []
 
@@ -189,12 +201,25 @@ class TestEpoch:
         table.install(1, "s1", profile({"a"}))
         assert table.epoch == before + 1
 
-    def test_noop_remove_keeps_epoch(self):
+    def test_noop_discard_keeps_epoch(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}))
         before = table.epoch
-        table.remove("missing")
+        assert not table.discard(1, "missing")
+        assert not table.discard(2, "s1")
         assert table.epoch == before
+
+    def test_identical_reinstall_is_a_noop(self):
+        calls = []
+        table = RoutingTable(0, on_change=calls.append)
+        table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
+        table.install(1, "b", profile({"b"}))
+        plan, epoch, version = table._plan(1, "S"), table.epoch, dict(table._stream_versions)
+        assert table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
+        assert (table.epoch, table._stream_versions) == (epoch, version)
+        assert table._plan(1, "S") is plan and len(calls) == 2
+        # the per-stream bucket still mirrors the entries, in install order
+        assert list(table.stream_entries(1, "S")) == list(table.entries(1)) == ["a", "b"]
 
     def test_remove_missing_interface_keeps_epoch(self):
         table = RoutingTable(0)
@@ -206,7 +231,7 @@ class TestEpoch:
         calls = []
         table = RoutingTable(0, on_change=calls.append)
         table.install(1, "s1", profile({"a"}))
-        table.remove("s1")
+        table.discard(1, "s1")
         # One call per mutation, reporting the streams it touched.
         assert calls == [frozenset({"S"}), frozenset({"S"})]
 
@@ -222,7 +247,7 @@ class TestEpoch:
             assert table._plan(1, other) is warm
             rebuilt = table._plan(1, "S7")
             assert rebuilt is not touched and len(rebuilt[0]) == 2
-            table.remove("a2")
+            table.discard(1, "a2")
             assert table._plan(1, other) is warm
             assert len(table._plan(1, "S7")[0]) == 1
 

@@ -368,3 +368,53 @@ class TestPublishManyUnderFailure:
                 break
             else:
                 pytest.fail("no repairable victim left")
+
+
+class TestRepairKeepsOffPathPlansWarm:
+    """A repair redoes the routing state on the paths it broke, so
+    streams routed elsewhere keep publishing on warm compiled plans."""
+
+    def test_stream_off_the_failed_path_compiles_nothing(self, monkeypatch):
+        from repro.cbn import routing
+
+        # hub 0 (the processor) with three legs of three brokers; the
+        # only physical shortcut bridges broker 8 on the third leg.
+        tree_edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)]
+        topology = Topology()
+        for edge in tree_edges + [(7, 9)]:
+            topology.add_edge(*edge, 1.0)
+        tree = DisseminationTree(tree_edges, {e: 1.0 for e in tree_edges})
+        system = CosmosSystem(tree, processor_nodes=[0], topology=topology)
+        system.add_source(OPEN_AUCTION_SCHEMA, 3)
+        system.add_source(CLOSED_AUCTION_SCHEMA, 9)
+        opened = system.submit(
+            "SELECT O.itemID FROM OpenAuction O WHERE O.start_price >= 0.5",
+            user_node=6,
+            name="opened",
+        )
+        closed = system.submit(
+            "SELECT C.itemID FROM ClosedAuction C WHERE C.buyerID >= 0",
+            user_node=6,
+            name="closed",
+        )
+        publish_pair(system, 1, 0.0, 60.0)
+        assert (opened.result_count, closed.result_count) == (1, 1)
+
+        compiled = []
+        init = routing._CompiledEntry.__init__
+
+        def counting(entry, *args):
+            compiled.append(args)
+            init(entry, *args)
+
+        monkeypatch.setattr(routing._CompiledEntry, "__init__", counting)
+        fail_broker(system, 8)
+        system.publish(
+            "OpenAuction",
+            {"itemID": 2, "sellerID": 1, "start_price": 20.0, "timestamp": 120.0},
+            120.0,
+        )
+        assert opened.result_count == 2
+        assert compiled == []  # OpenAuction and its results never crossed 8
+        system.publish("ClosedAuction", {"itemID": 2, "buyerID": 1, "timestamp": 180.0}, 180.0)
+        assert closed.result_count == 2 and compiled  # re-laid through 7-9

@@ -33,16 +33,20 @@ PYTHONPATH=src:. python -m pytest -x -q
 echo "== bench harness tests (every span target in bench/tracing.py resolves) =="
 python -m pytest bench -q
 
-echo "== bench pinned run (burst-scale seed 0: result_digest + link_cost vs bench/pins.json) =="
+echo "== bench pinned runs (seed 0: result_digest + link_cost vs bench/pins.json) =="
+# burst-scale reads the routing tables in bulk, query-churn is their write
+# path (subscribe/unsubscribe), fault-repair the repair path (retree).
 # A single run exits 0 whatever it found; its last stdout line is the verdict
 # (a result_digest off bench/pins.json is a failed operation).
-python3 bench/run.py --workload burst-scale --seed 0 --seconds 15 --trace 0 | tail -1 | python3 -c '
+for workload in burst-scale query-churn fault-repair; do
+    python3 bench/run.py --workload "$workload" --seed 0 --seconds 15 --trace 0 | tail -1 | python3 -c '
 import json, sys
 run = json.loads(sys.stdin.read())
 assert run["correct"] and run["failed"] == 0, run
-print("burst-scale seed 0: %d operations, 0 failed, tuples_per_s %.0f"
-      % (run["attempted"], run["metrics"]["tuples_per_s"]["value"]))
-'
+print("%s seed 0: %d operations, 0 failed, tuples_per_s %.0f"
+      % (sys.argv[1], run["attempted"], run["metrics"]["tuples_per_s"]["value"]))
+' "$workload"
+done
 
 echo "== chaos scale smoke (1000-node overlay, recovery + conformance) =="
 PYTHONPATH=src python -m repro chaos --seeds 3 --nodes 1000 --recovery --conform --json BENCH_chaos_scale.json
