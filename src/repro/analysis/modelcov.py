@@ -80,7 +80,9 @@ class MachineCoverage:
     def to_dict(self) -> dict:
         return {
             "machine": self.machine,
-            "origin": {"module": self.origin[0], "line": self.origin[1]},
+            # The module only: a line number would pin the source layout
+            # into ``BENCH_modelcov.json`` (COS905 diagnostics keep theirs).
+            "origin": {"module": self.origin[0]},
             "total": list(self.total),
             "exercised": dict(sorted(self.exercised.items())),
             "cold": list(self.cold),

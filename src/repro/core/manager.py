@@ -1,55 +1,49 @@
 """The per-processor query management module (sections 2 and 4).
 
 The :class:`QueryManager` is the glue of the query layer on one
-processor: it accepts user queries, runs the grouping optimizer, keeps
-the local SPE in sync ("a new query or a modification of an existing
-query is sent to the SPE"), and composes the profiles everybody needs:
+processor: it accepts user queries, runs the grouping optimizer and
+keeps the local SPE in sync ("a new query or a modification of an
+existing query is sent to the SPE").  It is the first of the three
+owners of the group reconciliation (DESIGN.md section 6): whenever a
+group's representative changes it re-issues it to the SPE, and on
+request it composes, once per change, every member's *result profile*
+(how a user pulls their query's results out of the representative's
+result stream).
 
-* the processor's own *source profile* for the representative query
-  (how it pulls source data out of the CBN), and
-* each user's *result profile* (how the user pulls their query's
-  results out of the representative's result stream).
-
-The manager is deliberately network-agnostic: it returns profile
-updates and lets the caller (:mod:`repro.system.node`) install them
-into the CBN, so it can be unit-tested without any network.
+The manager is deliberately network-agnostic: it hands back the changed
+group and lets its callers install what follows from it into the CBN
+(:mod:`repro.system.node` the source subscription and the result
+advertisement, :mod:`repro.system.cosmos` the result subscriptions), so
+it can be unit-tested without any network.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cbn.filters import Profile
 from repro.cql.ast import ContinuousQuery
-from repro.cql.schema import Catalog, StreamSchema
-from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
-from repro.core.profiles import result_profile, source_profile
+from repro.cql.schema import Catalog
+from repro.core.grouping import GroupingOptimizer, QueryGroup
+from repro.core.profiles import result_profile
 from repro.core.cost import CostModel
-from repro.spe.engine import StreamProcessingEngine, result_schema
+from repro.spe.engine import StreamProcessingEngine
 
 
 @dataclass
 class Submission:
-    """Everything the system layer needs after one query submission.
+    """Where one submitted query went.
 
-    ``result_stream`` is the stream the submitting user must subscribe
-    to, with ``user_profile`` as the subscription profile.  When the
-    submission changed an existing group, the representative query was
-    re-issued to the SPE and *every existing member's* profile may have
-    changed: ``updated_profiles`` maps member query names to their new
-    profiles (including the new member), and ``source_profile`` is the
-    processor's refreshed source subscription for the group.
+    Nothing derived from ``group`` rides along: the group changed (its
+    representative was re-issued to the SPE), and whoever reconciles
+    the network with it reads the result stream, the source profile and
+    the members' result profiles off the group as it stands then.
     """
 
     query: ContinuousQuery
     group: QueryGroup
-    result_stream: str
-    user_profile: Profile
-    source_profile: Profile
-    result_schema: StreamSchema
-    updated_profiles: Dict[str, Profile]
     created_group: bool
     benefit_delta: float
 
@@ -94,7 +88,8 @@ class QueryManager:
     # -- submission -----------------------------------------------------------
 
     def submit(self, query: ContinuousQuery, name: Optional[str] = None) -> Submission:
-        """Accept a user query and reconcile SPE state and profiles."""
+        """Accept a user query: group it and re-issue the (new or
+        widened) representative of its group to the SPE."""
         if query.name is None:
             query = ContinuousQuery(
                 query.select_items,
@@ -105,45 +100,27 @@ class QueryManager:
             )
         query.validate(self.catalog)
         decision = self.grouping.add(query)
-        group = decision.group
-        result_stream = self._result_stream_of(group)
-        self._sync_spe(group, result_stream)
-
-        updated: Dict[str, Profile] = {}
-        for member in group.members:
-            updated[member.name] = result_profile(
-                member,
-                group.representative,
-                self.catalog,
-                result_stream,
-                subscriber=member.name,
-            )
+        self._sync_spe(decision.group)
         return Submission(
-            query=query,
-            group=group,
-            result_stream=result_stream,
-            user_profile=updated[query.name],
-            source_profile=source_profile(
-                group.representative, self.catalog, subscriber=group.group_id
-            ),
-            result_schema=result_schema(
-                group.representative.canonical(self.catalog),
-                self.catalog,
-                result_stream,
-            ),
-            updated_profiles=updated,
-            created_group=decision.created_group,
-            benefit_delta=decision.benefit_delta,
+            query, decision.group, decision.created_group, decision.benefit_delta
         )
+
+    def result_stream_of(self, group: QueryGroup) -> str:
+        """The stream the group's representative publishes its results on."""
+        if self.namespace:
+            return f"{self.namespace}:{group.group_id}:results"
+        return f"{group.group_id}:results"
 
     def result_profiles_of(self, group: QueryGroup) -> Dict[str, Profile]:
         """Current re-tightening profiles of every member of ``group``.
 
-        Needed whenever the representative changed (a member joined *or
-        left*): the result stream's content changed, so every member's
-        subscription must be recomposed against the new representative.
+        The one place member profiles are composed.  Needed whenever the
+        representative changed (a member joined *or left*): the result
+        stream's content changed, so every member's subscription must be
+        recomposed against the new representative — the narrowed one may
+        no longer carry attributes the old profiles referenced.
         """
-        result_stream = self._result_stream_of(group)
+        result_stream = self.result_stream_of(group)
         return {
             member.name: result_profile(
                 member,
@@ -156,28 +133,18 @@ class QueryManager:
         }
 
     def withdraw(self, query_name: str) -> Optional[QueryGroup]:
-        """Remove a query; returns the (recomposed) group or ``None``
-        when the group vanished with its last member.
-
-        Callers wiring a network must refresh the surviving members'
-        result subscriptions with :meth:`result_profiles_of` — the
-        narrowed representative may no longer carry attributes the old
-        profiles referenced."""
+        """Remove a query; returns the group with its narrowed
+        representative re-issued to the SPE, or ``None`` when the group
+        vanished with its last member."""
         group = self.grouping.group_of(query_name)
         if group is None:
             raise KeyError(f"unknown query {query_name!r}")
-        group_id = group.group_id
-        self.grouping.remove(query_name)
-        survivor = next(
-            (g for g in self.grouping.groups if g.group_id == group_id), None
-        )
-        if survivor is None:
-            registered = self._registered.pop(group_id, None)
-            if registered is not None:
-                self.spe.deregister(registered)
+        self.grouping.remove(query_name)  # recomposes ``group`` in place
+        if not group.members:
+            self._deregister(group.group_id)
             return None
-        self._sync_spe(survivor, self._result_stream_of(survivor))
-        return survivor
+        self._sync_spe(group)
+        return group
 
     def release_group(self, group_id: str) -> List[ContinuousQuery]:
         """Tear a whole group off this manager for live migration.
@@ -188,9 +155,7 @@ class QueryManager:
         them and reproduce the merge.
         """
         members = self.grouping.extract_group(group_id)
-        registered = self._registered.pop(group_id, None)
-        if registered is not None:
-            self.spe.deregister(registered)
+        self._deregister(group_id)
         return members
 
     # -- introspection -------------------------------------------------------------
@@ -202,29 +167,27 @@ class QueryManager:
     def benefit_ratio(self) -> float:
         return self.grouping.benefit_ratio()
 
-    def _result_stream_of(self, group: QueryGroup) -> str:
-        if self.namespace:
-            return f"{self.namespace}:{group.group_id}:results"
-        return f"{group.group_id}:results"
-
     def engine_name_of(self, group_id: str) -> Optional[str]:
         """The SPE-local name the group's representative runs under."""
         return self._registered.get(group_id)
 
-    def _sync_spe(self, group: QueryGroup, result_stream: str) -> None:
+    def _deregister(self, group_id: str) -> None:
+        registered = self._registered.pop(group_id, None)
+        if registered is not None:
+            self.spe.deregister(registered)
+
+    def _sync_spe(self, group: QueryGroup) -> None:
         """(Re-)register the group's representative on the SPE.
 
         The SPE sees a *modification*: the old representative is
         deregistered and the new one registered under a versioned name,
         keeping the stable result stream name.
         """
-        old = self._registered.get(group.group_id)
-        if old is not None:
-            self.spe.deregister(old)
+        self._deregister(group.group_id)
         engine_name = f"{group.group_id}:v{len(group.members)}"
         self.spe.register(
             group.representative.canonical(self.catalog),
             name=engine_name,
-            result_stream=result_stream,
+            result_stream=self.result_stream_of(group),
         )
         self._registered[group.group_id] = engine_name

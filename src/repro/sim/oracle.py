@@ -153,18 +153,26 @@ def check_no_orphans(system: CosmosSystem) -> List[str]:
 
     Catches the classic repair bugs: a re-homed query whose user
     subscription was dropped (it silently stops receiving), a withdrawn
-    query whose subscription leaked (phantom traffic), a source
-    subscription pointing at a node that is no longer a processor, and
-    any role pinned to a node the repaired tree no longer contains.
+    query whose subscription leaked (phantom traffic), a quarantined
+    query that was re-subscribed behind its owner's back, a live
+    subscription that is not the one its query records (a second
+    subscription: duplicate results), a source subscription pointing at
+    a node that is no longer a processor, and any role pinned to a node
+    the repaired tree no longer contains.
     """
     violations: List[str] = []
     live = system.network.subscriptions()
     for query_id, handle in sorted(system._queries.items()):
+        sub_id = system._user_subscriptions.get(query_id)
         if handle.status is not QueryStatus.ACTIVE:
             # A quarantined (DEGRADED) query holds no subscriptions by
-            # design; it is not an orphan.
+            # design; it is not an orphan — unless it holds one.
+            if sub_id is not None:
+                violations.append(
+                    f"orphan: {handle.status.name} query {query_id!r} "
+                    f"holds subscription {sub_id}"
+                )
             continue
-        sub_id = system._user_subscriptions.get(query_id)
         if sub_id is None:
             violations.append(
                 f"orphan: query {query_id!r} has no user subscription"
@@ -194,10 +202,17 @@ def check_no_orphans(system: CosmosSystem) -> List[str]:
     for sub_id in sorted(live):
         node, __ = live[sub_id]
         if sub_id.startswith("user:"):
-            query_id = sub_id.split(":", 2)[1]
-            if query_id not in system._queries:
+            # The system's own registry says whose subscription this is
+            # (the id is never parsed back: a query name may hold ':').
+            owner = system.subscriber_of(sub_id)
+            if owner is None or system._queries.get(owner.query_id) is not owner:
                 violations.append(
                     f"orphan: subscription {sub_id} outlived its query"
+                )
+            elif system._user_subscriptions.get(owner.query_id) != sub_id:
+                violations.append(
+                    f"orphan: subscription {sub_id} is not the one recorded "
+                    f"for query {owner.query_id!r}"
                 )
         elif sub_id.startswith("src:"):
             if node not in system.processors:

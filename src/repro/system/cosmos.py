@@ -6,8 +6,9 @@ one object:
 * :meth:`CosmosSystem.add_source` registers a source stream at a node
   (schema advertisement + catalog registration);
 * :meth:`CosmosSystem.submit` accepts a user query (CQL text or AST) at
-  a user's broker, distributes it to a processor, and installs all the
-  subscriptions the query layer composed;
+  a user's broker, distributes it to a processor, and reconciles the
+  changed group (:meth:`CosmosSystem.reconcile_group`, the system's
+  share of DESIGN.md section 6: handles and result subscriptions);
 * :meth:`CosmosSystem.publish` injects one source tuple and drives it
   end to end: CBN routing to processors, SPE evaluation, result-stream
   publication, CBN routing to users.
@@ -22,15 +23,16 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cbn.datagram import Datagram
+from repro.cbn.filters import Profile
 from repro.cbn.network import ContentBasedNetwork, Delivery
 from repro.cql.ast import ContinuousQuery
 from repro.cql.parser import parse_query
 from repro.cql.schema import Catalog, StreamSchema
 from repro.core.cost import CostModel
-from repro.core.grouping import GroupingOptimizer
+from repro.core.grouping import GroupingOptimizer, QueryGroup
 from repro.overlay.topology import NodeId, Topology
 from repro.overlay.tree import DisseminationTree
 from repro.system.distribution import (
@@ -48,10 +50,11 @@ class QueryStatus(enum.Enum):
     """Lifecycle state of a submitted query.
 
     ``ACTIVE`` queries are installed end to end.  ``DEGRADED`` queries
-    have been quarantined by the reliability layer because a physical
-    partition made some of their nodes unreachable; their handles (and
-    accumulated results) survive, but no subscriptions are installed
-    until :func:`repro.system.reliability.heal_partition` resumes them.
+    have been quarantined — by the reliability layer while a partition
+    strands their user, by the load manager while their group moves;
+    their handles (and accumulated results) survive, but
+    :meth:`CosmosSystem.reconcile_group` installs no subscription for
+    them until the quarantine's owner resumes them.
     """
 
     ACTIVE = "active"
@@ -139,8 +142,10 @@ class CosmosSystem:
         self.distribution = distribution or StreamAffinityDistribution()
         self._sources: Dict[str, NodeId] = {}
         self._queries: Dict[str, SubmittedQuery] = {}
-        #: query id -> current CBN subscription id for its results
+        #: query id -> current CBN subscription id for its results, and
+        #: that id -> the query's handle (deliveries are dispatched by it)
         self._user_subscriptions: Dict[str, str] = {}
+        self._subscribers: Dict[str, SubmittedQuery] = {}
         self._counter = itertools.count()
         self._sub_version = itertools.count()
         #: Reliability state (:func:`repro.system.reliability.attach_reliability`);
@@ -216,20 +221,16 @@ class CosmosSystem:
         processor = self.distribution.choose(
             named, user_node, sorted(self.processors.values(), key=lambda p: p.node_id)
         )
-        submission = processor.accept(named)
+        group = processor.accept(named).group
         handle = SubmittedQuery(
             query_id=query_id,
             query=named,
             user_node=user_node,
             processor_node=processor.node_id,
-            result_stream=submission.result_stream,
+            result_stream=processor.manager.result_stream_of(group),
         )
         self._queries[query_id] = handle
-        # The group's representative may have changed: refresh the result
-        # subscription of every member of the group.
-        self._refresh_result_subscriptions(
-            submission.updated_profiles, submission.result_stream
-        )
+        self.reconcile_group(processor, group)
         return handle
 
     def withdraw(self, query_id: str) -> None:
@@ -239,51 +240,69 @@ class CosmosSystem:
         self.detach_result_subscription(query_id)
         processor = self.processors[handle.processor_node]
         group = processor.withdraw(query_id)
-        if group is None:
-            return
-        # The representative narrowed: refresh every surviving member's
-        # result subscription (the old profiles may reference attributes
-        # the new representative no longer outputs).
-        self._refresh_result_subscriptions(
-            processor.manager.result_profiles_of(group)
-        )
+        if group is not None:
+            self.reconcile_group(processor, group)
 
-    def _refresh_result_subscriptions(
+    def reconcile_group(
         self,
-        profiles: Dict[str, "object"],
-        result_stream: Optional[str] = None,
+        processor: Processor,
+        group: QueryGroup,
+        only: Optional[Iterable[str]] = None,
     ) -> None:
-        """Replace the result subscription of each member in ``profiles``.
+        """Make every member's handle and result subscription match
+        ``group`` as it now stands on ``processor``.
 
-        Shared by submission, withdrawal and live migration — whenever a
-        group's representative changes, every member's subscription must
-        be recomposed against it.  Members without a handle (standalone
-        manager usage) are skipped; ``result_stream``, when given, is
-        stamped on each refreshed handle.
+        The one place this happens — submission, withdrawal, migration
+        cutover/resume and partition heal all end here.  Each member's
+        handle is stamped with the processor and the result stream, and
+        each ``ACTIVE`` member's subscription is replaced by its profile
+        recomposed against the current representative (the old one may
+        reference attributes the result stream no longer carries).  A
+        ``DEGRADED`` member is skipped by construction: it holds no
+        subscription until its owner flips it back and reconciles.
+        ``only`` narrows the re-subscription to the members a resume
+        just re-activated (the representative did not change, the other
+        members' subscriptions are current).  Members without a handle
+        (standalone manager usage) are skipped.
         """
+        result_stream = processor.manager.result_stream_of(group)
+        profiles = processor.manager.result_profiles_of(group)
+        if only is not None:
+            only = set(only)
         for member_name, profile in profiles.items():
             member = self._queries.get(member_name)
             if member is None:
                 continue
-            self.detach_result_subscription(member_name)
-            self.attach_result_subscription(member_name, profile)
-            if result_stream is not None:
-                member.result_stream = result_stream
+            member.processor_node = processor.node_id
+            member.result_stream = result_stream
+            if member.status is QueryStatus.ACTIVE and (
+                only is None or member_name in only
+            ):
+                self.detach_result_subscription(member_name)
+                self.attach_result_subscription(member_name, profile)
 
-    def attach_result_subscription(self, query_id: str, profile: object) -> None:
+    def attach_result_subscription(self, query_id: str, profile: Profile) -> None:
         """Subscribe ``query_id``'s user to its results under a fresh
         ``user:<query>:v<n>`` id (the query must hold none)."""
-        self._user_subscriptions[query_id] = self.network.subscribe(
+        handle = self._queries[query_id]
+        sub_id = self.network.subscribe(
             profile,
-            self._queries[query_id].user_node,
+            handle.user_node,
             subscription_id=f"user:{query_id}:v{next(self._sub_version)}",
         )
+        self._user_subscriptions[query_id] = sub_id
+        self._subscribers[sub_id] = handle
 
     def detach_result_subscription(self, query_id: str) -> None:
         """Withdraw ``query_id``'s result subscription, if it holds one."""
         sub_id = self._user_subscriptions.pop(query_id, None)
         if sub_id is not None:
+            del self._subscribers[sub_id]
             self.network.unsubscribe(sub_id)
+
+    def subscriber_of(self, subscription_id: str) -> Optional[SubmittedQuery]:
+        """The query whose recorded result subscription this is, if any."""
+        return self._subscribers.get(subscription_id)
 
     def query(self, query_id: str) -> SubmittedQuery:
         try:
@@ -345,6 +364,7 @@ class CosmosSystem:
         """Route a source batch end to end: CBN to processors, SPE
         evaluation, result publication, CBN to users."""
         user_deliveries: List[Delivery] = []
+        subscribers = self._subscribers
         # Each pending item is a batch of datagrams injected at one
         # broker: the source tuples first, then whole result batches
         # from each SPE evaluation, published via publish_many so the
@@ -354,23 +374,23 @@ class CosmosSystem:
             batch, origin = pending.pop(0)
             for deliveries in self.network.publish_many(batch, origin):
                 for delivery in deliveries:
+                    # Dispatch by the registries the reconciliation
+                    # maintains; ids are never parsed back.
                     sid = delivery.subscription_id
-                    if sid.startswith("src:"):
-                        processor = self.processors.get(delivery.node)
-                        if processor is None:
-                            continue
-                        group_id = sid.split(":")[2]
-                        results = processor.on_source_data(
-                            delivery.datagram, group_id
-                        )
-                        if results:
-                            pending.append((results, processor.node_id))
-                    elif sid.startswith("user:"):
-                        query_id = sid.split(":", 2)[1]
-                        handle = self._queries.get(query_id)
-                        if handle is not None:
-                            handle.results.append(delivery.datagram)
+                    handle = subscribers.get(sid)
+                    if handle is not None:
+                        handle.results.append(delivery.datagram)
                         user_deliveries.append(delivery)
+                        continue
+                    processor = self.processors.get(delivery.node)
+                    if processor is None:
+                        continue
+                    group_id = processor.group_of_subscription(sid)
+                    if group_id is None:
+                        continue
+                    results = processor.on_source_data(delivery.datagram, group_id)
+                    if results:
+                        pending.append((results, processor.node_id))
         return user_deliveries
 
     def replay(self, feed: Sequence[Datagram]) -> int:

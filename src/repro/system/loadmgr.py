@@ -28,10 +28,12 @@ load landscape shifts.  Submission-time placement lives in
   gap-closing punctuation (:meth:`MigrationChannel.close`) marks the
   cutover point, after which :func:`cutover_group` re-registers the
   members on the target and :func:`resume_after_migration` heals them
-  back to ``ACTIVE``.  Retry/abort policy (capped exponential backoff
-  towards a possibly-crashed target, abort-to-source) is the caller's
-  job — the chaos executor in :mod:`repro.sim.network` drives it over
-  the event simulator, deterministically.
+  back to ``ACTIVE`` (both install subscriptions only through
+  :meth:`CosmosSystem.reconcile_group`).  Retry/abort policy (capped
+  exponential backoff towards a possibly-crashed target,
+  abort-to-source) is the caller's job — the chaos executor in
+  :mod:`repro.sim.network` drives it over the event simulator,
+  deterministically.
 
 :func:`attach_load_manager` hangs a shared :class:`LoadState` on a
 :class:`~repro.system.cosmos.CosmosSystem` the same way
@@ -439,38 +441,37 @@ def resume_after_migration(
     """Heal migration-quarantined ``members`` on ``processor_node``.
 
     Used both for completion (resume at the target) and abort (resume
-    back at the source).  Each member's handle is re-pointed at the
-    processor's current group for it and re-subscribed; members that
-    vanished, are not ``DEGRADED``, are owned by the reliability
-    partition quarantine, or whose user node left the tree are left
-    untouched (their owning path heals them).  Returns the resumed ids
-    in ``members`` order.
+    back at the source).  The ``DEGRADED`` members this protocol owns
+    flip back to ``ACTIVE``, then each group they live in on the
+    processor is reconciled once (:meth:`CosmosSystem.reconcile_group`):
+    every member's handle is re-pointed at the processor and the
+    resumed ones are re-subscribed.  Members that vanished, are not
+    ``DEGRADED``, are owned by the reliability partition quarantine, or
+    whose user node left the tree stay as they are (their owning path
+    heals them).  Returns the resumed ids in ``members`` order.
     """
     processor = system.processors.get(processor_node)
     if processor is None:
         raise LoadManagementError(f"no processor on node {processor_node}")
     reliability = system.reliability
     resumed: List[str] = []
+    touched: Dict[str, QueryGroup] = {}
     for member_name in members:
         handle = system._queries.get(member_name)
-        if handle is None:
-            continue
         group = processor.manager.grouping.group_of(member_name)
-        if group is None:
+        if handle is None or group is None:
             continue
-        handle.processor_node = processor_node
-        handle.result_stream = processor.manager._result_stream_of(group)
+        touched[group.group_id] = group
         if handle.status is not QueryStatus.DEGRADED:
             continue
         if reliability is not None and member_name in reliability.quarantined:
             continue
         if handle.user_node not in system.tree:
             continue
-        system.attach_result_subscription(
-            member_name, processor.manager.result_profiles_of(group)[member_name]
-        )
         handle.status = QueryStatus.ACTIVE
         resumed.append(member_name)
+    for group in touched.values():
+        system.reconcile_group(processor, group, only=resumed)
     return resumed
 
 
@@ -483,9 +484,10 @@ def cutover_group(
     subscription withdrawal, intact member list) and re-accepted member
     by member on the target *in group order*, so the target's grouping
     optimizer reproduces the merge (or folds the members into an
-    existing compatible group — merging never decreases).  Resident
-    active members of any touched target group get their result
-    subscriptions refreshed (their representative changed), then the
+    existing compatible group — merging never decreases).  Every touched
+    target group is reconciled — its resident active members' result
+    subscriptions are refreshed (their representative changed), the
+    migrated ones are still ``DEGRADED`` and skipped — then the
     migrated members are resumed.  Returns the resumed ids.
     """
     source = system.processors.get(migration.source_node)
@@ -496,28 +498,12 @@ def cutover_group(
             f"(n{migration.source_node} -> n{migration.target_node})"
         )
     queries = source.release_group(migration.group_id)
-    moved = {query.name for query in queries}
-    touched: List[str] = []
+    touched: Dict[str, QueryGroup] = {}
     for query in queries:
-        submission = target.accept(query)
-        if submission.group.group_id not in touched:
-            touched.append(submission.group.group_id)
-    for group_id in touched:
-        group = next(
-            g for g in target.manager.groups if g.group_id == group_id
-        )
-        profiles = target.manager.result_profiles_of(group)
-        resident = {
-            name: profile
-            for name, profile in profiles.items()
-            if name not in moved
-            and name in system._queries
-            and system._queries[name].status is QueryStatus.ACTIVE
-        }
-        if resident:
-            system._refresh_result_subscriptions(
-                resident, target.manager._result_stream_of(group)
-            )
+        group = target.accept(query).group
+        touched[group.group_id] = group
+    for group in touched.values():
+        system.reconcile_group(target, group)
     return resume_after_migration(
         system, migration.target_node, [query.name for query in queries]
     )

@@ -5,13 +5,16 @@ dissemination tree; the routing itself lives in
 :class:`~repro.cbn.network.ContentBasedNetwork`).  A *processor*
 additionally runs the query layer: a query manager, a pluggable SPE
 behind its data/query wrappers, and the bookkeeping to keep its CBN
-subscriptions in line with the groups the manager maintains.
+subscriptions in line with the groups the manager maintains — the
+processor's share of the group reconciliation (DESIGN.md section 6):
+:meth:`Processor._sync_group` after a group changed,
+:meth:`Processor._drop_group` when it left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.network import ContentBasedNetwork
@@ -19,6 +22,7 @@ from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
 from repro.core.grouping import GroupingOptimizer, QueryGroup
 from repro.core.manager import QueryManager, Submission
+from repro.core.profiles import source_profile
 from repro.core.cost import CostModel
 from repro.overlay.topology import NodeId
 from repro.spe.engine import StreamProcessingEngine
@@ -74,10 +78,10 @@ class Processor:
             cost_model=cost_model,
             namespace=f"n{node_id}",
         )
-        #: group id -> CBN subscription id of the group's source profile
+        #: group id -> CBN subscription id of the group's source profile,
+        #: and back (deliveries are dispatched by subscription id)
         self._source_subscriptions: Dict[str, str] = {}
-        #: result streams this processor has advertised
-        self._advertised: Set[str] = set()
+        self._source_groups: Dict[str, str] = {}
 
     @property
     def is_processor(self) -> bool:
@@ -99,9 +103,9 @@ class Processor:
         """Accept a user query and reconcile CBN subscriptions.
 
         The query travels through the query wrapper (as it would to a
-        foreign SPE), the manager groups and registers it, and the
-        processor's source subscription for the affected group is
-        replaced if the representative changed.
+        foreign SPE), the manager groups it and re-issues the group's
+        representative to the SPE, and the processor's CBN state for
+        the affected group follows (:meth:`_sync_group`).
         """
         wrapped = self.query_wrapper.to_engine(query)
         unwrapped = self.query_wrapper.from_engine(wrapped)
@@ -114,40 +118,22 @@ class Processor:
                 query.name,
             )
         submission = self.manager.submit(unwrapped, name=name)
-        if self.network is not None:
-            self._subscribe_sources(submission)
-            self._advertise_result(submission)
+        self._sync_group(submission.group)
         return submission
 
-    def withdraw(self, query_name: str) -> Optional["QueryGroup"]:
-        """Remove a query; returns the recomposed group (or ``None``).
-
-        The group's source subscription is replaced (or dropped with
-        the group).  Callers holding *result* subscriptions for the
-        surviving members must refresh them from
-        ``manager.result_profiles_of(group)`` — the representative
-        narrowed and the old profiles may reference attributes the
-        result stream no longer carries.
-        """
-        group = self.manager.withdraw(query_name)
-        if self.network is None:
-            return group
-        if group is None:
-            # Group vanished: drop its source subscription.
-            for group_id, sub_id in list(self._source_subscriptions.items()):
-                if not any(
-                    g.group_id == group_id for g in self.manager.groups
-                ):
-                    self.network.unsubscribe(sub_id)
-                    del self._source_subscriptions[group_id]
-            return None
-        from repro.core.profiles import source_profile as _source_profile
-
-        profile = _source_profile(
-            group.representative, self.catalog, subscriber=group.group_id
-        )
-        self._replace_source_subscription(group.group_id, profile)
-        return group
+    def withdraw(self, query_name: str) -> Optional[QueryGroup]:
+        """Remove a query; returns the recomposed group, its CBN state
+        synced to the narrowed representative, or ``None`` when the
+        group vanished (its source subscription with it).  Callers
+        holding *result* subscriptions for the surviving members must
+        reconcile them too (:meth:`CosmosSystem.reconcile_group`)."""
+        group = self.manager.grouping.group_of(query_name)
+        survivor = self.manager.withdraw(query_name)
+        if survivor is None:
+            self._drop_group(group.group_id)
+        else:
+            self._sync_group(survivor)
+        return survivor
 
     def release_group(self, group_id: str) -> List[ContinuousQuery]:
         """Tear a whole group off this processor for live migration.
@@ -160,45 +146,50 @@ class Processor:
         the stream simply goes quiet with no publisher behind it.
         """
         members = self.manager.release_group(group_id)
-        if self.network is not None:
-            sub_id = self._source_subscriptions.pop(group_id, None)
-            if sub_id is not None:
-                self.network.unsubscribe(sub_id)
+        self._drop_group(group_id)
         return members
 
     def drop_source_subscriptions(self) -> None:
         """Withdraw every group's source subscription (this processor
         failed; its groups are re-homed elsewhere)."""
-        assert self.network is not None
-        for sub_id in self._source_subscriptions.values():
-            self.network.unsubscribe(sub_id)
-        self._source_subscriptions.clear()
+        for group_id in list(self._source_subscriptions):
+            self._drop_group(group_id)
 
-    def _subscribe_sources(self, submission: Submission) -> None:
-        self._replace_source_subscription(
-            submission.group.group_id, submission.source_profile
-        )
+    def group_of_subscription(self, subscription_id: str) -> Optional[str]:
+        """The group a source subscription of this processor feeds."""
+        return self._source_groups.get(subscription_id)
 
-    def _replace_source_subscription(self, group_id: str, profile) -> None:
-        assert self.network is not None
-        old = self._source_subscriptions.pop(group_id, None)
-        if old is not None:
-            self.network.unsubscribe(old)
+    def _sync_group(self, group: QueryGroup) -> None:
+        """Make this processor's CBN state match ``group`` as the manager
+        now holds it: the source subscription is replaced by the source
+        profile of the current representative, and the result stream is
+        advertised with the schema the SPE derives for it (a repeated
+        advertisement only refreshes the schema).  The one place this
+        happens, after every change to a group that stays."""
+        if self.network is None:
+            return
+        self._drop_group(group.group_id)
         sub_id = self.network.subscribe(
-            profile, self.node_id, subscription_id=f"src:{self.node_id}:{group_id}:{self.manager.grouping.query_count}"
+            source_profile(
+                group.representative, self.catalog, subscriber=group.group_id
+            ),
+            self.node_id,
+            subscription_id=f"src:{self.node_id}:{group.group_id}"
+            f":{self.manager.grouping.query_count}",
         )
-        self._source_subscriptions[group_id] = sub_id
+        self._source_subscriptions[group.group_id] = sub_id
+        self._source_groups[sub_id] = group.group_id
+        schema = self.spe.result_schema_of(
+            self.manager.engine_name_of(group.group_id)
+        )
+        self.network.advertise(schema.name, self.node_id, schema)
 
-    def _advertise_result(self, submission: Submission) -> None:
-        assert self.network is not None
-        if submission.result_stream not in self._advertised:
-            self.network.advertise(
-                submission.result_stream, self.node_id, submission.result_schema
-            )
-            self._advertised.add(submission.result_stream)
-        else:
-            # Representative changed: refresh the result schema.
-            self.network.catalog.register(submission.result_schema)
+    def _drop_group(self, group_id: str) -> None:
+        """Withdraw the group's source subscription, if it holds one."""
+        sub_id = self._source_subscriptions.pop(group_id, None)
+        if sub_id is not None:
+            del self._source_groups[sub_id]
+            self.network.unsubscribe(sub_id)
 
     # -- data layer callbacks ----------------------------------------------------------
 

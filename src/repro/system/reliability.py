@@ -555,8 +555,10 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     ``system.topology.add_edge`` across the old cut): any stranded
     component now reachable from the surviving tree is re-attached by
     extending the tree with the cheapest internal edges, the routing
-    state is rebuilt, and every quarantined query whose user node is
-    back in the tree is re-subscribed and flipped to ``ACTIVE``.
+    state is rebuilt, every quarantined query whose user node is back
+    in the tree is flipped to ``ACTIVE``, and each group holding one is
+    reconciled once (:meth:`CosmosSystem.reconcile_group` re-subscribes
+    exactly the resumed members).
     Returns the resumed query ids (sorted); quarantined queries whose
     partition still stands are left untouched.
     """
@@ -574,6 +576,8 @@ def heal_partition(system: CosmosSystem) -> List[str]:
         system, spanning_tree(system.topology, main, system.tree)
     )
     resumed: List[str] = []
+    #: (processor node, group id) -> (processor, group) holding a resumed query
+    touched: Dict[Tuple[NodeId, str], tuple] = {}
     for query_id in sorted(state.quarantined):
         handle = system._queries.get(query_id)
         if handle is None:  # withdrawn while degraded
@@ -586,14 +590,13 @@ def heal_partition(system: CosmosSystem) -> List[str]:
             continue
         processor = system.processors[handle.processor_node]
         group = processor.manager.grouping.group_of(query_id)
-        if group is None:
-            del state.quarantined[query_id]
-            continue
-        system.attach_result_subscription(
-            query_id, processor.manager.result_profiles_of(group)[query_id]
-        )
-        handle.status = QueryStatus.ACTIVE
         del state.quarantined[query_id]
+        if group is None:
+            continue
+        handle.status = QueryStatus.ACTIVE
         state.counters.queries_resumed += 1
         resumed.append(query_id)
+        touched[processor.node_id, group.group_id] = (processor, group)
+    for processor, group in touched.values():
+        system.reconcile_group(processor, group, only=resumed)
     return resumed

@@ -149,6 +149,10 @@ class TestCoverage:
         forgiven_all = summarize(results, corpus, forgiven=total)
         assert forgiven_all["coverage_gated"] == 0.0  # nothing exercised
         assert forgiven_all["transitions_baselined"] == total
+        # The summary names a machine's module, never a line: moving code
+        # inside a module must not rewrite ``BENCH_modelcov.json``.
+        for machine in ungated["per_machine"]:
+            assert set(machine["origin"]) == {"module"}
 
 
 class TestCheckedInBaseline:

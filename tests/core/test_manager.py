@@ -5,6 +5,7 @@ import pytest
 from repro.cbn.datagram import Datagram
 from repro.core.grouping import GroupingOptimizer
 from repro.core.manager import QueryManager
+from repro.core.profiles import source_profile
 from repro.core.cost import CostModel
 from repro.cql.parser import parse_query
 from repro.workload.auction import TABLE1_Q1, TABLE1_Q2
@@ -19,7 +20,7 @@ class TestSubmission:
     def test_first_submission_creates_group(self, manager):
         sub = manager.submit(parse_query(TABLE1_Q1), name="q1")
         assert sub.created_group
-        assert sub.result_stream.endswith(":results")
+        assert manager.result_stream_of(sub.group).endswith(":results")
         assert sub.query.name == "q1"
 
     def test_overlapping_query_joins_group(self, manager):
@@ -29,26 +30,32 @@ class TestSubmission:
         assert sub.benefit_delta > 0
         assert len(manager.groups) == 1
 
-    def test_updated_profiles_cover_all_members(self, manager):
+    def test_result_profiles_cover_all_members(self, manager):
         manager.submit(parse_query(TABLE1_Q1), name="q1")
         sub = manager.submit(parse_query(TABLE1_Q2), name="q2")
-        assert set(sub.updated_profiles) == {"q1", "q2"}
+        assert set(manager.result_profiles_of(sub.group)) == {"q1", "q2"}
 
     def test_spe_runs_single_representative(self, manager):
         manager.submit(parse_query(TABLE1_Q1), name="q1")
         manager.submit(parse_query(TABLE1_Q2), name="q2")
         assert len(manager.spe.query_names) == 1
 
-    def test_source_profile_covers_inputs(self, manager):
+    def test_source_profile_covers_inputs(self, manager, auction_catalog):
+        # What the processor subscribes with: composed from the group
+        # the submission hands back.
         sub = manager.submit(parse_query(TABLE1_Q1), name="q1")
-        assert sub.source_profile.streams == frozenset(
-            {"OpenAuction", "ClosedAuction"}
-        )
+        profile = source_profile(sub.group.representative, auction_catalog)
+        assert profile.streams == frozenset({"OpenAuction", "ClosedAuction"})
 
     def test_result_schema_provided(self, manager):
+        # What the processor advertises: the SPE's schema of the
+        # re-issued representative, named by the group's result stream.
         sub = manager.submit(parse_query(TABLE1_Q1), name="q1")
-        assert sub.result_schema.name == sub.result_stream
-        assert sub.result_schema.has_attribute("OpenAuction.itemID")
+        schema = manager.spe.result_schema_of(
+            manager.engine_name_of(sub.group.group_id)
+        )
+        assert schema.name == manager.result_stream_of(sub.group)
+        assert schema.has_attribute("OpenAuction.itemID")
 
     def test_auto_naming(self, manager):
         sub = manager.submit(parse_query(TABLE1_Q1))
@@ -63,8 +70,9 @@ class TestEndToEndThroughManager:
     def test_split_profiles_reproduce_member_results(self, manager, auction_catalog):
         manager.submit(parse_query(TABLE1_Q1), name="q1")
         sub = manager.submit(parse_query(TABLE1_Q2), name="q2")
-        p1 = sub.updated_profiles["q1"]
-        p2 = sub.updated_profiles["q2"]
+        profiles = manager.result_profiles_of(sub.group)
+        p1, p2 = profiles["q1"], profiles["q2"]
+        result_stream = manager.result_stream_of(sub.group)
 
         feed = [
             Datagram("OpenAuction", {"itemID": 1, "sellerID": 2, "start_price": 5.0, "timestamp": 0.0}, 0.0),
@@ -75,7 +83,7 @@ class TestEndToEndThroughManager:
         split = {"q1": 0, "q2": 0}
         for datagram in feed:
             for result in manager.spe.push(datagram):
-                out = result.datagram.relabel(sub.result_stream)
+                out = result.datagram.relabel(result_stream)
                 for name, profile in (("q1", p1), ("q2", p2)):
                     if profile.apply(out) is not None:
                         split[name] += 1
@@ -96,7 +104,8 @@ class TestWithdraw:
         assert group is not None
         assert group.member_names() == ["q1"]
         # The SPE now runs the recomposed (narrower) representative.
-        assert len(manager.spe.query_names) == 1
+        assert manager.spe.query_names == [manager.engine_name_of(group.group_id)]
+        assert set(manager.result_profiles_of(group)) == {"q1"}
 
     def test_withdraw_unknown_raises(self, manager):
         with pytest.raises(KeyError):

@@ -6,10 +6,15 @@ feeds, and every result tuple of the contained query must appear
 (modulo projection) among the containing query's results.  This ties
 the symbolic decision procedure to the engine's operational semantics
 — including the window conditions of Lemma 1 for joins.
+
+The pairs are contained by construction (the container is the contained
+query loosened), so no drawn example is filtered away: two independent
+draws are rarely contained, and rejecting most of them made the test
+time out under CPU contention.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cbn.datagram import Datagram
@@ -35,22 +40,46 @@ CATALOG = Catalog(
 )
 
 WINDOWS = [0.0, 2.0, 5.0, 100.0]
+SELECT = (AttrRef("L", "k"), AttrRef("L", "x"), AttrRef("R", "y"))
+
+
+def join_query(name, select, windows, bound):
+    """``L ⋈ R`` on ``k`` with the given windows and, unless ``bound``
+    is ``None``, the selection ``L.x >= bound``."""
+    atoms = [JoinPredicate("L.k", "R.k")]
+    if bound is not None:
+        atoms.append(Comparison("L.x", ">=", bound))
+    left, right = windows
+    return ContinuousQuery(
+        select_items=select,
+        streams=(StreamRef("L", Window(left)), StreamRef("R", Window(right))),
+        predicate=Conjunction.from_atoms(atoms),
+        name=name,
+    )
 
 
 @st.composite
 def join_queries(draw, name):
-    atoms = [JoinPredicate("L.k", "R.k")]
-    if draw(st.booleans()):
-        atoms.append(Comparison("L.x", ">=", draw(st.integers(-10, 5))))
-    select = (AttrRef("L", "k"), AttrRef("L", "x"), AttrRef("R", "y"))
-    return ContinuousQuery(
-        select_items=select,
-        streams=(
-            StreamRef("L", Window(draw(st.sampled_from(WINDOWS)))),
-            StreamRef("R", Window(draw(st.sampled_from(WINDOWS)))),
-        ),
-        predicate=Conjunction.from_atoms(atoms),
-        name=name,
+    windows = (draw(st.sampled_from(WINDOWS)), draw(st.sampled_from(WINDOWS)))
+    return join_query(name, SELECT, windows, draw(st.none() | st.integers(-10, 5)))
+
+
+@st.composite
+def contained_pairs(draw):
+    """``(q1, q2)`` with ``q1 ⊑ q2``: ``q2`` is ``q1`` loosened — each
+    window kept or widened, the bound on ``L.x`` lowered or dropped, the
+    projection a superset."""
+    narrow = draw(st.sets(st.sampled_from(SELECT), min_size=1))
+    wide = narrow | draw(st.sets(st.sampled_from(SELECT)))
+    inner = [draw(st.sampled_from(WINDOWS)) for __ in "LR"]
+    outer = [
+        draw(st.sampled_from([w for w in WINDOWS if w >= size])) for size in inner
+    ]
+    tight = draw(st.none() | st.integers(-10, 5))
+    loose = None if tight is None else draw(st.none() | st.integers(-10, tight))
+    return (
+        join_query("q1", tuple(a for a in SELECT if a in narrow), inner, tight),
+        join_query("q2", tuple(a for a in SELECT if a in wide), outer, loose),
     )
 
 
@@ -89,14 +118,20 @@ def _run(query, feed):
 
 
 class TestContainmentIsSemanticallySound:
-    @given(join_queries("q1"), join_queries("q2"), feeds())
+    @given(contained_pairs(), feeds())
     @settings(max_examples=80, deadline=None)
-    def test_contained_results_are_subset(self, q1, q2, feed):
-        assume(contains(q1, q2, CATALOG))
+    def test_contained_results_are_subset(self, pair, feed):
+        q1, q2 = pair
+        assert contains(q1, q2, CATALOG)
         small = _run(q1, feed)
         big = _run(q2, feed)
+        kept = {attr.key for attr in q1.select_items}
         big_keys = {
-            (d.timestamp, tuple(sorted(d.payload.items()))) for d in big
+            (
+                d.timestamp,
+                tuple(sorted(kv for kv in d.payload.items() if kv[0] in kept)),
+            )
+            for d in big
         }
         for d in small:
             key = (d.timestamp, tuple(sorted(d.payload.items())))

@@ -14,6 +14,7 @@ from repro.sim.oracle import (
 )
 from repro.sim.reference import as_reference
 from repro.sim.runner import ChaosConfig, build_system, query_ids
+from repro.system.cosmos import QueryStatus
 
 TEMP = StreamSchema(
     "Temp",
@@ -105,6 +106,24 @@ class TestSystemChecks:
         del system._user_subscriptions[query_id]
         violations = check_no_orphans(system)
         assert any("outlived its query" in v for v in violations)
+
+    def test_second_subscription_is_an_orphan(self, system):
+        # The duplicate-results symptom: a re-subscription that did not
+        # withdraw the subscription the query already held.
+        query_id = query_ids(ChaosConfig(seed=1))[0]
+        first = system._user_subscriptions[query_id]
+        profile = system.network.subscriptions()[first][1]
+        system.attach_result_subscription(query_id, profile)
+        violations = check_no_orphans(system)
+        assert any(first in v and "not the one recorded" in v for v in violations)
+
+    def test_subscribed_degraded_query_is_an_orphan(self, system):
+        query_id = query_ids(ChaosConfig(seed=1))[0]
+        system.query(query_id).status = QueryStatus.DEGRADED
+        violations = check_no_orphans(system)
+        assert any(query_id in v and "DEGRADED" in v for v in violations)
+        system.detach_result_subscription(query_id)
+        assert check_no_orphans(system) == []
 
     def test_chronology_violation_flagged(self, system):
         system.publish("Temp", {"station": 0, "celsius": 30.0}, 5.0)

@@ -165,6 +165,19 @@ class TestResultSubscription:
         assert handle.result_count == 1
 
 
+class TestDeliveryDispatch:
+    def test_query_name_may_contain_a_colon(self, system):
+        # Deliveries are dispatched from the subscription registries,
+        # never by splitting ``user:<query>:v<n>`` / ``src:<node>:<group>:<n>``.
+        handle = system.submit(TABLE1_Q1, user_node=4, name="alice:q1")
+        open_auction(system, 1, 0.0)
+        deliveries = close_auction(system, 1, 60.0)
+        assert len(deliveries) == 1
+        assert handle.results == [deliveries[0].datagram]
+        system.withdraw("alice:q1")
+        assert system.network.subscriptions() == {}
+
+
 class TestMergingToggle:
     def test_non_merging_system_runs_queries_separately(self, line_tree):
         sys_ = CosmosSystem(line_tree, processor_nodes=[2], merging=False)

@@ -85,7 +85,7 @@ class TestNetworkedProcessor:
         network.advertise("ClosedAuction", 0, CLOSED_AUCTION_SCHEMA)
         proc = Processor(2, auction_catalog, network=network)
         sub = proc.accept(parse_query(TABLE1_Q1), name="q1")
-        assert network.publishers_of(sub.result_stream) == [2]
+        assert network.publishers_of(proc.manager.result_stream_of(sub.group)) == [2]
 
 
 class TestWrapperIntegration:

@@ -1,0 +1,309 @@
+"""The one group reconciliation (DESIGN.md section 6).
+
+Whatever changes a group — submission, withdrawal, migration cutover,
+resume, partition heal — ends in ``CosmosSystem.reconcile_group``, which
+re-subscribes ``ACTIVE`` members only.  The regressions below are the
+cases the five hand-written copies of the rule got wrong; the random
+histories check the invariants after every step of any interleaving.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from repro.cbn.datagram import Datagram
+from repro.core.profiles import result_profile, source_profile
+from repro.cql.schema import Attribute, StreamSchema
+from repro.overlay.topology import Topology
+from repro.overlay.tree import DisseminationTree
+from repro.sim.oracle import check_no_orphans, expected_results
+from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.loadmgr import (
+    GroupMigration,
+    cutover_group,
+    quarantine_for_migration,
+    resume_after_migration,
+)
+from repro.system.reliability import heal_partition, quarantine_partitioned
+
+TEMP = StreamSchema(
+    "Temp",
+    [Attribute("station", "int", 0, 9), Attribute("celsius", "float", -20.0, 40.0)],
+    rate=1.0,
+)
+WIND = StreamSchema(
+    "Wind",
+    [Attribute("station", "int", 0, 9), Attribute("speed", "float", 0.0, 50.0)],
+    rate=1.0,
+)
+
+#: Source 0, processors 1 and 2 and user 3 on the trunk; users 5, 7, 9
+#: each behind one broker (4, 6, 8) whose loss strands them, and one
+#: bypass link per arm that an operator adds to heal the partition.
+TRUNK = [(0, 1), (1, 2), (2, 3)]
+ARMS = {4: ((3, 4), (4, 5)), 6: ((3, 6), (6, 7)), 8: ((2, 8), (8, 9))}
+BYPASS = {4: (3, 5), 6: (3, 7), 8: (2, 9)}
+USERS = (3, 5, 7, 9)
+
+
+def build_system():
+    edges = TRUNK + [edge for arm in ARMS.values() for edge in arm]
+    topology = Topology()
+    for u, v in edges:
+        topology.add_edge(u, v, 1.0)
+    tree = DisseminationTree(edges, {edge: 1.0 for edge in edges})
+    system = CosmosSystem(tree, processor_nodes=[1, 2], topology=topology)
+    system.add_source(TEMP, 0)
+    system.add_source(WIND, 0)
+    return system
+
+
+def warm(threshold):
+    return f"SELECT T.station, T.celsius FROM Temp [Now] T WHERE T.celsius > {threshold}"
+
+
+def user_subscriptions(system, query_id):
+    """Live result subscriptions installed for the query, by the id
+    scheme (``user:<query>:v<n>``) — whatever the system recorded."""
+    return [
+        sid
+        for sid in system.network.subscriptions()
+        if sid.startswith(f"user:{query_id}:v")
+    ]
+
+
+def start_migration(system, query_id):
+    """Quarantine the query's group for a move to the other processor."""
+    source = system.query(query_id).processor_node
+    group = system.processors[source].manager.grouping.group_of(query_id)
+    members = quarantine_for_migration(system, source, group.group_id)
+    return GroupMigration(
+        "m0", group.group_id, source, 3 - source, members=members
+    )
+
+
+class TestQuarantinedMemberIsSkipped:
+    """A change to a group must not re-subscribe a member its owner has
+    quarantined (each failed at the parent of the reconciliation PR)."""
+
+    def test_submit_into_a_migrating_group(self):
+        system = build_system()
+        a = system.submit(warm(10), user_node=3, name="a")
+        migration = start_migration(system, "a")
+        b = system.submit(warm(20), user_node=5, name="b")
+        assert a.status is QueryStatus.DEGRADED
+        assert user_subscriptions(system, "a") == []
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 30.0}, 1.0)
+        assert (a.result_count, b.result_count) == (0, 1)
+
+        assert resume_after_migration(system, migration.source_node, ["a"]) == ["a"]
+        assert len(user_subscriptions(system, "a")) == 1
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 31.0}, 2.0)
+        assert (a.result_count, b.result_count) == (1, 2)  # no duplicates
+
+    def test_member_that_joined_a_migrating_group_moves_with_it(self):
+        system = build_system()
+        a = system.submit(warm(10), user_node=3, name="a")
+        migration = start_migration(system, "a")
+        b = system.submit(warm(20), user_node=7, name="b")  # ACTIVE, same group
+        assert cutover_group(system, migration) == ["a"]
+        # ``b`` was neither a resident of the target nor quarantined: it
+        # used to keep its subscription to the source's dead result stream.
+        assert b.processor_node == migration.target_node
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 31.0}, 1.0)
+        assert (a.result_count, b.result_count) == (1, 1)
+
+    def test_withdraw_from_a_migrating_group(self):
+        system = build_system()
+        a = system.submit(warm(10), user_node=3, name="a")
+        system.submit(warm(20), user_node=5, name="b")
+        migration = start_migration(system, "a")
+        system.withdraw("b")
+        assert user_subscriptions(system, "a") == []
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 30.0}, 1.0)
+        assert a.result_count == 0
+
+        assert cutover_group(system, migration) == ["a"]
+        assert a.processor_node == migration.target_node
+        assert len(user_subscriptions(system, "a")) == 1
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 31.0}, 2.0)
+        assert a.result_count == 1
+
+    def test_submit_into_a_group_with_a_stranded_member(self):
+        system = build_system()
+        a = system.submit(warm(10), user_node=5, name="a")
+        assert quarantine_partitioned(system, 4) == ["a"]
+        # Used to die with ``NetworkError: unknown broker 5`` and leave
+        # ``b`` half-installed.
+        b = system.submit(warm(20), user_node=3, name="b")
+        assert a.status is QueryStatus.DEGRADED
+        assert user_subscriptions(system, "a") == []
+        assert len(user_subscriptions(system, "b")) == 1
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 30.0}, 1.0)
+        assert (a.result_count, b.result_count) == (0, 1)
+
+        system.topology.add_edge(*BYPASS[4], 1.0)
+        assert heal_partition(system) == ["a"]
+        assert a.status is QueryStatus.ACTIVE
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 31.0}, 2.0)
+        assert (a.result_count, b.result_count) == (1, 2)
+
+    def test_resume_and_heal_leave_current_subscriptions_alone(self):
+        system = build_system()
+        system.submit(warm(10), user_node=3, name="a")
+        system.submit(warm(20), user_node=5, name="b")
+        quarantine_partitioned(system, 4)
+        (before,) = user_subscriptions(system, "a")
+        system.topology.add_edge(*BYPASS[4], 1.0)
+        heal_partition(system)
+        # The representative did not change: only ``b`` is re-subscribed.
+        assert user_subscriptions(system, "a") == [before]
+
+
+class TestRandomHistories:
+    """Seeded interleavings of everything that changes a group; the
+    invariants of the reconciliation hold after every step."""
+
+    QUERIES = [
+        "SELECT T.station, T.celsius FROM Temp [Now] T WHERE T.celsius > {n}",
+        "SELECT T.celsius FROM Temp [Now] T WHERE T.celsius > {n} AND T.station < 7",
+        "SELECT T.station FROM Temp [Now] T WHERE T.station > 2",
+        "SELECT W.station, W.speed FROM Wind [Now] W WHERE W.speed > {n}",
+        "SELECT W.speed FROM Wind [Now] W WHERE W.speed < {n}",
+    ]
+
+    @staticmethod
+    def assert_reconciled(system):
+        live = system.network.subscriptions()
+        assert check_no_orphans(system) == []
+        grouped = set()
+        for node, processor in system.processors.items():
+            manager = processor.manager
+            groups = manager.groups
+            assert processor.spe.query_names == sorted(
+                manager.engine_name_of(group.group_id) for group in groups
+            )
+            sources = [
+                (processor.group_of_subscription(sid), profile)
+                for sid, (at, profile) in live.items()
+                if sid.startswith("src:") and at == node
+            ]
+            assert len(sources) == len(groups)
+            assert dict(sources) == {
+                g.group_id: source_profile(
+                    g.representative, system.catalog, subscriber=g.group_id
+                )
+                for g in groups
+            }
+            for group in groups:
+                stream = manager.result_stream_of(group)
+                for member in group.members:
+                    grouped.add(member.name)
+                    handle = system.query(member.name)
+                    assert (handle.processor_node, handle.result_stream) == (node, stream)
+                    held = user_subscriptions(system, member.name)
+                    if handle.status is not QueryStatus.ACTIVE:
+                        assert held == []
+                        continue
+                    (sid,) = held
+                    assert system.subscriber_of(sid) is handle
+                    assert live[sid] == (
+                        handle.user_node,
+                        result_profile(
+                            member,
+                            group.representative,
+                            system.catalog,
+                            stream,
+                            subscriber=member.name,
+                        ),
+                    )
+        assert grouped == {handle.query_id for handle in system.queries}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_invariants_hold_after_every_step(self, seed):
+        rng = random.Random(seed)
+        system = build_system()
+        migrations, failed = [], []
+        names, clock = itertools.count(), itertools.count(1)
+
+        def submit():
+            text = rng.choice(self.QUERIES).format(n=rng.randint(0, 30))
+            user = rng.choice([u for u in USERS if u in system.tree])
+            # Subscription ids are never parsed back: ':' is a legal name.
+            system.submit(text, user_node=user, name=f"u{user}:q{next(names)}")
+
+        def withdraw():
+            if system.queries:
+                system.withdraw(rng.choice(system.queries).query_id)
+
+        def quarantine():
+            groups = [
+                (node, group.group_id)
+                for node, processor in system.processors.items()
+                for group in processor.manager.groups
+                if not any(m.group_id == group.group_id and m.source_node == node for m in migrations)
+            ]
+            if groups:
+                node, group_id = rng.choice(groups)
+                members = quarantine_for_migration(system, node, group_id)
+                if members:
+                    migrations.append(
+                        GroupMigration(f"m{next(names)}", group_id, node, 3 - node, members)
+                    )
+
+        def finish(cut):
+            if not migrations:
+                return
+            migration = migrations.pop(rng.randrange(len(migrations)))
+            source = system.processors[migration.source_node].manager
+            if all(g.group_id != migration.group_id for g in source.groups):
+                return  # every member was withdrawn: superseded
+            if cut:
+                cutover_group(system, migration)
+            else:
+                resume_after_migration(system, migration.source_node, migration.members)
+
+        def partition():
+            standing = [broker for broker in ARMS if broker not in failed]
+            if standing:
+                failed.append(rng.choice(standing))
+                quarantine_partitioned(system, failed[-1])
+
+        def heal():
+            for broker in failed:
+                system.topology.add_edge(*BYPASS[broker], 1.0)
+            heal_partition(system)
+
+        def publish():
+            before = {h.query_id: h.result_count for h in system.queries}
+            stream = rng.choice(["Temp", "Wind"])
+            attr = "celsius" if stream == "Temp" else "speed"
+            payload = {"station": rng.randint(0, 9), attr: float(rng.randint(0, 40))}
+            tuple_ = Datagram(stream, payload, float(next(clock)))
+            system.publish(stream, payload, tuple_.timestamp)
+            for handle in system.queries:
+                want = (
+                    expected_results(handle.query, system.catalog, [tuple_])
+                    if handle.status is QueryStatus.ACTIVE
+                    else []
+                )
+                got = handle.results[before[handle.query_id]:]
+                assert [(dict(r.payload), r.timestamp) for r in got] == want
+
+        steps = [submit] * 4 + [withdraw] * 2 + [publish] * 3 + [
+            quarantine, quarantine, lambda: finish(True), lambda: finish(False),
+            partition, heal,
+        ]
+        for __ in range(6):
+            submit()
+        for __ in range(60):
+            rng.choice(steps)()
+            self.assert_reconciled(system)

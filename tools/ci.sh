@@ -13,6 +13,20 @@ if git grep -nE "^(from|import) repro\.(analysis|cbn|core|system)" -- src/repro/
     exit 1
 fi
 
+echo "== layering (group reconciliation: one owner per layer under repro.system) =="
+# Result profiles and result-stream names are read by CosmosSystem.reconcile_group
+# (system/cosmos.py), the source profile by Processor._sync_group (system/node.py).
+if git grep -nE "result_profiles_of|result_stream_of" -- src/repro/system ':!src/repro/system/cosmos.py' \
+   || git grep -nF "source_profile(" -- src/repro/system ':!src/repro/system/node.py'; then
+    echo "ci: only system/cosmos.py may read a group's result profiles / result stream," \
+         "only system/node.py may compose its source profile" >&2
+    exit 1
+fi
+if [ "$(git grep -cF "result_profiles_of(" -- src/repro/system/cosmos.py | cut -d: -f2)" != 1 ]; then
+    echo "ci: system/cosmos.py must compose a group's result profiles in exactly one place" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
