@@ -38,28 +38,29 @@ The data plane
 --------------
 Publication is the dominant cost of every experiment, so publishes run
 on cached state: per stream the network memoizes the dissemination
-tree, the schema width table, each broker's neighbour list and — from
-the routing tables' per-stream index — the *candidate interfaces* that
-have any entry for the stream.  The cache is versioned **per stream**:
-every routing mutation (install/discard/remove_interface, reached via
+tree, the schema width table, each broker's *candidate interfaces* (the
+neighbours that have any entry for the stream), the stream's distinct
+filter conjunctions and a bounded *route cache*.  These facts are
+versioned **per stream**: every routing mutation
+(install/discard/remove_interface, reached via
 subscribe/unsubscribe/advertise/retree) bumps the version of exactly the
 streams it touched and every catalog registration bumps the catalog
 version, so the next publish only rebuilds the facts of streams that
 actually moved.
 
-:meth:`ContentBasedNetwork.publish_many` is the one entry point: the
-feed is split into consecutive same-stream runs; a run of one takes the
-scalar :meth:`_route`, a run of two or more is routed **once per
-batch** through :meth:`_route_batch` — a shared DFS over the
-dissemination tree where every broker evaluates its compiled
-per-bucket plans against the whole surviving batch
-(:meth:`RoutingTable.decide_batch` /
-:meth:`RoutingTable.local_deliveries_batch`) instead of once per
-datagram.  Only *consecutive* same-stream datagrams are batched so the
-per-link traffic accounting accumulates in exactly the per-datagram
-order (float addition is order-sensitive); deliveries and stats are
-byte-identical to per-datagram :meth:`publish` calls.  The
-scan-every-profile reference both routines are checked against lives
+:meth:`ContentBasedNetwork.publish_many` is the one entry point and
+:meth:`ContentBasedNetwork._route` the one routine behind it.  A
+datagram is *classified once*, at its origin — origin broker, attribute
+tuple, whether it carries a ``seq``, the value types the schema does
+not price, and the outcome of each distinct conjunction on the payload
+— and every decision of the hop-by-hop walk (:meth:`_walk`, over
+:meth:`RoutingTable.decide` / :meth:`RoutingTable.local_deliveries`)
+is a function of that class and of the routing state the facts are
+versioned by.  So the first datagram of a class walks and its route —
+the links crossed with their byte sizes, the deliveries with their
+projections — is remembered; every later one replays it, at a cost of
+O(links crossed + deliveries).  The walk is the only definition of
+routing; the scan-every-profile reference it is checked against lives
 in :mod:`repro.sim.reference`.
 """
 
@@ -67,15 +68,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
-from repro.cbn.columns import ColumnBatch
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
 from repro.cbn.routing import RoutingTable
+from repro.cql.predicates import Conjunction
 from repro.cql.schema import Catalog, StreamSchema
 from repro.overlay.metrics import LinkStats
-from repro.overlay.topology import NodeId
+from repro.overlay.topology import Edge, NodeId, edge_key
 from repro.overlay.tree import DisseminationTree
 
 
@@ -118,47 +119,102 @@ class _Advertisement:
     node: NodeId
 
 
+#: Route classes remembered per stream.  A constant, not an option: the
+#: benchmark's workloads peak at 40 classes on one stream; a stream
+#: with more keeps the first ``_ROUTE_CLASSES`` and walks for the rest.
+_ROUTE_CLASSES = 256
+
+
+class _Route(NamedTuple):
+    """What the walk did with the first datagram of a class."""
+
+    #: (canonical edge, bytes) per link crossed, in crossing order
+    links: Tuple[Tuple[Edge, float], ...]
+    #: the distinct attribute tuples deliveries were projected to
+    views: Tuple[Tuple[str, ...], ...]
+    #: (subscription id, broker, index into ``views`` — -1: the whole
+    #: datagram) per delivery, in delivery order
+    deliveries: Tuple[Tuple[str, NodeId, int], ...]
+
+    @classmethod
+    def of(
+        cls,
+        links: List[Tuple[Edge, float]],
+        deliveries: List["Delivery"],
+        attributes: Tuple[str, ...],
+    ) -> "_Route":
+        """The route a walk over a datagram carrying ``attributes``
+        produced (projection keeps payload order, so a delivered
+        payload's key tuple says which projection it is)."""
+        views: Dict[Tuple[str, ...], int] = {}
+        templates = []
+        for delivery in deliveries:
+            kept = tuple(delivery.datagram.payload)
+            view = -1 if kept == attributes else views.setdefault(kept, len(views))
+            templates.append((delivery.subscription_id, delivery.node, view))
+        return cls(tuple(links), tuple(views), tuple(templates))
+
+
 class _StreamFacts:
     """Static per-stream facts the publish hot loop needs.
 
     Everything here is a pure function of (routing state, catalog,
     stream trees) and is rebuilt when the owning network's version of
-    the stream moves: the dissemination tree the stream travels
-    on, its schema width table, each broker's neighbour tuple, and the
-    *candidate interfaces* per broker — the neighbours that have at
-    least one routing entry for the stream, everything else cannot
-    possibly forward.
+    the stream moves: the dissemination tree the stream travels on, its
+    schema width table, the *candidate interfaces* per broker — the
+    neighbours that have at least one routing entry for the stream,
+    everything else cannot possibly forward — the distinct filter
+    conjunctions of the subscriptions requesting the stream, and the
+    routes already walked, by datagram class (:meth:`classify`).
     """
 
-    __slots__ = ("stream", "tree", "widths", "_neighbors", "_candidates")
+    __slots__ = ("stream", "tree", "widths", "conjunctions", "routes", "_candidates")
 
     def __init__(
         self,
         stream: str,
         tree: DisseminationTree,
         widths: Optional[Dict[str, int]],
+        conjunctions: Tuple[Conjunction, ...],
     ) -> None:
         self.stream = stream
         self.tree = tree
         self.widths = widths
-        self._neighbors: Dict[NodeId, Tuple[NodeId, ...]] = {}
+        self.conjunctions = conjunctions
+        self.routes: Dict[tuple, _Route] = {}
         self._candidates: Dict[NodeId, Tuple[NodeId, ...]] = {}
 
     def candidates(self, node: NodeId, table: RoutingTable) -> Tuple[NodeId, ...]:
         """Neighbours of ``node`` with any entry for this stream."""
         cached = self._candidates.get(node)
         if cached is None:
-            neighbors = self._neighbors.get(node)
-            if neighbors is None:
-                neighbors = tuple(sorted(self.tree.neighbors(node)))
-                self._neighbors[node] = neighbors
-            cached = tuple(
+            cached = self._candidates[node] = tuple(
                 neighbor
-                for neighbor in neighbors
+                for neighbor in sorted(self.tree.neighbors(node))
                 if table.has_stream_entries(neighbor, self.stream)
             )
-            self._candidates[node] = cached
         return cached
+
+    def classify(self, datagram: Datagram, origin: NodeId) -> tuple:
+        """The class of ``datagram``: everything about it the walk's
+        decisions, projections and byte sizes depend on.
+
+        Every decision is a ``covers`` outcome on the current copy; a
+        conjunction evaluates on a projected copy as on the original
+        when its attributes survived and is false when one did not, and
+        which attributes survive is fixed by the decisions upstream.
+        Sizes add the origin's attribute set, ``seq`` and — for
+        attributes the schema does not price — the value's type.
+        """
+        payload = datagram.payload
+        priced = self.widths or ()
+        return (
+            origin,
+            tuple(payload),
+            datagram.seq is None,
+            tuple([type(value) for name, value in payload.items() if name not in priced]),
+            tuple([condition.evaluate(payload) for condition in self.conjunctions]),
+        )
 
 
 class ContentBasedNetwork:
@@ -208,10 +264,13 @@ class ContentBasedNetwork:
         self._stream_subscriptions: Dict[str, Dict[str, None]] = {}
         self._advertisements: Dict[str, List[_Advertisement]] = {}
         #: stream -> (facts, (stream version, catalog version) they were
-        #: built at); each entry revalidates lazily against its own
-        #: stream's version, so churn on one stream leaves the others'
-        #: facts warm.
+        #: built at), for streams somebody requests; each entry
+        #: revalidates lazily against its own stream's version, so churn
+        #: on one stream leaves the others' facts warm.
         self._facts: Dict[str, Tuple[_StreamFacts, Tuple[int, int]]] = {}
+        #: datagrams routed by replaying a cached route / by walking
+        self._route_hits = 0
+        self._route_misses = 0
         #: stream -> count of routing mutations that touched it (fed by
         #: the tables' ``on_change`` stream reports).
         self._stream_versions: Dict[str, int] = {}
@@ -362,11 +421,29 @@ class ContentBasedNetwork:
         cached = self._facts.get(stream)
         if cached is not None and cached[1] == version:
             return cached[0]
+        #: an ordered set: the class key lists outcomes in this order
+        conjunctions: Dict[Conjunction, None] = {}
+        for sid in self._stream_subscriptions.get(stream, ()):
+            for flt in self._subscriptions[sid].profile.filters_for(stream):
+                conjunctions[flt.condition] = None
         facts = _StreamFacts(
-            stream, self.tree_for(stream), self._widths_for(stream)
+            stream,
+            self.tree_for(stream),
+            self._widths_for(stream),
+            tuple(conjunctions),
         )
         self._facts[stream] = (facts, version)
         return facts
+
+    def route_cache_stats(self) -> Dict[str, int]:
+        """Datagrams routed by replay (``hits``) and by the walk
+        (``misses``) since construction, and the route ``classes``
+        currently remembered across all streams."""
+        return {
+            "hits": self._route_hits,
+            "misses": self._route_misses,
+            "classes": sum(len(facts.routes) for facts, __ in self._facts.values()),
+        }
 
     # -- advertisement --------------------------------------------------------------
 
@@ -449,7 +526,11 @@ class ContentBasedNetwork:
             requesting = self._stream_subscriptions[stream]
             del requesting[subscription_id]
             if not requesting:
+                # nobody asks for the stream any more: nothing keyed by
+                # its name may outlive it (result-stream names are
+                # fresh per group)
                 del self._stream_subscriptions[stream]
+                self._facts.pop(stream, None)
         self._tables[removed.node].discard(RoutingTable.LOCAL, subscription_id)
         vacated = self._withdraw(removed, list(removed.footprint))
         if self.use_subsumption:
@@ -569,51 +650,61 @@ class ContentBasedNetwork:
         """Inject a batch of datagrams at broker ``node``.
 
         Returns one delivery list per datagram, in order — exactly what
-        per-datagram :meth:`publish` calls would produce.  Consecutive
-        datagrams of the same stream form a *run* routed once per batch
-        through the columnar plans (:meth:`_route_batch`); runs of one
-        take the scalar routine (:meth:`_route`).  Only consecutive
-        datagrams are grouped (not all same-stream datagrams of the
-        feed) so the per-link traffic accounting accumulates float
-        contributions in exactly the per-datagram order.
+        per-datagram :meth:`publish` calls would produce, link
+        accounting included: the datagrams are routed one after the
+        other.
         """
         if node not in self._tables:
             raise NetworkError(f"unknown broker {node}")
-        out: List[List[Delivery]] = []
-        run: List[Datagram] = []
-        run_stream: Optional[str] = None
-        for datagram in datagrams:
-            if datagram.stream != run_stream and run:
-                self._flush_run(run, run_stream, node, out)
-                run = []
-            run_stream = datagram.stream
-            run.append(datagram)
-        if run:
-            self._flush_run(run, run_stream, node, out)
-        return out
+        return [self._route(datagram, node) for datagram in datagrams]
 
-    def _flush_run(
-        self,
-        run: List[Datagram],
-        stream: str,
-        node: NodeId,
-        out: List[List[Delivery]],
-    ) -> None:
-        """Route one consecutive same-stream run, appending to ``out``."""
+    def _route(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
+        """Route one datagram: classify it, then replay the route its
+        class took — or walk, and remember the route."""
+        stream = datagram.stream
+        if stream not in self._stream_subscriptions:
+            return []
         facts = self._facts_for(stream)
-        if len(run) == 1:
-            out.append(self._route(run[0], node, facts))
+        key = facts.classify(datagram, node)
+        route = facts.routes.get(key)
+        if route is None:
+            self._route_misses += 1
+            links, deliveries = self._walk(datagram, node, facts)
+            if len(facts.routes) < _ROUTE_CLASSES:
+                facts.routes[key] = _Route.of(links, deliveries, tuple(datagram.payload))
         else:
-            out.extend(self._route_batch(run, node, facts))
+            self._route_hits += 1
+            links = route.links
+            payload, timestamp, seq = datagram.payload, datagram.timestamp, datagram.seq
+            #: one copy per distinct projection, shared by the
+            #: deliveries that want it; index -1 is the whole datagram
+            copies = [
+                Datagram(stream, {name: payload[name] for name in view}, timestamp, seq)
+                for view in route.views
+            ]
+            copies.append(datagram)
+            deliveries = [
+                Delivery(sid, broker, copies[view])
+                for sid, broker, view in route.deliveries
+            ]
+        self.data_stats.replay(links)
+        return deliveries
 
-    def _route(
+    def _walk(
         self, datagram: Datagram, node: NodeId, facts: _StreamFacts
-    ) -> List[Delivery]:
-        """The indexed hot path: candidate interfaces from the routing
-        index, cached widths/neighbours, per-copy size computed once."""
+    ) -> Tuple[List[Tuple[Edge, float]], List[Delivery]]:
+        """The hop-by-hop walk — the definition of routing.
+
+        At every broker the copy is delivered to covering local
+        subscribers and forwarded, projected, on each candidate
+        interface behind which a covering profile lives.  Returns the
+        links crossed as ``(canonical edge, bytes)`` in crossing order
+        and the deliveries in delivery order; accounting is the
+        caller's.
+        """
         widths = facts.widths
-        record = self.data_stats.record
         tables = self._tables
+        links: List[Tuple[Edge, float]] = []
         deliveries: List[Delivery] = []
         #: (broker, interface it arrived from, datagram copy, its size
         #: in bytes or None when not yet needed)
@@ -641,84 +732,9 @@ class ContentBasedNetwork:
                     outgoing, out_size = current.project(keep), None
                 if out_size is None:
                     out_size = outgoing.size_bytes(widths)
-                record(here, neighbor, out_size)
+                links.append((edge_key(here, neighbor), out_size))
                 stack.append((neighbor, here, outgoing, out_size))
-        return deliveries
-
-    def _route_batch(
-        self, datagrams: List[Datagram], node: NodeId, facts: _StreamFacts
-    ) -> List[List[Delivery]]:
-        """Columnar batch routing of one same-stream run.
-
-        One DFS over the dissemination tree carries the whole batch:
-        each stack frame holds the *surviving subset* (original indices,
-        per-datagram current copies and byte sizes) at one broker, and
-        every broker evaluates its compiled plans once per batch via
-        the column masks.  Per datagram the visit order, deliveries and
-        per-link traffic records are exactly those of a standalone
-        :meth:`_route` call — frames not containing a datagram never
-        spawn frames that do, so the projection of the shared DFS onto
-        one datagram's frames is its solo DFS.
-        """
-        widths = facts.widths
-        record = self.data_stats.record
-        tables = self._tables
-        n = len(datagrams)
-        deliveries: List[List[Delivery]] = [[] for __ in range(n)]
-        #: (broker, interface it arrived from, surviving original
-        #: indices, their current copies, their sizes or None)
-        stack: List[
-            Tuple[
-                NodeId,
-                Optional[NodeId],
-                List[int],
-                List[Datagram],
-                List[Optional[float]],
-            ]
-        ] = [(node, None, list(range(n)), list(datagrams), [None] * n)]
-        stream = facts.stream
-        while stack:
-            here, arrived_from, indices, currents, sizes = stack.pop()
-            table = tables[here]
-            batch = ColumnBatch(currents, stream)
-            local = table.local_deliveries_batch(batch)
-            for slot, index in enumerate(indices):
-                for sid, projected in local[slot]:
-                    deliveries[index].append(Delivery(sid, here, projected))
-            for neighbor in facts.candidates(here, table):
-                if neighbor == arrived_from:
-                    continue
-                decisions = table.decide_batch(neighbor, batch)
-                sub_indices: List[int] = []
-                sub_currents: List[Datagram] = []
-                sub_sizes: List[Optional[float]] = []
-                for slot, decision in enumerate(decisions):
-                    if not decision.forward:
-                        continue
-                    current = currents[slot]
-                    keep = decision.attributes
-                    payload = current.payload
-                    if keep is None or all(attr in keep for attr in payload):
-                        # Projection keeps everything: reuse the
-                        # immutable datagram (and cache its size for
-                        # this frame's remaining interfaces).
-                        out_size = sizes[slot]
-                        if out_size is None:
-                            out_size = current.size_bytes(widths)
-                            sizes[slot] = out_size
-                        outgoing = current
-                    else:
-                        outgoing = current.project(keep)
-                        out_size = outgoing.size_bytes(widths)
-                    record(here, neighbor, out_size)
-                    sub_indices.append(indices[slot])
-                    sub_currents.append(outgoing)
-                    sub_sizes.append(out_size)
-                if sub_indices:
-                    stack.append(
-                        (neighbor, here, sub_indices, sub_currents, sub_sizes)
-                    )
-        return deliveries
+        return links, deliveries
 
     def _widths_for(self, stream: str) -> Optional[Dict[str, int]]:
         if stream not in self.catalog:

@@ -34,18 +34,6 @@ mutation touched) to invalidate its own per-stream caches.  The
 scan-everything reference the property tests and the chaos twin compare
 against lives in :mod:`repro.sim.reference`.
 
-Columnar batch path
--------------------
-:meth:`RoutingTable.decide_batch` and
-:meth:`RoutingTable.local_deliveries_batch` evaluate one compiled plan
-against a whole same-stream :class:`~repro.cbn.columns.ColumnBatch` at
-once: each entry's filter conditions are compiled
-(:func:`~repro.cbn.columns.compile_condition`) into column evaluators
-producing per-batch match masks, and projection work is shared across
-the subscriptions of a bucket (one projected copy per distinct
-projection set per datagram).  Results are element-wise identical to
-per-datagram :meth:`decide` / :meth:`local_deliveries`.
-
 Per-stream invalidation
 -----------------------
 Compiled plans are validated against a *per-stream version*: every
@@ -55,7 +43,12 @@ concerns and publishing other streams keeps hitting warm caches —
 per-publish recompilation work is O(touched streams), not O(all
 streams).  A mutation that changes nothing bumps nothing: re-installing
 the stored ``(interface, id, profile)`` or discarding an absent entry
-leaves epoch, versions and warm plans as they were.
+leaves epoch, versions and warm plans as they were.  A plan goes with
+its bucket: when the last entry of an ``(interface, stream)`` is
+removed the compiled plan is dropped too, so a table's plans are bounded
+by its live entries, not by the stream names it has ever seen
+(:meth:`RoutingTable.decide` for an interface with no entry of the
+stream answers without compiling anything).
 """
 
 from __future__ import annotations
@@ -72,7 +65,6 @@ from typing import (
     Tuple,
 )
 
-from repro.cbn.columns import ColumnBatch, Mask, compile_condition
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Profile
 from repro.overlay.topology import NodeId
@@ -113,7 +105,6 @@ class _CompiledEntry:
         "projection",
         "carried",
         "wants_all",
-        "_evaluators",
     )
 
     def __init__(self, entry_id: str, profile: Profile, stream: str) -> None:
@@ -125,9 +116,6 @@ class _CompiledEntry:
         self.projection = profile.projection_for(stream)
         self.carried = profile.carried_attributes(stream)
         self.wants_all = self.projection == ALL_ATTRIBUTES
-        #: Column evaluators for :meth:`batch_mask`, compiled on first
-        #: use (many entries are only ever hit by the scalar path).
-        self._evaluators: Optional[Tuple] = None
 
     def covers(self, payload) -> bool:
         conditions = self.conditions
@@ -137,31 +125,6 @@ class _CompiledEntry:
             if condition.evaluate(payload):
                 return True
         return False
-
-    def batch_mask(self, batch: ColumnBatch) -> Mask:
-        """Per-datagram coverage of a same-stream batch.
-
-        Element ``i`` equals ``covers(batch.datagrams[i].payload)``:
-        the filter conditions (a disjunction) are evaluated as compiled
-        column masks OR-combined across conditions.
-        """
-        evaluators = self._evaluators
-        if evaluators is None:
-            evaluators = tuple(
-                compile_condition(condition) for condition in self.conditions
-            )
-            self._evaluators = evaluators
-        if not evaluators:
-            return [True] * batch.n
-        mask = evaluators[0](batch)
-        for evaluator in evaluators[1:]:
-            if all(mask):
-                break
-            mask = [
-                hit or extra
-                for hit, extra in zip(mask, evaluator(batch))
-            ]
-        return mask
 
 
 #: Compiled matching state for one (interface, stream):
@@ -236,6 +199,7 @@ class RoutingTable:
             bucket.pop(entry_id, None)
             if not bucket:
                 del streams[stream]
+                self._plans.pop((interface, stream), None)
 
     def install(self, interface: object, subscription_id: str, profile: Profile) -> bool:
         """Install a profile behind an interface.
@@ -346,17 +310,17 @@ class RoutingTable:
             return cached[0]
         bucket = self._by_stream.get(interface, {}).get(stream)
         if not bucket:
-            plan = _EMPTY_PLAN
-        else:
-            compiled = [
-                _CompiledEntry(entry_id, profile, stream)
-                for entry_id, profile in bucket.items()
-            ]
-            any_wants_all = any(e.wants_all for e in compiled)
-            bound = frozenset().union(
-                *(e.carried for e in compiled if not e.wants_all)
-            )
-            plan = (compiled, any_wants_all, bound)
+            # Not cached: a plan lives and dies with its bucket.
+            return _EMPTY_PLAN
+        compiled = [
+            _CompiledEntry(entry_id, profile, stream)
+            for entry_id, profile in bucket.items()
+        ]
+        any_wants_all = any(e.wants_all for e in compiled)
+        bound = frozenset().union(
+            *(e.carried for e in compiled if not e.wants_all)
+        )
+        plan = (compiled, any_wants_all, bound)
         self._plans[key] = (plan, version)
         return plan
 
@@ -389,50 +353,6 @@ class RoutingTable:
             return ForwardDecision(False)
         return ForwardDecision(True, frozenset(needed))
 
-    def decide_batch(
-        self, interface: object, batch: ColumnBatch
-    ) -> List[ForwardDecision]:
-        """Vectorized :meth:`decide` over a same-stream batch.
-
-        Element ``i`` equals ``decide(interface, batch.datagrams[i])``
-        — each compiled entry contributes one column-mask evaluation
-        for the whole batch instead of one scalar evaluation per
-        datagram.
-        """
-        compiled, __, __ = self._plan(interface, batch.stream)
-        n = batch.n
-        if not compiled:
-            return [ForwardDecision(False)] * n
-        forward = [False] * n
-        wants_all = [False] * n
-        needed: List[Optional[Set[str]]] = [None] * n
-        for entry in compiled:
-            mask = entry.batch_mask(batch)
-            if entry.wants_all:
-                for index, hit in enumerate(mask):
-                    if hit:
-                        forward[index] = True
-                        wants_all[index] = True
-            else:
-                carried = entry.carried
-                for index, hit in enumerate(mask):
-                    if hit and not wants_all[index]:
-                        forward[index] = True
-                        acc = needed[index]
-                        if acc is None:
-                            needed[index] = set(carried)
-                        else:
-                            acc |= carried
-        decisions: List[ForwardDecision] = []
-        for index in range(n):
-            if not forward[index]:
-                decisions.append(ForwardDecision(False))
-            elif wants_all[index]:
-                decisions.append(ForwardDecision(True, None))
-            else:
-                decisions.append(ForwardDecision(True, frozenset(needed[index])))
-        return decisions
-
     def local_deliveries(
         self, datagram: Datagram
     ) -> List[Tuple[str, Datagram]]:
@@ -449,47 +369,4 @@ class RoutingTable:
                 out.append((entry.entry_id, datagram))
             else:
                 out.append((entry.entry_id, datagram.project(entry.projection)))
-        return out
-
-    def local_deliveries_batch(
-        self, batch: ColumnBatch
-    ) -> List[List[Tuple[str, Datagram]]]:
-        """Vectorized :meth:`local_deliveries` over a same-stream batch.
-
-        Element ``i`` equals ``local_deliveries(batch.datagrams[i])``
-        (same subscriptions, same order — entries append in compiled
-        install order).  Projection work is shared across the bucket's
-        subscriptions: per datagram, each distinct projection set is
-        materialised once and reused by every entry requesting it.
-        """
-        compiled, __, __ = self._plan(self.LOCAL, batch.stream)
-        out: List[List[Tuple[str, Datagram]]] = [[] for __ in range(batch.n)]
-        if not compiled:
-            return out
-        datagrams = batch.datagrams
-        #: per datagram, projection set -> the shared projected copy.
-        projected: List[Optional[Dict[FrozenSet[str], Datagram]]] = [
-            None
-        ] * batch.n
-        for entry in compiled:
-            mask = entry.batch_mask(batch)
-            entry_id = entry.entry_id
-            if entry.wants_all:
-                for index, hit in enumerate(mask):
-                    if hit:
-                        out[index].append((entry_id, datagrams[index]))
-            else:
-                keep = entry.projection
-                for index, hit in enumerate(mask):
-                    if not hit:
-                        continue
-                    cache = projected[index]
-                    if cache is None:
-                        cache = {}
-                        projected[index] = cache
-                    copy = cache.get(keep)
-                    if copy is None:
-                        copy = datagrams[index].project(keep)
-                        cache[keep] = copy
-                    out[index].append((entry_id, copy))
         return out

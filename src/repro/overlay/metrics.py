@@ -10,7 +10,7 @@ either raw or weighted by link cost (delay), which is the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.overlay.topology import Edge, NodeId, edge_key
 
@@ -21,10 +21,6 @@ class LinkUsage:
 
     messages: int = 0
     bytes: float = 0.0
-
-    def add(self, count: int, size: float) -> None:
-        self.messages += count
-        self.bytes += size
 
 
 class LinkStats:
@@ -51,8 +47,24 @@ class LinkStats:
 
     def record(self, u: NodeId, v: NodeId, size: float, count: int = 1) -> None:
         """Record ``count`` messages totalling ``size`` bytes on link (u, v)."""
-        usage = self._usage.setdefault(edge_key(u, v), LinkUsage())
-        usage.add(count, size)
+        self.replay(((edge_key(u, v), size),), count)
+
+    def replay(self, records: Iterable[Tuple[Edge, float]], count: int = 1) -> None:
+        """Record ``count`` messages of ``size`` bytes per ``(canonical
+        edge, size)`` record, in order.
+
+        Links enter in first-use order — the summation order of
+        :meth:`weighted_cost` — and a :class:`LinkUsage` is only made
+        for a link never seen (since the last :meth:`reset`); none is
+        handed out, so callers may keep ``records`` and replay them.
+        """
+        usages = self._usage
+        for edge, size in records:
+            usage = usages.get(edge)
+            if usage is None:
+                usage = usages[edge] = LinkUsage()
+            usage.messages += count
+            usage.bytes += size
 
     def usage(self, u: NodeId, v: NodeId) -> LinkUsage:
         return self._usage.get(edge_key(u, v), LinkUsage())

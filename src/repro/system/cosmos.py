@@ -343,13 +343,13 @@ class CosmosSystem:
         """Inject a batch of source tuples of one stream end to end.
 
         ``tuples`` is a sequence of ``(payload, timestamp)`` pairs.  The
-        whole batch enters the CBN as one ``publish_many`` call, so the
-        columnar batch plans evaluate it once per bucket.  Processors
-        still see the tuples in order, and every query handle
-        accumulates exactly the results sequential :meth:`publish`
-        calls would produce; only the interleaving of the returned flat
-        delivery list may differ (grouped per routing batch rather than
-        per source tuple).
+        whole batch enters the CBN as one ``publish_many`` call (which
+        routes it tuple by tuple) and each processor's results leave it
+        as one.  Processors still see the tuples in order, and every
+        query handle accumulates exactly the results sequential
+        :meth:`publish` calls would produce; only the interleaving of
+        the returned flat delivery list may differ (grouped per routing
+        batch rather than per source tuple).
         """
         node = self.source_node(stream)
         batch = [
@@ -367,8 +367,7 @@ class CosmosSystem:
         subscribers = self._subscribers
         # Each pending item is a batch of datagrams injected at one
         # broker: the source tuples first, then whole result batches
-        # from each SPE evaluation, published via publish_many so the
-        # per-stream routing setup is paid once per batch.
+        # from each SPE evaluation.
         pending: List[tuple] = [(batch, node)]
         while pending:
             batch, origin = pending.pop(0)

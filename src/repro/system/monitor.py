@@ -84,12 +84,20 @@ class SystemMonitor:
         return spots[:top]
 
     def routing_pressure(self) -> Dict[str, float]:
+        """Routing state, traffic volumes and how publication was served:
+        datagrams routed by replaying a cached route (``route_cache_hits``)
+        or by the hop-by-hop walk (``route_cache_misses``), and the
+        route classes currently remembered."""
         network = self._system.network
         return {
             "subscriptions": float(network.subscription_count),
             "routing_entries": float(network.routing_state_size()),
             "control_bytes": network.control_stats.total_bytes(),
             "data_bytes": network.data_stats.total_bytes(),
+            **{
+                f"route_cache_{name}": float(count)
+                for name, count in network.route_cache_stats().items()
+            },
         }
 
     # -- reliability ---------------------------------------------------------------

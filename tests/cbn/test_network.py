@@ -294,6 +294,112 @@ class TestRouteCache:
         net.unsubscribe("u7")
         assert net._facts_for("S30") is warm
 
+    def test_second_publication_replays_the_route(self, net):
+        net.subscribe(Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 5)))]), 4, "u1")
+        assert net.route_cache_stats() == {"hits": 0, "misses": 0, "classes": 0}
+        first = net.publish(Datagram("S", {"a": 9, "b": 0.5}, 1.0), 0)
+        assert net.route_cache_stats() == {"hits": 0, "misses": 1, "classes": 1}
+        # same class (another value on the same side of the filter)
+        second = net.publish(Datagram("S", {"a": 7, "b": 0.1}, 2.0), 0)
+        assert net.route_cache_stats() == {"hits": 1, "misses": 1, "classes": 1}
+        assert [(d.subscription_id, d.node) for d in second] == [
+            (d.subscription_id, d.node) for d in first
+        ] == [("u1", 4)]
+        assert second[0].datagram == Datagram("S", {"a": 7}, 2.0)
+        assert net.data_stats.usage(0, 1).messages == 2
+        # another class: the other side of the filter, another origin
+        assert net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0) == []
+        net.publish(Datagram("S", {"a": 9, "b": 0.5}), 2)
+        assert net.route_cache_stats() == {"hits": 1, "misses": 3, "classes": 3}
+
+    def test_unrequested_stream_builds_nothing(self, net):
+        assert net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0) == []
+        assert net.publish_many([Datagram("nobody", {"x": 1})] * 3, 2) == [[], [], []]
+        assert net._facts == {}
+        assert net.route_cache_stats() == {"hits": 0, "misses": 0, "classes": 0}
+        assert net.data_stats.links_used == 0
+
+    def test_stats_reset_between_two_replays(self, net, line_tree):
+        net.subscribe(Profile({"S": {"a"}}), 4, "u1")
+        datagram = Datagram("S", {"a": 1, "b": 0.5})
+        net.publish(datagram, 0)
+        net.publish(datagram, 0)
+        net.data_stats.reset()
+        net.publish(datagram, 0)
+        assert net.route_cache_stats()["hits"] == 2
+        fresh = ReferenceNetwork(line_tree)
+        fresh.advertise("S", 0, SCHEMA)
+        fresh.subscribe(Profile({"S": {"a"}}), 4, "u1")
+        fresh.publish(datagram, 0)
+        assert list(net.data_stats.as_dict().items()) == list(
+            fresh.data_stats.as_dict().items()
+        )
+        # a cached route holds plain (edge, bytes) records, no accumulator
+        (route,) = net._facts_for("S").routes.values()
+        assert route.links == (((0, 1), 4.0), ((1, 2), 4.0), ((2, 3), 4.0), ((3, 4), 4.0))
+
+    def test_stream_keyed_state_goes_with_the_stream(self, line_tree):
+        """Result-stream names are fresh per group: nothing keyed by a
+        stream name may outlive its last subscription."""
+        network = ContentBasedNetwork(line_tree)
+
+        def footprint():
+            return (
+                len(network._facts),
+                sum(len(network.table(node)._plans) for node in line_tree.nodes),
+            )
+
+        after_one = None
+        for cycle in range(200):
+            stream = f"result:{cycle}"
+            network.advertise(stream, 0)
+            network.subscribe(Profile({stream: ALL_ATTRIBUTES}), 4, f"u{cycle}")
+            assert len(network.publish(Datagram(stream, {"x": cycle}), 0)) == 1
+            assert len(network.publish(Datagram(stream, {"x": cycle}), 0)) == 1
+            network.unsubscribe(f"u{cycle}")
+            assert network.publish(Datagram(stream, {"x": cycle}), 0) == []
+            after_one = after_one or footprint()
+        assert footprint() == after_one == (0, 0)
+        assert network.route_cache_stats() == {"hits": 200, "misses": 200, "classes": 0}
+
+    def test_more_classes_than_the_cap_route_like_the_reference(self, line_tree):
+        from repro.cbn.network import _ROUTE_CLASSES
+
+        def build(cls):
+            network = cls(line_tree)
+            network.advertise("S", 0)
+            for k in range(9):
+                network.subscribe(
+                    Profile({"S": {"a", f"x{k % 4}"}}, [Filter("S", cond(Comparison("a", ">", k)))]),
+                    1 + k % 4,
+                    f"u{k}",
+                )
+            return network
+
+        fast, naive = build(ContentBasedNetwork), build(ReferenceNetwork)
+        feed = [
+            Datagram(
+                "S",
+                {"a": a, **{f"x{i}": i for i in range(4) if extras >> i & 1}},
+                float(a),
+                seq,
+            )
+            for a in range(10)
+            for extras in range(16)
+            for seq in (None, 3)
+        ]
+        for __ in range(2):
+            for datagram in feed:
+                assert fast.publish(datagram, 0) == naive.publish(datagram, 0)
+        stats = fast.route_cache_stats()
+        assert len(feed) > _ROUTE_CLASSES == stats["classes"]
+        # the remembered classes replay on the second pass, the rest walk again
+        assert stats["hits"] == _ROUTE_CLASSES
+        assert stats["misses"] == 2 * len(feed) - _ROUTE_CLASSES
+        assert list(fast.data_stats.as_dict().items()) == list(
+            naive.data_stats.as_dict().items()
+        )
+
     def test_reference_network_routes_the_same(self, line_tree):
         network = ReferenceNetwork(line_tree)
         network.advertise("S", 0, SCHEMA)

@@ -251,6 +251,21 @@ class TestEpoch:
             assert table._plan(1, other) is warm
             assert len(table._plan(1, "S7")[0]) == 1
 
+    def test_a_plan_goes_with_its_bucket(self):
+        table = RoutingTable(0)
+        table.install(1, "a", profile({"a"}, stream="S"))
+        table.install(1, "b", profile({"a"}, stream="T"))
+        datagram = Datagram("S", {"a": 1})
+        assert table.decide(1, datagram).forward
+        # an interface or stream with no entry compiles (and keeps) nothing
+        assert not table.decide(2, datagram).forward
+        assert table.local_deliveries(datagram) == []
+        assert not table.decide(1, Datagram("U", {"a": 1})).forward
+        assert set(table._plans) == {(1, "S")}
+        table.discard(1, "a")
+        assert table._plans == {}
+        assert not table.decide(1, datagram).forward
+
     def test_suppressed_install_keeps_epoch(self):
         table = RoutingTable(0, use_subsumption=True)
         table.install(1, "broad", profile({"a"}, Comparison("a", ">", 0)))

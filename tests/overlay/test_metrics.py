@@ -42,6 +42,43 @@ class TestLinkStats:
         assert stats.as_dict() == {(0, 1): (1, 10.0)}
 
 
+class TestReplay:
+    RECORDS = (((2, 3), 5.0), ((0, 1), 7.0), ((2, 3), 1.0))
+
+    def test_replay_is_the_records_in_order(self):
+        replayed, recorded = LinkStats(), LinkStats()
+        replayed.replay(self.RECORDS)
+        for (u, v), size in self.RECORDS:
+            recorded.record(v, u, size)
+        # same totals and the same first-use order of the links
+        assert list(replayed.as_dict().items()) == list(recorded.as_dict().items())
+        assert list(replayed.as_dict()) == [(2, 3), (0, 1)]
+
+    def test_reset_between_two_replays_of_the_same_records(self):
+        stats = LinkStats()
+        stats.replay(self.RECORDS)
+        stats.reset()
+        stats.replay(self.RECORDS)
+        assert stats.as_dict() == {(2, 3): (2, 6.0), (0, 1): (1, 7.0)}
+
+    def test_a_usage_is_made_only_for_a_new_link(self, monkeypatch):
+        import repro.overlay.metrics as metrics
+
+        made = []
+
+        class Counted(metrics.LinkUsage):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(metrics, "LinkUsage", Counted)
+        stats = LinkStats()
+        for __ in range(50):
+            stats.record(5, 4, 1.0)
+            stats.replay(self.RECORDS)
+        assert len(made) == 3  # links (4, 5), (2, 3), (0, 1)
+
+
 class TestWeightKeyCanonicalization:
     def test_reversed_init_keys_priced_correctly(self):
         # Weights supplied as (v, u) must still be found by

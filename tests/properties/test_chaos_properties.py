@@ -7,13 +7,18 @@ under four oracle invariants — exact ground-truth delivery, no orphan
 queries/subscriptions after repair, per-query result chronology, and
 fast-path == naive equivalence.  The canary tests then break the repair
 path on purpose and demand the oracles notice: a chaos suite that
-cannot fail is not testing anything.
+cannot fail is not testing anything.  The same goes for the route cache
+of the data plane: its canaries plant a cache that forgets to
+invalidate or that keys too coarsely, and demand that the fast == naive
+property of ``test_fastpath_properties.py`` notices.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import repro.system.rebuild as rebuild_module
+from repro.cbn.network import ContentBasedNetwork, _StreamFacts
 from repro.sim import (
     ChaosConfig,
     generate_schedule,
@@ -22,6 +27,11 @@ from repro.sim import (
     shrink_failing_schedule,
 )
 from repro.sim.schedule import FaultEvent
+
+from tests.properties.test_fastpath_properties import (
+    interleaved_history,
+    random_trees,
+)
 
 
 class TestChaosInvariants:
@@ -142,3 +152,60 @@ class TestMutationCanary:
         assert len(minimal) == 1
         assert isinstance(minimal[0], FaultEvent)
         assert not run_schedule(config, minimal).ok
+
+
+class TestRouteCacheCanary:
+    """A deliberately broken route cache must be caught by the
+    fast == naive property (``interleaved_history``)."""
+
+    @staticmethod
+    def hunt():
+        """Run the property on a fixed sequence of examples, without
+        shrinking; the first counterexample's error propagates."""
+
+        @given(random_trees(), st.data())
+        @settings(
+            max_examples=400,
+            deadline=None,
+            derandomize=True,
+            database=None,
+            phases=[Phase.generate],
+        )
+        def search(tree, data):
+            interleaved_history(tree, data)
+
+        search()
+
+    def test_cache_surviving_an_unsubscribe_is_caught(self, monkeypatch):
+        unsubscribe = ContentBasedNetwork.unsubscribe
+
+        def forgetful(network, subscription_id):
+            kept = dict(network._facts)
+            unsubscribe(network, subscription_id)
+            for stream, (facts, __) in kept.items():
+                if stream in network._stream_subscriptions:
+                    # re-stamp the old facts — routes included — as current
+                    version = network._stream_versions.get(stream, 0)
+                    network._facts[stream] = (facts, (version, network.catalog.version))
+
+        monkeypatch.setattr(ContentBasedNetwork, "unsubscribe", forgetful)
+        with pytest.raises(AssertionError):
+            self.hunt()
+
+    @pytest.mark.parametrize(
+        "at, component",
+        enumerate(["origin", "attribute tuple", "seq", "unpriced types", "outcomes"]),
+    )
+    def test_key_without_a_component_is_caught(self, monkeypatch, at, component):
+        classify = _StreamFacts.classify
+
+        def coarse(facts, datagram, origin):
+            key = classify(facts, datagram, origin)
+            assert len(key) == 5 and key[1] == tuple(datagram.payload)
+            return key[:at] + key[at + 1:]
+
+        monkeypatch.setattr(_StreamFacts, "classify", coarse)
+        # deliveries, byte counts or link order differ — or a replayed
+        # projection names an attribute the datagram lacks
+        with pytest.raises((AssertionError, KeyError)):
+            self.hunt()

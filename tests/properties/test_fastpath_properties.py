@@ -1,12 +1,26 @@
 """The production data plane is observationally identical to the naive scan.
 
-The per-stream routing index, the per-stream-versioned decision cache
-and the batched ``publish_many`` are pure optimisations: across any
+The per-stream routing index, the compiled plans and — above all — the
+per-stream **route cache** are pure optimisations: across any
 interleaving of advertise / subscribe / unsubscribe / publish
 operations, a ``ContentBasedNetwork`` must produce exactly the
-deliveries (same subscribers, payloads and order), the same per-link
-``data_stats`` and the same ``routing_state_size()`` as the
-``repro.sim.reference.ReferenceNetwork`` scan.
+deliveries (same subscribers, brokers, payloads and order), the same
+per-link ``data_stats`` *in the same first-use order* (the summation
+order of ``weighted_cost``) and the same ``routing_state_size()`` as
+the ``repro.sim.reference.ReferenceNetwork`` scan, which never sees the
+cache.
+
+The cache is what is tested: every datagram is published twice in a
+row, and the second publication must be a replayed route (asserted
+through ``route_cache_stats()``); earlier datagrams are re-published
+from other origins and after the routing state moved, and each is
+followed by a near miss (one attribute fewer, an ``int`` as the equal
+``float`` or negated, ``seq`` toggled); payloads drop attributes (constrained
+ones included), mix ``int`` / ``float`` / ``str`` values and carry or
+omit ``seq``; streams are priced by a full
+schema, a partial one or none; origins include brokers that never
+advertised.  ``tests/properties/test_chaos_properties.py`` plants
+broken caches and demands that :func:`interleaved_history` notices.
 """
 
 import itertools
@@ -18,22 +32,35 @@ from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
 from repro.cql.predicates import Comparison, Conjunction
+from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.tree import DisseminationTree
 from repro.sim.reference import ReferenceNetwork
 
 ATTRS = ["a", "b", "c", "d"]
 STREAMS = ["S", "T"]
 
+#: How the catalog prices a stream: not at all (type fallbacks), only
+#: some attributes, or all of them.
+PRICED = {"none": [], "partial": ["a", "c"], "full": ATTRS}
+
+ABSENT = object()
+#: Mostly small integers (the filters' constants are in -5..5), some
+#: floats and strings, and two chances of dropping the attribute.
+VALUES = list(range(-10, 11)) + [-2.5, 0.5, 4.0, "x", "y", ABSENT, ABSENT]
+
 
 @st.composite
 def random_trees(draw):
-    """A random tree on 4..10 nodes (node i attaches to a prior node)."""
+    """A random tree on 4..10 nodes (node i attaches to a prior node);
+    link costs differ, so the order links are summed in shows."""
     n = draw(st.integers(min_value=4, max_value=10))
     edges = []
     for node in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=node - 1))
         edges.append((parent, node))
-    return DisseminationTree(edges, {tuple(sorted(e)): 1.0 for e in edges})
+    return DisseminationTree(
+        edges, {tuple(sorted(e)): 0.1 * (1 + i) for i, e in enumerate(edges)}
+    )
 
 
 def draw_profile(data, stream, label):
@@ -50,72 +77,157 @@ def draw_profile(data, stream, label):
         label=f"{label}-filter-attrs",
     ):
         op = data.draw(st.sampled_from(["<=", ">="]), label=f"{label}-op")
-        value = data.draw(st.integers(-5, 5), label=f"{label}-value")
+        # an attribute is compared with strings or with numbers, never
+        # both (covering refuses to relate such intervals); payloads
+        # carry either kind under any name
+        value = data.draw(
+            st.just("x") if attr == "d" else st.integers(-5, 5),
+            label=f"{label}-value",
+        )
         atoms.append(Comparison(attr, op, value))
     filters = [Filter(stream, Conjunction.from_atoms(atoms))] if atoms else []
     return Profile({stream: projection}, filters)
 
 
+def draw_datagram(data, stream, timestamp, label):
+    payload = {
+        attr: value
+        for attr in ATTRS
+        if (value := data.draw(st.sampled_from(VALUES), label=f"{label}-{attr}"))
+        is not ABSENT
+    }
+    seq = data.draw(st.one_of(st.none(), st.integers(0, 99)), label=f"{label}-seq")
+    return Datagram(stream, payload, timestamp, seq)
+
+
+def draw_variant(data, datagram, label):
+    """``datagram`` with the one thing changed that a single component
+    of the route class is there to notice: an attribute dropped, an
+    ``int`` sent as the equal ``float``, an ``int`` mirrored to the
+    other side of the filters' constants, ``seq`` added or removed."""
+    payload, seq = dict(datagram.payload), datagram.seq
+    change = data.draw(
+        st.sampled_from(["drop", "retype", "revalue", "seq"]), label=f"{label}-change"
+    )
+    ints = sorted(name for name, value in payload.items() if isinstance(value, int))
+    if change == "drop" and payload:
+        del payload[data.draw(st.sampled_from(sorted(payload)), label=f"{label}-drop")]
+    elif change in ("retype", "revalue") and ints:
+        name = data.draw(st.sampled_from(ints), label=f"{label}-{change}")
+        payload[name] = float(payload[name]) if change == "retype" else -payload[name]
+    else:
+        seq = 7 if seq is None else None
+    return Datagram(datagram.stream, payload, datagram.timestamp, seq)
+
+
 def snapshot(deliveries):
-    return [(d.subscription_id, d.node, d.datagram) for d in deliveries]
+    return [
+        (d.subscription_id, d.node, d.datagram, tuple(d.datagram.payload))
+        for d in deliveries
+    ]
+
+
+def assert_same_accounting(fast, naive):
+    """Per-link traffic equal *including the order links were first
+    used in*, which is the order ``weighted_cost`` adds them up in."""
+    assert list(fast.data_stats.as_dict().items()) == list(
+        naive.data_stats.as_dict().items()
+    )
+    assert fast.data_stats.weighted_cost() == naive.data_stats.weighted_cost()
+
+
+def interleaved_history(tree, data):
+    """Drive a production and a reference network through one random
+    history, comparing after every publish."""
+    nodes = tree.nodes
+    flags = dict(
+        use_subsumption=data.draw(st.booleans(), label="use_subsumption"),
+        scope_to_advertisements=data.draw(st.booleans(), label="scoped"),
+    )
+    fast = ContentBasedNetwork(tree, **flags)
+    naive = ReferenceNetwork(tree, **flags)
+    for stream in STREAMS:
+        priced = PRICED[data.draw(st.sampled_from(sorted(PRICED)), label=f"schema-{stream}")]
+        if priced:
+            schema = StreamSchema(
+                stream, [Attribute(name, "int", -10, 10) for name in priced], rate=1.0
+            )
+            fast.catalog.register(schema)
+            naive.catalog.register(schema)
+    live = {}
+    published = []
+    counter = itertools.count()
+
+    def publish(datagram, origin):
+        expected = naive.publish(datagram, origin)
+        assert snapshot(fast.publish(datagram, origin)) == snapshot(expected)
+        assert_same_accounting(fast, naive)
+        # nothing mutated: the second publication replays the first
+        before = fast.route_cache_stats()
+        assert snapshot(fast.publish(datagram, origin)) == snapshot(expected)
+        assert snapshot(naive.publish(datagram, origin)) == snapshot(expected)
+        assert_same_accounting(fast, naive)
+        after = fast.route_cache_stats()
+        requested = datagram.stream in live.values()
+        assert after["hits"] - before["hits"] == (1 if requested else 0)
+        assert after["misses"] == before["misses"]
+
+    def unsubscribe(label):
+        sid = data.draw(st.sampled_from(sorted(live)), label=label)
+        del live[sid]
+        fast.unsubscribe(sid)
+        naive.unsubscribe(sid)
+
+    n_ops = data.draw(st.integers(min_value=4, max_value=16), label="n_ops")
+    for index in range(n_ops):
+        choices = ["advertise", "subscribe", "publish"]
+        if live:
+            choices.append("unsubscribe")
+        op = data.draw(st.sampled_from(choices), label=f"op{index}")
+        if op == "advertise":
+            stream = data.draw(st.sampled_from(STREAMS), label=f"ad{index}")
+            node = data.draw(st.sampled_from(nodes), label=f"ad-node{index}")
+            fast.advertise(stream, node)
+            naive.advertise(stream, node)
+        elif op == "subscribe":
+            stream = data.draw(st.sampled_from(STREAMS), label=f"sub{index}")
+            profile = draw_profile(data, stream, f"sub{index}")
+            node = data.draw(st.sampled_from(nodes), label=f"sub-node{index}")
+            sid = f"u{next(counter)}"
+            fast.subscribe(profile, node, sid)
+            naive.subscribe(profile, node, sid)
+            live[sid] = stream
+        elif op == "unsubscribe":
+            unsubscribe(f"unsub{index}")
+        else:
+            # any broker may publish, advertised there or not; an
+            # earlier datagram may come back at another broker
+            origin = data.draw(st.sampled_from(nodes), label=f"pub-node{index}")
+            if published and data.draw(st.booleans(), label=f"again{index}"):
+                datagram, __ = data.draw(st.sampled_from(published), label=f"old{index}")
+            else:
+                stream = data.draw(st.sampled_from(STREAMS), label=f"pub{index}")
+                datagram = draw_datagram(data, stream, float(index), f"pay{index}")
+            variant = draw_variant(data, datagram, f"var{index}")
+            for each in (datagram, variant):
+                published.append((each, origin))
+                publish(each, origin)
+    # Every route taken so far is taken again after one more withdrawal.
+    if live:
+        unsubscribe("unsub-last")
+    for datagram, origin in published:
+        publish(datagram, origin)
+    assert fast.routing_state_size() == naive.routing_state_size()
 
 
 class TestFastPathEquivalence:
     @given(random_trees(), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_interleaved_operations_identical(self, tree, data):
         """Fast and naive networks agree after every publish of any
-        random advertise/subscribe/unsubscribe/publish interleaving."""
-        nodes = tree.nodes
-        fast = ContentBasedNetwork(tree)
-        naive = ReferenceNetwork(tree)
-        advertisers = {}
-        live = []
-        counter = itertools.count()
-        n_ops = data.draw(st.integers(min_value=4, max_value=16), label="n_ops")
-        for index in range(n_ops):
-            choices = ["advertise", "subscribe"]
-            if live:
-                choices.append("unsubscribe")
-            if advertisers:
-                choices.append("publish")
-            op = data.draw(st.sampled_from(choices), label=f"op{index}")
-            if op == "advertise":
-                stream = data.draw(st.sampled_from(STREAMS), label=f"ad{index}")
-                node = data.draw(st.sampled_from(nodes), label=f"ad-node{index}")
-                fast.advertise(stream, node)
-                naive.advertise(stream, node)
-                advertisers.setdefault(stream, []).append(node)
-            elif op == "subscribe":
-                stream = data.draw(st.sampled_from(STREAMS), label=f"sub{index}")
-                profile = draw_profile(data, stream, f"sub{index}")
-                node = data.draw(st.sampled_from(nodes), label=f"sub-node{index}")
-                sid = f"u{next(counter)}"
-                fast.subscribe(profile, node, sid)
-                naive.subscribe(profile, node, sid)
-                live.append(sid)
-            elif op == "unsubscribe":
-                sid = data.draw(st.sampled_from(live), label=f"unsub{index}")
-                live.remove(sid)
-                fast.unsubscribe(sid)
-                naive.unsubscribe(sid)
-            else:
-                stream = data.draw(
-                    st.sampled_from(sorted(advertisers)), label=f"pub{index}"
-                )
-                origin = data.draw(
-                    st.sampled_from(advertisers[stream]), label=f"pub-node{index}"
-                )
-                payload = {
-                    attr: data.draw(st.integers(-10, 10), label=f"pay{index}-{attr}")
-                    for attr in ATTRS
-                }
-                datagram = Datagram(stream, payload, float(index))
-                assert snapshot(fast.publish(datagram, origin)) == snapshot(
-                    naive.publish(datagram, origin)
-                )
-        assert fast.data_stats.as_dict() == naive.data_stats.as_dict()
-        assert fast.routing_state_size() == naive.routing_state_size()
+        random advertise/subscribe/unsubscribe/publish interleaving,
+        over both propagation modes and covering on or off."""
+        interleaved_history(tree, data)
 
     @given(
         random_trees(),
@@ -139,14 +251,11 @@ class TestFastPathEquivalence:
             node = data.draw(st.sampled_from(nodes), label=f"node{index}")
             fast.subscribe(profile, node, f"u{index}")
             naive.subscribe(profile, node, f"u{index}")
-        feed = []
-        for index in range(n_datagrams):
-            payload = {
-                attr: data.draw(st.integers(-10, 10), label=f"d{index}-{attr}")
-                for attr in ATTRS
-            }
-            feed.append(Datagram("S", payload, float(index)))
+        feed = [
+            draw_datagram(data, "S", float(index), f"d{index}")
+            for index in range(n_datagrams)
+        ]
         batched = fast.publish_many(feed, publisher)
         looped = [naive.publish(datagram, publisher) for datagram in feed]
         assert [snapshot(per) for per in batched] == [snapshot(per) for per in looped]
-        assert fast.data_stats.as_dict() == naive.data_stats.as_dict()
+        assert_same_accounting(fast, naive)

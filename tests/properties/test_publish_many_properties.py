@@ -1,14 +1,13 @@
-"""The columnar batch data plane is observationally identical.
+"""``publish_many`` is the per-datagram loop, whatever the chunking.
 
-``publish_many`` routes each consecutive same-stream run through the
-compiled bucket plans *once per batch* — per-term columns, vectorized
-predicate masks, projection shared across a bucket's subscriptions.
-These properties pin the whole batch path to the naive per-datagram
-reference: for any random workload, any batch partitioning (size 1, 2,
-odd, large), any interleaving of subscribes/unsubscribes between
-batches, and broker failures landing mid-feed, the deliveries are
-byte-identical (same subscribers, payloads and order) and the per-link
-traffic accounting agrees.
+``publish_many`` is the one entry point of the data plane and routes its
+datagrams one after the other through the cached routes.  These
+properties pin it to the naive per-datagram reference: for any random
+workload, any partitioning of the feed (size 1, 2, odd, large), any
+interleaving of subscribes/unsubscribes between batches, and broker
+failures landing mid-feed, the deliveries are identical (same
+subscribers, payloads and order) and the per-link traffic accounting
+agrees, first-use order of the links included.
 
 Extends the fast==naive oracle of ``test_fastpath_properties.py`` to
 the batched entry points (:meth:`ContentBasedNetwork.publish_many`,
@@ -21,10 +20,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cbn.datagram import Datagram
-from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
-from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import barabasi_albert
 from repro.overlay.tree import DisseminationTree
@@ -33,22 +29,16 @@ from repro.system.cosmos import CosmosSystem
 from repro.system.fault import FaultError, fail_broker
 
 from tests.properties.test_fastpath_properties import (
-    ATTRS,
     STREAMS,
+    assert_same_accounting,
+    draw_datagram,
     draw_profile,
     random_trees,
     snapshot,
 )
 
 
-def draw_payload(data, label):
-    return {
-        attr: data.draw(st.integers(-10, 10), label=f"{label}-{attr}")
-        for attr in ATTRS
-    }
-
-
-class TestColumnarBatchEquivalence:
+class TestPublishManyEquivalence:
     @given(random_trees(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_batch_partitionings_identical(self, tree, data):
@@ -68,7 +58,7 @@ class TestColumnarBatchEquivalence:
             naive.subscribe(profile, node, f"u{index}")
         n_datagrams = data.draw(st.integers(1, 12), label="n_datagrams")
         feed = [
-            Datagram("S", draw_payload(data, f"d{index}"), float(index))
+            draw_datagram(data, "S", float(index), f"d{index}")
             for index in range(n_datagrams)
         ]
         batched = []
@@ -82,14 +72,14 @@ class TestColumnarBatchEquivalence:
             batched.extend(fast.publish_many(batch, publisher))
         looped = [naive.publish(datagram, publisher) for datagram in feed]
         assert [snapshot(per) for per in batched] == [snapshot(per) for per in looped]
-        assert fast.data_stats.as_dict() == naive.data_stats.as_dict()
+        assert_same_accounting(fast, naive)
 
     @given(random_trees(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_interleaved_mutations_and_batches(self, tree, data):
         """Subscribes/unsubscribes/advertises interleaved with batched
-        publishes: the columnar plans revalidate against the mutated
-        routing state and still match the naive loop exactly."""
+        publishes: plans and cached routes revalidate against the
+        mutated routing state and still match the naive loop exactly."""
         nodes = tree.nodes
         fast = ContentBasedNetwork(tree)
         naive = ReferenceNetwork(tree)
@@ -132,8 +122,7 @@ class TestColumnarBatchEquivalence:
                     st.sampled_from(advertisers[stream]), label=f"pub-node{index}"
                 )
                 batch = [
-                    Datagram(stream, draw_payload(data, f"d{index}-{i}"),
-                             float(next(clock)))
+                    draw_datagram(data, stream, float(next(clock)), f"d{index}-{i}")
                     for i in range(data.draw(st.integers(1, 6),
                                              label=f"batch{index}"))
                 ]
@@ -142,7 +131,7 @@ class TestColumnarBatchEquivalence:
                 assert [snapshot(per) for per in batched] == [
                     snapshot(per) for per in looped
                 ]
-        assert fast.data_stats.as_dict() == naive.data_stats.as_dict()
+        assert_same_accounting(fast, naive)
         assert fast.routing_state_size() == naive.routing_state_size()
 
 

@@ -60,6 +60,29 @@ class TestDataLayer:
         assert pressure["subscriptions"] >= 3  # 2 users + 1 source profile
         assert pressure["data_bytes"] > 0
         assert pressure["routing_entries"] > 0
+        assert set(pressure) == {
+            "subscriptions", "routing_entries", "control_bytes", "data_bytes",
+            "route_cache_hits", "route_cache_misses", "route_cache_classes",
+        }
+        # every routed datagram was served one way or the other
+        assert pressure["route_cache_misses"] >= pressure["route_cache_classes"] > 0
+        # a second tuple of a class already routed replays its route
+        busy_system.publish(
+            "OpenAuction",
+            {"itemID": 2, "sellerID": 1, "start_price": 1.0, "timestamp": 61.0},
+            61.0,
+        )
+        again = SystemMonitor(busy_system).routing_pressure()
+        assert again["route_cache_hits"] > pressure["route_cache_hits"]
+        assert again["route_cache_classes"] == pressure["route_cache_classes"]
+
+    def test_report_shows_the_route_cache(self, busy_system):
+        report = SystemMonitor(busy_system).report()
+        assert "Data layer" in report and "route_cache_misses" in report
+
+    def test_health_keys_do_not_carry_the_route_cache(self, busy_system):
+        # health()'s key set is serialised into the pinned BENCH_chaos*.json
+        assert not any("route_cache" in key for key in SystemMonitor(busy_system).health())
 
 
 class TestHealth:

@@ -27,6 +27,14 @@ if [ "$(git grep -cF "result_profiles_of(" -- src/repro/system/cosmos.py | cut -
     exit 1
 fi
 
+echo "== one routing routine, one evaluator of intervals (repro.cbn) =="
+# ContentBasedNetwork._route is the data plane (the walk it memoises is the
+# definition of routing), cql/predicates.py the only interval membership test.
+if git grep -nE "_route_batch|decide_batch|local_deliveries_batch|ColumnBatch" -- src/repro/cbn; then
+    echo "ci: src/repro/cbn must not grow a second routing routine or a columnar evaluator" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
@@ -48,11 +56,13 @@ echo "== bench harness tests (every span target in bench/tracing.py resolves) ==
 python -m pytest bench -q
 
 echo "== bench pinned runs (seed 0: result_digest + link_cost vs bench/pins.json) =="
-# burst-scale reads the routing tables in bulk, query-churn is their write
-# path (subscribe/unsubscribe), fault-repair the repair path (retree).
+# sensor-fanout is the per-tuple publish path at scale (the route cache's
+# claimed workload), burst-scale reads the routing tables in bulk, query-churn
+# is their write path (subscribe/unsubscribe), fault-repair the repair path
+# (retree).
 # A single run exits 0 whatever it found; its last stdout line is the verdict
 # (a result_digest off bench/pins.json is a failed operation).
-for workload in burst-scale query-churn fault-repair; do
+for workload in sensor-fanout burst-scale query-churn fault-repair; do
     python3 bench/run.py --workload "$workload" --seed 0 --seconds 15 --trace 0 | tail -1 | python3 -c '
 import json, sys
 run = json.loads(sys.stdin.read())
