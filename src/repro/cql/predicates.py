@@ -902,6 +902,13 @@ class ConstraintSystem:
                 return atom.value in self._class_excluded.get(
                     root, ()
                 ) or not domain.contains_value(atom.value)
+            if not domain.is_universal and _string_bounded(domain) != isinstance(
+                atom.value, str
+            ):
+                # Bounded in one type, asked about the other: strings and
+                # numbers are not ordered against each other, so no value
+                # the premise admits satisfies the atom.
+                return False
             return _comparison_interval(atom).contains_interval(domain)
         if atom.left not in self._terms or atom.right not in self._terms:
             return False

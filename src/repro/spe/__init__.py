@@ -6,9 +6,10 @@ behind a *data wrapper* and a *query wrapper* (section 2).  This
 package provides a from-scratch single-site SPE with the semantics the
 query layer relies on:
 
-* time-based sliding windows ``[Range T]`` / ``[Now]`` / ``[Unbounded]``
+* time-based sliding windows ``[Range T]`` / ``[Now]`` / ``[Unbounded]``,
+  kept as the one kind of operator state, a keyed window
   (:mod:`repro.spe.windows`);
-* select / project / symmetric window join (Lemma 1 semantics) /
+* select / project / one symmetric window join (Lemma 1 semantics) /
   grouped aggregation (:mod:`repro.spe.operators`);
 * a continuous-query executor fed tuples in timestamp order
   (:mod:`repro.spe.engine`);
@@ -19,7 +20,7 @@ query layer relies on:
 from __future__ import annotations
 
 from repro.spe.engine import QueryResult, StreamProcessingEngine
-from repro.spe.windows import WindowBuffer
+from repro.spe.windows import KeyedWindow
 from repro.spe.wrappers import (
     DataWrapper,
     IdentityDataWrapper,
@@ -30,9 +31,9 @@ from repro.spe.wrappers import (
 __all__ = [
     "DataWrapper",
     "IdentityDataWrapper",
+    "KeyedWindow",
     "QueryResult",
     "QueryWrapper",
     "StreamProcessingEngine",
     "TextQueryWrapper",
-    "WindowBuffer",
 ]

@@ -9,8 +9,9 @@ schema the query layer advertises for result delivery through the CBN.
 
 Supported query shapes (the fragment the paper's query layer targets):
 
-* select-project over one windowed stream;
-* select-project-join over n windowed streams (Lemma 1 semantics);
+* select-project over one windowed stream (stateless);
+* select-project-join over n windowed streams (Lemma 1 semantics; a
+  two-way join probes by the equijoin links of its own predicate);
 * grouped/global aggregation over one windowed stream.
 
 Join+aggregate in one query is not supported (the paper's experiments
@@ -33,7 +34,8 @@ from repro.spe.operators import (
     JoinInput,
     Project,
     Select,
-    SymmetricWindowJoin,
+    WindowJoin,
+    equijoin_key_pairs,
 )
 
 
@@ -58,7 +60,7 @@ class _CompiledQuery:
         query: ContinuousQuery,
         catalog: Catalog,
         result_stream: str,
-        join_strategy: str = "nested",
+        keyed: bool,
     ) -> None:
         self.name = name
         self.query = query
@@ -69,7 +71,7 @@ class _CompiledQuery:
         }
         self._select = Select(query.predicate)
         self._aggregate: Optional[GroupedAggregate] = None
-        self._join: Optional[SymmetricWindowJoin] = None
+        self._join: Optional[WindowJoin] = None
         self._project: Optional[Project] = None
 
         if query.is_aggregate:
@@ -94,33 +96,28 @@ class _CompiledQuery:
                 pre_filter=query.predicate,
             )
         else:
-            self._join = self._build_join(query, join_strategy)
+            self._join = self._build_join(query, keyed)
             columns = {
                 attr.key: attr.key for attr in query.projected_attributes(catalog)
             }
             self._project = Project(columns)
 
     @staticmethod
-    def _build_join(query: ContinuousQuery, strategy: str):
-        """Pick the join implementation.
+    def _build_join(query: ContinuousQuery, keyed: bool) -> WindowJoin:
+        """The query's join, keyed by what its own predicate links.
 
-        ``"indexed"`` uses the hash-probing join for two-way equijoins
-        (falling back to the nested-loop join otherwise); ``"nested"``
-        always uses the nested-loop join.  Both have identical Lemma 1
-        semantics.
+        A two-way join whose predicate equates attributes of its two
+        inputs probes by those values; every other shape (and every
+        join when ``keyed`` is off) scans.  Same Lemma 1 results in the
+        same order either way.
         """
         inputs = [JoinInput(ref.name, ref.window.size) for ref in query.streams]
-        if strategy == "indexed" and len(inputs) == 2:
-            from repro.spe.indexed import IndexedSymmetricJoin, equijoin_key_pairs
-
+        pairs: Sequence[Tuple[str, str]] = ()
+        if keyed and len(inputs) == 2:
             pairs = equijoin_key_pairs(
                 query.predicate, inputs[0].qualifier, inputs[1].qualifier
             )
-            if pairs:
-                return IndexedSymmetricJoin(inputs[0], inputs[1], pairs)
-        elif strategy not in ("nested", "indexed"):
-            raise EngineError(f"unknown join strategy {strategy!r}")
-        return SymmetricWindowJoin(inputs)
+        return WindowJoin(inputs, pairs)
 
     def feed(self, stream: str, datagram: Datagram) -> List[Datagram]:
         qualifier = self.inputs.get(stream)
@@ -150,13 +147,18 @@ class StreamProcessingEngine:
     ----------
     catalog:
         Schemas of the source streams queries may reference.
+    join_strategy:
+        ``"indexed"`` (the default) keys every join by the equijoin
+        links of its query; ``"nested"`` makes every join scan, which
+        is the reference the differential tests compare against.  Kept
+        only until ``bench/`` stops passing it (ROADMAP item 3).
     """
 
-    def __init__(self, catalog: Catalog, join_strategy: str = "nested") -> None:
+    def __init__(self, catalog: Catalog, join_strategy: str = "indexed") -> None:
         if join_strategy not in ("nested", "indexed"):
             raise EngineError(f"unknown join strategy {join_strategy!r}")
         self.catalog = catalog
-        self.join_strategy = join_strategy
+        self._keyed = join_strategy == "indexed"
         self._queries: Dict[str, _CompiledQuery] = {}
         self._by_stream: Dict[str, List[_CompiledQuery]] = {}
         self._counter = itertools.count()
@@ -183,7 +185,7 @@ class StreamProcessingEngine:
         if result_stream is None:
             result_stream = f"{name}:results"
         compiled = _CompiledQuery(
-            name, query, self.catalog, result_stream, self.join_strategy
+            name, query, self.catalog, result_stream, self._keyed
         )
         self._queries[name] = compiled
         for stream in compiled.inputs:
@@ -224,21 +226,21 @@ class StreamProcessingEngine:
 
     # -- execution ------------------------------------------------------------------
 
+    def _advance_clock(self, timestamp: float) -> None:
+        if self._last_timestamp is not None and timestamp < self._last_timestamp:
+            raise EngineError(
+                f"out-of-order tuple at {timestamp} "
+                f"(last was {self._last_timestamp})"
+            )
+        self._last_timestamp = timestamp
+
     def push(self, datagram: Datagram) -> List[QueryResult]:
         """Feed one source tuple; returns all result tuples it produced.
 
         Tuples must arrive in non-decreasing timestamp order across all
         streams (the discrete-event layer guarantees this).
         """
-        if (
-            self._last_timestamp is not None
-            and datagram.timestamp < self._last_timestamp
-        ):
-            raise EngineError(
-                f"out-of-order tuple at {datagram.timestamp} "
-                f"(last was {self._last_timestamp})"
-            )
-        self._last_timestamp = datagram.timestamp
+        self._advance_clock(datagram.timestamp)
         results: List[QueryResult] = []
         for compiled in self._by_stream.get(datagram.stream, []):
             for out in compiled.feed(datagram.stream, datagram):
@@ -256,15 +258,7 @@ class StreamProcessingEngine:
         compiled = self._queries.get(name)
         if compiled is None:
             raise EngineError(f"unknown query {name!r}")
-        if (
-            self._last_timestamp is not None
-            and datagram.timestamp < self._last_timestamp
-        ):
-            raise EngineError(
-                f"out-of-order tuple at {datagram.timestamp} "
-                f"(last was {self._last_timestamp})"
-            )
-        self._last_timestamp = datagram.timestamp
+        self._advance_clock(datagram.timestamp)
         return [
             QueryResult(name, out)
             for out in compiled.feed(datagram.stream, datagram)

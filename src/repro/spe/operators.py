@@ -5,27 +5,30 @@ These are the building blocks the engine compiles a
 
 * :class:`Select` -- predicate filter over a (joined) binding;
 * :class:`Project` -- attribute projection / renaming;
-* :class:`SymmetricWindowJoin` -- the n-way symmetric window join whose
-  pairing rule is exactly Lemma 1 of the paper: tuples ``t1`` (stream 1,
-  window ``T1``) and ``t2`` (stream 2, window ``T2``) join iff they
-  satisfy the join predicates and ``-T1 <= t1.ts - t2.ts <= T2``;
+* :class:`WindowJoin` -- the n-way symmetric window join whose pairing
+  rule is exactly Lemma 1 of the paper: tuples ``t1`` (stream 1, window
+  ``T1``) and ``t2`` (stream 2, window ``T2``) join iff they satisfy the
+  join predicates and ``-T1 <= t1.ts - t2.ts <= T2``;
 * :class:`GroupedAggregate` -- windowed grouped aggregation re-emitting
   the affected group's row on every arrival.
 
 Bindings are plain ``dict`` objects mapping *qualified* attribute names
 (``"O.itemID"``) to values, so the query's
 :class:`~repro.cql.predicates.Conjunction` evaluates directly on them.
+The stateful operators keep bindings, built once on arrival, in
+:class:`~repro.spe.windows.KeyedWindow`; select and project keep
+nothing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from sys import intern
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cbn.datagram import Datagram, Value
 from repro.cql.predicates import Conjunction
-from repro.spe.windows import WindowBuffer
+from repro.spe.windows import KeyedWindow
 
 Binding = Dict[str, Value]
 
@@ -37,10 +40,13 @@ def qualify(qualifier: str, datagram: Datagram) -> Binding:
     plus the implicit ``"O.timestamp"`` when the payload does not carry
     an explicit timestamp attribute (sensor streams usually do).
     """
+    # Interned: a window retains one binding per tuple, not one more copy
+    # of every attribute name per tuple.
     binding: Binding = {
-        f"{qualifier}.{name}": value for name, value in datagram.payload.items()
+        intern(f"{qualifier}.{name}"): value
+        for name, value in datagram.payload.items()
     }
-    binding.setdefault(f"{qualifier}.timestamp", datagram.timestamp)
+    binding.setdefault(intern(f"{qualifier}.timestamp"), datagram.timestamp)
     return binding
 
 
@@ -83,63 +89,104 @@ class JoinInput:
     window: float
 
 
-class SymmetricWindowJoin:
+def equijoin_key_pairs(
+    predicate: Conjunction, left_qualifier: str, right_qualifier: str
+) -> List[Tuple[str, str]]:
+    """Extract the cross-input equijoin attribute pairs of a predicate.
+
+    Returns ``(left_attr, right_attr)`` pairs for links connecting the
+    two qualifiers; links within one input or to other terms are left
+    for residual evaluation.
+    """
+    pairs: List[Tuple[str, str]] = []
+    lp, rp = f"{left_qualifier}.", f"{right_qualifier}."
+    for a, b in sorted(predicate.links):
+        if a.startswith(lp) and b.startswith(rp):
+            pairs.append((a[len(lp):], b[len(rp):]))
+        elif a.startswith(rp) and b.startswith(lp):
+            pairs.append((b[len(lp):], a[len(rp):]))
+    return pairs
+
+
+class WindowJoin:
     """N-way symmetric window join with Lemma 1 pairing semantics.
 
     Tuples must arrive in global timestamp order.  On an arrival for
-    input *i*, every other input's buffer is expired to the arrival
-    time and the new tuple is combined with all remaining combinations
-    of buffered tuples; each combined binding is handed to the caller's
-    predicate.  Combining only with *previously arrived* tuples makes
-    every result pair appear exactly once.
+    input *i*, every other input's window is expired to the arrival
+    time and the new binding is combined with all combinations of the
+    bindings the other windows hold under the arrival's key; each
+    combined binding is handed to the caller's predicate.  Combining
+    only with *previously arrived* tuples makes every result appear
+    exactly once.
+
+    ``key_pairs`` lists the equijoin links of a two-way join as
+    ``(left_attr, right_attr)`` *unqualified* attribute names: each
+    input is then bucketed by its side's values and an arrival meets
+    only the bucket equal to its own.  Without pairs every binding
+    lives under the key ``()`` and the same loop scans the whole
+    window.  Either way the caller evaluates the whole predicate (links
+    included) on what comes back; a bucket holds the buffered bindings
+    whose key equals the arrival's, in arrival order, so keying changes
+    neither the results nor their order.
     """
 
-    def __init__(self, inputs: Sequence[JoinInput]) -> None:
+    def __init__(
+        self,
+        inputs: Sequence[JoinInput],
+        key_pairs: Sequence[Tuple[str, str]] = (),
+    ) -> None:
         if not inputs:
             raise ValueError("join needs at least one input")
-        self._inputs = list(inputs)
-        self._buffers: Dict[str, WindowBuffer] = {
-            spec.qualifier: WindowBuffer(spec.window) for spec in inputs
+        if key_pairs and len(inputs) != 2:
+            raise ValueError("equijoin key pairs need exactly two inputs")
+        self._windows: Dict[str, KeyedWindow] = {
+            spec.qualifier: KeyedWindow(spec.window) for spec in inputs
         }
-
-    @property
-    def qualifiers(self) -> List[str]:
-        return [spec.qualifier for spec in self._inputs]
+        #: qualifier -> the binding terms whose values key that input.
+        self._key_terms: Dict[str, Tuple[str, ...]] = {
+            spec.qualifier: tuple(
+                f"{spec.qualifier}.{pair[side]}" for pair in key_pairs
+            )
+            for side, spec in enumerate(inputs)
+        }
 
     def process(self, qualifier: str, datagram: Datagram) -> List[Binding]:
         """Feed one arrival; return the new combined bindings.
 
-        For a single-input "join" this simply returns the arrival's own
-        binding (select-project queries reuse the same pipeline).
+        A single-input "join" returns the arrival's own binding and
+        keeps nothing (select-project queries reuse the same pipeline).
         """
-        if qualifier not in self._buffers:
+        if qualifier not in self._windows:
             raise KeyError(f"unknown join input {qualifier!r}")
+        binding = qualify(qualifier, datagram)
+        if len(self._windows) == 1:
+            return [binding]
         now = datagram.timestamp
-        others = [q for q in self._buffers if q != qualifier]
-        for other in others:
-            self._buffers[other].expire(now)
-        new_binding = qualify(qualifier, datagram)
-        results: List[Binding] = []
-        partials: List[Binding] = [new_binding]
-        for other in others:
-            buffered = self._buffers[other].contents()
-            if not buffered:
-                partials = []
-                break
-            extended: List[Binding] = []
-            for partial in partials:
-                for old in buffered:
-                    combined = dict(partial)
-                    combined.update(qualify(other, old))
-                    extended.append(combined)
-            partials = extended
-        results.extend(partials)
+        try:
+            key = tuple([binding[term] for term in self._key_terms[qualifier]])
+        except KeyError:
+            # Lacking a key attribute it satisfies no link: it joins
+            # with nothing, now or later (no bucket is keyed ``None``),
+            # and is not stored.
+            key = None
+        partials: List[Binding] = [binding]
+        for other, window in self._windows.items():
+            if other == qualifier:
+                continue
+            window.expire(now)
+            partials = [
+                {**partial, **old}
+                for partial in partials
+                for old in window.probe(key)
+            ]
         # Window semantics of the *arriving* stream bound how long this
         # tuple itself stays joinable; insert after combining so a tuple
         # never joins with itself.
-        self._buffers[qualifier].insert(datagram)
-        self._buffers[qualifier].expire(now)
-        return results
+        own = self._windows[qualifier]
+        if key is not None:
+            own.insert(key, now, binding)
+        own.expire(now)
+        return partials
 
 
 @dataclass(frozen=True)
@@ -154,14 +201,17 @@ class AggregateSpec:
 class GroupedAggregate:
     """Windowed grouped aggregation.
 
-    Holds one window buffer per input stream reference; on every
-    arrival the aggregate values of the affected groups are recomputed
-    over the visible window contents and the affected group's current
-    row is emitted (an *Istream*-style update stream).
+    Holds the window of its input bucketed by the grouping values, so
+    the arrival's group *is* its bucket; on every arrival the aggregate
+    values of that group are recomputed over the bucket, in arrival
+    order, and the group's current row is emitted (an *Istream*-style
+    update stream).  An attribute a tuple lacks is SQL NULL: aggregates
+    skip it, and a group with no value at all for an aggregated
+    attribute emits its row without that column.
 
-    The implementation recomputes from the window rather than
-    maintaining incremental state: simple, obviously correct, and fast
-    enough for the scales the experiments use.
+    The implementation recomputes from the bucket rather than
+    maintaining incremental state: simple, obviously correct, and the
+    float arithmetic stays in arrival order.
     """
 
     def __init__(
@@ -173,48 +223,40 @@ class GroupedAggregate:
         pre_filter: Optional[Conjunction] = None,
     ) -> None:
         self._qualifier = qualifier
-        self._buffer = WindowBuffer(window)
+        self._window = KeyedWindow(window)
         self._group_by = list(group_by)
         self._aggregates = list(aggregates)
         self._pre_filter = pre_filter or Conjunction.true()
 
     def process(self, datagram: Datagram) -> List[Binding]:
         now = datagram.timestamp
-        self._buffer.expire(now)
+        self._window.expire(now)
         binding = qualify(self._qualifier, datagram)
         if not self._pre_filter.evaluate(binding):
             # Tuples failing the selection never enter the window.
             return []
-        self._buffer.insert(datagram)
-        key = tuple(binding.get(attr) for attr in self._group_by)
-        members = [
-            qualify(self._qualifier, item)
-            for item in self._buffer.contents()
-        ]
-        members = [
-            m
-            for m in members
-            if tuple(m.get(attr) for attr in self._group_by) == key
-        ]
-        row: Binding = {
-            attr: value for attr, value in zip(self._group_by, key)
-        }
+        key = tuple([binding.get(attr) for attr in self._group_by])
+        self._window.insert(key, now, binding)
+        members = self._window.probe(key)
+        row: Binding = dict(zip(self._group_by, key))
         for spec in self._aggregates:
-            row[spec.output_name] = _compute_aggregate(spec, members)
+            value = _compute_aggregate(spec, members)
+            if value is not None:
+                row[spec.output_name] = value
         return [row]
 
 
-def _compute_aggregate(spec: AggregateSpec, members: List[Binding]) -> Value:
+def _compute_aggregate(
+    spec: AggregateSpec, members: Sequence[Binding]
+) -> Optional[Value]:
+    """One aggregate over a group; ``None`` when it has no input value."""
     if spec.func == "count":
         if spec.attribute is None:
             return len(members)
         return sum(1 for m in members if spec.attribute in m)
     values = [m[spec.attribute] for m in members if spec.attribute in m]
     if not values:
-        raise ValueError(
-            f"aggregate {spec.func} over empty group (arrival should have "
-            "populated it)"
-        )
+        return None
     if spec.func == "sum":
         return sum(values)  # type: ignore[arg-type]
     if spec.func == "avg":

@@ -63,14 +63,13 @@ class Processor:
         query_wrapper: Optional[QueryWrapper] = None,
         grouping: Optional[GroupingOptimizer] = None,
         cost_model: Optional[CostModel] = None,
-        join_strategy: str = "nested",
     ) -> None:
         self.node_id = node_id
         self.catalog = catalog
         self.network = network
         self.data_wrapper = data_wrapper or IdentityDataWrapper()
         self.query_wrapper = query_wrapper or IdentityQueryWrapper()
-        self.spe = StreamProcessingEngine(catalog, join_strategy=join_strategy)
+        self.spe = StreamProcessingEngine(catalog)
         self.manager = QueryManager(
             catalog,
             self.spe,

@@ -34,6 +34,12 @@ class TestFilter:
     def test_subsumption_across_streams_false(self):
         assert not Filter("S").subsumes(Filter("T"))
 
+    def test_string_against_number_is_not_subsumed(self):
+        numeric = Filter("S", cond(Comparison("a", ">", 10)))
+        text = Filter("S", cond(Comparison("a", "=", "x")))
+        assert not numeric.subsumes(text)
+        assert not text.subsumes(numeric)
+
 
 class TestProfileBasics:
     def test_triple_accessors(self):
@@ -119,6 +125,12 @@ class TestSubsumption:
         q = Profile({"S": ALL_ATTRIBUTES, "T": ALL_ATTRIBUTES})
         assert q.subsumes(p)
         assert not p.subsumes(q)
+
+    def test_string_against_number_is_not_subsumed(self):
+        numeric = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 10)))])
+        text = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", "=", "x")))])
+        assert not numeric.subsumes(text)
+        assert not text.subsumes(numeric)
 
     def test_unconditional_request_not_subsumed_by_filtered(self):
         filtered = Profile({"S": ALL_ATTRIBUTES}, [Filter("S", cond(Comparison("a", ">", 0)))])

@@ -185,6 +185,23 @@ class TestSubsumptionMode:
 
         assert build(True) < build(False)
 
+    def test_string_and_numeric_profiles_on_one_attribute_coexist(self, line_tree):
+        """Covering used to raise ``PredicateError`` out of ``subscribe``
+        when one attribute met a string in one profile and a number in
+        the other; neither covers the other, both are served."""
+        net = ContentBasedNetwork(line_tree, use_subsumption=True)
+        net.advertise("S", 0, SCHEMA)
+        for sid, value in (("numeric", 10), ("text", "x"), ("numeric2", 20)):
+            op = "=" if isinstance(value, str) else ">"
+            net.subscribe(
+                Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", op, value)))]),
+                4,
+                sid,
+            )
+        for payload, expected in (({"a": 15}, {"numeric"}), ({"a": "x"}, {"text"})):
+            deliveries = net.publish(Datagram("S", payload), 0)
+            assert {d.subscription_id for d in deliveries} == expected
+
 
 class TestSubsumptionUnsubscribe:
     def test_covered_subscription_survives_coverers_departure(self, line_tree):

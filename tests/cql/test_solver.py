@@ -221,3 +221,16 @@ class TestMixedTypes:
         assert mixed.implies(conj(Comparison("z", "=", 42)))
         assert "mixes string and numeric" in mixed.solved().unsat_reason
         assert mixed.closure().evaluate({"x": 2, "y": 2}) is False
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
+    def test_a_bound_in_one_type_entails_no_ordering_in_the_other(self, op):
+        """Strings and numbers are not ordered against each other: the
+        decision is "not implied", never an exception (it used to leak
+        ``PredicateError`` out of ``Filter.subsumes``)."""
+        numeric, text = conj(Comparison("a", ">", 10)), conj(Comparison("a", "=", "x"))
+        assert not numeric.implies(conj(Comparison("a", op, "x")))
+        assert not text.implies(conj(Comparison("a", op, 10)))
+        assert not text.evaluate({"a": 11}) and not numeric.evaluate({"a": "x"})
+        # a value of the other type is still simply a different value
+        assert numeric.implies(conj(Comparison("a", "!=", "x")))
+        assert text.implies(conj(Comparison("a", "!=", 10)))

@@ -1,112 +1,202 @@
-"""Property-based checks of window buffers and Lemma 1 join semantics.
+"""Property-based checks of the keyed window and the operators on it.
 
-The symmetric window join is compared against a brute-force oracle that
-enumerates all cross pairs and applies Lemma 1's condition
-``-T1 <= t1.ts - t2.ts <= T2`` directly.
+The definitions the operators are held to live here, outside them:
+
+* the window join is compared against a brute-force oracle that
+  enumerates every earlier tuple of the other input and applies Lemma
+  1's condition ``-T1 <= t1.ts - t2.ts <= T2`` directly (plus equality
+  of the key values when the join is keyed);
+* the grouped aggregate is compared against a brute-force oracle that
+  enumerates every earlier-or-equal tuple that passed the pre-filter,
+  carries the arrival's group values and is stamped inside the window.
+
+Timestamps are quarter seconds, so every subtraction the operators and
+the oracles make is exact and equal stamps (what ``[Now]`` matches) are
+common.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cbn.datagram import Datagram
-from repro.spe.operators import JoinInput, SymmetricWindowJoin
-from repro.spe.windows import WindowBuffer
+from repro.cql.predicates import Comparison, Conjunction, JoinPredicate
+from repro.spe.operators import (
+    AggregateSpec,
+    GroupedAggregate,
+    JoinInput,
+    WindowJoin,
+)
+from repro.spe.windows import KeyedWindow
 
 timestamps = st.lists(
-    st.floats(min_value=0, max_value=100, allow_nan=False),
+    st.integers(min_value=0, max_value=400).map(lambda n: n / 4),
     min_size=0,
     max_size=12,
 ).map(sorted)
 
-window_sizes = st.sampled_from([0.0, 1.0, 5.0, 20.0, 1000.0])
+#: ``[Now]``, finite ranges and ``[Unbounded]``.
+window_sizes = st.sampled_from([0.0, 1.0, 5.0, 20.0, 1000.0, math.inf])
+
+ABSENT = object()
+#: ``1`` and ``1.0`` are one key, ``"1"`` another; some tuples lack it.
+key_values = st.sampled_from([0, 1, 2, 1.0, 2.5, "1", "x", ABSENT])
 
 
-class TestWindowBufferInvariant:
-    @given(timestamps, window_sizes)
-    def test_contents_always_inside_window(self, times, size):
-        buf = WindowBuffer(size)
+class TestKeyedWindowInvariant:
+    @given(timestamps, window_sizes, st.data())
+    def test_contents_always_inside_window(self, times, size, data):
+        window = KeyedWindow(size)
         for ts in times:
-            buf.insert(Datagram("S", {"v": 1}, ts))
-            for item in buf.contents(now=ts):
-                assert ts - size <= item.timestamp <= ts
+            window.insert(data.draw(st.integers(0, 2), label="key"), ts, ts)
+            window.expire(ts)
+            held = [item for bucket in window._buckets.values() for item in bucket]
+            assert len(held) == len(window)
+            assert all(ts - size <= item <= ts for item in held)
+            assert all(window._buckets.values())  # no bucket outlives its items
 
-    @given(timestamps, window_sizes)
-    def test_every_tuple_expired_exactly_once(self, times, size):
-        buf = WindowBuffer(size)
-        expired_total = []
+    @given(timestamps, window_sizes, st.data())
+    def test_every_tuple_expired_exactly_once(self, times, size, data):
+        window = KeyedWindow(size)
+        expired = 0
         for ts in times:
-            expired_total.extend(buf.expire(ts))
-            buf.insert(Datagram("S", {"v": 1}, ts))
-        survivors = list(buf)
-        assert len(expired_total) + len(survivors) == len(times)
+            before = len(window)
+            window.expire(ts)
+            expired += before - len(window)
+            window.insert(data.draw(st.integers(0, 2), label="key"), ts, ts)
+        assert expired + len(window) == len(times)
+        assert sum(len(bucket) for bucket in window._buckets.values()) == len(window)
 
 
 @st.composite
 def interleaved_feed(draw):
-    """Two streams' timestamps interleaved into one ordered feed."""
-    a_times = draw(timestamps)
-    b_times = draw(timestamps)
-    feed = [("A", ts) for ts in a_times] + [("B", ts) for ts in b_times]
-    feed.sort(key=lambda item: item[1])
+    """Two streams' tuples ``(stream, ident, ts, key)`` interleaved into
+    one timestamp-ordered feed; ``ident`` counts per stream."""
+    feed = []
+    for stream in "AB":
+        for ident, ts in enumerate(draw(timestamps)):
+            feed.append((stream, ident, ts, draw(key_values)))
+    feed.sort(key=lambda item: item[2])
     return feed
 
 
+def lemma1_pairs(feed, t_a, t_b, keyed):
+    """Every result of the two-way join, in the order it must appear:
+    each arrival meets the earlier tuples of the other input, oldest
+    first, that Lemma 1 (and, keyed, key equality) lets it join."""
+    expected = []
+    for index, (stream, ident, ts, key) in enumerate(feed):
+        for other_stream, other_ident, other_ts, other_key in feed[:index]:
+            if other_stream == stream:
+                continue
+            mine, theirs = (ident, ts), (other_ident, other_ts)
+            (ia, ta), (ib, tb) = (mine, theirs) if stream == "A" else (theirs, mine)
+            if not -t_a <= ta - tb <= t_b:
+                continue
+            if keyed and (key is ABSENT or other_key is ABSENT or key != other_key):
+                continue
+            expected.append((ia, ib))
+    return expected
+
+
 class TestLemma1Oracle:
-    @given(interleaved_feed(), window_sizes, window_sizes)
-    @settings(max_examples=80, deadline=None)
-    def test_join_matches_brute_force(self, feed, t_a, t_b):
-        join = SymmetricWindowJoin([JoinInput("A", t_a), JoinInput("B", t_b)])
-        produced = set()
-        counter = {"A": 0, "B": 0}
-        for stream, ts in feed:
-            ident = counter[stream]
-            counter[stream] += 1
-            out = join.process(stream, Datagram(stream, {"id": ident}, ts))
-            for binding in out:
-                produced.add((binding["A.id"], binding["B.id"]))
-
-        a_items = [(i, ts) for i, (s, ts) in enumerate(
-            item for item in feed if item[0] == "A"
-        )]
-        # Rebuild ids per stream in arrival order.
-        a_list = [ts for s, ts in feed if s == "A"]
-        b_list = [ts for s, ts in feed if s == "B"]
-        expected = set()
-        for ia, ta in enumerate(a_list):
-            for ib, tb in enumerate(b_list):
-                if -t_a <= ta - tb <= t_b:
-                    expected.add((ia, ib))
-        assert produced == expected
-
-
-class TestIndexedJoinDifferential:
-    @given(interleaved_feed(), window_sizes, window_sizes, st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_indexed_join_matches_nested(self, feed, t_a, t_b, data):
-        """The hash-indexed engine is semantically identical to the
-        nested-loop engine on arbitrary equijoin feeds."""
-        from repro.cql.predicates import Conjunction, JoinPredicate
-        from repro.spe.indexed import IndexedSymmetricJoin
-        from repro.spe.operators import JoinInput, SymmetricWindowJoin
-
-        nested = SymmetricWindowJoin([JoinInput("A", t_a), JoinInput("B", t_b)])
-        indexed = IndexedSymmetricJoin(
-            JoinInput("A", t_a), JoinInput("B", t_b), [("k", "k")]
+    @given(interleaved_feed(), window_sizes, window_sizes, st.booleans())
+    @settings(max_examples=160, deadline=None)
+    def test_join_matches_brute_force(self, feed, t_a, t_b, keyed):
+        join = WindowJoin(
+            [JoinInput("A", t_a), JoinInput("B", t_b)],
+            [("k", "k")] if keyed else (),
         )
+        produced = []
+        for stream, ident, ts, key in feed:
+            payload = {"id": ident} if key is ABSENT else {"id": ident, "k": key}
+            for binding in join.process(stream, Datagram(stream, payload, ts)):
+                produced.append((binding["A.id"], binding["B.id"]))
+        assert produced == lemma1_pairs(feed, t_a, t_b, keyed)
+
+
+class TestKeyedJoinDifferential:
+    @given(interleaved_feed(), window_sizes, window_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_keyed_join_matches_scanned(self, feed, t_a, t_b):
+        """Probing a bucket and scanning the window leave the same
+        bindings, in the same order, once the link is evaluated."""
+        inputs = [JoinInput("A", t_a), JoinInput("B", t_b)]
+        scanned, keyed = WindowJoin(inputs), WindowJoin(inputs, [("k", "k")])
         link = Conjunction.from_atoms([JoinPredicate("A.k", "B.k")])
-        counters = {"A": 0, "B": 0}
-        for stream, ts in feed:
-            key = data.draw(st.integers(0, 2), label="key")
-            ident = counters[stream]
-            counters[stream] += 1
-            datagram = Datagram(stream, {"k": key, "id": ident}, ts)
-            nested_out = sorted(
-                tuple(sorted(b.items()))
-                for b in nested.process(stream, datagram)
-                if link.evaluate(b)
-            )
-            indexed_out = sorted(
-                tuple(sorted(b.items()))
-                for b in indexed.process(stream, datagram)
-            )
-            assert nested_out == indexed_out
+        for stream, ident, ts, key in feed:
+            payload = {"id": ident} if key is ABSENT else {"id": ident, "k": key}
+            datagram = Datagram(stream, payload, ts)
+            scanned_out = [
+                b for b in scanned.process(stream, datagram) if link.evaluate(b)
+            ]
+            assert keyed.process(stream, datagram) == scanned_out
+
+
+AGGREGATES = [
+    AggregateSpec("avg", "S.v", "avg"),
+    AggregateSpec("sum", "S.v", "sum"),
+    AggregateSpec("min", "S.v", "min"),
+    AggregateSpec("max", "S.v", "max"),
+    AggregateSpec("count", "S.v", "n"),
+    AggregateSpec("count", None, "rows"),
+]
+
+sparse_floats = st.one_of(
+    st.just(ABSENT), st.floats(min_value=-100, max_value=100, allow_nan=False)
+)
+
+
+@st.composite
+def aggregate_feed(draw):
+    """Tuples ``(ts, payload)``: a pre-filter attribute ``p`` always
+    present, grouping attributes ``g``/``h`` and the aggregated ``v``
+    sometimes missing."""
+    feed = []
+    for ts in draw(timestamps):
+        drawn = {
+            "p": draw(st.integers(-1, 1)),
+            "g": draw(key_values),
+            "h": draw(st.sampled_from([0, 1, ABSENT])),
+            "v": draw(sparse_floats),
+        }
+        feed.append((ts, {k: v for k, v in drawn.items() if v is not ABSENT}))
+    return feed
+
+
+class TestAggregateOracle:
+    @given(aggregate_feed(), window_sizes, st.sampled_from([[], ["g"], ["g", "h"]]))
+    @settings(max_examples=160, deadline=None)
+    def test_rows_match_brute_force(self, feed, size, group_by):
+        agg = GroupedAggregate(
+            "S",
+            size,
+            [f"S.{name}" for name in group_by],
+            AGGREGATES,
+            pre_filter=Conjunction.from_atoms([Comparison("S.p", ">=", 0)]),
+        )
+        for index, (now, payload) in enumerate(feed):
+            rows = agg.process(Datagram("S", payload, now))
+            if payload["p"] < 0:
+                assert rows == []
+                continue
+            group = [payload.get(name) for name in group_by]
+            members = [
+                old
+                for ts, old in feed[: index + 1]
+                if old["p"] >= 0
+                and [old.get(name) for name in group_by] == group
+                and ts >= now - size
+            ]
+            values = [old["v"] for old in members if "v" in old]
+            expected = {f"S.{name}": value for name, value in zip(group_by, group)}
+            if values:
+                expected.update(
+                    avg=sum(values) / len(values),
+                    sum=sum(values),
+                    min=min(values),
+                    max=max(values),
+                )
+            expected.update(n=len(values), rows=len(members))
+            assert rows == [expected]  # == on floats: same order of addition

@@ -1,11 +1,14 @@
 """The continuous query engine end to end."""
 
+import random
+
 import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, Catalog, StreamSchema
 from repro.spe.engine import EngineError, StreamProcessingEngine, result_schema
+from repro.workload.auction import TABLE1_Q3, auction_catalog
 
 
 @pytest.fixture
@@ -28,6 +31,24 @@ def catalog():
                 ],
                 rate=1.0,
             ),
+        ]
+    )
+
+
+@pytest.fixture
+def catalog3():
+    return Catalog(
+        [
+            StreamSchema(
+                name,
+                [
+                    Attribute("k", "float", 0, 9),
+                    Attribute("s", "str"),
+                    Attribute("v", "float", 0, 100),
+                ],
+                rate=1.0,
+            )
+            for name in "ABC"
         ]
     )
 
@@ -196,3 +217,188 @@ class TestResultSchema:
         spe = StreamProcessingEngine(catalog)
         spe.register(parse_query("SELECT T.temp FROM Temp T"), "q")
         assert spe.result_schema_of("q").name == "q:results"
+
+
+class TestNullAggregates:
+    QUERY = (
+        "SELECT T.station, AVG(T.temp) AS a, COUNT(T.temp) AS n "
+        "FROM Temp [Range 10 Second] T GROUP BY T.station"
+    )
+
+    def test_tuple_lacking_the_aggregated_attribute(self, catalog):
+        """``AVG`` over a group with no value used to raise a bare
+        ValueError out of ``push``, after the tuple was inserted."""
+        spe = StreamProcessingEngine(catalog)
+        spe.register(parse_query(self.QUERY), "agg")
+        (first,) = spe.push(Datagram("Temp", {"station": 1}, 0.0))
+        assert dict(first.datagram.payload) == {"T.station": 1, "n": 0}
+        (second,) = spe.push(temp(1, station=1, value=30.0))
+        assert dict(second.datagram.payload) == {"T.station": 1, "a": 30.0, "n": 1}
+        (third,) = spe.push(Datagram("Temp", {"station": 1}, 2.0))
+        assert dict(third.datagram.payload) == {"T.station": 1, "a": 30.0, "n": 1}
+
+
+def _auction_feed(rng, items=60):
+    feed = []
+    for item in range(items):
+        open_ts = item * 120.0
+        close_ts = open_ts + rng.expovariate(1.0 / (4 * 3600.0))
+        feed.append(
+            Datagram(
+                "OpenAuction",
+                {"itemID": item % 10, "sellerID": 1, "start_price": 2.0,
+                 "timestamp": open_ts},
+                open_ts,
+            )
+        )
+        feed.append(
+            Datagram(
+                "ClosedAuction",
+                {"itemID": item % 10, "buyerID": 2, "timestamp": close_ts},
+                close_ts,
+            )
+        )
+    feed.sort(key=lambda d: d.timestamp)
+    return feed
+
+
+def _run(catalog, text, feed, **engine_options):
+    spe = StreamProcessingEngine(catalog, **engine_options)
+    spe.register(parse_query(text), "q")
+    return [
+        (r.datagram.timestamp, list(r.datagram.payload.items()))
+        for datagram in feed
+        for r in spe.push(datagram)
+    ]
+
+
+class TestJoinStrategy:
+    """``join_strategy="nested"`` (every join scans) is the reference the
+    default (joins keyed by their query's links) must agree with result
+    for result, order included."""
+
+    def test_table1_q3_default_equals_nested(self):
+        catalog = auction_catalog()
+        feed = _auction_feed(random.Random(4))
+        default = _run(catalog, TABLE1_Q3, feed)
+        assert default == _run(catalog, TABLE1_Q3, feed, join_strategy="nested")
+        assert default == _run(catalog, TABLE1_Q3, feed, join_strategy="indexed")
+        assert len(default) > 0
+
+    def test_bad_strategy_rejected(self):
+        with pytest.raises(EngineError):
+            StreamProcessingEngine(auction_catalog(), join_strategy="quantum")
+
+    def test_single_stream_unaffected(self):
+        for options in ({}, {"join_strategy": "nested"}):
+            results = _run(
+                auction_catalog(),
+                "SELECT O.itemID FROM OpenAuction O",
+                _auction_feed(random.Random(0), items=1),
+                **options,
+            )
+            assert results == [(0.0, [("O.itemID", 0)])]
+
+    def test_processor_agrees_with_nested_engine(self):
+        """A processor takes no join flag (section 2's heterogeneous
+        engines live behind the wrappers): its engine keys Table 1's q3
+        by itemID and must match the scanning reference."""
+        from repro.system.node import Processor
+
+        catalog = auction_catalog()
+        feed = _auction_feed(random.Random(7), items=20)
+        proc = Processor(1, catalog)
+        proc.accept(parse_query(TABLE1_Q3), name="q3")
+        out = [
+            (d.timestamp, list(d.payload.values()))
+            for datagram in feed
+            for d in proc.on_source_data(datagram)
+        ]
+        # the processor runs the canonical form: same columns, other names
+        reference = _run(catalog, TABLE1_Q3, feed, join_strategy="nested")
+        assert out == [(ts, [v for __, v in row]) for ts, row in reference]
+        assert len(out) > 0
+
+    def test_which_joins_are_keyed(self, catalog):
+        def key_terms_of(text, **options):
+            spe = StreamProcessingEngine(catalog, **options)
+            spe.register(parse_query(text), "q")
+            return spe._queries["q"]._join._key_terms
+
+        linked = (
+            "SELECT T.temp FROM Temp [Range 10] T, Wind [Range 10] W "
+            "WHERE T.station = W.station AND T.temp - W.speed > 0"
+        )
+        assert key_terms_of(linked) == {"T": ("T.station",), "W": ("W.station",)}
+        assert key_terms_of(linked, join_strategy="nested") == {"T": (), "W": ()}
+        unlinked = "SELECT T.temp FROM Temp [Range 10] T, Wind [Range 10] W"
+        assert key_terms_of(unlinked) == {"T": (), "W": ()}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_joins_default_equals_nested(self, catalog3, seed):
+        rng = random.Random(seed)
+        window = lambda: rng.choice(
+            ["[Now]", "[Range 2 Second]", "[Range 20 Second]", "[Unbounded]"]
+        )
+        text = [
+            # two-way equijoins with a residual non-equi predicate
+            f"SELECT A.v, B.v FROM A {window()} A, B {window()} B "
+            f"WHERE A.k = B.k AND A.v - B.v > 0",
+            f"SELECT A.v, B.v, A.k FROM A {window()} A, B {window()} B "
+            f"WHERE A.k = B.k AND A.s = B.s AND B.v > {rng.randrange(60)}",
+            # a 3-way join
+            f"SELECT A.v, B.v, C.v FROM A {window()} A, B {window()} B, "
+            f"C {window()} C WHERE A.k = B.k AND B.k = C.k",
+            # a join without any link
+            f"SELECT A.v, B.v FROM A {window()} A, B {window()} B "
+            f"WHERE A.v > 50 AND B.v < 50",
+        ][seed % 4]
+        feed, now = [], 0.0
+        for __ in range(150):
+            now += rng.choice([0.0, 0.5, 1.0, 3.0])
+            payload = {"v": rng.random() * 100}
+            if rng.random() < 0.85:  # sparse: some tuples lack the key
+                payload["k"] = rng.choice([0, 1, 2, 1.0, 2.5])
+            if rng.random() < 0.85:
+                payload["s"] = rng.choice(["p", "q"])
+            feed.append(Datagram(rng.choice("ABC"), payload, now))
+        default = _run(catalog3, text, feed)
+        assert default == _run(catalog3, text, feed, join_strategy="nested")
+        assert len(default) > 0
+
+
+class TestStateCeilings:
+    """What the engine retains under a long feed: one window's worth."""
+
+    def _windows(self, spe):
+        for compiled in spe._queries.values():
+            if compiled._aggregate is not None:
+                yield compiled._aggregate._window
+            else:
+                yield from compiled._join._windows.values()
+
+    def test_long_feed_retains_one_window(self, catalog3):
+        spe = StreamProcessingEngine(catalog3)
+        for name, text in {
+            "keyed": "SELECT A.v, B.v FROM A [Range 10 Second] A, "
+            "B [Range 10 Second] B WHERE A.k = B.k",
+            "scanned": "SELECT A.v, B.v FROM A [Range 10 Second] A, "
+            "B [Range 10 Second] B WHERE A.v > 99 AND B.v > 99",
+            "agg": "SELECT A.k, AVG(A.v) AS a FROM A [Range 10 Second] A GROUP BY A.k",
+            "scan1": "SELECT A.v FROM A [Range 10 Second] A WHERE A.v > 50",
+        }.items():
+            spe.register(parse_query(text), name)
+        rng = random.Random(1)
+        peak = 0
+        for second in range(5000):  # 10 000 tuples, 1 tuple/s per input
+            for stream in "AB":
+                payload = {"k": rng.randrange(50), "v": rng.random() * 100}
+                spe.push(Datagram(stream, payload, float(second)))
+            peak = max(peak, max(len(w) for w in self._windows(spe)))
+        assert peak == 11  # [now - 10, now] at one tuple a second
+        # a single-input query holds no window item at all
+        assert [len(w) for w in spe._queries["scan1"]._join._windows.values()] == [0]
+        # no bucket outlives its last item
+        for window in self._windows(spe):
+            window.expire(1e9)
+            assert len(window) == 0 and window._buckets == {}

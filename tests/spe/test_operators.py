@@ -1,4 +1,6 @@
-"""Select, project, symmetric window join (Lemma 1) and aggregation."""
+"""Select, project, the window join (Lemma 1, scanned and keyed) and aggregation."""
+
+import random
 
 import pytest
 
@@ -10,7 +12,8 @@ from repro.spe.operators import (
     JoinInput,
     Project,
     Select,
-    SymmetricWindowJoin,
+    WindowJoin,
+    equijoin_key_pairs,
     qualify,
 )
 
@@ -44,46 +47,70 @@ class TestSelectProject:
             Project({"x": "S.missing"}).process({"S.a": 1})
 
 
-class TestSymmetricJoin:
-    def _join(self, t1=10.0, t2=0.0):
-        return SymmetricWindowJoin(
-            [JoinInput("A", t1), JoinInput("B", t2)]
-        )
+@pytest.fixture(params=[(), (("k", "k"),)], ids=["scanned", "keyed"])
+def key_pairs(request):
+    """Every join case runs scanned and keyed; all tuples share k=1
+    unless the case is about the key."""
+    return request.param
 
-    def test_pair_within_windows(self):
-        join = self._join(t1=10, t2=0)
-        assert join.process("A", Datagram("SA", {"x": 1}, 0.0)) == []
-        results = join.process("B", Datagram("SB", {"y": 2}, 5.0))
+
+def tup(stream, ts, k=1, **payload):
+    return Datagram(stream, {"k": k, **payload}, ts)
+
+
+class TestWindowJoin:
+    @pytest.fixture
+    def make(self, key_pairs):
+        def _join(t1=10.0, t2=0.0):
+            return WindowJoin([JoinInput("A", t1), JoinInput("B", t2)], key_pairs)
+
+        return _join
+
+    def test_pair_within_windows(self, make):
+        join = make(t1=10, t2=0)
+        assert join.process("A", tup("SA", 0.0, x=1)) == []
+        results = join.process("B", tup("SB", 5.0, y=2))
         assert len(results) == 1
         assert results[0]["A.x"] == 1 and results[0]["B.y"] == 2
 
-    def test_lemma1_bounds(self):
+    def test_lemma1_bounds(self, make):
         # -T1 <= t1 - t2 <= T2 with T1=10, T2=0.
-        join = self._join(t1=10, t2=0)
-        join.process("A", Datagram("SA", {"x": 1}, 0.0))
+        join = make(t1=10, t2=0)
+        join.process("A", tup("SA", 0.0, x=1))
+        assert len(join.process("B", tup("SB", 10.0, y=2))) == 1
         # t1 - t2 = -11 violates the lower bound.
-        assert join.process("B", Datagram("SB", {"y": 2}, 11.0)) == []
+        assert join.process("B", tup("SB", 11.0, y=2)) == []
 
-    def test_lemma1_upper_bound(self):
+    def test_lemma1_upper_bound(self, make):
         # B arrives first; A joining later needs t1 - t2 <= T2 = 4.
-        join = self._join(t1=0, t2=4)
-        join.process("B", Datagram("SB", {"y": 2}, 0.0))
-        assert len(join.process("A", Datagram("SA", {"x": 1}, 4.0))) == 1
-        join2 = self._join(t1=0, t2=4)
-        join2.process("B", Datagram("SB", {"y": 2}, 0.0))
-        assert join2.process("A", Datagram("SA", {"x": 1}, 5.0)) == []
+        join = make(t1=0, t2=4)
+        join.process("B", tup("SB", 0.0, y=2))
+        assert len(join.process("A", tup("SA", 4.0, x=1))) == 1
+        join2 = make(t1=0, t2=4)
+        join2.process("B", tup("SB", 0.0, y=2))
+        assert join2.process("A", tup("SA", 5.0, x=1)) == []
 
-    def test_each_pair_produced_once(self):
-        join = self._join(t1=100, t2=100)
+    def test_each_pair_produced_once(self, make):
+        join = make(t1=100, t2=100)
         outs = []
-        outs += join.process("A", Datagram("SA", {"x": 1}, 0.0))
-        outs += join.process("B", Datagram("SB", {"y": 1}, 1.0))
-        outs += join.process("A", Datagram("SA", {"x": 2}, 2.0))
-        outs += join.process("B", Datagram("SB", {"y": 2}, 3.0))
+        outs += join.process("A", tup("SA", 0.0, x=1))
+        outs += join.process("B", tup("SB", 1.0, y=1))
+        outs += join.process("A", tup("SA", 2.0, x=2))
+        outs += join.process("B", tup("SB", 3.0, y=2))
         assert len(outs) == 1 + 1 + 2  # pairs: (1,1); (2,1); (1,2),(2,2)
 
+    def test_unknown_input_raises(self, make):
+        with pytest.raises(KeyError):
+            make().process("Z", tup("SZ", 0.0))
+
+    def test_now_window_same_instant_only(self, make):
+        join = make(t1=0, t2=0)
+        join.process("A", tup("SA", 5.0, x=1))
+        assert len(join.process("B", tup("SB", 5.0, y=1))) == 1
+        assert join.process("B", tup("SB", 6.0, y=2)) == []
+
     def test_three_way_join(self):
-        join = SymmetricWindowJoin(
+        join = WindowJoin(
             [JoinInput("A", 10), JoinInput("B", 10), JoinInput("C", 10)]
         )
         join.process("A", Datagram("SA", {"x": 1}, 0.0))
@@ -92,20 +119,121 @@ class TestSymmetricJoin:
         assert len(results) == 1
         assert set(results[0]) >= {"A.x", "B.y", "C.z"}
 
-    def test_single_input_passthrough(self):
-        join = SymmetricWindowJoin([JoinInput("S", 10)])
+    def test_three_way_join_with_a_silent_input_yields_nothing(self):
+        join = WindowJoin(
+            [JoinInput("A", 10), JoinInput("B", 10), JoinInput("C", 10)]
+        )
+        join.process("A", Datagram("SA", {"x": 1}, 0.0))
+        assert join.process("C", Datagram("SC", {"z": 3}, 2.0)) == []
+
+    def test_single_input_passthrough_keeps_nothing(self):
+        join = WindowJoin([JoinInput("S", 10)])
         results = join.process("S", Datagram("X", {"a": 1}, 0.0))
         assert results == [{"S.a": 1, "S.timestamp": 0.0}]
+        assert len(join._windows["S"]) == 0
 
-    def test_unknown_input_raises(self):
-        with pytest.raises(KeyError):
-            self._join().process("Z", Datagram("SZ", {}, 0.0))
+    def test_needs_an_input(self):
+        with pytest.raises(ValueError):
+            WindowJoin([])
 
-    def test_now_window_same_instant_only(self):
-        join = self._join(t1=0, t2=0)
-        join.process("A", Datagram("SA", {"x": 1}, 5.0))
-        assert len(join.process("B", Datagram("SB", {"y": 1}, 5.0))) == 1
-        assert join.process("B", Datagram("SB", {"y": 2}, 6.0)) == []
+    def test_key_pairs_need_two_inputs(self):
+        with pytest.raises(ValueError):
+            WindowJoin(
+                [JoinInput("A", 1), JoinInput("B", 1), JoinInput("C", 1)],
+                [("k", "k")],
+            )
+
+
+class TestKeyedJoin:
+    def _join(self, pairs=(("k", "k"),), t1=100, t2=100):
+        return WindowJoin([JoinInput("A", t1), JoinInput("B", t2)], pairs)
+
+    def test_key_mismatch_no_result(self):
+        join = self._join()
+        join.process("A", tup("SA", 0.0, k=1))
+        assert join.process("B", tup("SB", 1.0, k=2)) == []
+
+    def test_scan_hands_mismatches_to_the_caller(self):
+        join = WindowJoin([JoinInput("A", 100), JoinInput("B", 100)])
+        join.process("A", tup("SA", 0.0, k=1))
+        (binding,) = join.process("B", tup("SB", 1.0, k=2))
+        assert (binding["A.k"], binding["B.k"]) == (1, 2)
+
+    def test_differently_named_key_attributes(self):
+        join = self._join([("x", "y")])
+        join.process("A", Datagram("SA", {"x": 7}, 0.0))
+        assert join.process("B", Datagram("SB", {"y": 8}, 1.0)) == []
+        assert len(join.process("B", Datagram("SB", {"y": 7}, 1.0))) == 1
+
+    def test_int_and_float_keys_meet(self):
+        join = self._join()
+        join.process("A", tup("SA", 0.0, k=1))
+        assert len(join.process("B", tup("SB", 1.0, k=1.0))) == 1
+        assert join.process("B", tup("SB", 1.0, k="1")) == []
+
+    def test_arrival_lacking_a_key_attribute_is_not_stored(self):
+        join = self._join()
+        assert join.process("A", Datagram("SA", {"other": 1}, 0.0)) == []
+        assert len(join._windows["A"]) == 0
+        assert join.process("B", tup("SB", 1.0)) == []
+
+    def test_implicit_timestamp_can_be_the_key(self):
+        # the key is read from the binding, where qualify() put it
+        join = self._join([("timestamp", "timestamp")])
+        join.process("A", Datagram("SA", {"x": 1}, 3.0))
+        assert len(join.process("B", Datagram("SB", {"y": 1}, 3.0))) == 1
+        assert join.process("B", Datagram("SB", {"y": 1}, 4.0)) == []
+
+    def test_buckets_keep_arrival_order(self):
+        join = self._join()
+        for ts, (k, x) in enumerate([(1, "a"), (2, "b"), (1, "c")]):
+            join.process("A", tup("SA", float(ts), k=k, x=x))
+        results = join.process("B", tup("SB", 5.0, k=1))
+        assert [b["A.x"] for b in results] == ["a", "c"]
+
+
+class TestKeyPairExtraction:
+    def test_extracts_cross_links(self):
+        predicate = cond(JoinPredicate("A.k", "B.k"), JoinPredicate("A.x", "B.y"))
+        assert equijoin_key_pairs(predicate, "A", "B") == [("k", "k"), ("x", "y")]
+
+    def test_ignores_internal_links(self):
+        predicate = cond(JoinPredicate("A.x", "A.y"))
+        assert equijoin_key_pairs(predicate, "A", "B") == []
+
+    def test_orientation_independent(self):
+        predicate = cond(JoinPredicate("B.y", "A.x"))
+        assert equijoin_key_pairs(predicate, "A", "B") == [("x", "y")]
+
+
+def _random_feed(rng, n):
+    feed = []
+    t = 0.0
+    for __ in range(n):
+        t += rng.uniform(0.0, 2.0)
+        stream = rng.choice(["A", "B"])
+        feed.append((stream, Datagram(stream, {"k": rng.randrange(4), "v": rng.random()}, t)))
+    return feed
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_keyed_matches_scanned(self, seed):
+        """Probe-then-select and scan-then-select leave the same
+        bindings in the same order."""
+        rng = random.Random(seed)
+        t_a = rng.choice([0.0, 1.0, 5.0, 50.0])
+        t_b = rng.choice([0.0, 1.0, 5.0, 50.0])
+        inputs = [JoinInput("A", t_a), JoinInput("B", t_b)]
+        scanned, keyed = WindowJoin(inputs), WindowJoin(inputs, [("k", "k")])
+        link = cond(JoinPredicate("A.k", "B.k"))
+        for stream, datagram in _random_feed(rng, 60):
+            scanned_out = [
+                b for b in scanned.process(stream, datagram) if link.evaluate(b)
+            ]
+            keyed_out = keyed.process(stream, datagram)
+            assert all(link.evaluate(b) for b in keyed_out)
+            assert scanned_out == keyed_out
 
 
 class TestGroupedAggregate:
@@ -161,3 +289,45 @@ class TestGroupedAggregate:
         agg.process(Datagram("S", {"v": 3}, 0.0))
         r = agg.process(Datagram("S", {"v": 7}, 1.0))
         assert r == [{"lo": 3, "hi": 7, "total": 10}]
+
+    def test_missing_grouping_attribute_groups_under_none(self):
+        agg = self._agg()
+        agg.process(Datagram("S", {"temp": 10.0}, 0.0))
+        agg.process(Datagram("S", {"station": 1, "temp": 50.0}, 1.0))
+        r = agg.process(Datagram("S", {"temp": 20.0}, 2.0))
+        assert r == [{"S.station": None, "avg_temp": 15.0, "n": 2}]
+
+    def test_missing_aggregated_attribute_is_null(self):
+        """SQL NULL: skipped by every aggregate; a group with no value
+        at all for the attribute emits its row without that column
+        (``sum``/``avg``/``min``/``max`` used to raise ValueError)."""
+        agg = GroupedAggregate(
+            "S",
+            100.0,
+            ["S.k"],
+            [
+                AggregateSpec("avg", "S.v", "a"),
+                AggregateSpec("sum", "S.v", "t"),
+                AggregateSpec("min", "S.v", "lo"),
+                AggregateSpec("max", "S.v", "hi"),
+                AggregateSpec("count", "S.v", "n"),
+                AggregateSpec("count", None, "c"),
+            ],
+        )
+        assert agg.process(Datagram("S", {"k": 1}, 0.0)) == [
+            {"S.k": 1, "n": 0, "c": 1}
+        ]
+        assert agg.process(Datagram("S", {"k": 1, "v": 4.0}, 1.0)) == [
+            {"S.k": 1, "a": 4.0, "t": 4.0, "lo": 4.0, "hi": 4.0, "n": 1, "c": 2}
+        ]
+        assert agg.process(Datagram("S", {"k": 1}, 2.0)) == [
+            {"S.k": 1, "a": 4.0, "t": 4.0, "lo": 4.0, "hi": 4.0, "n": 1, "c": 3}
+        ]
+
+    def test_bucket_is_the_group(self):
+        agg = self._agg(window=5.0)
+        for ts, station in enumerate([1, 2, 1, 3]):
+            agg.process(Datagram("S", {"station": station, "temp": 1.0}, float(ts)))
+        assert sorted(agg._window._buckets) == [(1,), (2,), (3,)]
+        agg.process(Datagram("S", {"station": 3, "temp": 1.0}, 7.5))
+        assert sorted(agg._window._buckets) == [(3,)]

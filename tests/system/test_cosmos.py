@@ -298,3 +298,40 @@ class TestWithdrawRefreshesSurvivors:
         assert hb.result_count == 2  # got the hot one, not the 11° one
         payloads = [dict(r.payload) for r in hb.results]
         assert all(set(p) == {"Temp.station", "Temp.humidity"} for p in payloads)
+
+
+class TestNullAggregates:
+    def test_tuple_lacking_the_aggregated_attribute_through_a_merged_pair(
+        self, line_tree
+    ):
+        """``publish`` validates no payload: a tuple without the
+        aggregated attribute is SQL NULL to ``AVG`` (it used to raise a
+        bare ValueError out of ``publish``), and the next complete tuple
+        aggregates over exactly the values present."""
+        from repro.cql.schema import Attribute, StreamSchema
+
+        sys_ = CosmosSystem(line_tree, processor_nodes=[2])
+        sys_.add_source(
+            StreamSchema(
+                "S", [Attribute("k", "int", 0, 9), Attribute("v", "float", 0, 100)], rate=1.0
+            ),
+            0,
+        )
+        text = (
+            "SELECT S.k, AVG(S.v) AS a, COUNT(S.v) AS n FROM S [Range 10 Second] S "
+            "WHERE S.k >= {} GROUP BY S.k"
+        )
+        every = sys_.submit(text.format(0), user_node=4, name="every")
+        some = sys_.submit(text.format(2), user_node=3, name="some")
+        assert sys_.grouping_summary()["groups"] == 1  # they merged
+        feed = [{"k": 1}, {"k": 3}, {"k": 3, "v": 4.0}, {"k": 3}, {"k": 3, "v": 8.0}]
+        for ts, payload in enumerate(feed):
+            sys_.publish("S", payload, float(ts))
+        k3 = [
+            {"S.k": 3, "n": 0},
+            {"S.k": 3, "a": 4.0, "n": 1},
+            {"S.k": 3, "a": 4.0, "n": 1},
+            {"S.k": 3, "a": 6.0, "n": 2},
+        ]
+        assert [dict(r.payload) for r in every.results] == [{"S.k": 1, "n": 0}] + k3
+        assert [dict(r.payload) for r in some.results] == k3

@@ -35,6 +35,17 @@ if git grep -nE "_route_batch|decide_batch|local_deliveries_batch|ColumnBatch" -
     exit 1
 fi
 
+echo "== one join, one window (repro.spe) =="
+# spe/windows.py::KeyedWindow is the only operator state, spe/operators.py::WindowJoin
+# the only join; which joins are keyed is read off the registered query, so no
+# deployment code chooses a join strategy.
+if git grep -nE "IndexedSymmetricJoin|SymmetricWindowJoin|WindowBuffer|_HashedWindow" -- src/repro \
+   || git grep -nF "join_strategy" -- src/repro/system; then
+    echo "ci: src/repro must not grow a second join or window class," \
+         "src/repro/system must not pick a join strategy" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
@@ -59,10 +70,11 @@ echo "== bench pinned runs (seed 0: result_digest + link_cost vs bench/pins.json
 # sensor-fanout is the per-tuple publish path at scale (the route cache's
 # claimed workload), burst-scale reads the routing tables in bulk, query-churn
 # is their write path (subscribe/unsubscribe), fault-repair the repair path
-# (retree).
+# (retree), join-window the one workload whose results are made by the SPE's
+# joins and aggregates.
 # A single run exits 0 whatever it found; its last stdout line is the verdict
 # (a result_digest off bench/pins.json is a failed operation).
-for workload in sensor-fanout burst-scale query-churn fault-repair; do
+for workload in sensor-fanout burst-scale query-churn fault-repair join-window; do
     python3 bench/run.py --workload "$workload" --seed 0 --seconds 15 --trace 0 | tail -1 | python3 -c '
 import json, sys
 run = json.loads(sys.stdin.read())
