@@ -37,16 +37,17 @@ in the tests is a fresh build on the current tree.
 The data plane
 --------------
 Publication is the dominant cost of every experiment, so publishes run
-on cached state: per stream the network memoizes the dissemination
-tree, the schema width table, each broker's *candidate interfaces* (the
-neighbours that have any entry for the stream), the stream's distinct
-filter conjunctions and a bounded *route cache*.  These facts are
-versioned **per stream**: every routing mutation
-(install/discard/remove_interface, reached via
+on cached state: per stream the network memoizes the schema width
+table, each broker's *candidate interfaces* (the neighbours that have
+any entry for the stream), the stream's distinct filter conjunctions
+and a bounded *route cache*.  These facts are versioned **per stream**:
+every routing mutation (install/discard/remove_interface, reached via
 subscribe/unsubscribe/advertise/retree) bumps the version of exactly the
 streams it touched and every catalog registration bumps the catalog
 version, so the next publish only rebuilds the facts of streams that
-actually moved.
+actually moved.  They hold no tree: a tree change reaches a stream
+through the entries :meth:`retree` withdraws and lays, so a stream no
+changed edge touched replays warm routes after a repair.
 
 :meth:`ContentBasedNetwork.publish_many` is the one entry point and
 :meth:`ContentBasedNetwork._route` the one routine behind it.  A
@@ -158,27 +159,27 @@ class _Route(NamedTuple):
 class _StreamFacts:
     """Static per-stream facts the publish hot loop needs.
 
-    Everything here is a pure function of (routing state, catalog,
-    stream trees) and is rebuilt when the owning network's version of
-    the stream moves: the dissemination tree the stream travels on, its
-    schema width table, the *candidate interfaces* per broker — the
-    neighbours that have at least one routing entry for the stream,
-    everything else cannot possibly forward — the distinct filter
-    conjunctions of the subscriptions requesting the stream, and the
-    routes already walked, by datagram class (:meth:`classify`).
+    Everything here is a pure function of (the stream's routing
+    entries, catalog) and is rebuilt when the owning network's version
+    of the stream moves: its schema width table, the *candidate
+    interfaces* per broker — the neighbours that have at least one
+    routing entry for the stream, everything else cannot possibly
+    forward — the distinct filter conjunctions of the subscriptions
+    requesting the stream, and the routes already walked, by datagram
+    class (:meth:`classify`).  The tree is not among them: entries are
+    only ever laid along it, so a tree change reaches a stream through
+    the entries it moves.
     """
 
-    __slots__ = ("stream", "tree", "widths", "conjunctions", "routes", "_candidates")
+    __slots__ = ("stream", "widths", "conjunctions", "routes", "_candidates")
 
     def __init__(
         self,
         stream: str,
-        tree: DisseminationTree,
         widths: Optional[Dict[str, int]],
         conjunctions: Tuple[Conjunction, ...],
     ) -> None:
         self.stream = stream
-        self.tree = tree
         self.widths = widths
         self.conjunctions = conjunctions
         self.routes: Dict[tuple, _Route] = {}
@@ -189,9 +190,11 @@ class _StreamFacts:
         cached = self._candidates.get(node)
         if cached is None:
             cached = self._candidates[node] = tuple(
-                neighbor
-                for neighbor in sorted(self.tree.neighbors(node))
-                if table.has_stream_entries(neighbor, self.stream)
+                sorted(
+                    interface
+                    for interface in table.stream_interfaces(self.stream)
+                    if interface is not RoutingTable.LOCAL
+                )
             )
         return cached
 
@@ -335,13 +338,14 @@ class ContentBasedNetwork:
           they are redone whenever any edge changed).
         * *Dropped*: tables of departed brokers, the emptied interfaces
           of removed edges, advertisements whose node left (and with
-          them the paths toward it), the per-stream fact cache (it
-          holds the tree).
+          them the paths toward it).
         * *Untouched*: every other table — its entries, epoch and
           compiled plans — and every LOCAL entry, so per-broker
           delivery order is what it was; the registries and their
           order, traffic statistics, flags, the catalog, the id counter
-          (new links are priced on the existing accumulators).
+          (new links are priced on the existing accumulators); the
+          facts and cached routes of every stream none of whose entries
+          moved (each table reports the entries that do).
 
         Raises before anything changes when a subscriber's broker is
         not in ``tree`` or the network has per-stream trees (each would
@@ -385,7 +389,6 @@ class ContentBasedNetwork:
             ads[:] = [ad for ad in ads if ad.node in tree]
         self._tree = tree
         self._register_weights(tree)
-        self._facts.clear()
         for sub, keys in replay:
             for stream, publisher in keys:
                 if publisher is None:
@@ -428,7 +431,6 @@ class ContentBasedNetwork:
                 conjunctions[flt.condition] = None
         facts = _StreamFacts(
             stream,
-            self.tree_for(stream),
             self._widths_for(stream),
             tuple(conjunctions),
         )

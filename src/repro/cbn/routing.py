@@ -297,9 +297,6 @@ class RoutingTable:
             if streams.get(stream)
         ]
 
-    def has_stream_entries(self, interface: object, stream: str) -> bool:
-        return bool(self._by_stream.get(interface, {}).get(stream))
-
     def _plan(self, interface: object, stream: str) -> _Plan:
         """The compiled matchers for one (interface, stream), cached
         until the next mutation touching the stream."""

@@ -19,21 +19,30 @@ approach of those references:
   considers replacing it by a nearby topology edge that reconnects the
   two components more cheaply, accepting the best improving swap
   (hill-climbing), subject to a node degree cap (server capability).
+* A local move is priced locally.  A round routes the demands once;
+  a swap then changes the flow only on the cycle the new edge closes,
+  so a trial evaluates the cost function on that cycle's edges and
+  never builds a tree (DESIGN.md section 6, "Pricing a local move").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.overlay.topology import Edge, NodeId, Topology, edge_key
-from repro.overlay.tree import DisseminationTree, TreeError
+from repro.overlay.topology import Edge, NodeId, Topology
+from repro.overlay.tree import DisseminationTree
 
 #: One traffic demand: ``rate`` units/second flowing from source to sink.
 Demand = Tuple[NodeId, NodeId, float]
 
 #: Cost function signature: (link_weight, flow_on_link) -> cost.
 CostFunction = Callable[[float, float], float]
+
+#: One way to replace a tree edge: the topology edge added, its weight,
+#: the tree path it closes into a cycle as ``(edge, weight, flow)``, and
+#: what that path costs now.
+_Swap = Tuple[Edge, float, List[Tuple[Edge, float, float]], float]
 
 
 def weighted_traffic_cost(weight: float, flow: float) -> float:
@@ -90,15 +99,22 @@ class OverlayOptimizer:
 
     # -- cost evaluation ---------------------------------------------------------
 
+    @staticmethod
+    def _routed(
+        tree: DisseminationTree, demands: Sequence[Demand]
+    ) -> Iterator[Tuple[List[Edge], float]]:
+        """(tree path, rate) of every demand that puts flow on a link."""
+        for source, sink, rate in demands:
+            if rate > 0 and source != sink:
+                yield tree.path_edges(source, sink), rate
+
     def link_flows(
         self, tree: DisseminationTree, demands: Sequence[Demand]
     ) -> Dict[Edge, float]:
         """Aggregate per-link flow induced by routing demands on the tree."""
         flows: Dict[Edge, float] = {}
-        for source, sink, rate in demands:
-            if rate <= 0 or source == sink:
-                continue
-            for edge in tree.path_edges(source, sink):
+        for path, rate in self._routed(tree, demands):
+            for edge in path:
                 flows[edge] = flows.get(edge, 0.0) + rate
         return flows
 
@@ -117,25 +133,49 @@ class OverlayOptimizer:
 
     # -- local reorganisation --------------------------------------------------------
 
+    def _shared_flows(
+        self, tree: DisseminationTree, demands: Sequence[Demand]
+    ) -> Dict[Edge, Dict[Edge, float]]:
+        """Per tree edge ``e``, the flow it shares with every edge
+        ``g``: the rate of the demands whose path crosses both.  The
+        diagonal ``[e][e]`` is ``e``'s own flow, accumulated in demand
+        order like :meth:`link_flows`."""
+        shared: Dict[Edge, Dict[Edge, float]] = {}
+        for path, rate in self._routed(tree, demands):
+            for edge in path:
+                row = shared.setdefault(edge, {})
+                for other in path:
+                    row[other] = row.get(other, 0.0) + rate
+        return shared
+
     def _candidate_swaps(
-        self, tree: DisseminationTree, edge: Edge
-    ) -> List[Tuple[Edge, float]]:
-        """Topology edges that could replace ``edge`` in the tree."""
-        u, v = edge
-        side_v = tree.component_via(u, v)
-        candidates: List[Tuple[Edge, float]] = []
-        for cand in self._topology.edges:
+        self, tree: DisseminationTree, flows: Dict[Edge, float]
+    ) -> Dict[Edge, List[_Swap]]:
+        """Per tree edge, in sorted order, the topology edges that
+        could replace it, in ``topology.edges`` order.
+
+        A non-tree link ``(a, b)`` between two tree nodes reconnects the
+        tree exactly when the removed edge lies on the tree path
+        ``a -> b`` (the cycle the link closes), so each link walks its
+        path once and is filed under every edge of it.
+        """
+        cost = self._cost_function
+        swaps: Dict[Edge, List[_Swap]] = {edge: [] for edge in tree.edges}
+        for cand, cand_weight in sorted(self._topology.weights.items()):
             a, b = cand
-            if cand == edge_key(u, v):
-                continue
-            crosses = (a in side_v) != (b in side_v)
-            if not crosses:
-                continue
-            if self._max_degree is not None:
-                if tree.degree(a) >= self._max_degree or tree.degree(b) >= self._max_degree:
-                    continue
-            candidates.append((cand, self._topology.weights[cand]))
-        return candidates
+            if a not in tree or b not in tree:
+                continue  # a failed broker stays in the topology
+            path = tree.path_edges(a, b)
+            if len(path) == 1:
+                continue  # a tree edge
+            cycle = [(edge, tree.weight(*edge), flows.get(edge, 0.0)) for edge in path]
+            before = 0.0
+            for __, weight, flow in cycle:
+                before += cost(weight, flow)
+            swap = (cand, cand_weight, cycle, before)
+            for edge in path:
+                swaps[edge].append(swap)
+        return swaps
 
     def optimize(
         self,
@@ -145,33 +185,53 @@ class OverlayOptimizer:
     ) -> Tuple[DisseminationTree, OptimizationReport]:
         """Hill-climb edge swaps until no local move improves the cost.
 
+        A swap is priced along its cycle: replacing ``removed`` by
+        ``added`` re-routes only the demands that crossed ``removed``,
+        and only around the cycle ``added`` closes.  ``added`` carries
+        ``flow[removed]``; every other cycle edge ``g`` loses the
+        demands that crossed both and gains those that crossed
+        ``removed`` alone — ``flow[g] + flow[removed] - 2 *
+        shared[removed][g]`` — and nothing off the cycle moves.  A tree
+        is built once per accepted swap.
+
         Returns the improved tree and an :class:`OptimizationReport`.
         The input tree is never mutated.
         """
+        cost = self._cost_function
+        cap = self._max_degree
         current = tree
         initial_cost = self.tree_cost(current, demands)
-        current_cost = initial_cost
         swaps = 0
         rounds = 0
         for rounds in range(1, max_rounds + 1):
             best_gain = 0.0
             best_swap: Optional[Tuple[Edge, Edge, float]] = None
-            for edge in current.edges:
-                for cand, cand_weight in self._candidate_swaps(current, edge):
-                    try:
-                        trial = current.with_edge_swap(edge, cand, cand_weight)
-                    except TreeError:
+            shared = self._shared_flows(current, demands)
+            flows = {edge: row[edge] for edge, row in shared.items()}
+            for removed, candidates in self._candidate_swaps(current, flows).items():
+                row = shared.get(removed, {})
+                moved = flows.get(removed, 0.0)
+                for added, added_weight, cycle, before in candidates:
+                    # an endpoint shared with the removed edge frees the
+                    # slot the added one takes
+                    if cap is not None and any(
+                        current.degree(end) >= cap and end not in removed
+                        for end in added
+                    ):
                         continue
-                    trial_cost = self.tree_cost(trial, demands)
-                    gain = current_cost - trial_cost
+                    after = cost(added_weight, moved)
+                    for edge, weight, flow in cycle:
+                        if edge != removed:
+                            after += cost(
+                                weight, flow + moved - 2.0 * row.get(edge, 0.0)
+                            )
+                    gain = before - after
                     if gain > best_gain + 1e-12:
                         best_gain = gain
-                        best_swap = (edge, cand, cand_weight)
+                        best_swap = (removed, added, added_weight)
             if best_swap is None:
                 break
-            removed, added, added_weight = best_swap
-            current = current.with_edge_swap(removed, added, added_weight)
-            current_cost -= best_gain
+            current = current.with_edge_swap(*best_swap)
             swaps += 1
         final_cost = self.tree_cost(current, demands)
         return current, OptimizationReport(rounds, swaps, initial_cost, final_cost)

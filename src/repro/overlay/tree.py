@@ -108,13 +108,25 @@ class DisseminationTree:
 
     # -- queries ----------------------------------------------------------------------
 
+    def _sorted(self) -> Tuple[Tuple[NodeId, ...], Tuple[Edge, ...]]:
+        """Nodes and edges in sorted order, computed once: a tree is
+        immutable after construction and repair and the optimizer ask
+        for them in loops."""
+        cached = getattr(self, "_sorted_cache", None)
+        if cached is None:
+            cached = self._sorted_cache = (
+                tuple(sorted(self._adjacency)),
+                tuple(sorted(self._weights)),
+            )
+        return cached
+
     @property
     def nodes(self) -> List[NodeId]:
-        return sorted(self._adjacency)
+        return list(self._sorted()[0])
 
     @property
     def edges(self) -> List[Edge]:
-        return sorted(self._weights)
+        return list(self._sorted()[1])
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
         try:
@@ -123,7 +135,10 @@ class DisseminationTree:
             raise TreeError(f"unknown node {node}") from None
 
     def degree(self, node: NodeId) -> int:
-        return len(self.neighbors(node))
+        try:
+            return len(self._adjacency[node])
+        except KeyError:
+            raise TreeError(f"unknown node {node}") from None
 
     def weight(self, u: NodeId, v: NodeId) -> float:
         try:

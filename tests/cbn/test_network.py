@@ -467,7 +467,12 @@ class TestPublishMany:
 
 
 class TestRetree:
-    """``retree`` diffs the trees; the oracle is a fresh build."""
+    """``retree`` diffs the trees; the oracle is a fresh build.
+
+    It drops no facts, so every check runs on warm caches: after each
+    step of a history the same :attr:`PROBES` are published from every
+    broker on both streams — before a ``retree`` their routes are
+    cached, after it they must be what a fresh build walks."""
 
     #: T1 -> T2 and T2 -> T3 each swap one edge (the second moves a
     #: branch off a trunk other subscribers keep using), T4 rewires
@@ -488,6 +493,14 @@ class TestRetree:
         )
         for name in ("S", "T")
     ]
+
+    #: Published from every broker after every step, so that any
+    #: route a tree change should have invalidated is there to go stale
+    #: (the random filters compare ``a`` with 10..90).
+    PROBES = {
+        stream: [Datagram(stream, {"a": a, "b": 0.5}) for a in (5, 50, 95)]
+        for stream in "ST"
+    }
 
     @staticmethod
     def tree(edges):
@@ -546,20 +559,20 @@ class TestRetree:
         delivered = 0
         for origin in tree.nodes:
             for stream in "ST":
-                probe = self.datagram(rng, stream)
-                before = [net.data_stats.as_dict() for net in (network, fresh)]
-                deliveries = network.publish(probe, origin)
-                assert deliveries == fresh.publish(probe, origin)
-                delivered += len(deliveries)
-                mine, theirs = (
-                    {
-                        edge: (messages - was.get(edge, (0, 0.0))[0], size - was.get(edge, (0, 0.0))[1])
-                        for edge, (messages, size) in net.data_stats.as_dict().items()
-                        if was.get(edge) != (messages, size)
-                    }
-                    for net, was in zip((network, fresh), before)
-                )
-                assert mine == theirs
+                for probe in (self.datagram(rng, stream), *self.PROBES[stream]):
+                    before = [net.data_stats.as_dict() for net in (network, fresh)]
+                    deliveries = network.publish(probe, origin)
+                    assert deliveries == fresh.publish(probe, origin)
+                    delivered += len(deliveries)
+                    mine, theirs = (
+                        {
+                            edge: (messages - was.get(edge, (0, 0.0))[0], size - was.get(edge, (0, 0.0))[1])
+                            for edge, (messages, size) in net.data_stats.as_dict().items()
+                            if was.get(edge) != (messages, size)
+                        }
+                        for net, was in zip((network, fresh), before)
+                    )
+                    assert mine == theirs
         return delivered
 
     @pytest.mark.parametrize("seed", range(6))
@@ -638,6 +651,94 @@ class TestRetree:
         with pytest.raises(NetworkError):
             network.retree(self.tree(self.T2))
         assert network.tree is old_tree and network.routing_epoch == epoch
+
+    def publish_probes(self, network, stream):
+        return [
+            network.publish(probe, origin)
+            for origin in network.tree.nodes
+            for probe in self.PROBES[stream]
+        ]
+
+    def test_a_stream_no_changed_edge_touched_replays_warm_routes(self):
+        """T1 -> T2 moves the branch under 5 from 2 to 4.  "S" (0 -> 3)
+        runs along the trunk, "T" (7 -> 0) through the moved edge."""
+        network = ContentBasedNetwork(self.tree(self.T1))
+        network.advertise("S", 0, self.SCHEMAS[0])
+        network.advertise("T", 7, self.SCHEMAS[1])
+        network.subscribe(Profile({"S": {"a"}}), 3, "trunk")
+        network.subscribe(Profile({"T": ALL_ATTRIBUTES}), 0, "branch")
+        warm = {stream: self.publish_probes(network, stream) for stream in "ST"}
+        facts = {stream: network._facts[stream][0] for stream in "ST"}
+        assert "tree" not in type(facts["S"]).__slots__
+        was = network.route_cache_stats()
+        network.retree(self.tree(self.T2))
+
+        assert self.publish_probes(network, "S") == warm["S"]
+        now = network.route_cache_stats()
+        assert now["misses"] == was["misses"]
+        assert now["hits"] == was["hits"] + len(warm["S"])
+        assert network._facts["S"][0] is facts["S"]
+
+        fresh = ReferenceNetwork(self.tree(self.T2))
+        fresh.advertise("S", 0, self.SCHEMAS[0])
+        fresh.advertise("T", 7, self.SCHEMAS[1])
+        fresh.subscribe(Profile({"S": {"a"}}), 3, "trunk")
+        fresh.subscribe(Profile({"T": ALL_ATTRIBUTES}), 0, "branch")
+        assert self.publish_probes(network, "T") == self.publish_probes(fresh, "T")
+        assert network._facts["T"][0] is not facts["T"]
+        assert network.route_cache_stats()["misses"] > now["misses"]
+        # 7 -> 0 now runs 7-6-5-4-3-2-1-0, no longer over (2, 5)
+        crossed = network.data_stats.as_dict()
+        assert crossed[(4, 5)][0] and crossed[(2, 5)][0]
+        before = crossed[(2, 5)]
+        network.publish(self.PROBES["T"][0], 7)
+        assert network.data_stats.as_dict()[(2, 5)] == before
+
+    @pytest.mark.parametrize("scoped,subsumption", [(True, False), (True, True), (False, False)])
+    def test_broker_7_leaves_returns_and_is_moved_on_warm_routes(self, scoped, subsumption):
+        """T1 -> T4 (7 gone) -> T5 (7 back, a pure addition) -> T6 (7
+        spliced between 4 and 3), every route warm before each move —
+        those from origin 7 included, which outlive its absence on a
+        stream whose entries never moved ("S": 1 -> 2 is an edge of
+        every tree)."""
+        rng = random.Random(7)
+        flags = dict(scope_to_advertisements=scoped, use_subsumption=subsumption)
+        tree = self.tree(self.T1)
+        network = ContentBasedNetwork(tree, **flags)
+        ads = [("S", 1), ("T", 0)]
+        for stream, node in ads:
+            network.advertise(stream, node, self.SCHEMAS["ST".index(stream)])
+        live = {
+            "near": (2, Profile({"S": {"a"}})),
+            "far": (6, Profile({"S": ALL_ATTRIBUTES, "T": {"b"}})),
+            "low": (4, Profile({"T": {"a"}}, [Filter("T", cond(Comparison("a", "<", 60)))])),
+        }
+        for sid, (node, profile) in live.items():
+            network.subscribe(profile, node, sid)
+        self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
+        for edges in (self.T4, self.T5, self.T6):
+            tree = self.tree(edges)
+            network.retree(tree)
+            if 7 in tree and ("T", 7) not in ads:
+                # the returned broker starts publishing: paths toward it
+                ads.append(("T", 7))
+                network.advertise("T", 7)
+            assert self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
+        from_7 = network.publish(self.PROBES["T"][0], 7)
+        assert {d.subscription_id for d in from_7} == {"far", "low"}
+
+    def test_a_dropped_interface_takes_the_routes_across_it(self):
+        """Facts are versioned by the stream's entries alone, so every
+        way an entry goes must report its stream: ``retree`` only drops
+        interfaces it has emptied, this one is dropped full."""
+        network = ContentBasedNetwork(self.tree(self.T1))
+        network.advertise("S", 0, self.SCHEMAS[0])
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 3, "u")
+        probe = self.PROBES["S"][0]
+        assert len(network.publish(probe, 0)) == len(network.publish(probe, 0)) == 1
+        network.table(1).remove_interface(2)
+        assert network.publish(probe, 0) == []
+        assert len(network.publish(probe, 2)) == 1
 
 
 class TestProportionality:

@@ -143,8 +143,8 @@ class TestStreamIndex:
         table.install(1, "s2", profile({"b"}, stream="T"))
         assert set(table.stream_entries(1, "S")) == {"s1"}
         assert set(table.stream_entries(1, "T")) == {"s2"}
-        assert table.has_stream_entries(1, "S")
-        assert not table.has_stream_entries(1, "U")
+        assert 1 in table.stream_interfaces("S")
+        assert 1 not in table.stream_interfaces("U")
 
     def test_stream_interfaces(self):
         table = RoutingTable(0)
@@ -158,21 +158,20 @@ class TestStreamIndex:
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, stream="S"))
         table.discard(1, "s1")
-        assert not table.has_stream_entries(1, "S")
         assert table.stream_interfaces("S") == []
 
     def test_remove_interface_clears_index(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, stream="S"))
         table.remove_interface(1)
-        assert not table.has_stream_entries(1, "S")
+        assert 1 not in table.stream_interfaces("S")
 
     def test_overwrite_reindexes_new_streams(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, stream="S"))
         table.install(1, "s1", profile({"a"}, stream="T"))
-        assert not table.has_stream_entries(1, "S")
-        assert table.has_stream_entries(1, "T")
+        assert 1 not in table.stream_interfaces("S")
+        assert 1 in table.stream_interfaces("T")
 
     def test_decide_matches_reference_scan(self):
         datagrams = [
@@ -234,6 +233,14 @@ class TestEpoch:
         table.discard(1, "s1")
         # One call per mutation, reporting the streams it touched.
         assert calls == [frozenset({"S"}), frozenset({"S"})]
+        # An interface dropped with entries behind it reports theirs
+        # (the network's route caches are versioned by these reports).
+        table.install(1, "s2", profile({"a"}))
+        table.install(1, "t1", profile({"a"}, stream="T"))
+        version = dict(table._stream_versions)
+        table.remove_interface(1)
+        assert calls[-1] == frozenset({"S", "T"}) and len(calls) == 5
+        assert all(table._stream_versions[s] == version[s] + 1 for s in "ST")
 
     def test_mutation_keeps_other_streams_plans_warm(self):
         # "S30" and "S7" have the same crc32 % 64: invalidation is per

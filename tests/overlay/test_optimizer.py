@@ -11,6 +11,8 @@ from repro.overlay.optimizer import (
 )
 from repro.overlay.topology import Topology, barabasi_albert
 from repro.overlay.tree import DisseminationTree
+from repro.system.fault import repair_tree
+from tests.overlay.test_optimizer_oracle import recorded_swaps
 
 
 def square_topology():
@@ -102,7 +104,37 @@ class TestOptimization:
         demands = [(rng.randrange(25), rng.randrange(25), 1.0) for __ in range(10)]
         optimizer = OverlayOptimizer(topo, max_degree=cap)
         improved, __ = optimizer.optimize(tree, demands, max_rounds=3)
-        assert max(improved.degree(n) for n in improved.nodes) <= cap + 1
+        assert max(improved.degree(n) for n in improved.nodes) <= cap
+
+    def test_max_degree_counts_the_slot_the_removed_edge_frees(self):
+        """Path 0-1-2-3, cap 2, spare link 1-3: replacing 1-2 by 1-3
+        keeps node 1 at degree 2 (it loses one edge and gains one)."""
+        topo = Topology()
+        for u, v in [(0, 1), (1, 2), (2, 3), (1, 3)]:
+            topo.add_edge(u, v, 1.0)
+        tree = DisseminationTree([(0, 1), (1, 2), (2, 3)])
+        optimizer = OverlayOptimizer(topo, max_degree=2)
+        improved, report = optimizer.optimize(tree, [(1, 3, 10.0)])
+        assert improved.edges == [(0, 1), (1, 3), (2, 3)]
+        assert report.swaps == 1
+        assert max(improved.degree(n) for n in improved.nodes) == 2
+
+    def test_failed_broker_left_in_the_topology_is_no_candidate(self, monkeypatch):
+        """``Topology`` keeps failed nodes; the repaired tree does not
+        span them, so their links are skipped — not tried and caught."""
+        rng = random.Random(17)
+        topo = barabasi_albert(30, 2, rng)
+        tree = DisseminationTree.minimum_spanning(topo)
+        failed = max(tree.nodes, key=tree.degree)
+        repaired = repair_tree(tree, topo, failed)
+        live = repaired.nodes
+        assert failed in topo.nodes and failed not in live
+        demands = [(rng.choice(live), rng.choice(live), 1.0) for __ in range(20)]
+        built = recorded_swaps(monkeypatch)
+        improved, report = OverlayOptimizer(topo).optimize(repaired, demands, 3)
+        assert report.swaps >= 1 and len(built) == report.swaps
+        assert improved.nodes == live
+        assert all(failed not in edge for edge in improved.edges)
 
     def test_report_improvement_fraction(self):
         topo = square_topology()

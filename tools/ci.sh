@@ -46,6 +46,20 @@ if git grep -nE "IndexedSymmetricJoin|SymmetricWindowJoin|WindowBuffer|_HashedWi
     exit 1
 fi
 
+echo "== self-tuning and repair cost what they change (repro.overlay, repro.cbn) =="
+# OverlayOptimizer prices a swap along its cycle and builds a tree only for the
+# accepted one; _StreamFacts holds no tree, so retree has no facts to drop.
+if [ "$(git grep -cF "with_edge_swap" -- src/repro/overlay/optimizer.py | cut -d: -f2)" != 1 ]; then
+    echo "ci: overlay/optimizer.py must build a tree in exactly one place (the accepted swap)" >&2
+    exit 1
+fi
+if git grep -nF "_facts.clear()" -- src/repro/cbn/network.py \
+   || git grep -nE '__slots__ = .*"tree"' -- src/repro/cbn/network.py; then
+    echo "ci: cbn/network.py must not drop the per-stream facts wholesale," \
+         "and _StreamFacts must not hold a tree" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
@@ -65,6 +79,10 @@ PYTHONPATH=src:. python -m pytest -x -q
 
 echo "== bench harness tests (every span target in bench/tracing.py resolves) =="
 python -m pytest bench -q
+
+echo "== overlay optimizer ablation (same swaps, same tree: the archived table must not move) =="
+PYTHONPATH=src:. python -m pytest benchmarks/test_ablations.py::test_ablation_overlay_optimizer -q
+git diff --exit-code -- benchmarks/results/ablation_overlay_optimizer.txt
 
 echo "== bench pinned runs (seed 0: result_digest + link_cost vs bench/pins.json) =="
 # sensor-fanout is the per-tuple publish path at scale (the route cache's
