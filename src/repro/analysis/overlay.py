@@ -11,9 +11,9 @@ node/edge list) without publishing a single datagram:
   publisher of a stream it requests: a broker on the path lacks a
   routing entry (or, under covering aggregation, any subsuming entry)
   pointing back toward the subscriber.
-* ``COS403`` — a routing entry that can never fire: its subscription
-  no longer exists, or it sits behind an interface that is not a tree
-  neighbour of its broker.
+* ``COS403`` — a routing entry that can never fire: no live
+  subscription owns its id, or it sits behind an interface that is not
+  a tree neighbour of its broker.
 * ``COS404`` — a subscribed stream has no advertised publisher, so
   under advertisement-scoped propagation the subscription never
   receives data.
@@ -29,7 +29,7 @@ from typing import Dict, Hashable, Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.satisfiability import check_dead_profiles
-from repro.cbn.network import ContentBasedNetwork
+from repro.cbn.network import ContentBasedNetwork, entry_id
 from repro.cbn.routing import RoutingTable
 from repro.overlay.tree import DisseminationTree, TreeError
 
@@ -102,13 +102,14 @@ def check_overlay_graph(
 def _covering_entry(
     table: RoutingTable,
     interface: Hashable,
-    entry_id: str,
+    wanted: str,
     profile,
     allow_subsumption: bool,
 ) -> bool:
-    """Is the routing entry (or one covering it) behind ``interface``?"""
+    """Is the routing entry ``wanted`` (or one covering it) behind
+    ``interface``?"""
     entries = table.entries(interface)
-    if entry_id in entries:
+    if wanted in entries:
         return True
     if allow_subsumption:
         return any(existing.subsumes(profile) for existing in entries.values())
@@ -130,23 +131,21 @@ def check_reachability(network: ContentBasedNetwork) -> Report:
         for stream in sorted(profile.streams):
             publishers = network.publishers_of(stream)
             if not publishers:
-                if network.scope_to_advertisements:
-                    report.add(
-                        "COS404",
-                        f"subscription {sid!r} requests stream {stream!r} "
-                        "which no node advertises; it will never receive "
-                        "data",
-                        source,
-                    )
+                report.add(
+                    "COS404",
+                    f"subscription {sid!r} requests stream {stream!r} "
+                    "which no node advertises; it will never receive "
+                    "data",
+                    source,
+                )
                 continue
             restricted = profile.restricted_to(stream)
-            entry_id = f"{sid}#{stream}"
-            tree = network.tree_for(stream)
+            wanted = entry_id(sid, stream)
             for publisher in publishers:
                 if publisher == node:
                     continue  # local publications deliver directly
                 try:
-                    path = tree.path(node, publisher)
+                    path = network.tree.path(node, publisher)
                 except TreeError as exc:
                     report.add(
                         "COS401",
@@ -160,7 +159,7 @@ def check_reachability(network: ContentBasedNetwork) -> Report:
                     if not _covering_entry(
                         network.table(here),
                         toward_sub,
-                        entry_id,
+                        wanted,
                         restricted,
                         network.use_subsumption,
                     ):
@@ -177,18 +176,23 @@ def check_reachability(network: ContentBasedNetwork) -> Report:
 
 
 def check_routing_entries(network: ContentBasedNetwork) -> Report:
-    """COS403: routing entries that can never fire."""
+    """COS403: routing entries that can never fire.
+
+    An entry is live when a live subscription owns its id — the
+    subscription's own id for its LOCAL entry, one
+    :func:`~repro.cbn.network.entry_id` per requested stream for its
+    forwarding entries.  Ids are compared, never parsed: a subscription
+    id may contain any character.
+    """
     report = Report()
-    live = set(network.subscriptions())
+    owned: Set[str] = set()
+    for sid, (__, profile) in network.subscriptions().items():
+        owned.add(sid)
+        owned.update(entry_id(sid, stream) for stream in profile.streams)
     for node in network.tree.nodes:
         table = network.table(node)
         source = f"broker:{node}"
         neighbors: Set[Hashable] = set(network.tree.neighbors(node))
-        for stream_tree in (
-            network.tree_for(stream) for stream in network.advertised_streams()
-        ):
-            if node in stream_tree:
-                neighbors |= set(stream_tree.neighbors(node))
         for interface in table.interfaces:
             is_local = interface is RoutingTable.LOCAL
             if not is_local and interface not in neighbors:
@@ -199,15 +203,13 @@ def check_routing_entries(network: ContentBasedNetwork) -> Report:
                     "match a forwarded datagram",
                     source,
                 )
-            for entry_id in table.entries(interface):
-                subscription_id = entry_id.split("#", 1)[0]
-                if subscription_id not in live:
+            for entry in table.entries(interface):
+                if entry not in owned:
                     report.add(
                         "COS403",
-                        f"orphan routing entry {entry_id!r} behind "
+                        f"orphan routing entry {entry!r} behind "
                         f"{'local' if is_local else repr(interface)}: "
-                        f"subscription {subscription_id!r} no longer "
-                        "exists",
+                        "no live subscription owns it",
                         source,
                     )
     return report
@@ -243,14 +245,6 @@ def check_network(network: ContentBasedNetwork) -> Report:
     report = check_overlay_graph(
         network.tree.nodes, network.tree.edges, source="<overlay>"
     )
-    for stream in network.advertised_streams():
-        tree = network.tree_for(stream)
-        if tree is not network.tree:
-            report.extend(
-                check_overlay_graph(
-                    tree.nodes, tree.edges, source=f"<overlay:{stream}>"
-                )
-            )
     if report.errors:
         return report  # path queries on a broken overlay are meaningless
     report.extend(check_reachability(network))

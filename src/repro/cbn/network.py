@@ -8,11 +8,9 @@ and forwarded on each interface behind which a covering profile lives,
 projected down to the attributes actually requested downstream (early
 projection).
 
-Subscription propagation is advertisement-scoped by default (profiles
-only travel toward the advertised publishers of their streams, the
-Siena model); set ``scope_to_advertisements=False`` to flood them
-everywhere, which is simpler but costs control traffic and routing
-state.
+Subscription propagation is advertisement-scoped (profiles only travel
+toward the advertised publishers of their streams, the Siena model), on
+the one dissemination tree every stream shares.
 
 All data traffic is accounted in :attr:`ContentBasedNetwork.data_stats`
 and control traffic (subscriptions, advertisements) in
@@ -69,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
@@ -99,8 +97,14 @@ class Delivery:
 Hop = Tuple[NodeId, NodeId]
 
 #: One propagation of a subscription: (stream, publisher it was laid
-#: toward); the publisher is ``None`` for a flood over the whole tree.
-_PathKey = Tuple[str, Optional[NodeId]]
+#: toward).
+_PathKey = Tuple[str, NodeId]
+
+
+def entry_id(subscription_id: str, stream: str) -> str:
+    """The id of ``subscription_id``'s forwarding entry for ``stream``
+    (its LOCAL entry is keyed by the subscription id itself)."""
+    return f"{subscription_id}#{stream}"
 
 
 @dataclass
@@ -230,9 +234,6 @@ class ContentBasedNetwork:
     catalog:
         Optional shared schema catalog used to price datagram payloads;
         advertised schemas are registered into it.
-    scope_to_advertisements:
-        Propagate subscriptions only toward advertised publishers of
-        the streams they request (default) instead of flooding.
     use_subsumption:
         Enable covering-based routing-table aggregation.
     """
@@ -241,24 +242,11 @@ class ContentBasedNetwork:
         self,
         tree: DisseminationTree,
         catalog: Optional[Catalog] = None,
-        scope_to_advertisements: bool = True,
         use_subsumption: bool = False,
-        stream_trees: Optional[Mapping[str, DisseminationTree]] = None,
     ) -> None:
         self._tree = tree
         self.catalog = catalog if catalog is not None else Catalog()
         self.use_subsumption = use_subsumption
-        self.scope_to_advertisements = scope_to_advertisements
-        #: Optional per-stream dissemination trees ("the nodes in COSMOS
-        #: are organized into multiple overlay dissemination trees").
-        #: Streams not listed use the default tree; every tree must span
-        #: the same node set.
-        self._stream_trees: Dict[str, DisseminationTree] = dict(stream_trees or {})
-        for stream, stree in self._stream_trees.items():
-            if set(stree.nodes) != set(tree.nodes):
-                raise NetworkError(
-                    f"tree for stream {stream!r} spans different nodes"
-                )
         self._epoch = 0
         self._tables = {node: self._new_table(node) for node in tree.nodes}
         self._subscriptions: Dict[str, _Subscription] = {}
@@ -279,8 +267,7 @@ class ContentBasedNetwork:
         self._stream_versions: Dict[str, int] = {}
         self.data_stats = LinkStats()
         self.control_stats = LinkStats()
-        for each in (tree, *self._stream_trees.values()):
-            self._register_weights(each)
+        self._register_weights(tree)
         self._counter = itertools.count()
 
     # -- structure ---------------------------------------------------------------
@@ -288,32 +275,6 @@ class ContentBasedNetwork:
     @property
     def tree(self) -> DisseminationTree:
         return self._tree
-
-    @property
-    def has_stream_trees(self) -> bool:
-        return bool(self._stream_trees)
-
-    def tree_for(self, stream: str) -> DisseminationTree:
-        """The dissemination tree datagrams of ``stream`` travel on."""
-        return self._stream_trees.get(stream, self._tree)
-
-    def set_stream_tree(self, stream: str, tree: DisseminationTree) -> None:
-        """Attach a dedicated dissemination tree for one stream.
-
-        Must happen before any subscription requesting the stream is
-        installed (routing entries already laid along the old tree
-        would be stranded).
-        """
-        if set(tree.nodes) != set(self._tree.nodes):
-            raise NetworkError(f"tree for stream {stream!r} spans different nodes")
-        if stream in self._stream_subscriptions:
-            raise NetworkError(
-                f"stream {stream!r} already has subscriptions; its tree "
-                "can no longer change"
-            )
-        self._stream_trees[stream] = tree
-        self._bump_epoch((stream,))
-        self._register_weights(tree)
 
     def _new_table(self, node: NodeId) -> RoutingTable:
         return RoutingTable(node, self.use_subsumption, on_change=self._bump_epoch)
@@ -334,8 +295,7 @@ class ContentBasedNetwork:
 
         * *Replayed*: every ``(subscription, stream, publisher)`` path
           that crosses a removed edge or node is withdrawn and laid
-          again along the new tree (floods cover the whole tree, so
-          they are redone whenever any edge changed).
+          again along the new tree.
         * *Dropped*: tables of departed brokers, the emptied interfaces
           of removed edges, advertisements whose node left (and with
           them the paths toward it).
@@ -348,20 +308,15 @@ class ContentBasedNetwork:
           moved (each table reports the entries that do).
 
         Raises before anything changes when a subscriber's broker is
-        not in ``tree`` or the network has per-stream trees (each would
-        need its own reorganisation).
+        not in ``tree``.
         """
-        if self._stream_trees:
-            raise NetworkError("per-stream trees cannot follow a retree")
         for sub in self._subscriptions.values():
             if sub.node not in tree:
                 raise NetworkError(
                     f"subscription {sub.subscription_id!r} lives on broker "
                     f"{sub.node}, which is not in the new tree"
                 )
-        before, kept = set(self._tree.edges), set(tree.edges)
-        gone = before - kept
-        reshaped = before != kept
+        gone = set(self._tree.edges) - set(tree.edges)
         #: the hops — either direction — that sat on a removed edge
         crossed = gone | {(v, u) for u, v in gone}
         vacated: Dict[str, Set[Hop]] = {}
@@ -370,7 +325,7 @@ class ContentBasedNetwork:
             keys = [
                 key
                 for key, hops in sub.footprint.items()
-                if (reshaped if key[1] is None else not crossed.isdisjoint(hops))
+                if not crossed.isdisjoint(hops)
             ]
             if keys:
                 for stream, hops in self._withdraw(sub, keys).items():
@@ -391,9 +346,7 @@ class ContentBasedNetwork:
         self._register_weights(tree)
         for sub, keys in replay:
             for stream, publisher in keys:
-                if publisher is None:
-                    self._flood_subscription(sub, stream)
-                elif publisher in tree:
+                if publisher in tree:
                     self._propagate_toward(sub, stream, publisher)
         if self.use_subsumption:
             for stream, hops in vacated.items():
@@ -474,9 +427,8 @@ class ContentBasedNetwork:
             return
         ads.append(_Advertisement(stream, node))
         self._bump_epoch((stream,))
-        if self.scope_to_advertisements:
-            for sid in self._stream_subscriptions.get(stream, ()):
-                self._propagate_toward(self._subscriptions[sid], stream, node)
+        for sid in self._stream_subscriptions.get(stream, ()):
+            self._propagate_toward(self._subscriptions[sid], stream, node)
 
     def publishers_of(self, stream: str) -> List[NodeId]:
         return [ad.node for ad in self._advertisements.get(stream, [])]
@@ -504,13 +456,9 @@ class ContentBasedNetwork:
         for stream in profile.streams:
             self._stream_subscriptions.setdefault(stream, {})[subscription_id] = None
         self._tables[node].install(RoutingTable.LOCAL, subscription_id, profile)
-        if self.scope_to_advertisements:
-            for stream in profile.streams:
-                for publisher in self.publishers_of(stream):
-                    self._propagate_toward(sub, stream, publisher)
-        else:
-            for stream in profile.streams:
-                self._flood_subscription(sub, stream)
+        for stream in profile.streams:
+            for publisher in self.publishers_of(stream):
+                self._propagate_toward(sub, stream, publisher)
         return subscription_id
 
     def unsubscribe(self, subscription_id: str) -> None:
@@ -556,9 +504,9 @@ class ContentBasedNetwork:
             if stream in vacated:
                 vacated[stream].difference_update(hops)
         for stream, hops in vacated.items():
-            entry_id = f"{sub.subscription_id}#{stream}"
+            entry = entry_id(sub.subscription_id, stream)
             for node, interface in hops:
-                self._tables[node].discard(interface, entry_id)
+                self._tables[node].discard(interface, entry)
         return vacated
 
     def _restore(self, stream: str, hops: Set[Hop]) -> None:
@@ -592,46 +540,26 @@ class ContentBasedNetwork:
         need an entry for this one.
         """
         restricted = sub.profile.restricted_to(stream)
-        entry_id = f"{sub.subscription_id}#{stream}"
+        entry = entry_id(sub.subscription_id, stream)
         size = float(restricted.size_estimate())
         for here, toward_sub in hops:
-            self._tables[here].install(toward_sub, entry_id, restricted)
+            self._tables[here].install(toward_sub, entry, restricted)
             self.control_stats.record(toward_sub, here, size)
 
     def _propagate_toward(
         self, sub: _Subscription, stream: str, publisher: NodeId
     ) -> None:
-        """Lay routing entries along the path subscriber -> publisher.
+        """Lay routing entries along the tree path subscriber -> publisher.
 
-        Propagation is *per stream* and the path follows that stream's
-        own dissemination tree, so configurations with multiple trees
-        route each stream on its tree.  Walking outward from the
+        Propagation is *per stream*.  Walking outward from the
         subscriber, every node on the path stores the entry behind the
         interface pointing back at the subscriber.
         """
         if publisher == sub.node:
             return
-        path = self.tree_for(stream).path(sub.node, publisher)
+        path = self._tree.path(sub.node, publisher)
         hops = tuple(zip(path[1:], path))
         sub.footprint[stream, publisher] = hops
-        self._lay(sub, stream, hops)
-
-    def _flood_subscription(self, sub: _Subscription, stream: str) -> None:
-        """Lay routing entries everywhere (flooding propagation), per
-        stream on the stream's tree."""
-        tree = self.tree_for(stream)
-        hops: List[Hop] = []
-        seen = {sub.node}
-        frontier = [sub.node]
-        while frontier:
-            here = frontier.pop()
-            for neighbor in sorted(tree.neighbors(here)):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    # At ``neighbor`` the subscriber lies behind ``here``.
-                    hops.append((neighbor, here))
-                    frontier.append(neighbor)
-        sub.footprint[stream, None] = tuple(hops)
         self._lay(sub, stream, hops)
 
     # -- publication ---------------------------------------------------------------------
@@ -756,12 +684,6 @@ class ContentBasedNetwork:
             sid: (sub.node, sub.profile)
             for sid, sub in self._subscriptions.items()
         }
-
-    def advertised_streams(self) -> List[str]:
-        """Streams with at least one advertisement, sorted."""
-        return sorted(
-            stream for stream, ads in self._advertisements.items() if ads
-        )
 
     def routing_state_size(self) -> int:
         """Total routing entries across all brokers (table pressure)."""

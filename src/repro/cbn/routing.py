@@ -70,10 +70,6 @@ from repro.cbn.filters import ALL_ATTRIBUTES, Profile
 from repro.overlay.topology import NodeId
 
 
-class RoutingError(Exception):
-    """Raised for inconsistent routing operations."""
-
-
 @dataclass
 class ForwardDecision:
     """Outcome of evaluating a datagram against one interface.
@@ -284,10 +280,6 @@ class RoutingTable:
         return sum(len(entries) for entries in self._entries.values())
 
     # -- the index -------------------------------------------------------------
-
-    def stream_entries(self, interface: object, stream: str) -> Dict[str, Profile]:
-        """Entry-id -> profile behind ``interface`` requesting ``stream``."""
-        return dict(self._by_stream.get(interface, {}).get(stream, {}))
 
     def stream_interfaces(self, stream: str) -> List[object]:
         """Interfaces with at least one entry requesting ``stream``."""

@@ -20,32 +20,15 @@ it can be unit-tested without any network.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cbn.filters import Profile
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
-from repro.core.grouping import GroupingOptimizer, QueryGroup
+from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
 from repro.core.profiles import result_profile
 from repro.core.cost import CostModel
 from repro.spe.engine import StreamProcessingEngine
-
-
-@dataclass
-class Submission:
-    """Where one submitted query went.
-
-    Nothing derived from ``group`` rides along: the group changed (its
-    representative was re-issued to the SPE), and whoever reconciles
-    the network with it reads the result stream, the source profile and
-    the members' result profiles off the group as it stands then.
-    """
-
-    query: ContinuousQuery
-    group: QueryGroup
-    created_group: bool
-    benefit_delta: float
 
 
 class QueryManager:
@@ -87,9 +70,17 @@ class QueryManager:
 
     # -- submission -----------------------------------------------------------
 
-    def submit(self, query: ContinuousQuery, name: Optional[str] = None) -> Submission:
+    def submit(
+        self, query: ContinuousQuery, name: Optional[str] = None
+    ) -> GroupingDecision:
         """Accept a user query: group it and re-issue the (new or
-        widened) representative of its group to the SPE."""
+        widened) representative of its group to the SPE.
+
+        Returns the grouping optimizer's decision.  Nothing derived from
+        its group rides along: whoever reconciles the network with the
+        group reads the result stream, the source profile and the
+        members' result profiles off the group as it stands then.
+        """
         if query.name is None:
             query = ContinuousQuery(
                 query.select_items,
@@ -101,9 +92,7 @@ class QueryManager:
         query.validate(self.catalog)
         decision = self.grouping.add(query)
         self._sync_spe(decision.group)
-        return Submission(
-            query, decision.group, decision.created_group, decision.benefit_delta
-        )
+        return decision
 
     def result_stream_of(self, group: QueryGroup) -> str:
         """The stream the group's representative publishes its results on."""

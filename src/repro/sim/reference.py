@@ -61,7 +61,7 @@ class ReferenceNetwork(ContentBasedNetwork):
 
     def _scan(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
         widths = self._widths_for(datagram.stream)
-        tree = self.tree_for(datagram.stream)
+        tree = self.tree
         deliveries: List[Delivery] = []
         #: (broker to process, interface it arrived from, datagram copy)
         stack: List[tuple] = [(node, None, datagram)]

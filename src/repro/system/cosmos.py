@@ -96,15 +96,6 @@ class CosmosSystem:
         When ``False``, every query forms its own group (the non-share
         baseline of Figure 3) — implemented by an infinite merge
         threshold on each processor's grouping optimizer.
-    per_source_trees:
-        Build a dedicated shortest-path dissemination tree rooted at
-        each source's node (the paper's "multiple overlay dissemination
-        trees"); requires ``topology``.  Result streams stay on the
-        default tree.
-    static_check:
-        Run the static analyzer (schema + satisfiability families) on
-        every submitted query and reject submissions with errors by
-        raising :class:`SystemError_` before anything is installed.
     """
 
     def __init__(
@@ -116,13 +107,7 @@ class CosmosSystem:
         cost_model: Optional[CostModel] = None,
         merging: bool = True,
         use_subsumption: bool = False,
-        per_source_trees: bool = False,
-        static_check: bool = False,
     ) -> None:
-        if per_source_trees and topology is None:
-            raise SystemError_("per_source_trees requires the topology")
-        self.per_source_trees = per_source_trees
-        self.static_check = static_check
         self.tree = tree
         self.topology = topology
         self.catalog = Catalog()
@@ -173,11 +158,6 @@ class CosmosSystem:
             raise SystemError_(f"source node {node} not in the tree")
         self._sources[schema.name] = node
         self.catalog.register(schema)
-        if self.per_source_trees:
-            assert self.topology is not None
-            self.network.set_stream_tree(
-                schema.name, DisseminationTree.shortest_path(self.topology, node)
-            )
         self.network.advertise(schema.name, node, schema)
 
     def source_node(self, stream: str) -> NodeId:
@@ -194,7 +174,14 @@ class CosmosSystem:
         user_node: NodeId,
         name: Optional[str] = None,
     ) -> SubmittedQuery:
-        """Submit a user query from ``user_node``; returns its handle."""
+        """Submit a user query from ``user_node``; returns its handle.
+
+        A query naming an unknown stream or attribute raises
+        :class:`~repro.cql.ast.QueryError` before any state changes.
+        Subtler defects (an unsatisfiable predicate) are accepted; the
+        static analyzer (``repro check``) is where to vet queries for
+        them before submitting.
+        """
         if isinstance(query, str):
             query = parse_query(query)
         if user_node not in self.tree:
@@ -209,15 +196,6 @@ class CosmosSystem:
             query.group_by,
             query_id,
         )
-        if self.static_check:
-            from repro.analysis.checker import analyze_query
-
-            report = analyze_query(named, self.catalog)
-            if report.errors:
-                raise SystemError_(
-                    f"query {query_id!r} rejected by static analysis:\n"
-                    + "\n".join(d.render() for d in report.errors)
-                )
         processor = self.distribution.choose(
             named, user_node, sorted(self.processors.values(), key=lambda p: p.node_id)
         )

@@ -35,16 +35,6 @@ class PartitionError(FaultError):
     (:func:`~repro.system.reliability.quarantine_partitioned`), not retries."""
 
 
-def refuse_stream_trees(system: CosmosSystem) -> None:
-    """Tree repair swaps the default tree only: ``rebuild_network`` would
-    silently move every per-stream tree's traffic onto it."""
-    if system.network.has_stream_trees:
-        raise FaultError(
-            "per-stream trees must be repaired individually; "
-            "rebuilding over the default tree would drop them"
-        )
-
-
 def spanning_tree(
     topology: Topology,
     nodes: Iterable[NodeId],
@@ -96,8 +86,8 @@ def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
     """Data-layer failure: repair the tree and rebuild routing state.
 
     The node must be a pure broker (no SPE, no attached sources or
-    users) in the tree of a system without per-stream trees; anything
-    else raises :class:`FaultError` before the system is touched.
+    users); anything else raises :class:`FaultError` before the system
+    is touched.
     Routing state is control-plane soft state in a CBN, so recovery has
     the network move onto the repaired tree
     (:meth:`ContentBasedNetwork.retree`), which redoes the subscription
@@ -105,7 +95,6 @@ def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
     """
     if system.topology is None:
         raise FaultError("fault repair needs the underlying topology")
-    refuse_stream_trees(system)
     if node in system.processors:
         raise FaultError(
             f"node {node} is a processor; use fail_processor instead"

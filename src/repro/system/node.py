@@ -20,8 +20,8 @@ from repro.cbn.datagram import Datagram
 from repro.cbn.network import ContentBasedNetwork
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
-from repro.core.grouping import GroupingOptimizer, QueryGroup
-from repro.core.manager import QueryManager, Submission
+from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
+from repro.core.manager import QueryManager
 from repro.core.profiles import source_profile
 from repro.core.cost import CostModel
 from repro.overlay.topology import NodeId
@@ -98,7 +98,9 @@ class Processor:
 
     # -- query layer ---------------------------------------------------------------
 
-    def accept(self, query: ContinuousQuery, name: Optional[str] = None) -> Submission:
+    def accept(
+        self, query: ContinuousQuery, name: Optional[str] = None
+    ) -> GroupingDecision:
         """Accept a user query and reconcile CBN subscriptions.
 
         The query travels through the query wrapper (as it would to a
@@ -116,9 +118,9 @@ class Processor:
                 unwrapped.group_by,
                 query.name,
             )
-        submission = self.manager.submit(unwrapped, name=name)
-        self._sync_group(submission.group)
-        return submission
+        decision = self.manager.submit(unwrapped, name=name)
+        self._sync_group(decision.group)
+        return decision
 
     def withdraw(self, query_name: str) -> Optional[QueryGroup]:
         """Remove a query; returns the recomposed group, its CBN state

@@ -32,9 +32,7 @@ def rebuild_network(system: "CosmosSystem", tree: DisseminationTree) -> None:
     tree change invalidates.
 
     The new tree must contain every node that still hosts a source, a
-    processor or a user.  Per-stream trees cannot follow (they would
-    need their own reorganisation), so every caller refuses a system
-    that has them before it gets here.
+    processor or a user.
     """
     from repro.system.cosmos import QueryStatus
 

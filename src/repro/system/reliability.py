@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.overlay.topology import NodeId, Topology
 from repro.system import rebuild
 from repro.system.cosmos import CosmosSystem, QueryStatus
-from repro.system.fault import FaultError, refuse_stream_trees, spanning_tree
+from repro.system.fault import FaultError, spanning_tree
 
 
 class ReliabilityError(Exception):
@@ -512,7 +512,6 @@ def quarantine_partitioned(
     """
     if system.topology is None:
         raise FaultError("degraded-mode repair needs the underlying topology")
-    refuse_stream_trees(system)
     state = system.reliability
     if state is None:
         state = attach_reliability(system)
@@ -571,7 +570,6 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     main = next((c for c in components if c & tree_nodes), tree_nodes)
     if not (main - tree_nodes):
         return []  # nothing newly reachable
-    refuse_stream_trees(system)
     rebuild.rebuild_network(
         system, spanning_tree(system.topology, main, system.tree)
     )

@@ -79,16 +79,10 @@ def reorganize_overlay(
 
     Returns the optimizer's report; when no improving swap exists the
     system is left untouched.  Requires the underlying topology (only
-    physical links can enter the tree) and does not support per-stream
-    trees (each would need its own reorganisation).
+    physical links can enter the tree).
     """
     if system.topology is None:
         raise TuningError("overlay reorganisation needs the underlying topology")
-    if system.network.has_stream_trees:
-        raise TuningError(
-            "per-stream trees must be reorganised individually; "
-            "the default-tree optimizer would strand them"
-        )
     demands = traffic_demands(system)
     optimizer = OverlayOptimizer(system.topology, max_degree=max_degree)
     improved, report = optimizer.optimize(system.tree, demands, max_rounds)

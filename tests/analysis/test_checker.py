@@ -1,7 +1,12 @@
-"""The end-to-end analyzer, the CLI contract and the submit hook."""
+"""The end-to-end analyzer, the CLI contract and the analyzer's place
+beside the runtime."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import (
     BUILTIN_WORKLOADS,
     Workload,
@@ -11,9 +16,9 @@ from repro.analysis import (
     builtin_workload,
 )
 from repro.cli import run_check
+from repro.cql.ast import QueryError
 from repro.cql.parser import parse_query
 from repro.system import CosmosSystem
-from repro.system.cosmos import SystemError_
 
 
 class TestBuiltinWorkloads:
@@ -85,45 +90,94 @@ class TestRunCheck:
         assert "auction: clean" in capsys.readouterr().out
 
 
-class TestSubmitHook:
-    def _system(self, line_tree, sensor_catalog):
-        system = CosmosSystem(line_tree, processor_nodes=[2], static_check=True)
+class TestCheckBeforeSubmit:
+    """The static check runs beside the runtime: vet a query with
+    ``analyze_query``, then hand it to ``CosmosSystem.submit``."""
+
+    @pytest.fixture
+    def system(self, line_tree, sensor_catalog):
+        system = CosmosSystem(line_tree, processor_nodes=[2])
         for index, schema in enumerate(sorted(sensor_catalog, key=lambda s: s.name)):
             system.add_source(schema, index % 2)
         return system
 
-    def test_rejects_defective_query(self, line_tree, sensor_catalog):
-        system = self._system(line_tree, sensor_catalog)
-        with pytest.raises(SystemError_, match="COS102"):
-            system.submit("SELECT T.bogus FROM Temp [Now] T", user_node=4)
+    def test_defective_query_flagged_and_refused(self, system, sensor_catalog):
+        text = "SELECT T.bogus FROM Temp [Now] T"
+        assert analyze_query(parse_query(text, name="q"), sensor_catalog).has("COS102")
+        with pytest.raises(QueryError):
+            system.submit(text, user_node=4)
         assert system.queries == []  # nothing was installed
 
-    def test_rejects_unsatisfiable_query(self, line_tree, sensor_catalog):
-        system = self._system(line_tree, sensor_catalog)
-        with pytest.raises(SystemError_, match="COS201"):
-            system.submit(
-                "SELECT T.station FROM Temp [Now] T "
-                "WHERE T.temperature > 30 AND T.temperature < 10",
-                user_node=4,
-            )
-
-    def test_accepts_clean_query(self, line_tree, sensor_catalog):
-        system = self._system(line_tree, sensor_catalog)
-        handle = system.submit(
-            "SELECT T.station FROM Temp [Now] T WHERE T.temperature > 30",
-            user_node=4,
+    def test_unsatisfiable_query_flagged_but_accepted(self, system, sensor_catalog):
+        text = (
+            "SELECT T.station FROM Temp [Now] T "
+            "WHERE T.temperature > 30 AND T.temperature < 10"
         )
+        assert analyze_query(parse_query(text, name="q"), sensor_catalog).has("COS201")
+        system.submit(text, user_node=4)
+        assert len(system.queries) == 1
+
+    def test_clean_query_passes_both(self, system, sensor_catalog):
+        text = "SELECT T.station FROM Temp [Now] T WHERE T.temperature > 30"
+        assert analyze_query(parse_query(text, name="q"), sensor_catalog).is_clean
+        handle = system.submit(text, user_node=4)
         assert handle.query_id in [q.query_id for q in system.queries]
 
-    def test_hook_is_opt_in(self, line_tree, sensor_catalog):
-        system = CosmosSystem(line_tree, processor_nodes=[2])
-        for index, schema in enumerate(sorted(sensor_catalog, key=lambda s: s.name)):
-            system.add_source(schema, index % 2)
-        # Without static_check an unsatisfiable (but well-formed) query
-        # is accepted as before — it just never produces results.
-        system.submit(
-            "SELECT T.station FROM Temp [Now] T "
-            "WHERE T.temperature > 30 AND T.temperature < 10",
-            user_node=4,
-        )
-        assert len(system.queries) == 1
+
+RUNTIME = Path(repro.__file__).parent
+RUNTIME_PACKAGES = sorted(
+    path.name for path in RUNTIME.iterdir()
+    if (path / "__init__.py").exists() and path.name != "analysis"
+)
+
+
+def _imports(text, package):
+    """Absolute names of every module ``text``, a module of ``package``,
+    imports (``from a import b`` yields both ``a`` and ``a.b``)."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def _is_analyzer(name):
+    return name == "repro.analysis" or name.startswith("repro.analysis.")
+
+
+class TestRuntimeLayering:
+    """Only ``repro.analysis`` and the CLI depend on the analyzer."""
+
+    def test_every_runtime_package_is_scanned(self):
+        assert {"cbn", "core", "cql", "spe", "system"} <= set(RUNTIME_PACKAGES)
+
+    @pytest.mark.parametrize("package", RUNTIME_PACKAGES)
+    def test_package_does_not_import_the_analyzer(self, package):
+        offenders = [
+            f"{path.relative_to(RUNTIME)}: {name}"
+            for path in sorted((RUNTIME / package).rglob("*.py"))
+            for name in _imports(
+                path.read_text(), ".".join(path.parent.relative_to(RUNTIME.parent).parts)
+            )
+            if _is_analyzer(name)
+        ]
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "import repro.analysis.overlay as overlay",
+            "from repro.analysis.checker import analyze_query",
+            "from repro import analysis",
+            "from ..analysis import checker",
+            "def f():\n    from repro.analysis import Report\n",
+        ],
+        ids=["import", "from-module", "from-package", "relative", "function-local"],
+    )
+    def test_scan_sees_every_import_form(self, text):
+        assert any(_is_analyzer(name) for name in _imports(text, "repro.system"))

@@ -1,5 +1,7 @@
 """COS4xx: seeded overlay/routing defects must be flagged."""
 
+import pytest
+
 from repro.analysis.overlay import (
     check_network,
     check_overlay_graph,
@@ -11,6 +13,13 @@ from repro.cbn.network import ContentBasedNetwork
 from repro.cbn.routing import RoutingTable
 from repro.cql.schema import Attribute, Catalog, StreamSchema
 from repro.overlay.tree import DisseminationTree
+from repro.system.cosmos import CosmosSystem
+from repro.workload.auction import (
+    CLOSED_AUCTION_SCHEMA,
+    OPEN_AUCTION_SCHEMA,
+    TABLE1_Q1,
+    TABLE1_Q2,
+)
 
 
 def _schema(name="Temp"):
@@ -97,6 +106,32 @@ class TestRoutingEntries:
         report = check_routing_entries(network)
         assert report.has("COS403")
         assert "ghost" in report.warnings[0].message
+
+    # a query named "q#1" is subscribed to its results as "user:q#1:v<n>";
+    # "s#Temp" is spelled like the Temp entry of a subscription "s"
+    @pytest.mark.parametrize("sid", ["user:q#1:v0", "#", "a#b#c", "s#Temp"])
+    def test_hash_in_subscription_id_is_not_an_orphan(self, line_tree, sid):
+        network = _network(line_tree)
+        network.advertise("Temp", 0, _schema())
+        network.subscribe(_all(), 4, sid)
+        assert check_routing_entries(network).is_clean
+        assert check_reachability(network).is_clean
+        # an entry for a stream the live subscription does not request
+        # is still nobody's
+        network.table(2).install(3, f"{sid}#Wind", _all("Wind"))
+        report = check_routing_entries(network)
+        assert [d.code for d in report] == ["COS403"]
+        assert f"{sid}#Wind" in report.warnings[0].message
+
+    def test_query_named_with_hash_routes_no_orphans(self, line_tree):
+        system = CosmosSystem(line_tree, processor_nodes=[2])
+        system.add_source(OPEN_AUCTION_SCHEMA, 0)
+        system.add_source(CLOSED_AUCTION_SCHEMA, 0)
+        system.submit(TABLE1_Q1, user_node=4, name="q#1")
+        system.submit(TABLE1_Q2, user_node=3, name="q#2")
+        assert not check_network(system.network).has("COS403")
+        system.withdraw("q#1")
+        assert not check_network(system.network).has("COS403")
 
     def test_entry_behind_non_neighbour(self, line_tree):
         network = _network(line_tree)

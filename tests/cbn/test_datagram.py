@@ -87,3 +87,31 @@ class TestSize:
     def test_projection_shrinks_size(self):
         d = Datagram("S", {"a": 1.0, "b": 2.0, "c": 3.0})
         assert d.project({"a"}).size_bytes() < d.size_bytes()
+
+    def test_empty_payload_is_free(self):
+        assert Datagram("S", {}, 7.0).size_bytes() == 0
+        assert Datagram("S", {}, 7.0, 3).size_bytes() == 8  # the seq alone
+
+    def test_bool_is_one_byte_not_an_int(self):
+        assert Datagram("S", {"flag": True}).size_bytes() == 1
+
+    def test_int_and_string_widths_are_fixed(self):
+        # the widths are per type: value magnitude and text length
+        # (or encoding) do not move them
+        small = Datagram("S", {"i": 0, "s": ""})
+        large = Datagram("S", {"i": -(2**40), "s": "été ☃" * 50})
+        assert small.size_bytes() == large.size_bytes() == 4 + 16
+
+    def test_untyped_value_falls_back_to_sixteen(self):
+        assert Datagram("S", {"x": None}).size_bytes() == 16
+
+    def test_stream_name_and_timestamp_carry_no_bytes(self):
+        d = Datagram("S", {"a": 1, "b": 2.0}, 1.0)
+        assert Datagram("a-much-longer-stream-name", d.payload, 9e9).size_bytes() == (
+            d.size_bytes()
+        )
+        assert d.relabel("results").size_bytes() == d.size_bytes()
+
+    def test_widths_of_absent_attributes_ignored(self):
+        d = Datagram("S", {"a": 1})
+        assert d.size_bytes({"a": 2, "zzz": 100}) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
-from repro.cbn.network import ContentBasedNetwork, NetworkError
+from repro.cbn.network import ContentBasedNetwork, NetworkError, entry_id
 from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
@@ -79,6 +79,35 @@ class TestSubscribePublish:
         net.unsubscribe("a#S")
         assert net.routing_state_size() == 0
 
+    def test_multi_stream_profile_filters_per_stream(self, net):
+        net.advertise("T", 0)
+        profile = Profile(
+            {"S": {"a"}, "T": {"a"}},
+            [Filter("S", cond(Comparison("a", ">", 5)))],
+        )
+        net.subscribe(profile, 3, "u")
+        assert net.publish(Datagram("S", {"a": 1}), 0) == []      # filtered
+        assert len(net.publish(Datagram("S", {"a": 9}), 0)) == 1  # passes
+        assert len(net.publish(Datagram("T", {"a": 1}), 0)) == 1  # unconditional
+
+    def test_forwarding_entries_keyed_by_entry_id(self, net):
+        net.advertise("T", 0)
+        net.subscribe(Profile({"S": ALL_ATTRIBUTES, "T": ALL_ATTRIBUTES}), 4, "u")
+        assert list(net.table(4).entries(RoutingTable.LOCAL)) == ["u"]
+        for node in (0, 1, 2, 3):
+            assert set(net.table(node).entries(node + 1)) == {
+                entry_id("u", "S"), entry_id("u", "T")
+            }
+
+    @pytest.mark.parametrize("sid", ["u", "q#1", "u#S"])
+    def test_unsubscribe_clears_every_stream_entry(self, net, sid):
+        net.advertise("T", 0)
+        net.subscribe(Profile({"S": ALL_ATTRIBUTES, "T": ALL_ATTRIBUTES}), 4, sid)
+        net.unsubscribe(sid)
+        assert net.publish(Datagram("S", {"a": 1}), 0) == []
+        assert net.publish(Datagram("T", {"a": 1}), 0) == []
+        assert net.routing_state_size() == 0
+
     def test_duplicate_subscription_id_rejected(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
         with pytest.raises(NetworkError):
@@ -132,22 +161,6 @@ class TestAdvertisementScoping:
         net.advertise("S", 0, SCHEMA)  # late advertisement re-propagates
         deliveries = net.publish(Datagram("S", {"a": 1}), 0)
         assert [d.subscription_id for d in deliveries] == ["u1"]
-
-    def test_flooding_mode_needs_no_advertisement(self, line_tree):
-        net = ContentBasedNetwork(line_tree, scope_to_advertisements=False)
-        net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
-        deliveries = net.publish(Datagram("S", {"a": 1}), 0)
-        assert [d.subscription_id for d in deliveries] == ["u1"]
-
-    def test_scoped_mode_keeps_routing_state_small(self, line_tree):
-        scoped = ContentBasedNetwork(line_tree)
-        scoped.advertise("S", 0, SCHEMA)
-        flooded = ContentBasedNetwork(line_tree, scope_to_advertisements=False)
-        flooded.advertise("S", 0, SCHEMA)
-        p = Profile({"S": ALL_ATTRIBUTES})
-        scoped.subscribe(p, 2, "u1")
-        flooded.subscribe(p, 2, "u1")
-        assert scoped.routing_state_size() < flooded.routing_state_size()
 
     def test_multiple_publishers(self, star_tree):
         net = ContentBasedNetwork(star_tree)
@@ -575,14 +588,15 @@ class TestRetree:
                     assert mine == theirs
         return delivered
 
-    @pytest.mark.parametrize("seed", range(6))
+    # nine histories per (class, subsumption): 36 interleavings in all
+    @pytest.mark.parametrize("seed", range(9))
     @pytest.mark.parametrize("cls", [ContentBasedNetwork, ReferenceNetwork])
-    @pytest.mark.parametrize("scoped,subsumption", [(True, False), (True, True), (False, False)])
+    @pytest.mark.parametrize("subsumption", [False, True])
     def test_any_interleaving_is_indistinguishable_from_a_fresh_build(
-        self, seed, cls, scoped, subsumption
+        self, seed, cls, subsumption
     ):
         rng = random.Random(seed)
-        flags = dict(scope_to_advertisements=scoped, use_subsumption=subsumption)
+        flags = dict(use_subsumption=subsumption)
         tree = self.tree(self.T1)
         network = cls(tree, **flags)
         stats = network.data_stats
@@ -626,7 +640,6 @@ class TestRetree:
                     retrees += 1
             delivered += self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
         assert type(network) is cls and network.data_stats is stats
-        assert network.scope_to_advertisements is scoped
         assert network.use_subsumption is subsumption
         assert retrees >= 3 and delivered
 
@@ -640,17 +653,6 @@ class TestRetree:
         assert network.tree is old_tree
         assert network.routing_state_size() == size
         assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == 1
-
-    def test_per_stream_trees_refused_before_any_change(self):
-        network = ContentBasedNetwork(
-            self.tree(self.T1), stream_trees={"T": self.tree(self.T2)}
-        )
-        network.advertise("S", 0, self.SCHEMAS[0])
-        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 6, "u1")
-        old_tree, epoch = network.tree, network.routing_epoch
-        with pytest.raises(NetworkError):
-            network.retree(self.tree(self.T2))
-        assert network.tree is old_tree and network.routing_epoch == epoch
 
     def publish_probes(self, network, stream):
         return [
@@ -694,15 +696,15 @@ class TestRetree:
         network.publish(self.PROBES["T"][0], 7)
         assert network.data_stats.as_dict()[(2, 5)] == before
 
-    @pytest.mark.parametrize("scoped,subsumption", [(True, False), (True, True), (False, False)])
-    def test_broker_7_leaves_returns_and_is_moved_on_warm_routes(self, scoped, subsumption):
+    @pytest.mark.parametrize("subsumption", [False, True])
+    def test_broker_7_leaves_returns_and_is_moved_on_warm_routes(self, subsumption):
         """T1 -> T4 (7 gone) -> T5 (7 back, a pure addition) -> T6 (7
         spliced between 4 and 3), every route warm before each move —
         those from origin 7 included, which outlive its absence on a
         stream whose entries never moved ("S": 1 -> 2 is an edge of
         every tree)."""
         rng = random.Random(7)
-        flags = dict(scope_to_advertisements=scoped, use_subsumption=subsumption)
+        flags = dict(use_subsumption=subsumption)
         tree = self.tree(self.T1)
         network = ContentBasedNetwork(tree, **flags)
         ads = [("S", 1), ("T", 0)]

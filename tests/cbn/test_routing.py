@@ -141,8 +141,10 @@ class TestStreamIndex:
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, stream="S"))
         table.install(1, "s2", profile({"b"}, stream="T"))
-        assert set(table.stream_entries(1, "S")) == {"s1"}
-        assert set(table.stream_entries(1, "T")) == {"s2"}
+        for stream, expected in (("S", {"s1"}), ("T", {"s2"})):
+            assert {
+                eid for eid, p in table.entries(1).items() if stream in p.streams
+            } == expected
         assert 1 in table.stream_interfaces("S")
         assert 1 not in table.stream_interfaces("U")
 
@@ -217,8 +219,8 @@ class TestEpoch:
         assert table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
         assert (table.epoch, table._stream_versions) == (epoch, version)
         assert table._plan(1, "S") is plan and len(calls) == 2
-        # the per-stream bucket still mirrors the entries, in install order
-        assert list(table.stream_entries(1, "S")) == list(table.entries(1)) == ["a", "b"]
+        # the entries keep their install order
+        assert list(table.entries(1)) == ["a", "b"]
 
     def test_remove_missing_interface_keeps_epoch(self):
         table = RoutingTable(0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cbn.datagram import Datagram
-from repro.core.grouping import GroupingOptimizer
+from repro.core.grouping import GroupingDecision, GroupingOptimizer
 from repro.core.manager import QueryManager
 from repro.core.profiles import source_profile
 from repro.core.cost import CostModel
@@ -56,6 +56,14 @@ class TestSubmission:
         )
         assert schema.name == manager.result_stream_of(sub.group)
         assert schema.has_attribute("OpenAuction.itemID")
+
+    def test_returns_the_optimizers_decision(self, manager):
+        first = manager.submit(parse_query(TABLE1_Q1), name="q1")
+        second = manager.submit(parse_query(TABLE1_Q2), name="q2")
+        assert isinstance(first, GroupingDecision)
+        assert isinstance(second, GroupingDecision)
+        assert second.group is first.group is manager.grouping.group_of("q2")
+        assert manager.grouping.group_of("q1") is first.group
 
     def test_auto_naming(self, manager):
         sub = manager.submit(parse_query(TABLE1_Q1))

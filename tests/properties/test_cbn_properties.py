@@ -12,6 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.overlay import check_reachability, check_routing_entries
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
@@ -113,27 +114,39 @@ class TestRoutingEquivalence:
 
         assert run(True) == run(False)
 
-
-class TestCodecProperties:
-    @given(random_profiles())
-    @settings(max_examples=60, deadline=None)
-    def test_profile_roundtrip(self, profile):
-        from repro.cbn.codec import decode_profile, encode_profile
-
-        assert decode_profile(encode_profile(profile)) == profile
-
-    @given(datagrams())
-    @settings(max_examples=60, deadline=None)
-    def test_datagram_roundtrip(self, datagram):
-        from repro.cbn.codec import decode_datagram, encode_datagram
-
-        assert decode_datagram(encode_datagram(datagram)) == datagram
-
     @given(random_profiles(), datagrams())
     @settings(max_examples=60, deadline=None)
-    def test_coverage_invariant_under_codec(self, profile, datagram):
-        from repro.cbn.codec import decode_profile, encode_profile
+    def test_early_projection_never_adds_bytes(self, profile, datagram):
+        delivered = profile.apply(datagram)
+        if delivered is not None:
+            assert delivered.size_bytes() <= datagram.size_bytes()
 
-        decoded = decode_profile(encode_profile(profile))
-        assert decoded.covers(datagram) == profile.covers(datagram)
-        assert decoded.apply(datagram) == profile.apply(datagram)
+
+class TestSubscriptionIds:
+    @given(
+        random_trees(),
+        st.lists(
+            st.tuples(random_profiles(), st.text("aS#:", min_size=1, max_size=5)),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda pair: pair[1],
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_id_routes_and_unroutes_without_orphans(
+        self, tree, subscriptions, use_subsumption, data
+    ):
+        network = ContentBasedNetwork(tree, use_subsumption=use_subsumption)
+        network.advertise("S", data.draw(st.sampled_from(tree.nodes), label="pub"))
+        for index, (profile, sid) in enumerate(subscriptions):
+            node = data.draw(st.sampled_from(tree.nodes), label=f"sub{index}")
+            network.subscribe(profile, node, sid)
+        assert check_routing_entries(network).is_clean
+        assert not check_reachability(network).errors
+        order = data.draw(st.permutations([sid for __, sid in subscriptions]))
+        for sid in order:
+            network.unsubscribe(sid)
+            assert check_routing_entries(network).is_clean
+        assert network.routing_state_size() == 0

@@ -141,7 +141,6 @@ def interleaved_history(tree, data):
     nodes = tree.nodes
     flags = dict(
         use_subsumption=data.draw(st.booleans(), label="use_subsumption"),
-        scope_to_advertisements=data.draw(st.booleans(), label="scoped"),
     )
     fast = ContentBasedNetwork(tree, **flags)
     naive = ReferenceNetwork(tree, **flags)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cql.ast import QueryError
 from repro.system.cosmos import CosmosSystem, SystemError_
 from repro.workload.auction import (
     CLOSED_AUCTION_SCHEMA,
@@ -59,6 +60,65 @@ class TestSubmission:
         assert summary["queries"] == 2.0
         assert summary["groups"] == 1.0
         assert summary["benefit_ratio"] > 0
+
+
+class TestMalformedQueryRejected:
+    """Outside input is validated on every submit: a malformed query
+    raises before anything is installed anywhere."""
+
+    WELL_FORMED = "SELECT T.station FROM Temp [Now] T WHERE T.temperature > 30"
+
+    @pytest.fixture
+    def sensors(self, line_tree, sensor_catalog):
+        system = CosmosSystem(line_tree, processor_nodes=[2])
+        for index, schema in enumerate(sorted(sensor_catalog, key=lambda s: s.name)):
+            system.add_source(schema, index % 2)
+        system.submit(self.WELL_FORMED, user_node=4, name="ok")
+        return system
+
+    @staticmethod
+    def state(system):
+        network = system.network
+        return (
+            [handle.query_id for handle in system.queries],
+            system.grouping_summary(),
+            system.processors[2].spe.query_names,
+            network.subscription_count,
+            network.routing_state_size(),
+            network.routing_epoch,
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT X.station FROM Nope [Now] X",
+            "SELECT T.bogus FROM Temp [Now] T",
+            "SELECT T.station FROM Temp [Now] T WHERE T.bogus > 3",
+            "SELECT AVG(T.temperature) FROM Temp [Range 10 Second] T GROUP BY T.bogus",
+            "SELECT T.station FROM Temp [Now] T, Wind [Now] W WHERE T.station = W.bogus",
+            "SELECT Z.station FROM Temp [Now] T",
+            "SELECT AVG(T.bogus) FROM Temp [Range 10 Second] T",
+            "SELECT T.station FROM Temp [Now] T, Wind [Now] T",
+        ],
+        ids=[
+            "stream", "attribute", "where-term", "group-by-key", "join-key",
+            "qualifier", "aggregate-argument", "duplicate-reference",
+        ],
+    )
+    def test_rejected_before_anything_is_installed(self, sensors, text):
+        before = self.state(sensors)
+        with pytest.raises(QueryError):
+            sensors.submit(text, user_node=4, name="bad")
+        assert self.state(sensors) == before
+
+    def test_unsatisfiable_but_well_formed_is_accepted(self, sensors):
+        # it just never produces results; repro check flags it (COS201)
+        sensors.submit(
+            "SELECT T.station FROM Temp [Now] T "
+            "WHERE T.temperature > 30 AND T.temperature < 10",
+            user_node=4,
+        )
+        assert len(sensors.queries) == 2
 
 
 class TestDataFlow:
@@ -210,54 +270,6 @@ class TestProcessorPlacement:
 
     def test_brokers_are_rest_of_nodes(self, system):
         assert set(system.brokers) == {0, 1, 3, 4}
-
-
-class TestPerSourceTrees:
-    def test_requires_topology(self, line_tree):
-        from repro.system.cosmos import SystemError_
-
-        with pytest.raises(SystemError_):
-            CosmosSystem(line_tree, processor_nodes=[2], per_source_trees=True)
-
-    def test_results_identical_with_source_trees(self):
-        import random
-
-        from repro.overlay.topology import barabasi_albert
-        from repro.overlay.tree import DisseminationTree
-
-        def build(per_source_trees):
-            topo = barabasi_albert(30, 2, random.Random(21))
-            tree = DisseminationTree.minimum_spanning(topo)
-            system = CosmosSystem(
-                tree,
-                processor_nodes=[2],
-                topology=topo,
-                per_source_trees=per_source_trees,
-            )
-            system.add_source(OPEN_AUCTION_SCHEMA, 5)
-            system.add_source(CLOSED_AUCTION_SCHEMA, 6)
-            handle = system.submit(TABLE1_Q2, user_node=9, name="q2")
-            system.publish(
-                "OpenAuction",
-                {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0},
-                0.0,
-            )
-            system.publish(
-                "ClosedAuction",
-                {"itemID": 1, "buyerID": 2, "timestamp": 3600.0},
-                3600.0,
-            )
-            payloads = sorted(
-                tuple(sorted(r.payload.items())) for r in handle.results
-            )
-            return payloads, system.data_cost()
-
-        flat_results, flat_cost = build(False)
-        src_results, src_cost = build(True)
-        assert flat_results == src_results
-        # Shortest-path trees from each source never cost more (delay
-        # weighted) than the shared MST for source dissemination.
-        assert src_cost <= flat_cost * 1.05
 
 
 class TestWithdrawRefreshesSurvivors:

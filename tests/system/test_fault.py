@@ -6,7 +6,7 @@ import pytest
 
 from repro.overlay.topology import Topology, barabasi_albert
 from repro.overlay.tree import DisseminationTree
-from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.cosmos import CosmosSystem
 from repro.system.fault import (
     FaultError,
     PartitionError,
@@ -15,7 +15,6 @@ from repro.system.fault import (
     fail_processor,
     repair_tree,
 )
-from repro.system.reliability import quarantine_partitioned
 from repro.workload.auction import (
     CLOSED_AUCTION_SCHEMA,
     OPEN_AUCTION_SCHEMA,
@@ -149,23 +148,6 @@ class TestBrokerFailure:
         with pytest.raises(FaultError):
             fail_broker(system, 3)
 
-    @pytest.mark.parametrize("repair", [fail_broker, quarantine_partitioned])
-    def test_per_source_trees_refused_before_any_swap(self, mst_builder, repair):
-        # rebuild_network builds the new network without stream trees, so
-        # a repair would silently move every source onto the default tree.
-        topology, tree = mst_builder(30, 9)
-        system = CosmosSystem(
-            tree, processor_nodes=[0, 1], topology=topology, per_source_trees=True
-        )
-        system.add_source(OPEN_AUCTION_SCHEMA, 2)
-        system.add_source(CLOSED_AUCTION_SCHEMA, 2)
-        handle = system.submit(TABLE1_Q1, user_node=3, name="q1")
-        network = system.network
-        victim = next(n for n in tree.nodes if n > 4)
-        with pytest.raises(FaultError, match="per-stream trees"):
-            repair(system, victim)
-        assert system.tree is tree and system.network is network
-        assert network.has_stream_trees and handle.status is QueryStatus.ACTIVE
 
 
 class TestProcessorFailure:

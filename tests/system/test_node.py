@@ -4,6 +4,7 @@ import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.network import ContentBasedNetwork
+from repro.core.grouping import GroupingDecision
 from repro.cql.parser import parse_query
 from repro.spe.wrappers import ListDataWrapper, TextQueryWrapper
 from repro.system.node import Broker, Processor
@@ -37,6 +38,13 @@ class TestStandaloneProcessor:
             Datagram("ClosedAuction", {"itemID": 1, "buyerID": 2, "timestamp": 60.0}, 60.0)
         )
         assert len(results) == 1
+
+    def test_accept_returns_the_optimizers_decision(self, auction_catalog):
+        proc = Processor(1, auction_catalog)
+        decision = proc.accept(parse_query(TABLE1_Q1), name="q1")
+        assert isinstance(decision, GroupingDecision)
+        assert decision.created_group and decision.query.name == "q1"
+        assert proc.manager.grouping.group_of("q1") is decision.group
 
     def test_group_scoped_feed(self, auction_catalog):
         proc = Processor(1, auction_catalog)

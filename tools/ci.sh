@@ -60,6 +60,25 @@ if git grep -nF "_facts.clear()" -- src/repro/cbn/network.py \
     exit 1
 fi
 
+echo "== layering (the runtime does not import the static analyzer) =="
+# Queries are vetted by `repro check` / analysis.checker.analyze_query before
+# submit; CosmosSystem.submit validates names itself and imports no analyzer.
+if git grep -nF "repro.analysis" -- src/repro ':!src/repro/analysis' ':!src/repro/cli.py'; then
+    echo "ci: only src/repro/analysis/ and src/repro/cli.py may mention repro.analysis" >&2
+    exit 1
+fi
+
+echo "== one tree, one propagation rule, no orphan wire format (repro.cbn, repro.system) =="
+# Every stream routes on the one tree retree, repair and the optimizer maintain;
+# subscriptions travel toward advertised publishers only; byte accounting is
+# Datagram.size_bytes, so there is no second definition of a datagram's bytes.
+if git grep -nE "stream_trees|set_stream_tree|tree_for|scope_to_advertisements|_flood_subscription|per_source_trees|static_check" -- src/repro \
+   || [ -e src/repro/cbn/codec.py ]; then
+    echo "ci: src/repro must not grow per-stream trees, subscription flooding," \
+         "a static-check submit option or cbn/codec.py back" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
