@@ -12,6 +12,6 @@ two can be compared on identical workloads
 
 from __future__ import annotations
 
-from repro.baselines.unicast import UnicastNetwork, UnicastCostModel
+from repro.baselines.unicast import UnicastNetwork
 
-__all__ = ["UnicastCostModel", "UnicastNetwork"]
+__all__ = ["UnicastNetwork"]

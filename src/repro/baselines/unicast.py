@@ -13,21 +13,18 @@ nothing is shared between flows and sources must track every consumer
 :class:`UnicastNetwork` mirrors the
 :class:`~repro.cbn.network.ContentBasedNetwork` interface (advertise /
 subscribe / publish with :class:`~repro.cbn.filters.Profile`), so the
-same workloads drive both; :class:`UnicastCostModel` is the analytic
-counterpart used by the sweep benchmarks.
+same workloads drive both and the baseline is measured, not estimated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.cbn.datagram import Datagram
-from repro.cbn.filters import ALL_ATTRIBUTES, Profile
+from repro.cbn.filters import Profile
 from repro.cbn.network import Delivery, NetworkError
-from repro.core.cost import CostModel
-from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
 from repro.overlay.metrics import LinkStats
 from repro.overlay.topology import NodeId
@@ -155,57 +152,3 @@ class UnicastNetwork:
         schema = self.catalog.get(stream)
         return {attr.name: attr.byte_width for attr in schema.attributes}
 
-
-class UnicastCostModel:
-    """Analytic communication cost of the unicast architecture.
-
-    For each query placed at a processor: its (filtered, projected)
-    source streams flow source -> processor, and its result stream
-    flows processor -> user, each as an independent flow — the sum over
-    queries of per-query path costs, with no sharing anywhere.
-    """
-
-    def __init__(
-        self,
-        tree: DisseminationTree,
-        catalog: Catalog,
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
-        self._tree = tree
-        self._catalog = catalog
-        self._cost = cost_model or CostModel()
-
-    def source_rate(self, query: ContinuousQuery, stream: str) -> float:
-        """Bytes/second of one source flow of ``query`` (filtered and
-        projected at the source, as placement-optimised systems do)."""
-        return self._cost.source_flow_rate(query, stream, self._catalog)
-
-    def query_cost(
-        self,
-        query: ContinuousQuery,
-        source_nodes: Mapping[str, NodeId],
-        processor_node: NodeId,
-        user_node: NodeId,
-    ) -> float:
-        """Total link cost of one query's flows."""
-        total = 0.0
-        # Sorted: float accumulation order must not depend on set order.
-        for stream in sorted(set(query.stream_names)):
-            rate = self.source_rate(query, stream)
-            total += rate * self._tree.path_weight(
-                source_nodes[stream], processor_node
-            )
-        result_rate = self._cost.result_rate(query, self._catalog)
-        total += result_rate * self._tree.path_weight(processor_node, user_node)
-        return total
-
-    def total_cost(
-        self,
-        placements: Sequence[Tuple[ContinuousQuery, NodeId, NodeId]],
-        source_nodes: Mapping[str, NodeId],
-    ) -> float:
-        """Sum of per-query costs for (query, processor, user) triples."""
-        return sum(
-            self.query_cost(query, source_nodes, processor, user)
-            for query, processor, user in placements
-        )

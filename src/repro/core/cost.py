@@ -17,17 +17,24 @@ implements that estimator with textbook System-R style assumptions:
 ``[Now]`` windows are priced with a configurable epsilon (tuples are
 simultaneous within one application tick) and unbounded windows are
 capped at a configurable horizon so estimates stay finite.
+
+:meth:`CostModel.group_flows` turns those rates into the flows of a
+query group hosted at one node — the one enumeration that placement,
+migration, the overlay optimizer and Figure 4 price (DESIGN.md section
+11).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cql.ast import ContinuousQuery
 from repro.cql.predicates import AttrRef, Conjunction, Interval
 from repro.cql.schema import Attribute, Catalog, SchemaError
+from repro.overlay.topology import NodeId
+from repro.overlay.tree import Demand
 
 
 @dataclass
@@ -121,6 +128,36 @@ class CostModel:
             if qualifier == stream and schema.has_attribute(name):
                 needed.add(name)
         return schema.rate * selectivity * schema.width_of(needed)
+
+    def group_flows(
+        self,
+        representative: ContinuousQuery,
+        members: Iterable[Tuple[ContinuousQuery, NodeId]],
+        sources: Mapping[str, NodeId],
+        node: NodeId,
+        catalog: Catalog,
+    ) -> List[Demand]:
+        """The flows of a query group hosted at ``node``.
+
+        First the representative's pulls: every stream in its FROM list
+        that has a node in ``sources`` flows from there to ``node`` at
+        :meth:`source_flow_rate` (filtered and projected — the group's
+        source profile).  Then, in order, every ``(member, user)`` pair
+        pushes the member's :meth:`result_rate` from ``node`` to
+        ``user``.  A lone query is the group of one that represents
+        itself.
+        """
+        representative = representative.canonical(catalog)
+        flows: List[Demand] = []
+        for ref in representative.streams:
+            source = sources.get(ref.stream)
+            if source is not None:
+                rate = self.source_flow_rate(representative, ref.stream, catalog)
+                flows.append((source, node, rate))
+        for member, user in members:
+            rate = self.result_rate(member.canonical(catalog), catalog)
+            flows.append((node, user, rate))
+        return flows
 
     # -- components ------------------------------------------------------------------
 

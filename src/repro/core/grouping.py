@@ -113,6 +113,9 @@ class GroupingOptimizer:
             return 1.0
         return self.group_count / self.query_count
 
+    def group(self, group_id: str) -> Optional[QueryGroup]:
+        return self._groups.get(group_id)
+
     def group_of(self, query_name: str) -> Optional[QueryGroup]:
         group_id = self._group_of_query.get(query_name)
         if group_id is None:

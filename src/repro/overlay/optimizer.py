@@ -30,11 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.overlay.topology import Edge, NodeId, Topology
-from repro.overlay.tree import DisseminationTree
-
-#: One traffic demand: ``rate`` units/second flowing from source to sink.
-Demand = Tuple[NodeId, NodeId, float]
+from repro.overlay.topology import Edge, Topology
+from repro.overlay.tree import Demand, DisseminationTree
 
 #: Cost function signature: (link_weight, flow_on_link) -> cost.
 CostFunction = Callable[[float, float], float]
@@ -48,11 +45,6 @@ _Swap = Tuple[Edge, float, List[Tuple[Edge, float, float]], float]
 def weighted_traffic_cost(weight: float, flow: float) -> float:
     """Default cost function: link delay x carried traffic."""
     return weight * flow
-
-
-def hop_count_cost(weight: float, flow: float) -> float:
-    """Alternative cost function: every link hop costs its traffic."""
-    return flow
 
 
 @dataclass

@@ -14,6 +14,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.overlay.topology import Edge, NodeId, Topology, TopologyError, edge_key
 
+#: One flow: ``rate`` units/second from a source node to a sink node.
+Demand = Tuple[NodeId, NodeId, float]
+
 
 class TreeError(Exception):
     """Raised for non-tree edge sets or disconnected path queries."""
@@ -215,6 +218,19 @@ class DisseminationTree:
 
     def path_weight(self, source: NodeId, target: NodeId) -> float:
         return sum(self._weights[edge] for edge in self.path_edges(source, target))
+
+    def flow_cost(self, flows: Iterable[Demand]) -> float:
+        """The price of ``flows``: rate x path weight, summed in flow order.
+
+        The one place a rate meets a tree path (DESIGN.md section 11).
+        Placement, migration and Figure 4's non-shared delivery call it
+        on the flows :meth:`~repro.core.cost.CostModel.group_flows`
+        lists; the overlay optimizer routes the same flows.
+        """
+        total = 0.0
+        for source, sink, rate in flows:
+            total += rate * self.path_weight(source, sink)
+        return total
 
     def next_hop(self, source: NodeId, target: NodeId) -> NodeId:
         """First node after ``source`` on the path to ``target``."""

@@ -12,9 +12,14 @@ ratio of Figure 4(a):
   only that member's own stream again, while links feeding several
   members carry the representative stream (Figure 3(b)).
 
-Costs are ``rate x link weight`` summed over links; rates come from the
-:class:`~repro.core.cost.CostModel` estimates, exactly the quantities
-the paper's benefit formula ``sum_i C(q_i) - C(q)`` is defined over.
+Rates come from the :class:`~repro.core.cost.CostModel` estimates,
+exactly the quantities the paper's benefit formula ``sum_i C(q_i) -
+C(q)`` is defined over.  Non-shared delivery is the group's member
+flows (:meth:`~repro.core.cost.CostModel.group_flows`) priced like every
+other flow (:meth:`~repro.overlay.tree.DisseminationTree.flow_cost`);
+shared delivery keeps its own per-link rule for links with several
+members behind them, the one price still outside that routine
+(DESIGN.md section 11).
 """
 
 from __future__ import annotations
@@ -64,13 +69,14 @@ class DeliveryCostModel:
     # -- per-group ------------------------------------------------------------
 
     def unshared_cost(self, placement: GroupPlacement) -> float:
-        """Every member's own stream unicast separately (Figure 3(a))."""
-        total = 0.0
-        for member in placement.group.members:
-            user = placement.member_nodes[member.name]
-            rate = self._cost.result_rate(member, self._catalog)
-            total += rate * self._tree.path_weight(placement.processor_node, user)
-        return total
+        """Every member's own stream unicast separately (Figure 3(a)):
+        the price of the group's member flows."""
+        group = placement.group
+        members = [(m, placement.member_nodes[m.name]) for m in group.members]
+        flows = self._cost.group_flows(
+            group.representative, members, {}, placement.processor_node, self._catalog
+        )
+        return self._tree.flow_cost(flows)
 
     def shared_cost(self, placement: GroupPlacement) -> float:
         """Representative multicast with CBN re-tightening (Figure 3(b)).

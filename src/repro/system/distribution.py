@@ -12,19 +12,20 @@ module provides the natural family:
   maximises the grouping optimizer's merging opportunities (used by the
   Figure 4 reproduction).
 * :class:`CostAwareDistribution` — smallest estimated communication
-  cost for this query (source->processor plus processor->user paths),
-  in the spirit of the operator-placement literature the paper cites
-  ([13, 17]).  Note the tension with merging: placing each query
-  individually optimally can split same-FROM-set queries across
-  processors and forfeit grouping opportunities (quantified in
-  ``benchmarks/test_ablations.py``).
+  cost for this query: its source->processor and processor->user
+  flows, enumerated and priced exactly as load management prices a
+  merged group (the one-member case), in the spirit of the
+  operator-placement literature the paper cites ([13, 17]).  Note the
+  tension with merging: placing each query individually optimally can
+  split same-FROM-set queries across processors and forfeit grouping
+  opportunities (quantified in ``benchmarks/test_ablations.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.core.cost import CostModel
 from repro.cql.ast import ContinuousQuery
@@ -112,53 +113,17 @@ class ProximityDistribution(QueryDistribution):
         )
 
 
-class CapacityAwareDistribution(QueryDistribution):
-    """Respect heterogeneous processor capacities.
-
-    The paper's servers "have different capabilities due to their
-    different hardware and software configurations"; this policy wraps
-    another policy but only offers it processors with spare capacity
-    (``capacities`` maps node id to a maximum query count; unlisted
-    processors are unconstrained).  When every processor is full the
-    least-loaded one is used anyway (shedding is out of scope).
-    """
-
-    def __init__(
-        self,
-        inner: QueryDistribution,
-        capacities: Dict[NodeId, int],
-    ) -> None:
-        self._inner = inner
-        self._capacities = dict(capacities)
-
-    def _has_room(self, processor: Processor) -> bool:
-        cap = self._capacities.get(processor.node_id)
-        return cap is None or processor.query_count < cap
-
-    def choose(
-        self,
-        query: ContinuousQuery,
-        user_node: NodeId,
-        processors: Sequence[Processor],
-    ) -> Processor:
-        self._require(processors)
-        available = [p for p in processors if self._has_room(p)]
-        if not available:
-            return min(processors, key=lambda p: (p.query_count, p.node_id))
-        return self._inner.choose(query, user_node, available)
-
-
 class CostAwareDistribution(QueryDistribution):
     """Placement by estimated per-query communication cost.
 
-    For each candidate processor: the query's source streams flow from
-    their source nodes to the processor (filtered/projected rate) and
-    the result stream flows from the processor to the user — choose the
-    processor minimising the total of rate x tree path weight.  This is
-    per-query-optimal placement in the style of the operator-placement
-    systems the paper contrasts with; it ignores sharing, so pairing it
-    with the grouping optimizer trades merging opportunity for shorter
-    paths (see the placement ablation).
+    For each candidate processor: the query's flows as a group of one
+    (:meth:`~repro.core.cost.CostModel.group_flows` — its filtered,
+    projected source streams in, its result stream out to the user),
+    priced by :meth:`~repro.overlay.tree.DisseminationTree.flow_cost` —
+    choose the cheapest.  This is per-query-optimal placement in the
+    style of the operator-placement systems the paper contrasts with;
+    it ignores sharing, so pairing it with the grouping optimizer trades
+    merging opportunity for shorter paths (see the placement ablation).
     """
 
     def __init__(
@@ -176,19 +141,10 @@ class CostAwareDistribution(QueryDistribution):
     def _query_cost(
         self, query: ContinuousQuery, processor: NodeId, user: NodeId
     ) -> float:
-        canonical = query.canonical(self._catalog)
-        total = 0.0
-        for ref in canonical.streams:
-            source = self._source_nodes.get(ref.stream)
-            if source is None:
-                continue
-            rate = self._cost.source_flow_rate(
-                canonical, ref.stream, self._catalog
-            )
-            total += rate * self._tree.path_weight(source, processor)
-        result_rate = self._cost.result_rate(canonical, self._catalog)
-        total += result_rate * self._tree.path_weight(processor, user)
-        return total
+        flows = self._cost.group_flows(
+            query, [(query, user)], self._source_nodes, processor, self._catalog
+        )
+        return self._tree.flow_cost(flows)
 
     def choose(
         self,

@@ -11,9 +11,10 @@ load landscape shifts.  Submission-time placement lives in
   must fall back below a lower clear ratio before it can trigger
   again), so a load hovering at the threshold cannot flap.
 * **Cost-driven placement** — :func:`placement_cost` prices hosting one
-  *whole merged query group* on a candidate processor (representative
-  source flow in, per-member result flow out, both weighted by tree
-  path length — the allocation model of Benoit et al.), and
+  *whole merged query group* on a candidate processor: the tree's
+  :meth:`~repro.overlay.tree.DisseminationTree.flow_cost` of the
+  group's flows (representative source flows in, per-member result
+  flows out — the allocation model of Benoit et al.), and
   :func:`choose_target` picks the cheapest candidate.  The unit of
   migration is the group, never a member, so grouping opportunities
   are preserved by construction.
@@ -52,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.grouping import QueryGroup
 from repro.overlay.topology import NodeId
+from repro.overlay.tree import Demand
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.reliability import (
     ReliabilityCounters,
@@ -184,37 +186,32 @@ class HotspotDetector:
 # ---------------------------------------------------------------------------
 
 
+def group_flows(
+    system: CosmosSystem, group: QueryGroup, node: NodeId
+) -> List[Demand]:
+    """The flows of ``group`` if ``node`` hosted it: the representative
+    pulls its sources, every member with a user pushes its results
+    (:meth:`~repro.core.cost.CostModel.group_flows`)."""
+    members = [
+        (member, system._queries[member.name].user_node)
+        for member in group.members
+        if member.name in system._queries
+    ]
+    return system.cost_model.group_flows(
+        group.representative, members, system._sources, node, system.catalog
+    )
+
+
 def placement_cost(
     system: CosmosSystem, group: QueryGroup, node: NodeId
 ) -> float:
-    """Estimated communication cost of hosting ``group`` on ``node``.
-
-    The group's representative pulls each source stream once (the
-    shared inbound flow), and every member pushes its own result rate
-    to its user — rate times tree path weight, the same pricing
-    :class:`~repro.system.distribution.CostAwareDistribution` uses per
-    query, lifted to the merged group so placement and migration agree
-    on the unit of work.
-    """
-    catalog = system.catalog
-    cost_model = system.cost_model
-    representative = group.representative.canonical(catalog)
-    total = 0.0
-    for ref in representative.streams:
-        source = system._sources.get(ref.stream)
-        if source is None:
-            continue
-        rate = cost_model.source_flow_rate(representative, ref.stream, catalog)
-        total += rate * system.tree.path_weight(source, node)
-    for member in group.members:
-        handle = system._queries.get(member.name)
-        if handle is None:
-            continue
-        result_rate = cost_model.result_rate(
-            member.canonical(catalog), catalog
-        )
-        total += result_rate * system.tree.path_weight(node, handle.user_node)
-    return total
+    """Estimated communication cost of hosting ``group`` on ``node``:
+    the price of its :func:`group_flows` on the tree.  The unit is the
+    merged group, so placement and migration agree on the unit of work;
+    a lone query placed by
+    :class:`~repro.system.distribution.CostAwareDistribution` is the
+    group of one."""
+    return system.tree.flow_cost(group_flows(system, group, node))
 
 
 def choose_target(
@@ -375,9 +372,7 @@ def capture_group_state(
     processor = system.processors.get(node)
     if processor is None:
         return []
-    group = next(
-        (g for g in processor.manager.groups if g.group_id == group_id), None
-    )
+    group = processor.manager.grouping.group(group_id)
     if group is None:
         return []
     chunks: List[Dict[str, object]] = [
@@ -415,9 +410,7 @@ def quarantine_for_migration(
     processor = system.processors.get(source_node)
     if processor is None:
         raise LoadManagementError(f"no processor on node {source_node}")
-    group = next(
-        (g for g in processor.manager.groups if g.group_id == group_id), None
-    )
+    group = processor.manager.grouping.group(group_id)
     if group is None:
         raise LoadManagementError(
             f"no group {group_id!r} on processor {source_node}"

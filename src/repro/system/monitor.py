@@ -64,14 +64,6 @@ class SystemMonitor:
             )
         return sorted(loads, key=lambda l: l.node_id)
 
-    def load_imbalance(self) -> float:
-        """max/mean query count across processors (1.0 = balanced)."""
-        counts = [load.queries for load in self.processor_loads()]
-        if not counts or sum(counts) == 0:
-            return 1.0
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean if mean else 1.0
-
     # -- data layer ----------------------------------------------------------------
 
     def hottest_links(self, top: int = 5) -> List[LinkHotspot]:

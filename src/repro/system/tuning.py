@@ -6,10 +6,11 @@ the reorganization of the overlay network if necessary" (section 3.2).
 This module closes that loop at the system level:
 
 * :func:`traffic_demands` derives the (source, sink, rate) matrix the
-  optimizer needs from the system's *current* subscriptions — source
-  streams flowing to the processors that subscribed to them, and
-  representative result streams flowing to their users — priced by the
-  same C(q) estimator the query layer uses;
+  optimizer needs from the system's *current* groups — the same flows
+  load management prices (:func:`~repro.system.loadmgr.group_flows`):
+  each group's representative pulls its source streams, filtered and
+  projected, to the group's processor, and each member's result stream
+  flows from there to its user;
 * :func:`reorganize_overlay` runs the cost-based local optimizer on the
   default dissemination tree against that matrix and, when it found
   improving swaps, rebuilds the routing state over the new tree.
@@ -24,6 +25,7 @@ from repro.overlay.optimizer import (
     OptimizationReport,
     OverlayOptimizer,
 )
+from repro.system.loadmgr import group_flows
 from repro.system.rebuild import rebuild_network
 
 if TYPE_CHECKING:
@@ -35,39 +37,14 @@ class TuningError(Exception):
 
 
 def traffic_demands(system: "CosmosSystem") -> List[Demand]:
-    """The current demand matrix of the deployment.
-
-    For every query group: each source stream flows from its source
-    node to the group's processor at the (filtered, projected) rate the
-    group's source profile admits — approximated by the representative's
-    per-stream filtered rate — and the representative's result stream
-    flows from the processor to every member's user at the member's own
-    estimated rate (the CBN re-tightens en route).
-    """
-    demands: List[Demand] = []
-    cost = system.cost_model
-    for processor in system.processors.values():
-        for group in processor.manager.groups:
-            representative = group.representative
-            closed = representative.predicate.closure()
-            for ref in representative.streams:
-                if ref.stream not in system._sources:
-                    continue
-                schema = system.catalog.get(ref.stream)
-                selectivity = cost.stream_selectivity(
-                    closed, ref.name, ref.stream, system.catalog
-                )
-                rate = schema.rate * selectivity * schema.tuple_width
-                demands.append(
-                    (system._sources[ref.stream], processor.node_id, rate)
-                )
-            for member in group.members:
-                handle = system._queries.get(member.name)
-                if handle is None:
-                    continue
-                rate = cost.result_rate(member, system.catalog)
-                demands.append((processor.node_id, handle.user_node, rate))
-    return demands
+    """The current demand matrix of the deployment: every group's flows
+    at its processor, processor by processor, group by group."""
+    return [
+        flow
+        for processor in system.processors.values()
+        for group in processor.manager.groups
+        for flow in group_flows(system, group, processor.node_id)
+    ]
 
 
 def reorganize_overlay(

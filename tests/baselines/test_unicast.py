@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from repro.baselines.unicast import UnicastCostModel, UnicastNetwork
+from repro.baselines.unicast import UnicastNetwork
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork, NetworkError
-from repro.cql.parser import parse_query
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 
@@ -91,29 +90,3 @@ class TestUnicastNetwork:
         with pytest.raises(NetworkError):
             net.publish(Datagram("S", {}), 99)
 
-
-class TestUnicastCostModel:
-    @pytest.fixture
-    def model(self, sensor_catalog, line_tree):
-        return UnicastCostModel(line_tree, sensor_catalog)
-
-    def test_source_rate_filtered_and_projected(self, model):
-        full = parse_query("SELECT T.temperature, T.humidity FROM Temp T")
-        filtered = parse_query(
-            "SELECT T.temperature FROM Temp T WHERE T.temperature >= 10"
-        )
-        assert model.source_rate(filtered, "Temp") < model.source_rate(full, "Temp")
-
-    def test_query_cost_scales_with_distance(self, model):
-        query = parse_query("SELECT T.temperature FROM Temp T")
-        near = model.query_cost(query, {"Temp": 0}, 1, 2)
-        far = model.query_cost(query, {"Temp": 0}, 2, 4)
-        assert far > near
-
-    def test_total_cost_is_sum(self, model):
-        query = parse_query("SELECT T.temperature FROM Temp T")
-        single = model.query_cost(query, {"Temp": 0}, 2, 4)
-        total = model.total_cost(
-            [(query, 2, 4), (query, 2, 4)], {"Temp": 0}
-        )
-        assert total == pytest.approx(2 * single)

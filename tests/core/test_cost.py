@@ -194,3 +194,61 @@ class TestSourceFlowRate:
         assert model.source_flow_rate(tight, "Temp", catalog) < model.source_flow_rate(
             loose, "Temp", catalog
         )
+
+
+class TestGroupFlows:
+    """The one enumeration of a group's flows at a hosting node."""
+
+    def test_sources_in_from_order_then_members_in_order(self, catalog):
+        model = CostModel()
+        rep = q(
+            "SELECT W.speed, T.temperature FROM Wind W, Temp T "
+            "WHERE W.station = T.station"
+        )
+        a = q("SELECT T.temperature FROM Temp T WHERE T.temperature > 10")
+        b = q("SELECT T.temperature FROM Temp T")
+        flows = model.group_flows(
+            rep, [(a, 4), (b, 3)], {"Temp": 0, "Wind": 1}, 2, catalog
+        )
+        canonical = rep.canonical(catalog)
+        assert flows == [
+            (1, 2, model.source_flow_rate(canonical, "Wind", catalog)),
+            (0, 2, model.source_flow_rate(canonical, "Temp", catalog)),
+            (2, 4, model.result_rate(a, catalog)),
+            (2, 3, model.result_rate(b, catalog)),
+        ]
+
+    def test_source_flow_is_projected(self, catalog):
+        model = CostModel()
+        narrow = q("SELECT T.station FROM Temp T")
+        (pull,) = model.group_flows(narrow, [], {"Temp": 0}, 2, catalog)
+        schema = catalog.get("Temp")
+        assert pull[2] == model.source_flow_rate(narrow, "Temp", catalog)
+        assert pull[2] < schema.rate * schema.tuple_width
+
+    def test_stream_without_a_source_node_is_skipped(self, catalog):
+        model = CostModel()
+        query = q("SELECT T.temperature FROM Temp T")
+        assert model.group_flows(query, [(query, 4)], {}, 2, catalog) == [
+            (2, 4, model.result_rate(query, catalog))
+        ]
+
+    def test_aliases_do_not_change_the_flows(self, catalog):
+        model = CostModel()
+        aliased = q("SELECT x.temperature FROM Temp x WHERE x.temperature > 0")
+        plain = aliased.canonical(catalog)
+        assert model.group_flows(
+            aliased, [(aliased, 4)], {"Temp": 0}, 2, catalog
+        ) == model.group_flows(plain, [(plain, 4)], {"Temp": 0}, 2, catalog)
+
+    def test_priced_cost_grows_with_distance(self, catalog, line_tree):
+        model = CostModel()
+        query = q("SELECT T.temperature FROM Temp T")
+
+        def cost(processor, user):
+            flows = model.group_flows(
+                query, [(query, user)], {"Temp": 0}, processor, catalog
+            )
+            return line_tree.flow_cost(flows)
+
+        assert cost(2, 4) > cost(1, 2)

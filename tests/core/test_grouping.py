@@ -70,6 +70,13 @@ class TestBasicGrouping:
         assert group.member_names() == ["a"]
         assert optimizer.group_of("zzz") is None
 
+    def test_group_by_id(self, optimizer):
+        decision = optimizer.add(q("SELECT T.temperature FROM Temp T", "a"))
+        gid = decision.group.group_id
+        assert optimizer.group(gid) is decision.group
+        optimizer.extract_group(gid)
+        assert optimizer.group(gid) is None
+
 
 class TestInvariants:
     def test_members_always_contained_in_representative(self, optimizer, sensor_catalog):

@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.overlay.optimizer import (
-    OverlayOptimizer,
-    hop_count_cost,
-    weighted_traffic_cost,
-)
+from repro.overlay.optimizer import OverlayOptimizer, weighted_traffic_cost
 from repro.overlay.topology import Topology, barabasi_albert
 from repro.overlay.tree import DisseminationTree
 from repro.system.fault import repair_tree
@@ -47,7 +43,7 @@ class TestCostEvaluation:
         assert cost == 8.0  # 4 unit links x flow 2
 
     def test_hop_count_cost_function(self, line_tree):
-        opt = OverlayOptimizer(Topology(), cost_function=hop_count_cost)
+        opt = OverlayOptimizer(Topology(), cost_function=lambda weight, flow: flow)
         assert opt.tree_cost(line_tree, [(0, 4, 2.0)]) == 8.0
 
 

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.overlay.optimizer import (
     OptimizationReport,
     OverlayOptimizer,
-    hop_count_cost,
     weighted_traffic_cost,
 )
 from repro.overlay.topology import barabasi_albert
@@ -40,7 +39,8 @@ def congestion_cost(weight, flow):
     return weight * flow**2
 
 
-COST_FUNCTIONS = [weighted_traffic_cost, hop_count_cost, congestion_cost]
+#: The lambda ignores the link weight: every hop costs the traffic it carries.
+COST_FUNCTIONS = [weighted_traffic_cost, lambda weight, flow: flow, congestion_cost]
 
 
 def reference_optimize(topology, tree, demands, max_rounds, cost_function, max_degree):

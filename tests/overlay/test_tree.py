@@ -76,6 +76,41 @@ class TestPaths:
                 assert v in small_tree.neighbors(u)
 
 
+class TestFlowCost:
+    """``flow_cost``: the one price of a flow on the tree."""
+
+    def test_rate_times_path_weight(self):
+        tree = DisseminationTree([(0, 1), (1, 2)], {(0, 1): 2.0, (1, 2): 0.5})
+        assert tree.flow_cost([(0, 2, 4.0)]) == 10.0
+        assert tree.flow_cost([(2, 0, 4.0)]) == 10.0
+
+    def test_flow_within_a_node_costs_nothing(self, line_tree):
+        assert line_tree.flow_cost([(2, 2, 5.0)]) == 0.0
+        assert line_tree.flow_cost([]) == 0.0
+
+    def test_cost_grows_with_distance(self, line_tree):
+        # a source at 0 feeding a processor, its result flowing to a user
+        near = line_tree.flow_cost([(0, 1, 3.0), (1, 2, 1.5)])
+        far = line_tree.flow_cost([(0, 2, 3.0), (2, 4, 1.5)])
+        assert far > near
+
+    def test_total_is_a_sum(self, line_tree):
+        one = [(0, 2, 3.0), (2, 4, 1.5)]
+        assert line_tree.flow_cost(one + one) == 2 * line_tree.flow_cost(one)
+
+    def test_accumulated_in_flow_order(self, small_tree):
+        rng = random.Random(4)
+        nodes = small_tree.nodes
+        flows = [
+            (rng.choice(nodes), rng.choice(nodes), rng.uniform(0.1, 9.9))
+            for __ in range(40)
+        ]
+        total = 0.0
+        for source, sink, rate in flows:
+            total += rate * small_tree.path_weight(source, sink)
+        assert small_tree.flow_cost(flows) == total
+
+
 class TestComponents:
     def test_component_via(self, line_tree):
         assert line_tree.component_via(2, 3) == {3, 4}

@@ -82,47 +82,6 @@ class TestStreamAffinity:
         assert a.node_id == b.node_id
 
 
-class TestCapacityAware:
-    def test_full_processor_skipped(self, processors):
-        from repro.system.distribution import CapacityAwareDistribution
-
-        policy = CapacityAwareDistribution(
-            LeastLoadedDistribution(), {0: 0}
-        )
-        chosen = policy.choose(q("SELECT T.temperature FROM Temp T"), 0, processors)
-        assert chosen.node_id != 0
-
-    def test_unlisted_processors_unconstrained(self, processors):
-        from repro.system.distribution import CapacityAwareDistribution
-
-        policy = CapacityAwareDistribution(LeastLoadedDistribution(), {})
-        chosen = policy.choose(q("SELECT T.temperature FROM Temp T"), 0, processors)
-        assert chosen.node_id == 0
-
-    def test_all_full_falls_back_to_least_loaded(self, processors):
-        from repro.system.distribution import CapacityAwareDistribution
-
-        processors[0].accept(q("SELECT T.temperature FROM Temp T"), name="x")
-        policy = CapacityAwareDistribution(
-            LeastLoadedDistribution(), {0: 0, 2: 0, 4: 0}
-        )
-        chosen = policy.choose(q("SELECT T.humidity FROM Temp T"), 0, processors)
-        assert chosen.node_id == 2  # least loaded among the (full) set
-
-    def test_capacity_respected_under_load(self, sensor_catalog):
-        from repro.system.distribution import CapacityAwareDistribution
-
-        procs = [Processor(node, sensor_catalog) for node in (0, 1)]
-        policy = CapacityAwareDistribution(LeastLoadedDistribution(), {0: 2})
-        for index in range(6):
-            chosen = policy.choose(
-                q("SELECT T.temperature FROM Temp T"), 0, procs
-            )
-            chosen.accept(q("SELECT T.temperature FROM Temp T"), name=f"q{index}")
-        assert procs[0].query_count <= 2
-        assert procs[1].query_count >= 4
-
-
 class TestCostAware:
     def test_prefers_on_path_over_detour(self, star_tree, sensor_catalog):
         from repro.system.distribution import CostAwareDistribution

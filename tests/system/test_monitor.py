@@ -40,13 +40,6 @@ class TestProcessorLoads:
         assert load.grouping_ratio == 0.5
         assert load.merged_rate > 0
 
-    def test_imbalance_single_processor(self, busy_system):
-        assert SystemMonitor(busy_system).load_imbalance() == 1.0
-
-    def test_imbalance_empty_system(self, line_tree):
-        system = CosmosSystem(line_tree, processor_nodes=[2])
-        assert SystemMonitor(system).load_imbalance() == 1.0
-
 
 class TestDataLayer:
     def test_hottest_links_ordered(self, busy_system):

@@ -67,6 +67,21 @@ class TestTrafficDemands:
         # exactly one flow to the processor.
         assert len(source_demands) == 2
 
+    def test_source_demand_is_the_projected_flow(self, system):
+        """Q2 keeps two of OpenAuction's four attributes: the optimizer
+        sees the flow the source profile admits, as placement prices it,
+        not the full tuple width."""
+        system.submit(TABLE1_Q2, user_node=2, name="q2")
+        (group,) = system.processors[1].manager.groups
+        rep = group.representative
+        pulls = [demand for demand in traffic_demands(system) if demand[1] == 1]
+        assert pulls == [
+            (0, 1, system.cost_model.source_flow_rate(rep, ref.stream, system.catalog))
+            for ref in rep.streams
+        ]
+        open_auction = system.catalog.get("OpenAuction")
+        assert pulls[0][2] < open_auction.rate * open_auction.tuple_width
+
 
 class TestReorganize:
     def test_requires_topology(self, line_tree):

@@ -79,6 +79,25 @@ if git grep -nE "stream_trees|set_stream_tree|tree_for|scope_to_advertisements|_
     exit 1
 fi
 
+echo "== one price for a flow (repro.core, repro.overlay, repro.system) =="
+# CostModel.group_flows enumerates a group's flows and DisseminationTree.flow_cost
+# prices them: placement, migration, cost-aware distribution, the optimizer's
+# demand matrix and Fig 4's non-shared delivery all go through the two, so a
+# rate meets a tree path in one place.
+priced='\*[[:space:]]*[A-Za-z_.]*path_weight\(|path_weight\([^)]*\)[[:space:]]*\*'
+if [ "$(git grep -nE "$priced" -- src/repro | wc -l)" != 1 ] \
+   || ! git grep -qE "$priced" -- src/repro/overlay/tree.py; then
+    git grep -nE "$priced" -- src/repro >&2 || true
+    echo "ci: only DisseminationTree.flow_cost may multiply a rate by path_weight" >&2
+    exit 1
+fi
+if git grep -nE "UnicastCostModel|CapacityAwareDistribution|hop_count_cost" -- src/repro \
+   || git grep -nF "tuple_width" -- src/repro/system/tuning.py; then
+    echo "ci: src/repro must not grow a second flow pricer or the deleted policy back," \
+         "and the optimizer's demands must not price a source flow unprojected" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
