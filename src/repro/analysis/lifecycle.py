@@ -188,7 +188,7 @@ FAILURE_DETECTOR_SPEC = MachineSpec(
     transitions=(
         _spec("register", "UNKNOWN", "MONITORED", _R, "register", "self._deadlines[node]"),
         _spec("register", "SUSPECTED", "MONITORED", _R, "register", "self._suspected.discard"),
-        _spec("heartbeat", "MONITORED", "MONITORED", _R, "heartbeat", "self._deadlines[node]"),
+        _spec("heartbeat", "MONITORED", "MONITORED", _R, "sweep", "self._shared_deadline = now"),
         _spec("suspect", "MONITORED", "SUSPECTED", _R, "check", "self._suspected.add"),
         _spec("deregister", "MONITORED", "UNKNOWN", _R, "deregister", "self._deadlines.pop"),
         _spec("deregister", "SUSPECTED", "UNKNOWN", _R, "deregister", "self._suspected.discard"),

@@ -119,25 +119,6 @@ class Topology:
 
     # -- algorithms -------------------------------------------------------------------
 
-    def shortest_paths(self, source: NodeId) -> Dict[NodeId, float]:
-        """Dijkstra distances from ``source`` to every reachable node."""
-        if source not in self._adjacency:
-            raise TopologyError(f"unknown node {source}")
-        dist: Dict[NodeId, float] = {source: 0.0}
-        heap: List[Tuple[float, NodeId]] = [(0.0, source)]
-        done: Set[NodeId] = set()
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for other in self._adjacency[node]:
-                nd = d + self.weight(node, other)
-                if nd < dist.get(other, math.inf):
-                    dist[other] = nd
-                    heapq.heappush(heap, (nd, other))
-        return dist
-
     def shortest_path_tree(self, root: NodeId) -> Dict[NodeId, NodeId]:
         """Parent pointers of the Dijkstra shortest-path tree from ``root``."""
         parent: Dict[NodeId, NodeId] = {}

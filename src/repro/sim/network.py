@@ -670,9 +670,8 @@ class VirtualNetwork:
     def _sweep(self, sim: EventSimulator) -> None:
         now = sim.now
         detector = self.state.detector
-        for node in detector.monitored:
-            if node not in self._crashed:
-                detector.heartbeat(node, now)
+        # Every live node answers implicitly; only the crashed stay silent.
+        detector.sweep(now, self._crashed)
         for node in detector.check(now):
             self.state.counters.nodes_suspected += 1
             self.trace.record(f"suspect t={now:g} node={node}")

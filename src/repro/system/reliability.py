@@ -18,10 +18,12 @@ deterministically over the :class:`~repro.system.events.EventSimulator`:
   only report which sequence numbers are missing, so the protocol state
   stays replayable.
 * **Heartbeat failure detection** — :class:`FailureDetector` grants
-  each registered node a lease of ``heartbeat_period * lease_misses``;
-  a node whose lease expires without a heartbeat is *suspected* and the
-  supervisor invokes the existing repair path
-  (``fail_broker``/``fail_processor``) automatically.
+  each registered node a lease of ``heartbeat_period * lease_misses``,
+  renewed by each heartbeat sweep it answers (one deadline shared by
+  every answering node, so a sweep costs the silent ones only); a node
+  whose lease expires is *suspected* and the supervisor invokes the
+  existing repair path (``fail_broker``/``fail_processor``)
+  automatically.
 * **Graceful degradation** — when a repair finds the survivors
   physically partitioned, :func:`quarantine_partitioned` keeps the main
   component running and marks the stranded queries
@@ -43,7 +45,7 @@ they move.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro.overlay.topology import NodeId, Topology
 from repro.system import rebuild
@@ -365,47 +367,70 @@ class FailureDetector:
     """Lease-based heartbeat failure detector.
 
     Each registered node holds a lease of ``heartbeat_period *
-    lease_misses`` seconds, renewed by :meth:`heartbeat`.  :meth:`check`
-    moves nodes whose lease expired into the suspected set and returns
-    them (sorted, once each) so the supervisor can repair
-    deterministically.  Time comes from the caller — the detector never
-    reads a clock.
+    lease_misses`` seconds, renewed by every :meth:`sweep` it answers.
+    All nodes that answered the last sweep hold the *same* deadline, so
+    they share one: a sweep touches only the nodes that did not answer
+    (and those registered since), and costs what fails rather than what
+    is monitored.  :meth:`check` moves nodes whose lease expired into
+    the suspected set and returns them (sorted, once each) so the
+    supervisor can repair deterministically.  Time comes from the
+    caller — the detector never reads a clock.
     """
 
     def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
         self.params = params or ReliabilityParams()
+        #: Nodes with a deadline of their own: registered since the last
+        #: sweep, or silent at it.
         self._deadlines: Dict[NodeId, float] = {}
+        #: Nodes that answered the last sweep, and their one deadline.
+        self._shared: Set[NodeId] = set()
+        self._shared_deadline = 0.0
         self._suspected: Set[NodeId] = set()
 
     @property
     def monitored(self) -> List[NodeId]:
-        return sorted(self._deadlines)
+        return sorted(self._shared.union(self._deadlines))
 
     @property
     def suspected(self) -> List[NodeId]:
         return sorted(self._suspected)
 
     def register(self, node: NodeId, now: float) -> None:
+        self._shared.discard(node)
         self._deadlines[node] = now + self.params.lease
         self._suspected.discard(node)
 
     def deregister(self, node: NodeId) -> None:
+        self._shared.discard(node)
         self._deadlines.pop(node, None)
         self._suspected.discard(node)
 
-    def heartbeat(self, node: NodeId, now: float) -> None:
-        """Renew ``node``'s lease; unknown nodes are ignored (stale
-        heartbeats from a node already deregistered by repair)."""
-        if node in self._deadlines:
-            self._deadlines[node] = now + self.params.lease
+    def sweep(self, now: float, silent: Collection[NodeId]) -> None:
+        """One heartbeat round at ``now``: every monitored node outside
+        ``silent`` renews its lease, a silent one keeps the deadline it
+        had.  Silent nodes that are not monitored (already deregistered
+        by repair) are ignored."""
+        for node in silent:
+            if node in self._shared:
+                self._shared.remove(node)
+                self._deadlines[node] = self._shared_deadline
+        answered = [node for node in self._deadlines if node not in silent]
+        for node in answered:
+            del self._deadlines[node]
+        self._shared.update(answered)
+        self._shared_deadline = now + self.params.lease
 
     def check(self, now: float) -> List[NodeId]:
         """Nodes whose lease expired since the last check (sorted)."""
-        newly = sorted(
+        newly = [
             node for node, deadline in self._deadlines.items() if deadline <= now
-        )
+        ]
+        if self._shared_deadline <= now:
+            newly.extend(self._shared)
+            self._shared.clear()
+        newly.sort()
         for node in newly:
-            del self._deadlines[node]
+            self._deadlines.pop(node, None)
             self._suspected.add(node)
         return newly
 

@@ -49,7 +49,7 @@ class TestExtraction:
             "proto:UplinkReceiver.announce",
             "proto:UplinkReceiver.abandon",
             "proto:FailureDetector.register",
-            "proto:FailureDetector.heartbeat",
+            "proto:FailureDetector.sweep",
             "proto:FailureDetector.check",
             "proto:quarantine_partitioned",
             "proto:heal_partition",

@@ -71,18 +71,10 @@ class TestShortestPaths:
         t.add_edge(0, 2, 5.0)
         return t
 
-    def test_dijkstra_prefers_cheap_path(self):
-        dist = self._triangle().shortest_paths(0)
-        assert dist[2] == 2.0
-
     def test_shortest_path_tree_parents(self):
         parent = self._triangle().shortest_path_tree(0)
         assert parent[2] == 1
         assert parent[1] == 0
-
-    def test_unknown_source(self):
-        with pytest.raises(TopologyError):
-            self._triangle().shortest_paths(99)
 
 
 class TestMST:

@@ -157,12 +157,31 @@ class TestFailureDetector:
         assert detector.check(15.0) == [7]
         assert detector.suspected == [7]
 
-    def test_heartbeat_renews_lease(self):
+    def test_sweep_renews_lease(self):
         detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
         detector.register(7, 0.0)
-        detector.heartbeat(7, 10.0)
+        detector.sweep(10.0, silent=())
         assert detector.check(15.0) == []
         assert detector.check(25.0) == [7]
+
+    def test_silent_node_keeps_its_deadline(self):
+        detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+        for node in (3, 7):
+            detector.register(node, 0.0)
+        detector.sweep(5.0, silent=())
+        detector.sweep(10.0, silent={7})  # 7 last answered at 5
+        detector.sweep(15.0, silent={7})
+        assert detector.check(15.0) == []
+        assert detector.check(20.0) == [7]
+        assert detector.check(30.0) == [3]
+
+    def test_registration_after_a_sweep_has_its_own_lease(self):
+        detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+        detector.register(3, 0.0)
+        detector.sweep(5.0, silent=())
+        detector.register(7, 8.0)
+        assert detector.check(20.0) == [3]
+        assert detector.check(23.0) == [7]
 
     def test_suspected_only_once(self):
         detector = FailureDetector()
@@ -177,10 +196,13 @@ class TestFailureDetector:
         assert detector.check(100.0) == []
         assert detector.monitored == []
 
-    def test_stale_heartbeat_ignored(self):
+    def test_unmonitored_nodes_ignored_by_sweep(self):
         detector = FailureDetector()
-        detector.heartbeat(99, 0.0)  # never registered: no-op
+        detector.sweep(0.0, silent={99})  # never registered: no-op
         assert detector.monitored == []
+        detector.register(7, 0.0)
+        detector.sweep(5.0, silent={99})
+        assert detector.monitored == [7]
 
     def test_check_returns_sorted(self):
         detector = FailureDetector()

@@ -60,6 +60,15 @@ if git grep -nF "_facts.clear()" -- src/repro/cbn/network.py \
     exit 1
 fi
 
+echo "== failure detection costs what fails (repro.sim) =="
+# FailureDetector.sweep renews every answering node through one shared lease;
+# the chaos supervisor hands it the silent nodes and never walks the monitored set.
+if git grep -nE "detector\.monitored|\.heartbeat\(" -- src/repro/sim; then
+    echo "ci: src/repro/sim must sweep the failure detector with its silent nodes," \
+         "not heartbeat each monitored node" >&2
+    exit 1
+fi
+
 echo "== layering (the runtime does not import the static analyzer) =="
 # Queries are vetted by `repro check` / analysis.checker.analyze_query before
 # submit; CosmosSystem.submit validates names itself and imports no analyzer.
@@ -118,19 +127,24 @@ PYTHONPATH=src:. python -m pytest -x -q
 echo "== bench harness tests (every span target in bench/tracing.py resolves) =="
 python -m pytest bench -q
 
-echo "== overlay optimizer ablation (same swaps, same tree: the archived table must not move) =="
-PYTHONPATH=src:. python -m pytest benchmarks/test_ablations.py::test_ablation_overlay_optimizer -q
-git diff --exit-code -- benchmarks/results/ablation_overlay_optimizer.txt
+echo "== archived tables (optimizer swaps, placement policy, unicast baseline: regenerated, must not move) =="
+PYTHONPATH=src:. python -m pytest -q \
+    benchmarks/test_ablations.py::test_ablation_overlay_optimizer \
+    benchmarks/test_ablations.py::test_ablation_placement_policy \
+    benchmarks/test_baseline_unicast.py
+git diff --exit-code -- benchmarks/results/ablation_overlay_optimizer.txt \
+    benchmarks/results/ablation_placement.txt benchmarks/results/baseline_unicast.txt
 
 echo "== bench pinned runs (seed 0: result_digest + link_cost vs bench/pins.json) =="
 # sensor-fanout is the per-tuple publish path at scale (the route cache's
 # claimed workload), burst-scale reads the routing tables in bulk, query-churn
 # is their write path (subscribe/unsubscribe), fault-repair the repair path
 # (retree), join-window the one workload whose results are made by the SPE's
-# joins and aggregates.
+# joins and aggregates, chaos-migrate the self-healing path (run_chaos under
+# recovery and live migration).
 # A single run exits 0 whatever it found; its last stdout line is the verdict
 # (a result_digest off bench/pins.json is a failed operation).
-for workload in sensor-fanout burst-scale query-churn fault-repair join-window; do
+for workload in sensor-fanout burst-scale query-churn fault-repair join-window chaos-migrate; do
     python3 bench/run.py --workload "$workload" --seed 0 --seconds 15 --trace 0 | tail -1 | python3 -c '
 import json, sys
 run = json.loads(sys.stdin.read())
