@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cql.ast import ContinuousQuery
+from repro.cql.ast import ContinuousQuery, QueryError, StreamRef
 from repro.cql.predicates import AttrRef, Conjunction, Interval
 from repro.cql.schema import Attribute, Catalog, SchemaError
 from repro.overlay.topology import NodeId
@@ -64,44 +64,50 @@ class CostModel:
 
     def result_rate(self, query: ContinuousQuery, catalog: Catalog) -> float:
         """Estimated bytes/second of the result stream of ``query``."""
-        tuple_rate = self.result_tuple_rate(query, catalog)
-        width = self.result_width(query, catalog)
+        return self.stream_rate(
+            query.streams,
+            query.predicate,
+            self._columns(query, catalog),
+            len(query.aggregates),
+            catalog,
+        )
+
+    def stream_rate(
+        self,
+        streams: Sequence[StreamRef],
+        predicate: Conjunction,
+        columns: Sequence[AttrRef],
+        aggregates: int,
+        catalog: Catalog,
+    ) -> float:
+        """Bytes/second of a result stream: the one pricing routine.
+
+        Tuples/second from the FROM list and the predicate, times the
+        wire width of ``columns`` (the projected attributes, or an
+        aggregate's grouping attributes) plus 8 bytes per aggregate.
+        :meth:`result_rate` is this call on a built query and
+        :meth:`repro.core.merging.MergePlan.rate` on a plan before it is
+        built, so a candidate representative's price is the same float
+        as the price of the query built from it.
+        """
+        tuple_rate = self._tuple_rate(streams, predicate, aggregates > 0, catalog)
+        width = self._width(streams, columns, aggregates, catalog)
         return tuple_rate * width
 
     def result_tuple_rate(self, query: ContinuousQuery, catalog: Catalog) -> float:
         """Estimated result tuples/second."""
-        closed = query.predicate.closure()
-        filtered_rates: List[float] = []
-        windows: List[float] = []
-        for ref in query.streams:
-            schema = catalog.get(ref.stream)
-            sel = self.stream_selectivity(closed, ref.name, ref.stream, catalog)
-            filtered_rates.append(schema.rate * sel)
-            windows.append(self.effective_window(ref.window.size))
-        if query.is_aggregate:
-            # One updated group row per qualifying arrival.
-            return filtered_rates[0]
-        if len(query.streams) == 1:
-            return filtered_rates[0]
-        join_sel = self.join_selectivity(query, catalog)
-        rate_product = math.prod(filtered_rates)
-        window_sum = 0.0
-        for i in range(len(windows)):
-            others = math.prod(w for j, w in enumerate(windows) if j != i)
-            window_sum += others
-        return rate_product * window_sum * join_sel
+        return self._tuple_rate(
+            query.streams, query.predicate, query.is_aggregate, catalog
+        )
 
     def result_width(self, query: ContinuousQuery, catalog: Catalog) -> float:
         """Wire width (bytes) of one result tuple."""
-        width = 0.0
-        if query.is_aggregate:
-            for attr in query.group_by:
-                width += self._attribute_width(query, attr, catalog)
-            width += 8.0 * len(query.aggregates)
-            return width
-        for attr in query.projected_attributes(catalog):
-            width += self._attribute_width(query, attr, catalog)
-        return width
+        return self._width(
+            query.streams,
+            self._columns(query, catalog),
+            len(query.aggregates),
+            catalog,
+        )
 
     def source_flow_rate(
         self, query: ContinuousQuery, stream: str, catalog: Catalog
@@ -236,10 +242,69 @@ class CostModel:
 
     def join_selectivity(self, query: ContinuousQuery, catalog: Catalog) -> float:
         """Combined selectivity of the query's equijoin links."""
+        return self._join_selectivity(query.streams, query.predicate, catalog)
+
+    # -- helpers --------------------------------------------------------------------------
+
+    def _tuple_rate(
+        self,
+        streams: Sequence[StreamRef],
+        predicate: Conjunction,
+        aggregate: bool,
+        catalog: Catalog,
+    ) -> float:
+        closed = predicate.closure()
+        filtered_rates: List[float] = []
+        windows: List[float] = []
+        for ref in streams:
+            schema = catalog.get(ref.stream)
+            sel = self.stream_selectivity(closed, ref.name, ref.stream, catalog)
+            filtered_rates.append(schema.rate * sel)
+            windows.append(self.effective_window(ref.window.size))
+        if aggregate:
+            # One updated group row per qualifying arrival.
+            return filtered_rates[0]
+        if len(streams) == 1:
+            return filtered_rates[0]
+        join_sel = self._join_selectivity(streams, predicate, catalog)
+        rate_product = math.prod(filtered_rates)
+        window_sum = 0.0
+        for i in range(len(windows)):
+            others = math.prod(w for j, w in enumerate(windows) if j != i)
+            window_sum += others
+        return rate_product * window_sum * join_sel
+
+    def _width(
+        self,
+        streams: Sequence[StreamRef],
+        columns: Sequence[AttrRef],
+        aggregates: int,
+        catalog: Catalog,
+    ) -> float:
+        width = 0.0
+        for attr in columns:
+            width += self._attribute_width(streams, attr, catalog)
+        if aggregates:
+            width += 8.0 * aggregates
+        return width
+
+    @staticmethod
+    def _columns(query: ContinuousQuery, catalog: Catalog) -> Sequence[AttrRef]:
+        """The attributes a result tuple of ``query`` carries."""
+        if query.is_aggregate:
+            return query.group_by
+        return query.projected_attributes(catalog)
+
+    def _join_selectivity(
+        self,
+        streams: Sequence[StreamRef],
+        predicate: Conjunction,
+        catalog: Catalog,
+    ) -> float:
         selectivity = 1.0
-        for a, b in query.predicate.links:
-            size_a = self._term_domain_size(query, a, catalog)
-            size_b = self._term_domain_size(query, b, catalog)
+        for a, b in predicate.links:
+            size_a = self._term_domain_size(streams, a, catalog)
+            size_b = self._term_domain_size(streams, b, catalog)
             sizes = [s for s in (size_a, size_b) if s is not None]
             if sizes:
                 selectivity *= 1.0 / max(sizes)
@@ -247,29 +312,25 @@ class CostModel:
                 selectivity *= self.default_equality_selectivity
         return selectivity
 
-    # -- helpers --------------------------------------------------------------------------
-
     def _attribute_width(
-        self, query: ContinuousQuery, attr: AttrRef, catalog: Catalog
+        self, streams: Sequence[StreamRef], attr: AttrRef, catalog: Catalog
     ) -> float:
         if attr.qualifier is None:
             return float(self.default_timestamp_width)
-        ref = query.stream_ref(attr.qualifier)
-        schema = catalog.get(ref.stream)
+        schema = catalog.get(_stream_of(streams, attr.qualifier))
         attribute = self._lookup_attribute(schema, attr.name)
         if attribute is None:
             return float(self.default_timestamp_width)
         return float(attribute.byte_width)
 
     def _term_domain_size(
-        self, query: ContinuousQuery, term: str, catalog: Catalog
+        self, streams: Sequence[StreamRef], term: str, catalog: Catalog
     ) -> Optional[float]:
         attr = AttrRef.parse(term)
         if attr.qualifier is None:
             return None
         try:
-            ref = query.stream_ref(attr.qualifier)
-            schema = catalog.get(ref.stream)
+            schema = catalog.get(_stream_of(streams, attr.qualifier))
         except Exception:
             return None
         return self._domain_size(self._lookup_attribute(schema, attr.name))
@@ -291,3 +352,12 @@ class CostModel:
         if attribute.type == "int":
             return float(int(attribute.hi) - int(attribute.lo) + 1)
         return None
+
+
+def _stream_of(streams: Sequence[StreamRef], qualifier: str) -> str:
+    """The stream a FROM list names ``qualifier`` (cf.
+    :meth:`ContinuousQuery.stream_ref`)."""
+    for ref in streams:
+        if ref.name == qualifier:
+            return ref.stream
+    raise QueryError(f"query has no stream reference named {qualifier!r}")

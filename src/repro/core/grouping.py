@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
 from repro.core.cost import CostModel
-from repro.core.merging import MergeError, mergeable, representative
+from repro.core.merging import MergeError, MergePlan, merge_plan, representative
 
 
 @dataclass
@@ -153,11 +153,12 @@ class GroupingOptimizer:
         """Assign ``query`` to the best group (or a new singleton).
 
         The representative of an extended group is composed
-        *incrementally* — ``representative([rep_old, q_new])`` — which
-        is associative with batch composition for the predicate,
-        windows and projection (the incremental projection may keep a
-        few extra attributes; it is never smaller than any member
-        requires).
+        *incrementally* — the plan of ``[rep_old, q_new]`` — which is
+        associative with batch composition for the predicate, windows
+        and projection (the incremental projection may keep a few extra
+        attributes; it is never smaller than any member requires).
+        Every candidate is priced from its :class:`MergePlan`; only the
+        winning group's representative is built.
         """
         if query.name is None:
             raise ValueError("queries must be named before grouping")
@@ -166,30 +167,23 @@ class GroupingOptimizer:
         query = query.canonical(self.catalog)
         query_rate = self.cost_model.result_rate(query, self.catalog)
         best_delta = self.merge_threshold
-        best: Optional[Tuple[QueryGroup, ContinuousQuery, float]] = None
+        best: Optional[Tuple[QueryGroup, MergePlan, float]] = None
         key = self._structure_key(query)
         for group_id in self._index.get(key, ()):
             group = self._groups[group_id]
-            if not mergeable(group.representative, query, self.catalog):
-                continue
             try:
-                candidate = representative(
-                    [group.representative, query],
-                    self.catalog,
-                    name=f"{group.group_id}:rep",
-                    verify=False,
-                )
+                plan = merge_plan([group.representative, query], self.catalog)
             except MergeError:
                 continue
-            candidate_rate = self.cost_model.result_rate(candidate, self.catalog)
+            candidate_rate = plan.rate(self.cost_model, self.catalog)
             delta = group.representative_rate + query_rate - candidate_rate
             if delta > best_delta:
                 best_delta = delta
-                best = (group, candidate, candidate_rate)
+                best = (group, plan, candidate_rate)
         if best is not None:
-            group, candidate, candidate_rate = best
+            group, plan, candidate_rate = best
             group.members.append(query)
-            group.representative = candidate
+            group.representative = plan.build(f"{group.group_id}:rep")
             group.representative_rate = candidate_rate
             self._group_of_query[query.name] = group.group_id
             return GroupingDecision(query, group, False, best_delta)

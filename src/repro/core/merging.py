@@ -21,23 +21,36 @@ Every member must remain *recoverable*: its residual constraints must
 be expressible over the representative's result-stream attributes.
 :func:`merge_queries` raises :class:`MergeError` otherwise (the
 grouping optimizer treats that as "not mergeable").
+
+Composition is two steps: :func:`merge_plan` decides everything the
+representative will be (and raises :class:`MergeError`), and
+:meth:`MergePlan.build` makes the query.  The grouping optimizer prices
+every candidate's plan and builds only the winner's.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cql.ast import (
     Aggregate,
     ContinuousQuery,
-    QueryError,
+    SelectItem,
     StreamRef,
     Window,
 )
-from repro.cql.predicates import Atom, AttrRef, Conjunction, DifferenceConstraint, Interval
+from repro.cql.predicates import (
+    Atom,
+    AttrRef,
+    Conjunction,
+    DifferenceConstraint,
+    Interval,
+    atom_terms,
+)
 from repro.cql.schema import Catalog
 from repro.core.containment import _aggregate_signature, contains
+from repro.core.cost import CostModel
 
 
 class MergeError(Exception):
@@ -47,7 +60,7 @@ class MergeError(Exception):
 def mergeable(
     q1: ContinuousQuery, q2: ContinuousQuery, catalog: Catalog
 ) -> bool:
-    """Cheap structural pre-check used by the grouping optimizer.
+    """The structural check :func:`merge_plan` starts with.
 
     Queries are candidates for one group when they involve the same set
     of streams (same FROM clause up to aliasing), are both plain SPJ or
@@ -128,6 +141,87 @@ def merge_queries(
     return representative([q1, q2], catalog, name=name)
 
 
+@dataclass(frozen=True)
+class MergePlan:
+    """A group's representative before it is built.
+
+    Everything :meth:`build` puts into the query — the merged windows,
+    the hull predicate, the SELECT list (the sorted projection terms, or
+    the common aggregate list) and the grouping attributes — so a
+    candidate can be priced (:meth:`rate`) without building it.  A plan
+    of one query is that (canonical) query.
+    """
+
+    members: Tuple[ContinuousQuery, ...]
+    streams: Tuple[StreamRef, ...]
+    predicate: Conjunction
+    select_items: Tuple[SelectItem, ...]
+    group_by: Tuple[AttrRef, ...] = ()
+
+    def rate(self, cost_model: CostModel, catalog: Catalog) -> float:
+        """C(q) of the query :meth:`build` returns, bit for bit: both
+        go through :meth:`CostModel.stream_rate` with the same inputs."""
+        if len(self.members) == 1:
+            return cost_model.result_rate(self.members[0], catalog)
+        aggregates = sum(isinstance(item, Aggregate) for item in self.select_items)
+        columns = self.group_by if aggregates else self.select_items
+        return cost_model.stream_rate(
+            self.streams, self.predicate, columns, aggregates, catalog
+        )
+
+    def build(self, name: Optional[str] = None) -> ContinuousQuery:
+        """The representative query (canonical; ``name`` if given)."""
+        if len(self.members) == 1 and name is None:
+            return self.members[0]
+        return ContinuousQuery(
+            select_items=self.select_items,
+            streams=self.streams,
+            predicate=self.predicate,
+            group_by=self.group_by,
+            name=name,
+        )
+
+
+def merge_plan(
+    queries: Sequence[ContinuousQuery], catalog: Catalog
+) -> MergePlan:
+    """Plan the representative of a group (see :func:`representative`).
+
+    Raises :class:`MergeError` when the group is structurally
+    incompatible — exactly where :func:`representative` does before
+    its optional verification.
+    """
+    if not queries:
+        raise MergeError("cannot merge an empty group")
+    first = queries[0]
+    for other in queries[1:]:
+        if not mergeable(first, other, catalog):
+            raise MergeError(
+                f"queries {first.name!r} and {other.name!r} are not mergeable"
+            )
+    members = tuple(q.canonical(catalog) for q in queries)
+    if len(members) == 1:
+        only = members[0]
+        return MergePlan(
+            members, only.streams, only.predicate, only.select_items, only.group_by
+        )
+
+    streams = _merged_streams(members)
+    predicate = members[0].predicate
+    for member in members[1:]:
+        predicate = predicate.hull(member.predicate)
+
+    if members[0].is_aggregate:
+        _check_aggregate_selections(members, predicate)
+        template = members[0]
+        return MergePlan(
+            members, streams, predicate, template.aggregates, template.group_by
+        )
+    return MergePlan(
+        members, streams, predicate, _spj_projection(members, streams, predicate, catalog)
+    )
+
+
 def representative(
     queries: Sequence[ContinuousQuery],
     catalog: Catalog,
@@ -144,45 +238,19 @@ def representative(
 
     ``verify=False`` skips the final containment/recoverability check
     (the construction guarantees both; the check exists as a defensive
-    double-entry bookkeeping pass and is O(members), so tight loops —
-    the grouping optimizer evaluating thousands of candidate merges —
-    turn it off).
+    double-entry bookkeeping pass and is O(members)).
 
     Composition is associative: ``representative([rep_old, q])`` where
     ``rep_old`` is itself a representative extends a group one query at
-    a time, which is how the incremental optimizer uses it.
+    a time, which is how the incremental optimizer uses it (through
+    :func:`merge_plan`, pricing every candidate and building only the
+    winner).
     """
-    if not queries:
-        raise MergeError("cannot merge an empty group")
-    first = queries[0]
-    for other in queries[1:]:
-        if not mergeable(first, other, catalog):
-            raise MergeError(
-                f"queries {first.name!r} and {other.name!r} are not mergeable"
-            )
-    members = [q.canonical(catalog) for q in queries]
-    if len(members) == 1:
-        return members[0] if name is None else _renamed(members[0], name)
-
-    streams = _merged_streams(members)
-    predicate = members[0].predicate
-    for member in members[1:]:
-        predicate = predicate.hull(member.predicate)
-
-    if members[0].is_aggregate:
-        rep = _aggregate_representative(members, streams, predicate, name)
-    else:
-        rep = _spj_representative(members, streams, predicate, catalog, name)
-
-    if verify:
-        _check_recoverable(members, rep, catalog)
+    plan = merge_plan(queries, catalog)
+    rep = plan.build(name)
+    if verify and len(plan.members) > 1:
+        _check_recoverable(plan.members, rep, catalog)
     return rep
-
-
-def _renamed(query: ContinuousQuery, name: str) -> ContinuousQuery:
-    return ContinuousQuery(
-        query.select_items, query.streams, query.predicate, query.group_by, name
-    )
 
 
 def _merged_streams(members: Sequence[ContinuousQuery]) -> Tuple[StreamRef, ...]:
@@ -195,19 +263,19 @@ def _merged_streams(members: Sequence[ContinuousQuery]) -> Tuple[StreamRef, ...]
     return tuple(StreamRef(stream, Window(sizes[stream])) for stream in order)
 
 
-def _spj_representative(
+def _spj_projection(
     members: Sequence[ContinuousQuery],
     streams: Tuple[StreamRef, ...],
     predicate: Conjunction,
     catalog: Catalog,
-    name: Optional[str],
-) -> ContinuousQuery:
+) -> Tuple[AttrRef, ...]:
+    """The SELECT list of an SPJ representative, in sorted term order."""
     rep_windows = {ref.stream: ref.window.size for ref in streams}
     projection: Set[str] = set()
     for member in members:
         projection.update(attr.key for attr in member.projected_attributes(catalog))
         for atom in residual_atoms(member, predicate):
-            projection.update(_atom_terms(atom))
+            projection.update(atom_terms(atom))
         member_windows = {ref.stream: ref.window.size for ref in member.streams}
         widened = [
             stream
@@ -217,28 +285,16 @@ def _spj_representative(
         if widened and len(member.streams) > 1:
             # Lemma 1 re-tightening needs every stream's timestamp.
             projection.update(f"{ref.stream}.timestamp" for ref in member.streams)
-    select_items = tuple(
-        AttrRef.parse(term) for term in sorted(projection)
-    )
-    return ContinuousQuery(
-        select_items=select_items,
-        streams=streams,
-        predicate=predicate,
-        name=name,
-    )
+    return tuple(AttrRef.parse(term) for term in sorted(projection))
 
 
-def _aggregate_representative(
-    members: Sequence[ContinuousQuery],
-    streams: Tuple[StreamRef, ...],
-    predicate: Conjunction,
-    name: Optional[str],
-) -> ContinuousQuery:
+def _check_aggregate_selections(
+    members: Sequence[ContinuousQuery], predicate: Conjunction
+) -> None:
     """Aggregates share signature and windows; only group-attribute
     selections may differ (they commute with grouping), so the hull
     predicate plus the common aggregate list is the representative."""
-    template = members[0]
-    group_keys = {attr.key for attr in template.group_by}
+    group_keys = {attr.key for attr in members[0].group_by}
     for member in members:
         non_group_terms = member.predicate.referenced_terms() - group_keys
         rest_member = member.predicate.restrict_to(non_group_terms)
@@ -248,20 +304,6 @@ def _aggregate_representative(
                 "aggregate members differ on non-grouping selections; "
                 "values would change and members become unrecoverable"
             )
-    select_items = tuple(template.aggregates)
-    return ContinuousQuery(
-        select_items=select_items,
-        streams=streams,
-        predicate=predicate,
-        group_by=template.group_by,
-        name=name,
-    )
-
-
-def _atom_terms(atom: Atom) -> Set[str]:
-    from repro.cql.predicates import atom_terms
-
-    return atom_terms(atom)
 
 
 def _check_recoverable(
@@ -270,10 +312,6 @@ def _check_recoverable(
     catalog: Catalog,
 ) -> None:
     rep_outputs = set(rep.output_attribute_names(catalog))
-    if len(rep.streams) > 1:
-        # Result tuples of an SPJ join implicitly know each source
-        # timestamp only if projected; window residuals need them.
-        pass
     for member in members:
         if not contains(member, rep, catalog):
             raise MergeError(
@@ -282,7 +320,7 @@ def _check_recoverable(
             )
         needed: Set[str] = set()
         for atom in residual_atoms(member, rep.predicate):
-            needed |= _atom_terms(atom)
+            needed |= atom_terms(atom)
         for constraint in window_residuals(member, rep):
             needed.add(constraint.left)
             needed.add(constraint.right)

@@ -22,16 +22,9 @@ from typing import Dict, List, Optional, Set
 
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cql.ast import ContinuousQuery
-from repro.cql.predicates import (
-    Atom,
-    AttrRef,
-    Comparison,
-    Conjunction,
-    DifferenceConstraint,
-    JoinPredicate,
-)
+from repro.cql.predicates import Atom, AttrRef, Conjunction, atom_terms
 from repro.cql.schema import Catalog
-from repro.core.merging import MergeError, residual_atoms, window_residuals
+from repro.core.merging import residual_atoms, window_residuals
 
 
 class ProfileCompositionError(Exception):
@@ -139,9 +132,9 @@ def result_profile(
         residual_atoms(canonical_member, canonical_rep.predicate)
     )
     atoms.extend(window_residuals(canonical_member, canonical_rep))
-    needed = set()
+    needed: Set[str] = set()
     for atom in atoms:
-        needed |= Conjunction.from_atoms([atom]).referenced_terms()
+        needed |= atom_terms(atom)
     missing = needed - rep_outputs
     if missing:
         raise ProfileCompositionError(

@@ -219,26 +219,34 @@ class ContinuousQuery:
         names = [ref.name for ref in self.streams]
         if len(set(names)) != len(names):
             raise QueryError(f"duplicate stream reference names in FROM: {names}")
-        aggregates = [i for i in self.select_items if isinstance(i, Aggregate)]
+        aggregates = tuple(i for i in self.select_items if isinstance(i, Aggregate))
         if aggregates and any(
             isinstance(i, Star) for i in self.select_items
         ):
             raise QueryError("cannot mix aggregates with Q.* select items")
+        # The instance is immutable: derive the structure grouping asks
+        # about on every candidate once, here.
+        stream_names = tuple(ref.stream for ref in self.streams)
+        object.__setattr__(self, "_aggregates", aggregates)
+        object.__setattr__(self, "_stream_names", stream_names)
+        object.__setattr__(
+            self, "_has_self_join", len(set(stream_names)) != len(stream_names)
+        )
 
     # -- basic structure ---------------------------------------------------------
 
     @property
     def is_aggregate(self) -> bool:
-        return any(isinstance(item, Aggregate) for item in self.select_items)
+        return bool(self._aggregates)
 
     @property
     def aggregates(self) -> Tuple[Aggregate, ...]:
-        return tuple(i for i in self.select_items if isinstance(i, Aggregate))
+        return self._aggregates
 
     @property
     def stream_names(self) -> Tuple[str, ...]:
         """Underlying stream names, in FROM order."""
-        return tuple(ref.stream for ref in self.streams)
+        return self._stream_names
 
     @property
     def reference_names(self) -> Tuple[str, ...]:
@@ -253,7 +261,7 @@ class ContinuousQuery:
 
     @property
     def has_self_join(self) -> bool:
-        return len(set(self.stream_names)) != len(self.stream_names)
+        return self._has_self_join
 
     # -- resolution against a catalog -----------------------------------------------
 

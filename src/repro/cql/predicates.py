@@ -376,7 +376,7 @@ class Conjunction:
     against a value binding with :meth:`evaluate`.
     """
 
-    __slots__ = ("_intervals", "_excluded", "_links", "_diffs", "_solved")
+    __slots__ = ("_intervals", "_excluded", "_links", "_diffs", "_solved", "_atoms")
 
     def __init__(
         self,
@@ -402,6 +402,7 @@ class Conjunction:
             if not iv.is_universal
         }
         self._solved: Optional[ConstraintSystem] = None
+        self._atoms: Optional[Tuple[Atom, ...]] = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -634,18 +635,25 @@ class Conjunction:
     # -- misc -------------------------------------------------------------------------
 
     def atoms(self) -> List[Atom]:
-        """Decompose back into a list of atomic predicates."""
-        out: List[Atom] = []
-        for term, iv in sorted(self._intervals.items()):
-            out.extend(_interval_comparisons(term, iv))
-        for term, vals in sorted(self._excluded.items()):
-            for value in sorted(vals, key=repr):
-                out.append(Comparison(term, "!=", value))
-        for a, b in sorted(self._links):
-            out.append(JoinPredicate(a, b))
-        for (a, b), iv in sorted(self._diffs.items()):
-            out.append(DifferenceConstraint(a, b, iv))
-        return out
+        """Decompose back into a list of atomic predicates.
+
+        Decomposed once per (immutable) instance — every member's
+        residual check and every implication test reads it — and handed
+        out as a fresh list.
+        """
+        if self._atoms is None:
+            out: List[Atom] = []
+            for term, iv in sorted(self._intervals.items()):
+                out.extend(_interval_comparisons(term, iv))
+            for term, vals in sorted(self._excluded.items()):
+                for value in sorted(vals, key=repr):
+                    out.append(Comparison(term, "!=", value))
+            for a, b in sorted(self._links):
+                out.append(JoinPredicate(a, b))
+            for (a, b), iv in sorted(self._diffs.items()):
+                out.append(DifferenceConstraint(a, b, iv))
+            self._atoms = tuple(out)
+        return list(self._atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Conjunction):

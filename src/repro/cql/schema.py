@@ -86,18 +86,20 @@ class StreamSchema:
         rate: float = 1.0,
     ) -> None:
         attrs = tuple(attributes)
-        seen = set()
+        by_name: Dict[str, Attribute] = {}
         for attr in attrs:
-            if attr.name in seen:
+            if attr.name in by_name:
                 raise SchemaError(
                     f"duplicate attribute {attr.name!r} in stream {name!r}"
                 )
-            seen.add(attr.name)
+            by_name[attr.name] = attr
         if rate <= 0:
             raise SchemaError(f"stream {name!r} must have a positive rate")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "rate", float(rate))
+        #: name -> attribute, the index every lookup below reads
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def attribute_names(self) -> Tuple[str, ...]:
@@ -105,13 +107,15 @@ class StreamSchema:
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name, raising :class:`SchemaError`."""
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise SchemaError(f"stream {self.name!r} has no attribute {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(
+                f"stream {self.name!r} has no attribute {name!r}"
+            ) from None
 
     def has_attribute(self, name: str) -> bool:
-        return any(attr.name == name for attr in self.attributes)
+        return name in self._by_name
 
     @property
     def tuple_width(self) -> int:

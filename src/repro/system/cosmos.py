@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
@@ -127,10 +127,12 @@ class CosmosSystem:
         self.distribution = distribution or StreamAffinityDistribution()
         self._sources: Dict[str, NodeId] = {}
         self._queries: Dict[str, SubmittedQuery] = {}
-        #: query id -> current CBN subscription id for its results, and
-        #: that id -> the query's handle (deliveries are dispatched by it)
+        #: query id -> current CBN subscription id for its results, that
+        #: id -> the query's handle (deliveries are dispatched by it) and
+        #: that id -> the profile it was subscribed with
         self._user_subscriptions: Dict[str, str] = {}
         self._subscribers: Dict[str, SubmittedQuery] = {}
+        self._installed: Dict[str, Profile] = {}
         self._counter = itertools.count()
         self._sub_version = itertools.count()
         #: Reliability state (:func:`repro.system.reliability.attach_reliability`);
@@ -221,43 +223,37 @@ class CosmosSystem:
         if group is not None:
             self.reconcile_group(processor, group)
 
-    def reconcile_group(
-        self,
-        processor: Processor,
-        group: QueryGroup,
-        only: Optional[Iterable[str]] = None,
-    ) -> None:
+    def reconcile_group(self, processor: Processor, group: QueryGroup) -> None:
         """Make every member's handle and result subscription match
         ``group`` as it now stands on ``processor``.
 
         The one place this happens — submission, withdrawal, migration
         cutover/resume and partition heal all end here.  Each member's
         handle is stamped with the processor and the result stream, and
-        each ``ACTIVE`` member's subscription is replaced by its profile
-        recomposed against the current representative (the old one may
-        reference attributes the result stream no longer carries).  A
-        ``DEGRADED`` member is skipped by construction: it holds no
-        subscription until its owner flips it back and reconciles.
-        ``only`` narrows the re-subscription to the members a resume
-        just re-activated (the representative did not change, the other
-        members' subscriptions are current).  Members without a handle
-        (standalone manager usage) are skipped.
+        each ``ACTIVE`` member's profile is recomposed against the
+        current representative (the old one may reference attributes the
+        result stream no longer carries).  A member already subscribed
+        with exactly that profile keeps its subscription; any other is
+        replaced.  A ``DEGRADED`` member is skipped by construction: it
+        holds no subscription until its owner flips it back and
+        reconciles.  Members without a handle (standalone manager usage)
+        are skipped.
         """
         result_stream = processor.manager.result_stream_of(group)
         profiles = processor.manager.result_profiles_of(group)
-        if only is not None:
-            only = set(only)
         for member_name, profile in profiles.items():
             member = self._queries.get(member_name)
             if member is None:
                 continue
             member.processor_node = processor.node_id
             member.result_stream = result_stream
-            if member.status is QueryStatus.ACTIVE and (
-                only is None or member_name in only
-            ):
-                self.detach_result_subscription(member_name)
-                self.attach_result_subscription(member_name, profile)
+            if member.status is not QueryStatus.ACTIVE:
+                continue
+            sub_id = self._user_subscriptions.get(member_name)
+            if sub_id is not None and self._installed[sub_id] == profile:
+                continue
+            self.detach_result_subscription(member_name)
+            self.attach_result_subscription(member_name, profile)
 
     def attach_result_subscription(self, query_id: str, profile: Profile) -> None:
         """Subscribe ``query_id``'s user to its results under a fresh
@@ -270,12 +266,14 @@ class CosmosSystem:
         )
         self._user_subscriptions[query_id] = sub_id
         self._subscribers[sub_id] = handle
+        self._installed[sub_id] = profile
 
     def detach_result_subscription(self, query_id: str) -> None:
         """Withdraw ``query_id``'s result subscription, if it holds one."""
         sub_id = self._user_subscriptions.pop(query_id, None)
         if sub_id is not None:
             del self._subscribers[sub_id]
+            del self._installed[sub_id]
             self.network.unsubscribe(sub_id)
 
     def subscriber_of(self, subscription_id: str) -> Optional[SubmittedQuery]:

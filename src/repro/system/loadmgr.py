@@ -438,7 +438,8 @@ def resume_after_migration(
     flip back to ``ACTIVE``, then each group they live in on the
     processor is reconciled once (:meth:`CosmosSystem.reconcile_group`):
     every member's handle is re-pointed at the processor and the
-    resumed ones are re-subscribed.  Members that vanished, are not
+    resumed ones are re-subscribed (the others keep subscriptions whose
+    profile did not change).  Members that vanished, are not
     ``DEGRADED``, are owned by the reliability partition quarantine, or
     whose user node left the tree stay as they are (their owning path
     heals them).  Returns the resumed ids in ``members`` order.
@@ -464,7 +465,7 @@ def resume_after_migration(
         handle.status = QueryStatus.ACTIVE
         resumed.append(member_name)
     for group in touched.values():
-        system.reconcile_group(processor, group, only=resumed)
+        system.reconcile_group(processor, group)
     return resumed
 
 
@@ -479,8 +480,9 @@ def cutover_group(
     optimizer reproduces the merge (or folds the members into an
     existing compatible group — merging never decreases).  Every touched
     target group is reconciled — its resident active members' result
-    subscriptions are refreshed (their representative changed), the
-    migrated ones are still ``DEGRADED`` and skipped — then the
+    subscriptions are refreshed where the changed representative changed
+    their profiles, the migrated ones are still ``DEGRADED`` and
+    skipped — then the
     migrated members are resumed.  Returns the resumed ids.
     """
     source = system.processors.get(migration.source_node)

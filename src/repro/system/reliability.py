@@ -582,7 +582,7 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     state is rebuilt, every quarantined query whose user node is back
     in the tree is flipped to ``ACTIVE``, and each group holding one is
     reconciled once (:meth:`CosmosSystem.reconcile_group` re-subscribes
-    exactly the resumed members).
+    the resumed members; the others' profiles did not change).
     Returns the resumed query ids (sorted); quarantined queries whose
     partition still stands are left untouched.
     """
@@ -621,5 +621,5 @@ def heal_partition(system: CosmosSystem) -> List[str]:
         resumed.append(query_id)
         touched[processor.node_id, group.group_id] = (processor, group)
     for processor, group in touched.values():
-        system.reconcile_group(processor, group, only=resumed)
+        system.reconcile_group(processor, group)
     return resumed

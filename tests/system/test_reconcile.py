@@ -2,9 +2,10 @@
 
 Whatever changes a group — submission, withdrawal, migration cutover,
 resume, partition heal — ends in ``CosmosSystem.reconcile_group``, which
-re-subscribes ``ACTIVE`` members only.  The regressions below are the
-cases the five hand-written copies of the rule got wrong; the random
-histories check the invariants after every step of any interleaving.
+re-subscribes ``ACTIVE`` members only, and of those only the ones whose
+profile moved.  The regressions below are the cases the five
+hand-written copies of the rule got wrong; the random histories check
+the invariants after every step of any interleaving.
 """
 
 import itertools
@@ -168,6 +169,47 @@ class TestQuarantinedMemberIsSkipped:
         assert user_subscriptions(system, "a") == [before]
 
 
+class TestRefreshSkip:
+    """A member keeps its result subscription while its recomposed
+    profile equals the installed one; a moved profile is replaced."""
+
+    #: Only a user at 7 subscribes across this link (its arm's last hop).
+    ARM = (6, 7)
+
+    def submit_pair(self, first, second):
+        system = build_system()
+        a = system.submit(warm(first), user_node=7, name="a")
+        (installed,) = user_subscriptions(system, "a")
+        arm = system.network.control_stats.usage(*self.ARM).messages
+        b = system.submit(warm(second), user_node=3, name="b")
+        group = system.processors[a.processor_node].manager.grouping.group_of("a")
+        assert group.member_names() == ["a", "b"]
+        laid = system.network.control_stats.usage(*self.ARM).messages - arm
+        return system, a, b, installed, laid
+
+    def test_unchanged_profile_keeps_its_subscription(self):
+        # ``b`` is contained by ``a``: the representative still admits
+        # exactly what ``a`` asks for, so ``a`` has nothing to re-tighten.
+        system, a, b, installed, laid = self.submit_pair(10, 20)
+        assert user_subscriptions(system, "a") == [installed]
+        assert laid == 0
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 15.0}, 1.0)
+        system.publish("Temp", {"station": 1, "celsius": 25.0}, 2.0)
+        assert (a.result_count, b.result_count) == (2, 1)
+
+    def test_changed_profile_is_replaced(self):
+        # ``b`` widens the representative: ``a`` must re-tighten it.
+        system, a, b, installed, laid = self.submit_pair(20, 10)
+        (current,) = user_subscriptions(system, "a")
+        assert current != installed
+        assert laid == 1
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 15.0}, 1.0)
+        system.publish("Temp", {"station": 1, "celsius": 25.0}, 2.0)
+        assert (a.result_count, b.result_count) == (1, 2)
+
+
 class TestRandomHistories:
     """Seeded interleavings of everything that changes a group; the
     invariants of the reconciliation hold after every step."""
@@ -181,7 +223,20 @@ class TestRandomHistories:
     ]
 
     @staticmethod
-    def assert_reconciled(system):
+    def held(system):
+        """query id -> (subscription id, profile) of every live result
+        subscription."""
+        live = system.network.subscriptions()
+        return {
+            handle.query_id: (sid, live[sid][1])
+            for handle in system.queries
+            for sid in user_subscriptions(system, handle.query_id)
+        }
+
+    @staticmethod
+    def assert_reconciled(system, before):
+        """The invariants, and: a member whose recomposed profile equals
+        the one it held ``before`` the step kept that subscription."""
         live = system.network.subscriptions()
         assert check_no_orphans(system) == []
         grouped = set()
@@ -215,16 +270,16 @@ class TestRandomHistories:
                         continue
                     (sid,) = held
                     assert system.subscriber_of(sid) is handle
-                    assert live[sid] == (
-                        handle.user_node,
-                        result_profile(
-                            member,
-                            group.representative,
-                            system.catalog,
-                            stream,
-                            subscriber=member.name,
-                        ),
+                    profile = result_profile(
+                        member,
+                        group.representative,
+                        system.catalog,
+                        stream,
+                        subscriber=member.name,
                     )
+                    assert live[sid] == (handle.user_node, profile)
+                    if member.name in before and before[member.name][1] == profile:
+                        assert sid == before[member.name][0], member.name
         assert grouped == {handle.query_id for handle in system.queries}
 
     @pytest.mark.parametrize("seed", range(12))
@@ -305,5 +360,6 @@ class TestRandomHistories:
         for __ in range(6):
             submit()
         for __ in range(60):
+            before = self.held(system)
             rng.choice(steps)()
-            self.assert_reconciled(system)
+            self.assert_reconciled(system, before)

@@ -107,6 +107,16 @@ if git grep -nE "UnicastCostModel|CapacityAwareDistribution|hop_count_cost" -- s
     exit 1
 fi
 
+echo "== install costs what it changes (repro.core, repro.system) =="
+# reconcile_group keeps a member's subscription while its recomposed profile
+# equals the installed one, so there is no re-subscription filter to pass; a
+# residual atom's terms are read off the atom, not off a one-atom conjunction.
+if git grep -nE "only=|from_atoms\(\[atom\]\)" -- src/repro/system src/repro/core; then
+    echo "ci: src/repro/system and src/repro/core must not narrow a reconciliation" \
+         "with only= or build a conjunction per atom" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
