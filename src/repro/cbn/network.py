@@ -51,16 +51,19 @@ changed edge touched replays warm routes after a repair.
 :meth:`ContentBasedNetwork._route` the one routine behind it.  A
 datagram is *classified once*, at its origin — origin broker, attribute
 tuple, whether it carries a ``seq``, the value types the schema does
-not price, and the outcome of each distinct conjunction on the payload
-— and every decision of the hop-by-hop walk (:meth:`_walk`, over
-:meth:`RoutingTable.decide` / :meth:`RoutingTable.local_deliveries`)
-is a function of that class and of the routing state the facts are
-versioned by.  So the first datagram of a class walks and its route —
-the links crossed with their byte sizes, the deliveries with their
-projections — is remembered; every later one replays it, at a cost of
-O(links crossed + deliveries).  The walk is the only definition of
-routing; the scan-every-profile reference it is checked against lives
-in :mod:`repro.sim.reference`.
+not price, and the outcomes of the stream's distinct conjunctions on
+the payload, read as one bit mask off a per-stream attribute index
+(:class:`~repro.cql.predicates.OutcomeIndex`) — and every decision of
+the hop-by-hop walk (:meth:`_walk`, over :meth:`RoutingTable.decide` /
+:meth:`RoutingTable.local_deliveries`) is a function of that class and
+of the routing state the facts are versioned by.  So the first
+datagram of a class walks and its route — the links crossed with their
+byte sizes, the deliveries with their projections — is remembered;
+every later one replays it: one index probe per constrained attribute,
+one copy per distinct projection, one template per delivery and one
+:class:`~repro.overlay.metrics.Tally` bump for all its links.  The walk
+is the only definition of routing; the scan-every-profile reference it
+is checked against lives in :mod:`repro.sim.reference`.
 """
 
 from __future__ import annotations
@@ -72,9 +75,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
 from repro.cbn.routing import RoutingTable
-from repro.cql.predicates import Conjunction
+from repro.cql.predicates import Conjunction, OutcomeIndex
 from repro.cql.schema import Catalog, StreamSchema
-from repro.overlay.metrics import LinkStats
+from repro.overlay.metrics import LinkStats, Tally
 from repro.overlay.topology import Edge, NodeId, edge_key
 from repro.overlay.tree import DisseminationTree
 
@@ -133,8 +136,9 @@ _ROUTE_CLASSES = 256
 class _Route(NamedTuple):
     """What the walk did with the first datagram of a class."""
 
-    #: (canonical edge, bytes) per link crossed, in crossing order
-    links: Tuple[Tuple[Edge, float], ...]
+    #: (canonical edge, bytes) per link crossed, in crossing order; one
+    #: use per datagram routed on ``data_stats``
+    tally: Tally
     #: the distinct attribute tuples deliveries were projected to
     views: Tuple[Tuple[str, ...], ...]
     #: (subscription id, broker, index into ``views`` — -1: the whole
@@ -157,7 +161,7 @@ class _Route(NamedTuple):
             kept = tuple(delivery.datagram.payload)
             view = -1 if kept == attributes else views.setdefault(kept, len(views))
             templates.append((delivery.subscription_id, delivery.node, view))
-        return cls(tuple(links), tuple(views), tuple(templates))
+        return cls(Tally(links), tuple(views), tuple(templates))
 
 
 class _StreamFacts:
@@ -169,13 +173,13 @@ class _StreamFacts:
     interfaces* per broker — the neighbours that have at least one
     routing entry for the stream, everything else cannot possibly
     forward — the distinct filter conjunctions of the subscriptions
-    requesting the stream, and the routes already walked, by datagram
-    class (:meth:`classify`).  The tree is not among them: entries are
-    only ever laid along it, so a tree change reaches a stream through
-    the entries it moves.
+    requesting the stream, compiled into one :class:`OutcomeIndex`, and
+    the routes already walked, by datagram class (:meth:`classify`).
+    The tree is not among them: entries are only ever laid along it, so
+    a tree change reaches a stream through the entries it moves.
     """
 
-    __slots__ = ("stream", "widths", "conjunctions", "routes", "_candidates")
+    __slots__ = ("stream", "widths", "index", "routes", "_candidates")
 
     def __init__(
         self,
@@ -185,7 +189,7 @@ class _StreamFacts:
     ) -> None:
         self.stream = stream
         self.widths = widths
-        self.conjunctions = conjunctions
+        self.index = OutcomeIndex(conjunctions)
         self.routes: Dict[tuple, _Route] = {}
         self._candidates: Dict[NodeId, Tuple[NodeId, ...]] = {}
 
@@ -211,7 +215,9 @@ class _StreamFacts:
         when its attributes survived and is false when one did not, and
         which attributes survive is fixed by the decisions upstream.
         Sizes add the origin's attribute set, ``seq`` and — for
-        attributes the schema does not price — the value's type.
+        attributes the schema does not price — the value's type.  The
+        outcomes are one ``int``, bit *i* the *i*-th distinct
+        conjunction's.
         """
         payload = datagram.payload
         priced = self.widths or ()
@@ -220,7 +226,7 @@ class _StreamFacts:
             tuple(payload),
             datagram.seq is None,
             tuple([type(value) for name, value in payload.items() if name not in priced]),
-            tuple([condition.evaluate(payload) for condition in self.conjunctions]),
+            self.index.outcomes(payload),
         )
 
 
@@ -590,7 +596,9 @@ class ContentBasedNetwork:
 
     def _route(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
         """Route one datagram: classify it, then replay the route its
-        class took — or walk, and remember the route."""
+        class took — or walk, and remember the route.  A route's links
+        are one :class:`Tally` use per datagram (the first applied in
+        order, later ones counted)."""
         stream = datagram.stream
         if stream not in self._stream_subscriptions:
             return []
@@ -600,11 +608,14 @@ class ContentBasedNetwork:
         if route is None:
             self._route_misses += 1
             links, deliveries = self._walk(datagram, node, facts)
-            if len(facts.routes) < _ROUTE_CLASSES:
-                facts.routes[key] = _Route.of(links, deliveries, tuple(datagram.payload))
+            if len(facts.routes) >= _ROUTE_CLASSES:
+                self.data_stats.replay(links)
+                return deliveries
+            route = facts.routes[key] = _Route.of(
+                links, deliveries, tuple(datagram.payload)
+            )
         else:
             self._route_hits += 1
-            links = route.links
             payload, timestamp, seq = datagram.payload, datagram.timestamp, datagram.seq
             #: one copy per distinct projection, shared by the
             #: deliveries that want it; index -1 is the whole datagram
@@ -617,7 +628,7 @@ class ContentBasedNetwork:
                 Delivery(sid, broker, copies[view])
                 for sid, broker, view in route.deliveries
             ]
-        self.data_stats.replay(links)
+        self.data_stats.bump(route.tally)
         return deliveries
 
     def _walk(

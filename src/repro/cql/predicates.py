@@ -52,7 +52,10 @@ opportunity, never correctness.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import (
     Dict,
     FrozenSet,
@@ -681,6 +684,143 @@ class Conjunction:
 
     def __repr__(self) -> str:
         return f"Conjunction({self})"
+
+
+# ---------------------------------------------------------------------------
+# Outcome index: many conjunctions against one binding
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _numeric(value: object) -> bool:
+    """An ``int`` or ``float`` (not ``bool``) that is not NaN: the values
+    the index orders."""
+    kind = type(value)
+    return (kind is int or kind is float) and value == value
+
+
+def _inside(lo: Optional[Value], hi: Optional[Value]) -> Value:
+    """A value strictly between two consecutive bounds (``None``:
+    unbounded): the next float after ``lo`` (before ``hi`` when ``lo``
+    is unbounded), or an exact rational where no float lies between;
+    any value for a cell no number lies in (beyond an infinite bound)."""
+    finite_lo = lo is not None and lo not in _INFINITIES
+    finite_hi = hi is not None and hi not in _INFINITIES
+    if not (finite_lo or finite_hi):
+        return 0
+    try:
+        value: Optional[float] = (
+            math.nextafter(lo, math.inf) if finite_lo else math.nextafter(hi, -math.inf)  # type: ignore[arg-type]
+        )
+    except OverflowError:  # an int beyond the float range
+        value = None
+    if value is not None and (lo is None or lo < value) and (hi is None or value < hi):
+        return value
+    if finite_lo and finite_hi:
+        return (Fraction(lo) + Fraction(hi)) / 2  # type: ignore[arg-type]
+    return Fraction(hi) - 1 if finite_hi else Fraction(lo) + 1  # type: ignore[arg-type]
+
+
+class OutcomeIndex:
+    """The outcomes of a fixed tuple of conjunctions on one binding, as
+    the bits of an ``int``: bit *i* is ``conjunctions[i].evaluate(binding)``.
+
+    An *indexed* conjunction constrains terms by numeric intervals only.
+    Per term, the sorted distinct bounds of its intervals cut the values
+    into cells — below the first bound, equal to a bound, strictly
+    between two, above the last — and inside a cell every interval's
+    membership is constant.  So each cell stores the mask of the
+    conjunctions the term does not reject there, computed once with
+    :meth:`Interval.contains_value` on one value inside it, and a
+    binding costs one bisect per constrained term and an AND.
+
+    Everything else goes to :meth:`Conjunction.evaluate`, the
+    definition: conjunctions with ``!=`` exclusions, equality links,
+    difference constraints or a bound that is not an ``int``/``float``
+    (or is NaN), and, per binding, every conjunction constraining a term
+    whose value is missing, NaN or not an ``int``/``float`` (``bool``
+    included).
+    """
+
+    __slots__ = ("conjunctions", "_terms", "_direct", "_every")
+
+    def __init__(self, conjunctions: Sequence[Conjunction]) -> None:
+        self.conjunctions = tuple(conjunctions)
+        self._every = (1 << len(self.conjunctions)) - 1
+        #: conjunctions always evaluated directly
+        self._direct = 0
+        by_term: Dict[str, List[Tuple[int, Interval]]] = {}
+        for index, conj in enumerate(self.conjunctions):
+            bit = 1 << index
+            if (
+                conj._excluded
+                or conj._links
+                or conj._diffs
+                or not all(
+                    bound is None or _numeric(bound)
+                    for iv in conj._intervals.values()
+                    for bound in (iv.lo, iv.hi)
+                )
+            ):
+                self._direct |= bit
+                continue
+            for term, iv in conj._intervals.items():
+                by_term.setdefault(term, []).append((bit, iv))
+        #: (term, sorted distinct bounds, their count, cell masks, the
+        #: bits of the conjunctions constraining the term)
+        self._terms: Tuple[Tuple[str, List[Value], int, Tuple[int, ...], int], ...] = tuple(
+            self._compile(term, constraints) for term, constraints in by_term.items()
+        )
+
+    def _compile(
+        self, term: str, constraints: List[Tuple[int, Interval]]
+    ) -> Tuple[str, List[Value], int, Tuple[int, ...], int]:
+        bounds: List[Value] = sorted(
+            {bound for __, iv in constraints for bound in (iv.lo, iv.hi) if bound is not None}
+        )
+        constrained = 0
+        for bit, __ in constraints:
+            constrained |= bit
+        # cell 2j lies below bounds[j] (and above bounds[j - 1]), cell
+        # 2j + 1 is bounds[j] itself, the last cell is above them all
+        inside = [_inside(None, bounds[0])]
+        for lo, hi in zip(bounds, bounds[1:] + [None]):
+            inside += [lo, _inside(lo, hi)]
+        cells = []
+        for value in inside:
+            mask = self._every & ~constrained
+            for bit, iv in constraints:
+                if iv.contains_value(value):
+                    mask |= bit
+            cells.append(mask)
+        return term, bounds, len(bounds), tuple(cells), constrained
+
+    def outcomes(self, binding: Mapping[str, Value]) -> int:
+        """Bit *i* set iff ``conjunctions[i].evaluate(binding)``."""
+        mask = self._every
+        direct = self._direct
+        for term, bounds, count, cells, constrained in self._terms:
+            value = binding.get(term, _MISSING)
+            kind = type(value)
+            if (kind is int or kind is float) and value == value:
+                at = bisect_left(bounds, value)
+                if at < count and bounds[at] == value:
+                    mask &= cells[2 * at + 1]
+                else:
+                    mask &= cells[2 * at]
+            else:
+                direct |= constrained
+        if direct:
+            mask &= ~direct
+            conjunctions = self.conjunctions
+            while direct:
+                bit = direct & -direct
+                if conjunctions[bit.bit_length() - 1].evaluate(binding):
+                    mask |= bit
+                direct ^= bit
+        return mask
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.spe.operators import (
     Binding,
     GroupedAggregate,
     JoinInput,
+    PayloadSelectProject,
     Project,
     Select,
     WindowJoin,
@@ -69,10 +70,14 @@ class _CompiledQuery:
         self.inputs: Dict[str, str] = {
             ref.stream: ref.name for ref in query.streams
         }
-        self._select = Select(query.predicate)
         self._aggregate: Optional[GroupedAggregate] = None
         self._join: Optional[WindowJoin] = None
+        self._select: Optional[Select] = None
         self._project: Optional[Project] = None
+        #: a single-stream select-project, compiled on its first tuple
+        #: (registration is on the install path, renaming is not free)
+        self._scan: Optional[PayloadSelectProject] = None
+        self._columns: Dict[str, str] = {}
 
         if query.is_aggregate:
             if len(query.streams) != 1:
@@ -96,11 +101,13 @@ class _CompiledQuery:
                 pre_filter=query.predicate,
             )
         else:
-            self._join = self._build_join(query, keyed)
-            columns = {
+            self._columns = {
                 attr.key: attr.key for attr in query.projected_attributes(catalog)
             }
-            self._project = Project(columns)
+            if len(query.streams) > 1:
+                self._join = self._build_join(query, keyed)
+                self._select = Select(query.predicate)
+                self._project = Project(self._columns)
 
     @staticmethod
     def _build_join(query: ContinuousQuery, keyed: bool) -> WindowJoin:
@@ -129,7 +136,17 @@ class _CompiledQuery:
                 Datagram(self.result_stream, row, datagram.timestamp)
                 for row in rows
             ]
-        assert self._join is not None and self._project is not None
+        if self._join is None:
+            scan = self._scan
+            if scan is None:
+                scan = self._scan = PayloadSelectProject(
+                    qualifier, self.query.predicate, self._columns
+                )
+            row = scan.process(datagram)
+            if row is None:
+                return []
+            return [Datagram(self.result_stream, row, datagram.timestamp)]
+        assert self._select is not None and self._project is not None
         out: List[Datagram] = []
         for binding in self._join.process(qualifier, datagram):
             selected = self._select.process(binding)
@@ -151,7 +168,7 @@ class StreamProcessingEngine:
         ``"indexed"`` (the default) keys every join by the equijoin
         links of its query; ``"nested"`` makes every join scan, which
         is the reference the differential tests compare against.  Kept
-        only until ``bench/`` stops passing it (ROADMAP item 3).
+        only until ``bench/`` stops passing it (ROADMAP item 6).
     """
 
     def __init__(self, catalog: Catalog, join_strategy: str = "indexed") -> None:

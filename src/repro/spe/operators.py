@@ -3,9 +3,11 @@
 These are the building blocks the engine compiles a
 :class:`~repro.cql.ast.ContinuousQuery` into:
 
+* :class:`PayloadSelectProject` -- a single-stream select-project,
+  evaluated on the raw payload;
 * :class:`Select` -- predicate filter over a (joined) binding;
 * :class:`Project` -- attribute projection / renaming;
-* :class:`WindowJoin` -- the n-way symmetric window join whose pairing
+* :class:`WindowJoin` -- the n-way (n >= 2) symmetric window join whose pairing
   rule is exactly Lemma 1 of the paper: tuples ``t1`` (stream 1, window
   ``T1``) and ``t2`` (stream 2, window ``T2``) join iff they satisfy the
   join predicates and ``-T1 <= t1.ts - t2.ts <= T2``;
@@ -17,7 +19,7 @@ Bindings are plain ``dict`` objects mapping *qualified* attribute names
 :class:`~repro.cql.predicates.Conjunction` evaluates directly on them.
 The stateful operators keep bindings, built once on arrival, in
 :class:`~repro.spe.windows.KeyedWindow`; select and project keep
-nothing.
+nothing, and a single-stream select-project builds no binding at all.
 """
 
 from __future__ import annotations
@@ -81,6 +83,46 @@ class Project:
             ) from None
 
 
+class PayloadSelectProject:
+    """Select-project over one stream, evaluated on the raw payload.
+
+    A single-stream query retains nothing, so it never needs a qualified
+    binding: the predicate is renamed once from qualified terms
+    (``"S.temp"``) to payload attribute names, the projection is a list
+    of ``(output key, payload attribute)`` pairs, and the implicit
+    ``timestamp`` is supplied as :func:`qualify` does — only when the
+    query reads it and the payload lacks it.  ``condition`` and
+    ``columns`` are the validated query's, so every term they name is
+    qualified by ``qualifier``.
+    """
+
+    def __init__(
+        self, qualifier: str, condition: Conjunction, columns: Mapping[str, str]
+    ) -> None:
+        cut = len(qualifier) + 1
+        self.condition = condition.rename(
+            {term: term[cut:] for term in condition.referenced_terms()}
+        )
+        self.columns = tuple((out, src[cut:]) for out, src in columns.items())
+        self._stamped = "timestamp" in self.condition.referenced_terms() or any(
+            src == "timestamp" for __, src in self.columns
+        )
+
+    def process(self, datagram: Datagram) -> Optional[Binding]:
+        payload = datagram.payload
+        if self._stamped and "timestamp" not in payload:
+            payload = {**payload, "timestamp": datagram.timestamp}
+        if not self.condition.evaluate(payload):
+            return None
+        try:
+            return {out: payload[src] for out, src in self.columns}
+        except KeyError as exc:
+            raise KeyError(
+                f"projection input {exc.args[0]!r} missing from payload "
+                f"{sorted(payload)}"
+            ) from None
+
+
 @dataclass
 class JoinInput:
     """One input of the symmetric join: a qualifier and its window size."""
@@ -135,8 +177,8 @@ class WindowJoin:
         inputs: Sequence[JoinInput],
         key_pairs: Sequence[Tuple[str, str]] = (),
     ) -> None:
-        if not inputs:
-            raise ValueError("join needs at least one input")
+        if len(inputs) < 2:
+            raise ValueError("join needs at least two inputs")
         if key_pairs and len(inputs) != 2:
             raise ValueError("equijoin key pairs need exactly two inputs")
         self._windows: Dict[str, KeyedWindow] = {
@@ -151,16 +193,10 @@ class WindowJoin:
         }
 
     def process(self, qualifier: str, datagram: Datagram) -> List[Binding]:
-        """Feed one arrival; return the new combined bindings.
-
-        A single-input "join" returns the arrival's own binding and
-        keeps nothing (select-project queries reuse the same pipeline).
-        """
+        """Feed one arrival; return the new combined bindings."""
         if qualifier not in self._windows:
             raise KeyError(f"unknown join input {qualifier!r}")
         binding = qualify(qualifier, datagram)
-        if len(self._windows) == 1:
-            return [binding]
         now = datagram.timestamp
         try:
             key = tuple([binding[term] for term in self._key_terms[qualifier]])

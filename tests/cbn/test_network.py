@@ -366,7 +366,9 @@ class TestRouteCache:
         )
         # a cached route holds plain (edge, bytes) records, no accumulator
         (route,) = net._facts_for("S").routes.values()
-        assert route.links == (((0, 1), 4.0), ((1, 2), 4.0), ((2, 3), 4.0), ((3, 4), 4.0))
+        assert route.tally.records == (
+            ((0, 1), 4.0), ((1, 2), 4.0), ((2, 3), 4.0), ((3, 4), 4.0)
+        )
 
     def test_stream_keyed_state_goes_with_the_stream(self, line_tree):
         """Result-stream names are fresh per group: nothing keyed by a

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import repro.cbn.network as network_module
 import repro.system.rebuild as rebuild_module
 from repro.cbn.network import ContentBasedNetwork, _StreamFacts
+from repro.cql.predicates import Conjunction, Interval, OutcomeIndex
 from repro.sim import (
     ChaosConfig,
     generate_schedule,
@@ -208,4 +210,26 @@ class TestRouteCacheCanary:
         # deliveries, byte counts or link order differ — or a replayed
         # projection names an attribute the datagram lacks
         with pytest.raises((AssertionError, KeyError)):
+            self.hunt()
+
+    def test_index_reading_a_strict_bound_as_closed_is_caught(self, monkeypatch):
+        """An outcome index whose cells admit a value equal to a strict
+        bound (``a < 3`` read as ``a <= 3``) puts datagrams the filters
+        tell apart into one class."""
+
+        def closed(conjunction):
+            intervals = {
+                term: Interval(iv.lo, iv.hi)
+                for term, iv in conjunction.intervals.items()
+            }
+            return Conjunction(
+                intervals, conjunction.excluded, conjunction.links, conjunction.diffs
+            )
+
+        class ClosedBounds(OutcomeIndex):
+            def __init__(self, conjunctions):
+                super().__init__([closed(conj) for conj in conjunctions])
+
+        monkeypatch.setattr(network_module, "OutcomeIndex", ClosedBounds)
+        with pytest.raises(AssertionError):
             self.hunt()

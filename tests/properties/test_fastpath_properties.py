@@ -15,7 +15,9 @@ row, and the second publication must be a replayed route (asserted
 through ``route_cache_stats()``); earlier datagrams are re-published
 from other origins and after the routing state moved, and each is
 followed by a near miss (one attribute fewer, an ``int`` as the equal
-``float`` or negated, ``seq`` toggled); payloads drop attributes (constrained
+``float`` or negated, ``seq`` toggled) or put onto a filter's constant
+and published one step either side of it; filters mix closed and strict
+bounds, points and ``!=``; payloads drop attributes (constrained
 ones included), mix ``int`` / ``float`` / ``str`` values and carry or
 omit ``seq``; streams are priced by a full
 schema, a partial one or none; origins include brokers that never
@@ -47,8 +49,9 @@ ABSENT = object()
 #: Mostly small integers (the filters' constants are in -5..5), some
 #: floats and strings, and two chances of dropping the attribute.
 VALUES = list(range(-10, 11)) + [-2.5, 0.5, 4.0, "x", "y", ABSENT, ABSENT]
-#: What a filter compares an attribute with.
+#: What a filter compares an attribute with, and how.
 FILTER_VALUES = list(range(-5, 6)) + ["x", "x"]
+FILTER_OPS = ["<=", ">=", "<", ">", "=", "!="]
 
 
 @st.composite
@@ -78,7 +81,9 @@ def draw_profile(data, stream, label):
         st.lists(st.sampled_from(ATTRS), max_size=2, unique=True),
         label=f"{label}-filter-attrs",
     ):
-        op = data.draw(st.sampled_from(["<=", ">="]), label=f"{label}-op")
+        # closed and strict bounds (the outcome index cuts cells at
+        # both), points, and exclusions (evaluated directly)
+        op = data.draw(st.sampled_from(FILTER_OPS), label=f"{label}-op")
         # any attribute is compared with a number in most profiles and
         # with a string in some (neither kind covers the other);
         # payloads carry either kind under any name
@@ -99,14 +104,20 @@ def draw_datagram(data, stream, timestamp, label):
     return Datagram(stream, payload, timestamp, seq)
 
 
-def draw_variant(data, datagram, label):
-    """``datagram`` with the one thing changed that a single component
-    of the route class is there to notice: an attribute dropped, an
-    ``int`` sent as the equal ``float``, an ``int`` mirrored to the
-    other side of the filters' constants, ``seq`` added or removed."""
+def draw_variant(data, datagram, label, constants):
+    """``(datagram, variant)``: the variant has the one thing changed
+    that a single component of the route class is there to notice — an
+    attribute dropped, an ``int`` sent as the equal ``float``, an ``int``
+    mirrored to the other side of the filters' constants, ``seq`` added
+    or removed — or, for a *straddle*, ``(datagram, below, above)``: the
+    datagram has the attribute of one of the stream's filter
+    ``constants`` (``(attribute, int)`` pairs) set to it, the variants
+    one step either side (a strict bound and a closed one differ
+    there)."""
     payload, seq = dict(datagram.payload), datagram.seq
     change = data.draw(
-        st.sampled_from(["drop", "retype", "revalue", "seq"]), label=f"{label}-change"
+        st.sampled_from(["drop", "retype", "revalue", "straddle", "straddle", "seq"]),
+        label=f"{label}-change",
     )
     ints = sorted(name for name, value in payload.items() if isinstance(value, int))
     if change == "drop" and payload:
@@ -114,9 +125,15 @@ def draw_variant(data, datagram, label):
     elif change in ("retype", "revalue") and ints:
         name = data.draw(st.sampled_from(ints), label=f"{label}-{change}")
         payload[name] = float(payload[name]) if change == "retype" else -payload[name]
+    elif change == "straddle" and constants:
+        name, on = data.draw(st.sampled_from(constants), label=f"{label}-straddle")
+        return tuple(
+            Datagram(datagram.stream, {**payload, name: on + step}, datagram.timestamp, seq)
+            for step in (0, -1, 1)
+        )
     else:
         seq = 7 if seq is None else None
-    return Datagram(datagram.stream, payload, datagram.timestamp, seq)
+    return datagram, Datagram(datagram.stream, payload, datagram.timestamp, seq)
 
 
 def snapshot(deliveries):
@@ -154,6 +171,8 @@ def interleaved_history(tree, data):
             naive.catalog.register(schema)
     live = {}
     published = []
+    #: stream -> (attribute, int) its subscriptions' filters compared
+    constants = {}
     counter = itertools.count()
 
     def publish(datagram, origin):
@@ -195,6 +214,12 @@ def interleaved_history(tree, data):
             fast.subscribe(profile, node, sid)
             naive.subscribe(profile, node, sid)
             live[sid] = stream
+            constants.setdefault(stream, set()).update(
+                (atom.term, atom.value)
+                for flt in profile.filters
+                for atom in flt.condition.atoms()
+                if isinstance(atom.value, int)
+            )
         elif op == "unsubscribe":
             unsubscribe(f"unsub{index}")
         else:
@@ -206,8 +231,8 @@ def interleaved_history(tree, data):
             else:
                 stream = data.draw(st.sampled_from(STREAMS), label=f"pub{index}")
                 datagram = draw_datagram(data, stream, float(index), f"pay{index}")
-            variant = draw_variant(data, datagram, f"var{index}")
-            for each in (datagram, variant):
+            near = sorted(constants.get(datagram.stream, ()))
+            for each in draw_variant(data, datagram, f"var{index}", near):
                 published.append((each, origin))
                 publish(each, origin)
     # Every route taken so far is taken again after one more withdrawal.

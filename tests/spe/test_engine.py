@@ -120,6 +120,80 @@ class TestSelectProject:
         results = spe.push(temp(0))
         assert {r.query_name for r in results} == {"a", "b"}
 
+    def test_aliased_stream_compiled_on_the_first_tuple(self, catalog):
+        spe = StreamProcessingEngine(catalog)
+        spe.register(
+            parse_query("SELECT T.*, T.temp FROM Temp T WHERE T.temp > 25 AND T.station <= 3"),
+            "q",
+        )
+        assert spe._queries["q"]._scan is None  # registration renames nothing
+        assert spe.push(temp(0, station=1, value=20.0)) == []
+        assert spe._queries["q"]._scan is not None
+        assert spe.push(temp(1, station=5, value=30.0)) == []
+        (result,) = spe.push(temp(2, station=3, value=30.0))
+        assert list(result.datagram.payload.items()) == [
+            ("T.station", 3),
+            ("T.temp", 30.0),
+        ]
+
+    def test_implicit_timestamp_under_a_timestamp_predicate(self):
+        catalog = Catalog(
+            [
+                StreamSchema(
+                    "S",
+                    [Attribute("timestamp", "timestamp"), Attribute("v", "int")],
+                    rate=1.0,
+                )
+            ]
+        )
+        spe = StreamProcessingEngine(catalog)
+        spe.register(parse_query("SELECT S.v, S.timestamp FROM S WHERE S.timestamp >= 5"), "q")
+        # the payload carries no timestamp: the datagram's is the attribute
+        assert spe.push(Datagram("S", {"v": 1}, 4.0)) == []
+        (result,) = spe.push(Datagram("S", {"v": 2}, 5.0))
+        assert list(result.datagram.payload.items()) == [("S.v", 2), ("S.timestamp", 5.0)]
+        # a payload that carries one is read, not the datagram's
+        assert spe.push(Datagram("S", {"v": 3, "timestamp": 1.0}, 6.0)) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_results_and_order_match_the_join_path(self, catalog, seed):
+        """Every single-stream query's rows, and their order across
+        queries, equal what qualify -> Select -> Project (the operators a
+        join result passes through) make of the same feed."""
+        from repro.spe.operators import Project, Select, qualify
+
+        rng = random.Random(seed)
+        texts = [
+            "SELECT T.temp FROM Temp T WHERE T.temp > 10",
+            "SELECT Temp.* FROM Temp WHERE Temp.station != 3 AND Temp.temp <= 30",
+            "SELECT T.station, T.temp FROM Temp T WHERE T.station >= 2 AND T.station < 7",
+            "SELECT W.speed, W.station FROM Wind W WHERE W.speed > 20",
+            "SELECT T.temp, T.station FROM Temp T",
+        ]
+        spe = StreamProcessingEngine(catalog)
+        queries = {}
+        for index, text in enumerate(texts):
+            queries[f"q{index}"] = query = parse_query(text)
+            spe.register(query, f"q{index}")
+        for step in range(120):
+            datagram = rng.choice([temp, wind])(
+                float(step), rng.randrange(10), rng.choice([0.0, 15.5, 25.0, 30.0, 45.0])
+            )
+            expected = []
+            for name, query in queries.items():
+                (ref,) = query.streams
+                if ref.stream != datagram.stream:
+                    continue
+                binding = Select(query.predicate).process(qualify(ref.name, datagram))
+                if binding is not None:
+                    columns = {a.key: a.key for a in query.projected_attributes(catalog)}
+                    expected.append((name, list(Project(columns).process(binding).items())))
+            got = [
+                (result.query_name, list(result.datagram.payload.items()))
+                for result in spe.push(datagram)
+            ]
+            assert got == expected
+
     def test_out_of_order_rejected(self, catalog):
         spe = StreamProcessingEngine(catalog)
         spe.register(parse_query("SELECT T.temp FROM Temp T"), "q")
@@ -374,7 +448,7 @@ class TestStateCeilings:
         for compiled in spe._queries.values():
             if compiled._aggregate is not None:
                 yield compiled._aggregate._window
-            else:
+            elif compiled._join is not None:
                 yield from compiled._join._windows.values()
 
     def test_long_feed_retains_one_window(self, catalog3):
@@ -396,8 +470,10 @@ class TestStateCeilings:
                 spe.push(Datagram(stream, payload, float(second)))
             peak = max(peak, max(len(w) for w in self._windows(spe)))
         assert peak == 11  # [now - 10, now] at one tuple a second
-        # a single-input query holds no window item at all
-        assert [len(w) for w in spe._queries["scan1"]._join._windows.values()] == [0]
+        # a single-input query holds no window at all
+        scan1 = spe._queries["scan1"]
+        assert scan1._join is None and scan1._aggregate is None
+        assert scan1._scan is not None
         # no bucket outlives its last item
         for window in self._windows(spe):
             window.expire(1e9)

@@ -10,6 +10,7 @@ from repro.spe.operators import (
     AggregateSpec,
     GroupedAggregate,
     JoinInput,
+    PayloadSelectProject,
     Project,
     Select,
     WindowJoin,
@@ -45,6 +46,81 @@ class TestSelectProject:
     def test_project_missing_input_raises(self):
         with pytest.raises(KeyError):
             Project({"x": "S.missing"}).process({"S.a": 1})
+
+
+def through_bindings(qualifier, condition, columns, datagram):
+    """Select-project the way a join result goes: qualify, Select, Project."""
+    selected = Select(condition).process(qualify(qualifier, datagram))
+    return None if selected is None else Project(columns).process(selected)
+
+
+class TestPayloadSelectProject:
+    def test_implicit_timestamp_when_the_payload_lacks_one(self):
+        scan = PayloadSelectProject(
+            "S",
+            cond(Comparison("S.timestamp", ">=", 5.0)),
+            {"S.timestamp": "S.timestamp", "S.v": "S.v"},
+        )
+        assert scan.process(Datagram("X", {"v": 1}, 4.0)) is None
+        row = scan.process(Datagram("X", {"v": 1}, 6.0))
+        assert list(row.items()) == [("S.timestamp", 6.0), ("S.v", 1)]
+        # an explicit timestamp attribute wins, as in qualify()
+        assert scan.process(Datagram("X", {"v": 1, "timestamp": 3.0}, 6.0)) is None
+        assert scan.process(Datagram("X", {"v": 2, "timestamp": 7.0}, 0.0)) == {
+            "S.timestamp": 7.0,
+            "S.v": 2,
+        }
+
+    def test_timestamp_not_read_is_not_supplied(self):
+        scan = PayloadSelectProject("S", cond(), {"S.v": "S.v"})
+        assert scan.process(Datagram("X", {"v": 1}, 6.0)) == {"S.v": 1}
+
+    def test_alias_is_the_qualifier(self):
+        scan = PayloadSelectProject(
+            "T", cond(Comparison("T.temp", ">", 25)), {"T.temp": "T.temp"}
+        )
+        assert scan.condition == cond(Comparison("temp", ">", 25))
+        assert scan.columns == (("T.temp", "temp"),)
+        assert scan.process(Datagram("Temp", {"temp": 30.0, "station": 1}, 0.0)) == {
+            "T.temp": 30.0
+        }
+
+    def test_missing_projection_input_raises(self):
+        scan = PayloadSelectProject("S", cond(), {"S.missing": "S.missing"})
+        with pytest.raises(KeyError):
+            scan.process(Datagram("X", {"a": 1}, 0.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_rows_in_the_same_key_order_as_through_bindings(self, seed):
+        rng = random.Random(seed)
+        names = ["a", "b", "timestamp"]
+        atoms = [
+            Comparison(f"S.{rng.choice(names)}", rng.choice(["<", "<=", ">", ">=", "!="]),
+                       rng.randrange(-3, 4))
+            for __ in range(rng.randrange(0, 3))
+        ]
+        if rng.random() < 0.3:
+            atoms.append(JoinPredicate("S.a", "S.b"))
+        condition = cond(*atoms)
+        columns = {f"S.{name}": f"S.{name}" for name in rng.sample(names, rng.randrange(1, 4))}
+        scan = PayloadSelectProject("S", condition, columns)
+        for step in range(80):
+            payload = {
+                name: rng.choice([-3, -1, 0, 1, 2.5, 3])
+                for name in names
+                if rng.random() < 0.8
+            }
+            datagram = Datagram("X", payload, float(step % 5))
+            try:
+                expected = through_bindings("S", condition, columns, datagram)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    scan.process(datagram)
+                continue
+            row = scan.process(datagram)
+            assert (row is None) == (expected is None)
+            if row is not None:
+                assert list(row.items()) == list(expected.items())
 
 
 @pytest.fixture(params=[(), (("k", "k"),)], ids=["scanned", "keyed"])
@@ -126,15 +202,12 @@ class TestWindowJoin:
         join.process("A", Datagram("SA", {"x": 1}, 0.0))
         assert join.process("C", Datagram("SC", {"z": 3}, 2.0)) == []
 
-    def test_single_input_passthrough_keeps_nothing(self):
-        join = WindowJoin([JoinInput("S", 10)])
-        results = join.process("S", Datagram("X", {"a": 1}, 0.0))
-        assert results == [{"S.a": 1, "S.timestamp": 0.0}]
-        assert len(join._windows["S"]) == 0
-
-    def test_needs_an_input(self):
+    def test_needs_two_inputs(self):
+        # a single-stream query is a PayloadSelectProject, not a join
         with pytest.raises(ValueError):
             WindowJoin([])
+        with pytest.raises(ValueError):
+            WindowJoin([JoinInput("S", 10)])
 
     def test_key_pairs_need_two_inputs(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,15 @@ if git grep -nE "_route_batch|decide_batch|local_deliveries_batch|ColumnBatch" -
     exit 1
 fi
 
+echo "== a published tuple costs its deliveries (repro.cbn) =="
+# _StreamFacts.classify reads the outcomes of a stream's distinct conjunctions off
+# its OutcomeIndex (one bisect per constrained attribute), not one test each.
+if git grep -nE "condition\.evaluate\(payload\) for" -- src/repro/cbn; then
+    echo "ci: src/repro/cbn must classify through the stream's OutcomeIndex," \
+         "not evaluate every conjunction per datagram" >&2
+    exit 1
+fi
+
 echo "== one join, one window (repro.spe) =="
 # spe/windows.py::KeyedWindow is the only operator state, spe/operators.py::WindowJoin
 # the only join; which joins are keyed is read off the registered query, so no
