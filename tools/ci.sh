@@ -146,13 +146,22 @@ PYTHONPATH=src:. python -m pytest -x -q
 echo "== bench harness tests (every span target in bench/tracing.py resolves) =="
 python -m pytest bench -q
 
-echo "== archived tables (optimizer swaps, placement policy, unicast baseline: regenerated, must not move) =="
+echo "== archived tables (every ablation, the unicast baseline and Table 1: regenerated, must not move) =="
+# The grouping tables (policies, periodic re-grouping, window widening, Table 1)
+# move with any change to a grouping decision, so such a change cannot pass silently.
 PYTHONPATH=src:. python -m pytest -q \
-    benchmarks/test_ablations.py::test_ablation_overlay_optimizer \
-    benchmarks/test_ablations.py::test_ablation_placement_policy \
-    benchmarks/test_baseline_unicast.py
+    benchmarks/test_ablations.py \
+    benchmarks/test_baseline_unicast.py \
+    benchmarks/test_table1_queries.py::test_table1_end_to_end
 git diff --exit-code -- benchmarks/results/ablation_overlay_optimizer.txt \
-    benchmarks/results/ablation_placement.txt benchmarks/results/baseline_unicast.txt
+    benchmarks/results/ablation_placement.txt benchmarks/results/baseline_unicast.txt \
+    benchmarks/results/ablation_early_projection.txt \
+    benchmarks/results/ablation_schema_distribution.txt \
+    benchmarks/results/ablation_subsumption.txt \
+    benchmarks/results/ablation_grouping_policies.txt \
+    benchmarks/results/ablation_periodic_regrouping.txt \
+    benchmarks/results/ablation_window_widening.txt \
+    benchmarks/results/table1_queries.txt
 
 echo "== bench pinned runs (seed 0: result_digest + link_cost vs bench/pins.json) =="
 # sensor-fanout is the per-tuple publish path at scale (the route cache's
