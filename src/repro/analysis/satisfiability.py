@@ -9,10 +9,10 @@ match real data?" is the question.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.schema import attribute_domains, source_name
+from repro.analysis.schema import attribute_domains, raw_atoms, source_name
 from repro.cbn.filters import Filter, Profile
 from repro.cql.ast import ContinuousQuery
 from repro.cql.predicates import (
@@ -34,12 +34,6 @@ def schema_seed(schema: StreamSchema) -> Dict[str, Interval]:
     return seeds
 
 
-def _raw_atoms(query: ContinuousQuery) -> List[Atom]:
-    if query.source is not None and query.source.where_atoms:
-        return list(query.source.where_atoms)
-    return query.predicate.atoms()
-
-
 def _term_pos(atoms: Sequence[Atom], term: str) -> Optional[int]:
     """Source offset of the first atom mentioning ``term``."""
     for atom in atoms:
@@ -55,7 +49,7 @@ def check_predicate(query: ContinuousQuery, catalog: Catalog) -> Report:
     conj = query.predicate
     if conj.is_true:
         return report
-    atoms = _raw_atoms(query)
+    atoms = raw_atoms(query)
     first_pos = next(
         (p for p in (getattr(a, "pos", None) for a in atoms) if p is not None),
         None,

@@ -106,7 +106,7 @@ def _resolve(
     return schema.attribute(attr.name)
 
 
-def _raw_atoms(query: ContinuousQuery) -> List[Atom]:
+def raw_atoms(query: ContinuousQuery) -> List[Atom]:
     """WHERE atoms as written when provenance exists, else reconstructed."""
     if query.source is not None and query.source.where_atoms:
         return list(query.source.where_atoms)
@@ -127,7 +127,7 @@ def _check_atom_types(
     seen: Set[Tuple[Optional[str], str]],
 ) -> None:
     """COS103: constraints that no value of the attribute's type satisfies."""
-    for atom in _raw_atoms(query):
+    for atom in raw_atoms(query):
         if isinstance(atom, Comparison):
             attr = _resolve(query, _ref(atom.term, atom.pos), catalog, report, source, seen)
             if attr is None:

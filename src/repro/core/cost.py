@@ -94,6 +94,42 @@ class CostModel:
         width = self._width(streams, columns, aggregates, catalog)
         return tuple_rate * width
 
+    def column_widths(
+        self, query: ContinuousQuery, catalog: Catalog
+    ) -> Dict[str, float]:
+        """Wire width of each distinct result column of ``query``, by term
+        (the columns :meth:`result_rate` prices, without the aggregate
+        values)."""
+        return {
+            attr.key: self._attribute_width(query.streams, attr, catalog)
+            for attr in self._columns(query, catalog)
+        }
+
+    def merge_floor(
+        self,
+        streams: Sequence[StreamRef],
+        predicate: Conjunction,
+        columns: Iterable[Mapping[str, float]],
+        aggregates: int,
+        catalog: Catalog,
+    ) -> float:
+        """A floor under the price of a representative before it is planned.
+
+        The tuple rate of ``streams`` (the merged windows) under
+        ``predicate`` (the hull) times the width of the union of the
+        members' :meth:`column_widths`, plus 8 bytes per aggregate.  The
+        plan over the same streams and hull carries at least those
+        columns, so its :meth:`stream_rate` is never below this, float
+        for float: the tuple rate is the same float, the union's width is
+        an exact partial sum of the plan's whole-number widths, and IEEE
+        rounding is monotone.
+        """
+        union: Dict[str, float] = {}
+        for widths in columns:
+            union.update(widths)
+        tuple_rate = self._tuple_rate(streams, predicate, aggregates > 0, catalog)
+        return tuple_rate * (sum(union.values()) + 8.0 * aggregates)
+
     def result_tuple_rate(self, query: ContinuousQuery, catalog: Catalog) -> float:
         """Estimated result tuples/second."""
         return self._tuple_rate(

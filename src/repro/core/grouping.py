@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
 from repro.core.cost import CostModel
-from repro.core.merging import MergeError, MergePlan, merge_plan, representative
+from repro.core.merging import (
+    MergeError,
+    MergePlan,
+    complete_plan,
+    merged_streams,
+    mergeable,
+    representative,
+)
 
 
 @dataclass
@@ -30,6 +37,11 @@ class QueryGroup:
     members: List[ContinuousQuery]
     representative: ContinuousQuery
     representative_rate: float
+    #: the representative's :meth:`CostModel.column_widths`, kept by the
+    #: optimizer for the candidate floors of :meth:`GroupingOptimizer.add`.
+    column_widths: Dict[str, float] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def member_names(self) -> List[str]:
         return [q.name or "?" for q in self.members]
@@ -62,7 +74,8 @@ class GroupingOptimizer:
 
     ``merge_threshold`` requires a minimum positive delta before a
     merge is accepted (0.0 reproduces the paper's "maximum benefit"
-    rule).
+    rule; ``float("inf")`` turns merging off, and then no candidate is
+    planned).
     """
 
     def __init__(
@@ -157,8 +170,13 @@ class GroupingOptimizer:
         associative with batch composition for the predicate, windows
         and projection (the incremental projection may keep a few extra
         attributes; it is never smaller than any member requires).
-        Every candidate is priced from its :class:`MergePlan`; only the
-        winning group's representative is built.
+
+        A candidate is first floored from its merged windows and hull
+        alone (:meth:`CostModel.merge_floor`).  Only one whose floor
+        leaves a delta above the best so far is planned and priced from
+        its :class:`MergePlan` (the floor never exceeds that price, so
+        the skipped ones could not have won); only the winning group's
+        representative is built.
         """
         if query.name is None:
             raise ValueError("queries must be named before grouping")
@@ -166,13 +184,26 @@ class GroupingOptimizer:
             raise ValueError(f"duplicate query name {query.name!r}")
         query = query.canonical(self.catalog)
         query_rate = self.cost_model.result_rate(query, self.catalog)
+        widths = self.cost_model.column_widths(query, self.catalog)
+        aggregates = len(query.aggregates)
         best_delta = self.merge_threshold
         best: Optional[Tuple[QueryGroup, MergePlan, float]] = None
         key = self._structure_key(query)
         for group_id in self._index.get(key, ()):
             group = self._groups[group_id]
+            rep = group.representative
+            if not mergeable(rep, query, self.catalog):
+                continue
+            members = (rep, query)
+            streams = merged_streams(members)
+            hull = rep.predicate.hull(query.predicate)
+            floor = self.cost_model.merge_floor(
+                streams, hull, (group.column_widths, widths), aggregates, self.catalog
+            )
+            if group.representative_rate + query_rate - floor <= best_delta:
+                continue
             try:
-                plan = merge_plan([group.representative, query], self.catalog)
+                plan = complete_plan(members, streams, hull, self.catalog)
             except MergeError:
                 continue
             candidate_rate = plan.rate(self.cost_model, self.catalog)
@@ -183,8 +214,8 @@ class GroupingOptimizer:
         if best is not None:
             group, plan, candidate_rate = best
             group.members.append(query)
-            group.representative = plan.build(f"{group.group_id}:rep")
-            group.representative_rate = candidate_rate
+            rep = plan.build(f"{group.group_id}:rep")
+            self._set_representative(group, rep, candidate_rate)
             self._group_of_query[query.name] = group.group_id
             return GroupingDecision(query, group, False, best_delta)
         group = self._new_group(query, query_rate)
@@ -214,11 +245,9 @@ class GroupingOptimizer:
                 gid for gid in self._index.get(key, []) if gid != group.group_id
             ]
             return
-        group.representative = representative(
-            group.members, self.catalog, name=f"{group.group_id}:rep"
-        )
-        group.representative_rate = self.cost_model.result_rate(
-            group.representative, self.catalog
+        rep = representative(group.members, self.catalog, name=f"{group.group_id}:rep")
+        self._set_representative(
+            group, rep, self.cost_model.result_rate(rep, self.catalog)
         )
 
     def extract_group(self, group_id: str) -> List[ContinuousQuery]:
@@ -268,8 +297,16 @@ class GroupingOptimizer:
     def _new_group(self, query: ContinuousQuery, rate: float) -> QueryGroup:
         group_id = f"g{next(self._counter)}"
         canonical = representative([query], self.catalog, name=f"{group_id}:rep")
-        group = QueryGroup(group_id, [query], canonical, rate)
+        widths = self.cost_model.column_widths(canonical, self.catalog)
+        group = QueryGroup(group_id, [query], canonical, rate, widths)
         self._groups[group_id] = group
         self._index.setdefault(self._structure_key(query), []).append(group_id)
         self._group_of_query[query.name] = group_id
         return group
+
+    def _set_representative(
+        self, group: QueryGroup, rep: ContinuousQuery, rate: float
+    ) -> None:
+        group.representative = rep
+        group.representative_rate = rate
+        group.column_widths = self.cost_model.column_widths(rep, self.catalog)

@@ -44,7 +44,8 @@ class QueryManager:
         Optional pre-configured grouping optimizer; a default one is
         created otherwise.  Pass an optimizer with
         ``merge_threshold=float('inf')`` to disable merging entirely
-        (the "non-share" baseline of Figure 3).
+        (the "non-share" baseline of Figure 3); it then plans no
+        candidate merge.
     """
 
     def __init__(

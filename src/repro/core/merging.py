@@ -24,8 +24,10 @@ grouping optimizer treats that as "not mergeable").
 
 Composition is two steps: :func:`merge_plan` decides everything the
 representative will be (and raises :class:`MergeError`), and
-:meth:`MergePlan.build` makes the query.  The grouping optimizer prices
-every candidate's plan and builds only the winner's.
+:meth:`MergePlan.build` makes the query.  The grouping optimizer floors
+every candidate from its merged windows and hull alone
+(:meth:`CostModel.merge_floor`), completes the plan of only those that
+could win (:func:`complete_plan`), prices them, and builds the winner's.
 """
 
 from __future__ import annotations
@@ -206,11 +208,23 @@ def merge_plan(
             members, only.streams, only.predicate, only.select_items, only.group_by
         )
 
-    streams = _merged_streams(members)
     predicate = members[0].predicate
     for member in members[1:]:
         predicate = predicate.hull(member.predicate)
+    return complete_plan(members, merged_streams(members), predicate, catalog)
 
+
+def complete_plan(
+    members: Tuple[ContinuousQuery, ...],
+    streams: Tuple[StreamRef, ...],
+    predicate: Conjunction,
+    catalog: Catalog,
+) -> MergePlan:
+    """The plan of mergeable canonical ``members`` (two or more) whose
+    merged windows (:func:`merged_streams`) and hull predicate are
+    known: the aggregate-selection check, or the SPJ projection with its
+    residual atoms.  Raises :class:`MergeError` where :func:`merge_plan`
+    does after its structural check."""
     if members[0].is_aggregate:
         _check_aggregate_selections(members, predicate)
         template = members[0]
@@ -253,7 +267,7 @@ def representative(
     return rep
 
 
-def _merged_streams(members: Sequence[ContinuousQuery]) -> Tuple[StreamRef, ...]:
+def merged_streams(members: Sequence[ContinuousQuery]) -> Tuple[StreamRef, ...]:
     """Per-stream maximum window over the members, in first-member order."""
     order = [ref.stream for ref in members[0].streams]
     sizes: Dict[str, float] = {stream: 0.0 for stream in order}

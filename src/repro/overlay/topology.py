@@ -103,20 +103,6 @@ class Topology:
     def __len__(self) -> int:
         return len(self._adjacency)
 
-    def is_connected(self) -> bool:
-        nodes = self.nodes
-        if not nodes:
-            return True
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            node = frontier.pop()
-            for other in self._adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(nodes)
-
     # -- algorithms -------------------------------------------------------------------
 
     def shortest_path_tree(self, root: NodeId) -> Dict[NodeId, NodeId]:

@@ -1,7 +1,8 @@
-"""Price-then-build grouping against the build-then-price loop it replaced.
+"""Floor-then-price grouping against the build-then-price loop it replaced.
 
-``GroupingOptimizer.add`` prices every compatible group's candidate from
-its :class:`~repro.core.merging.MergePlan` and builds only the winner's
+``GroupingOptimizer.add`` floors every compatible group's candidate
+(``CostModel.merge_floor``), prices the survivors from their
+:class:`~repro.core.merging.MergePlan` and builds only the winner's
 representative.  :class:`BuildThenPrice` is the loop that was there
 before, kept as the oracle: the structural pre-check, a complete
 representative per candidate, and ``CostModel.result_rate`` of what was
@@ -9,16 +10,24 @@ built.  Over seeded populations — zipf and uniform draws, joins,
 aggregates, aliased FROM lists and ``S.*`` projections — and interleaved
 ``add`` / ``remove`` / ``reoptimize`` steps, both must make the same
 decisions and hold the same groups, members and representatives, with
-bit-identical representative rates.
+bit-identical representative rates.  The floor must never exceed a
+plan's price, and must rule out most candidates before they are planned.
 """
 
 import random
 
 import pytest
 
+from repro.core import grouping
 from repro.core.cost import CostModel
 from repro.core.grouping import GroupingDecision, GroupingOptimizer
-from repro.core.merging import MergeError, merge_plan, mergeable, representative
+from repro.core.merging import (
+    MergeError,
+    merge_plan,
+    merged_streams,
+    mergeable,
+    representative,
+)
 from repro.cql.ast import ContinuousQuery, Star, StreamRef
 from repro.cql.predicates import AttrRef
 from repro.workload.queries import QueryWorkload, WorkloadConfig
@@ -180,6 +189,11 @@ def test_interleaved_histories_match_the_build_then_price_oracle(
         merged += not got.created_group
         live.append(query.name)
         assert snapshot(fast) == snapshot(oracle), (index, query.name)
+        for group in fast.groups:
+            # the floors' cache is the representative's widths, after a remove too
+            assert group.column_widths == fast.cost_model.column_widths(
+                group.representative, catalog
+            ), (index, group.group_id)
     assert merged, "the population never merged: the comparison is vacuous"
     assert repr(fast.benefit_ratio()) == repr(oracle.benefit_ratio())
 
@@ -209,3 +223,76 @@ def test_a_plan_prices_what_it_builds(seed, skew, joins, aggregates, streams):
             )
             planned += 1
     assert planned > len(canonical)
+
+
+def floor_of(model, left, right, catalog):
+    """The floor ``GroupingOptimizer.add`` gives the candidate ``[left, right]``."""
+    return model.merge_floor(
+        merged_streams((left, right)),
+        left.predicate.hull(right.predicate),
+        (model.column_widths(left, catalog), model.column_widths(right, catalog)),
+        len(left.aggregates),
+        catalog,
+    )
+
+
+@pytest.mark.parametrize("seed,skew,joins,aggregates,streams", CASES)
+def test_the_floor_never_exceeds_the_plan_price(seed, skew, joins, aggregates, streams):
+    """Every candidate pair a plan exists for, widened join windows,
+    aggregates, aliases and ``S.*`` included: floor <= price as floats,
+    and equal where the plan adds no column beyond the members'."""
+    catalog, queries = population(seed, skew, joins, aggregates, streams, count=40)
+    model = CostModel()
+    canonical = [query.canonical(catalog) for query in queries]
+    planned = tight = 0
+    for left in canonical:
+        for right in canonical:
+            try:
+                plan = merge_plan([left, right], catalog)
+            except MergeError:
+                continue
+            floor, price = floor_of(model, left, right, catalog), plan.rate(model, catalog)
+            assert floor <= price, (left, right, floor, price)
+            planned += 1
+            tight += floor == price
+    assert planned > len(canonical)
+    assert tight, "no pair priced at its floor: the bound is never shown tight"
+
+
+def count_plans(monkeypatch, optimizer, queries):
+    """(candidates considered, candidates planned) over ``optimizer.add``s."""
+    planned = []
+    complete_plan = grouping.complete_plan
+
+    def counting(*args):
+        planned.append(args[0])
+        return complete_plan(*args)
+
+    monkeypatch.setattr(grouping, "complete_plan", counting)
+    considered = 0
+    for query in queries:
+        key = optimizer._structure_key(query.canonical(optimizer.catalog))
+        considered += len(optimizer._index.get(key, ()))
+        optimizer.add(query)
+    return considered, len(planned)
+
+
+def test_the_floor_plans_few_candidates(monkeypatch):
+    """A uniform single-stream population: at most 10 % of the
+    candidates are planned, and the decisions are the oracle's."""
+    catalog, queries = population(0, 0.0, 0.0, 0.0, 6, count=400)
+    fast = GroupingOptimizer(catalog, CostModel())
+    considered, planned = count_plans(monkeypatch, fast, queries)
+    assert considered > 10 * len(queries)
+    assert 0 < planned <= 0.1 * considered, (planned, considered)
+    oracle = BuildThenPrice(catalog, CostModel())
+    oracle.add_all(queries)
+    assert snapshot(fast) == snapshot(oracle)
+
+
+def test_merging_off_plans_nothing(monkeypatch):
+    catalog, queries = population(0, 0.0, 0.0, 0.0, 6, count=200)
+    optimizer = GroupingOptimizer(catalog, CostModel(), merge_threshold=float("inf"))
+    considered, planned = count_plans(monkeypatch, optimizer, queries)
+    assert considered > 0 and planned == 0
+    assert optimizer.group_count == len(queries)
