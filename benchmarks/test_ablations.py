@@ -7,9 +7,11 @@ what it buys.
 1. early projection in the CBN (on/off) — data bytes moved;
 2. greedy grouping vs no grouping vs duplicates-only grouping —
    estimated output rate;
-3. routing-table subsumption aggregation (on/off) — routing state;
-4. flooded vs DHT schema distribution — control traffic;
-5. overlay optimizer (on/off) — delay-weighted tree cost.
+3. flooded vs DHT schema distribution — control traffic;
+4. overlay optimizer (on/off) — delay-weighted tree cost;
+5. incremental greedy vs periodic re-grouping — benefit ratio;
+6. Theorem 1 window widening vs equal windows only — benefit ratio;
+7. query distribution policy — grouping ratio and measured bytes.
 """
 
 import random
@@ -17,13 +19,12 @@ import random
 import pytest
 
 from repro.cbn.datagram import Datagram
-from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
+from repro.cbn.filters import ALL_ATTRIBUTES, Profile
 from repro.cbn.network import ContentBasedNetwork
 from repro.cbn.schema_registry import DHTSchemaRegistry, FloodedSchemaRegistry
 from repro.core.containment import equivalent
 from repro.core.cost import CostModel
 from repro.core.grouping import GroupingOptimizer
-from repro.cql.predicates import Comparison, Conjunction
 from repro.experiments.runner import render_table
 from repro.overlay.optimizer import OverlayOptimizer
 from repro.overlay.topology import barabasi_albert
@@ -149,54 +150,7 @@ def test_ablation_grouping_policies(benchmark, report):
 
 
 # ---------------------------------------------------------------------------
-# 3. Subsumption aggregation
-# ---------------------------------------------------------------------------
-
-
-def _routing_state(use_subsumption: bool) -> int:
-    rng = random.Random(6)
-    catalog = sensorscope_catalog(4, rng=random.Random(6))
-    topo = barabasi_albert(80, 2, rng)
-    tree = DisseminationTree.minimum_spanning(topo)
-    net = ContentBasedNetwork(tree, catalog, use_subsumption=use_subsumption)
-    for index, schema in enumerate(sorted(catalog, key=lambda s: s.name)):
-        net.advertise(schema.name, index, schema)
-    for index in range(60):
-        stream = f"ss{rng.randrange(4):02d}"
-        threshold = rng.choice([0.0, 10.0, 20.0])
-        profile = Profile(
-            {stream: ALL_ATTRIBUTES},
-            [
-                Filter(
-                    stream,
-                    Conjunction.from_atoms(
-                        [Comparison("ambient_temperature", ">=", threshold)]
-                    ),
-                )
-            ],
-        )
-        net.subscribe(profile, rng.randrange(80), f"u{index}")
-    return net.routing_state_size()
-
-
-def test_ablation_subsumption_routing_state(benchmark, report):
-    aggregated = benchmark.pedantic(
-        _routing_state, args=(True,), rounds=1, iterations=1
-    )
-    plain = _routing_state(False)
-    report(
-        "ablation_subsumption",
-        render_table(
-            ["mode", "routing entries"],
-            [["per-subscription", plain], ["covering aggregation", aggregated]],
-            "Ablation: routing-table subsumption",
-        ),
-    )
-    assert aggregated < plain
-
-
-# ---------------------------------------------------------------------------
-# 4. Schema distribution
+# 3. Schema distribution
 # ---------------------------------------------------------------------------
 
 
@@ -239,7 +193,7 @@ def test_ablation_schema_distribution(benchmark, report):
 
 
 # ---------------------------------------------------------------------------
-# 5. Overlay optimizer
+# 4. Overlay optimizer
 # ---------------------------------------------------------------------------
 
 
@@ -270,7 +224,7 @@ def test_ablation_overlay_optimizer(benchmark, report):
 
 
 # ---------------------------------------------------------------------------
-# 6. Incremental greedy vs periodic re-grouping
+# 5. Incremental greedy vs periodic re-grouping
 # ---------------------------------------------------------------------------
 
 
@@ -308,7 +262,7 @@ def test_ablation_periodic_regrouping(benchmark, report):
 
 
 # ---------------------------------------------------------------------------
-# 7. Containment strictness: Theorem 1 window widening vs equal windows only
+# 6. Containment strictness: Theorem 1 window widening vs equal windows only
 # ---------------------------------------------------------------------------
 
 
@@ -380,7 +334,7 @@ def test_ablation_window_widening(benchmark, report):
 
 
 # ---------------------------------------------------------------------------
-# 8. Query distribution policy: affinity vs cost-aware placement
+# 7. Query distribution policy: affinity vs cost-aware placement
 # ---------------------------------------------------------------------------
 
 

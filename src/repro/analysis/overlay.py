@@ -8,9 +8,8 @@ node/edge list) without publishing a single datagram:
   dissemination tree; a cycle would duplicate datagrams, a
   disconnection silently partitions publishers from subscribers.
 * ``COS401`` — a subscriber cannot be reached from some advertised
-  publisher of a stream it requests: a broker on the path lacks a
-  routing entry (or, under covering aggregation, any subsuming entry)
-  pointing back toward the subscriber.
+  publisher of a stream it requests: a broker on the path lacks the
+  subscription's routing entry pointing back toward the subscriber.
 * ``COS403`` — a routing entry that can never fire: no live
   subscription owns its id, or it sits behind an interface that is not
   a tree neighbour of its broker.
@@ -99,23 +98,6 @@ def check_overlay_graph(
     return report
 
 
-def _covering_entry(
-    table: RoutingTable,
-    interface: Hashable,
-    wanted: str,
-    profile,
-    allow_subsumption: bool,
-) -> bool:
-    """Is the routing entry ``wanted`` (or one covering it) behind
-    ``interface``?"""
-    entries = table.entries(interface)
-    if wanted in entries:
-        return True
-    if allow_subsumption:
-        return any(existing.subsumes(profile) for existing in entries.values())
-    return False
-
-
 def check_reachability(network: ContentBasedNetwork) -> Report:
     """COS401/404: can every subscriber be fed from every publisher?"""
     report = Report()
@@ -139,7 +121,6 @@ def check_reachability(network: ContentBasedNetwork) -> Report:
                     source,
                 )
                 continue
-            restricted = profile.restricted_to(stream)
             wanted = entry_id(sid, stream)
             for publisher in publishers:
                 if publisher == node:
@@ -156,13 +137,7 @@ def check_reachability(network: ContentBasedNetwork) -> Report:
                     )
                     continue
                 for toward_sub, here in zip(path, path[1:]):
-                    if not _covering_entry(
-                        network.table(here),
-                        toward_sub,
-                        wanted,
-                        restricted,
-                        network.use_subsumption,
-                    ):
+                    if wanted not in network.table(here).entries(toward_sub):
                         report.add(
                             "COS401",
                             f"broker {here!r} has no routing entry for "
@@ -216,15 +191,8 @@ def check_routing_entries(network: ContentBasedNetwork) -> Report:
 
 
 def check_routing_redundancy(network: ContentBasedNetwork) -> Report:
-    """COS203/205 across each broker interface's installed profiles.
-
-    Only meaningful without covering aggregation — with
-    ``use_subsumption`` enabled the CBN already suppresses subsumed
-    entries at install time.
-    """
+    """COS203/205 across each broker interface's installed profiles."""
     report = Report()
-    if network.use_subsumption:
-        return report
     for node in network.tree.nodes:
         table = network.table(node)
         for interface in table.interfaces:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Report
 from repro.cbn.filters import ALL_ATTRIBUTES, Profile
-from repro.cql.ast import Aggregate, ContinuousQuery, Star
+from repro.cql.ast import Aggregate, ContinuousQuery, Star, Unresolved
 from repro.cql.predicates import (
     Atom,
     AttrRef,
@@ -55,6 +55,11 @@ def attribute_domains(
     return seeds
 
 
+#: the diagnostic for each kind of unresolved reference; an unknown
+#: stream is reported once, on its FROM entry
+_UNRESOLVED_CODES = {"unqualified": "COS105", "qualifier": "COS101", "attribute": "COS102"}
+
+
 def _resolve(
     query: ContinuousQuery,
     attr: AttrRef,
@@ -63,47 +68,17 @@ def _resolve(
     source: str,
     seen: Set[Tuple[Optional[str], str]],
 ) -> Optional[Attribute]:
-    """Resolve one attribute reference, reporting at most one diagnostic
-    per distinct reference."""
+    """Resolve one attribute reference (:meth:`ContinuousQuery.resolve`),
+    reporting at most one diagnostic per distinct reference."""
+    resolved = query.resolve(attr, catalog)
+    if not isinstance(resolved, Unresolved):
+        return resolved
     key = (attr.qualifier, attr.name)
-    if attr.qualifier is None:
-        if key not in seen:
-            seen.add(key)
-            report.add(
-                "COS105",
-                f"attribute {attr.name!r} must be qualified with a stream "
-                f"reference ({', '.join(query.reference_names)})",
-                source,
-                attr.pos,
-            )
-        return None
-    if attr.qualifier not in query.reference_names:
-        if key not in seen:
-            seen.add(key)
-            report.add(
-                "COS101",
-                f"no stream reference named {attr.qualifier!r} in FROM "
-                f"(have: {', '.join(query.reference_names)})",
-                source,
-                attr.pos,
-            )
-        return None
-    stream = query.stream_ref(attr.qualifier).stream
-    if stream not in catalog:
-        return None  # the unknown stream is reported once, on the FROM ref
-    schema = catalog.get(stream)
-    if not schema.has_attribute(attr.name):
-        if key not in seen:
-            seen.add(key)
-            report.add(
-                "COS102",
-                f"stream {stream!r} has no attribute {attr.name!r} "
-                f"(have: {', '.join(schema.attribute_names)})",
-                source,
-                attr.pos,
-            )
-        return None
-    return schema.attribute(attr.name)
+    code = _UNRESOLVED_CODES.get(resolved.kind)
+    if code is not None and key not in seen:
+        seen.add(key)
+        report.add(code, resolved.message, source, attr.pos)
+    return None
 
 
 def raw_atoms(query: ContinuousQuery) -> List[Atom]:
@@ -243,13 +218,9 @@ def check_query(query: ContinuousQuery, catalog: Catalog) -> Report:
     seen: Set[Tuple[Optional[str], str]] = set()
     for item in query.select_items:
         if isinstance(item, Star):
-            if item.qualifier not in query.reference_names:
-                report.add(
-                    "COS101",
-                    f"no stream reference named {item.qualifier!r} in FROM",
-                    source,
-                    item.pos,
-                )
+            resolved = query.resolve_qualifier(item.qualifier, catalog)
+            if isinstance(resolved, Unresolved) and resolved.kind == "qualifier":
+                report.add("COS101", resolved.message, source, item.pos)
         elif isinstance(item, AttrRef):
             _resolve(query, item, catalog, report, source, seen)
         elif isinstance(item, Aggregate):

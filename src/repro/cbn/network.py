@@ -240,19 +240,15 @@ class ContentBasedNetwork:
     catalog:
         Optional shared schema catalog used to price datagram payloads;
         advertised schemas are registered into it.
-    use_subsumption:
-        Enable covering-based routing-table aggregation.
     """
 
     def __init__(
         self,
         tree: DisseminationTree,
         catalog: Optional[Catalog] = None,
-        use_subsumption: bool = False,
     ) -> None:
         self._tree = tree
         self.catalog = catalog if catalog is not None else Catalog()
-        self.use_subsumption = use_subsumption
         self._epoch = 0
         self._tables = {node: self._new_table(node) for node in tree.nodes}
         self._subscriptions: Dict[str, _Subscription] = {}
@@ -283,7 +279,7 @@ class ContentBasedNetwork:
         return self._tree
 
     def _new_table(self, node: NodeId) -> RoutingTable:
-        return RoutingTable(node, self.use_subsumption, on_change=self._bump_epoch)
+        return RoutingTable(node, on_change=self._bump_epoch)
 
     def _register_weights(self, tree: DisseminationTree) -> None:
         """Price ``tree``'s links on both accumulators (a link that
@@ -308,7 +304,7 @@ class ContentBasedNetwork:
         * *Untouched*: every other table — its entries, epoch and
           compiled plans — and every LOCAL entry, so per-broker
           delivery order is what it was; the registries and their
-          order, traffic statistics, flags, the catalog, the id counter
+          order, traffic statistics, the catalog, the id counter
           (new links are priced on the existing accumulators); the
           facts and cached routes of every stream none of whose entries
           moved (each table reports the entries that do).
@@ -325,7 +321,6 @@ class ContentBasedNetwork:
         gone = set(self._tree.edges) - set(tree.edges)
         #: the hops — either direction — that sat on a removed edge
         crossed = gone | {(v, u) for u, v in gone}
-        vacated: Dict[str, Set[Hop]] = {}
         replay: List[Tuple[_Subscription, List[_PathKey]]] = []
         for sub in self._subscriptions.values():
             keys = [
@@ -334,8 +329,7 @@ class ContentBasedNetwork:
                 if not crossed.isdisjoint(hops)
             ]
             if keys:
-                for stream, hops in self._withdraw(sub, keys).items():
-                    vacated.setdefault(stream, set()).update(hops)
+                self._withdraw(sub, keys)
                 replay.append((sub, keys))
         for node in [node for node in self._tables if node not in tree]:
             del self._tables[node]
@@ -354,9 +348,6 @@ class ContentBasedNetwork:
             for stream, publisher in keys:
                 if publisher in tree:
                     self._propagate_toward(sub, stream, publisher)
-        if self.use_subsumption:
-            for stream, hops in vacated.items():
-                self._restore(stream, hops - crossed)
 
     def table(self, node: NodeId) -> RoutingTable:
         try:
@@ -471,9 +462,6 @@ class ContentBasedNetwork:
         """Remove a subscription: its LOCAL entry and its footprint.
 
         Only the tables on the subscription's own paths are visited.
-        Under covering aggregation its entries may have suppressed
-        others behind the same interfaces; those — and only those — are
-        re-installed at the hops it vacated.
         """
         if subscription_id not in self._subscriptions:
             raise NetworkError(f"unknown subscription {subscription_id!r}")
@@ -488,20 +476,14 @@ class ContentBasedNetwork:
                 del self._stream_subscriptions[stream]
                 self._facts.pop(stream, None)
         self._tables[removed.node].discard(RoutingTable.LOCAL, subscription_id)
-        vacated = self._withdraw(removed, list(removed.footprint))
-        if self.use_subsumption:
-            for stream, hops in vacated.items():
-                self._restore(stream, hops)
+        self._withdraw(removed, list(removed.footprint))
 
-    def _withdraw(
-        self, sub: _Subscription, keys: Iterable[_PathKey]
-    ) -> Dict[str, Set[Hop]]:
+    def _withdraw(self, sub: _Subscription, keys: Iterable[_PathKey]) -> None:
         """Take the propagations ``keys`` out of ``sub``'s footprint.
 
         Paths of one stream share their prefix (and so their entries):
         an entry goes only when no propagation left in the footprint
-        still runs through its hop.  Returns, per stream, the hops
-        vacated.
+        still runs through its hop.
         """
         vacated: Dict[str, Set[Hop]] = {}
         for key in keys:
@@ -513,38 +495,10 @@ class ContentBasedNetwork:
             entry = entry_id(sub.subscription_id, stream)
             for node, interface in hops:
                 self._tables[node].discard(interface, entry)
-        return vacated
-
-    def _restore(self, stream: str, hops: Set[Hop]) -> None:
-        """Re-install, at ``hops``, the ``stream`` entry of every
-        subscription whose footprint runs through them: covering
-        aggregation may have dropped it for an entry that has just been
-        removed there (installation is idempotent)."""
-        if not hops:
-            return
-        for sid in self._stream_subscriptions.get(stream, ()):
-            sub = self._subscriptions[sid]
-            shared = {
-                hop
-                for key, laid in sub.footprint.items()
-                if key[0] == stream
-                for hop in laid
-                if hop in hops
-            }
-            if shared:
-                self._lay(sub, stream, shared)
 
     def _lay(self, sub: _Subscription, stream: str, hops: Iterable[Hop]) -> None:
-        """Install ``sub``'s entry for ``stream`` at every hop.
-
-        The entry is the profile restricted to ``stream``.  A subsumed
-        entry is *not stored* (covering aggregation: the broader profile
-        on the same interface already routes everything we would match,
-        with a carried-attribute superset) but the remaining hops are
-        still visited — the covering subscription may have been
-        propagated toward different publishers, so upstream nodes still
-        need an entry for this one.
-        """
+        """Install ``sub``'s entry for ``stream`` — the profile
+        restricted to ``stream`` — at every hop."""
         restricted = sub.profile.restricted_to(stream)
         entry = entry_id(sub.subscription_id, stream)
         size = float(restricted.size_estimate())

@@ -5,12 +5,8 @@ data-interest profiles reachable through that interface.  A datagram
 arriving at the broker is forwarded on an interface when any profile
 behind it covers the datagram, after **early projection**: the
 forwarded copy keeps only the union of the attributes requested by the
-covering downstream profiles (section 3.1).
-
-Routing tables optionally aggregate with *subsumption*: a newly
-installed profile that is subsumed by an existing one on the same
-interface is not stored (and does not need further propagation), the
-classic CBN optimisation (Siena-style covering).
+covering downstream profiles (section 3.1).  Every subscription keeps
+its own entry behind every interface its propagation crossed.
 
 Index and compiled matchers
 ---------------------------
@@ -145,11 +141,9 @@ class RoutingTable:
     def __init__(
         self,
         node: NodeId,
-        use_subsumption: bool = False,
         on_change: Optional[Callable[[FrozenSet[str]], None]] = None,
     ) -> None:
         self.node = node
-        self._use_subsumption = use_subsumption
         #: Invoked after every state mutation with the streams the
         #: mutation touched; the network layer hooks its per-stream
         #: cache invalidation here.
@@ -197,49 +191,28 @@ class RoutingTable:
                 del streams[stream]
                 self._plans.pop((interface, stream), None)
 
-    def install(self, interface: object, subscription_id: str, profile: Profile) -> bool:
-        """Install a profile behind an interface.
-
-        Returns ``False`` when subsumption aggregation suppressed the
-        entry (an existing profile on the same interface already covers
-        it), meaning propagation beyond this node can stop.
-        """
+    def install(self, interface: object, subscription_id: str, profile: Profile) -> None:
+        """Install a profile behind an interface, replacing the entry's
+        previous profile."""
         entries = self._entries.setdefault(interface, {})
         previous = entries.get(subscription_id)
         if previous is not None and previous == profile:
-            # Idempotent re-propagation (advertise, covering restoration,
-            # retree on a shared path prefix): nothing moved, so neither
-            # the bucket order nor any version does.
-            return True
+            # Idempotent re-propagation (advertise, retree on a shared
+            # path prefix): nothing moved, so neither the bucket order
+            # nor any version does.
+            return
         touched: Set[str] = set(profile.streams)
-        # Local subscribers are delivery endpoints, not forwarding state:
-        # every one needs its own entry (own projection), so covering
-        # aggregation only applies to remote interfaces.
-        if self._use_subsumption and interface is not self.LOCAL:
-            for existing in entries.values():
-                if existing.subsumes(profile):
-                    return False
-            # Remove entries the new profile renders redundant.
-            redundant = [
-                sid for sid, p in entries.items() if profile.subsumes(p)
-            ]
-            for sid in redundant:
-                touched.update(entries[sid].streams)
-                self._unindex_entry(interface, sid, entries[sid])
-                del entries[sid]
         if previous is not None:
             touched.update(previous.streams)
             self._unindex_entry(interface, subscription_id, previous)
         entries[subscription_id] = profile
         self._index_entry(interface, subscription_id, profile)
         self._touch(touched)
-        return True
 
     def discard(self, interface: object, entry_id: str) -> bool:
         """Delete exactly the entry ``entry_id`` behind ``interface``.
 
-        Returns ``False`` (and bumps nothing) when it is not stored —
-        covering aggregation may have suppressed or evicted it.
+        Returns ``False`` (and bumps nothing) when it is not stored.
         """
         entries = self._entries.get(interface)
         profile = entries.pop(entry_id, None) if entries else None

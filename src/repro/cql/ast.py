@@ -18,14 +18,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cql.predicates import Atom, AttrRef, Conjunction, PredicateError
-from repro.cql.schema import Catalog, SchemaError, StreamSchema
+from repro.cql.schema import Attribute, Catalog, SchemaError, StreamSchema
 
 
 class QueryError(Exception):
     """Raised for malformed queries (unknown streams, bad projections)."""
+
+
+class Unresolved(NamedTuple):
+    """Why a reference names nothing in the catalog.
+
+    ``kind`` is ``"unqualified"`` (an attribute without a stream
+    reference), ``"qualifier"`` (no FROM entry has that name),
+    ``"stream"`` (the FROM entry's stream is not in the catalog) or
+    ``"attribute"`` (the stream has no such attribute).
+    """
+
+    kind: str
+    message: str
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +279,59 @@ class ContinuousQuery:
     # -- resolution against a catalog -----------------------------------------------
 
     def validate(self, catalog: Catalog) -> None:
-        """Check every stream and attribute reference against ``catalog``."""
+        """Check every stream and attribute reference against ``catalog``,
+        raising :class:`QueryError` on the first that does not resolve."""
         for ref in self.streams:
             if ref.stream not in catalog:
                 raise QueryError(f"unknown stream {ref.stream!r}")
-        for attr in self.referenced_attributes():
-            self._check_attr(attr, catalog)
-        for attr in self.group_by:
-            self._check_attr(attr, catalog)
+        resolved = [
+            self.resolve_qualifier(item.qualifier, catalog)
+            for item in self.select_items
+            if isinstance(item, Star)
+        ]
+        resolved.extend(self.resolve(attr, catalog) for attr in self.referenced_attributes())
+        for each in resolved:
+            if isinstance(each, Unresolved):
+                raise QueryError(each.message)
 
-    def _check_attr(self, attr: AttrRef, catalog: Catalog) -> None:
+    def resolve_qualifier(
+        self, qualifier: str, catalog: Catalog
+    ) -> Union[StreamSchema, Unresolved]:
+        """The schema of the stream the FROM entry ``qualifier`` names."""
+        for ref in self.streams:
+            if ref.name == qualifier:
+                if ref.stream not in catalog:
+                    return Unresolved("stream", f"unknown stream {ref.stream!r}")
+                return catalog.get(ref.stream)
+        return Unresolved(
+            "qualifier",
+            f"no stream reference named {qualifier!r} in FROM "
+            f"(have: {', '.join(self.reference_names)})",
+        )
+
+    def resolve(
+        self, attr: AttrRef, catalog: Catalog
+    ) -> Union[Attribute, Unresolved]:
+        """The schema attribute ``attr`` names — the one rule for
+        unqualified names, unknown qualifiers and unknown attributes
+        (:meth:`validate` raises the first problem, the analyzer reports
+        each)."""
         if attr.qualifier is None:
-            raise QueryError(f"attribute {attr.name!r} must be qualified")
-        ref = self.stream_ref(attr.qualifier)
-        schema = catalog.get(ref.stream)
-        if not schema.has_attribute(attr.name):
-            raise QueryError(
-                f"stream {ref.stream!r} has no attribute {attr.name!r}"
+            return Unresolved(
+                "unqualified",
+                f"attribute {attr.name!r} must be qualified with a stream "
+                f"reference ({', '.join(self.reference_names)})",
             )
+        schema = self.resolve_qualifier(attr.qualifier, catalog)
+        if isinstance(schema, Unresolved):
+            return schema
+        if not schema.has_attribute(attr.name):
+            return Unresolved(
+                "attribute",
+                f"stream {schema.name!r} has no attribute {attr.name!r} "
+                f"(have: {', '.join(schema.attribute_names)})",
+            )
+        return schema.attribute(attr.name)
 
     def referenced_attributes(self) -> List[AttrRef]:
         """All attribute references in SELECT and WHERE (not Q.* expansions)."""

@@ -106,16 +106,13 @@ class CosmosSystem:
         distribution: Optional[QueryDistribution] = None,
         cost_model: Optional[CostModel] = None,
         merging: bool = True,
-        use_subsumption: bool = False,
     ) -> None:
         self.tree = tree
         self.topology = topology
         self.catalog = Catalog()
         self.cost_model = cost_model or CostModel()
         self.merging = merging
-        self.network = ContentBasedNetwork(
-            tree, self.catalog, use_subsumption=use_subsumption
-        )
+        self.network = ContentBasedNetwork(tree, self.catalog)
         self.processors: Dict[NodeId, Processor] = {}
         for node in processor_nodes:
             if node not in tree:

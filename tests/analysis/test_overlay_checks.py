@@ -157,12 +157,3 @@ class TestCheckNetwork:
         report = check_network(network)
         assert report.has("COS203")
         assert report.exit_code() == 0
-
-    def test_subsumption_mode_suppresses_redundancy(self, line_tree):
-        network = ContentBasedNetwork(
-            line_tree, Catalog([_schema()]), use_subsumption=True
-        )
-        network.advertise("Temp", 0, _schema())
-        network.subscribe(_all(), 4, "broad")
-        network.subscribe(_all(), 4, "narrow")
-        assert check_network(network).is_clean

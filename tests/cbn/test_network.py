@@ -171,9 +171,9 @@ class TestAdvertisementScoping:
         assert len(net.publish(Datagram("S", {"a": 2}), 2)) == 1
 
 
-class TestSubsumptionMode:
+class TestOverlappingProfiles:
     def test_covered_subscription_still_delivered(self, line_tree):
-        net = ContentBasedNetwork(line_tree, use_subsumption=True)
+        net = ContentBasedNetwork(line_tree)
         net.advertise("S", 0, SCHEMA)
         broad = Profile({"S": ALL_ATTRIBUTES})
         narrow = Profile(
@@ -184,25 +184,10 @@ class TestSubsumptionMode:
         deliveries = net.publish(Datagram("S", {"a": 60, "b": 0.5}), 0)
         assert {d.subscription_id for d in deliveries} == {"broad", "narrow"}
 
-    def test_subsumption_reduces_routing_state(self, line_tree):
-        def build(use):
-            net = ContentBasedNetwork(line_tree, use_subsumption=use)
-            net.advertise("S", 0, SCHEMA)
-            net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "broad")
-            net.subscribe(
-                Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 50)))]),
-                4,
-                "narrow",
-            )
-            return net.routing_state_size()
-
-        assert build(True) < build(False)
-
     def test_string_and_numeric_profiles_on_one_attribute_coexist(self, line_tree):
-        """Covering used to raise ``PredicateError`` out of ``subscribe``
-        when one attribute met a string in one profile and a number in
-        the other; neither covers the other, both are served."""
-        net = ContentBasedNetwork(line_tree, use_subsumption=True)
+        """One attribute meets a string in one profile and a number in
+        the others; neither covers the other, both are served."""
+        net = ContentBasedNetwork(line_tree)
         net.advertise("S", 0, SCHEMA)
         for sid, value in (("numeric", 10), ("text", "x"), ("numeric2", 20)):
             op = "=" if isinstance(value, str) else ">"
@@ -216,25 +201,24 @@ class TestSubsumptionMode:
             assert {d.subscription_id for d in deliveries} == expected
 
 
-class TestSubsumptionUnsubscribe:
+class TestOverlappingUnsubscribe:
     def test_covered_subscription_survives_coverers_departure(self, line_tree):
-        """Regression (found by stateful testing): removing a covering
-        subscription must re-propagate the suppressed covered ones, or
-        they are stranded with no forwarding state."""
-        net = ContentBasedNetwork(line_tree, use_subsumption=True)
+        """Removing a subscription takes only its own entries: an equal
+        profile behind the same interfaces keeps its forwarding state."""
+        net = ContentBasedNetwork(line_tree)
         net.advertise("S", 0, SCHEMA)
         profile = Profile(
             {"S": ALL_ATTRIBUTES},
             [Filter("S", cond(Comparison("a", ">=", 0)))],
         )
         net.subscribe(profile, 1, "coverer")
-        net.subscribe(profile, 1, "covered")  # suppressed behind coverer
+        net.subscribe(profile, 1, "covered")
         net.unsubscribe("coverer")
         deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
         assert [d.subscription_id for d in deliveries] == ["covered"]
 
     def test_chain_of_coverers(self, line_tree):
-        net = ContentBasedNetwork(line_tree, use_subsumption=True)
+        net = ContentBasedNetwork(line_tree)
         net.advertise("S", 0, SCHEMA)
         broad = Profile({"S": ALL_ATTRIBUTES})
         narrow = Profile(
@@ -539,11 +523,11 @@ class TestRetree:
             stream or rng.choice("ST"), {"a": rng.randint(0, 100), "b": rng.random()}
         )
 
-    def assert_like_fresh_build(self, network, tree, ads, live, flags, rng):
+    def assert_like_fresh_build(self, network, tree, ads, live, rng):
         """``network`` cannot be told from a ``ReferenceNetwork`` built
         on ``tree`` from the surviving advertisements and the live
         subscriptions, each in registration order."""
-        fresh = ReferenceNetwork(tree, **flags)
+        fresh = ReferenceNetwork(tree)
         for schema in self.SCHEMAS:
             fresh.catalog.register(schema)
         for stream, node in ads:
@@ -565,12 +549,7 @@ class TestRetree:
             assert list(mine.local_profiles()) == list(theirs.local_profiles())
             assert set(mine.interfaces) <= {RoutingTable.LOCAL, *tree.neighbors(node)}
             for interface in set(mine.interfaces) | set(theirs.interfaces):
-                if flags["use_subsumption"]:
-                    # of equal profiles one stays: which id is a matter
-                    # of arrival order, how many entries is not
-                    assert len(mine.entries(interface)) == len(theirs.entries(interface))
-                else:
-                    assert mine.entries(interface) == theirs.entries(interface)
+                assert mine.entries(interface) == theirs.entries(interface)
         delivered = 0
         for origin in tree.nodes:
             for stream in "ST":
@@ -590,17 +569,13 @@ class TestRetree:
                     assert mine == theirs
         return delivered
 
-    # nine histories per (class, subsumption): 36 interleavings in all
-    @pytest.mark.parametrize("seed", range(9))
+    # eighteen histories per class: 36 interleavings in all
+    @pytest.mark.parametrize("seed", range(18))
     @pytest.mark.parametrize("cls", [ContentBasedNetwork, ReferenceNetwork])
-    @pytest.mark.parametrize("subsumption", [False, True])
-    def test_any_interleaving_is_indistinguishable_from_a_fresh_build(
-        self, seed, cls, subsumption
-    ):
+    def test_any_interleaving_is_indistinguishable_from_a_fresh_build(self, seed, cls):
         rng = random.Random(seed)
-        flags = dict(use_subsumption=subsumption)
         tree = self.tree(self.T1)
-        network = cls(tree, **flags)
+        network = cls(tree)
         stats = network.data_stats
         ads, live, at = [("S", 0), ("T", 7)], {}, 0
         for stream, node in ads:
@@ -640,9 +615,8 @@ class TestRetree:
                     tree = target
                     ads = [ad for ad in ads if ad[1] in tree]
                     retrees += 1
-            delivered += self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
+            delivered += self.assert_like_fresh_build(network, tree, ads, live, rng)
         assert type(network) is cls and network.data_stats is stats
-        assert network.use_subsumption is subsumption
         assert retrees >= 3 and delivered
 
     def test_stranded_subscriber_refused_before_any_change(self):
@@ -698,17 +672,15 @@ class TestRetree:
         network.publish(self.PROBES["T"][0], 7)
         assert network.data_stats.as_dict()[(2, 5)] == before
 
-    @pytest.mark.parametrize("subsumption", [False, True])
-    def test_broker_7_leaves_returns_and_is_moved_on_warm_routes(self, subsumption):
+    def test_broker_7_leaves_returns_and_is_moved_on_warm_routes(self):
         """T1 -> T4 (7 gone) -> T5 (7 back, a pure addition) -> T6 (7
         spliced between 4 and 3), every route warm before each move —
         those from origin 7 included, which outlive its absence on a
         stream whose entries never moved ("S": 1 -> 2 is an edge of
         every tree)."""
         rng = random.Random(7)
-        flags = dict(use_subsumption=subsumption)
         tree = self.tree(self.T1)
-        network = ContentBasedNetwork(tree, **flags)
+        network = ContentBasedNetwork(tree)
         ads = [("S", 1), ("T", 0)]
         for stream, node in ads:
             network.advertise(stream, node, self.SCHEMAS["ST".index(stream)])
@@ -719,7 +691,7 @@ class TestRetree:
         }
         for sid, (node, profile) in live.items():
             network.subscribe(profile, node, sid)
-        self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
+        self.assert_like_fresh_build(network, tree, ads, live, rng)
         for edges in (self.T4, self.T5, self.T6):
             tree = self.tree(edges)
             network.retree(tree)
@@ -727,7 +699,7 @@ class TestRetree:
                 # the returned broker starts publishing: paths toward it
                 ads.append(("T", 7))
                 network.advertise("T", 7)
-            assert self.assert_like_fresh_build(network, tree, ads, live, flags, rng)
+            assert self.assert_like_fresh_build(network, tree, ads, live, rng)
         from_7 = network.publish(self.PROBES["T"][0], 7)
         assert {d.subscription_id for d in from_7} == {"far", "low"}
 

@@ -55,31 +55,17 @@ class TestInstallRemove:
         table.install(RoutingTable.LOCAL, "s3", profile({"a"}))
         assert table.entry_count == 3
 
-
-class TestSubsumptionAggregation:
-    def test_subsumed_entry_suppressed(self):
-        table = RoutingTable(0, use_subsumption=True)
-        assert table.install(1, "broad", profile({"a"}, Comparison("a", ">", 0)))
-        assert not table.install(1, "narrow", profile({"a"}, Comparison("a", ">", 5)))
-        assert table.entry_count == 1
-
-    def test_broader_entry_replaces_narrower(self):
-        table = RoutingTable(0, use_subsumption=True)
-        table.install(1, "narrow", profile({"a"}, Comparison("a", ">", 5)))
-        assert table.install(1, "broad", profile({"a"}, Comparison("a", ">", 0)))
-        assert table.entry_count == 1
-        assert table.decide(1, Datagram("S", {"a": 1})).forward
-
-    def test_no_suppression_across_interfaces(self):
-        table = RoutingTable(0, use_subsumption=True)
-        table.install(1, "broad", profile({"a"}, Comparison("a", ">", 0)))
-        assert table.install(2, "narrow", profile({"a"}, Comparison("a", ">", 5)))
-
-    def test_disabled_by_default(self):
+    def test_narrower_profile_behind_the_same_interface_is_its_own_entry(self):
         table = RoutingTable(0)
-        table.install(1, "broad", profile({"a"}, Comparison("a", ">", 0)))
-        assert table.install(1, "narrow", profile({"a"}, Comparison("a", ">", 5)))
-        assert table.entry_count == 2
+        broad = profile({"a"}, Comparison("a", ">", 0))
+        narrow = profile({"a"}, Comparison("a", ">", 5))
+        table.install(1, "broad", broad)
+        table.install(1, "narrow", narrow)
+        assert table.entries(1) == {"broad": broad, "narrow": narrow}
+        assert table.discard(1, "broad")
+        assert table.entries(1) == {"narrow": narrow}
+        assert not table.decide(1, Datagram("S", {"a": 1})).forward
+        assert table.decide(1, Datagram("S", {"a": 6})).forward
 
 
 class TestForwardDecision:
@@ -216,7 +202,7 @@ class TestEpoch:
         table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
         table.install(1, "b", profile({"b"}))
         plan, epoch, version = table._plan(1, "S"), table.epoch, dict(table._stream_versions)
-        assert table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
+        table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
         assert (table.epoch, table._stream_versions) == (epoch, version)
         assert table._plan(1, "S") is plan and len(calls) == 2
         # the entries keep their install order
@@ -274,10 +260,3 @@ class TestEpoch:
         table.discard(1, "a")
         assert table._plans == {}
         assert not table.decide(1, datagram).forward
-
-    def test_suppressed_install_keeps_epoch(self):
-        table = RoutingTable(0, use_subsumption=True)
-        table.install(1, "broad", profile({"a"}, Comparison("a", ">", 0)))
-        before = table.epoch
-        assert not table.install(1, "narrow", profile({"a"}, Comparison("a", ">", 5)))
-        assert table.epoch == before

@@ -12,6 +12,7 @@ from repro.cql.ast import (
     Star,
     StreamRef,
     UNBOUNDED,
+    Unresolved,
     Window,
 )
 from repro.cql.parser import parse_query
@@ -81,6 +82,64 @@ class TestValidation:
 
     def test_valid_query_passes(self, q1, auction_catalog):
         q1.validate(auction_catalog)
+
+    def test_star_qualifier_checked(self, auction_catalog):
+        q = parse_query("SELECT Z.* FROM OpenAuction O")
+        with pytest.raises(QueryError, match="'Z'"):
+            q.validate(auction_catalog)
+
+    def test_group_by_attribute_checked(self, auction_catalog):
+        q = parse_query(
+            "SELECT COUNT(*) AS n FROM OpenAuction O GROUP BY O.bogus"
+        )
+        with pytest.raises(QueryError, match="bogus"):
+            q.validate(auction_catalog)
+
+    def test_unqualified_attribute_rejected(self, auction_catalog):
+        q = ContinuousQuery(
+            select_items=(AttrRef(None, "itemID"),),
+            streams=(StreamRef("OpenAuction", NOW),),
+        )
+        with pytest.raises(QueryError, match="must be qualified"):
+            q.validate(auction_catalog)
+
+
+class TestResolve:
+    """``ContinuousQuery.resolve``: the one rule both ``validate`` and
+    the analyzer's COS101/102/105 read."""
+
+    QUERY = "SELECT O.itemID FROM OpenAuction O, ClosedAuction C"
+
+    def test_attribute_resolves_to_its_schema_attribute(self, auction_catalog):
+        q = parse_query(self.QUERY)
+        resolved = q.resolve(AttrRef("C", "buyerID"), auction_catalog)
+        assert resolved == auction_catalog.get("ClosedAuction").attribute("buyerID")
+
+    @pytest.mark.parametrize(
+        "attr, kind",
+        [
+            (AttrRef(None, "itemID"), "unqualified"),
+            (AttrRef("Z", "itemID"), "qualifier"),
+            (AttrRef("O", "buyerID"), "attribute"),
+        ],
+    )
+    def test_each_problem_has_its_kind(self, auction_catalog, attr, kind):
+        resolved = parse_query(self.QUERY).resolve(attr, auction_catalog)
+        assert isinstance(resolved, Unresolved)
+        assert resolved.kind == kind
+        assert attr.name in resolved.message or attr.qualifier in resolved.message
+
+    def test_unknown_stream_is_its_own_kind(self, auction_catalog):
+        q = parse_query("SELECT X.a FROM X")
+        assert q.resolve(AttrRef("X", "a"), auction_catalog).kind == "stream"
+        assert q.resolve_qualifier("X", auction_catalog).kind == "stream"
+
+    def test_qualifier_resolves_to_its_stream_schema(self, auction_catalog):
+        q = parse_query(self.QUERY)
+        assert q.resolve_qualifier("O", auction_catalog) is auction_catalog.get(
+            "OpenAuction"
+        )
+        assert q.resolve_qualifier("Z", auction_catalog).kind == "qualifier"
 
 
 class TestProjection:

@@ -167,7 +167,7 @@ class TestRouteCacheCanary:
 
         @given(random_trees(), st.data())
         @settings(
-            max_examples=400,
+            max_examples=1000,
             deadline=None,
             derandomize=True,
             database=None,

@@ -49,7 +49,7 @@ class CBNMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.tree = _line_tree()
-        self.network = ContentBasedNetwork(self.tree, use_subsumption=True)
+        self.network = ContentBasedNetwork(self.tree)
         self.network.advertise("S", 0)
         self.live = {}
         self.counter = 0

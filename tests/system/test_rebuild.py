@@ -68,13 +68,6 @@ class TestRebuild:
         with pytest.raises(RebuildError):
             rebuild_network(sys_, line([0, 1, 2, 3]))
 
-    def test_flags_preserved(self, line_tree):
-        sys_ = CosmosSystem(line_tree, processor_nodes=[2], use_subsumption=True)
-        sys_.add_source(OPEN_AUCTION_SCHEMA, 0)
-        sys_.add_source(CLOSED_AUCTION_SCHEMA, 0)
-        rebuild_network(sys_, line([0, 2, 1, 3, 4]))
-        assert sys_.network.use_subsumption
-
     def test_network_and_subscription_ids_survive_a_repair(
         self, auction_system_builder
     ):

@@ -126,6 +126,15 @@ if git grep -nE "only=|from_atoms\(\[atom\]\)" -- src/repro/system src/repro/cor
     exit 1
 fi
 
+echo "== one routing-table mode (repro) =="
+# Every subscription keeps its own entry behind every interface it crossed:
+# covering aggregation (suppress a subsumed entry, restore it when its coverer
+# leaves) was measured to move no byte and cost 3-8x at install, and was deleted.
+if git grep -nE "use_subsumption|_restore\(" -- src/repro; then
+    echo "ci: src/repro must not grow covering aggregation back" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
@@ -157,7 +166,6 @@ git diff --exit-code -- benchmarks/results/ablation_overlay_optimizer.txt \
     benchmarks/results/ablation_placement.txt benchmarks/results/baseline_unicast.txt \
     benchmarks/results/ablation_early_projection.txt \
     benchmarks/results/ablation_schema_distribution.txt \
-    benchmarks/results/ablation_subsumption.txt \
     benchmarks/results/ablation_grouping_policies.txt \
     benchmarks/results/ablation_periodic_regrouping.txt \
     benchmarks/results/ablation_window_widening.txt \
