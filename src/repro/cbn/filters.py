@@ -76,6 +76,34 @@ class Filter:
         return f"{self.stream}: {self.condition}"
 
 
+class Matcher:
+    """One profile resolved for one of its streams, so a broker matches
+    and projects a datagram with no profile introspection: the stream's
+    filter ``conditions`` (empty means unconditional), the delivered
+    ``projection``, the forwarded ``carried`` set
+    (:meth:`Profile.carried_attributes`) and whether the projection
+    ``wants_all`` attributes.  Built by :meth:`Profile.matcher`.
+    """
+
+    __slots__ = ("conditions", "projection", "carried", "wants_all")
+
+    def __init__(self, profile: "Profile", stream: str) -> None:
+        self.conditions = tuple(flt.condition for flt in profile.filters_for(stream))
+        self.projection = profile.projection_for(stream)
+        self.carried = profile.carried_attributes(stream)
+        self.wants_all = self.projection == ALL_ATTRIBUTES
+
+    def covers(self, payload: Mapping[str, object]) -> bool:
+        """Does a datagram of the stream carrying ``payload`` pass?"""
+        conditions = self.conditions
+        if not conditions:
+            return True
+        for condition in conditions:
+            if condition.evaluate(payload):
+                return True
+        return False
+
+
 class Profile:
     """A data-interest profile ⟨S, P, F⟩.
 
@@ -111,6 +139,7 @@ class Profile:
                     f"{sorted(self._projections)}"
                 )
         self.subscriber = subscriber
+        self._matchers: Dict[str, Matcher] = {}
 
     # -- the triple ------------------------------------------------------------------
 
@@ -138,8 +167,13 @@ class Profile:
     def filters_for(self, stream: str) -> List[Filter]:
         return [flt for flt in self._filters if flt.stream == stream]
 
-    def wants_all_attributes(self, stream: str) -> bool:
-        return self.projection_for(stream) == ALL_ATTRIBUTES
+    def matcher(self, stream: str) -> Matcher:
+        """This profile resolved for ``stream``: built on first use and
+        kept, as a profile never changes."""
+        matcher = self._matchers.get(stream)
+        if matcher is None:
+            matcher = self._matchers[stream] = Matcher(self, stream)
+        return matcher
 
     # -- coverage ---------------------------------------------------------------------
 
@@ -175,8 +209,8 @@ class Profile:
         Early projection keeps the projection set *plus* the attributes
         this profile's own filters evaluate (they must survive for
         re-filtering at later hops); see
-        :meth:`repro.cbn.routing.RoutingTable.decide`.  The routing
-        layer's compiled per-stream matchers precompute this set.
+        :meth:`repro.cbn.routing.RoutingTable.decide`, which reads it
+        off the stream's :meth:`matcher`.
         """
         projection = self.projection_for(stream)
         if projection == ALL_ATTRIBUTES:

@@ -28,9 +28,9 @@ stream.  The footprint is the only way forwarding entries are removed
 (:meth:`RoutingTable.discard`, exact): :meth:`unsubscribe` visits the
 tables on the subscription's own paths, and :meth:`retree` keeps every
 table and re-lays exactly the paths that cross an edge the new tree
-lacks, so the compiled plans of every table and stream off those paths
-stay warm.  There is no full-walk or full-replay fallback; the oracle
-in the tests is a fresh build on the current tree.
+lacks, so a table off those paths is not touched and a stream off them
+is not reported.  There is no full-walk or full-replay fallback; the
+oracle in the tests is a fresh build on the current tree.
 
 The data plane
 --------------
@@ -38,10 +38,12 @@ Publication is the dominant cost of every experiment, so publishes run
 on cached state: per stream the network memoizes the schema width
 table, each broker's *candidate interfaces* (the neighbours that have
 any entry for the stream), the stream's distinct filter conjunctions
-and a bounded *route cache*.  These facts are versioned **per stream**:
-every routing mutation (install/discard/remove_interface, reached via
-subscribe/unsubscribe/advertise/retree) bumps the version of exactly the
-streams it touched and every catalog registration bumps the catalog
+and a bounded *route cache*.  These facts are the data plane's one
+versioned memo, versioned **per stream**: every routing mutation
+(install/discard/remove_interface, reached via
+subscribe/unsubscribe/advertise/retree) reports the streams it touched
+through :attr:`RoutingTable.on_change`, which bumps the version of
+exactly those streams, and every catalog registration bumps the catalog
 version, so the next publish only rebuilds the facts of streams that
 actually moved.  They hold no tree: a tree change reaches a stream
 through the entries :meth:`retree` withdraws and lays, so a stream no
@@ -301,8 +303,8 @@ class ContentBasedNetwork:
         * *Dropped*: tables of departed brokers, the emptied interfaces
           of removed edges, advertisements whose node left (and with
           them the paths toward it).
-        * *Untouched*: every other table — its entries, epoch and
-          compiled plans — and every LOCAL entry, so per-broker
+        * *Untouched*: every other table — its entries, in their
+          install order — and every LOCAL entry, so per-broker
           delivery order is what it was; the registries and their
           order, traffic statistics, the catalog, the id counter
           (new links are priced on the existing accumulators); the

@@ -66,9 +66,6 @@ class FloodedSchemaRegistry(SchemaRegistry):
             return catalog.get(name)
         return None
 
-    def catalog_at(self, node: NodeId) -> Catalog:
-        return self._catalogs[node]
-
     @property
     def stats(self) -> LinkStats:
         return self._stats

@@ -110,10 +110,6 @@ class _Parser:
             return self._next()
         return None
 
-    def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "keyword" and token.text.lower() == word
-
     # -- grammar ----------------------------------------------------------------
 
     def parse(self) -> ContinuousQuery:

@@ -362,7 +362,11 @@ class TestRouteCache:
         def footprint():
             return (
                 len(network._facts),
-                sum(len(network.table(node)._plans) for node in line_tree.nodes),
+                sum(
+                    len(streams)
+                    for node in line_tree.nodes
+                    for streams in network.table(node)._by_stream.values()
+                ),
             )
 
         after_one = None
@@ -744,11 +748,21 @@ class TestProportionality:
 
     @staticmethod
     def snapshot(network, nodes):
-        return {
-            node: (table, table.epoch, dict(table._stream_versions), dict(table._plans))
-            for node in nodes
-            for table in [network.table(node)]
-        }
+        """Per broker: its table, its entries per interface, and the
+        change reports it makes from now on."""
+        before = {}
+        for node in nodes:
+            table, reports = network.table(node), []
+            bump = table.on_change
+
+            def report(streams, bump=bump, reports=reports):
+                reports.append(streams)
+                bump(streams)
+
+            table.on_change = report
+            entries = {i: table.entries(i) for i in table.interfaces}
+            before[node] = (table, entries, reports)
+        return before
 
     @staticmethod
     def spy_on_discard(monkeypatch):
@@ -762,11 +776,13 @@ class TestProportionality:
         return visits
 
     def assert_untouched(self, network, before):
-        for node, (table, epoch, versions, plans) in before.items():
+        for node, (table, entries, reports) in before.items():
             assert network.table(node) is table
-            assert (table.epoch, table._stream_versions) == (epoch, versions)
-            assert table._plans.keys() == plans.keys()
-            assert all(table._plans[key][0] is plans[key][0] for key in plans)
+            assert {i: table.entries(i) for i in table.interfaces} == entries
+            assert all(
+                list(table.entries(i)) == list(entries[i]) for i in entries
+            )
+            assert reports == []
 
     def test_unsubscribe_visits_its_own_path_only(self, spider, monkeypatch):
         network, legs = spider

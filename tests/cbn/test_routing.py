@@ -1,9 +1,15 @@
 """Per-node routing tables: install/remove, decisions, early projection."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cbn import filters
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
+from repro.cbn.network import ContentBasedNetwork
 from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
+from repro.overlay.tree import DisseminationTree
 from repro.sim import reference
 
 
@@ -161,102 +167,210 @@ class TestStreamIndex:
         assert 1 not in table.stream_interfaces("S")
         assert 1 in table.stream_interfaces("T")
 
-    def test_decide_matches_reference_scan(self):
-        datagrams = [
-            Datagram("S", {"a": 1, "b": 2}),
-            Datagram("S", {"a": 9, "b": 0}),
-            Datagram("T", {"a": 1, "b": 2}),
-        ]
-        profiles = [
-            ("s1", profile({"a"}, Comparison("a", ">", 0))),
-            ("s2", profile(ALL_ATTRIBUTES, stream="T")),
-            ("s3", profile({"b"}, Comparison("b", ">=", 2))),
-        ]
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_decisions_match_the_reference_scan(self, data):
+        """Random buckets — entries wanting all attributes anywhere in
+        them, entries replaced (by an equal profile or another one) and
+        discarded between datagrams — decide and deliver what the
+        reference scan does, projected attributes and their order
+        included."""
         table = RoutingTable(0)
-        for sid, prof in profiles:
-            table.install(1, sid, prof)
-        for datagram in datagrams:
-            a = table.decide(1, datagram)
-            b = reference.decide(table, 1, datagram)
-            assert (a.forward, a.attributes) == (b.forward, b.attributes)
+        interfaces = [RoutingTable.LOCAL, 1, 2]
+        for step in range(data.draw(st.integers(1, 24), label="steps")):
+            op = data.draw(st.sampled_from(["install", "install", "discard", "publish"]))
+            interface = data.draw(st.sampled_from(interfaces), label=f"if{step}")
+            entry = data.draw(st.sampled_from(ENTRY_IDS), label=f"id{step}")
+            if op == "install":
+                stored = table.entries(interface).get(entry)
+                if stored is not None and data.draw(st.booleans(), label=f"same{step}"):
+                    table.install(interface, entry, Profile(stored.projections, stored.filters))
+                else:
+                    table.install(interface, entry, draw_profile(data, f"p{step}"))
+            elif op == "discard":
+                table.discard(interface, entry)
+            else:
+                datagram = draw_datagram(data, f"d{step}")
+                for neighbor in interfaces[1:]:
+                    fast = table.decide(neighbor, datagram)
+                    naive = reference.decide(table, neighbor, datagram)
+                    assert (fast.forward, fast.attributes) == (naive.forward, naive.attributes)
+                assert delivered(table.local_deliveries(datagram)) == delivered(
+                    reference.local_deliveries(table, datagram)
+                )
 
 
-class TestEpoch:
-    def test_install_bumps_epoch(self):
-        table = RoutingTable(0)
-        before = table.epoch
+ATTRS = ["a", "b", "c", "d"]
+ENTRY_IDS = ["e0", "e1", "e2", "e3", "e4"]
+
+
+def draw_profile(data, label):
+    """A profile on one or both streams; per stream all attributes or
+    some, and no filter (unconditional) or one or two (a disjunction)."""
+    streams = data.draw(
+        st.sets(st.sampled_from(["S", "T"]), min_size=1), label=f"{label}-streams"
+    )
+    projections, filters = {}, []
+    for stream in sorted(streams):
+        projections[stream] = data.draw(
+            st.one_of(
+                st.just(ALL_ATTRIBUTES),
+                st.sets(st.sampled_from(ATTRS), min_size=1).map(frozenset),
+            ),
+            label=f"{label}-{stream}-projection",
+        )
+        for index in range(data.draw(st.integers(0, 2), label=f"{label}-{stream}-filters")):
+            atoms = [
+                Comparison(attr, data.draw(st.sampled_from(["<", ">=", "=", "!="])),
+                           data.draw(st.integers(-2, 2)))
+                for attr in data.draw(
+                    st.lists(st.sampled_from(ATTRS), min_size=1, max_size=2, unique=True),
+                    label=f"{label}-{stream}-{index}-attrs",
+                )
+            ]
+            filters.append(Filter(stream, cond(*atoms)))
+    return Profile(projections, filters)
+
+
+def draw_datagram(data, label):
+    stream = data.draw(st.sampled_from(["S", "T"]), label=f"{label}-stream")
+    names = data.draw(st.permutations(ATTRS), label=f"{label}-order")
+    payload = {
+        name: value
+        for name in names
+        if (value := data.draw(st.one_of(st.none(), st.integers(-3, 3)))) is not None
+    }
+    return Datagram(stream, payload)
+
+
+def delivered(deliveries):
+    return [(sid, datagram, tuple(datagram.payload)) for sid, datagram in deliveries]
+
+
+def reporting_table():
+    """Broker 0's table in a two-broker network, its change reports
+    recorded on their way to the network: ``(network, table, reports)``."""
+    network = ContentBasedNetwork(DisseminationTree([(0, 1)], {(0, 1): 1.0}))
+    table, reports = network.table(0), []
+    bump = table.on_change
+
+    def report(streams):
+        reports.append(streams)
+        bump(streams)
+
+    table.on_change = report
+    return network, table, reports
+
+
+class TestChangeReports:
+    """A mutation reports the streams it touched through ``on_change``,
+    which is what the network's ``routing_epoch`` and per-stream facts
+    move on; a mutation that changes nothing reports nothing."""
+
+    def test_noop_discard_reports_nothing(self):
+        network, table, reports = reporting_table()
         table.install(1, "s1", profile({"a"}))
-        assert table.epoch == before + 1
-
-    def test_noop_discard_keeps_epoch(self):
-        table = RoutingTable(0)
-        table.install(1, "s1", profile({"a"}))
-        before = table.epoch
         assert not table.discard(1, "missing")
-        assert not table.discard(2, "s1")
-        assert table.epoch == before
+        assert not table.discard(0, "s1")
+        assert reports == [frozenset({"S"})]
+        assert network.routing_epoch == 1
 
-    def test_identical_reinstall_is_a_noop(self):
-        calls = []
-        table = RoutingTable(0, on_change=calls.append)
+    def test_identical_reinstall_reports_nothing(self):
+        network, table, reports = reporting_table()
         table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
         table.install(1, "b", profile({"b"}))
-        plan, epoch, version = table._plan(1, "S"), table.epoch, dict(table._stream_versions)
         table.install(1, "a", profile({"a"}, Comparison("a", ">", 0)))
-        assert (table.epoch, table._stream_versions) == (epoch, version)
-        assert table._plan(1, "S") is plan and len(calls) == 2
+        assert len(reports) == network.routing_epoch == 2
         # the entries keep their install order
         assert list(table.entries(1)) == ["a", "b"]
 
-    def test_remove_missing_interface_keeps_epoch(self):
-        table = RoutingTable(0)
-        before = table.epoch
+    def test_remove_missing_interface_reports_nothing(self):
+        network, table, reports = reporting_table()
+        table.install(1, "s1", profile({"a"}))
         table.remove_interface(9)
-        assert table.epoch == before
+        assert reports == [frozenset({"S"})]
+        assert network.routing_epoch == 1
 
-    def test_on_change_called_per_mutation(self):
-        calls = []
-        table = RoutingTable(0, on_change=calls.append)
+    def test_each_mutation_reports_the_streams_it_touched(self):
+        network, table, reports = reporting_table()
         table.install(1, "s1", profile({"a"}))
         table.discard(1, "s1")
-        # One call per mutation, reporting the streams it touched.
-        assert calls == [frozenset({"S"}), frozenset({"S"})]
-        # An interface dropped with entries behind it reports theirs
-        # (the network's route caches are versioned by these reports).
-        table.install(1, "s2", profile({"a"}))
-        table.install(1, "t1", profile({"a"}, stream="T"))
-        version = dict(table._stream_versions)
+        assert reports == [frozenset({"S"}), frozenset({"S"})]
+        # a replaced entry reports the streams of both profiles
+        table.install(1, "s1", profile({"a"}))
+        table.install(1, "s1", profile({"a"}, stream="T"))
+        assert reports[-1] == frozenset({"S", "T"})
+        # an interface dropped with entries behind it reports theirs
+        # (the network's route caches are versioned by these reports)
+        table.install(1, "u1", profile({"a"}, stream="U"))
         table.remove_interface(1)
-        assert calls[-1] == frozenset({"S", "T"}) and len(calls) == 5
-        assert all(table._stream_versions[s] == version[s] + 1 for s in "ST")
+        assert reports[-1] == frozenset({"T", "U"})
+        assert len(reports) == network.routing_epoch == 6
 
-    def test_mutation_keeps_other_streams_plans_warm(self):
-        # "S30" and "S7" have the same crc32 % 64: invalidation is per
-        # stream name, not per hash bucket.
-        for other in ("T", "S30"):
-            table = RoutingTable(0)
-            table.install(1, "a", profile({"a"}, stream="S7"))
-            table.install(1, "b", profile({"a"}, stream=other))
-            touched, warm = table._plan(1, "S7"), table._plan(1, other)
-            table.install(1, "a2", profile({"b"}, stream="S7"))
-            assert table._plan(1, other) is warm
-            rebuilt = table._plan(1, "S7")
-            assert rebuilt is not touched and len(rebuilt[0]) == 2
-            table.discard(1, "a2")
-            assert table._plan(1, other) is warm
-            assert len(table._plan(1, "S7")[0]) == 1
+    def test_a_replaced_entry_is_installed_last(self):
+        table = RoutingTable(0)
+        for sid in ("a", "b"):
+            table.install(RoutingTable.LOCAL, sid, profile({"a"}))
+        table.install(RoutingTable.LOCAL, "a", profile({"a", "b"}))
+        datagram = Datagram("S", {"a": 1, "b": 2})
+        assert list(table.local_profiles()) == ["b", "a"]
+        assert [sid for sid, __ in table.local_deliveries(datagram)] == ["b", "a"]
 
-    def test_a_plan_goes_with_its_bucket(self):
+    def test_a_bucket_goes_with_its_last_entry(self):
         table = RoutingTable(0)
         table.install(1, "a", profile({"a"}, stream="S"))
         table.install(1, "b", profile({"a"}, stream="T"))
+        table.install(2, "c", profile({"a"}, stream="S"))
         datagram = Datagram("S", {"a": 1})
         assert table.decide(1, datagram).forward
-        # an interface or stream with no entry compiles (and keeps) nothing
-        assert not table.decide(2, datagram).forward
+        # an interface or stream with no entry answers and keeps nothing
+        assert not table.decide(3, datagram).forward
         assert table.local_deliveries(datagram) == []
         assert not table.decide(1, Datagram("U", {"a": 1})).forward
-        assert set(table._plans) == {(1, "S")}
+        assert {i: set(streams) for i, streams in table._by_stream.items()} == {
+            1: {"S", "T"},
+            2: {"S"},
+        }
         table.discard(1, "a")
-        assert table._plans == {}
+        assert set(table._by_stream[1]) == {"T"}
+        assert table.stream_interfaces("S") == [2]
         assert not table.decide(1, datagram).forward
+
+
+class TestMatcher:
+    def test_a_profile_resolves_each_stream_once(self):
+        both = Profile({"S": {"a"}, "T": ALL_ATTRIBUTES}, [Filter("S", cond(Comparison("a", ">", 0)))])
+        matcher = both.matcher("S")
+        assert both.matcher("S") is matcher
+        assert (matcher.projection, matcher.carried, matcher.wants_all) == (
+            frozenset({"a"}), frozenset({"a"}), False
+        )
+        assert matcher.covers({"a": 1}) and not matcher.covers({"a": 0})
+        unconditional = both.matcher("T")
+        assert unconditional.wants_all and unconditional.covers({})
+
+    def test_a_k_hop_path_builds_one_matcher_per_stream(self, monkeypatch):
+        """The network lays one restricted profile object at every hop
+        of a path, so routing along it resolves each stream once, not
+        once per hop."""
+        built = []
+        init = filters.Matcher.__init__
+
+        def counting(matcher, owner, stream):
+            built.append((id(owner), stream))
+            init(matcher, owner, stream)
+
+        monkeypatch.setattr(filters.Matcher, "__init__", counting)
+        for hops in (1, 4, 8):
+            built.clear()
+            edges = [(node, node + 1) for node in range(hops)]
+            network = ContentBasedNetwork(DisseminationTree(edges, {e: 1.0 for e in edges}))
+            for stream in ("S", "T"):
+                network.advertise(stream, 0)
+            network.subscribe(Profile({"S": {"a"}, "T": {"a"}}), hops, "u")
+            for stream in ("S", "T"):
+                for __ in range(2):
+                    assert len(network.publish(Datagram(stream, {"a": 1}), 0)) == 1
+            # per stream: the path's entries and the subscriber's own one
+            assert sorted(stream for __, stream in built) == ["S", "S", "T", "T"]
+            assert len(set(built)) == len(built)

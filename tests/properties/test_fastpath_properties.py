@@ -1,7 +1,8 @@
 """The production data plane is observationally identical to the naive scan.
 
-The per-stream routing index, the compiled plans and — above all — the
-per-stream **route cache** are pure optimisations: across any
+The per-stream routing index, the per-profile matchers and — above all —
+the per-stream **route cache**, the one versioned memo on the data
+plane, are pure optimisations: across any
 interleaving of advertise / subscribe / unsubscribe / publish
 operations, a ``ContentBasedNetwork`` must produce exactly the
 deliveries (same subscribers, brokers, payloads and order), the same

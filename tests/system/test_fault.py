@@ -352,12 +352,13 @@ class TestPublishManyUnderFailure:
                 pytest.fail("no repairable victim left")
 
 
-class TestRepairKeepsOffPathPlansWarm:
-    """A repair redoes the routing state on the paths it broke, so
-    streams routed elsewhere keep publishing on warm compiled plans."""
+class TestRepairKeepsOffPathRoutesWarm:
+    """A repair redoes the routing state on the paths it broke, so a
+    stream routed elsewhere keeps replaying its cached routes and no
+    matcher is built for it."""
 
     def test_stream_off_the_failed_path_compiles_nothing(self, monkeypatch):
-        from repro.cbn import routing
+        from repro.cbn import filters
 
         # hub 0 (the processor) with three legs of three brokers; the
         # only physical shortcut bridges broker 8 on the third leg.
@@ -383,14 +384,15 @@ class TestRepairKeepsOffPathPlansWarm:
         assert (opened.result_count, closed.result_count) == (1, 1)
 
         compiled = []
-        init = routing._CompiledEntry.__init__
+        init = filters.Matcher.__init__
 
-        def counting(entry, *args):
+        def counting(matcher, *args):
             compiled.append(args)
-            init(entry, *args)
+            init(matcher, *args)
 
-        monkeypatch.setattr(routing._CompiledEntry, "__init__", counting)
+        monkeypatch.setattr(filters.Matcher, "__init__", counting)
         fail_broker(system, 8)
+        before = system.network.route_cache_stats()
         system.publish(
             "OpenAuction",
             {"itemID": 2, "sellerID": 1, "start_price": 20.0, "timestamp": 120.0},
@@ -398,5 +400,9 @@ class TestRepairKeepsOffPathPlansWarm:
         )
         assert opened.result_count == 2
         assert compiled == []  # OpenAuction and its results never crossed 8
+        after = system.network.route_cache_stats()
+        # the tuple and its result both replayed a route cached before
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + 2
         system.publish("ClosedAuction", {"itemID": 2, "buyerID": 1, "timestamp": 180.0}, 180.0)
         assert closed.result_count == 2 and compiled  # re-laid through 7-9

@@ -135,6 +135,16 @@ if git grep -nE "use_subsumption|_restore\(" -- src/repro; then
     exit 1
 fi
 
+echo "== one memo on the data plane (repro.cbn) =="
+# The network's per-stream facts and routes are the only versioned cache: a
+# routing table reports the streams a mutation touched and keeps no plan cache
+# (it served 10-30 % of its lookups under the route cache), and a profile
+# resolves each stream once through Profile.matcher.
+if git grep -nE "_plans|_plan\(|_stream_versions|self\.epoch" -- src/repro/cbn/routing.py; then
+    echo "ci: cbn/routing.py must not grow a versioned plan cache back" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
