@@ -80,9 +80,6 @@ class StateMachine:
             if t.label == label and t.source == source
         ]
 
-    def labels(self) -> List[str]:
-        return sorted({t.label for t in self.transitions})
-
     def reachable(self) -> Set[str]:
         seen = set(self.initial)
         frontier = list(self.initial)

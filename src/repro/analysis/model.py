@@ -208,7 +208,6 @@ class ProductModel:
             )
             for c in self.components
         }
-        self._quiescent = {c.name: c.quiescent for c in self.components}
 
     @property
     def variables(self) -> List[str]:

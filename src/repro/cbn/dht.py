@@ -123,10 +123,6 @@ class DHTStore(Generic[T]):
                 return value
         return None
 
-    def delete(self, key: str) -> None:
-        for node in self._ring.owners(key, self._replicas):
-            self._storage.get(node, {}).pop(key, None)
-
     def fail_node(self, node: NodeId) -> None:
         """Drop a node and everything it stored."""
         self._storage.pop(node, None)

@@ -9,15 +9,16 @@ on that stream's attributes.  A *profile* is the triple ⟨S, P, F⟩:
 * ``F`` — a set of filters; a datagram is covered by the profile when
   it is covered by *any* filter (disjunction of conjunctions).
 
-Coverage (:meth:`Profile.covers`) and subsumption
-(:meth:`Profile.subsumes`, built on the sound implication test of the
-predicate algebra) are what brokers use to route datagrams and to
-aggregate routing-table entries.
+Coverage (:meth:`Profile.covers`) is what brokers use to route
+datagrams.  Subsumption (:meth:`Profile.subsumes`, built on the sound
+implication test of the predicate algebra) is what the analyzer reads
+to flag a profile that another on the same interface makes dead
+(COS203); routing tables keep one entry per subscription and do not
+aggregate.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -27,7 +28,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -251,36 +251,6 @@ class Profile:
                         return False
         return True
 
-    def merge(self, other: "Profile") -> "Profile":
-        """The union profile: requests everything either operand requests.
-
-        Used by brokers to aggregate the interests reachable through one
-        overlay link.  Projections union per stream (with
-        :data:`ALL_ATTRIBUTES` absorbing); filters concatenate, except
-        that an unconditional stream request absorbs that stream's
-        filters.
-        """
-        projections: Dict[str, FrozenSet[str]] = dict(self._projections)
-        for stream, attrs in other._projections.items():
-            if stream in projections:
-                if projections[stream] == ALL_ATTRIBUTES or attrs == ALL_ATTRIBUTES:
-                    projections[stream] = ALL_ATTRIBUTES
-                else:
-                    projections[stream] = projections[stream] | attrs
-            else:
-                projections[stream] = attrs
-        unconditional: Set[str] = set()
-        for profile in (self, other):
-            for stream in profile.streams:
-                if not profile.filters_for(stream):
-                    unconditional.add(stream)
-        filters = [
-            flt
-            for flt in itertools.chain(self._filters, other._filters)
-            if flt.stream not in unconditional
-        ]
-        return Profile(projections, _dedupe_filters(filters))
-
     def restricted_to(self, stream: str) -> "Profile":
         """The sub-profile concerning a single stream."""
         return Profile(
@@ -317,13 +287,3 @@ class Profile:
     def __repr__(self) -> str:
         streams = ", ".join(sorted(self.streams))
         return f"Profile(S={{{streams}}}, |F|={len(self._filters)})"
-
-
-def _dedupe_filters(filters: Iterable[Filter]) -> List[Filter]:
-    seen: Set[Filter] = set()
-    out: List[Filter] = []
-    for flt in filters:
-        if flt not in seen:
-            seen.add(flt)
-            out.append(flt)
-    return out

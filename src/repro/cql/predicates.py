@@ -231,12 +231,6 @@ class Interval:
             hi, hi_strict = self.hi, self.hi_strict and other.hi_strict
         return Interval(lo, hi, lo_strict, hi_strict)
 
-    def shift(self, delta: float) -> "Interval":
-        """Interval translated by ``delta`` (numeric intervals only)."""
-        lo = None if self.lo is None else self.lo + delta
-        hi = None if self.hi is None else self.hi + delta
-        return Interval(lo, hi, self.lo_strict, self.hi_strict)
-
     def negate(self) -> "Interval":
         """The interval ``{-v : v in self}`` (numeric intervals only)."""
         lo = None if self.hi is None else -self.hi

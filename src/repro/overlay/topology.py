@@ -4,8 +4,7 @@ The paper's evaluation generates a 1000-node power-law topology with the
 BRITE generator.  BRITE's power-law mode implements Barabási–Albert
 preferential attachment; :func:`barabasi_albert` reproduces it (nodes
 are placed in a plane, links are weighted by Euclidean distance, which
-models link delay).  :func:`waxman` implements BRITE's other classic
-model as an alternative.
+models link delay).
 
 Everything is seeded through an explicit :class:`random.Random` so
 experiments are reproducible.
@@ -209,65 +208,3 @@ def barabasi_albert(
             topo.add_edge(node, target)
             attachment_pool.extend((node, target))
     return topo
-
-
-def waxman(
-    n: int,
-    alpha: float = 0.15,
-    beta: float = 0.6,
-    rng: Optional[random.Random] = None,
-    extent: float = 1000.0,
-) -> Topology:
-    """The Waxman random-graph model (BRITE's other classic mode).
-
-    Nodes at random plane positions; an edge between u and v exists with
-    probability ``alpha * exp(-d(u, v) / (beta * L))`` where ``L`` is the
-    plane diagonal.  The graph is patched to connectivity by linking
-    each stranded component to its nearest already-connected node.
-    """
-    rng = rng or random.Random(0)
-    topo = Topology()
-    points = _scatter(n, rng, extent)
-    for node, pos in enumerate(points):
-        topo.add_node(node, pos)
-    diagonal = math.hypot(extent, extent)
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = alpha * math.exp(-topo.distance(u, v) / (beta * diagonal))
-            if rng.random() < p:
-                topo.add_edge(u, v)
-    _patch_connectivity(topo)
-    return topo
-
-
-def _patch_connectivity(topo: Topology) -> None:
-    """Connect stray components to the largest component's nearest node."""
-    nodes = topo.nodes
-    if not nodes:
-        return
-    remaining = set(nodes)
-    components: List[Set[NodeId]] = []
-    while remaining:
-        start = next(iter(remaining))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for other in sorted(topo.neighbors(node)):
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        components.append(seen)
-        remaining -= seen
-    components.sort(key=len, reverse=True)
-    main = set(components[0])
-    for component in components[1:]:
-        best: Optional[Tuple[float, NodeId, NodeId]] = None
-        for u in component:
-            for v in main:
-                d = topo.distance(u, v)
-                if best is None or d < best[0]:
-                    best = (d, u, v)
-        assert best is not None
-        topo.add_edge(best[1], best[2])
-        main |= component

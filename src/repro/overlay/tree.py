@@ -232,13 +232,6 @@ class DisseminationTree:
             total += rate * self.path_weight(source, sink)
         return total
 
-    def next_hop(self, source: NodeId, target: NodeId) -> NodeId:
-        """First node after ``source`` on the path to ``target``."""
-        path = self.path(source, target)
-        if len(path) < 2:
-            raise TreeError(f"{source} and {target} are the same node")
-        return path[1]
-
     def component_via(self, node: NodeId, neighbor: NodeId) -> Set[NodeId]:
         """All nodes reachable from ``node`` through ``neighbor``.
 

@@ -55,7 +55,7 @@ order, so recovery traces replay byte-identically too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.cbn.datagram import Datagram
@@ -119,14 +119,7 @@ class ChaosCounters:
     deliveries: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "injects": self.injects,
-            "duplicates": self.duplicates,
-            "drops": self.drops,
-            "faults_applied": self.faults_applied,
-            "faults_refused": self.faults_refused,
-            "deliveries": self.deliveries,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -567,7 +560,6 @@ class VirtualNetwork:
         for chunk in chunks:
             migration.channel.send(chunk, sim.now)
         migration.start_drain()
-        migration.chunks_sent = len(chunks)
         self.load.counters.state_chunks_sent += len(chunks)
         self.trace.record(
             f"drain t={sim.now:g} group={migration.group_id} "

@@ -1,7 +1,7 @@
 """Whole-system simulation of COSMOS (sections 2 and 5).
 
-Puts the layers together: brokers and processors
-(:mod:`repro.system.node`) on an overlay tree, a query distribution
+Puts the layers together: processors (:mod:`repro.system.node`) on an
+overlay tree whose other nodes are brokers, a query distribution
 service (:mod:`repro.system.distribution`), the end-to-end facade
 (:mod:`repro.system.cosmos`), an analytic model of shared vs non-shared
 result delivery (:mod:`repro.system.delivery`, Figure 3), two-layer
@@ -16,8 +16,6 @@ from __future__ import annotations
 from repro.system.cosmos import CosmosSystem, QueryStatus, SubmittedQuery
 from repro.system.delivery import DeliveryCostModel, GroupPlacement
 from repro.system.distribution import (
-    LeastLoadedDistribution,
-    ProximityDistribution,
     QueryDistribution,
     RoundRobinDistribution,
     StreamAffinityDistribution,
@@ -25,7 +23,7 @@ from repro.system.distribution import (
 from repro.system.events import EventSimulator
 from repro.system.feeds import LiveFeedRunner, ScheduledSource
 from repro.system.monitor import SystemMonitor
-from repro.system.node import Broker, Processor
+from repro.system.node import Processor
 from repro.system.reliability import (
     FailureDetector,
     ReliabilityCounters,
@@ -40,16 +38,13 @@ from repro.system.reliability import (
 from repro.system.tuning import reorganize_overlay, traffic_demands
 
 __all__ = [
-    "Broker",
     "CosmosSystem",
     "DeliveryCostModel",
     "EventSimulator",
     "FailureDetector",
     "GroupPlacement",
-    "LeastLoadedDistribution",
     "LiveFeedRunner",
     "Processor",
-    "ProximityDistribution",
     "QueryDistribution",
     "QueryStatus",
     "ReliabilityCounters",

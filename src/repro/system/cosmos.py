@@ -39,7 +39,7 @@ from repro.system.distribution import (
     QueryDistribution,
     StreamAffinityDistribution,
 )
-from repro.system.node import Broker, Processor
+from repro.system.node import Processor
 
 
 class SystemError_(Exception):
@@ -90,8 +90,6 @@ class CosmosSystem:
     topology:
         Optional underlying physical topology; required only by the
         fault-tolerance repair logic (:mod:`repro.system.fault`).
-    distribution:
-        Query distribution policy; defaults to stream-set affinity.
     merging:
         When ``False``, every query forms its own group (the non-share
         baseline of Figure 3) — implemented by an infinite merge
@@ -103,14 +101,12 @@ class CosmosSystem:
         tree: DisseminationTree,
         processor_nodes: Sequence[NodeId],
         topology: Optional[Topology] = None,
-        distribution: Optional[QueryDistribution] = None,
-        cost_model: Optional[CostModel] = None,
         merging: bool = True,
     ) -> None:
         self.tree = tree
         self.topology = topology
         self.catalog = Catalog()
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.merging = merging
         self.network = ContentBasedNetwork(tree, self.catalog)
         self.processors: Dict[NodeId, Processor] = {}
@@ -118,10 +114,9 @@ class CosmosSystem:
             if node not in tree:
                 raise SystemError_(f"processor node {node} not in the tree")
             self.processors[node] = self._make_processor(node)
-        self.brokers: Dict[NodeId, Broker] = {
-            node: Broker(node) for node in tree.nodes if node not in self.processors
-        }
-        self.distribution = distribution or StreamAffinityDistribution()
+        #: Query distribution policy: stream-set affinity; a caller may
+        #: swap in another :class:`QueryDistribution` before submitting.
+        self.distribution: QueryDistribution = StreamAffinityDistribution()
         self._sources: Dict[str, NodeId] = {}
         self._queries: Dict[str, SubmittedQuery] = {}
         #: query id -> current CBN subscription id for its results, that

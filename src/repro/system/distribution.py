@@ -5,8 +5,6 @@ load management service"*.  The paper leaves the policy open; this
 module provides the natural family:
 
 * :class:`RoundRobinDistribution` — cycle through processors;
-* :class:`LeastLoadedDistribution` — fewest resident merged groups wins;
-* :class:`ProximityDistribution` — smallest tree distance to the user;
 * :class:`StreamAffinityDistribution` — hash of the query's stream set,
   so queries over the same streams land on the same processor, which
   maximises the grouping optimizer's merging opportunities (used by the
@@ -68,49 +66,6 @@ class RoundRobinDistribution(QueryDistribution):
     ) -> Processor:
         self._require(processors)
         return processors[next(self._counter) % len(processors)]
-
-
-class LeastLoadedDistribution(QueryDistribution):
-    """Fewest merged groups currently resident (ties broken by node id).
-
-    Groups, not raw queries, are the unit of processor work: ten
-    queries merged into one group evaluate one representative, so
-    counting them as ten would steer new load away from a processor
-    that is in fact nearly idle.  This mirrors the load manager's view
-    (:mod:`repro.system.loadmgr` migrates whole groups for the same
-    reason).
-    """
-
-    def choose(
-        self,
-        query: ContinuousQuery,
-        user_node: NodeId,
-        processors: Sequence[Processor],
-    ) -> Processor:
-        self._require(processors)
-        return min(processors, key=lambda p: (p.group_count, p.node_id))
-
-
-class ProximityDistribution(QueryDistribution):
-    """Closest processor to the submitting user on the tree."""
-
-    def __init__(self, tree: DisseminationTree) -> None:
-        self._tree = tree
-
-    def choose(
-        self,
-        query: ContinuousQuery,
-        user_node: NodeId,
-        processors: Sequence[Processor],
-    ) -> Processor:
-        self._require(processors)
-        return min(
-            processors,
-            key=lambda p: (
-                self._tree.path_weight(user_node, p.node_id),
-                p.node_id,
-            ),
-        )
 
 
 class CostAwareDistribution(QueryDistribution):

@@ -23,7 +23,6 @@ from repro.overlay.topology import NodeId, Topology, TopologyError
 from repro.overlay.tree import DisseminationTree
 from repro.system import rebuild
 from repro.system.cosmos import CosmosSystem
-from repro.system.node import Broker
 
 
 class FaultError(Exception):
@@ -139,7 +138,6 @@ def fail_processor(system: CosmosSystem, node: NodeId) -> List[str]:
         for member in group.members:
             orphaned.append(member.name)
     processor.drop_source_subscriptions()
-    system.brokers[node] = Broker(node)
     rehomed: List[str] = []
     failures: List[Tuple[str, Exception]] = []
     for query_id in orphaned:

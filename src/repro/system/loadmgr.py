@@ -48,7 +48,7 @@ must not absorb migration traffic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.grouping import QueryGroup
@@ -122,14 +122,7 @@ class LoadCounters:
     state_chunks_sent: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hotspots_detected": self.hotspots_detected,
-            "migrations_started": self.migrations_started,
-            "migrations_completed": self.migrations_completed,
-            "migrations_aborted": self.migrations_aborted,
-            "migrations_retried": self.migrations_retried,
-            "state_chunks_sent": self.state_chunks_sent,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +262,6 @@ class GroupMigration:
     members: List[str] = field(default_factory=list)
     state: MigrationState = MigrationState.PREPARING
     channel: Optional["MigrationChannel"] = None
-    chunks_sent: int = 0
 
     def start_drain(self) -> None:
         """PREPARING -> DRAINING: the state handoff began."""

@@ -1,8 +1,8 @@
-"""Broker and processor node models (Figure 2).
+"""The processor node model (Figure 2).
 
-A *broker* runs only the data layer (it is a position on the
-dissemination tree; the routing itself lives in
-:class:`~repro.cbn.network.ContentBasedNetwork`).  A *processor*
+A *broker* runs only the data layer: it is a position on the
+dissemination tree with no object of its own, and the routing itself
+lives in :class:`~repro.cbn.network.ContentBasedNetwork`.  A *processor*
 additionally runs the query layer: a query manager, a pluggable SPE
 behind its data/query wrappers, and the bookkeeping to keep its CBN
 subscriptions in line with the groups the manager maintains — the
@@ -13,7 +13,6 @@ processor's share of the group reconciliation (DESIGN.md section 6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cbn.datagram import Datagram
@@ -32,17 +31,6 @@ from repro.spe.wrappers import (
     IdentityQueryWrapper,
     QueryWrapper,
 )
-
-
-@dataclass
-class Broker:
-    """A data-layer-only server: routes datagrams, processes nothing."""
-
-    node_id: NodeId
-
-    @property
-    def is_processor(self) -> bool:
-        return False
 
 
 class Processor:
@@ -81,10 +69,6 @@ class Processor:
         #: and back (deliveries are dispatched by subscription id)
         self._source_subscriptions: Dict[str, str] = {}
         self._source_groups: Dict[str, str] = {}
-
-    @property
-    def is_processor(self) -> bool:
-        return True
 
     @property
     def query_count(self) -> int:

@@ -44,7 +44,7 @@ they move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro.overlay.topology import NodeId, Topology
@@ -118,19 +118,7 @@ class ReliabilityCounters:
     queries_resumed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "nacks_sent": self.nacks_sent,
-            "retransmits": self.retransmits,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "reorder_occupancy": self.reorder_occupancy,
-            "reorder_peak": self.reorder_peak,
-            "gaps_abandoned": self.gaps_abandoned,
-            "nodes_suspected": self.nodes_suspected,
-            "repairs_applied": self.repairs_applied,
-            "repairs_retried": self.repairs_retried,
-            "queries_quarantined": self.queries_quarantined,
-            "queries_resumed": self.queries_resumed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

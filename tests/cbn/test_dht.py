@@ -74,15 +74,24 @@ class TestStore:
         store.put("k", "v")
         assert store.get("k") == "v"
 
+    def test_put_overwrites(self):
+        store = DHTStore(ConsistentHashRing(range(5)), replicas=2)
+        store.put("k", "v1")
+        owners = store.put("k", "v2")
+        assert store.get("k") == "v2"
+        assert all("k" in store.keys_on(node) for node in owners)
+
+    def test_put_places_on_the_ring_owners(self):
+        ring = ConsistentHashRing(range(8))
+        store = DHTStore(ring, replicas=3)
+        owners = store.put("k", "v")
+        assert owners == ring.owners("k", 3)
+        holders = {node for node in ring.nodes if "k" in store.keys_on(node)}
+        assert holders == set(owners)
+
     def test_get_missing(self):
         store = DHTStore(ConsistentHashRing(range(5)))
         assert store.get("nope") is None
-
-    def test_delete(self):
-        store = DHTStore(ConsistentHashRing(range(5)))
-        store.put("k", "v")
-        store.delete("k")
-        assert store.get("k") is None
 
     def test_replication_survives_primary_failure(self):
         ring = ConsistentHashRing(range(10))

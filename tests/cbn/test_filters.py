@@ -1,4 +1,4 @@
-"""Filters and ⟨S, P, F⟩ profiles: coverage, subsumption, merging."""
+"""Filters and ⟨S, P, F⟩ profiles: coverage and subsumption."""
 
 import pytest
 
@@ -132,53 +132,25 @@ class TestSubsumption:
         assert not numeric.subsumes(text)
         assert not text.subsumes(numeric)
 
+    def test_disjunction_subsumes_each_disjunct(self):
+        high = Filter("S", cond(Comparison("a", ">", 5)))
+        low = Filter("S", cond(Comparison("a", "<", -5)))
+        either = Profile({"S": {"a"}}, [high, low])
+        assert either.subsumes(Profile({"S": {"a"}}, [high]))
+        assert either.subsumes(Profile({"S": {"a"}}, [low]))
+
+    def test_one_disjunct_does_not_subsume_the_disjunction(self):
+        high = Filter("S", cond(Comparison("a", ">", 5)))
+        low = Filter("S", cond(Comparison("a", "<", -5)))
+        assert not Profile({"S": {"a"}}, [high]).subsumes(
+            Profile({"S": {"a"}}, [high, low])
+        )
+
     def test_unconditional_request_not_subsumed_by_filtered(self):
         filtered = Profile({"S": ALL_ATTRIBUTES}, [Filter("S", cond(Comparison("a", ">", 0)))])
         everything = Profile({"S": ALL_ATTRIBUTES})
         assert everything.subsumes(filtered)
         assert not filtered.subsumes(everything)
-
-
-class TestMerge:
-    def test_merge_unions_streams(self):
-        a = Profile({"R": {"x"}})
-        b = Profile({"S": {"y"}})
-        merged = a.merge(b)
-        assert merged.streams == frozenset({"R", "S"})
-
-    def test_merge_unions_projections(self):
-        a = Profile({"S": {"x"}})
-        b = Profile({"S": {"y"}})
-        assert a.merge(b).projection_for("S") == frozenset({"x", "y"})
-
-    def test_merge_all_attributes_absorbs(self):
-        a = Profile({"S": ALL_ATTRIBUTES})
-        b = Profile({"S": {"y"}})
-        assert a.merge(b).projection_for("S") == ALL_ATTRIBUTES
-
-    def test_merge_keeps_both_filters(self):
-        fa = Filter("S", cond(Comparison("a", ">", 0)))
-        fb = Filter("S", cond(Comparison("a", "<", -5)))
-        merged = Profile({"S": {"a"}}, [fa]).merge(Profile({"S": {"a"}}, [fb]))
-        assert set(merged.filters) == {fa, fb}
-
-    def test_merge_unconditional_absorbs_filters(self):
-        filtered = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 0)))])
-        unconditional = Profile({"S": {"a"}})
-        merged = filtered.merge(unconditional)
-        assert merged.filters_for("S") == []
-
-    def test_merge_subsumes_both(self):
-        a = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 5)))])
-        b = Profile({"S": {"b"}}, [Filter("S", cond(Comparison("b", "<", 1)))])
-        merged = a.merge(b)
-        assert merged.subsumes(a)
-        assert merged.subsumes(b)
-
-    def test_merge_dedupes_filters(self):
-        f = Filter("S", cond(Comparison("a", ">", 0)))
-        merged = Profile({"S": {"a"}}, [f]).merge(Profile({"S": {"a"}}, [f]))
-        assert len(merged.filters) == 1
 
 
 class TestMisc:

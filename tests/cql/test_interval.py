@@ -121,12 +121,6 @@ class TestLattice:
 
 
 class TestArithmetic:
-    def test_shift(self):
-        assert Interval(1, 2).shift(3) == Interval(4, 5)
-
-    def test_shift_unbounded(self):
-        assert Interval(lo=1).shift(-1) == Interval(lo=0)
-
     def test_negate(self):
         assert Interval(1, 2).negate() == Interval(-2, -1)
 
@@ -134,6 +128,13 @@ class TestArithmetic:
         iv = Interval(1, 2, lo_strict=True)
         neg = iv.negate()
         assert neg == Interval(-2, -1, hi_strict=True)
+
+    def test_negate_unbounded_side_flips(self):
+        assert Interval(lo=1).negate() == Interval(hi=-1)
+        assert Interval(hi=0, hi_strict=True).negate() == Interval(lo=0, lo_strict=True)
+
+    def test_negate_point(self):
+        assert Interval.point(3).negate() == Interval.point(-3)
 
     def test_negate_involution(self):
         iv = Interval(-3, 7, lo_strict=True, hi_strict=False)

@@ -10,7 +10,6 @@ from repro.overlay.topology import (
     TopologyError,
     barabasi_albert,
     edge_key,
-    waxman,
 )
 
 
@@ -167,6 +166,15 @@ class TestBarabasiAlbert:
         # Preferential attachment concentrates degree in a few hubs.
         assert degrees[0] >= 5 * degrees[len(degrees) // 2]
 
+    def test_every_node_has_at_least_m_links(self):
+        topo = barabasi_albert(80, 3, random.Random(4))
+        assert min(topo.degree(n) for n in topo.nodes) >= 3
+
+    def test_seeds_give_different_graphs(self):
+        a = barabasi_albert(60, 2, random.Random(7))
+        b = barabasi_albert(60, 2, random.Random(8))
+        assert a.edges != b.edges
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(TopologyError):
             barabasi_albert(2, 2)
@@ -174,18 +182,3 @@ class TestBarabasiAlbert:
     def test_bad_m_rejected(self):
         with pytest.raises(TopologyError):
             barabasi_albert(10, 0)
-
-
-class TestWaxman:
-    def test_connected_after_patching(self):
-        assert connected(waxman(80, rng=random.Random(5)))
-
-    def test_seed_reproducible(self):
-        a = waxman(50, rng=random.Random(9))
-        b = waxman(50, rng=random.Random(9))
-        assert a.edges == b.edges
-
-    def test_higher_alpha_denser(self):
-        sparse = waxman(60, alpha=0.05, rng=random.Random(4))
-        dense = waxman(60, alpha=0.5, rng=random.Random(4))
-        assert len(dense.edges) > len(sparse.edges)

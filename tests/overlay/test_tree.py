@@ -52,12 +52,21 @@ class TestPaths:
     def test_path_weight(self, line_tree):
         assert line_tree.path_weight(0, 4) == 4.0
 
-    def test_next_hop(self, line_tree):
-        assert line_tree.next_hop(0, 4) == 1
+    def test_path_is_symmetric(self, small_tree):
+        rng = random.Random(1)
+        for __ in range(30):
+            a, b = rng.choice(small_tree.nodes), rng.choice(small_tree.nodes)
+            assert small_tree.path(b, a) == small_tree.path(a, b)[::-1]
 
-    def test_next_hop_same_node_raises(self, line_tree):
-        with pytest.raises(TreeError):
-            line_tree.next_hop(2, 2)
+    def test_path_weight_sums_path_edges(self, small_tree):
+        rng = random.Random(2)
+        for __ in range(30):
+            a, b = rng.choice(small_tree.nodes), rng.choice(small_tree.nodes)
+            edges = small_tree.path_edges(a, b)
+            assert len(edges) == len(small_tree.path(a, b)) - 1
+            assert small_tree.path_weight(a, b) == pytest.approx(
+                sum(small_tree.weight(u, v) for u, v in edges)
+            )
 
     def test_unknown_node_raises(self, line_tree):
         with pytest.raises(TreeError):

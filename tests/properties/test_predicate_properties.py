@@ -58,10 +58,6 @@ class TestIntervalLattice:
     def test_negate_membership(self, a, v):
         assert a.negate().contains_value(-v) == a.contains_value(v)
 
-    @given(intervals(), values, st.integers(min_value=-5, max_value=5))
-    def test_shift_membership(self, a, v, d):
-        assert a.shift(d).contains_value(v + d) == a.contains_value(v)
-
 
 class TestConjunctionSemantics:
     @given(conjunctions(), conjunctions(), bindings())

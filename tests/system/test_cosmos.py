@@ -4,6 +4,10 @@ import pytest
 
 from repro.cql.ast import QueryError
 from repro.system.cosmos import CosmosSystem, SystemError_
+from repro.system.distribution import (
+    RoundRobinDistribution,
+    StreamAffinityDistribution,
+)
 from repro.workload.auction import (
     CLOSED_AUCTION_SCHEMA,
     OPEN_AUCTION_SCHEMA,
@@ -268,8 +272,22 @@ class TestProcessorPlacement:
         with pytest.raises(SystemError_):
             CosmosSystem(line_tree, processor_nodes=[99])
 
-    def test_brokers_are_rest_of_nodes(self, system):
-        assert set(system.brokers) == {0, 1, 3, 4}
+    def test_default_policy_is_stream_affinity(self, line_tree):
+        sys_ = CosmosSystem(line_tree, processor_nodes=[1, 3])
+        assert isinstance(sys_.distribution, StreamAffinityDistribution)
+
+    def test_policy_swapped_after_construction_places_queries(self, line_tree):
+        # The placement ablation reassigns ``distribution`` on a built system.
+        sys_ = CosmosSystem(line_tree, processor_nodes=[1, 3])
+        sys_.add_source(OPEN_AUCTION_SCHEMA, 0)
+        sys_.distribution = RoundRobinDistribution()
+        placed = [
+            sys_.submit(
+                f"SELECT O.itemID FROM OpenAuction O WHERE O.sellerID = {i}", 4
+            ).processor_node
+            for i in range(4)
+        ]
+        assert placed == [1, 3, 1, 3]
 
 
 class TestWithdrawRefreshesSurvivors:

@@ -4,9 +4,8 @@ import pytest
 
 from repro.cql.parser import parse_query
 from repro.system.distribution import (
+    CostAwareDistribution,
     DistributionError,
-    LeastLoadedDistribution,
-    ProximityDistribution,
     RoundRobinDistribution,
     StreamAffinityDistribution,
 )
@@ -29,29 +28,12 @@ class TestRoundRobin:
         chosen = [policy.choose(query, 0, processors).node_id for __ in range(6)]
         assert chosen == [0, 2, 4, 0, 2, 4]
 
-    def test_empty_rejected(self):
-        with pytest.raises(DistributionError):
-            RoundRobinDistribution().choose(q("SELECT T.a FROM T"), 0, [])
-
-
-class TestLeastLoaded:
-    def test_prefers_idle_processor(self, processors):
-        policy = LeastLoadedDistribution()
-        processors[0].accept(q("SELECT T.temperature FROM Temp T"), name="a")
-        chosen = policy.choose(q("SELECT T.humidity FROM Temp T"), 0, processors)
-        assert chosen.node_id == 2
-
-    def test_tie_breaks_by_node_id(self, processors):
-        policy = LeastLoadedDistribution()
-        assert policy.choose(q("SELECT T.temperature FROM Temp T"), 0, processors).node_id == 0
-
-
-class TestProximity:
-    def test_nearest_on_tree(self, line_tree, sensor_catalog):
-        processors = [Processor(0, sensor_catalog), Processor(4, sensor_catalog)]
-        policy = ProximityDistribution(line_tree)
-        assert policy.choose(q("SELECT T.a FROM T"), 1, processors).node_id == 0
-        assert policy.choose(q("SELECT T.a FROM T"), 3, processors).node_id == 4
+    def test_instances_cycle_independently(self, processors):
+        query = q("SELECT T.temperature FROM Temp T")
+        first, second = RoundRobinDistribution(), RoundRobinDistribution()
+        first.choose(query, 0, processors)
+        first.choose(query, 0, processors)
+        assert second.choose(query, 0, processors).node_id == 0
 
 
 class TestStreamAffinity:
@@ -81,11 +63,48 @@ class TestStreamAffinity:
         )
         assert a.node_id == b.node_id
 
+    def test_load_does_not_move_the_choice(self, processors):
+        # Affinity keeps a FROM set together however busy its processor
+        # gets: grouping opportunities outrank balance.
+        policy = StreamAffinityDistribution()
+        query = q("SELECT T.temperature FROM Temp T")
+        chosen = policy.choose(query, 0, processors)
+        for i in range(5):
+            chosen.accept(q(f"SELECT T.humidity FROM Temp T WHERE T.station = {i}"))
+        assert policy.choose(query, 0, processors) is chosen
+
+
+def every_policy(line_tree, sensor_catalog):
+    return {
+        "round-robin": RoundRobinDistribution(),
+        "affinity": StreamAffinityDistribution(),
+        "cost-aware": CostAwareDistribution(
+            line_tree, sensor_catalog, {"Temp": 0, "Wind": 4}
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["round-robin", "affinity", "cost-aware"])
+class TestEveryPolicy:
+    def test_picks_an_offered_processor(
+        self, name, line_tree, sensor_catalog, processors
+    ):
+        policy = every_policy(line_tree, sensor_catalog)[name]
+        for text in (
+            "SELECT T.temperature FROM Temp T",
+            "SELECT W.speed FROM Wind W",
+            "SELECT T.station FROM Temp T, Wind W WHERE T.station = W.station",
+        ):
+            assert policy.choose(q(text), 1, processors) in processors
+
+    def test_empty_rejected(self, name, line_tree, sensor_catalog):
+        policy = every_policy(line_tree, sensor_catalog)[name]
+        with pytest.raises(DistributionError):
+            policy.choose(q("SELECT T.temperature FROM Temp T"), 0, [])
+
 
 class TestCostAware:
     def test_prefers_on_path_over_detour(self, star_tree, sensor_catalog):
-        from repro.system.distribution import CostAwareDistribution
-
         # Star: source at 1, user at 3; processor 0 (the hub) is on the
         # path, processor 4 is a two-hop detour.
         procs = [Processor(0, sensor_catalog), Processor(4, sensor_catalog)]
@@ -98,8 +117,6 @@ class TestCostAware:
         assert chosen.node_id == 0
 
     def test_heavy_result_pulls_processor_toward_user(self, line_tree, sensor_catalog):
-        from repro.system.distribution import CostAwareDistribution
-
         procs = [Processor(1, sensor_catalog), Processor(3, sensor_catalog)]
         policy = CostAwareDistribution(
             line_tree, sensor_catalog, {"Temp": 0, "Wind": 0}
@@ -116,8 +133,6 @@ class TestCostAware:
         assert light_result.node_id == 1
 
     def test_deterministic(self, line_tree, sensor_catalog):
-        from repro.system.distribution import CostAwareDistribution
-
         procs = [Processor(0, sensor_catalog), Processor(2, sensor_catalog)]
         policy = CostAwareDistribution(
             line_tree, sensor_catalog, {"Temp": 0, "Wind": 0}

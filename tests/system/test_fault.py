@@ -120,6 +120,15 @@ class TestBrokerFailure:
         repaired = fail_broker(system, victim)
         assert victim not in repaired
 
+    def test_failed_broker_leaves_the_routing_tree(self, auction_system_builder):
+        # 30-node deployment: processors 0/1, sources at 2, users 3/4.
+        system, __, __ = auction_system_builder(n_nodes=30)
+        victim = 5
+        fail_broker(system, victim)
+        assert victim not in system.tree
+        assert system.network.tree is system.tree
+        assert victim not in system.network.tree.nodes
+
     def test_failing_a_broker_twice_is_refused(self, running_system):
         # Used to leak overlay.tree.TreeError("unknown node ..."), which
         # no caller catches: a chaos schedule crashing one broker twice

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, StreamSchema
 from repro.system.cosmos import CosmosSystem, QueryStatus
-from repro.system.distribution import LeastLoadedDistribution
 from repro.system.loadmgr import (
     GroupMigration,
     HotspotDetector,
@@ -23,7 +21,6 @@ from repro.system.loadmgr import (
     resume_after_migration,
 )
 from repro.system.monitor import ProcessorLoad, SystemMonitor
-from repro.system.node import Processor
 
 TEMP = StreamSchema(
     "Temp",
@@ -299,26 +296,6 @@ class TestCutover:
         assert processor.group_count == 0
         with pytest.raises(KeyError):
             processor.release_group(group.group_id)
-
-
-class TestLeastLoadedCountsGroups:
-    def q(self, text):
-        return parse_query(text)
-
-    def test_merged_queries_count_as_one_group(self, sensor_catalog):
-        processors = [Processor(node, sensor_catalog) for node in (0, 2)]
-        # Two queries on node 0, but they merge into a single group.
-        processors[0].accept(self.q("SELECT T.station FROM Temp [Now] T"), name="a")
-        processors[0].accept(self.q("SELECT T.station FROM Temp [Now] T"), name="b")
-        processors[1].accept(self.q("SELECT W.speed FROM Wind W"), name="c")
-        assert processors[0].query_count == 2
-        assert processors[0].group_count == 1
-        # Group counts tie 1-1, so the node-id tie-break picks 0 — a
-        # raw query count would have steered to node 2.
-        chosen = LeastLoadedDistribution().choose(
-            self.q("SELECT T.humidity FROM Temp T"), 0, processors
-        )
-        assert chosen.node_id == 0
 
 
 class TestAttachLoadManager:

@@ -1,4 +1,4 @@
-"""Broker/processor node models."""
+"""The processor node model."""
 
 import pytest
 
@@ -7,18 +7,13 @@ from repro.cbn.network import ContentBasedNetwork
 from repro.core.grouping import GroupingDecision
 from repro.cql.parser import parse_query
 from repro.spe.wrappers import ListDataWrapper, TextQueryWrapper
-from repro.system.node import Broker, Processor
+from repro.system.node import Processor
 from repro.workload.auction import (
     CLOSED_AUCTION_SCHEMA,
     OPEN_AUCTION_SCHEMA,
     TABLE1_Q1,
     TABLE1_Q2,
 )
-
-
-class TestBroker:
-    def test_broker_is_not_processor(self):
-        assert not Broker(3).is_processor
 
 
 class TestStandaloneProcessor:
@@ -45,6 +40,15 @@ class TestStandaloneProcessor:
         assert isinstance(decision, GroupingDecision)
         assert decision.created_group and decision.query.name == "q1"
         assert proc.manager.grouping.group_of("q1") is decision.group
+
+    def test_merged_queries_count_as_one_group(self, sensor_catalog):
+        # The load manager's unit (SystemMonitor.processor_loads reads it):
+        # two queries that merge are one group of work, not two.
+        proc = Processor(0, sensor_catalog)
+        proc.accept(parse_query("SELECT T.station FROM Temp [Now] T"), name="a")
+        proc.accept(parse_query("SELECT T.station FROM Temp [Now] T"), name="b")
+        assert proc.query_count == 2
+        assert proc.group_count == 1
 
     def test_group_scoped_feed(self, auction_catalog):
         proc = Processor(1, auction_catalog)

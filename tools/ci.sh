@@ -145,6 +145,19 @@ if git grep -nE "_plans|_plan\(|_stream_versions|self\.epoch" -- src/repro/cbn/r
     exit 1
 fi
 
+echo "== only what runs (repro) =="
+# BA is the one topology generator, stream affinity (cost-aware and round-robin
+# in the placement ablation) the placement policies, one entry per subscription
+# the routing table; brokers are tree positions with no object of their own.
+# The Waxman generator, least-loaded and proximity placement, profile merging
+# and the broker registry had no caller outside their own tests and were deleted.
+if git grep -nE "waxman|LeastLoadedDistribution|ProximityDistribution|class Broker|\.brokers|_dedupe_filters" -- src/repro \
+   || git grep -nF "def merge(" -- src/repro/cbn/filters.py; then
+    echo "ci: src/repro must not grow a deleted generator, placement policy," \
+         "profile merging or the broker registry back" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
