@@ -269,6 +269,8 @@ class Profile:
         return size
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Profile):
             return NotImplemented
         return (

@@ -6,9 +6,9 @@ keeps the local SPE in sync ("a new query or a modification of an
 existing query is sent to the SPE").  It is the first of the three
 owners of the group reconciliation (DESIGN.md section 6): whenever a
 group's representative changes it re-issues it to the SPE, and on
-request it composes, once per change, every member's *result profile*
-(how a user pulls their query's results out of the representative's
-result stream).
+request it hands back every member's *result profile* (how a user pulls
+their query's results out of the representative's result stream),
+composing only the ones the change touched.
 
 The manager is deliberately network-agnostic: it hands back the changed
 group and lets its callers install what follows from it into the CBN
@@ -20,13 +20,13 @@ it can be unit-tested without any network.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cbn.filters import Profile
 from repro.cql.ast import ContinuousQuery
-from repro.cql.schema import Catalog
+from repro.cql.schema import Catalog, StreamSchema
 from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
-from repro.core.profiles import result_profile
+from repro.core.profiles import PreparedRepresentative, result_profile
 from repro.core.cost import CostModel
 from repro.spe.engine import StreamProcessingEngine
 
@@ -68,6 +68,17 @@ class QueryManager:
         self._counter = itertools.count()
         #: group id -> name under which its representative runs on the SPE
         self._registered: Dict[str, str] = {}
+        #: group id -> the representative and its streams' schemas the
+        #: group's result profiles were last composed against, and member
+        #: name -> (member, profile) as composed then
+        self._composed: Dict[
+            str,
+            Tuple[
+                ContinuousQuery,
+                Tuple[StreamSchema, ...],
+                Dict[str, Tuple[ContinuousQuery, Profile]],
+            ],
+        ] = {}
 
     # -- submission -----------------------------------------------------------
 
@@ -104,23 +115,39 @@ class QueryManager:
     def result_profiles_of(self, group: QueryGroup) -> Dict[str, Profile]:
         """Current re-tightening profiles of every member of ``group``.
 
-        The one place member profiles are composed.  Needed whenever the
-        representative changed (a member joined *or left*): the result
-        stream's content changed, so every member's subscription must be
-        recomposed against the new representative — the narrowed one may
-        no longer carry attributes the old profiles referenced.
+        The one place member profiles are composed, and only what
+        changed is: a member's profile depends on the member, the
+        representative and the schemas of its streams alone, so the
+        profiles last composed for the group are handed back again
+        while the representative equals the one they were composed
+        against and the schemas of its streams are unchanged.  When
+        either moved, every member is recomposed against one
+        :class:`PreparedRepresentative`; otherwise only a member new to
+        the group is.  (Not keyed on ``Catalog.version``: every
+        result-stream advertisement bumps it.)
         """
+        rep = group.representative
+        catalog = self.catalog
+        schemas = tuple(catalog.get(stream) for stream in rep.stream_names)
+        previous = self._composed.get(group.group_id)
+        known: Dict[str, Tuple[ContinuousQuery, Profile]] = {}
+        if previous is not None and previous[0] == rep and previous[1] == schemas:
+            known = previous[2]
         result_stream = self.result_stream_of(group)
-        return {
-            member.name: result_profile(
-                member,
-                group.representative,
-                self.catalog,
-                result_stream,
-                subscriber=member.name,
-            )
-            for member in group.members
-        }
+        prepared: Optional[PreparedRepresentative] = None
+        composed: Dict[str, Tuple[ContinuousQuery, Profile]] = {}
+        for member in group.members:
+            entry = known.get(member.name)
+            if entry is None or entry[0] is not member:
+                if prepared is None:
+                    prepared = PreparedRepresentative(rep, catalog)
+                profile = result_profile(
+                    member, prepared, catalog, result_stream, subscriber=member.name
+                )
+                entry = (member, profile)
+            composed[member.name] = entry
+        self._composed[group.group_id] = (rep, schemas, composed)
+        return {name: profile for name, (__, profile) in composed.items()}
 
     def withdraw(self, query_name: str) -> Optional[QueryGroup]:
         """Remove a query; returns the group with its narrowed
@@ -132,6 +159,7 @@ class QueryManager:
         self.grouping.remove(query_name)  # recomposes ``group`` in place
         if not group.members:
             self._deregister(group.group_id)
+            self._composed.pop(group.group_id, None)
             return None
         self._sync_spe(group)
         return group
@@ -146,6 +174,7 @@ class QueryManager:
         """
         members = self.grouping.extract_group(group_id)
         self._deregister(group_id)
+        self._composed.pop(group_id, None)
         return members
 
     # -- introspection -------------------------------------------------------------

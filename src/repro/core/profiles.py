@@ -14,11 +14,13 @@ Three kinds of data-interest profiles are composed by the query layer:
   *re-tightens* "the constraints that have been loosened in the
   representative query": the member's residual selection/join atoms
   plus the Lemma 1 window constraints, and the member's own projection.
+  Composing several members against one representative derives the
+  representative's side once (:class:`PreparedRepresentative`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Union
 
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cql.ast import ContinuousQuery
@@ -105,9 +107,24 @@ def direct_result_profile(
     return Profile({result_stream: ALL_ATTRIBUTES}, (), subscriber=subscriber)
 
 
+class PreparedRepresentative:
+    """A representative's side of :func:`result_profile`, derived once
+    for all the members composed against it: its canonical form (whose
+    predicate and windows the residuals are taken against) and the
+    attribute names its result stream carries."""
+
+    __slots__ = ("canonical", "outputs")
+
+    def __init__(self, rep: ContinuousQuery, catalog: Catalog) -> None:
+        self.canonical = rep.canonical(catalog)
+        self.outputs: FrozenSet[str] = frozenset(
+            self.canonical.output_attribute_names(catalog)
+        )
+
+
 def result_profile(
     member: ContinuousQuery,
-    rep: ContinuousQuery,
+    rep: Union[ContinuousQuery, PreparedRepresentative],
     catalog: Catalog,
     result_stream: str,
     subscriber: Optional[str] = None,
@@ -119,30 +136,32 @@ def result_profile(
     filter re-applies the member's residual constraints (including the
     Lemma 1 window constraints for windows the representative widened)
     and the projection keeps the member's own output attributes.
+    ``rep`` is the representative, or its :class:`PreparedRepresentative`
+    when several members are composed against it.
 
     For the paper's Table 1 example this yields
     ``p1 = ⟨{s3}, {O.*}, {-3h <= O.timestamp - C.timestamp <= 0}⟩``
     for q1 against the representative q3.
     """
+    if not isinstance(rep, PreparedRepresentative):
+        rep = PreparedRepresentative(rep, catalog)
     canonical_member = member.canonical(catalog)
-    canonical_rep = rep.canonical(catalog)
-    rep_outputs = set(canonical_rep.output_attribute_names(catalog))
 
     atoms: List[Atom] = list(
-        residual_atoms(canonical_member, canonical_rep.predicate)
+        residual_atoms(canonical_member, rep.canonical.predicate)
     )
-    atoms.extend(window_residuals(canonical_member, canonical_rep))
+    atoms.extend(window_residuals(canonical_member, rep.canonical))
     needed: Set[str] = set()
     for atom in atoms:
         needed |= atom_terms(atom)
-    missing = needed - rep_outputs
+    missing = needed - rep.outputs
     if missing:
         raise ProfileCompositionError(
             f"member {member.name!r} cannot be recovered: representative "
             f"result stream lacks attributes {sorted(missing)}"
         )
     member_outputs = canonical_member.output_attribute_names(catalog)
-    not_provided = set(member_outputs) - rep_outputs
+    not_provided = set(member_outputs) - rep.outputs
     if not_provided:
         raise ProfileCompositionError(
             f"member {member.name!r} outputs {sorted(not_provided)} missing "

@@ -222,9 +222,10 @@ class CosmosSystem:
         The one place this happens — submission, withdrawal, migration
         cutover/resume and partition heal all end here.  Each member's
         handle is stamped with the processor and the result stream, and
-        each ``ACTIVE`` member's profile is recomposed against the
-        current representative (the old one may reference attributes the
-        result stream no longer carries).  A member already subscribed
+        each ``ACTIVE`` member's profile is read off the manager
+        (:meth:`~repro.core.manager.QueryManager.result_profiles_of`,
+        which composes a member again only when the representative moved
+        or the member is new to the group).  A member already subscribed
         with exactly that profile keeps its subscription; any other is
         replaced.  A ``DEGRADED`` member is skipped by construction: it
         holds no subscription until its owner flips it back and
@@ -249,7 +250,17 @@ class CosmosSystem:
 
     def attach_result_subscription(self, query_id: str, profile: Profile) -> None:
         """Subscribe ``query_id``'s user to its results under a fresh
-        ``user:<query>:v<n>`` id (the query must hold none)."""
+        ``user:<query>:v<n>`` id.
+
+        The query must hold none: a second subscription would deliver
+        every result twice, so it raises :class:`SystemError_` before
+        anything is subscribed (detach the held one first).
+        """
+        held = self._user_subscriptions.get(query_id)
+        if held is not None:
+            raise SystemError_(
+                f"query {query_id!r} already holds result subscription {held!r}"
+            )
         handle = self._queries[query_id]
         sub_id = self.network.subscribe(
             profile,

@@ -431,7 +431,9 @@ def resume_after_migration(
     processor is reconciled once (:meth:`CosmosSystem.reconcile_group`):
     every member's handle is re-pointed at the processor and the
     resumed ones are re-subscribed (the others keep subscriptions whose
-    profile did not change).  Members that vanished, are not
+    profile did not change).  A group the cutover just reconciled
+    composes no profile here: its representative has not moved since.
+    Members that vanished, are not
     ``DEGRADED``, are owned by the reliability partition quarantine, or
     whose user node left the tree stay as they are (their owning path
     heals them).  Returns the resumed ids in ``members`` order.
@@ -471,11 +473,12 @@ def cutover_group(
     by member on the target *in group order*, so the target's grouping
     optimizer reproduces the merge (or folds the members into an
     existing compatible group — merging never decreases).  Every touched
-    target group is reconciled — its resident active members' result
+    target group is reconciled once all movers are in — each mover's
+    profile is composed there, once; resident active members' result
     subscriptions are refreshed where the changed representative changed
     their profiles, the migrated ones are still ``DEGRADED`` and
-    skipped — then the
-    migrated members are resumed.  Returns the resumed ids.
+    skipped — then the migrated members are resumed, which reuses
+    those profiles.  Returns the resumed ids.
     """
     source = system.processors.get(migration.source_node)
     target = system.processors.get(migration.target_node)

@@ -5,9 +5,10 @@ import pytest
 from repro.cbn.datagram import Datagram
 from repro.core.grouping import GroupingDecision, GroupingOptimizer
 from repro.core.manager import QueryManager
-from repro.core.profiles import source_profile
+from repro.core.profiles import result_profile, source_profile
 from repro.core.cost import CostModel
 from repro.cql.parser import parse_query
+from repro.cql.schema import Attribute, StreamSchema
 from repro.workload.auction import TABLE1_Q1, TABLE1_Q2
 
 
@@ -118,6 +119,45 @@ class TestWithdraw:
     def test_withdraw_unknown_raises(self, manager):
         with pytest.raises(KeyError):
             manager.withdraw("zzz")
+
+
+class TestComposedProfiles:
+    """``result_profiles_of`` hands back the profiles it composed last
+    only while they are still what a fresh composition would give."""
+
+    def test_widened_schema_recomposes_a_star_member(self, sensor_catalog):
+        manager = QueryManager(sensor_catalog)
+        sub = manager.submit(
+            parse_query("SELECT T.* FROM Temp [Now] T WHERE T.temperature > 10"),
+            name="q1",
+        )
+        group = sub.group
+        before = manager.result_profiles_of(group)["q1"]
+        temp = sensor_catalog.get("Temp")
+        sensor_catalog.register(
+            StreamSchema(
+                "Temp",
+                temp.attributes + (Attribute("pressure", "float", 900.0, 1100.0),),
+                rate=temp.rate,
+            )
+        )
+        after = manager.result_profiles_of(group)["q1"]
+        stream = manager.result_stream_of(group)
+        fresh = result_profile(
+            group.members[0], group.representative, sensor_catalog, stream,
+            subscriber="q1",
+        )
+        assert after == fresh
+        assert after.projection_for(stream) == before.projection_for(stream) | {
+            "Temp.pressure"
+        }
+
+    def test_unchanged_group_hands_back_the_same_profiles(self, manager):
+        manager.submit(parse_query(TABLE1_Q1), name="q1")
+        sub = manager.submit(parse_query(TABLE1_Q2), name="q2")
+        first = manager.result_profiles_of(sub.group)
+        again = manager.result_profiles_of(sub.group)
+        assert all(again[name] is first[name] for name in ("q1", "q2"))
 
 
 class TestMergingDisabled:

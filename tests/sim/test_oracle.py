@@ -109,11 +109,18 @@ class TestSystemChecks:
 
     def test_second_subscription_is_an_orphan(self, system):
         # The duplicate-results symptom: a re-subscription that did not
-        # withdraw the subscription the query already held.
+        # withdraw the subscription the query already held.  The system
+        # refuses to attach one, so it is planted in its registries.
         query_id = query_ids(ChaosConfig(seed=1))[0]
         first = system._user_subscriptions[query_id]
+        handle = system.query(query_id)
         profile = system.network.subscriptions()[first][1]
-        system.attach_result_subscription(query_id, profile)
+        second = system.network.subscribe(
+            profile, handle.user_node, subscription_id=f"user:{query_id}:planted"
+        )
+        system._user_subscriptions[query_id] = second
+        system._subscribers[second] = handle
+        system._installed[second] = profile
         violations = check_no_orphans(system)
         assert any(first in v and "not the one recorded" in v for v in violations)
 

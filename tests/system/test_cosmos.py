@@ -228,6 +228,20 @@ class TestResultSubscription:
         close_auction(system, 1, 60.0)
         assert handle.result_count == 1
 
+    def test_second_attach_is_refused(self, system):
+        # A second subscription would deliver every result twice and leave
+        # the first one behind in the registries and the network.
+        handle = system.submit(TABLE1_Q1, user_node=4, name="q1")
+        (first,) = self.user_subscriptions(system)
+        profile = system.network.subscriptions()[first][1]
+        with pytest.raises(SystemError_):
+            system.attach_result_subscription("q1", profile)
+        assert self.user_subscriptions(system) == [first]
+        assert system.subscriber_of(first) is handle
+        open_auction(system, 1, 0.0)
+        close_auction(system, 1, 60.0)
+        assert handle.result_count == 1
+
 
 class TestDeliveryDispatch:
     def test_query_name_may_contain_a_colon(self, system):

@@ -210,6 +210,87 @@ class TestRefreshSkip:
         assert (a.result_count, b.result_count) == (1, 2)
 
 
+class TestComposeWhatChanged:
+    """A member's profile is composed again only when its group's
+    representative moved or the member is new to the group; a group that
+    leaves its manager leaves nothing composed behind."""
+
+    @pytest.fixture
+    def composed(self, monkeypatch):
+        """The member names, in call order, whose profiles were composed."""
+        calls = []
+
+        def counting(member, *args, **kwargs):
+            calls.append(member.name)
+            return result_profile(member, *args, **kwargs)
+
+        monkeypatch.setattr("repro.core.manager.result_profile", counting)
+        return calls
+
+    @staticmethod
+    def manager_of(system, query_id):
+        return system.processors[system.query(query_id).processor_node].manager
+
+    def test_contained_submit_composes_the_newcomer_only(self, composed):
+        # ``c`` is contained by the merged representative of ``a`` and
+        # ``b``, which it leaves as it was.
+        system = build_system()
+        system.submit(warm(10), user_node=3, name="a")
+        system.submit(warm(20), user_node=5, name="b")
+        composed.clear()
+        system.submit(warm(30), user_node=7, name="c")
+        assert composed == ["c"]
+
+    def test_widening_submit_composes_each_member_once(self, composed):
+        system = build_system()
+        system.submit(warm(20), user_node=3, name="a")
+        composed.clear()
+        system.submit(warm(10), user_node=5, name="b")
+        assert composed == ["a", "b"]
+
+    def test_withdraw_that_keeps_the_representative_composes_none(self, composed):
+        system = build_system()
+        system.submit(warm(10), user_node=3, name="a")
+        system.submit(warm(20), user_node=5, name="b")
+        system.submit(warm(30), user_node=7, name="c")
+        composed.clear()
+        system.withdraw("c")
+        assert composed == []
+
+    def test_cutover_and_resume_compose_each_mover_once(self, composed):
+        system = build_system()
+        system.submit(warm(20), user_node=3, name="a")
+        system.submit(warm(10), user_node=5, name="b")
+        migration = start_migration(system, "a")
+        composed.clear()
+        assert cutover_group(system, migration) == ["a", "b"]
+        assert sorted(composed) == ["a", "b"]
+        assert check_no_orphans(system) == []
+
+    def test_last_withdraw_evicts_the_group(self):
+        system = build_system()
+        system.submit(warm(10), user_node=3, name="a")
+        system.submit(warm(20), user_node=5, name="b")
+        manager = self.manager_of(system, "a")
+        group_id = manager.grouping.group_of("a").group_id
+        system.withdraw("a")
+        assert group_id in manager._composed
+        system.withdraw("b")
+        assert manager._composed == {}
+
+    def test_release_evicts_the_group(self):
+        system = build_system()
+        system.submit(warm(10), user_node=3, name="a")
+        source = self.manager_of(system, "a")
+        group_id = source.grouping.group_of("a").group_id
+        migration = start_migration(system, "a")
+        cutover_group(system, migration)
+        assert group_id not in source._composed
+        target = self.manager_of(system, "a")
+        assert target is not source
+        assert set(target._composed) == {target.grouping.group_of("a").group_id}
+
+
 class TestRandomHistories:
     """Seeded interleavings of everything that changes a group; the
     invariants of the reconciliation hold after every step."""

@@ -125,6 +125,18 @@ if git grep -nE "only=|from_atoms\(\[atom\]\)" -- src/repro/system src/repro/cor
          "with only= or build a conjunction per atom" >&2
     exit 1
 fi
+# Member profiles are composed only through QueryManager.result_profiles_of,
+# which composes a member again only when its representative moved; the one
+# other composer under repro.system is the delivery ablation.
+if git grep -nE "(^|[^_[:alnum:]])result_profile\(" -- src/repro/system ':!src/repro/system/delivery.py'; then
+    echo "ci: src/repro/system must read member profiles off the manager," \
+         "not call result_profile (system/delivery.py excepted)" >&2
+    exit 1
+fi
+if [ "$(git grep -cE "(^|[^_[:alnum:]])result_profile\(" -- src/repro/core/manager.py | cut -d: -f2)" != 1 ]; then
+    echo "ci: core/manager.py must compose member profiles in exactly one place" >&2
+    exit 1
+fi
 
 echo "== one routing-table mode (repro) =="
 # Every subscription keeps its own entry behind every interface it crossed:
