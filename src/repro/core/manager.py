@@ -1,25 +1,26 @@
 """The per-processor query management module (sections 2 and 4).
 
-The :class:`QueryManager` is the glue of the query layer on one
-processor: it accepts user queries, runs the grouping optimizer and
-keeps the local SPE in sync ("a new query or a modification of an
-existing query is sent to the SPE").  It is the first of the three
-owners of the group reconciliation (DESIGN.md section 6): whenever a
-group's representative changes it re-issues it to the SPE, and on
-request it hands back every member's *result profile* (how a user pulls
-their query's results out of the representative's result stream),
-composing only the ones the change touched.
+The :class:`QueryManager` is the query layer's bookkeeping on one
+processor: it accepts user queries into the grouping optimizer, names
+each group's result stream, and on request hands back every member's
+*result profile* (how a user pulls their query's results out of the
+representative's result stream), composing only the ones the change
+touched.
 
-The manager is deliberately network-agnostic: it hands back the changed
-group and lets its callers install what follows from it into the CBN
-(:mod:`repro.system.node` the source subscription and the result
-advertisement, :mod:`repro.system.cosmos` the result subscriptions), so
-it can be unit-tested without any network.
+Submission, withdrawal and :meth:`QueryManager.release_group` change
+the grouping and nothing else.  What follows from a changed group is
+installed by its two owners (DESIGN.md section 6):
+:meth:`repro.system.node.Processor.commit` the SPE registration, the
+source subscription and the result advertisement, and
+:meth:`repro.system.cosmos.CosmosSystem.reconcile_group` the handles
+and result subscriptions.  The manager touches no engine and no
+network, so it can be unit-tested alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cbn.filters import Profile
@@ -28,7 +29,6 @@ from repro.cql.schema import Catalog, StreamSchema
 from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
 from repro.core.profiles import PreparedRepresentative, result_profile
 from repro.core.cost import CostModel
-from repro.spe.engine import StreamProcessingEngine
 
 
 class QueryManager:
@@ -38,8 +38,6 @@ class QueryManager:
     ----------
     catalog:
         Source stream schemas known to this processor.
-    spe:
-        The local stream processing engine (behind its wrappers).
     grouping:
         Optional pre-configured grouping optimizer; a default one is
         created otherwise.  Pass an optimizer with
@@ -51,7 +49,6 @@ class QueryManager:
     def __init__(
         self,
         catalog: Catalog,
-        spe: Optional[StreamProcessingEngine] = None,
         grouping: Optional[GroupingOptimizer] = None,
         cost_model: Optional[CostModel] = None,
         namespace: str = "",
@@ -61,13 +58,10 @@ class QueryManager:
         #: manager* — networked processors pass their node id here.
         self.namespace = namespace
         self.catalog = catalog
-        self.spe = spe if spe is not None else StreamProcessingEngine(catalog)
         self.grouping = grouping or GroupingOptimizer(
             catalog, cost_model or CostModel()
         )
         self._counter = itertools.count()
-        #: group id -> name under which its representative runs on the SPE
-        self._registered: Dict[str, str] = {}
         #: group id -> the representative and its streams' schemas the
         #: group's result profiles were last composed against, and member
         #: name -> (member, profile) as composed then
@@ -85,26 +79,18 @@ class QueryManager:
     def submit(
         self, query: ContinuousQuery, name: Optional[str] = None
     ) -> GroupingDecision:
-        """Accept a user query: group it and re-issue the (new or
-        widened) representative of its group to the SPE.
+        """Accept a user query into a (new or widened) group.
 
         Returns the grouping optimizer's decision.  Nothing derived from
-        its group rides along: whoever reconciles the network with the
-        group reads the result stream, the source profile and the
-        members' result profiles off the group as it stands then.
+        its group rides along: whoever installs the group reads the
+        representative, the result stream and the members' result
+        profiles off the group as it stands then.
         """
         if query.name is None:
-            query = ContinuousQuery(
-                query.select_items,
-                query.streams,
-                query.predicate,
-                query.group_by,
-                name or f"q{next(self._counter)}",
-            )
+            name = name or f"q{next(self._counter)}"
+            query = replace(query, name=name, source=None)
         query.validate(self.catalog)
-        decision = self.grouping.add(query)
-        self._sync_spe(decision.group)
-        return decision
+        return self.grouping.add(query)
 
     def result_stream_of(self, group: QueryGroup) -> str:
         """The stream the group's representative publishes its results on."""
@@ -150,30 +136,27 @@ class QueryManager:
         return {name: profile for name, (__, profile) in composed.items()}
 
     def withdraw(self, query_name: str) -> Optional[QueryGroup]:
-        """Remove a query; returns the group with its narrowed
-        representative re-issued to the SPE, or ``None`` when the group
-        vanished with its last member."""
+        """Remove a query; returns its group with the narrowed
+        representative, or ``None`` when the group vanished with its
+        last member."""
         group = self.grouping.group_of(query_name)
         if group is None:
             raise KeyError(f"unknown query {query_name!r}")
         self.grouping.remove(query_name)  # recomposes ``group`` in place
         if not group.members:
-            self._deregister(group.group_id)
             self._composed.pop(group.group_id, None)
             return None
-        self._sync_spe(group)
         return group
 
     def release_group(self, group_id: str) -> List[ContinuousQuery]:
-        """Tear a whole group off this manager for live migration.
+        """Tear a whole group off this manager (live migration, a
+        failed processor).
 
-        The representative is deregistered from the SPE and the group
-        leaves the grouping optimizer intact; the member queries are
-        returned in group order so the receiving manager can re-accept
-        them and reproduce the merge.
+        The group leaves the grouping optimizer intact; the member
+        queries are returned in group order so the receiving manager
+        can re-accept them and reproduce the merge.
         """
         members = self.grouping.extract_group(group_id)
-        self._deregister(group_id)
         self._composed.pop(group_id, None)
         return members
 
@@ -182,31 +165,3 @@ class QueryManager:
     @property
     def groups(self) -> List[QueryGroup]:
         return self.grouping.groups
-
-    def benefit_ratio(self) -> float:
-        return self.grouping.benefit_ratio()
-
-    def engine_name_of(self, group_id: str) -> Optional[str]:
-        """The SPE-local name the group's representative runs under."""
-        return self._registered.get(group_id)
-
-    def _deregister(self, group_id: str) -> None:
-        registered = self._registered.pop(group_id, None)
-        if registered is not None:
-            self.spe.deregister(registered)
-
-    def _sync_spe(self, group: QueryGroup) -> None:
-        """(Re-)register the group's representative on the SPE.
-
-        The SPE sees a *modification*: the old representative is
-        deregistered and the new one registered under a versioned name,
-        keeping the stable result stream name.
-        """
-        self._deregister(group.group_id)
-        engine_name = f"{group.group_id}:v{len(group.members)}"
-        self.spe.register(
-            group.representative.canonical(self.catalog),
-            name=engine_name,
-            result_stream=self.result_stream_of(group),
-        )
-        self._registered[group.group_id] = engine_name

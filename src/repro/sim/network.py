@@ -204,6 +204,15 @@ class VirtualNetwork:
         equal-time ties always resolve the same way.
         """
         sim = EventSimulator()
+        if self.recovery:
+            # The sender retains a reliable send when it sends it (as
+            # SequencedUplink.stamp does), so a NACK for a tuple still
+            # in flight is answered.
+            sends = [e for e in events if isinstance(e, InjectEvent)
+                     and e.seq is not None and not e.duplicate]
+            for event in sends:
+                sent = event.time if event.sent is None else event.sent
+                sim.schedule(sent, lambda e=event, t=sent: self._record(e, t))
         for event in events:
             sim.schedule(event.time, lambda e=event: self._apply(e, sim))
         if self.recovery and events:
@@ -303,8 +312,6 @@ class VirtualNetwork:
         stream = event.stream
         payload = dict(event.payload)
         sent = event.sent if event.sent is not None else event.time
-        if not event.duplicate:
-            self.state.uplink(stream).record(event.seq, payload, sent)
         offer = self.state.receiver(stream).offer(event.seq, payload, sent)
         self.counters.injects += 1
         if event.duplicate:
@@ -316,6 +323,9 @@ class VirtualNetwork:
         self.trace.record(
             f"{event.render()} -> {released} released{tag}"
         )
+
+    def _record(self, event: InjectEvent, sent: float) -> None:
+        self.state.uplink(event.stream).record(event.seq, dict(event.payload), sent)
 
     def _apply_punctuation(
         self, event: PunctuationEvent, sim: EventSimulator
@@ -544,7 +554,7 @@ class VirtualNetwork:
             return
         if migration.source_node not in self.primary.processors:
             # The crash-repair path already re-homed the group's members
-            # as fresh ACTIVE handles elsewhere; this move is obsolete.
+            # elsewhere and resumed them there; this move is obsolete.
             self._abort_migration(sim, key, "superseded")
             return
         if migration.source_node in self._crashed:

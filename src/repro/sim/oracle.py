@@ -111,12 +111,7 @@ def expected_results(
 
 
 def _delivered(system: CosmosSystem, query_id: str) -> List[ExpectedResult]:
-    """What the system actually delivered, via the *current* handle.
-
-    ``fail_processor`` replaces handles, so stale references collected
-    before a crash silently miss post-repair deliveries; always go
-    through ``system.query``.
-    """
+    """What the system actually delivered to ``query_id``."""
     handle = system.query(query_id)
     return [(dict(r.payload), r.timestamp) for r in handle.results]
 
@@ -162,8 +157,9 @@ def check_no_orphans(system: CosmosSystem) -> List[str]:
     """
     violations: List[str] = []
     live = system.network.subscriptions()
-    for query_id, handle in sorted(system._queries.items()):
-        sub_id = system._user_subscriptions.get(query_id)
+    for handle in sorted(system.queries, key=lambda h: h.query_id):
+        query_id = handle.query_id
+        sub_id = system.result_subscription_of(query_id)
         if handle.status is not QueryStatus.ACTIVE:
             # A quarantined (DEGRADED) query holds no subscriptions by
             # design; it is not an orphan — unless it holds one.
@@ -205,11 +201,11 @@ def check_no_orphans(system: CosmosSystem) -> List[str]:
             # The system's own registry says whose subscription this is
             # (the id is never parsed back: a query name may hold ':').
             owner = system.subscriber_of(sub_id)
-            if owner is None or system._queries.get(owner.query_id) is not owner:
+            if owner is None or system.find_query(owner.query_id) is not owner:
                 violations.append(
                     f"orphan: subscription {sub_id} outlived its query"
                 )
-            elif system._user_subscriptions.get(owner.query_id) != sub_id:
+            elif system.result_subscription_of(owner.query_id) != sub_id:
                 violations.append(
                     f"orphan: subscription {sub_id} is not the one recorded "
                     f"for query {owner.query_id!r}"
@@ -231,8 +227,8 @@ def check_no_orphans(system: CosmosSystem) -> List[str]:
 def check_chronology(system: CosmosSystem) -> List[str]:
     """Result timestamps are non-decreasing per query (survives re-homing)."""
     violations: List[str] = []
-    for query_id in sorted(system._queries):
-        results = system.query(query_id).results
+    for handle in sorted(system.queries, key=lambda h: h.query_id):
+        query_id, results = handle.query_id, handle.results
         for prev, cur in zip(results, results[1:]):
             if cur.timestamp < prev.timestamp:
                 violations.append(
@@ -246,8 +242,8 @@ def check_chronology(system: CosmosSystem) -> List[str]:
 def compare_systems(fast: CosmosSystem, naive: CosmosSystem) -> List[str]:
     """The indexed fast path delivered exactly what the naive scan did."""
     violations: List[str] = []
-    fast_ids = sorted(fast._queries)
-    naive_ids = sorted(naive._queries)
+    fast_ids = sorted(handle.query_id for handle in fast.queries)
+    naive_ids = sorted(handle.query_id for handle in naive.queries)
     if fast_ids != naive_ids:
         violations.append(
             f"fast-vs-naive: query sets diverged ({fast_ids} vs {naive_ids})"

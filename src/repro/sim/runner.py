@@ -437,7 +437,7 @@ def run_schedule(
         )
     ids = [
         query_id for query_id in query_ids(config)
-        if query_id in vnet.primary._queries
+        if vnet.primary.find_query(query_id) is not None
     ]
     if len(ids) != len(query_ids(config)):
         lost = sorted(set(query_ids(config)) - set(ids))

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
@@ -154,6 +155,11 @@ class CosmosSystem:
         self.catalog.register(schema)
         self.network.advertise(schema.name, node, schema)
 
+    @property
+    def sources(self) -> Mapping[str, NodeId]:
+        """Source stream -> the node it publishes from (read-only)."""
+        return MappingProxyType(self._sources)
+
     def source_node(self, stream: str) -> NodeId:
         try:
             return self._sources[stream]
@@ -183,13 +189,7 @@ class CosmosSystem:
         query_id = name or query.name or f"q{next(self._counter)}"
         if query_id in self._queries:
             raise SystemError_(f"duplicate query id {query_id!r}")
-        named = ContinuousQuery(
-            query.select_items,
-            query.streams,
-            query.predicate,
-            query.group_by,
-            query_id,
-        )
+        named = replace(query, name=query_id, source=None)
         processor = self.distribution.choose(
             named, user_node, sorted(self.processors.values(), key=lambda p: p.node_id)
         )
@@ -206,11 +206,15 @@ class CosmosSystem:
         return handle
 
     def withdraw(self, query_id: str) -> None:
+        """Withdraw a query (one whose re-homing off a failed processor
+        did not land is in no group, and loses its handle only)."""
         handle = self._queries.pop(query_id, None)
         if handle is None:
             raise SystemError_(f"unknown query {query_id!r}")
         self.detach_result_subscription(query_id)
-        processor = self.processors[handle.processor_node]
+        processor = self.processors.get(handle.processor_node)
+        if processor is None:
+            return
         group = processor.withdraw(query_id)
         if group is not None:
             self.reconcile_group(processor, group)
@@ -220,7 +224,9 @@ class CosmosSystem:
         ``group`` as it now stands on ``processor``.
 
         The one place this happens — submission, withdrawal, migration
-        cutover/resume and partition heal all end here.  Each member's
+        cutover/resume, partition heal and a failed processor's re-homing
+        all end here, after the processor committed the group
+        (:meth:`~repro.system.node.Processor.commit`).  Each member's
         handle is stamped with the processor and the result stream, and
         each ``ACTIVE`` member's profile is read off the manager
         (:meth:`~repro.core.manager.QueryManager.result_profiles_of`,
@@ -283,11 +289,19 @@ class CosmosSystem:
         """The query whose recorded result subscription this is, if any."""
         return self._subscribers.get(subscription_id)
 
+    def result_subscription_of(self, query_id: str) -> Optional[str]:
+        """The result subscription recorded for ``query_id``, if any."""
+        return self._user_subscriptions.get(query_id)
+
     def query(self, query_id: str) -> SubmittedQuery:
         try:
             return self._queries[query_id]
         except KeyError:
             raise SystemError_(f"unknown query {query_id!r}") from None
+
+    def find_query(self, query_id: str) -> Optional[SubmittedQuery]:
+        """The handle of ``query_id``, or ``None`` when it has none."""
+        return self._queries.get(query_id)
 
     @property
     def queries(self) -> List[SubmittedQuery]:

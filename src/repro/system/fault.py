@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.overlay.topology import NodeId, Topology, TopologyError
 from repro.overlay.tree import DisseminationTree
 from repro.system import rebuild
-from repro.system.cosmos import CosmosSystem
+from repro.system.cosmos import CosmosSystem, QueryStatus
 
 
 class FaultError(Exception):
@@ -98,7 +98,7 @@ def fail_broker(system: CosmosSystem, node: NodeId) -> DisseminationTree:
         raise FaultError(
             f"node {node} is a processor; use fail_processor instead"
         )
-    for stream, src in system._sources.items():
+    for stream, src in system.sources.items():
         if src == node:
             raise FaultError(f"node {node} hosts source {stream!r}")
     for handle in system.queries:
@@ -117,46 +117,51 @@ def fail_processor(system: CosmosSystem, node: NodeId) -> List[str]:
     routing (its data layer survives in this model; combine with
     :func:`fail_broker` for a full crash).
 
-    Re-homing preserves each query's accumulated results in
-    chronological order (results collected before the failure precede
-    any produced after it).  A query whose re-submission fails does not
-    abort the loop: its torn-down state is fully cleaned up, every
-    remaining orphan is still re-homed, and a :class:`FaultError`
-    naming the lost queries is raised at the end (chained to the first
-    underlying error), so the system is never left with queries whose
+    The dead processor's groups are released, then each orphan, in
+    group order, is placed by ``system.distribution``, accepted and
+    reconciled under the handle it already had, so its results stay in
+    chronological order.  An orphan a migration quarantined is resumed
+    where it landed (the move is superseded); a partition-quarantined
+    one stays ``DEGRADED`` for its owner.  A query whose re-homing
+    fails does not abort the loop: it is withdrawn, every remaining
+    orphan is still re-homed, and a :class:`FaultError` naming the lost
+    queries is raised at the end (chained to the first underlying
+    error), so the system is never left with queries whose
     subscriptions were silently dropped.
     """
+    # loadmgr imports this module (through reliability): import on use
+    from repro.system.loadmgr import resume_after_migration
+
     processor = system.processors.pop(node, None)
     if processor is None:
         raise FaultError(f"node {node} is not a processor")
     if not system.processors:
         system.processors[node] = processor
         raise FaultError("cannot fail the last processor")
-    # Collect the orphaned queries and detach their subscriptions.
     orphaned: List[str] = []
     for group in processor.manager.groups:
-        for member in group.members:
-            orphaned.append(member.name)
-    processor.drop_source_subscriptions()
+        orphaned.extend(
+            member.name for member in processor.release_group(group.group_id)
+        )
+    survivors = sorted(system.processors.values(), key=lambda p: p.node_id)
     rehomed: List[str] = []
     failures: List[Tuple[str, Exception]] = []
     for query_id in orphaned:
-        handle = system._queries.pop(query_id, None)
+        handle = system.find_query(query_id)
         if handle is None:
             continue
         system.detach_result_subscription(query_id)
         try:
-            new_handle = system.submit(
-                handle.query, handle.user_node, name=query_id
+            target = system.distribution.choose(
+                handle.query, handle.user_node, survivors
             )
+            system.reconcile_group(target, target.accept(handle.query).group)
+            if handle.status is QueryStatus.DEGRADED:
+                resume_after_migration(system, target.node_id, [query_id])
         except Exception as exc:  # keep re-homing the remaining orphans
-            system._queries.pop(query_id, None)
-            system.detach_result_subscription(query_id)
+            system.withdraw(query_id)
             failures.append((query_id, exc))
             continue
-        # Results collected before the failure come first; the fresh
-        # handle only accumulates results from here on.
-        new_handle.results[:0] = handle.results
         rehomed.append(query_id)
     if failures:
         lost = ", ".join(query_id for query_id, __ in failures)

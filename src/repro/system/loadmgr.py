@@ -185,13 +185,14 @@ def group_flows(
     """The flows of ``group`` if ``node`` hosted it: the representative
     pulls its sources, every member with a user pushes its results
     (:meth:`~repro.core.cost.CostModel.group_flows`)."""
+    handles = [system.find_query(member.name) for member in group.members]
     members = [
-        (member, system._queries[member.name].user_node)
-        for member in group.members
-        if member.name in system._queries
+        (member, handle.user_node)
+        for member, handle in zip(group.members, handles)
+        if handle is not None
     ]
     return system.cost_model.group_flows(
-        group.representative, members, system._sources, node, system.catalog
+        group.representative, members, system.sources, node, system.catalog
     )
 
 
@@ -372,11 +373,11 @@ def capture_group_state(
             "kind": "header",
             "group": group_id,
             "members": len(group.members),
-            "engine": processor.manager.engine_name_of(group_id) or "-",
+            "engine": processor.engine_name_of(group_id) or "-",
         }
     ]
     for member in group.members:
-        handle = system._queries.get(member.name)
+        handle = system.find_query(member.name)
         chunks.append(
             {
                 "kind": "member",
@@ -409,7 +410,7 @@ def quarantine_for_migration(
         )
     quarantined: List[str] = []
     for member in group.members:
-        handle = system._queries.get(member.name)
+        handle = system.find_query(member.name)
         if handle is None:
             continue
         if handle.status is not QueryStatus.ACTIVE:
@@ -431,8 +432,9 @@ def resume_after_migration(
     processor is reconciled once (:meth:`CosmosSystem.reconcile_group`):
     every member's handle is re-pointed at the processor and the
     resumed ones are re-subscribed (the others keep subscriptions whose
-    profile did not change).  A group the cutover just reconciled
-    composes no profile here: its representative has not moved since.
+    profile did not change); no grouping changes, so the processor
+    commits nothing.  A group the cutover just reconciled composes no
+    profile here: its representative has not moved since.
     Members that vanished, are not
     ``DEGRADED``, are owned by the reliability partition quarantine, or
     whose user node left the tree stay as they are (their owning path
@@ -445,7 +447,7 @@ def resume_after_migration(
     resumed: List[str] = []
     touched: Dict[str, QueryGroup] = {}
     for member_name in members:
-        handle = system._queries.get(member_name)
+        handle = system.find_query(member_name)
         group = processor.manager.grouping.group_of(member_name)
         if handle is None or group is None:
             continue
@@ -468,11 +470,12 @@ def cutover_group(
 ) -> List[str]:
     """Re-home the migrating group onto the target and heal members.
 
-    The whole group is torn off the source (SPE deregistration, source
-    subscription withdrawal, intact member list) and re-accepted member
-    by member on the target *in group order*, so the target's grouping
-    optimizer reproduces the merge (or folds the members into an
-    existing compatible group — merging never decreases).  Every touched
+    The whole group is torn off the source (its commit drops the SPE
+    registration and source subscription; the member list comes back
+    intact) and re-accepted member by member on the target *in group
+    order* (each accept commits the target group), so the target's
+    grouping optimizer reproduces the merge (or folds the members into
+    an existing compatible group — merging never decreases).  Every touched
     target group is reconciled once all movers are in — each mover's
     profile is composed there, once; resident active members' result
     subscriptions are refreshed where the changed representative changed

@@ -4,21 +4,21 @@ A *broker* runs only the data layer: it is a position on the
 dissemination tree with no object of its own, and the routing itself
 lives in :class:`~repro.cbn.network.ContentBasedNetwork`.  A *processor*
 additionally runs the query layer: a query manager, a pluggable SPE
-behind its data/query wrappers, and the bookkeeping to keep its CBN
-subscriptions in line with the groups the manager maintains — the
-processor's share of the group reconciliation (DESIGN.md section 6):
-:meth:`Processor._sync_group` after a group changed,
-:meth:`Processor._drop_group` when it left.
+behind its data/query wrappers, and the processor's share of the group
+reconciliation (DESIGN.md section 6): :meth:`Processor.commit`, which
+every change to a group ends in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.cbn.datagram import Datagram
+from repro.cbn.filters import Profile
 from repro.cbn.network import ContentBasedNetwork
 from repro.cql.ast import ContinuousQuery
-from repro.cql.schema import Catalog
+from repro.cql.schema import Catalog, StreamSchema
 from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
 from repro.core.manager import QueryManager
 from repro.core.profiles import source_profile
@@ -59,15 +59,17 @@ class Processor:
         self.query_wrapper = query_wrapper or IdentityQueryWrapper()
         self.spe = StreamProcessingEngine(catalog)
         self.manager = QueryManager(
-            catalog,
-            self.spe,
-            grouping=grouping,
-            cost_model=cost_model,
-            namespace=f"n{node_id}",
+            catalog, grouping=grouping, cost_model=cost_model, namespace=f"n{node_id}"
         )
-        #: group id -> CBN subscription id of the group's source profile,
-        #: and back (deliveries are dispatched by subscription id)
-        self._source_subscriptions: Dict[str, str] = {}
+        #: group id -> the canonical representative and its streams'
+        #: schemas as registered with the SPE, and the SPE-local name
+        self._registered: Dict[
+            str, Tuple[ContinuousQuery, Tuple[StreamSchema, ...], str]
+        ] = {}
+        #: group id -> the source profile as subscribed and its CBN
+        #: subscription id, and that id -> group id (deliveries are
+        #: dispatched by subscription id)
+        self._source_subscriptions: Dict[str, Tuple[Profile, str]] = {}
         self._source_groups: Dict[str, str] = {}
 
     @property
@@ -85,96 +87,104 @@ class Processor:
     def accept(
         self, query: ContinuousQuery, name: Optional[str] = None
     ) -> GroupingDecision:
-        """Accept a user query and reconcile CBN subscriptions.
+        """Accept a user query and commit its group.
 
         The query travels through the query wrapper (as it would to a
-        foreign SPE), the manager groups it and re-issues the group's
-        representative to the SPE, and the processor's CBN state for
-        the affected group follows (:meth:`_sync_group`).
+        foreign SPE), the manager groups it, and :meth:`commit`
+        installs what the changed group needs.
         """
         wrapped = self.query_wrapper.to_engine(query)
         unwrapped = self.query_wrapper.from_engine(wrapped)
         if unwrapped.name is None and query.name is not None:
-            unwrapped = ContinuousQuery(
-                unwrapped.select_items,
-                unwrapped.streams,
-                unwrapped.predicate,
-                unwrapped.group_by,
-                query.name,
-            )
+            unwrapped = replace(unwrapped, name=query.name, source=None)
         decision = self.manager.submit(unwrapped, name=name)
-        self._sync_group(decision.group)
+        self.commit(decision.group.group_id)
         return decision
 
     def withdraw(self, query_name: str) -> Optional[QueryGroup]:
-        """Remove a query; returns the recomposed group, its CBN state
-        synced to the narrowed representative, or ``None`` when the
-        group vanished (its source subscription with it).  Callers
+        """Remove a query; returns the recomposed group, committed with
+        its narrowed representative, or ``None`` when the group vanished
+        (its registration and source subscription with it).  Callers
         holding *result* subscriptions for the surviving members must
         reconcile them too (:meth:`CosmosSystem.reconcile_group`)."""
         group = self.manager.grouping.group_of(query_name)
         survivor = self.manager.withdraw(query_name)
-        if survivor is None:
-            self._drop_group(group.group_id)
-        else:
-            self._sync_group(survivor)
+        self.commit(group.group_id)
         return survivor
 
     def release_group(self, group_id: str) -> List[ContinuousQuery]:
-        """Tear a whole group off this processor for live migration.
-
-        The manager deregisters the representative from the SPE and
-        hands back the intact member list; the group's CBN source
-        subscription is withdrawn (the target installs its own when it
-        re-accepts the members).  The result-stream advertisement is
-        left in place — advertisements are idempotent registrations and
-        the stream simply goes quiet with no publisher behind it.
-        """
+        """Tear a whole group off this processor (live migration, or
+        this processor failed): the manager hands back the intact member
+        list and :meth:`commit` drops the group's SPE registration and
+        source subscription.  The result-stream advertisement stays
+        (advertisements are idempotent registrations); the stream goes
+        quiet with no publisher behind it."""
         members = self.manager.release_group(group_id)
-        self._drop_group(group_id)
+        self.commit(group_id)
         return members
 
-    def drop_source_subscriptions(self) -> None:
-        """Withdraw every group's source subscription (this processor
-        failed; its groups are re-homed elsewhere)."""
-        for group_id in list(self._source_subscriptions):
-            self._drop_group(group_id)
+    def commit(self, group_id: str) -> None:
+        """Make this processor's state for ``group_id`` match the group
+        as the manager now holds it — keep what is equal, replace what
+        changed, drop what is gone.  The one place it is installed:
+
+        * the SPE registration is kept while the canonical representative
+          and its streams' schemas equal the registered ones (so its
+          windows keep their state), else replaced under a versioned
+          name on the stable result stream;
+        * the ``src:`` subscription is kept while the source profile
+          equals the subscribed one, else replaced;
+        * the result stream is advertised, with the schema the SPE
+          derives for it, only when the registration changed.
+        """
+        group = self.manager.grouping.group(group_id)
+        current = None
+        if group is not None:
+            rep = group.representative.canonical(self.catalog)
+            current = (rep, tuple(self.catalog.get(s) for s in rep.stream_names))
+        registered = self._registered.get(group_id)
+        replaced = registered is None or registered[:2] != current
+        if replaced and registered is not None:
+            del self._registered[group_id]
+            self.spe.deregister(registered[2])
+        if replaced and group is not None:
+            engine_name = f"{group_id}:v{len(group.members)}"
+            self.spe.register(
+                current[0],
+                name=engine_name,
+                result_stream=self.manager.result_stream_of(group),
+            )
+            self._registered[group_id] = current + (engine_name,)
+        if self.network is None:
+            return
+        held = self._source_subscriptions.get(group_id)
+        profile = None if group is None else source_profile(
+            group.representative, self.catalog, subscriber=group_id
+        )
+        if held is not None and held[0] != profile:
+            del self._source_subscriptions[group_id], self._source_groups[held[1]]
+            self.network.unsubscribe(held[1])
+        if group is not None and (held is None or held[0] != profile):
+            sub_id = self.network.subscribe(
+                profile,
+                self.node_id,
+                subscription_id=f"src:{self.node_id}:{group_id}"
+                f":{self.manager.grouping.query_count}",
+            )
+            self._source_subscriptions[group_id] = (profile, sub_id)
+            self._source_groups[sub_id] = group_id
+        if replaced and group is not None:
+            schema = self.spe.result_schema_of(engine_name)
+            self.network.advertise(schema.name, self.node_id, schema)
+
+    def engine_name_of(self, group_id: str) -> Optional[str]:
+        """The SPE-local name the group's representative runs under."""
+        registered = self._registered.get(group_id)
+        return registered[2] if registered is not None else None
 
     def group_of_subscription(self, subscription_id: str) -> Optional[str]:
         """The group a source subscription of this processor feeds."""
         return self._source_groups.get(subscription_id)
-
-    def _sync_group(self, group: QueryGroup) -> None:
-        """Make this processor's CBN state match ``group`` as the manager
-        now holds it: the source subscription is replaced by the source
-        profile of the current representative, and the result stream is
-        advertised with the schema the SPE derives for it (a repeated
-        advertisement only refreshes the schema).  The one place this
-        happens, after every change to a group that stays."""
-        if self.network is None:
-            return
-        self._drop_group(group.group_id)
-        sub_id = self.network.subscribe(
-            source_profile(
-                group.representative, self.catalog, subscriber=group.group_id
-            ),
-            self.node_id,
-            subscription_id=f"src:{self.node_id}:{group.group_id}"
-            f":{self.manager.grouping.query_count}",
-        )
-        self._source_subscriptions[group.group_id] = sub_id
-        self._source_groups[sub_id] = group.group_id
-        schema = self.spe.result_schema_of(
-            self.manager.engine_name_of(group.group_id)
-        )
-        self.network.advertise(schema.name, self.node_id, schema)
-
-    def _drop_group(self, group_id: str) -> None:
-        """Withdraw the group's source subscription, if it holds one."""
-        sub_id = self._source_subscriptions.pop(group_id, None)
-        if sub_id is not None:
-            del self._source_groups[sub_id]
-            self.network.unsubscribe(sub_id)
 
     # -- data layer callbacks ----------------------------------------------------------
 
@@ -196,7 +206,7 @@ class Processor:
         engine_tuple = self.data_wrapper.to_engine(datagram)
         native = self.data_wrapper.from_engine(engine_tuple)
         if group_id is not None:
-            engine_name = self.manager.engine_name_of(group_id)
+            engine_name = self.engine_name_of(group_id)
             if engine_name is None:
                 return []
             results = self.spe.push_to(engine_name, native)

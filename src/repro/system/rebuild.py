@@ -36,7 +36,7 @@ def rebuild_network(system: "CosmosSystem", tree: DisseminationTree) -> None:
     """
     from repro.system.cosmos import QueryStatus
 
-    for stream, src in system._sources.items():
+    for stream, src in system.sources.items():
         if src not in tree:
             raise RebuildError(f"source {stream!r} host {src} not in new tree")
     for node in system.processors:

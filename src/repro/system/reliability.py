@@ -154,8 +154,9 @@ class SequencedUplink:
         """Retain a tuple under an externally assigned sequence number.
 
         The chaos scheduler pre-assigns sequence numbers at generation
-        time (schedules are pure values) and the simulator learns of
-        sends in *arrival* order, so out-of-order recording is allowed;
+        time (schedules are pure values) and the simulator records each
+        send at its send time; a number may be skipped (a shrunken
+        schedule cut the send), so out-of-order recording is allowed;
         re-recording an already retained number is a protocol violation.
         """
         if seq < 0:
@@ -532,7 +533,7 @@ def quarantine_partitioned(
     components = _components(system.topology, excluded)
     if not components:
         raise FaultError("cannot remove the last node of the topology")
-    anchors = set(system._sources.values()) | set(system.processors)
+    anchors = set(system.sources.values()) | set(system.processors)
     main = max(
         components,
         key=lambda c: (len(anchors & c), len(c), -min(c)),
@@ -544,7 +545,8 @@ def quarantine_partitioned(
             f"stranded outside the main partition"
         )
     quarantined: List[str] = []
-    for query_id, handle in sorted(system._queries.items()):
+    for handle in sorted(system.queries, key=lambda h: h.query_id):
+        query_id = handle.query_id
         if handle.status is not QueryStatus.ACTIVE:
             continue
         if handle.user_node in main:
@@ -570,7 +572,8 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     state is rebuilt, every quarantined query whose user node is back
     in the tree is flipped to ``ACTIVE``, and each group holding one is
     reconciled once (:meth:`CosmosSystem.reconcile_group` re-subscribes
-    the resumed members; the others' profiles did not change).
+    the resumed members; the others' profiles did not change); no
+    grouping changes, so the processors commit nothing.
     Returns the resumed query ids (sorted); quarantined queries whose
     partition still stands are left untouched.
     """
@@ -590,7 +593,7 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     #: (processor node, group id) -> (processor, group) holding a resumed query
     touched: Dict[Tuple[NodeId, str], tuple] = {}
     for query_id in sorted(state.quarantined):
-        handle = system._queries.get(query_id)
+        handle = system.find_query(query_id)
         if handle is None:  # withdrawn while degraded
             del state.quarantined[query_id]
             continue

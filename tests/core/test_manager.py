@@ -1,8 +1,9 @@
-"""The per-processor query manager."""
+"""The per-processor query manager: grouping, naming and member
+profiles.  What a group installs on the SPE is tested at the processor
+(tests/system/test_node.py)."""
 
 import pytest
 
-from repro.cbn.datagram import Datagram
 from repro.core.grouping import GroupingDecision, GroupingOptimizer
 from repro.core.manager import QueryManager
 from repro.core.profiles import result_profile, source_profile
@@ -36,27 +37,12 @@ class TestSubmission:
         sub = manager.submit(parse_query(TABLE1_Q2), name="q2")
         assert set(manager.result_profiles_of(sub.group)) == {"q1", "q2"}
 
-    def test_spe_runs_single_representative(self, manager):
-        manager.submit(parse_query(TABLE1_Q1), name="q1")
-        manager.submit(parse_query(TABLE1_Q2), name="q2")
-        assert len(manager.spe.query_names) == 1
-
     def test_source_profile_covers_inputs(self, manager, auction_catalog):
         # What the processor subscribes with: composed from the group
         # the submission hands back.
         sub = manager.submit(parse_query(TABLE1_Q1), name="q1")
         profile = source_profile(sub.group.representative, auction_catalog)
         assert profile.streams == frozenset({"OpenAuction", "ClosedAuction"})
-
-    def test_result_schema_provided(self, manager):
-        # What the processor advertises: the SPE's schema of the
-        # re-issued representative, named by the group's result stream.
-        sub = manager.submit(parse_query(TABLE1_Q1), name="q1")
-        schema = manager.spe.result_schema_of(
-            manager.engine_name_of(sub.group.group_id)
-        )
-        assert schema.name == manager.result_stream_of(sub.group)
-        assert schema.has_attribute("OpenAuction.itemID")
 
     def test_returns_the_optimizers_decision(self, manager):
         first = manager.submit(parse_query(TABLE1_Q1), name="q1")
@@ -75,36 +61,11 @@ class TestSubmission:
             manager.submit(parse_query("SELECT X.a FROM X"), name="bad")
 
 
-class TestEndToEndThroughManager:
-    def test_split_profiles_reproduce_member_results(self, manager, auction_catalog):
-        manager.submit(parse_query(TABLE1_Q1), name="q1")
-        sub = manager.submit(parse_query(TABLE1_Q2), name="q2")
-        profiles = manager.result_profiles_of(sub.group)
-        p1, p2 = profiles["q1"], profiles["q2"]
-        result_stream = manager.result_stream_of(sub.group)
-
-        feed = [
-            Datagram("OpenAuction", {"itemID": 1, "sellerID": 2, "start_price": 5.0, "timestamp": 0.0}, 0.0),
-            Datagram("ClosedAuction", {"itemID": 1, "buyerID": 7, "timestamp": 7200.0}, 7200.0),   # 2h: q1+q2
-            Datagram("OpenAuction", {"itemID": 2, "sellerID": 2, "start_price": 5.0, "timestamp": 8000.0}, 8000.0),
-            Datagram("ClosedAuction", {"itemID": 2, "buyerID": 8, "timestamp": 23000.0}, 23000.0),  # ~4.2h: q2 only
-        ]
-        split = {"q1": 0, "q2": 0}
-        for datagram in feed:
-            for result in manager.spe.push(datagram):
-                out = result.datagram.relabel(result_stream)
-                for name, profile in (("q1", p1), ("q2", p2)):
-                    if profile.apply(out) is not None:
-                        split[name] += 1
-        assert split == {"q1": 1, "q2": 2}
-
-
 class TestWithdraw:
     def test_withdraw_last_member_removes_group(self, manager):
         manager.submit(parse_query(TABLE1_Q1), name="q1")
         assert manager.withdraw("q1") is None
         assert manager.groups == []
-        assert manager.spe.query_names == []
 
     def test_withdraw_member_recomposes(self, manager):
         manager.submit(parse_query(TABLE1_Q1), name="q1")
@@ -112,8 +73,6 @@ class TestWithdraw:
         group = manager.withdraw("q2")
         assert group is not None
         assert group.member_names() == ["q1"]
-        # The SPE now runs the recomposed (narrower) representative.
-        assert manager.spe.query_names == [manager.engine_name_of(group.group_id)]
         assert set(manager.result_profiles_of(group)) == {"q1"}
 
     def test_withdraw_unknown_raises(self, manager):
@@ -171,4 +130,3 @@ class TestMergingDisabled:
         manager.submit(parse_query(TABLE1_Q1), name="q1")
         manager.submit(parse_query(TABLE1_Q2), name="q2")
         assert len(manager.groups) == 2
-        assert len(manager.spe.query_names) == 2

@@ -169,6 +169,38 @@ class TestRecoveryShrinking:
         report = run_schedule(config, events[::2])
         assert isinstance(report.ok, bool)  # terminated, verdict either way
 
+    def test_a_nack_for_a_tuple_in_flight_is_answered(self):
+        # ddmin-shrunk from seed 0 at n_tuples=100 with no faults, drops
+        # or duplicates.  seq 97 arrives first and the NACK for gap 95
+        # fires at t=591.31, while seq 95 (sent at t=574) is still on
+        # the wire.  The sender must already hold it, so the NACK is
+        # answered and the late original is suppressed as a duplicate;
+        # a sender that learned of sends at arrival abandoned the gap.
+        config = ChaosConfig(
+            seed=0, n_tuples=100, recovery=True,
+            n_faults=0, drop_p=0.0, dup_p=0.0,
+        )
+        events = [
+            InjectEvent(
+                587.309919042082, "Humid",
+                (("percent", 15.37), ("station", 3)), seq=97, sent=586.0,
+            ),
+            InjectEvent(
+                592.4863983758141, "Humid",
+                (("percent", 40.94), ("station", 6)), seq=95, sent=574.0,
+            ),
+        ]
+        report = run_schedule(config, events)
+        assert report.violations == []
+        assert not any(
+            line.startswith("abandon") and "seq=95 " in line
+            for line in report.trace.lines
+        )
+        assert any(
+            line.startswith("retransmit") and "seq=95 " in line
+            for line in report.trace.lines
+        )
+
 
 def build_chain():
     """0(proc) - 1(src) - 2 - 3(user): removing 2 strands the user."""

@@ -6,7 +6,10 @@ import pytest
 
 from repro.overlay.topology import Topology, barabasi_albert
 from repro.overlay.tree import DisseminationTree
-from repro.system.cosmos import CosmosSystem
+from repro.sim.oracle import check_no_orphans
+from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.loadmgr import quarantine_for_migration
+from repro.system.node import Processor
 from repro.system.fault import (
     FaultError,
     PartitionError,
@@ -203,17 +206,39 @@ class TestRehomingStateCarryOver:
         assert new_h1.results[: len(pre_failure)] == pre_failure
         assert new_h1.result_count == len(pre_failure) + 1
 
+    def test_a_handle_taken_before_the_crash_survives(self, running_system):
+        system, h1, __ = running_system
+        fail_processor(system, h1.processor_node)
+        assert system.query("q1") is h1
+        assert h1.processor_node in system.processors
+        publish_pair(system, 5, 0.0, 1800.0)
+        assert h1.result_count == 1
+
+    def test_a_migrating_orphan_is_resumed_where_it_lands(self, running_system):
+        # The move its group was quarantined for is superseded by the
+        # re-homing, which resumes it on the processor it landed on.
+        system, h1, h2 = running_system
+        victim = h1.processor_node
+        group = system.processors[victim].manager.grouping.group_of("q1")
+        assert quarantine_for_migration(system, victim, group.group_id) == ["q1", "q2"]
+        fail_processor(system, victim)
+        assert (h1.status, h2.status) == (QueryStatus.ACTIVE, QueryStatus.ACTIVE)
+        assert check_no_orphans(system) == []
+        publish_pair(system, 5, 0.0, 1800.0)
+        assert h1.result_count == 1
+
     def test_submit_failure_does_not_abort_rehoming(self, running_system, monkeypatch):
         system, h1, h2 = running_system
         victim = h1.processor_node
-        original = CosmosSystem.submit
+        original = Processor.accept
 
-        def flaky(self, query, user_node, name=None):
-            if name == "q1":
-                raise RuntimeError("injected submit failure")
-            return original(self, query, user_node, name=name)
+        def flaky(self, query, name=None):
+            if query.name == "q1":
+                raise RuntimeError("injected re-homing failure")
+            return original(self, query, name=name)
 
-        monkeypatch.setattr(CosmosSystem, "submit", flaky)
+        # fail_processor re-homes each orphan through Processor.accept
+        monkeypatch.setattr(Processor, "accept", flaky)
         with pytest.raises(FaultError, match="q1"):
             fail_processor(system, victim)
         # q2 was still re-homed despite q1's failure...
@@ -259,14 +284,15 @@ class TestFailNode:
     ):
         system, h1, __ = running_system
         victim = h1.processor_node
-        original = CosmosSystem.submit
+        original = Processor.accept
 
-        def flaky(self, query, user_node, name=None):
-            if name == "q1":
-                raise RuntimeError("injected submit failure")
-            return original(self, query, user_node, name=name)
+        def flaky(self, query, name=None):
+            if query.name == "q1":
+                raise RuntimeError("injected re-homing failure")
+            return original(self, query, name=name)
 
-        monkeypatch.setattr(CosmosSystem, "submit", flaky)
+        # fail_processor re-homes each orphan through Processor.accept
+        monkeypatch.setattr(Processor, "accept", flaky)
         # The processor layer's partial-failure error survives, but the
         # broker layer still runs: the node is gone from the tree.
         with pytest.raises(FaultError, match="q1"):

@@ -15,11 +15,14 @@ import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.core.profiles import result_profile, source_profile
+from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import Topology
 from repro.overlay.tree import DisseminationTree
 from repro.sim.oracle import check_no_orphans, expected_results
+from repro.spe.engine import StreamProcessingEngine
 from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.fault import fail_processor
 from repro.system.loadmgr import (
     GroupMigration,
     cutover_group,
@@ -157,6 +160,25 @@ class TestQuarantinedMemberIsSkipped:
         system.publish("Temp", {"station": 1, "celsius": 31.0}, 2.0)
         assert (a.result_count, b.result_count) == (1, 2)
 
+    def test_a_stranded_orphan_of_a_failed_processor_waits_for_heal(self):
+        system = build_system()
+        a = system.submit(warm(10), user_node=5, name="a")
+        victim = a.processor_node
+        assert quarantine_partitioned(system, 4) == ["a"]
+        # Used to re-submit ``a`` from a user outside the tree, lose it
+        # and raise; the handle now moves, still quarantined.
+        assert fail_processor(system, victim) == ["a"]
+        assert system.query("a") is a and a.status is QueryStatus.DEGRADED
+        assert a.processor_node != victim
+        assert user_subscriptions(system, "a") == []
+        assert check_no_orphans(system) == []
+
+        system.topology.add_edge(*BYPASS[4], 1.0)
+        assert heal_partition(system) == ["a"]
+        assert check_no_orphans(system) == []
+        system.publish("Temp", {"station": 1, "celsius": 31.0}, 1.0)
+        assert a.result_count == 1
+
     def test_resume_and_heal_leave_current_subscriptions_alone(self):
         system = build_system()
         system.submit(warm(10), user_node=3, name="a")
@@ -291,6 +313,48 @@ class TestComposeWhatChanged:
         assert set(target._composed) == {target.grouping.group_of("a").group_id}
 
 
+class TestStateSurvivesAnUnchangedRepresentative:
+    """A group change that leaves the canonical representative as it
+    was keeps the SPE registration, so its windows keep their state."""
+
+    QUERY = (
+        "SELECT COUNT(*) AS n FROM Temp [Range 100 Second] T "
+        "WHERE T.celsius > 10 GROUP BY T.station"
+    )
+    FEED = [
+        Datagram("Temp", {"station": 1, "celsius": 20.0}, 1.0),
+        Datagram("Temp", {"station": 1, "celsius": 25.0}, 2.0),
+        Datagram("Temp", {"station": 1, "celsius": 30.0}, 3.0),
+    ]
+
+    def bare(self, feed):
+        """What an engine registered just before ``feed`` emits."""
+        engine = StreamProcessingEngine(build_system().catalog)
+        engine.register(parse_query(self.QUERY).canonical(engine.catalog), name="q")
+        return [(r.payload["n"], r.timestamp) for r in engine.run(feed)["q"]]
+
+    def test_an_identical_newcomer_does_not_restart_the_count(self):
+        system = build_system()
+        first = system.submit(self.QUERY, user_node=3, name="a")
+        for datagram in self.FEED[:2]:
+            system.publish("Temp", dict(datagram.payload), datagram.timestamp)
+        newcomer = system.submit(self.QUERY, user_node=5, name="b")
+        datagram = self.FEED[2]
+        system.publish("Temp", dict(datagram.payload), datagram.timestamp)
+        assert newcomer.processor_node == first.processor_node
+        # The earlier member is undisturbed: exactly a bare engine's run.
+        assert [(r.payload["n"], r.timestamp) for r in first.results] == (
+            self.bare(self.FEED)
+        ) == [(1, 1.0), (2, 2.0), (3, 3.0)]
+        # The newcomer falls inside the sandwich: at least what an engine
+        # registered at its submit emits, at most one from the start.
+        (got,) = [(r.payload["n"], r.timestamp) for r in newcomer.results]
+        (least,) = self.bare(self.FEED[2:])
+        most = self.bare(self.FEED)[-1]
+        assert least[1] == got[1] == most[1]
+        assert least[0] <= got[0] <= most[0]
+
+
 class TestRandomHistories:
     """Seeded interleavings of everything that changes a group; the
     invariants of the reconciliation hold after every step."""
@@ -315,17 +379,42 @@ class TestRandomHistories:
         }
 
     @staticmethod
-    def assert_reconciled(system, before):
+    def installed(system):
+        """(node, group id) -> (canonical representative, SPE-local name,
+        source subscription id) of every installed group."""
+        live = system.network.subscriptions()
+        return {
+            (node, group.group_id): (
+                group.representative.canonical(system.catalog),
+                processor.engine_name_of(group.group_id),
+                next(
+                    sid for sid in live
+                    if processor.group_of_subscription(sid) == group.group_id
+                ),
+            )
+            for node, processor in system.processors.items()
+            for group in processor.manager.groups
+        }
+
+    @staticmethod
+    def assert_reconciled(system, before, installed):
         """The invariants, and: a member whose recomposed profile equals
-        the one it held ``before`` the step kept that subscription."""
+        the one it held ``before`` the step kept that subscription; a
+        group whose canonical representative did not move kept its SPE
+        registration and its source subscription."""
         live = system.network.subscriptions()
         assert check_no_orphans(system) == []
+        for key, (rep, engine_name, sid) in TestRandomHistories.installed(
+            system
+        ).items():
+            if key in installed and installed[key][0] == rep:
+                assert (engine_name, sid) == installed[key][1:], key
         grouped = set()
         for node, processor in system.processors.items():
             manager = processor.manager
             groups = manager.groups
             assert processor.spe.query_names == sorted(
-                manager.engine_name_of(group.group_id) for group in groups
+                processor.engine_name_of(group.group_id) for group in groups
             )
             sources = [
                 (processor.group_of_subscription(sid), profile)
@@ -441,6 +530,6 @@ class TestRandomHistories:
         for __ in range(6):
             submit()
         for __ in range(60):
-            before = self.held(system)
+            before, installed = self.held(system), self.installed(system)
             rng.choice(steps)()
-            self.assert_reconciled(system, before)
+            self.assert_reconciled(system, before, installed)

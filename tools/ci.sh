@@ -15,17 +15,70 @@ fi
 
 echo "== layering (group reconciliation: one owner per layer under repro.system) =="
 # Result profiles and result-stream names are read by CosmosSystem.reconcile_group
-# (system/cosmos.py), the source profile by Processor._sync_group (system/node.py).
-if git grep -nE "result_profiles_of|result_stream_of" -- src/repro/system ':!src/repro/system/cosmos.py' \
+# (system/cosmos.py); the source profile is composed, and the result stream the
+# SPE registration publishes on is read, by Processor.commit (system/node.py).
+if git grep -nF "result_profiles_of" -- src/repro/system ':!src/repro/system/cosmos.py' \
+   || git grep -nF "result_stream_of" -- src/repro/system ':!src/repro/system/cosmos.py' ':!src/repro/system/node.py' \
+   || [ "$(git grep -cF "result_stream_of(" -- src/repro/system/node.py | cut -d: -f2)" != 1 ] \
    || git grep -nF "source_profile(" -- src/repro/system ':!src/repro/system/node.py'; then
     echo "ci: only system/cosmos.py may read a group's result profiles / result stream," \
-         "only system/node.py may compose its source profile" >&2
+         "only system/node.py may compose its source profile (and read the result" \
+         "stream once, for the SPE registration)" >&2
     exit 1
 fi
 if [ "$(git grep -cF "result_profiles_of(" -- src/repro/system/cosmos.py | cut -d: -f2)" != 1 ]; then
     echo "ci: system/cosmos.py must compose a group's result profiles in exactly one place" >&2
     exit 1
 fi
+
+echo "== one commit installs a group (repro.core, repro.system) =="
+# Processor.commit is the one place a group's SPE registration and src:
+# subscription are installed, kept or dropped; the query manager groups, names
+# and composes member profiles and drives no engine.  Outside system/cosmos.py
+# the system's registries are read through its read-only accessors (queries,
+# find_query, sources, result_subscription_of, subscriber_of).
+if git grep -nE "(^|[^_[:alnum:]])(system|primary|fast|naive)\._(queries|sources|user_subscriptions|subscribers|installed)([^_[:alnum:]]|$)" \
+       -- src/repro ':!src/repro/system/cosmos.py'; then
+    echo "ci: only system/cosmos.py may read CosmosSystem's private registries" >&2
+    exit 1
+fi
+python - <<'EOF'
+import ast, pathlib, sys
+
+def installs(call):
+    """spe.register / spe.deregister, or a network.subscribe of a src: id."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or not isinstance(func.value, ast.Attribute):
+        return False
+    if func.value.attr == "spe" and func.attr in ("register", "deregister"):
+        return True
+    return func.value.attr == "network" and func.attr == "subscribe" and any(
+        isinstance(node, ast.Constant) and str(node.value).startswith("src:")
+        for node in ast.walk(call)
+    )
+
+def sites(node, path, owner="<module>"):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from sites(child, path, child.name)
+            continue
+        if isinstance(child, ast.Call) and installs(child):
+            yield (path, owner, child.lineno)
+        yield from sites(child, path, owner)
+
+found = [
+    site
+    for package in ("src/repro/core", "src/repro/system")
+    for path in sorted(pathlib.Path(package).rglob("*.py"))
+    for site in sites(ast.parse(path.read_text()), path.as_posix())
+]
+strays = [site for site in found if site[:2] != ("src/repro/system/node.py", "commit")]
+for path, owner, line in strays:
+    print(f"{path}:{line}: {owner}", file=sys.stderr)
+if strays or not found:
+    sys.exit("ci: only Processor.commit may register with the SPE"
+             " or subscribe a source profile")
+EOF
 
 echo "== one routing routine, one evaluator of intervals (repro.cbn) =="
 # ContentBasedNetwork._route is the data plane (the walk it memoises is the
