@@ -13,25 +13,21 @@ Four check families, each with stable diagnostic codes:
 * ``COS4xx`` — overlay/routing: non-tree overlays, unreachable
   subscribers, orphan routing entries (:mod:`repro.analysis.overlay`).
 
-Three further families lint the package's *own source* instead of a
+Four further families lint the package's *own source* instead of a
 workload (``repro check --self``):
 
 * ``COS5xx`` — determinism hazards: entropy, wall clocks, unordered
   set iteration into ordered sinks, ``id()`` identity
   (:mod:`repro.analysis.purity`).
-* ``COS6xx`` — protocol contracts: exhaustive enum-status dispatch,
-  exception-safe mutation ordering in event callbacks, capped NACK
-  backoff (:mod:`repro.analysis.protocol`).
-* ``COS7xx`` — style rules migrated from ``tools/lint_repro.py``
-  (:mod:`repro.analysis.style`), keeping one lint implementation.
-* ``COS8xx`` — protocol models extracted package-wide: the message
-  flow graph (:mod:`repro.analysis.flowgraph`: produced-but-unconsumed
-  kinds, handlers without producers, sequencing-bypass sends) and the
-  lifecycle state machines (:mod:`repro.analysis.lifecycle`:
-  unreachable/unproduced/stuck states).  The extracted machines double
-  as a dynamic oracle: :mod:`repro.analysis.conformance` replays chaos
-  traces against them (``repro chaos --conform``), and ``repro flow``
-  dumps the model as JSON/DOT.
+* ``COS7xx`` — style: mutable default arguments, bare ``except``,
+  missing ``from __future__ import annotations``
+  (:mod:`repro.analysis.style`), the package's one lint.
+* ``COS81x`` — the lifecycle state machines extracted package-wide
+  (:mod:`repro.analysis.lifecycle`: unreachable/unproduced/stuck
+  states).  The extracted machines double as a dynamic oracle:
+  :mod:`repro.analysis.conformance` replays chaos traces against them
+  (``repro chaos --conform``), and ``repro flow`` dumps them as
+  JSON/DOT.
 * ``COS9xx`` — bounded model checking: the extracted machines composed
   with an explicit environment automaton into a product automaton and
   exhaustively explored (:mod:`repro.analysis.model`: tuple loss after
@@ -65,17 +61,13 @@ from repro.analysis.diagnostics import (
     Severity,
 )
 from repro.analysis.conformance import conformance_violations, transition_key
-from repro.analysis.flowgraph import (
-    FlowGraph,
-    MessageKind,
-    check_flowgraph,
-    extract_flowgraph,
-)
 from repro.analysis.lifecycle import (
     MachineSpec,
     StateMachine,
     Transition,
     check_lifecycle,
+    check_machines,
+    collect_enums,
     extract_lifecycle,
 )
 from repro.analysis.model import (
@@ -109,7 +101,6 @@ from repro.analysis.satisfiability import (
     check_predicate,
     check_profile_filters,
 )
-from repro.analysis.protocol import check_protocol, collect_enums
 from repro.analysis.purity import check_purity, collect_set_returning
 from repro.analysis.schema import check_profile, check_query
 from repro.analysis.selfcheck import (
@@ -141,12 +132,11 @@ __all__ = [
     "SourceModule",
     "apply_pragmas",
     "check_coverage",
-    "check_flowgraph",
     "check_lifecycle",
+    "check_machines",
     "check_model",
     "check_modules",
     "check_package",
-    "check_protocol",
     "check_purity",
     "check_source_module",
     "check_style",
@@ -156,7 +146,6 @@ __all__ = [
     "coverage",
     "build_product",
     "explore",
-    "extract_flowgraph",
     "extract_lifecycle",
     "default_baseline_path",
     "default_coverage_baseline",
@@ -177,10 +166,8 @@ __all__ = [
     "Diagnostic",
     "DiagnosticError",
     "Exploration",
-    "FlowGraph",
     "MachineCoverage",
     "MachineSpec",
-    "MessageKind",
     "ProductModel",
     "SILENT_LABELS",
     "Report",

@@ -2,8 +2,8 @@
 
 Every finding carries a stable code (``COS1xx`` schema, ``COS2xx``
 satisfiability, ``COS3xx`` plan/merging, ``COS4xx`` overlay/routing,
-``COS5xx`` determinism, ``COS6xx`` protocol contracts, ``COS7xx``
-source style), a severity, a human-readable message and a *source
+``COS5xx`` determinism, ``COS7xx`` source style, ``COS81x``
+lifecycle state machines, ``COS9xx`` model checking), a severity, a human-readable message and a *source
 span*: the logical source (a query name, a profile id, a broker node,
 or — for the source-lint families — a file path) plus an optional
 position (a character offset into the query text for the workload
@@ -60,19 +60,11 @@ CODES = {
     "COS502": (Severity.ERROR, "wall-clock read in simulated-time code"),
     "COS503": (Severity.WARNING, "unordered set iteration feeds ordered sink"),
     "COS504": (Severity.WARNING, "id()-based identity in deterministic subsystem"),
-    # -- COS6xx: protocol contracts (source lint) ---------------------------
-    "COS601": (Severity.ERROR, "non-exhaustive enum-status dispatch"),
-    "COS602": (Severity.WARNING, "shared state mutated before a fallible statement"),
-    "COS603": (Severity.ERROR, "NACK scheduled outside the capped-backoff path"),
-    # -- COS7xx: source style (migrated from tools/lint_repro.py L001-L003) -
+    # -- COS7xx: source style ------------------------------------------------
     "COS701": (Severity.ERROR, "mutable default argument"),
     "COS702": (Severity.ERROR, "bare except"),
     "COS703": (Severity.WARNING, "missing 'from __future__ import annotations'"),
     "COS704": (Severity.WARNING, "stale baseline entry"),
-    # -- COS80x: message flow (source lint) ---------------------------------
-    "COS801": (Severity.ERROR, "message kind produced but never consumed"),
-    "COS802": (Severity.WARNING, "protocol handler has no producing call site"),
-    "COS803": (Severity.ERROR, "send site bypasses the sequencing layer"),
     # -- COS81x: lifecycle state machines (source lint) ---------------------
     "COS811": (Severity.WARNING, "lifecycle state unreachable from initial"),
     "COS812": (Severity.ERROR, "lifecycle state/transition with no producing code path"),

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.protocol import _dotted, _enum_tests, collect_enums
+from repro.analysis.purity import _dotted
 from repro.analysis.source import SourceModule
 
 
@@ -290,6 +290,136 @@ def _extract_spec_machine(
 
 
 # ---------------------------------------------------------------------------
+# enum extraction
+# ---------------------------------------------------------------------------
+
+
+def collect_enums(modules: Iterable[SourceModule]) -> Dict[str, List[str]]:
+    """Enum classes (name -> member names) across the module set.
+
+    A class is an enum when any base is named ``Enum``/``IntEnum``/
+    ``Flag``/``IntFlag`` (bare or attribute form); members are its
+    class-level ``NAME = value`` assignments with uppercase names.
+    """
+    enums: Dict[str, List[str]] = {}
+    for module in modules:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            is_enum = False
+            for base in node.bases:
+                name = base.attr if isinstance(base, ast.Attribute) else (
+                    base.id if isinstance(base, ast.Name) else ""
+                )
+                if name in ("Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"):
+                    is_enum = True
+            if not is_enum:
+                continue
+            members = []
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and stmt.targets[0].id.isupper()
+                ):
+                    members.append(stmt.targets[0].id)
+            if members:
+                enums[node.name] = members
+    return enums
+
+
+def _enum_tests(
+    test: ast.AST, enums: Dict[str, List[str]]
+) -> Optional[Tuple[str, str, Set[str], bool]]:
+    """Decode one branch test against the known enums.
+
+    Returns ``(subject, enum, members, negative)`` when the test
+    compares a single subject against members of one enum; ``None``
+    for anything else (those branches make a chain unclassifiable and
+    it is skipped rather than guessed at).
+    """
+
+    def member_of(node: ast.AST) -> Optional[Tuple[str, str]]:
+        if isinstance(node, ast.Attribute) and isinstance(
+            node.value, ast.Name
+        ):
+            if node.value.id in enums and node.attr in enums[node.value.id]:
+                return node.value.id, node.attr
+        return None
+
+    def _membership_elements(node: ast.AST) -> Optional[List[ast.AST]]:
+        """Literal elements of a membership RHS, or ``None``.
+
+        Accepts bare literals (``in (A, B)``) and single-argument
+        constructor wrappers over them (``in frozenset((A, B))``),
+        which read identically at runtime but used to defeat guard
+        narrowing.
+        """
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return list(node.elts)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("frozenset", "set", "tuple", "list")
+            and not node.keywords
+            and len(node.args) == 1
+            and isinstance(node.args[0], (ast.Tuple, ast.List, ast.Set))
+        ):
+            return list(node.args[0].elts)
+        return None
+
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        subject = enum = None
+        members: Set[str] = set()
+        for value in test.values:
+            decoded = _enum_tests(value, enums)
+            if decoded is None or decoded[3]:
+                return None
+            sub, en, mem, _neg = decoded
+            if subject is None:
+                subject, enum = sub, en
+            elif (sub, en) != (subject, enum):
+                return None
+            members |= mem
+        if subject is None or enum is None:
+            return None
+        return subject, enum, members, False
+    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
+        return None
+    op = test.ops[0]
+    left, right = test.left, test.comparators[0]
+    if isinstance(op, (ast.Is, ast.Eq, ast.IsNot, ast.NotEq)):
+        negative = isinstance(op, (ast.IsNot, ast.NotEq))
+        for subject_node, member_node in ((left, right), (right, left)):
+            decoded = member_of(member_node)
+            if decoded is not None:
+                subject = _dotted(subject_node)
+                if subject is None:
+                    return None
+                return subject, decoded[0], {decoded[1]}, negative
+        return None
+    elements = _membership_elements(right)
+    if isinstance(op, (ast.In, ast.NotIn)) and elements is not None:
+        members = set()
+        enum = None
+        for element in elements:
+            decoded = member_of(element)
+            if decoded is None:
+                return None
+            if enum is None:
+                enum = decoded[0]
+            elif enum != decoded[0]:
+                return None
+            members.add(decoded[1])
+        subject = _dotted(left)
+        if subject is None or enum is None:
+            return None
+        return subject, enum, members, isinstance(op, ast.NotIn)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # enum-backed machines
 # ---------------------------------------------------------------------------
 
@@ -492,7 +622,13 @@ def check_lifecycle(
 ) -> Report:
     """COS811/812/813 over a module set."""
     report = Report()
-    machines = extract_lifecycle(modules, specs, report)
+    return check_machines(extract_lifecycle(modules, specs, report), report)
+
+
+def check_machines(machines: Sequence[StateMachine], report: Report) -> Report:
+    """COS811/812/813 over already-extracted machines, added to
+    ``report`` (the one :func:`extract_lifecycle` filled with broken
+    spec anchors)."""
     for machine in machines:
         rel, line = machine.origin
         produced = set(machine.initial)

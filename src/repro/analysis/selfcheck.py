@@ -1,18 +1,17 @@
 """The unified source-lint driver (``repro check --self``).
 
 Runs the source families over a package directory — COS5xx determinism
-(:mod:`repro.analysis.purity`), COS6xx protocol contracts
-(:mod:`repro.analysis.protocol`), COS7xx style
-(:mod:`repro.analysis.style`), the package-level COS8xx protocol
-models (:mod:`repro.analysis.flowgraph` message flow,
-:mod:`repro.analysis.lifecycle` state machines), and the COS90x
+(:mod:`repro.analysis.purity`), COS7xx style
+(:mod:`repro.analysis.style`), the package-level COS81x lifecycle
+state machines (:mod:`repro.analysis.lifecycle`), and the COS90x
 bounded model check of their composition
 (:mod:`repro.analysis.model`) — through one pipeline:
 
 1. load every module in sorted-path order (deterministic output);
-2. collect package-wide facts (enum tables for the dispatch check,
-   set-returning function annotations for the iteration check);
-3. run the per-module passes, then the package-level passes;
+2. collect package-wide facts (set-returning function annotations
+   for the iteration check);
+3. run the per-module passes, then the package-level passes (the
+   machines are extracted once, for the lifecycle check and the model);
 4. honor ``# cos: disable=...`` pragmas;
 5. subtract the checked-in baseline (when given) and flag its stale
    remainder (COS704);
@@ -20,8 +19,9 @@ bounded model check of their composition
 
 The per-module entry point (:func:`check_source_module`) backs
 single-file uses — mutation canaries, property tests, editor hooks —
-and deliberately excludes the package-level COS8xx passes: a flow
-graph of one module in isolation would drown in false positives.
+and deliberately excludes the package-level COS81x/COS90x passes:
+machines extracted from one module in isolation would drown in false
+positives.
 
 Each driver entry point accepts an optional ``timings`` dict that is
 filled with per-pass wall-clock seconds (the ``repro check --self
@@ -32,17 +32,11 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.flowgraph import check_flowgraph
-from repro.analysis.lifecycle import check_lifecycle, extract_lifecycle
+from repro.analysis.lifecycle import check_machines, extract_lifecycle
 from repro.analysis.model import build_product, check_model
-from repro.analysis.protocol import (
-    DEFAULT_CALLBACK_MODULES,
-    check_protocol,
-    collect_enums,
-)
 from repro.analysis.purity import check_purity, collect_set_returning
 from repro.analysis.source import (
     Baseline,
@@ -55,7 +49,7 @@ from repro.analysis.source import (
 from repro.analysis.style import check_style
 
 #: Analyzer pass list, in execution order (the ``--json`` contract).
-PASSES = ("purity", "protocol", "style", "flowgraph", "lifecycle", "model")
+PASSES = ("purity", "style", "lifecycle", "model")
 
 
 def _clock() -> float:
@@ -78,19 +72,16 @@ def default_baseline_path(package: Optional[Path] = None) -> Path:
 
 def check_source_module(
     module: SourceModule,
-    enums: Optional[Dict[str, List[str]]] = None,
     set_returning: Iterable[str] = (),
-    callback_modules: Sequence[str] = DEFAULT_CALLBACK_MODULES,
     respect_pragmas: bool = True,
 ) -> Report:
-    """Every source family over one module.
+    """Every per-module source family over one module.
 
-    Package-wide facts (``enums``, ``set_returning``) default to what
-    the module itself declares — sufficient for canaries and tests.
+    The package-wide fact ``set_returning`` defaults to what the module
+    itself declares — sufficient for canaries and tests.
     """
     report = Report()
     report.extend(check_purity(module, set_returning))
-    report.extend(check_protocol(module, enums, callback_modules))
     report.extend(check_style(module))
     if respect_pragmas:
         report = apply_pragmas(report, module)
@@ -120,18 +111,17 @@ def _apply_package_pragmas(
 
 def check_modules(
     modules: Sequence[SourceModule],
-    callback_modules: Sequence[str] = DEFAULT_CALLBACK_MODULES,
     respect_pragmas: bool = True,
     timings: Optional[Dict[str, float]] = None,
 ) -> Report:
     """The package pipeline over an explicit module list.
 
     Per-module families first (pragmas applied per module), then the
-    package-level COS8xx passes (pragmas applied per anchored module).
+    package-level COS81x/COS90x passes (pragmas applied per anchored
+    module).
     ``timings`` — when given — accumulates wall-clock seconds per pass
     under the names in :data:`PASSES`.
     """
-    enums = collect_enums(modules)
     set_returning = collect_set_returning(modules)
     spent = {name: 0.0 for name in PASSES}
     combined = Report()
@@ -141,30 +131,25 @@ def check_modules(
         per_module.extend(check_purity(module, set_returning))
         spent["purity"] += _clock() - mark
         mark = _clock()
-        per_module.extend(check_protocol(module, enums, callback_modules))
-        spent["protocol"] += _clock() - mark
-        mark = _clock()
         per_module.extend(check_style(module))
         spent["style"] += _clock() - mark
         if respect_pragmas:
             per_module = apply_pragmas(per_module, module)
         combined.extend(per_module)
     mark = _clock()
-    flow = check_flowgraph(modules)
-    spent["flowgraph"] = _clock() - mark
-    mark = _clock()
-    lifecycle = check_lifecycle(modules)
+    # The machines are extracted once: the lifecycle check reads them
+    # (broken spec anchors are COS812 from the extraction itself), and
+    # the bounded model check composes the same list (COS90x).
+    lifecycle = Report()
+    machines = extract_lifecycle(modules, report=lifecycle)
+    check_machines(machines, lifecycle)
     spent["lifecycle"] = _clock() - mark
     mark = _clock()
-    # Bounded model check of the composed machines (COS90x).  Spec
-    # anchor failures are already COS812 in the lifecycle pass, so the
-    # re-extraction here runs without a report.
-    machines = extract_lifecycle(modules)
     model_report, _exploration = check_model(
         build_product(machines, modules)
     )
     spent["model"] = _clock() - mark
-    for package_report in (flow, lifecycle, model_report):
+    for package_report in (lifecycle, model_report):
         if respect_pragmas:
             package_report = _apply_package_pragmas(package_report, modules)
         combined.extend(package_report)
@@ -178,7 +163,6 @@ def check_package(
     base: Optional[Path] = None,
     baseline: Optional[Baseline] = None,
     codes: Optional[Sequence[str]] = None,
-    callback_modules: Sequence[str] = DEFAULT_CALLBACK_MODULES,
     respect_pragmas: bool = True,
     timings: Optional[Dict[str, float]] = None,
 ) -> Tuple[Report, int]:
@@ -197,10 +181,7 @@ def check_package(
     if timings is not None:
         timings["load"] = _clock() - mark
     report = check_modules(
-        modules,
-        callback_modules=callback_modules,
-        respect_pragmas=respect_pragmas,
-        timings=timings,
+        modules, respect_pragmas=respect_pragmas, timings=timings
     )
     forgiven = 0
     if baseline is not None:

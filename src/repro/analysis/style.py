@@ -1,17 +1,15 @@
-"""COS7xx — source style rules migrated from ``tools/lint_repro.py``.
+"""COS7xx — source style rules.
 
-The standalone lint's three rules (L001-L003) now live here under
-stable COS codes, emitted through the same diagnostics machinery as
-every other family; the tool is a thin wrapper over this pass, so
-there is exactly one lint implementation:
+The package's one lint, run by ``repro check --self`` under stable COS
+codes through the same diagnostics machinery as every other family:
 
-* **COS701** (was L001) — mutable default argument: a ``def f(x=[])``
+* **COS701** — mutable default argument: a ``def f(x=[])``
   default is created once and shared across calls; routing tables and
   profile lists silently accumulate state.
-* **COS702** (was L002) — bare ``except:`` catches
+* **COS702** — bare ``except:`` catches
   ``KeyboardInterrupt`` and ``SystemExit`` too, hanging long-running
   broker loops.
-* **COS703** (was L003) — every module in the package imports
+* **COS703** — every module in the package imports
   ``from __future__ import annotations`` so forward references in the
   layered API stay cheap and consistent.
 """

@@ -10,7 +10,7 @@
     python -m repro check [--workload W] [--strict]   # workload static analysis
     python -m repro check --self [--strict] [--code SPEC] [--json]  # source lint
     python -m repro chaos [--seed N | --seeds N] [--nodes N] [--recovery] [--conform] [--trace] [--json PATH]
-    python -m repro flow [--json | --dot]  # extracted protocol model
+    python -m repro flow [--json | --dot]  # extracted lifecycle state machines
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fl = sub.add_parser(
         "flow",
-        help="dump the statically extracted protocol model: the "
-        "message-flow graph and the lifecycle state machines",
+        help="dump the lifecycle state machines statically extracted "
+        "from the package source",
     )
     fmt = fl.add_mutually_exclusive_group()
     fmt.add_argument(
@@ -205,7 +205,7 @@ def _add_check_flags(parser: argparse.ArgumentParser) -> None:
         dest="self_lint",
         action="store_true",
         help="lint the repro package source itself (COS5xx determinism, "
-        "COS6xx protocol contracts, COS7xx style)",
+        "COS7xx style, COS81x lifecycles, COS90x model check)",
     )
     parser.add_argument(
         "--code",
@@ -213,7 +213,7 @@ def _add_check_flags(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         help="restrict findings to a comma list of codes or families "
-        "(e.g. COS503 or COS8xx,COS601); repeatable — multiple --code "
+        "(e.g. COS503 or COS8xx,COS701); repeatable — multiple --code "
         "flags accumulate",
     )
     parser.add_argument(
@@ -343,15 +343,13 @@ def _cmd_check_self(args: argparse.Namespace) -> int:
     return report.exit_code(args.strict)
 
 
-def _extract_model():
-    """(flow graph, state machines) of the installed package source."""
-    from repro.analysis.flowgraph import extract_flowgraph
+def _extract_machines():
+    """The lifecycle state machines of the installed package source."""
     from repro.analysis.lifecycle import extract_lifecycle
     from repro.analysis.selfcheck import default_package_dir
     from repro.analysis.source import load_package
 
-    modules = load_package(default_package_dir())
-    return extract_flowgraph(modules), extract_lifecycle(modules)
+    return extract_lifecycle(load_package(default_package_dir()))
 
 
 def _machine_dot(machine) -> str:
@@ -372,15 +370,14 @@ def _machine_dot(machine) -> str:
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
-    """``repro flow``: dump the extracted protocol model."""
+    """``repro flow``: dump the extracted lifecycle state machines."""
     import json
 
-    graph, machines = _extract_model()
+    machines = _extract_machines()
     if args.dot:
         print("\n\n".join(_machine_dot(machine) for machine in machines))
         return 0
-    payload = graph.to_dict()
-    payload["machines"] = [machine.to_dict() for machine in machines]
+    payload = {"machines": [machine.to_dict() for machine in machines]}
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -520,7 +517,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.conform:
         from repro.analysis.conformance import conformance_violations
 
-        _graph, machines = _extract_model()
+        machines = _extract_machines()
     records = []
     failed = False
     for seed in seeds:

@@ -677,7 +677,6 @@ class VirtualNetwork:
         for node in detector.check(now):
             self.state.counters.nodes_suspected += 1
             self.trace.record(f"suspect t={now:g} node={node}")
-            # cos: disable=COS602 (suspicion logged before repair on purpose)
             self._repair(sim, node, attempt=1)
 
     def _repair(self, sim: EventSimulator, node: int, attempt: int) -> None:

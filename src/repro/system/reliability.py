@@ -561,7 +561,6 @@ def quarantine_partitioned(
     return quarantined
 
 
-# cos: disable=COS802 (operator-facing heal path: invoked by tests/supervisors after connectivity is restored)
 def heal_partition(system: CosmosSystem) -> List[str]:
     """Resume quarantined queries whose partition has healed.
 

@@ -43,10 +43,7 @@ class TestSelfModeOnPackage:
         }
         analyzer = payload["analyzer"]
         names = [entry["name"] for entry in analyzer["passes"]]
-        assert names == [
-            "load", "purity", "protocol", "style", "flowgraph",
-            "lifecycle", "model",
-        ]
+        assert names == ["load", "purity", "style", "lifecycle", "model"]
         assert all(entry["seconds"] >= 0 for entry in analyzer["passes"])
         assert analyzer["wall_seconds"] == pytest.approx(
             sum(entry["seconds"] for entry in analyzer["passes"])

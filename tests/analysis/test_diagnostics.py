@@ -31,8 +31,7 @@ class TestDiagnostic:
     def test_every_code_family_is_registered(self):
         families = {code[:4] for code in CODES}
         assert families == {
-            "COS1", "COS2", "COS3", "COS4", "COS5", "COS6", "COS7", "COS8",
-            "COS9",
+            "COS1", "COS2", "COS3", "COS4", "COS5", "COS7", "COS8", "COS9",
         }
 
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 
+from repro.analysis.diagnostics import Report
 from repro.analysis.lifecycle import (
     Transition,
+    _enum_tests,
     check_lifecycle,
+    check_machines,
+    collect_enums,
     extract_lifecycle,
 )
 from repro.analysis.selfcheck import check_modules, default_package_dir
@@ -230,3 +236,134 @@ class TestCanaries:
         report = check_lifecycle(mutated)
         assert report.has("COS812")
         assert "suspect" in report.render()
+
+
+class TestExtractOnce:
+    def test_check_machines_over_one_extraction_matches_check_lifecycle(
+        self, modules
+    ):
+        """The self-check extracts the machines once and checks that
+        list; the findings are the ones a fresh check_lifecycle reports,
+        on the clean package and on a canary alike."""
+        canary = mutate(
+            modules,
+            "system/reliability.py",
+            "self._suspected.add",
+            "self._suspected_nodes_add",
+        )
+        for module_set in (modules, canary):
+            report = Report()
+            machines = extract_lifecycle(module_set, report=report)
+            once = check_machines(machines, report)
+            assert once.render() == check_lifecycle(module_set).render()
+        assert once.has("COS812")
+
+
+_STATUS_ENUM = (
+    "import enum\n"
+    "class QueryStatus(enum.Enum):\n"
+    "    ACTIVE = 'active'\n"
+    "    DEGRADED = 'degraded'\n"
+    "    QUARANTINED = 'quarantined'\n"
+)
+
+_ENUMS = {"QueryStatus": ["ACTIVE", "DEGRADED", "QUARANTINED"]}
+
+
+def _decode(test_source, enums=_ENUMS):
+    """_enum_tests over one branch test written as source text."""
+    return _enum_tests(ast.parse(test_source, mode="eval").body, enums)
+
+
+class TestCollectEnums:
+    def test_members_in_declaration_order(self):
+        module = module_from_text(_STATUS_ENUM, "repro/system/queries.py")
+        enums = collect_enums([module])
+        assert enums == {
+            "QueryStatus": ["ACTIVE", "DEGRADED", "QUARANTINED"]
+        }
+
+    def test_non_enum_classes_ignored(self):
+        module = module_from_text(
+            "class C:\n    ACTIVE = 1\n", "repro/a.py"
+        )
+        assert collect_enums([module]) == {}
+
+    def test_package_wide_enum_table(self):
+        """An enum declared in one module decodes a guard written in
+        another: the table is collected over the whole module set."""
+        enum_module = module_from_text(_STATUS_ENUM, "repro/system/queries.py")
+        guard_module = module_from_text(
+            "def handle(self, status):\n"
+            "    if status is QueryStatus.ACTIVE:\n"
+            "        return 1\n",
+            "repro/system/handler.py",
+        )
+        assert collect_enums([guard_module]) == {}
+        enums = collect_enums([enum_module, guard_module])
+        assert enums == _ENUMS
+        (guard,) = [
+            node for node in ast.walk(guard_module.tree)
+            if isinstance(node, ast.If)
+        ]
+        assert _enum_tests(guard.test, enums) == (
+            "status", "QueryStatus", {"ACTIVE"}, False
+        )
+        assert _enum_tests(guard.test, {}) is None
+
+
+class TestEnumTests:
+    def test_identity_test_decodes_either_side(self):
+        assert _decode("h.status is QueryStatus.ACTIVE") == (
+            "h.status", "QueryStatus", {"ACTIVE"}, False
+        )
+        assert _decode("QueryStatus.DEGRADED == h.status") == (
+            "h.status", "QueryStatus", {"DEGRADED"}, False
+        )
+
+    def test_negative_test_is_flagged_negative(self):
+        assert _decode("status is not QueryStatus.ACTIVE") == (
+            "status", "QueryStatus", {"ACTIVE"}, True
+        )
+        assert _decode("status != QueryStatus.ACTIVE")[3] is True
+        assert _decode("status not in (QueryStatus.ACTIVE,)")[3] is True
+
+    def test_membership_tuple_decodes_every_member(self):
+        assert _decode(
+            "status in (QueryStatus.ACTIVE, QueryStatus.DEGRADED)"
+        ) == ("status", "QueryStatus", {"ACTIVE", "DEGRADED"}, False)
+
+    def test_membership_frozenset_decodes_like_the_tuple(self):
+        tuple_form = _decode(
+            "status in (QueryStatus.ACTIVE, QueryStatus.DEGRADED)"
+        )
+        assert _decode(
+            "status in frozenset((QueryStatus.ACTIVE, QueryStatus.DEGRADED))"
+        ) == tuple_form
+        assert _decode(
+            "status in set([QueryStatus.ACTIVE, QueryStatus.DEGRADED])"
+        ) == tuple_form
+
+    def test_or_branches_union_their_members(self):
+        assert _decode(
+            "status is QueryStatus.ACTIVE or status is QueryStatus.DEGRADED"
+        ) == ("status", "QueryStatus", {"ACTIVE", "DEGRADED"}, False)
+        # An `or` over two subjects, or with a negative arm, is no dispatch.
+        assert _decode(
+            "status is QueryStatus.ACTIVE or other is QueryStatus.DEGRADED"
+        ) is None
+        assert _decode(
+            "status is QueryStatus.ACTIVE or status is not QueryStatus.DEGRADED"
+        ) is None
+
+    def test_anything_else_is_undecodable(self):
+        for source in (
+            "status",
+            "status is QueryStatus.REBUILDING",
+            "status is Other.ACTIVE",
+            "f() is QueryStatus.ACTIVE",
+            "status in (QueryStatus.ACTIVE, 1)",
+            "status in frozenset(items)",
+            "a < status < b",
+        ):
+            assert _decode(source) is None, source

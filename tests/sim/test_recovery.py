@@ -19,7 +19,7 @@ from repro.sim import (
 )
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.fault import FaultError
-from repro.system.reliability import heal_partition
+from repro.system.reliability import ReliabilityParams, heal_partition
 
 RECOVERY = ChaosConfig(seed=0, recovery=True)
 
@@ -258,3 +258,35 @@ class TestDegradedMode:
             system.topology.add_edge(1, 3, 1.0)
             assert heal_partition(system) == ["q"]
             assert system.query("q").status is QueryStatus.ACTIVE
+
+
+class _Timers:
+    """A simulator stand-in that records the delay of every timer."""
+
+    def __init__(self):
+        self.delays = []
+
+    def schedule_in(self, delay, action):
+        self.delays.append(delay)
+
+
+class TestNackBackoff:
+    @pytest.mark.parametrize(
+        "given",
+        [None, ReliabilityParams(nack_delay=1.0, nack_backoff=3.0, nack_cap=5.0)],
+        ids=["default", "tight-cap"],
+    )
+    def test_a_nack_is_never_scheduled_past_the_cap(self, given):
+        # The NACK delay grows by nack_backoff per unanswered attempt and
+        # is capped at nack_cap, so retransmission pressure under loss
+        # stays bounded however many attempts a gap has used.
+        vnet = VirtualNetwork(build=build_chain, recovery=True, params=given)
+        params = vnet.state.params
+        timers = _Timers()
+        for attempt in (1, 2, 3, 5, 10, 60):
+            vnet._schedule_nack(timers, "Temp", 0, attempt)
+        assert timers.delays[0] == params.nack_delay
+        assert timers.delays[1] == params.nack_delay * params.nack_backoff
+        assert max(timers.delays) == params.nack_cap
+        assert timers.delays[-1] == params.nack_cap
+        assert timers.delays == sorted(timers.delays)

@@ -1,11 +1,8 @@
 #!/bin/sh
-# Offline CI gate: lint, static analysis, tier-1 tests.  No network.
+# Offline CI gate: static analysis, tier-1 tests.  No network.
 set -e
 
 cd "$(dirname "$0")/.."
-
-echo "== lint =="
-python tools/lint_repro.py
 
 echo "== layering (repro.cql owns the predicate algebra and imports no higher layer) =="
 if git grep -nE "^(from|import) repro\.(analysis|cbn|core|system)" -- src/repro/cql; then
@@ -223,10 +220,27 @@ if git grep -nE "waxman|LeastLoadedDistribution|ProximityDistribution|class Brok
     exit 1
 fi
 
+echo "== the analyzer ablation (repro.analysis, tools) =="
+# The COS80x message-flow and COS6xx protocol-contract passes and the lint
+# wrapper were ablated by measurement (EXPERIMENTS.md, "Analyzer ablation"):
+# every defect they flagged that changes behaviour is caught by a test or a
+# chaos oracle.  `repro check --self` is the one lint entry point.
+for gone in src/repro/analysis/flowgraph.py src/repro/analysis/protocol.py tools/lint_repro.py; do
+    if [ -e "$gone" ]; then
+        echo "ci: $gone was deleted by the analyzer ablation and must not come back" >&2
+        exit 1
+    fi
+done
+if git grep -nE "COS60[0-9]|COS80[0-9]|callback_modules" -- src/repro; then
+    echo "ci: src/repro must not grow the COS60x/COS80x passes," \
+         "their codes or pragmas, or callback_modules= back" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
-echo "== repro check --self (COS5xx/6xx/7xx/8xx/9xx source lint, <10s budget) =="
+echo "== repro check --self (COS5xx/7xx/81x/90x source lint, <10s budget) =="
 PYTHONPATH=src python -m repro check --self --strict --json > BENCH_selfcheck.json
 python - <<'EOF'
 import json
