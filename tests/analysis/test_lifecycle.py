@@ -8,8 +8,13 @@ import pytest
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.lifecycle import (
+    ENUM_TERMINAL_POLICY,
+    MachineSpec,
+    StateMachine,
     Transition,
+    TransitionSpec,
     _enum_tests,
+    _extract_spec_machine,
     check_lifecycle,
     check_machines,
     collect_enums,
@@ -311,6 +316,42 @@ class TestCollectEnums:
         )
         assert _enum_tests(guard.test, {}) is None
 
+    def test_attribute_and_bare_enum_bases_both_count(self):
+        module = module_from_text(
+            "import enum\n"
+            "from enum import Flag, StrEnum\n"
+            "class Level(enum.IntEnum):\n"
+            "    LOW = 1\n"
+            "class Mode(Flag):\n"
+            "    READ = 1\n"
+            "class Name(StrEnum):\n"
+            "    ALPHA = 'alpha'\n",
+            "repro/a.py",
+        )
+        assert collect_enums([module]) == {
+            "Level": ["LOW"],
+            "Mode": ["READ"],
+            "Name": ["ALPHA"],
+        }
+
+    def test_only_uppercase_plain_assignments_are_members(self):
+        """Helpers, annotated attributes and multi-target assignments are
+        not members; an enum left with none is not in the table."""
+        module = module_from_text(
+            "import enum\n"
+            "class Phase(enum.Enum):\n"
+            "    A = 'a'\n"
+            "    label = 'x'\n"
+            "    B: str = 'b'\n"
+            "    C = D = 'c'\n"
+            "    def describe(self):\n"
+            "        return self.value\n"
+            "class Empty(enum.Enum):\n"
+            "    helper = 1\n",
+            "repro/a.py",
+        )
+        assert collect_enums([module]) == {"Phase": ["A"]}
+
 
 class TestEnumTests:
     def test_identity_test_decodes_either_side(self):
@@ -367,3 +408,215 @@ class TestEnumTests:
             "a < status < b",
         ):
             assert _decode(source) is None, source
+
+
+def _machine(states, initial, terminal, *edges):
+    return StateMachine(
+        name="toy",
+        states=list(states),
+        initial=list(initial),
+        terminal=list(terminal),
+        transitions=[Transition(*edge) for edge in edges],
+        origin=("repro/toy.py", 7),
+    )
+
+
+class TestStateMachine:
+    def test_targets_filter_by_label_and_source(self):
+        machine = _machine(
+            "ABC", "A", "C",
+            ("go", "A", "B"), ("go", "A", "C"), ("go", "B", "C"),
+            ("skip", "A", "C"),
+        )
+        assert machine.targets("go", "A") == ["B", "C"]
+        assert machine.targets("skip", "A") == ["C"]
+        assert machine.targets("skip", "B") == []
+
+    def test_reachable_follows_edges_from_the_initial_states(self):
+        machine = _machine(
+            "ABCD", "A", "CD",
+            ("go", "A", "B"), ("go", "B", "A"), ("go", "C", "D"),
+        )
+        assert machine.reachable() == {"A", "B"}
+        assert _machine("AB", "", "AB", ("go", "A", "B")).reachable() == set()
+
+    def test_to_dict_lists_every_field_but_the_origin(self):
+        machine = _machine("AB", "A", "B", ("go", "A", "B"))
+        assert machine.to_dict() == {
+            "name": "toy",
+            "states": ["A", "B"],
+            "initial": ["A"],
+            "terminal": ["B"],
+            "transitions": [{"label": "go", "source": "A", "target": "B"}],
+        }
+
+
+class TestCheckMachines:
+    def test_a_consistent_machine_is_clean(self):
+        machine = _machine(
+            "ABC", "A", "C", ("go", "A", "B"), ("go", "B", "C")
+        )
+        assert check_machines([machine], Report()).is_clean
+
+    def test_a_state_nothing_produces_is_cos812(self):
+        machine = _machine("ABC", "A", "BC", ("go", "A", "B"))
+        report = check_machines([machine], Report())
+        assert report.codes() == ["COS812"]
+        assert "state C has no producing code path" in report.render()
+
+    def test_a_produced_but_unreachable_state_is_cos811(self):
+        machine = _machine(
+            "ABCD", "A", "ABCD",
+            ("go", "A", "B"), ("go", "C", "D"), ("go", "D", "C"),
+        )
+        report = check_machines([machine], Report())
+        assert report.codes() == ["COS811", "COS811"]
+        assert "state C is unreachable" in report.render()
+        assert "state D is unreachable" in report.render()
+
+    def test_a_trap_state_not_allowed_terminal_is_cos813(self):
+        machine = _machine("AB", "A", "A", ("go", "A", "B"))
+        report = check_machines([machine], Report())
+        assert report.codes() == ["COS813"]
+        assert "state B has no exit" in report.render()
+
+    def test_a_declared_terminal_state_may_have_no_exit(self):
+        machine = _machine("AB", "A", "B", ("go", "A", "B"))
+        assert check_machines([machine], Report()).is_clean
+
+    def test_findings_join_the_given_report_at_the_machine_origin(self):
+        report = Report()
+        report.add("COS812", "a broken anchor", "repro/other.py", 1)
+        machine = _machine("AB", "A", "A", ("go", "A", "B"))
+        assert check_machines([machine], report) is report
+        assert report.codes() == ["COS812", "COS813"]
+        finding = report.diagnostics[-1]
+        assert (finding.source, finding.pos) == ("repro/toy.py", 7)
+
+
+_HOME = module_from_text(
+    "class Box:\n"
+    "    def open(self):\n"
+    "        self._open = True\n"
+    "    def close(self):\n"
+    "        self._open = False\n",
+    "repro/box.py",
+)
+
+
+def _box_spec(*templates):
+    return MachineSpec(
+        name="box",
+        module="repro/box.py",
+        states=("SHUT", "OPEN"),
+        initial=("SHUT",),
+        terminal=("SHUT",),
+        transitions=tuple(
+            TransitionSpec(label, source, target, "repro/box.py", func, needle)
+            for label, source, target, func, needle in templates
+        ),
+    )
+
+
+class TestSpecMachines:
+    def test_anchored_transitions_are_admitted(self):
+        report = Report()
+        machine = _extract_spec_machine(
+            _box_spec(
+                ("open", "SHUT", "OPEN", "open", "self._open = True"),
+                ("close", "OPEN", "SHUT", "close", "self._open = False"),
+            ),
+            [_HOME],
+            report,
+        )
+        assert report.is_clean
+        assert machine.origin == ("repro/box.py", 1)
+        assert machine.transitions == [
+            Transition("open", "SHUT", "OPEN"),
+            Transition("close", "OPEN", "SHUT"),
+        ]
+
+    def test_a_missing_needle_or_method_drops_the_edge_as_cos812(self):
+        report = Report()
+        machine = _extract_spec_machine(
+            _box_spec(
+                ("open", "SHUT", "OPEN", "open", "self._opened = True"),
+                ("close", "OPEN", "SHUT", "shut", "self._open = False"),
+            ),
+            [_HOME],
+            report,
+        )
+        assert machine.transitions == []
+        assert report.codes() == ["COS812", "COS812"]
+        assert "open() no longer contains" in report.render()
+        assert "shut() no longer contains" in report.render()
+
+    def test_two_anchors_for_one_edge_admit_it_once(self):
+        machine = _extract_spec_machine(
+            _box_spec(
+                ("open", "SHUT", "OPEN", "open", "self._open = True"),
+                ("open", "SHUT", "OPEN", "open", "def open"),
+            ),
+            [_HOME],
+            Report(),
+        )
+        assert machine.transitions == [Transition("open", "SHUT", "OPEN")]
+
+    def test_a_spec_whose_module_is_absent_yields_no_machine(self):
+        other = module_from_text("x = 1\n", "repro/other.py")
+        report = Report()
+        assert _extract_spec_machine(_box_spec(), [other], report) is None
+        assert report.is_clean
+
+
+_PHASE = (
+    "import enum\n"
+    "class Phase(enum.Enum):\n"
+    "    A = 'a'\n"
+    "    B = 'b'\n"
+)
+
+
+class TestEnumMachines:
+    def test_class_defaults_are_the_initial_states(self):
+        module = module_from_text(
+            _PHASE
+            + "class Holder:\n"
+            "    phase: Phase = Phase.B\n"
+            "class Other:\n"
+            "    phase: Phase = Phase.A\n",
+            "pkg/phases.py",
+        )
+        (machine,) = extract_lifecycle([module], specs=())
+        assert machine.initial == ["B", "A"]
+        assert machine.transitions == []
+        assert machine.origin == ("pkg/phases.py", 2)
+
+    def test_the_label_is_the_enclosing_function(self):
+        module = module_from_text(
+            _PHASE
+            + "def reset(h):\n"
+            "    h.phase = Phase.A\n"
+            "holder.phase = Phase.B\n",
+            "pkg/phases.py",
+        )
+        (machine,) = extract_lifecycle([module], specs=())
+        assert machine.initial == []
+        assert {t.label for t in machine.transitions} == {"reset", "<module>"}
+        assert machine.targets("<module>", "A") == ["B"]
+
+    def test_an_enum_without_policy_may_stop_anywhere(self):
+        module = module_from_text(
+            _PHASE + "def reset(h):\n    h.phase = Phase.A\n",
+            "pkg/phases.py",
+        )
+        (machine,) = extract_lifecycle([module], specs=())
+        assert "Phase" not in ENUM_TERMINAL_POLICY
+        assert machine.terminal == ["A", "B"]
+
+    def test_an_enum_never_assigned_or_defaulted_has_no_machine(self):
+        module = module_from_text(
+            _PHASE + "def is_a(h):\n    return h.phase is Phase.A\n",
+            "pkg/phases.py",
+        )
+        assert extract_lifecycle([module], specs=()) == []
