@@ -70,36 +70,21 @@ class _CompiledQuery:
         self.inputs: Dict[str, str] = {
             ref.stream: ref.name for ref in query.streams
         }
-        self._aggregate: Optional[GroupedAggregate] = None
         self._join: Optional[WindowJoin] = None
         self._select: Optional[Select] = None
         self._project: Optional[Project] = None
-        #: a single-stream select-project, compiled on its first tuple
+        #: the single-stream operators, compiled on their first tuple
         #: (registration is on the install path, renaming is not free)
         self._scan: Optional[PayloadSelectProject] = None
+        self._aggregate: Optional[GroupedAggregate] = None
+        self._aggregating = query.is_aggregate
         self._columns: Dict[str, str] = {}
 
-        if query.is_aggregate:
+        if self._aggregating:
             if len(query.streams) != 1:
                 raise EngineError(
                     "aggregate queries over joins are not supported"
                 )
-            ref = query.streams[0]
-            specs = [
-                AggregateSpec(
-                    agg.func,
-                    agg.arg.key if agg.arg is not None else None,
-                    agg.name,
-                )
-                for agg in query.aggregates
-            ]
-            self._aggregate = GroupedAggregate(
-                ref.name,
-                ref.window.size,
-                [attr.key for attr in query.group_by],
-                specs,
-                pre_filter=query.predicate,
-            )
         else:
             self._columns = {
                 attr.key: attr.key for attr in query.projected_attributes(catalog)
@@ -126,12 +111,34 @@ class _CompiledQuery:
             )
         return WindowJoin(inputs, pairs)
 
+    @staticmethod
+    def _build_aggregate(query: ContinuousQuery) -> GroupedAggregate:
+        ref = query.streams[0]
+        specs = [
+            AggregateSpec(
+                agg.func,
+                agg.arg.key if agg.arg is not None else None,
+                agg.name,
+            )
+            for agg in query.aggregates
+        ]
+        return GroupedAggregate(
+            ref.name,
+            ref.window.size,
+            [attr.key for attr in query.group_by],
+            specs,
+            pre_filter=query.predicate,
+        )
+
     def feed(self, stream: str, datagram: Datagram) -> List[Datagram]:
         qualifier = self.inputs.get(stream)
         if qualifier is None:
             return []
-        if self._aggregate is not None:
-            rows = self._aggregate.process(datagram)
+        if self._aggregating:
+            aggregate = self._aggregate
+            if aggregate is None:
+                aggregate = self._aggregate = self._build_aggregate(self.query)
+            rows = aggregate.process(datagram)
             return [
                 Datagram(self.result_stream, row, datagram.timestamp)
                 for row in rows

@@ -11,22 +11,25 @@ These are the building blocks the engine compiles a
   rule is exactly Lemma 1 of the paper: tuples ``t1`` (stream 1, window
   ``T1``) and ``t2`` (stream 2, window ``T2``) join iff they satisfy the
   join predicates and ``-T1 <= t1.ts - t2.ts <= T2``;
-* :class:`GroupedAggregate` -- windowed grouped aggregation re-emitting
-  the affected group's row on every arrival.
+* :class:`GroupedAggregate` -- windowed grouped aggregation over one
+  stream's raw payload, re-emitting the affected group's row on every
+  arrival.
 
 Bindings are plain ``dict`` objects mapping *qualified* attribute names
 (``"O.itemID"``) to values, so the query's
 :class:`~repro.cql.predicates.Conjunction` evaluates directly on them.
-The stateful operators keep bindings, built once on arrival, in
-:class:`~repro.spe.windows.KeyedWindow`; select and project keep
-nothing, and a single-stream select-project builds no binding at all.
+Both stateful operators keep their state in
+:class:`~repro.spe.windows.KeyedWindow`: the join keeps bindings, built
+once on arrival, and the aggregate keeps the values it aggregates.
+Select and project keep nothing, and the single-stream operators build
+no binding at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from sys import intern
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cbn.datagram import Datagram, Value
 from repro.cql.predicates import Conjunction
@@ -234,20 +237,33 @@ class AggregateSpec:
     output_name: str
 
 
+#: aggregate function -> its fold over a group's values, oldest first
+_FOLDS: Dict[str, Callable[[Sequence[Value]], Value]] = {
+    "count": len,
+    "sum": sum,
+    "avg": lambda values: sum(values) / len(values),
+    "min": min,
+    "max": max,
+}
+
+
 class GroupedAggregate:
-    """Windowed grouped aggregation.
+    """Windowed grouped aggregation over one stream's raw payload.
 
-    Holds the window of its input bucketed by the grouping values, so
-    the arrival's group *is* its bucket; on every arrival the aggregate
-    values of that group are recomputed over the bucket, in arrival
-    order, and the group's current row is emitted (an *Istream*-style
-    update stream).  An attribute a tuple lacks is SQL NULL: aggregates
-    skip it, and a group with no value at all for an aggregated
-    attribute emits its row without that column.
+    Keeps columns, not bindings: for each aggregated attribute one
+    :class:`~repro.spe.windows.KeyedWindow`, bucketed by the grouping
+    values, holds the values present in the window in arrival order
+    (``COUNT(*)`` keeps one value-free window).  On every arrival each
+    aggregate folds its group's bucket -- ``sum``/``avg`` add it up in
+    arrival order -- and the group's current row is emitted (an
+    *Istream*-style update stream).  An attribute a tuple lacks is SQL
+    NULL: it enters no window, and a group with no value at all for an
+    aggregated attribute emits its row without that column.
 
-    The implementation recomputes from the bucket rather than
-    maintaining incremental state: simple, obviously correct, and the
-    float arithmetic stays in arrival order.
+    The pre-filter and grouping terms are renamed once, here, to payload
+    attribute names, and the implicit ``timestamp`` is supplied as
+    :func:`qualify` does -- only when the query reads it and the payload
+    lacks it.
     """
 
     def __init__(
@@ -258,47 +274,45 @@ class GroupedAggregate:
         aggregates: Sequence[AggregateSpec],
         pre_filter: Optional[Conjunction] = None,
     ) -> None:
-        self._qualifier = qualifier
-        self._window = KeyedWindow(window)
-        self._group_by = list(group_by)
-        self._aggregates = list(aggregates)
-        self._pre_filter = pre_filter or Conjunction.true()
+        cut = len(qualifier) + 1
+        condition = pre_filter or Conjunction.true()
+        self._pre_filter = condition.rename(
+            {term: term[cut:] for term in condition.referenced_terms()}
+        )
+        self._group_by = tuple(group_by)
+        self._group_names = tuple(attr[cut:] for attr in group_by)
+        #: payload attribute (``None``: ``COUNT(*)``) -> its values' window
+        self._columns: Dict[Optional[str], KeyedWindow] = {}
+        self._aggregates: List[Tuple[Callable, KeyedWindow, str]] = []
+        for spec in aggregates:
+            if spec.func not in _FOLDS:
+                raise ValueError(f"unknown aggregate function {spec.func!r}")
+            name = None if spec.attribute is None else spec.attribute[cut:]
+            column = self._columns.setdefault(name, KeyedWindow(window))
+            self._aggregates.append((_FOLDS[spec.func], column, spec.output_name))
+        self._stamped = "timestamp" in (
+            self._pre_filter.referenced_terms() | {*self._group_names, *self._columns}
+        )
 
     def process(self, datagram: Datagram) -> List[Binding]:
         now = datagram.timestamp
-        self._window.expire(now)
-        binding = qualify(self._qualifier, datagram)
-        if not self._pre_filter.evaluate(binding):
+        for column in self._columns.values():
+            column.expire(now)
+        payload = datagram.payload
+        if self._stamped and "timestamp" not in payload:
+            payload = {**payload, "timestamp": now}
+        if not self._pre_filter.evaluate(payload):
             # Tuples failing the selection never enter the window.
             return []
-        key = tuple([binding.get(attr) for attr in self._group_by])
-        self._window.insert(key, now, binding)
-        members = self._window.probe(key)
+        key = tuple([payload.get(name) for name in self._group_names])
+        for name, column in self._columns.items():
+            if name is None:
+                column.insert(key, now, None)
+            elif name in payload:
+                column.insert(key, now, payload[name])
         row: Binding = dict(zip(self._group_by, key))
-        for spec in self._aggregates:
-            value = _compute_aggregate(spec, members)
-            if value is not None:
-                row[spec.output_name] = value
+        for fold, column, output in self._aggregates:
+            values = column.probe(key)
+            if values or fold is len:
+                row[output] = fold(values)
         return [row]
-
-
-def _compute_aggregate(
-    spec: AggregateSpec, members: Sequence[Binding]
-) -> Optional[Value]:
-    """One aggregate over a group; ``None`` when it has no input value."""
-    if spec.func == "count":
-        if spec.attribute is None:
-            return len(members)
-        return sum(1 for m in members if spec.attribute in m)
-    values = [m[spec.attribute] for m in members if spec.attribute in m]
-    if not values:
-        return None
-    if spec.func == "sum":
-        return sum(values)  # type: ignore[arg-type]
-    if spec.func == "avg":
-        return sum(values) / len(values)  # type: ignore[arg-type]
-    if spec.func == "min":
-        return min(values)
-    if spec.func == "max":
-        return max(values)
-    raise ValueError(f"unknown aggregate function {spec.func!r}")

@@ -17,7 +17,7 @@ common.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cbn.datagram import Datagram
@@ -141,62 +141,143 @@ AGGREGATES = [
     AggregateSpec("max", "S.v", "max"),
     AggregateSpec("count", "S.v", "n"),
     AggregateSpec("count", None, "rows"),
+    AggregateSpec("sum", "S.w", "w_sum"),
+    AggregateSpec("min", "S.w", "w_min"),
+    AggregateSpec("avg", "S.w", "w_avg"),
+    AggregateSpec("count", "S.w", "w_n"),
+]
+#: aggregating the timestamp reads it too (implicit or explicit)
+STAMP_AGGREGATES = [
+    AggregateSpec("max", "S.timestamp", "last"),
+    AggregateSpec("count", "S.timestamp", "stamps"),
 ]
 
-sparse_floats = st.one_of(
-    st.just(ABSENT), st.floats(min_value=-100, max_value=100, allow_nan=False)
+#: ``int`` and ``float`` mixed, ``1`` next to ``1.0`` and ``0.0`` next
+#: to ``-0.0``, so ``min``/``max``/``sum`` show the order they met them in.
+sparse_numbers = st.one_of(
+    st.just(ABSENT),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 0.2, 0.3, 1e16]),
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
 )
 
 
 @st.composite
 def aggregate_feed(draw):
     """Tuples ``(ts, payload)``: a pre-filter attribute ``p`` always
-    present, grouping attributes ``g``/``h`` and the aggregated ``v``
-    sometimes missing."""
+    present; grouping attributes ``g``/``h``, the aggregated ``v``/``w``
+    and an explicit ``timestamp`` sometimes missing."""
     feed = []
     for ts in draw(timestamps):
         drawn = {
             "p": draw(st.integers(-1, 1)),
             "g": draw(key_values),
             "h": draw(st.sampled_from([0, 1, ABSENT])),
-            "v": draw(sparse_floats),
+            "v": draw(sparse_numbers),
+            "w": draw(sparse_numbers),
+            "timestamp": draw(st.sampled_from([ABSENT, ABSENT, 0.0, 2.5, 50])),
         }
         feed.append((ts, {k: v for k, v in drawn.items() if v is not ABSENT}))
     return feed
 
 
+def brute_force_rows(feed, size, group_by, cut, specs):
+    """What the grouped aggregate must emit for each arrival of ``feed``:
+    ``None`` for one the pre-filter (``p >= 0``, and ``timestamp >= cut``
+    unless ``cut`` is ``None``) drops, else the row folded over every
+    earlier-or-equal tuple that passed, carries the arrival's group
+    values and is stamped inside the window, oldest first.  A tuple's
+    ``timestamp`` is its payload's when it carries one, else its
+    arrival stamp."""
+
+    def view(ts, payload):
+        return {"timestamp": ts, **payload}
+
+    def passes(tup):
+        return tup["p"] >= 0 and (cut is None or tup["timestamp"] >= cut)
+
+    expected = []
+    for index, (now, payload) in enumerate(feed):
+        arrival = view(now, payload)
+        if not passes(arrival):
+            expected.append(None)
+            continue
+        group = [arrival.get(name) for name in group_by]
+        members = [
+            old
+            for old in (view(ts, p) for ts, p in feed[: index + 1] if ts >= now - size)
+            if passes(old) and [old.get(name) for name in group_by] == group
+        ]
+        row = {f"S.{name}": value for name, value in zip(group_by, group)}
+        for spec in specs:
+            if spec.attribute is None:
+                row[spec.output_name] = len(members)
+                continue
+            name = spec.attribute[len("S."):]
+            values = [old[name] for old in members if name in old]
+            if spec.func == "count":
+                row[spec.output_name] = len(values)
+            elif values:
+                row[spec.output_name] = {
+                    "sum": lambda: sum(values),
+                    "avg": lambda: sum(values) / len(values),
+                    "min": lambda: min(values),
+                    "max": lambda: max(values),
+                }[spec.func]()
+        expected.append(row)
+    return expected
+
+
+#: ``-0.0`` before ``0.0`` and ``1`` before ``1.0``; sums whose last
+#: digit depends on the order of addition (``0.1 + 0.2 + 0.3``,
+#: ``1e16 + 1.0 + 1.0``), at one stamp and across stamps; explicit and
+#: implicit timestamps mixed
+FIXED_FEED = [
+    (1.0, {"p": 0, "g": 1, "v": -0.0, "w": 1, "timestamp": 2.5}),
+    (1.0, {"p": 1, "g": 1.0, "v": 0.0, "w": 1.0}),
+    (1.0, {"p": -1, "g": 1, "v": 5}),
+    (1.0, {"p": 0, "g": 1, "v": 0.1, "w": 0.1, "timestamp": 2.5}),
+    (1.0, {"p": 0, "g": 1, "v": 0.2, "w": 0.2}),
+    (1.0, {"p": 0, "g": 1, "v": 0.3, "w": 0.3, "timestamp": 0.0}),
+    (3.0, {"p": 0, "g": 1, "w": -0.0}),
+    (3.0, {"p": 0, "g": "1", "w": 0.0}),
+    (9.5, {"p": 1, "g": 1, "v": 1e16, "w": 1e16}),
+    (9.5, {"p": 1, "g": 1, "v": 1.0, "w": 1}),
+    (9.5, {"p": 1, "g": 1, "v": 1.0, "w": 1.0}),
+]
+
+
 class TestAggregateOracle:
-    @given(aggregate_feed(), window_sizes, st.sampled_from([[], ["g"], ["g", "h"]]))
-    @settings(max_examples=160, deadline=None)
-    def test_rows_match_brute_force(self, feed, size, group_by):
+    @given(
+        feed=aggregate_feed(),
+        size=window_sizes,
+        group_by=st.sampled_from(
+            [[], ["g"], ["g", "h"], ["timestamp"], ["g", "timestamp"]]
+        ),
+        cut=st.sampled_from([None, 2.0, 40.0]),
+        stamped=st.booleans(),
+    )
+    @example(feed=FIXED_FEED, size=0.0, group_by=["g"], cut=None, stamped=True)
+    @example(feed=FIXED_FEED, size=math.inf, group_by=["g"], cut=None, stamped=True)
+    @example(feed=FIXED_FEED, size=math.inf, group_by=["timestamp"], cut=2.0, stamped=False)
+    @example(feed=FIXED_FEED, size=0.0, group_by=["g", "timestamp"], cut=None, stamped=False)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_brute_force(self, feed, size, group_by, cut, stamped):
+        specs = AGGREGATES + STAMP_AGGREGATES if stamped else AGGREGATES
+        atoms = [Comparison("S.p", ">=", 0)]
+        if cut is not None:
+            atoms.append(Comparison("S.timestamp", ">=", cut))
         agg = GroupedAggregate(
             "S",
             size,
             [f"S.{name}" for name in group_by],
-            AGGREGATES,
-            pre_filter=Conjunction.from_atoms([Comparison("S.p", ">=", 0)]),
+            specs,
+            pre_filter=Conjunction.from_atoms(atoms),
         )
-        for index, (now, payload) in enumerate(feed):
-            rows = agg.process(Datagram("S", payload, now))
-            if payload["p"] < 0:
-                assert rows == []
-                continue
-            group = [payload.get(name) for name in group_by]
-            members = [
-                old
-                for ts, old in feed[: index + 1]
-                if old["p"] >= 0
-                and [old.get(name) for name in group_by] == group
-                and ts >= now - size
-            ]
-            values = [old["v"] for old in members if "v" in old]
-            expected = {f"S.{name}": value for name, value in zip(group_by, group)}
-            if values:
-                expected.update(
-                    avg=sum(values) / len(values),
-                    sum=sum(values),
-                    min=min(values),
-                    max=max(values),
-                )
-            expected.update(n=len(values), rows=len(members))
-            assert rows == [expected]  # == on floats: same order of addition
+        produced = [
+            agg.process(Datagram("S", payload, now)) or None for now, payload in feed
+        ]
+        expected = brute_force_rows(feed, size, group_by, cut, specs)
+        # repr, not ==: -0.0 is not 0.0, 1 is not 1.0, and a float sum
+        # added in another order shows in its last digit
+        assert repr(produced) == repr([row and [row] for row in expected])

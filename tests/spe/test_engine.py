@@ -265,6 +265,95 @@ class TestAggregates:
         results = spe.push(temp(1, station=1, value=20.0))
         assert dict(results[0].datagram.payload) == {"T.station": 1, "m": 15.0}
 
+    QUERIES = {
+        "grouped": "SELECT T.station, COUNT(*) AS n, AVG(T.temp) AS a, "
+        "MIN(T.temp) AS lo, MAX(T.temp) AS hi, SUM(T.temp) AS s, "
+        "COUNT(T.temp) AS c FROM Temp [Range 10 Second] T "
+        "WHERE T.temp > 0 GROUP BY T.station",
+        "stamped": "SELECT T.timestamp, COUNT(*) AS n, MAX(T.timestamp) AS last "
+        "FROM Temp [Now] T WHERE T.timestamp >= 5 GROUP BY T.timestamp",
+        "global": "SELECT COUNT(*) AS n, SUM(T.temp) AS s FROM Temp [Unbounded] T",
+    }
+
+    @pytest.fixture
+    def stamped_catalog(self):
+        """``Temp`` declaring its timestamp, so queries may read it."""
+        return Catalog(
+            [
+                StreamSchema(
+                    "Temp",
+                    [
+                        Attribute("station", "int", 0, 9),
+                        Attribute("temp", "float", -20, 40),
+                        Attribute("timestamp", "timestamp"),
+                    ],
+                    rate=1.0,
+                ),
+                StreamSchema("Wind", [Attribute("station", "int", 0, 9)], rate=1.0),
+            ]
+        )
+
+    def test_registration_renames_nothing(self, stamped_catalog, monkeypatch):
+        """An aggregate compiles on its first tuple, as a select-project
+        does: registration is on the install path."""
+        from repro.cql.predicates import Conjunction
+
+        renames = []
+        original = Conjunction.rename
+        monkeypatch.setattr(
+            Conjunction,
+            "rename",
+            lambda self, mapping: renames.append(mapping) or original(self, mapping),
+        )
+        spe = StreamProcessingEngine(stamped_catalog)
+        spe.register(parse_query(self.QUERIES["grouped"]), "agg")
+        assert renames == [] and spe._queries["agg"]._aggregate is None
+        spe.push(temp(0, station=1, value=10.0))
+        assert len(renames) == 1 and spe._queries["agg"]._aggregate is not None
+
+    def test_no_binding_is_built(self, stamped_catalog, monkeypatch):
+        """An aggregate reads the payload: with ``qualify`` gone it gives
+        the same rows, while a join cannot run at all."""
+        from repro.spe import operators
+
+        rng = random.Random(7)
+        feed = []
+        for step in range(300):
+            payload = {"station": rng.randrange(3), "temp": rng.uniform(-5, 30)}
+            if rng.random() < 0.2:
+                del payload["temp"]
+            if rng.random() < 0.5:  # explicit; else the arrival stamp
+                payload["timestamp"] = float(step // 8)
+            feed.append(Datagram("Temp", payload, step / 4))
+
+        def rows():
+            spe = StreamProcessingEngine(stamped_catalog)
+            for name, text in self.QUERIES.items():
+                spe.register(parse_query(text), name)
+            return [
+                (r.query_name, repr(list(r.datagram.payload.items())))
+                for datagram in feed
+                for r in spe.push(datagram)
+            ]
+
+        expected = rows()
+        assert {name for name, __ in expected} == set(self.QUERIES)
+
+        def no_bindings(*args):
+            raise AssertionError("qualify called")
+
+        monkeypatch.setattr(operators, "qualify", no_bindings)
+        assert rows() == expected
+        join = StreamProcessingEngine(stamped_catalog)
+        join.register(
+            parse_query(
+                "SELECT T.temp, W.station FROM Temp [Range 5 Second] T, "
+                "Wind [Range 5 Second] W WHERE T.station = W.station"
+            )
+        )
+        with pytest.raises(AssertionError, match="qualify called"):
+            join.push(temp(0))
+
 
 class TestResultSchema:
     def test_spj_schema_carries_source_metadata(self, catalog):
@@ -447,7 +536,7 @@ class TestStateCeilings:
     def _windows(self, spe):
         for compiled in spe._queries.values():
             if compiled._aggregate is not None:
-                yield compiled._aggregate._window
+                yield from compiled._aggregate._columns.values()
             elif compiled._join is not None:
                 yield from compiled._join._windows.values()
 
@@ -474,6 +563,10 @@ class TestStateCeilings:
         scan1 = spe._queries["scan1"]
         assert scan1._join is None and scan1._aggregate is None
         assert scan1._scan is not None
+        # an aggregate's windows hold the values it aggregates, not bindings
+        agg = spe._queries["agg"]._aggregate
+        held = [v for w in agg._columns.values() for b in w._buckets.values() for v in b]
+        assert held and all(isinstance(v, float) for v in held)
         # no bucket outlives its last item
         for window in self._windows(spe):
             window.expire(1e9)

@@ -401,6 +401,12 @@ class TestGroupedAggregate:
         agg = self._agg(window=5.0)
         for ts, station in enumerate([1, 2, 1, 3]):
             agg.process(Datagram("S", {"station": station, "temp": 1.0}, float(ts)))
-        assert sorted(agg._window._buckets) == [(1,), (2,), (3,)]
+        for column in agg._columns.values():
+            assert sorted(column._buckets) == [(1,), (2,), (3,)]
         agg.process(Datagram("S", {"station": 3, "temp": 1.0}, 7.5))
-        assert sorted(agg._window._buckets) == [(3,)]
+        for column in agg._columns.values():
+            assert sorted(column._buckets) == [(3,)]
+        # one column of values per aggregated attribute, one value-free
+        # column for COUNT(*); no bindings
+        assert list(agg._columns[None]._buckets[(3,)]) == [None, None]
+        assert list(agg._columns["temp"]._buckets[(3,)]) == [1.0, 1.0]

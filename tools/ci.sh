@@ -105,6 +105,39 @@ if git grep -nE "IndexedSymmetricJoin|SymmetricWindowJoin|WindowBuffer|_HashedWi
     exit 1
 fi
 
+echo "== a windowed aggregate reads columns (repro.spe) =="
+# GroupedAggregate keeps one KeyedWindow of values per aggregated attribute and
+# reads the raw payload; only the join's windows retain qualified bindings.
+if git grep -nF "_compute_aggregate" -- src/repro; then
+    echo "ci: src/repro/spe must fold the aggregate's columns, not recompute over bindings" >&2
+    exit 1
+fi
+python - <<'EOF'
+import ast, pathlib, sys
+
+def calls(node, path, owner):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls(child, path, f"{owner}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call) and "qualify" in (
+            getattr(child.func, "id", None), getattr(child.func, "attr", None)
+        ):
+            yield (path, owner, child.lineno)
+        yield from calls(child, path, owner)
+
+strays = [
+    (path, owner, line)
+    for path in sorted(pathlib.Path("src/repro/spe").rglob("*.py"))
+    for path, owner, line in calls(ast.parse(path.read_text()), path.as_posix(), "")
+    if owner != "WindowJoin.process"
+]
+for path, owner, line in strays:
+    print(f"{path}:{line}: {owner or '<module>'}", file=sys.stderr)
+if strays:
+    sys.exit("ci: only WindowJoin.process may call qualify() in src/repro/spe")
+EOF
+
 echo "== self-tuning and repair cost what they change (repro.overlay, repro.cbn) =="
 # OverlayOptimizer prices a swap along its cycle and builds a tree only for the
 # accepted one; _StreamFacts holds no tree, so retree has no facts to drop.
