@@ -11,12 +11,17 @@ Datagrams travelling a *reliable sequenced uplink*
 source) monotone sequence number in ``seq``; it is transport metadata
 (gap detection, duplicate suppression), preserved through projection
 and relabelling, and ``None`` everywhere reliability is not in play.
+
+Every published tuple builds several datagrams (the origin's and one per
+early projection), so the value is a slotted class: no per-instance
+``__dict__``, fields stored once through the slot descriptors, and
+assignment or deletion of a field raises ``AttributeError``.  ``copy``,
+``deepcopy`` and ``pickle`` rebuild it through ``__reduce__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Union
 
 Value = Union[int, float, str]
 
@@ -24,7 +29,6 @@ Value = Union[int, float, str]
 _FALLBACK_WIDTHS = {int: 4, float: 8, str: 16, bool: 1}
 
 
-@dataclass(frozen=True)
 class Datagram:
     """One immutable datagram of a named stream.
 
@@ -32,10 +36,12 @@ class Datagram:
     application-time instant of the tuple the datagram carries.
     """
 
+    __slots__ = ("stream", "payload", "timestamp", "seq")
+
     stream: str
-    payload: Mapping[str, Value]
-    timestamp: float = 0.0
-    seq: Optional[int] = None
+    payload: Dict[str, Value]
+    timestamp: float
+    seq: Optional[int]
 
     def __init__(
         self,
@@ -44,10 +50,19 @@ class Datagram:
         timestamp: float = 0.0,
         seq: Optional[int] = None,
     ) -> None:
-        object.__setattr__(self, "stream", stream)
-        object.__setattr__(self, "payload", dict(payload))
-        object.__setattr__(self, "timestamp", float(timestamp))
-        object.__setattr__(self, "seq", None if seq is None else int(seq))
+        _set_stream(self, stream)
+        _set_payload(self, dict(payload))
+        _set_timestamp(self, float(timestamp))
+        _set_seq(self, None if seq is None else int(seq))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Datagram is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Datagram is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (Datagram, (self.stream, self.payload, self.timestamp, self.seq))
 
     # -- accessors ---------------------------------------------------------------
 
@@ -103,7 +118,7 @@ class Datagram:
             self.stream == other.stream
             and self.timestamp == other.timestamp
             and self.seq == other.seq
-            and dict(self.payload) == dict(other.payload)
+            and self.payload == other.payload
         )
 
     def __hash__(self) -> int:
@@ -116,3 +131,9 @@ class Datagram:
         items = ", ".join(f"{k}={v!r}" for k, v in sorted(self.payload.items()))
         tag = "" if self.seq is None else f"#{self.seq}"
         return f"Datagram({self.stream}{tag}@{self.timestamp:g}: {items})"
+
+
+_set_stream = Datagram.stream.__set__  # type: ignore[attr-defined]
+_set_payload = Datagram.payload.__set__  # type: ignore[attr-defined]
+_set_timestamp = Datagram.timestamp.__set__  # type: ignore[attr-defined]
+_set_seq = Datagram.seq.__set__  # type: ignore[attr-defined]

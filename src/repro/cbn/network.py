@@ -88,8 +88,7 @@ class NetworkError(Exception):
     """Raised for operations on unknown nodes/subscriptions."""
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """One datagram delivered to one subscriber."""
 
     subscription_id: str
@@ -222,12 +221,16 @@ class _StreamFacts:
         conjunction's.
         """
         payload = datagram.payload
-        priced = self.widths or ()
+        priced = self.widths or {}
+        if payload.keys() <= priced.keys():
+            types: tuple = ()  # the schema prices every attribute: nothing to scan
+        else:
+            types = tuple([type(value) for name, value in payload.items() if name not in priced])
         return (
             origin,
             tuple(payload),
             datagram.seq is None,
-            tuple([type(value) for name, value in payload.items() if name not in priced]),
+            types,
             self.index.outcomes(payload),
         )
 

@@ -21,8 +21,7 @@ never need it); registering one raises :class:`EngineError`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cbn.datagram import Datagram
 from repro.cql.ast import Aggregate, ContinuousQuery, QueryError
@@ -44,8 +43,7 @@ class EngineError(Exception):
     """Raised for unsupported or malformed query registrations."""
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """One result tuple produced by one registered query."""
 
     query_name: str

@@ -1,6 +1,13 @@
-"""Datagram semantics: projection, sizes, equality."""
+"""Datagram semantics: projection, sizes, equality, value contract."""
+
+import copy
+import pickle
+
+import pytest
 
 from repro.cbn.datagram import Datagram
+
+FIELDS = ("stream", "payload", "timestamp", "seq")
 
 
 class TestBasics:
@@ -22,6 +29,50 @@ class TestBasics:
         assert hash(a) == hash(b)
         assert a != Datagram("S", {"a": 2}, 2.0)
         assert a != Datagram("T", {"a": 1}, 2.0)
+
+
+class TestValueContract:
+    """A slotted, immutable value: no field can be set or deleted, no
+    per-instance dict, and copies rebuild through the constructor."""
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_setting_a_field_raises(self, name):
+        d = Datagram("S", {"a": 1}, 2.0, 5)
+        with pytest.raises(AttributeError):
+            setattr(d, name, getattr(d, name))
+        assert d == Datagram("S", {"a": 1}, 2.0, 5)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_deleting_a_field_raises(self, name):
+        d = Datagram("S", {"a": 1}, 2.0, 5)
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+        assert getattr(d, name) == getattr(Datagram("S", {"a": 1}, 2.0, 5), name)
+
+    def test_no_new_attribute_and_no_instance_dict(self):
+        d = Datagram("S", {"a": 1})
+        assert not hasattr(d, "__dict__")
+        with pytest.raises(AttributeError):
+            d.extra = 1
+
+    def test_constructor_normalises_timestamp_and_seq(self):
+        d = Datagram("s", {"a": 1}, 2, 3)
+        assert d.timestamp == 2.0 and type(d.timestamp) is float
+        assert d.seq == 3 and type(d.seq) is int
+        assert Datagram("s", {"a": 1}).timestamp == 0.0
+        assert Datagram("s", {"a": 1}).seq is None
+
+    @pytest.mark.parametrize("seq", [None, 5])
+    def test_copy_deepcopy_and_pickle_round_trip(self, seq):
+        d = Datagram("S", {"a": 1, "b": "x"}, 2.5, seq)
+        shallow = copy.copy(d)
+        deep = copy.deepcopy(d)
+        pickled = pickle.loads(pickle.dumps(d))
+        for twin in (shallow, deep, pickled):
+            assert type(twin) is Datagram
+            assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+            assert tuple(twin.payload) == tuple(d.payload)
+        assert deep.payload is not d.payload
 
 
 class TestSequenceNumbers:

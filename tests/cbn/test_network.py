@@ -6,7 +6,7 @@ import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
-from repro.cbn.network import ContentBasedNetwork, NetworkError, entry_id
+from repro.cbn.network import ContentBasedNetwork, Delivery, NetworkError, entry_id
 from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
@@ -118,6 +118,21 @@ class TestSubscribePublish:
             net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 99)
         with pytest.raises(NetworkError):
             net.publish(Datagram("S", {}), 99)
+
+
+class TestDeliveryValue:
+    def test_fields_immutability_and_equality(self, net):
+        net.subscribe(Profile({"S": {"a"}}), 4, "u1")
+        (delivery,) = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        assert Delivery._fields == ("subscription_id", "node", "datagram")
+        assert delivery == Delivery("u1", 4, Datagram("S", {"a": 1}))
+        assert hash(delivery) == hash(Delivery("u1", 4, Datagram("S", {"a": 1})))
+        assert delivery != Delivery("u2", 4, Datagram("S", {"a": 1}))
+        assert delivery != Delivery("u1", 3, Datagram("S", {"a": 1}))
+        assert delivery != Delivery("u1", 4, Datagram("S", {"a": 2}))
+        for name in Delivery._fields:
+            with pytest.raises(AttributeError):
+                setattr(delivery, name, None)
 
 
 class TestTrafficAccounting:

@@ -212,6 +212,25 @@ class TestRouteCacheCanary:
         with pytest.raises((AssertionError, KeyError)):
             self.hunt()
 
+    def test_types_dropped_when_only_some_attributes_are_priced_is_caught(
+        self, monkeypatch
+    ):
+        """The types component may be left out only when the schema
+        prices *every* attribute; a key that leaves it out as soon as
+        *any* attribute is priced lets an unpriced ``int`` and ``float``
+        share a route whose byte counts were taken on one of them."""
+        classify = _StreamFacts.classify
+
+        def lax(facts, datagram, origin):
+            key = classify(facts, datagram, origin)
+            if facts.widths and not facts.widths.keys().isdisjoint(datagram.payload):
+                return key[:3] + ((),) + key[4:]
+            return key
+
+        monkeypatch.setattr(_StreamFacts, "classify", lax)
+        with pytest.raises(AssertionError):
+            self.hunt()
+
     def test_index_reading_a_strict_bound_as_closed_is_caught(self, monkeypatch):
         """An outcome index whose cells admit a value equal to a strict
         bound (``a < 3`` read as ``a <= 3``) puts datagrams the filters

@@ -7,7 +7,12 @@ import pytest
 from repro.cbn.datagram import Datagram
 from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, Catalog, StreamSchema
-from repro.spe.engine import EngineError, StreamProcessingEngine, result_schema
+from repro.spe.engine import (
+    EngineError,
+    QueryResult,
+    StreamProcessingEngine,
+    result_schema,
+)
 from repro.workload.auction import TABLE1_Q3, auction_catalog
 
 
@@ -252,6 +257,22 @@ class TestPushTo:
     def test_unknown_target(self, catalog):
         with pytest.raises(EngineError):
             StreamProcessingEngine(catalog).push_to("zzz", temp(0))
+
+
+class TestQueryResultValue:
+    def test_fields_immutability_and_equality(self, catalog):
+        spe = StreamProcessingEngine(catalog)
+        spe.register(parse_query("SELECT T.temp FROM Temp T"), "a")
+        (result,) = spe.push(temp(0, value=21.0))
+        assert QueryResult._fields == ("query_name", "datagram")
+        assert result.query_name == "a"
+        assert result == QueryResult("a", result.datagram)
+        assert hash(result) == hash(QueryResult("a", result.datagram))
+        assert result != QueryResult("b", result.datagram)
+        assert result != QueryResult("a", result.datagram.relabel("other"))
+        for name in QueryResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
 
 
 class TestAggregates:

@@ -94,6 +94,31 @@ if git grep -nE "condition\.evaluate\(payload\) for" -- src/repro/cbn; then
     exit 1
 fi
 
+echo "== data-plane values carry no per-instance dict (repro.cbn, repro.spe) =="
+# Every published tuple builds several Datagrams, Deliveries and QueryResults;
+# a frozen dataclass costs a __dict__ and an object.__setattr__ per field for
+# each.  Datagram is a slotted immutable class, Delivery and QueryResult are
+# NamedTuples.
+if git grep -nE -A1 "^@dataclass" -- src/repro \
+   | grep -E "class (Datagram|Delivery|QueryResult)[(:]"; then
+    echo "ci: Datagram, Delivery and QueryResult must not be dataclasses" >&2
+    exit 1
+fi
+if ! PYTHONPATH=src python -c '
+from repro.cbn.datagram import Datagram
+d = Datagram("s", {"a": 1})
+assert not hasattr(d, "__dict__"), "a Datagram has a __dict__"
+try:
+    d.stream = "t"
+except AttributeError:
+    pass
+else:
+    raise AssertionError("a Datagram accepts attribute assignment")
+'; then
+    echo "ci: a Datagram must be slotted and immutable" >&2
+    exit 1
+fi
+
 echo "== one join, one window (repro.spe) =="
 # spe/windows.py::KeyedWindow is the only operator state, spe/operators.py::WindowJoin
 # the only join; which joins are keyed is read off the registered query, so no
