@@ -88,7 +88,9 @@ class Matcher:
     __slots__ = ("conditions", "projection", "carried", "wants_all")
 
     def __init__(self, profile: "Profile", stream: str) -> None:
-        self.conditions = tuple(flt.condition for flt in profile.filters_for(stream))
+        self.conditions = tuple(
+            flt.condition for flt in profile._filters_by_stream().get(stream, ())
+        )
         self.projection = profile.projection_for(stream)
         self.carried = profile.carried_attributes(stream)
         self.wants_all = self.projection == ALL_ATTRIBUTES
@@ -119,6 +121,13 @@ class Profile:
     subscriber:
         Optional identity of the subscribing party; used by the routing
         layer to address deliveries.
+
+    ``F`` is also kept by stream (each stream in ``S`` -> its filters in
+    ``F`` order), built on first use so that building a profile costs
+    no more than storing it.  :meth:`covers` and :meth:`apply` read that
+    map and test each filter with :meth:`Filter.covers`: they are the
+    definition of coverage the reference scan applies, and never go
+    through the routers' :meth:`matcher`.
     """
 
     def __init__(
@@ -139,6 +148,9 @@ class Profile:
                     f"{sorted(self._projections)}"
                 )
         self.subscriber = subscriber
+        #: stream in S -> its filters in F order, built on first use
+        #: (:meth:`_filters_by_stream`).
+        self._per_stream: Optional[Dict[str, Tuple[Filter, ...]]] = None
         self._matchers: Dict[str, Matcher] = {}
 
     # -- the triple ------------------------------------------------------------------
@@ -164,8 +176,22 @@ class Profile:
         except KeyError:
             raise ProfileError(f"stream {stream!r} is not in this profile") from None
 
+    def _filters_by_stream(self) -> Dict[str, Tuple[Filter, ...]]:
+        """Stream in ``S`` -> that stream's filters, in ``F`` order (an
+        empty tuple means unconditional): built on first use and kept,
+        as a profile never changes."""
+        per_stream = self._per_stream
+        if per_stream is None:
+            per_stream = self._per_stream = {
+                stream: tuple(flt for flt in self._filters if flt.stream == stream)
+                for stream in self._projections
+            }
+        return per_stream
+
     def filters_for(self, stream: str) -> List[Filter]:
-        return [flt for flt in self._filters if flt.stream == stream]
+        """``stream``'s filters in ``F`` order, as a fresh list (empty for
+        an unconditional stream or one outside ``S``)."""
+        return list(self._filters_by_stream().get(stream, ()))
 
     def matcher(self, stream: str) -> Matcher:
         """This profile resolved for ``stream``: built on first use and
@@ -181,13 +207,22 @@ class Profile:
         """Is the datagram covered by any filter of this profile?
 
         A stream in ``S`` with no filters is requested unconditionally.
+        Each filter is tested by :meth:`Filter.covers`; this never goes
+        through :meth:`matcher`, so the reference scan
+        (:mod:`repro.sim.reference`) shares no evaluator with the routers.
         """
-        if datagram.stream not in self._projections:
+        per_stream = self._per_stream
+        if per_stream is None:
+            per_stream = self._filters_by_stream()
+        stream_filters = per_stream.get(datagram.stream)
+        if stream_filters is None:
             return False
-        stream_filters = self.filters_for(datagram.stream)
         if not stream_filters:
             return True
-        return any(flt.covers(datagram) for flt in stream_filters)
+        for flt in stream_filters:
+            if flt.covers(datagram):
+                return True
+        return False
 
     def apply(self, datagram: Datagram) -> Optional[Datagram]:
         """Coverage check plus projection: the receiver-side view.

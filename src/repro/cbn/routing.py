@@ -30,21 +30,31 @@ in :mod:`repro.sim.reference`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
 from repro.overlay.topology import NodeId
 
 
-@dataclass
-class ForwardDecision:
+class ForwardDecision(NamedTuple):
     """Outcome of evaluating a datagram against one interface.
 
     ``forward`` says whether any downstream profile covers the datagram;
     ``attributes`` is the union of attribute names the downstream
     coverers need (``None`` means "all attributes", i.e. no projection).
+    Both routers build one per decision, so it is a tuple: no
+    per-instance dict.
     """
 
     forward: bool

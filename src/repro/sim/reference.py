@@ -1,9 +1,14 @@
 """The naive CBN data plane: the reference the router is checked against.
 
-Every profile behind every interface is evaluated against every datagram
-(:meth:`Profile.covers` / :meth:`Profile.apply`): no index, no compiled
-plans, no caches, no batching.  The control plane is the production one, so
-deliveries and ``LinkStats`` must equal :class:`ContentBasedNetwork`'s.
+At every broker a datagram reaches, every profile behind every interface
+that holds an entry is evaluated against it (:meth:`Profile.covers` /
+:meth:`Profile.apply`, each filter of the datagram's stream through
+:meth:`Filter.covers`): no per-stream index, no compiled plans, no routes,
+no memo across datagrams, no batching, and no evaluator shared with the
+production router.  A tree neighbour whose interface holds no entry is not
+scanned at all, as scanning it would evaluate no profile and forward
+nothing.  The control plane is the production one, so deliveries and
+``LinkStats`` must equal :class:`ContentBasedNetwork`'s.
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ class ReferenceNetwork(ContentBasedNetwork):
             table = self.table(here)
             for sid, projected in local_deliveries(table, current):
                 deliveries.append(Delivery(sid, here, projected))
+            held = table.interfaces
             for neighbor in sorted(tree.neighbors(here)):
-                if neighbor == arrived_from:
+                if neighbor == arrived_from or neighbor not in held:
                     continue
                 decision = decide(table, neighbor, current)
                 if not decision.forward:

@@ -54,6 +54,26 @@ class TestProfileBasics:
     def test_filter_on_unrequested_stream_rejected(self):
         with pytest.raises(ProfileError):
             Profile({"R": {"A"}}, [Filter("S")])
+        # at construction, whatever precedes it in F
+        with pytest.raises(ProfileError):
+            Profile({"R": {"A"}}, [Filter("R", cond(Comparison("A", ">", 0))),
+                                   Filter("S")])
+
+    def test_filters_for_is_a_fresh_list_in_f_order(self):
+        first = Filter("S", cond(Comparison("a", ">", 10)))
+        other = Filter("R", cond(Comparison("a", ">", 0)))
+        second = Filter("S", cond(Comparison("a", "<", 0)))
+        p = Profile({"R": {"a"}, "S": {"a"}}, [first, other, second])
+        listed = p.filters_for("S")
+        assert listed == [first, second]
+        listed.clear()
+        listed.append(other)
+        assert p.filters_for("S") == [first, second]
+        assert p.filters_for("S") is not p.filters_for("S")
+        assert p.filters == (first, other, second)
+        assert not p.covers(Datagram("S", {"a": 5}))
+        assert p.covers(Datagram("S", {"a": -1}))
+        assert p.filters_for("T") == []
 
     def test_projection_for_unknown_stream_raises(self):
         with pytest.raises(ProfileError):
@@ -62,24 +82,59 @@ class TestProfileBasics:
 
 class TestCoverage:
     def test_disjunction_of_filters(self):
+        # any of the stream's filters, the first or a later one, and a
+        # filter of another stream in between changes nothing
         p = Profile(
-            {"S": ALL_ATTRIBUTES},
+            {"R": ALL_ATTRIBUTES, "S": ALL_ATTRIBUTES},
             [
                 Filter("S", cond(Comparison("a", ">", 10))),
+                Filter("R", cond(Comparison("a", "=", 5))),
                 Filter("S", cond(Comparison("a", "<", 0))),
             ],
         )
         assert p.covers(Datagram("S", {"a": 11}))
         assert p.covers(Datagram("S", {"a": -1}))
         assert not p.covers(Datagram("S", {"a": 5}))
+        assert p.covers(Datagram("R", {"a": 5}))
 
     def test_stream_without_filters_is_unconditional(self):
         p = Profile({"S": ALL_ATTRIBUTES})
         assert p.covers(Datagram("S", {"anything": 1}))
+        # even when another stream of the profile is filtered
+        p = Profile(
+            {"R": {"a"}, "S": {"a"}}, [Filter("R", cond(Comparison("a", ">", 10)))]
+        )
+        assert p.covers(Datagram("S", {"a": 0}))
+        assert not p.covers(Datagram("R", {"a": 0}))
 
     def test_unrequested_stream_not_covered(self):
         p = Profile({"S": ALL_ATTRIBUTES})
         assert not p.covers(Datagram("T", {"a": 1}))
+        # even when the payload would pass a filter of the profile
+        p = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 0)))])
+        assert p.covers(Datagram("S", {"a": 1}))
+        assert not p.covers(Datagram("T", {"a": 1}))
+        assert p.apply(Datagram("T", {"a": 1})) is None
+
+    def test_apply_is_covers_plus_projection(self):
+        p = Profile(
+            {"R": ALL_ATTRIBUTES, "S": {"a"}},
+            [
+                Filter("S", cond(Comparison("b", ">", 10))),
+                Filter("S", cond(Comparison("b", "<", 0))),
+            ],
+        )
+        for stream in ("R", "S", "T"):
+            for b in (-1, 5, 11):
+                d = Datagram(stream, {"a": 1, "b": b}, 2.0, 3)
+                out = p.apply(d)
+                if not p.covers(d):
+                    assert out is None
+                elif stream == "R":
+                    assert out == d
+                else:
+                    assert out == d.project({"a"})
+                    assert dict(out.payload) == {"a": 1}
 
     def test_apply_projects(self):
         p = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("b", ">", 0)))])

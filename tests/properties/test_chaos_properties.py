@@ -9,8 +9,9 @@ fast-path == naive equivalence.  The canary tests then break the repair
 path on purpose and demand the oracles notice: a chaos suite that
 cannot fail is not testing anything.  The same goes for the route cache
 of the data plane: its canaries plant a cache that forgets to
-invalidate or that keys too coarsely, and demand that the fast == naive
-property of ``test_fastpath_properties.py`` notices.
+invalidate or that keys too coarsely, or a coverage test (on either
+side) that reads only a stream's first filter, and demand that the
+fast == naive property of ``test_fastpath_properties.py`` notices.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.cbn.network as network_module
 import repro.system.rebuild as rebuild_module
+from repro.cbn.filters import Matcher, Profile
 from repro.cbn.network import ContentBasedNetwork, _StreamFacts
 from repro.cql.predicates import Conjunction, Interval, OutcomeIndex
 from repro.sim import (
@@ -157,8 +159,8 @@ class TestMutationCanary:
 
 
 class TestRouteCacheCanary:
-    """A deliberately broken route cache must be caught by the
-    fast == naive property (``interleaved_history``)."""
+    """A deliberately broken route cache or coverage test must be
+    caught by the fast == naive property (``interleaved_history``)."""
 
     @staticmethod
     def hunt():
@@ -250,5 +252,31 @@ class TestRouteCacheCanary:
                 super().__init__([closed(conj) for conj in conjunctions])
 
         monkeypatch.setattr(network_module, "OutcomeIndex", ClosedBounds)
+        with pytest.raises(AssertionError):
+            self.hunt()
+
+    def test_profile_reading_only_its_first_filter_is_caught(self, monkeypatch):
+        """The reference's coverage must be F's disjunction: a
+        ``Profile.covers`` that stops at a stream's first filter drops
+        the datagrams only a later filter covers."""
+
+        def first_only(profile, datagram):
+            if datagram.stream not in profile.streams:
+                return False
+            stream_filters = profile.filters_for(datagram.stream)
+            return not stream_filters or stream_filters[0].covers(datagram)
+
+        monkeypatch.setattr(Profile, "covers", first_only)
+        with pytest.raises(AssertionError):
+            self.hunt()
+
+    def test_matcher_reading_only_its_first_condition_is_caught(self, monkeypatch):
+        """The same disjunction on the production side: a
+        ``Matcher.covers`` that tests only the stream's first condition."""
+
+        def first_only(matcher, payload):
+            return not matcher.conditions or matcher.conditions[0].evaluate(payload)
+
+        monkeypatch.setattr(Matcher, "covers", first_only)
         with pytest.raises(AssertionError):
             self.hunt()

@@ -17,8 +17,9 @@ through ``route_cache_stats()``); earlier datagrams are re-published
 from other origins and after the routing state moved, and each is
 followed by a near miss (one attribute fewer, an ``int`` as the equal
 ``float`` or negated, ``seq`` toggled) or put onto a filter's constant
-and published one step either side of it; filters mix closed and strict
-bounds, points and ``!=``; payloads drop attributes (constrained
+and published one step either side of it; a profile holds zero, one or
+two filters (a disjunction), which mix closed and strict bounds, points
+and ``!=``; payloads drop attributes (constrained
 ones included), mix ``int`` / ``float`` / ``str`` values and carry or
 omit ``seq``; streams are priced by a full
 schema, a partial one or none; origins include brokers that never
@@ -77,20 +78,24 @@ def draw_profile(data, stream, label):
         ),
         label=f"{label}-projection",
     )
-    atoms = []
-    for attr in data.draw(
-        st.lists(st.sampled_from(ATTRS), max_size=2, unique=True),
-        label=f"{label}-filter-attrs",
-    ):
-        # closed and strict bounds (the outcome index cuts cells at
-        # both), points, and exclusions (evaluated directly)
-        op = data.draw(st.sampled_from(FILTER_OPS), label=f"{label}-op")
-        # any attribute is compared with a number in most profiles and
-        # with a string in some (neither kind covers the other);
-        # payloads carry either kind under any name
-        value = data.draw(st.sampled_from(FILTER_VALUES), label=f"{label}-value")
-        atoms.append(Comparison(attr, op, value))
-    filters = [Filter(stream, Conjunction.from_atoms(atoms))] if atoms else []
+    # F is a disjunction: none (unconditional), one or two filters, each
+    # a conjunction of up to two atoms (none: trivially true)
+    filters = []
+    for index in range(data.draw(st.integers(0, 2), label=f"{label}-filters")):
+        atoms = []
+        for attr in data.draw(
+            st.lists(st.sampled_from(ATTRS), max_size=2, unique=True),
+            label=f"{label}-f{index}-attrs",
+        ):
+            # closed and strict bounds (the outcome index cuts cells at
+            # both), points, and exclusions (evaluated directly)
+            op = data.draw(st.sampled_from(FILTER_OPS), label=f"{label}-op")
+            # any attribute is compared with a number in most profiles and
+            # with a string in some (neither kind covers the other);
+            # payloads carry either kind under any name
+            value = data.draw(st.sampled_from(FILTER_VALUES), label=f"{label}-value")
+            atoms.append(Comparison(attr, op, value))
+        filters.append(Filter(stream, Conjunction.from_atoms(atoms)))
     return Profile({stream: projection}, filters)
 
 

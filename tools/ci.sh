@@ -95,17 +95,20 @@ if git grep -nE "condition\.evaluate\(payload\) for" -- src/repro/cbn; then
 fi
 
 echo "== data-plane values carry no per-instance dict (repro.cbn, repro.spe) =="
-# Every published tuple builds several Datagrams, Deliveries and QueryResults;
-# a frozen dataclass costs a __dict__ and an object.__setattr__ per field for
-# each.  Datagram is a slotted immutable class, Delivery and QueryResult are
-# NamedTuples.
+# Every published tuple builds several Datagrams, Deliveries and QueryResults,
+# and both routers a ForwardDecision per interface they decide on; a dataclass
+# costs a __dict__ (and, frozen, an object.__setattr__ per field) for each.
+# Datagram is a slotted immutable class, Delivery, QueryResult and
+# ForwardDecision are NamedTuples.
 if git grep -nE -A1 "^@dataclass" -- src/repro \
-   | grep -E "class (Datagram|Delivery|QueryResult)[(:]"; then
-    echo "ci: Datagram, Delivery and QueryResult must not be dataclasses" >&2
+   | grep -E "class (Datagram|Delivery|QueryResult|ForwardDecision)[(:]"; then
+    echo "ci: Datagram, Delivery, QueryResult and ForwardDecision must not be dataclasses" >&2
     exit 1
 fi
 if ! PYTHONPATH=src python -c '
 from repro.cbn.datagram import Datagram
+from repro.cbn.routing import ForwardDecision
+assert not hasattr(ForwardDecision(False), "__dict__"), "a ForwardDecision has a __dict__"
 d = Datagram("s", {"a": 1})
 assert not hasattr(d, "__dict__"), "a Datagram has a __dict__"
 try:
@@ -115,7 +118,7 @@ except AttributeError:
 else:
     raise AssertionError("a Datagram accepts attribute assignment")
 '; then
-    echo "ci: a Datagram must be slotted and immutable" >&2
+    echo "ci: a Datagram must be slotted and immutable, a ForwardDecision slotted" >&2
     exit 1
 fi
 
@@ -262,6 +265,46 @@ echo "== one memo on the data plane (repro.cbn) =="
 # resolves each stream once through Profile.matcher.
 if git grep -nE "_plans|_plan\(|_stream_versions|self\.epoch" -- src/repro/cbn/routing.py; then
     echo "ci: cbn/routing.py must not grow a versioned plan cache back" >&2
+    exit 1
+fi
+
+echo "== the reference twin stays a scan (repro.sim, repro.cbn) =="
+# sim/reference.py is the naive data plane the router and the chaos twin are
+# checked against: it evaluates every entry of every interface that holds one
+# through Profile.covers / Profile.apply, so it reads no index, route or
+# outcome bits, and coverage never goes through the routers' Matcher.
+if git grep -nE "matcher|Matcher|stream_interfaces|_by_stream|OutcomeIndex|_facts|\.decide\(|\.local_deliveries\(" \
+       -- src/repro/sim/reference.py; then
+    echo "ci: sim/reference.py must scan profiles, not read the router's index," \
+         "matchers or facts, nor call a table's decide / local_deliveries" >&2
+    exit 1
+fi
+if ! PYTHONPATH=src python - <<'EOF'
+import ast, inspect, textwrap
+from repro.cbn.datagram import Datagram
+from repro.cbn.filters import Filter, Matcher, Profile
+from repro.cql.predicates import Comparison, Conjunction
+
+for method in (Profile.covers, Profile.apply):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not named & {"matcher", "_matchers", "Matcher"}, method.__qualname__
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("Profile.covers / Profile.apply reached a matcher")
+
+
+# every branch: outside S, unconditional, a first filter failing, projection
+Profile.matcher = Matcher.__init__ = Matcher.covers = refuse
+above = [Filter("S", Conjunction.from_atoms([Comparison("a", ">", v)])) for v in (5, 0)]
+for profile in (Profile({"S": {"a"}}), Profile({"S": {"a"}}, above), Profile({"T": {"a"}})):
+    for value in (1, -1):
+        profile.apply(Datagram("S", {"a": value, "b": value}))
+EOF
+then
+    echo "ci: Profile.covers / Profile.apply must not reach Profile.matcher" >&2
     exit 1
 fi
 
