@@ -29,8 +29,12 @@ stream.  The footprint is the only way forwarding entries are removed
 tables on the subscription's own paths, and :meth:`retree` keeps every
 table and re-lays exactly the paths that cross an edge the new tree
 lacks, so a table off those paths is not touched and a stream off them
-is not reported.  There is no full-walk or full-replay fallback; the
-oracle in the tests is a fresh build on the current tree.
+is not reported.  It finds those paths from the tables at the ends of
+each removed edge — an entry sits behind the interface pointing back at
+its subscriber, and :func:`entry_owner` names the subscription — so it
+reads no footprint but the crossing subscriptions'.  There is no
+full-walk or full-replay fallback; the oracle in the tests is a fresh
+build on the current tree.
 
 The data plane
 --------------
@@ -111,11 +115,22 @@ def entry_id(subscription_id: str, stream: str) -> str:
     return f"{subscription_id}#{stream}"
 
 
+def entry_owner(entry: str, stream: str) -> str:
+    """The subscription whose forwarding entry for ``stream`` is
+    ``entry``: :func:`entry_id` inverted.  A subscription id may hold a
+    ``#`` itself, so the stream is cut off the end, not split off at
+    the first ``#``."""
+    return entry[: len(entry) - len(stream) - 1]
+
+
 @dataclass
 class _Subscription:
     subscription_id: str
     node: NodeId
     profile: Profile
+    #: registration order: ``retree`` re-lays the subscriptions it
+    #: finds in the tables in this order
+    order: int
     #: The *footprint*: per propagation, the hops it laid entries at, in
     #: laying order.  The only record of where this subscription's
     #: forwarding entries are, so the only way they are removed.
@@ -274,8 +289,9 @@ class ContentBasedNetwork:
         self._stream_versions: Dict[str, int] = {}
         self.data_stats = LinkStats()
         self.control_stats = LinkStats()
-        self._register_weights(tree)
+        self._register_weights(tree, tree.edges)
         self._counter = itertools.count()
+        self._registrations = itertools.count()
 
     # -- structure ---------------------------------------------------------------
 
@@ -286,10 +302,10 @@ class ContentBasedNetwork:
     def _new_table(self, node: NodeId) -> RoutingTable:
         return RoutingTable(node, on_change=self._bump_epoch)
 
-    def _register_weights(self, tree: DisseminationTree) -> None:
-        """Price ``tree``'s links on both accumulators (a link that
-        already has a cost keeps it)."""
-        for edge in tree.edges:
+    def _register_weights(self, tree: DisseminationTree, edges: Iterable[Edge]) -> None:
+        """Price the links ``edges`` of ``tree`` on both accumulators (a
+        link that already has a cost keeps it)."""
+        for edge in edges:
             weight = tree.weight(*edge)
             self.data_stats.add_weight(edge, weight)
             self.control_stats.add_weight(edge, weight)
@@ -297,12 +313,20 @@ class ContentBasedNetwork:
     def retree(self, tree: DisseminationTree) -> None:
         """Move the network onto ``tree``, in place, as a diff.
 
-        Routing state is soft state, and the footprints say where all
-        of it lies, so only what the tree change invalidates is redone:
+        Routing state is soft state, and the tables and footprints say
+        where all of it lies, so only what the tree change invalidates
+        is redone, at a cost in proportion to it:
 
         * *Replayed*: every ``(subscription, stream, publisher)`` path
           that crosses a removed edge or node is withdrawn and laid
-          again along the new tree.
+          again along the new tree, subscription by subscription in
+          registration order.  The paths are found from the tables: an
+          entry sits at the hop farther from its subscriber, behind
+          the interface pointing back at it, so the entries at ``u``
+          behind ``v`` and at ``v`` behind ``u`` name exactly the
+          ``(subscription, stream)`` pairs whose paths cross a removed
+          edge ``(u, v)`` (:func:`entry_owner`); only those
+          subscriptions' footprints are read.
         * *Dropped*: tables of departed brokers, the emptied interfaces
           of removed edges, advertisements whose node left (and with
           them the paths toward it).
@@ -310,45 +334,61 @@ class ContentBasedNetwork:
           install order — and every LOCAL entry, so per-broker
           delivery order is what it was; the registries and their
           order, traffic statistics, the catalog, the id counter
-          (new links are priced on the existing accumulators); the
-          facts and cached routes of every stream none of whose entries
-          moved (each table reports the entries that do).
+          (links new to the tree are priced on the existing
+          accumulators); the facts and cached routes of every stream
+          none of whose entries moved (each table reports the entries
+          that do).
 
         Raises before anything changes when a subscriber's broker is
         not in ``tree``.
         """
-        for sub in self._subscriptions.values():
-            if sub.node not in tree:
-                raise NetworkError(
-                    f"subscription {sub.subscription_id!r} lives on broker "
-                    f"{sub.node}, which is not in the new tree"
-                )
-        gone = set(self._tree.edges) - set(tree.edges)
+        nodes = set(tree.nodes)
+        departed = self._tables.keys() - nodes
+        stranded = [
+            (node, sid)
+            for node in sorted(departed)
+            for sid in self._tables[node].local_profiles()
+        ]
+        if stranded:
+            node, sid = stranded[0]
+            raise NetworkError(
+                f"subscription {sid!r} lives on broker {node}, "
+                f"which is not in the new tree"
+            )
+        old_edges, new_edges = set(self._tree.edges), set(tree.edges)
+        gone = old_edges - new_edges
         #: the hops — either direction — that sat on a removed edge
         crossed = gone | {(v, u) for u, v in gone}
+        crossing: Set[str] = set()
+        for here, interface in crossed:
+            for entry, profile in self._tables[here].entries(interface).items():
+                (stream,) = profile.streams
+                crossing.add(entry_owner(entry, stream))
         replay: List[Tuple[_Subscription, List[_PathKey]]] = []
-        for sub in self._subscriptions.values():
+        for sub in sorted(
+            (self._subscriptions[sid] for sid in crossing),
+            key=lambda sub: sub.order,
+        ):
             keys = [
                 key
                 for key, hops in sub.footprint.items()
                 if not crossed.isdisjoint(hops)
             ]
-            if keys:
-                self._withdraw(sub, keys)
-                replay.append((sub, keys))
-        for node in [node for node in self._tables if node not in tree]:
+            self._withdraw(sub, keys)
+            replay.append((sub, keys))
+        for node in departed:
             del self._tables[node]
         for u, v in gone:
             for node, interface in ((u, v), (v, u)):
                 if node in self._tables:
                     self._tables[node].remove_interface(interface)
-        for node in tree.nodes:
-            if node not in self._tables:
-                self._tables[node] = self._new_table(node)
-        for ads in self._advertisements.values():
-            ads[:] = [ad for ad in ads if ad.node in tree]
+        for node in sorted(nodes - self._tables.keys()):
+            self._tables[node] = self._new_table(node)
+        if departed:
+            for ads in self._advertisements.values():
+                ads[:] = [ad for ad in ads if ad.node not in departed]
         self._tree = tree
-        self._register_weights(tree)
+        self._register_weights(tree, sorted(new_edges - old_edges))
         for sub, keys in replay:
             for stream, publisher in keys:
                 if publisher in tree:
@@ -453,7 +493,7 @@ class ContentBasedNetwork:
             subscription_id = f"sub-{next(self._counter)}"
         if subscription_id in self._subscriptions:
             raise NetworkError(f"duplicate subscription id {subscription_id!r}")
-        sub = _Subscription(subscription_id, node, profile)
+        sub = _Subscription(subscription_id, node, profile, next(self._registrations))
         self._subscriptions[subscription_id] = sub
         for stream in profile.streams:
             self._stream_subscriptions.setdefault(stream, {})[subscription_id] = None

@@ -16,7 +16,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 NodeId = int
 Edge = Tuple[NodeId, NodeId]
@@ -124,41 +124,57 @@ class Topology:
         return parent
 
     def minimum_spanning_tree_edges(
-        self,
-        nodes: Optional[Iterable[NodeId]] = None,
-        seed_edges: Iterable[Edge] = (),
+        self, fragments: Optional[Mapping[NodeId, Hashable]] = None
     ) -> List[Edge]:
-        """Kruskal: complete ``seed_edges`` to an MST over ``nodes``.
+        """Kruskal: the cheapest links that join ``fragments`` into one tree.
 
-        ``nodes`` defaults to the whole topology; only links with both
-        ends in it are candidates, taken by ``(weight, edge)``.  The
-        seed forest (already-chosen edges, e.g. the tree a repair
-        extends) is kept as is and comes first in the result.  Raises
-        :class:`TopologyError` when the result does not span ``nodes``.
+        ``fragments`` maps every node to the label of the fragment it
+        lies in — a piece of tree already chosen, which the result
+        leaves as it is (the forest a repair keeps); it defaults to
+        every node of the topology on its own, which gives the MST.
+        Only links whose ends lie in different fragments are
+        candidates, taken by ``(weight, edge)``: a Kruskal seeded with
+        the fragments' own edges would accept no link inside one, so
+        this is the same completion, in the same order, without
+        touching a link it could not take.  Raises
+        :class:`TopologyError` when the links do not join every
+        fragment.
         """
-        parent: Dict[NodeId, NodeId] = {
-            node: node for node in (self._adjacency if nodes is None else nodes)
+        if fragments is None:
+            fragments = {node: node for node in self._adjacency}
+        weights = self.weights
+        candidates = sorted(
+            (
+                edge
+                for edge in weights
+                if edge[0] in fragments
+                and edge[1] in fragments
+                and fragments[edge[0]] != fragments[edge[1]]
+            ),
+            key=lambda edge: (weights[edge], edge),
+        )
+        parent: Dict[Hashable, Hashable] = {
+            label: label for label in fragments.values()
         }
 
-        def find(x: NodeId) -> NodeId:
+        def find(x: Hashable) -> Hashable:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        mst: List[Edge] = []
-        candidates = sorted(
-            (e for e in self.weights if e[0] in parent and e[1] in parent),
-            key=lambda e: (self.weights[e], e),
-        )
-        for edge in (*seed_edges, *candidates):
-            ru, rv = find(edge[0]), find(edge[1])
+        joins: List[Edge] = []
+        needed = len(parent) - 1
+        for edge in candidates:
+            ru, rv = find(fragments[edge[0]]), find(fragments[edge[1]])
             if ru != rv:
                 parent[ru] = rv
-                mst.append(edge)
-        if len(mst) != len(parent) - 1:
+                joins.append(edge)
+                if len(joins) == needed:
+                    break
+        if len(joins) != needed:
             raise TopologyError("topology is not connected; MST is incomplete")
-        return mst
+        return joins
 
 
 # ---------------------------------------------------------------------------

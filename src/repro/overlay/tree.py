@@ -149,6 +149,10 @@ class DisseminationTree:
         except KeyError:
             raise TreeError(f"no tree edge between {u} and {v}") from None
 
+    def edge_weights(self) -> Dict[Edge, float]:
+        """Edge -> weight for every tree edge (a copy)."""
+        return dict(self._weights)
+
     def total_weight(self) -> float:
         return sum(self._weights.values())
 
@@ -276,11 +280,12 @@ class DisseminationTree:
         return DisseminationTree(edges, weights, nodes=self._adjacency)
 
     def remove_node(self, node: NodeId) -> Tuple[List[Set[NodeId]], "DisseminationTree"]:
-        """Remove a failed node; return the orphaned components and the
-        forest remainder packaged as adjacency fragments.
+        """Remove a failed node; return every component of the forest it
+        leaves behind (one per tree neighbour of ``node``) and that
+        forest.
 
         Used by the data-layer fault-tolerance logic, which then re-links
-        the fragments through surviving topology edges.
+        the components through surviving topology edges.
         """
         if node not in self._adjacency:
             raise TreeError(f"unknown node {node}")

@@ -17,7 +17,7 @@ details; this module implements a working version of both:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Hashable, List, Mapping, Optional, Tuple
 
 from repro.overlay.topology import NodeId, Topology, TopologyError
 from repro.overlay.tree import DisseminationTree
@@ -36,24 +36,27 @@ class PartitionError(FaultError):
 
 def spanning_tree(
     topology: Topology,
-    nodes: Iterable[NodeId],
+    fragments: Mapping[NodeId, Hashable],
     seed: Optional[DisseminationTree] = None,
 ) -> DisseminationTree:
-    """The cheapest tree over ``nodes`` that keeps every edge of ``seed``.
+    """The cheapest tree joining ``fragments`` that keeps every edge of
+    ``seed``.
 
-    ``seed`` is the tree or forest inside ``nodes`` a repair preserves
-    (subscription paths through it stay stable): its edges keep their
-    weights, the physical links :meth:`Topology.minimum_spanning_tree_edges`
-    adds are priced by ``topology``.  Raises :class:`TopologyError` when
-    ``nodes`` are not physically connected.
+    ``fragments`` maps every node of the result to the label of the
+    fragment it lies in; ``seed`` is the tree or forest whose edges
+    make the fragments (a repair keeps it, so subscription paths
+    through it stay stable).  The seed's edges keep their weights, the
+    physical links :meth:`Topology.minimum_spanning_tree_edges` adds to
+    join the fragments are priced by ``topology``.  Raises
+    :class:`TopologyError` when the fragments are not physically
+    connected.
     """
-    nodes = sorted(nodes)
     kept = seed.edges if seed is not None else []
-    weights = {edge: seed.weight(*edge) for edge in kept}
-    edges = topology.minimum_spanning_tree_edges(nodes, kept)
-    for edge in edges:
-        weights.setdefault(edge, topology.weights[edge])
-    return DisseminationTree(edges, weights, nodes=nodes)
+    weights = seed.edge_weights() if seed is not None else {}
+    joins = topology.minimum_spanning_tree_edges(fragments)
+    for edge in joins:
+        weights[edge] = topology.weights[edge]
+    return DisseminationTree([*kept, *joins], weights, nodes=sorted(fragments))
 
 
 def repair_tree(
@@ -61,20 +64,25 @@ def repair_tree(
 ) -> DisseminationTree:
     """Remove ``failed`` and reconnect the fragments.
 
-    Every surviving tree edge is kept; the fragments are joined by the
-    cheapest physical links of ``topology`` among the survivors (the
-    failed node's links are off-limits).  Raises :class:`FaultError`
-    when ``failed`` is not in the tree or is its last node, and
-    :class:`PartitionError` when the survivors are physically
-    partitioned.
+    Every surviving tree edge is kept; the components the removal
+    leaves are joined by the cheapest physical links of ``topology``
+    among the survivors (the failed node's links are off-limits).
+    Raises :class:`FaultError` when ``failed`` is not in the tree or is
+    its last node, and :class:`PartitionError` when the survivors are
+    physically partitioned.
     """
     if failed not in tree:
         raise FaultError(f"node {failed} is not in the tree")
-    __, forest = tree.remove_node(failed)
+    components, forest = tree.remove_node(failed)
     if not len(forest):
         raise FaultError("cannot remove the last node of the tree")
+    fragments = {
+        node: label
+        for label, component in enumerate(components)
+        for node in component
+    }
     try:
-        return spanning_tree(topology, forest.nodes, forest)
+        return spanning_tree(topology, fragments, forest)
     except TopologyError:
         raise PartitionError(
             f"survivors are partitioned after removing {failed}"

@@ -556,7 +556,9 @@ def quarantine_partitioned(
         state.quarantined[query_id] = handle.user_node
         state.counters.queries_quarantined += 1
         quarantined.append(query_id)
-    rebuild.rebuild_network(system, spanning_tree(system.topology, main))
+    rebuild.rebuild_network(
+        system, spanning_tree(system.topology, {node: node for node in main})
+    )
     state.failed_nodes.add(failed)
     return quarantined
 
@@ -585,8 +587,12 @@ def heal_partition(system: CosmosSystem) -> List[str]:
     main = next((c for c in components if c & tree_nodes), tree_nodes)
     if not (main - tree_nodes):
         return []  # nothing newly reachable
+    # the tree is one fragment (labelled by its least node), each newly
+    # reachable node another
+    fragments = {node: node for node in main - tree_nodes}
+    fragments.update(dict.fromkeys(system.tree.nodes, min(tree_nodes)))
     rebuild.rebuild_network(
-        system, spanning_tree(system.topology, main, system.tree)
+        system, spanning_tree(system.topology, fragments, system.tree)
     )
     resumed: List[str] = []
     #: (processor node, group id) -> (processor, group) holding a resumed query

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
+from repro.cbn import network as network_module
 from repro.cbn.network import ContentBasedNetwork, Delivery, NetworkError, entry_id
 from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
@@ -588,10 +589,54 @@ class TestRetree:
                     assert mine == theirs
         return delivered
 
+    @staticmethod
+    def subscription_id(step):
+        """Every other id holds a ``#``, as the system's own do
+        (``user:q#1:v0``): an entry id is ``<id>#<stream>``, so
+        ``retree`` must take the stream off its end."""
+        return f"s#{step}" if step % 2 else f"s{step}"
+
     # eighteen histories per class: 36 interleavings in all
     @pytest.mark.parametrize("seed", range(18))
     @pytest.mark.parametrize("cls", [ContentBasedNetwork, ReferenceNetwork])
     def test_any_interleaving_is_indistinguishable_from_a_fresh_build(self, seed, cls):
+        self.run_history(seed, cls, self.subscription_id)
+
+    def test_an_owner_split_at_the_first_hash_is_caught(self, monkeypatch):
+        # Exact on today's ids, wrong on ids holding a "#": only the
+        # latter tell the inverse of entry_id from a split.
+        monkeypatch.setattr(
+            network_module, "entry_owner", lambda entry, stream: entry.split("#")[0]
+        )
+        for seed in range(18):
+            self.run_history(seed, ContentBasedNetwork, lambda step: f"s{step}")
+        with pytest.raises((AssertionError, KeyError)):
+            for seed in range(18):
+                self.run_history(seed, ContentBasedNetwork, self.subscription_id)
+
+    def test_a_retree_reading_one_side_of_an_edge_is_caught(self, monkeypatch):
+        # For a removed edge (u, v), u < v, only u's table behind v is
+        # read: a path whose subscriber sits on u's side is not re-laid.
+        retree, entries = ContentBasedNetwork.retree, RoutingTable.entries
+
+        def one_sided(table, interface):
+            return entries(table, interface) if table.node < interface else {}
+
+        def planted(network, tree):
+            monkeypatch.setattr(RoutingTable, "entries", one_sided)
+            try:
+                retree(network, tree)
+            finally:
+                monkeypatch.setattr(RoutingTable, "entries", entries)
+
+        monkeypatch.setattr(ContentBasedNetwork, "retree", planted)
+        with pytest.raises((AssertionError, KeyError)):
+            for seed in range(18):
+                self.run_history(seed, ContentBasedNetwork, self.subscription_id)
+
+    def run_history(self, seed, cls, subscription_id):
+        """45 random steps on ``cls``, checked against a fresh build
+        after each one."""
         rng = random.Random(seed)
         tree = self.tree(self.T1)
         network = cls(tree)
@@ -606,8 +651,8 @@ class TestRetree:
                 # node 7 comes and goes: a subscriber there pins it
                 node = rng.choice(tree.nodes) if rng.random() < 0.1 else rng.randrange(7)
                 profile = self.random_profile(rng)
-                network.subscribe(profile, node, f"s{step}")
-                live[f"s{step}"] = (node, profile)
+                network.subscribe(profile, node, subscription_id(step))
+                live[subscription_id(step)] = (node, profile)
             elif roll < 0.6:
                 network.unsubscribe(rng.choice(list(live)))
                 live = {sid: live[sid] for sid in network.subscriptions()}
@@ -822,4 +867,27 @@ class TestProportionality:
         assert sorted(visits) == [0] + legs[0][:-1]
         self.assert_untouched(network, off_path)
         assert network.table(b).entry_count == 0  # now a stub off the path
+        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS
+
+    def test_retree_reads_only_the_footprints_that_cross(self, spider, monkeypatch):
+        network, legs = spider
+
+        class Unread(dict):
+            """A footprint that raises when anything reads it whole."""
+
+            def __iter__(self):
+                raise AssertionError("an off-path footprint was read")
+
+            items = keys = values = __iter__
+
+        for k in range(1, self.LEGS):
+            sub = network._subscriptions[f"u{k}"]
+            sub.footprint = Unread(sub.footprint)
+        a, b, c = legs[0][10:13]
+        swapped = network.tree.with_edge_swap((a, b), (a, c), 1.0)
+        off_path = self.snapshot(network, [n for leg in legs[1:] for n in leg])
+        visits = self.spy_on_discard(monkeypatch)
+        network.retree(swapped)
+        assert sorted(visits) == [0] + legs[0][:-1]
+        self.assert_untouched(network, off_path)
         assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS

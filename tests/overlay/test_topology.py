@@ -120,16 +120,18 @@ class TestMST:
 
     def test_restricted_to_a_node_subset(self):
         # Links through node 2 are off-limits; (0, 3) is all that is left.
-        assert self._square().minimum_spanning_tree_edges(nodes=[0, 1, 3]) == [
+        singletons = {0: 0, 1: 1, 3: 3}
+        assert self._square().minimum_spanning_tree_edges(singletons) == [
             (0, 1),
             (0, 3),
         ]
 
-    def test_seed_edges_are_kept_and_come_first(self):
-        # From scratch the dear (0, 3) link would lose to (2, 3).
+    def test_a_fragment_is_joined_not_rebuilt(self):
+        # {0, 3} is one fragment (a kept tree edge): from scratch the
+        # dear (0, 3) link would lose to (2, 3); joined, no link inside
+        # the fragment is taken.
         t = self._square()
-        assert t.minimum_spanning_tree_edges(seed_edges=[(0, 3)]) == [
-            (0, 3),
+        assert t.minimum_spanning_tree_edges({0: "a", 3: "a", 1: 1, 2: 2}) == [
             (0, 2),
             (0, 1),
         ]
@@ -142,7 +144,10 @@ class TestMST:
 
     def test_subset_not_connected_raises(self):
         with pytest.raises(TopologyError):
-            self._square().minimum_spanning_tree_edges(nodes=[1, 3])
+            self._square().minimum_spanning_tree_edges({1: 1, 3: 3})
+
+    def test_one_fragment_needs_no_link(self):
+        assert self._square().minimum_spanning_tree_edges(dict.fromkeys(range(4), 0)) == []
 
 
 class TestBarabasiAlbert:

@@ -10,9 +10,8 @@ from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import barabasi_albert
 from repro.overlay.tree import DisseminationTree
 from repro.system.cosmos import CosmosSystem, QueryStatus
-from repro.system.fault import FaultError, fail_broker, repair_tree
+from repro.system.fault import FaultError, PartitionError, fail_broker, repair_tree
 from repro.system.reliability import heal_partition, quarantine_partitioned
-from tests.conftest import build_mst
 
 SCHEMA = StreamSchema(
     "Temp",
@@ -40,73 +39,112 @@ def _assert_spanning_tree(tree, expected_nodes):
         assert path[0] == root and path[-1] == node
 
 
-def _contracted_mst_weight(tree, topo, victim):
-    """Weight of a from-scratch Kruskal over the fragments ``victim``
-    leaves behind, each contracted to one vertex (own union-find: the
-    check must not share code with the routine under test)."""
-    fragments, __ = tree.remove_node(victim)
-    fragment_of = {
-        node: index for index, nodes in enumerate(fragments) for node in nodes
-    }
-    root = list(range(len(fragments)))
+#: Link weights drawn from a few values, so Kruskal meets ties and its
+#: tie-break — not the total weight — decides which link joins two
+#: fragments.
+TIED_WEIGHTS = (1.0, 2.0, 3.0)
+
+
+def _tied_topology(n_nodes, seed):
+    topo = barabasi_albert(n_nodes, 2, random.Random(seed))
+    rng = random.Random(f"{seed}:weights")
+    for edge in topo.edges:
+        topo.weights[edge] = rng.choice(TIED_WEIGHTS)
+    return topo
+
+
+def _reference_tree(topo, nodes, kept=None):
+    """Edge -> weight of the tree a seeded Kruskal builds over ``nodes``,
+    or ``None`` when ``nodes`` are not physically connected.
+
+    The seed edges ``kept`` (edge -> weight) are unioned first, in
+    sorted order, then every link with both ends in ``nodes`` is taken
+    by ``(weight, edge)`` — Kruskal as a completion of the seed forest,
+    with its own union-find: the check must not share code with the
+    routine under test.
+    """
+    kept = kept or {}
+    root = {node: node for node in nodes}
 
     def find(x):
         while root[x] != x:
             x = root[x]
         return x
 
-    total = 0.0
-    for weight, (u, v) in sorted((w, e) for e, w in topo.weights.items()):
-        if u not in fragment_of or v not in fragment_of:
-            continue
-        a, b = find(fragment_of[u]), find(fragment_of[v])
+    candidates = sorted(
+        (e for e in topo.weights if e[0] in root and e[1] in root),
+        key=lambda e: (topo.weights[e], e),
+    )
+    chosen = {}
+    for u, v in (*sorted(kept), *candidates):
+        a, b = find(u), find(v)
         if a != b:
             root[a] = b
-            total += weight
-    return total
+            chosen[u, v] = kept.get((u, v), topo.weights[u, v])
+    return chosen if len(chosen) == len(root) - 1 else None
+
+
+def _assert_tree_is(tree, expected, nodes):
+    """``tree`` spans exactly ``nodes`` with exactly the edges and the
+    per-edge weights of ``expected``."""
+    assert expected is not None
+    assert tree.nodes == sorted(nodes)
+    assert tree.edges == sorted(expected)
+    assert {edge: tree.weight(*edge) for edge in tree.edges} == expected
+
+
+def _repair_history(seed, n_nodes, picks):
+    """Build the MST of a tied-weight topology, then fail one broker per
+    pick: every repair must be the reference tree over the survivors
+    seeded with the surviving tree edges, and every refusal a
+    :class:`PartitionError` exactly when the survivors are physically
+    split."""
+    topo = _tied_topology(n_nodes, seed)
+    tree = DisseminationTree.minimum_spanning(topo)
+    _assert_tree_is(tree, _reference_tree(topo, topo.nodes), topo.nodes)
+    for pick in picks:
+        victim = tree.nodes[pick % len(tree)]
+        survivors = [node for node in tree.nodes if node != victim]
+        kept = {e: tree.weight(*e) for e in tree.edges if victim not in e}
+        expected = _reference_tree(topo, survivors, kept)
+        if expected is None:
+            with pytest.raises(PartitionError):
+                repair_tree(tree, topo, victim)
+            continue
+        repaired = repair_tree(tree, topo, victim)
+        _assert_spanning_tree(repaired, survivors)
+        _assert_tree_is(repaired, expected, survivors)
+        tree = repaired
 
 
 class TestRepairTreeProperties:
-    """Random topology x random single/double broker failure: the
-    repaired tree is connected, acyclic, and spans all survivors."""
+    """Random tied-weight topology x random broker failures: the
+    repaired tree is, edge for edge and weight for weight, what a
+    seeded Kruskal over the survivors builds."""
 
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=10, max_value=40),
-        st.data(),
+        st.lists(st.integers(min_value=0, max_value=1_000), min_size=1, max_size=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_repair_spans_survivors(self, seed, n_nodes, data):
-        topo, tree = build_mst(n_nodes, seed)
-        survivors = set(tree.nodes)
-        failures = data.draw(st.integers(min_value=1, max_value=2), label="failures")
-        for round_index in range(failures):
-            victim = data.draw(
-                st.sampled_from(sorted(survivors)), label=f"victim{round_index}"
-            )
-            try:
-                repaired = repair_tree(tree, topo, victim)
-            except FaultError:
-                # Survivors physically partitioned (or last node): the
-                # refusal must leave the input tree untouched.
-                _assert_spanning_tree(tree, survivors)
-                continue
-            survivors.discard(victim)
-            _assert_spanning_tree(repaired, survivors)
-            # The failed node's physical links are never reused.
-            assert all(victim not in edge for edge in repaired.edges)
-            # Every repair edge is a real physical link of the topology.
-            assert all(edge in topo.weights for edge in repaired.edges)
-            # Every surviving tree edge is kept (subscription paths that
-            # avoid the victim do not move) ...
-            kept = {edge for edge in tree.edges if victim not in edge}
-            assert kept <= set(repaired.edges)
-            # ... and the fragments are re-joined as cheaply as possible.
-            added = set(repaired.edges) - kept
-            assert sum(topo.weights[e] for e in added) == pytest.approx(
-                _contracted_mst_weight(tree, topo, victim)
-            )
-            tree = repaired
+    def test_repair_spans_survivors(self, seed, n_nodes, picks):
+        _repair_history(seed, n_nodes, picks)
+
+    def test_a_tie_break_on_weight_alone_is_caught(self, monkeypatch):
+        # Kruskal's sort loses the edge tuple: on tied weights another
+        # link of equal weight joins two fragments, so the total weight
+        # of a repair stays minimal but the tree (and every digest) moves.
+        from repro.overlay import topology as topology_module
+
+        def by_weight_alone(items, key=None):
+            return sorted(items, key=None if key is None else lambda e: key(e)[0])
+
+        monkeypatch.setattr(topology_module, "sorted", by_weight_alone, raising=False)
+        rng = random.Random(0)
+        with pytest.raises(AssertionError):
+            for seed in range(20):
+                _repair_history(seed, 30, [rng.randrange(1000) for __ in range(3)])
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -117,10 +155,10 @@ class TestRepairTreeProperties:
     def test_heal_extends_the_tree_it_finds(self, seed, n_nodes, data):
         # A pendant chain cut - a - b hangs off the overlay; the user
         # sits at its far end, so losing ``cut`` strands it.
-        topo, __ = build_mst(n_nodes, seed)
+        topo = _tied_topology(n_nodes, seed)
         cut, a, b = n_nodes, n_nodes + 1, n_nodes + 2
         for u, v in ((0, cut), (cut, a), (a, b)):
-            topo.add_edge(u, v, 5.0)
+            topo.add_edge(u, v, 2.0)
         system = CosmosSystem(
             DisseminationTree.minimum_spanning(topo),
             processor_nodes=[0],
@@ -133,17 +171,29 @@ class TestRepairTreeProperties:
         assert quarantine_partitioned(system, cut) == ["q"]
         assert handle.status is QueryStatus.DEGRADED
         degraded = system.tree
-        assert sorted(degraded.nodes) == list(range(n_nodes))
+        main = list(range(n_nodes))
+        _assert_tree_is(degraded, _reference_tree(topo, main), main)
 
-        anchor = data.draw(st.integers(min_value=0, max_value=n_nodes - 1))
-        stranded = data.draw(st.sampled_from([a, b]))
-        topo.add_edge(anchor, stranded, 7.0)
+        # one to three links back across the cut, on tied weights
+        links = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n_nodes - 1),
+                    st.sampled_from([a, b]),
+                    st.sampled_from(TIED_WEIGHTS),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        for anchor, stranded, weight in links:
+            topo.add_edge(anchor, stranded, weight)
         assert heal_partition(system) == ["q"]
         assert handle.status is QueryStatus.ACTIVE
-        _assert_spanning_tree(system.tree, set(range(n_nodes)) | {a, b})
-        assert set(degraded.edges) <= set(system.tree.edges)
-        for edge in degraded.edges:
-            assert system.tree.weight(*edge) == degraded.weight(*edge)
+        healed = main + [a, b]
+        kept = {edge: degraded.weight(*edge) for edge in degraded.edges}
+        _assert_spanning_tree(system.tree, healed)
+        _assert_tree_is(system.tree, _reference_tree(topo, healed, kept), healed)
         system.publish("Temp", {"station": 1, "celsius": 20.0}, 1.0)
         assert handle.result_count == 1
 

@@ -180,6 +180,15 @@ if git grep -nF "_facts.clear()" -- src/repro/cbn/network.py \
     exit 1
 fi
 
+echo "== one Kruskal (repro.overlay, repro.system) =="
+# Topology.minimum_spanning_tree_edges joins fragments: the MST, a repair, a
+# quarantine and a heal each pass the fragments they already know, so spanning-
+# tree completion keeps one union-find (the analyzer's own graph checks aside).
+if git grep -nF "parent[parent[" -- src/repro ':!src/repro/overlay/topology.py' ':!src/repro/analysis'; then
+    echo "ci: only overlay/topology.py may run a union-find (one Kruskal joins fragments)" >&2
+    exit 1
+fi
+
 echo "== failure detection costs what fails (repro.sim) =="
 # FailureDetector.sweep renews every answering node through one shared lease;
 # the chaos supervisor hands it the silent nodes and never walks the monitored set.
