@@ -128,9 +128,6 @@ class _Subscription:
     subscription_id: str
     node: NodeId
     profile: Profile
-    #: registration order: ``retree`` re-lays the subscriptions it
-    #: finds in the tables in this order
-    order: int
     #: The *footprint*: per propagation, the hops it laid entries at, in
     #: laying order.  The only record of where this subscription's
     #: forwarding entries are, so the only way they are removed.
@@ -291,7 +288,6 @@ class ContentBasedNetwork:
         self.control_stats = LinkStats()
         self._register_weights(tree, tree.edges)
         self._counter = itertools.count()
-        self._registrations = itertools.count()
 
     # -- structure ---------------------------------------------------------------
 
@@ -344,16 +340,16 @@ class ContentBasedNetwork:
         """
         nodes = set(tree.nodes)
         departed = self._tables.keys() - nodes
-        stranded = [
-            (node, sid)
-            for node in sorted(departed)
-            for sid in self._tables[node].local_profiles()
-        ]
+        stranded = {
+            sid for node in departed for sid in self._tables[node].local_profiles()
+        }
         if stranded:
-            node, sid = stranded[0]
+            sub = next(
+                sub for sid, sub in self._subscriptions.items() if sid in stranded
+            )
             raise NetworkError(
-                f"subscription {sid!r} lives on broker {node}, "
-                f"which is not in the new tree"
+                f"subscription {sub.subscription_id!r} lives on broker "
+                f"{sub.node}, which is not in the new tree"
             )
         old_edges, new_edges = set(self._tree.edges), set(tree.edges)
         gone = old_edges - new_edges
@@ -365,10 +361,9 @@ class ContentBasedNetwork:
                 (stream,) = profile.streams
                 crossing.add(entry_owner(entry, stream))
         replay: List[Tuple[_Subscription, List[_PathKey]]] = []
-        for sub in sorted(
-            (self._subscriptions[sid] for sid in crossing),
-            key=lambda sub: sub.order,
-        ):
+        for sid, sub in self._subscriptions.items():
+            if sid not in crossing:
+                continue
             keys = [
                 key
                 for key, hops in sub.footprint.items()
@@ -493,7 +488,7 @@ class ContentBasedNetwork:
             subscription_id = f"sub-{next(self._counter)}"
         if subscription_id in self._subscriptions:
             raise NetworkError(f"duplicate subscription id {subscription_id!r}")
-        sub = _Subscription(subscription_id, node, profile, next(self._registrations))
+        sub = _Subscription(subscription_id, node, profile)
         self._subscriptions[subscription_id] = sub
         for stream in profile.streams:
             self._stream_subscriptions.setdefault(stream, {})[subscription_id] = None

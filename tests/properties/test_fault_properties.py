@@ -98,7 +98,7 @@ def _repair_history(seed, n_nodes, picks):
     pick: every repair must be the reference tree over the survivors
     seeded with the surviving tree edges, and every refusal a
     :class:`PartitionError` exactly when the survivors are physically
-    split."""
+    split, with the input tree left as it was."""
     topo = _tied_topology(n_nodes, seed)
     tree = DisseminationTree.minimum_spanning(topo)
     _assert_tree_is(tree, _reference_tree(topo, topo.nodes), topo.nodes)
@@ -108,8 +108,11 @@ def _repair_history(seed, n_nodes, picks):
         kept = {e: tree.weight(*e) for e in tree.edges if victim not in e}
         expected = _reference_tree(topo, survivors, kept)
         if expected is None:
+            before = (tree.nodes, tree.edges, tree.edge_weights())
             with pytest.raises(PartitionError):
                 repair_tree(tree, topo, victim)
+            # a refusal leaves the input tree untouched
+            assert (tree.nodes, tree.edges, tree.edge_weights()) == before
             continue
         repaired = repair_tree(tree, topo, victim)
         _assert_spanning_tree(repaired, survivors)
