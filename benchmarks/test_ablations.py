@@ -103,7 +103,8 @@ class _DuplicatesOnlyOptimizer(GroupingOptimizer):
 
                 return GroupingDecision(query, group, False, 0.0)
         rate = self.cost_model.result_rate(query, self.catalog)
-        group = self._new_group(query, rate)
+        widths = self.cost_model.column_widths(query, self.catalog)
+        group = self._new_group(query, rate, widths)
         from repro.core.grouping import GroupingDecision
 
         return GroupingDecision(query, group, True, 0.0)

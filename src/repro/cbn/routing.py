@@ -120,11 +120,11 @@ class RoutingTable:
             # path prefix): nothing moved, so neither the bucket order
             # nor any stream is reported.
             return
-        touched: Set[str] = set(profile.streams)
+        touched: FrozenSet[str] = profile.streams
         if previous is not None:
             # A replaced entry is installed anew, last in its table as in
             # its buckets, so every scan meets entries in one order.
-            touched.update(previous.streams)
+            touched |= previous.streams
             self._unindex_entry(interface, subscription_id, previous)
             del entries[subscription_id]
         entries[subscription_id] = profile

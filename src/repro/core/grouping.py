@@ -18,13 +18,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
+from repro.core.containment import _aggregate_signature
 from repro.core.cost import CostModel
 from repro.core.merging import (
     MergeError,
     MergePlan,
     complete_plan,
     merged_streams,
-    mergeable,
     representative,
 )
 
@@ -88,23 +88,25 @@ class GroupingOptimizer:
         self.cost_model = cost_model or CostModel()
         self.merge_threshold = merge_threshold
         self._groups: Dict[str, QueryGroup] = {}
-        #: structural key (stream set + aggregate signature) -> group ids,
-        #: so a new query is only evaluated against compatible groups.
-        self._index: Dict[Tuple, List[str]] = {}
+        #: structure key -> the ids of the live groups under it, so a new
+        #: query is only evaluated against mergeable groups.
+        self._index: Dict[object, List[str]] = {}
         self._group_of_query: Dict[str, str] = {}
         self._counter = itertools.count()
 
     @staticmethod
-    def _structure_key(query: ContinuousQuery) -> Tuple:
-        streams = tuple(sorted(set(query.stream_names)))
+    def _structure_key(query: ContinuousQuery) -> object:
+        """Equal for two canonical queries exactly when :func:`mergeable`
+        holds: the stream set, and for an aggregate its signature and
+        per-stream windows.  A self-join is mergeable with nothing, so its
+        key is a fresh object."""
+        if query.has_self_join:
+            return object()
+        streams = tuple(sorted(query.stream_names))
         if not query.is_aggregate:
             return (streams, None)
-        aggs = tuple(
-            (agg.func, agg.arg.key if agg.arg is not None else None)
-            for agg in query.aggregates
-        )
-        groups = tuple(sorted(attr.key for attr in query.group_by))
-        return (streams, (groups, aggs))
+        windows = tuple(sorted((ref.stream, ref.window.size) for ref in query.streams))
+        return (streams, (_aggregate_signature(query), windows))
 
     # -- queries --------------------------------------------------------------
 
@@ -118,7 +120,7 @@ class GroupingOptimizer:
 
     @property
     def query_count(self) -> int:
-        return sum(len(group) for group in self._groups.values())
+        return len(self._group_of_query)
 
     def grouping_ratio(self) -> float:
         """#groups / #queries — Figure 4(b)'s metric (1.0 when empty)."""
@@ -190,10 +192,9 @@ class GroupingOptimizer:
         best: Optional[Tuple[QueryGroup, MergePlan, float]] = None
         key = self._structure_key(query)
         for group_id in self._index.get(key, ()):
+            # the key is the mergeability relation: no structural re-check
             group = self._groups[group_id]
             rep = group.representative
-            if not mergeable(rep, query, self.catalog):
-                continue
             members = (rep, query)
             streams = merged_streams(members)
             hull = rep.predicate.hull(query.predicate)
@@ -218,7 +219,7 @@ class GroupingOptimizer:
             self._set_representative(group, rep, candidate_rate)
             self._group_of_query[query.name] = group.group_id
             return GroupingDecision(query, group, False, best_delta)
-        group = self._new_group(query, query_rate)
+        group = self._new_group(query, query_rate, widths)
         return GroupingDecision(query, group, True, 0.0)
 
     def add_all(
@@ -240,10 +241,7 @@ class GroupingOptimizer:
         del self._group_of_query[query_name]
         if not group.members:
             del self._groups[group.group_id]
-            key = self._structure_key(group.representative)
-            self._index[key] = [
-                gid for gid in self._index.get(key, []) if gid != group.group_id
-            ]
+            self._unindex(group)
             return
         rep = representative(group.members, self.catalog, name=f"{group.group_id}:rep")
         self._set_representative(
@@ -260,10 +258,7 @@ class GroupingOptimizer:
         group = self._groups.pop(group_id, None)
         if group is None:
             raise KeyError(f"unknown group {group_id!r}")
-        key = self._structure_key(group.representative)
-        self._index[key] = [
-            gid for gid in self._index.get(key, []) if gid != group_id
-        ]
+        self._unindex(group)
         for member in group.members:
             del self._group_of_query[member.name]
         return list(group.members)
@@ -294,15 +289,28 @@ class GroupingOptimizer:
             self.add(query)
         return before - self.group_count
 
-    def _new_group(self, query: ContinuousQuery, rate: float) -> QueryGroup:
+    def _new_group(
+        self, query: ContinuousQuery, rate: float, widths: Dict[str, float]
+    ) -> QueryGroup:
+        """Found a singleton group of canonical ``query``, whose
+        :meth:`CostModel.column_widths` are ``widths`` (a singleton's
+        representative has the query's SELECT list and FROM list)."""
         group_id = f"g{next(self._counter)}"
         canonical = representative([query], self.catalog, name=f"{group_id}:rep")
-        widths = self.cost_model.column_widths(canonical, self.catalog)
         group = QueryGroup(group_id, [query], canonical, rate, widths)
         self._groups[group_id] = group
         self._index.setdefault(self._structure_key(query), []).append(group_id)
         self._group_of_query[query.name] = group_id
         return group
+
+    def _unindex(self, group: QueryGroup) -> None:
+        """Take a departing group off the index; a key whose last group
+        left is deleted."""
+        key = self._structure_key(group.representative)
+        group_ids = self._index[key]
+        group_ids.remove(group.group_id)
+        if not group_ids:
+            del self._index[key]
 
     def _set_representative(
         self, group: QueryGroup, rep: ContinuousQuery, rate: float

@@ -40,7 +40,6 @@ from repro.cql.ast import (
     ContinuousQuery,
     SelectItem,
     StreamRef,
-    Window,
 )
 from repro.cql.predicates import (
     Atom,
@@ -268,13 +267,20 @@ def representative(
 
 
 def merged_streams(members: Sequence[ContinuousQuery]) -> Tuple[StreamRef, ...]:
-    """Per-stream maximum window over the members, in first-member order."""
-    order = [ref.stream for ref in members[0].streams]
-    sizes: Dict[str, float] = {stream: 0.0 for stream in order}
-    for member in members:
+    """Per-stream maximum window over the members, in first-member order.
+
+    The first member to carry a stream's widest window lends its
+    reference when it has no alias and no ``pos``; otherwise a bare
+    reference to the same window is made."""
+    widest: Dict[str, StreamRef] = {ref.stream: ref for ref in members[0].streams}
+    for member in members[1:]:
         for ref in member.streams:
-            sizes[ref.stream] = max(sizes[ref.stream], ref.window.size)
-    return tuple(StreamRef(stream, Window(sizes[stream])) for stream in order)
+            if ref.window.size > widest[ref.stream].window.size:
+                widest[ref.stream] = ref
+    return tuple(
+        ref if ref.alias is None and ref.pos is None else StreamRef(ref.stream, ref.window)
+        for ref in widest.values()
+    )
 
 
 def _spj_projection(

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, NamedTuple, Optional, Union
 
 
 class LexError(Exception):
@@ -30,10 +29,10 @@ PUNCT = {",", "(", ")", "[", "]", ".", "*", "-", "+"}
 OPERATORS = {"<", "<=", ">", ">=", "=", "!=", "<>"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: ``kind`` is ``ident``/``keyword``/``number``/
-    ``string``/``op``/``punct``/``eof``."""
+    ``string``/``op``/``punct``/``eof``.  A tuple, not a dataclass: a
+    query text makes a few dozen of them per parse."""
 
     kind: str
     text: str
@@ -61,17 +60,18 @@ def tokenize(text: str) -> List[Token]:
             tokens.append(Token("string", text[i : end + 1], literal, i))
             i = end + 1
             continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and text[i + 1].isdigit()
+        # isdecimal, not isdigit: "²" or "①" is a digit but no int() literal.
+        if ch.isdecimal() or (
+            ch == "." and i + 1 < n and text[i + 1].isdecimal()
         ):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # A dot followed by a non-digit is punctuation, not a
                     # decimal point (e.g. "3.Hour" never occurs, but "R.A"
                     # style never reaches here because idents match first).
-                    if j + 1 >= n or not text[j + 1].isdigit():
+                    if j + 1 >= n or not text[j + 1].isdecimal():
                         break
                     seen_dot = True
                 j += 1

@@ -56,6 +56,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -382,22 +383,27 @@ class Conjunction:
         links: Optional[Iterable[Tuple[str, str]]] = None,
         diffs: Optional[Mapping[Tuple[str, str], Interval]] = None,
     ) -> None:
-        self._intervals: Dict[str, Interval] = {
-            term: iv
-            for term, iv in (intervals or {}).items()
-            if not iv.is_universal
-        }
-        self._excluded: Dict[str, FrozenSet[Value]] = {
-            term: vals for term, vals in (excluded or {}).items() if vals
-        }
-        self._links: FrozenSet[Tuple[str, str]] = frozenset(
-            (a, b) if a <= b else (b, a) for a, b in (links or ()) if a != b
+        # A hull is TRUE more often than not: empty parts skip the filters.
+        self._intervals: Dict[str, Interval] = (
+            {term: iv for term, iv in intervals.items() if not iv.is_universal}
+            if intervals
+            else {}
         )
-        self._diffs: Dict[Tuple[str, str], Interval] = {
-            pair: iv
-            for pair, iv in (diffs or {}).items()
-            if not iv.is_universal
-        }
+        self._excluded: Dict[str, FrozenSet[Value]] = (
+            {term: vals for term, vals in excluded.items() if vals}
+            if excluded
+            else {}
+        )
+        self._links: FrozenSet[Tuple[str, str]] = (
+            frozenset((a, b) if a <= b else (b, a) for a, b in links if a != b)
+            if links
+            else frozenset()
+        )
+        self._diffs: Dict[Tuple[str, str], Interval] = (
+            {pair: iv for pair, iv in diffs.items() if not iv.is_universal}
+            if diffs
+            else {}
+        )
         self._solved: Optional[ConstraintSystem] = None
         self._atoms: Optional[Tuple[Atom, ...]] = None
 
@@ -440,13 +446,15 @@ class Conjunction:
 
     # -- accessors -------------------------------------------------------------
 
+    # Read-only views, not copies: a conjunction never changes.
+
     @property
     def intervals(self) -> Mapping[str, Interval]:
-        return dict(self._intervals)
+        return MappingProxyType(self._intervals)
 
     @property
     def excluded(self) -> Mapping[str, FrozenSet[Value]]:
-        return dict(self._excluded)
+        return MappingProxyType(self._excluded)
 
     @property
     def links(self) -> FrozenSet[Tuple[str, str]]:
@@ -454,7 +462,7 @@ class Conjunction:
 
     @property
     def diffs(self) -> Mapping[Tuple[str, str], Interval]:
-        return dict(self._diffs)
+        return MappingProxyType(self._diffs)
 
     @property
     def is_true(self) -> bool:

@@ -35,7 +35,8 @@ from repro.workload.sensorscope import sensorscope_catalog
 
 
 class BuildThenPrice(GroupingOptimizer):
-    """The incremental greedy as it was: build, then price, every candidate."""
+    """The incremental greedy as it was: build, then price, every
+    candidate the structural check admits."""
 
     def add(self, query):
         if query.name is None:
@@ -46,8 +47,9 @@ class BuildThenPrice(GroupingOptimizer):
         query_rate = self.cost_model.result_rate(query, self.catalog)
         best_delta = self.merge_threshold
         best = None
-        for group_id in self._index.get(self._structure_key(query), ()):
-            group = self._groups[group_id]
+        for group in list(self._groups.values()):
+            # every live group, not the index bucket: the oracle does not
+            # trust the structure key
             if not mergeable(group.representative, query, self.catalog):
                 continue
             try:
@@ -71,7 +73,8 @@ class BuildThenPrice(GroupingOptimizer):
             group.representative_rate = candidate_rate
             self._group_of_query[query.name] = group.group_id
             return GroupingDecision(query, group, False, best_delta)
-        group = self._new_group(query, query_rate)
+        widths = self.cost_model.column_widths(query, self.catalog)
+        group = self._new_group(query, query_rate, widths)
         return GroupingDecision(query, group, True, 0.0)
 
 

@@ -50,6 +50,42 @@ class TestLexer:
     def test_eof_token(self):
         assert tokenize("")[-1].kind == "eof"
 
+    @pytest.mark.parametrize("char", ["²", "①", "⁵"])
+    def test_a_digit_that_is_not_decimal_is_a_lex_error(self, char):
+        # str.isdigit accepts these, int() does not: no ValueError leaks.
+        with pytest.raises(LexError, match=r"unexpected character .* at position 6"):
+            tokenize(f"S.a > {char}")
+        with pytest.raises(LexError):
+            parse_query(f"SELECT S.a FROM S WHERE S.a > 3{char}")
+
+    def test_decimal_digits_of_other_scripts_are_numbers(self):
+        assert tokenize("٣.٥")[0] == Token("number", "٣.٥", 3.5, 0)
+
+
+class TestTokenContract:
+    def test_a_token_is_a_tuple_without_a_dict(self):
+        token = tokenize("S")[0]
+        assert isinstance(token, tuple)
+        assert not hasattr(token, "__dict__")
+        with pytest.raises(AttributeError):
+            token.kind = "keyword"
+
+    def test_fields_and_defaults(self):
+        assert Token._fields == ("kind", "text", "value", "pos")
+        assert Token._field_defaults == {"value": None, "pos": 0}
+        token = Token("punct", ",")
+        assert (token.value, token.pos) == (None, 0)
+
+    def test_str(self):
+        assert [str(t) for t in tokenize("S.a >= 3")] == [
+            "ident('S')",
+            "punct('.')",
+            "ident('a')",
+            "op('>=')",
+            "number('3')",
+            "eof('')",
+        ]
+
 
 class TestParserBasics:
     def test_minimal_query(self):

@@ -7,8 +7,9 @@ every step:
 * the CBN: subscribe / unsubscribe / publish — every publication must
   deliver exactly what direct profile evaluation predicts, at any point
   in any operation sequence;
-* the grouping optimizer: add / remove / reoptimize — bookkeeping stays
-  consistent and every member stays contained in its representative.
+* the grouping optimizer: add / remove / extract / reoptimize —
+  bookkeeping stays consistent, the structure index holds exactly the
+  live groups, and every member stays contained in its representative.
 """
 
 import random
@@ -28,7 +29,7 @@ from repro.cbn.network import ContentBasedNetwork
 from repro.core.containment import contains
 from repro.core.cost import CostModel
 from repro.core.grouping import GroupingOptimizer
-from repro.cql.ast import ContinuousQuery, StreamRef, Window
+from repro.cql.ast import Aggregate, ContinuousQuery, StreamRef, Window
 from repro.cql.predicates import AttrRef, Comparison, Conjunction
 from repro.cql.schema import Attribute, Catalog, StreamSchema
 from repro.overlay.tree import DisseminationTree
@@ -112,7 +113,7 @@ class CBNMachine(RuleBasedStateMachine):
 
 
 class GroupingMachine(RuleBasedStateMachine):
-    """Random add/remove/reoptimize sequences on the optimizer."""
+    """Random add/remove/extract/reoptimize sequences on the optimizer."""
 
     queries = Bundle("queries")
 
@@ -141,10 +142,26 @@ class GroupingMachine(RuleBasedStateMachine):
         window=st.sampled_from([60.0, 300.0]),
     )
     def add_query(self, stream, lo, span, window):
+        return self._add(stream, lo, span, window, aggregate=False)
+
+    @rule(
+        target=queries,
+        stream=st.sampled_from(["S", "T"]),
+        lo=st.integers(min_value=-10, max_value=5),
+        span=st.integers(min_value=0, max_value=10),
+        window=st.sampled_from([60.0, 300.0]),
+    )
+    def add_aggregate(self, stream, lo, span, window):
+        # MAX(a) GROUP BY a: a selection on a commutes with the grouping,
+        # so equal windows merge and different ones sit under two keys.
+        return self._add(stream, lo, span, window, aggregate=True)
+
+    def _add(self, stream, lo, span, window, aggregate):
         name = f"q{self.counter}"
         self.counter += 1
+        attr = AttrRef(stream, "a")
         query = ContinuousQuery(
-            select_items=(AttrRef(stream, "a"),),
+            select_items=(Aggregate("max", attr),) if aggregate else (attr,),
             streams=(StreamRef(stream, Window(window)),),
             predicate=Conjunction.from_atoms(
                 [
@@ -152,6 +169,7 @@ class GroupingMachine(RuleBasedStateMachine):
                     Comparison(f"{stream}.a", "<=", lo + span),
                 ]
             ),
+            group_by=(attr,) if aggregate else (),
             name=name,
         )
         self.optimizer.add(query)
@@ -163,6 +181,14 @@ class GroupingMachine(RuleBasedStateMachine):
         if name in self.added:
             self.optimizer.remove(name)
             self.added.discard(name)
+
+    @rule(index=st.integers(min_value=0, max_value=20))
+    def extract_group(self, index):
+        groups = self.optimizer.groups
+        if groups:
+            group = groups[index % len(groups)]
+            members = self.optimizer.extract_group(group.group_id)
+            self.added -= {member.name for member in members}
 
     @rule()
     def reoptimize(self):
@@ -181,6 +207,17 @@ class GroupingMachine(RuleBasedStateMachine):
             group = self.optimizer.group_of(name)
             assert group is not None
             assert any(m.name == name for m in group.members)
+
+    @invariant()
+    def index_holds_exactly_the_live_groups(self):
+        optimizer = self.optimizer
+        assert optimizer.query_count == sum(len(g) for g in optimizer.groups)
+        indexed = [gid for ids in optimizer._index.values() for gid in ids]
+        assert sorted(indexed) == sorted(g.group_id for g in optimizer.groups)
+        for group in optimizer.groups:
+            key = optimizer._structure_key(group.representative)
+            assert group.group_id in optimizer._index[key]
+        assert all(optimizer._index.values()), "a key holds an empty list"
 
     @invariant()
     def members_contained(self):

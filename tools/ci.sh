@@ -257,6 +257,34 @@ if [ "$(git grep -cE "(^|[^_[:alnum:]])result_profile\(" -- src/repro/core/manag
     echo "ci: core/manager.py must compose member profiles in exactly one place" >&2
     exit 1
 fi
+# A submit pays for its own query: the structure key is the mergeability
+# relation, so add re-checks no candidate; the query count is read off the
+# query -> group map, not summed over the groups; a token is a tuple; and a
+# conjunction hands out read-only views of its parts, not copies.
+if ! PYTHONPATH=src python - <<'EOF'
+import dataclasses, inspect, re, sys
+from repro.core.grouping import GroupingOptimizer
+from repro.cql.lexer import Token
+from repro.cql.predicates import Conjunction
+
+failures = []
+if "mergeable(" in inspect.getsource(GroupingOptimizer.add):
+    failures.append("GroupingOptimizer.add calls mergeable(")
+if re.search(r"\bfor\b|sum\(|_groups|\.groups", inspect.getsource(GroupingOptimizer.query_count.fget)):
+    failures.append("GroupingOptimizer.query_count iterates the groups")
+if dataclasses.is_dataclass(Token) or not issubclass(Token, tuple):
+    failures.append("Token is a dataclass, not a NamedTuple")
+for name in ("intervals", "excluded", "diffs"):
+    if "dict(" in inspect.getsource(getattr(Conjunction, name).fget):
+        failures.append(f"Conjunction.{name} returns dict(")
+for failure in failures:
+    print(f"ci: {failure}", file=sys.stderr)
+sys.exit(1 if failures else 0)
+EOF
+then
+    echo "ci: a submit must not pay for the population (see DESIGN.md section 13)" >&2
+    exit 1
+fi
 
 echo "== one routing-table mode (repro) =="
 # Every subscription keeps its own entry behind every interface it crossed:
