@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.schema import attribute_domains, raw_atoms, source_name
+from repro.analysis.schema import attribute_domains, source_name
 from repro.cbn.filters import Filter, Profile
-from repro.cql.ast import ContinuousQuery
+from repro.cql.ast import ContinuousQuery, query_problems, raw_atoms
 from repro.cql.predicates import (
     Atom,
     ConstraintSystem,
@@ -43,26 +43,23 @@ def _term_pos(atoms: Sequence[Atom], term: str) -> Optional[int]:
 
 
 def check_predicate(query: ContinuousQuery, catalog: Catalog) -> Report:
-    """COS201/202/204 for one query's WHERE clause."""
+    """COS201/202/204 for one query's WHERE clause: the error ``submit``
+    refuses (:func:`~repro.cql.ast.query_problems`), then the warnings
+    that do not decide admission."""
     report = Report()
     source = source_name(query)
     conj = query.predicate
     if conj.is_true:
         return report
+    problems = query_problems(query, catalog)
+    for problem in problems:
+        if problem.code == "COS201":
+            report.add(problem.code, problem.message, source, problem.pos)
+            return report
+    if problems:
+        return report  # a name or type error: the domains would only cascade
     atoms = raw_atoms(query)
-    first_pos = next(
-        (p for p in (getattr(a, "pos", None) for a in atoms) if p is not None),
-        None,
-    )
-    system = conj.solved()
-    if not system.satisfiable:
-        report.add(
-            "COS201",
-            f"WHERE clause can never be satisfied: {system.unsat_reason}",
-            source,
-            first_pos,
-        )
-        return report
+    first_pos = next((atom.pos for atom in atoms if atom.pos is not None), None)
     seeds = attribute_domains(query, catalog)
     domain_clean = True
     if seeds:

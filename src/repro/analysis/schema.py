@@ -1,30 +1,22 @@
 """COS1xx: schema checks for queries and profiles.
 
 Everything here resolves names against a :class:`Catalog` and never
-executes anything: unknown streams and attributes are errors (the CBN
-would reject or, worse, silently never match them), type-incompatible
-constraints are errors (a numeric attribute compared against a string
-can never hold), unused projections are warnings (they only waste
-bandwidth).
+executes anything.  A query's errors — unknown streams and attributes,
+type-incompatible constraints — are the ones ``submit`` refuses it for
+(:func:`repro.cql.ast.query_problems`); this module renders them and
+adds the warning only the analyzer raises (COS104: unused projections
+only waste bandwidth), and checks CBN profiles the same way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set
 
 from repro.analysis.diagnostics import Report
 from repro.cbn.filters import ALL_ATTRIBUTES, Profile
-from repro.cql.ast import Aggregate, ContinuousQuery, Star, Unresolved
-from repro.cql.predicates import (
-    Atom,
-    AttrRef,
-    Comparison,
-    Conjunction,
-    DifferenceConstraint,
-    Interval,
-    JoinPredicate,
-)
-from repro.cql.schema import Attribute, Catalog
+from repro.cql.ast import Aggregate, ContinuousQuery, Star, query_problems
+from repro.cql.predicates import AttrRef, Conjunction, Interval
+from repro.cql.schema import Catalog
 
 
 def source_name(query: ContinuousQuery) -> str:
@@ -53,100 +45,6 @@ def attribute_domains(
                 continue
             seeds[f"{ref.name}.{attr.name}"] = Interval(attr.lo, attr.hi)
     return seeds
-
-
-#: the diagnostic for each kind of unresolved reference; an unknown
-#: stream is reported once, on its FROM entry
-_UNRESOLVED_CODES = {"unqualified": "COS105", "qualifier": "COS101", "attribute": "COS102"}
-
-
-def _resolve(
-    query: ContinuousQuery,
-    attr: AttrRef,
-    catalog: Catalog,
-    report: Report,
-    source: str,
-    seen: Set[Tuple[Optional[str], str]],
-) -> Optional[Attribute]:
-    """Resolve one attribute reference (:meth:`ContinuousQuery.resolve`),
-    reporting at most one diagnostic per distinct reference."""
-    resolved = query.resolve(attr, catalog)
-    if not isinstance(resolved, Unresolved):
-        return resolved
-    key = (attr.qualifier, attr.name)
-    code = _UNRESOLVED_CODES.get(resolved.kind)
-    if code is not None and key not in seen:
-        seen.add(key)
-        report.add(code, resolved.message, source, attr.pos)
-    return None
-
-
-def raw_atoms(query: ContinuousQuery) -> List[Atom]:
-    """WHERE atoms as written when provenance exists, else reconstructed."""
-    if query.source is not None and query.source.where_atoms:
-        return list(query.source.where_atoms)
-    return query.predicate.atoms()
-
-
-def _ref(term: str, pos: Optional[int]) -> AttrRef:
-    """An :class:`AttrRef` for ``term`` carrying the atom's position."""
-    parsed = AttrRef.parse(term)
-    return AttrRef(parsed.qualifier, parsed.name, pos)
-
-
-def _check_atom_types(
-    query: ContinuousQuery,
-    catalog: Catalog,
-    report: Report,
-    source: str,
-    seen: Set[Tuple[Optional[str], str]],
-) -> None:
-    """COS103: constraints that no value of the attribute's type satisfies."""
-    for atom in raw_atoms(query):
-        if isinstance(atom, Comparison):
-            attr = _resolve(query, _ref(atom.term, atom.pos), catalog, report, source, seen)
-            if attr is None:
-                continue
-            if attr.is_numeric and isinstance(atom.value, str):
-                report.add(
-                    "COS103",
-                    f"{atom.term} has type {attr.type!r} but is compared "
-                    f"against string {atom.value!r}",
-                    source,
-                    atom.pos,
-                )
-            elif not attr.is_numeric and not isinstance(atom.value, str):
-                report.add(
-                    "COS103",
-                    f"{atom.term} has type {attr.type!r} but is compared "
-                    f"against number {atom.value!r}",
-                    source,
-                    atom.pos,
-                )
-        elif isinstance(atom, JoinPredicate):
-            left = _resolve(query, _ref(atom.left, atom.pos), catalog, report, source, seen)
-            right = _resolve(query, _ref(atom.right, atom.pos), catalog, report, source, seen)
-            if left is None or right is None:
-                continue
-            if left.is_numeric != right.is_numeric:
-                report.add(
-                    "COS103",
-                    f"equijoin {atom.left} = {atom.right} mixes types "
-                    f"{left.type!r} and {right.type!r}",
-                    source,
-                    atom.pos,
-                )
-        elif isinstance(atom, DifferenceConstraint):
-            for term in (atom.left, atom.right):
-                attr = _resolve(query, _ref(term, atom.pos), catalog, report, source, seen)
-                if attr is not None and not attr.is_numeric:
-                    report.add(
-                        "COS103",
-                        f"difference constraint on non-numeric attribute "
-                        f"{term} (type {attr.type!r})",
-                        source,
-                        atom.pos,
-                    )
 
 
 def _check_unused(
@@ -203,44 +101,14 @@ def _check_unused(
 
 
 def check_query(query: ContinuousQuery, catalog: Catalog) -> Report:
-    """All COS1xx checks for one query against ``catalog``."""
+    """All COS1xx checks for one query against ``catalog``: the name and
+    type errors of :func:`~repro.cql.ast.query_problems` (the ones
+    ``submit`` refuses), then the COS104 warnings."""
     report = Report()
     source = source_name(query)
-    for ref in query.streams:
-        if ref.stream not in catalog:
-            report.add(
-                "COS101",
-                f"unknown stream {ref.stream!r} "
-                f"(catalog has: {', '.join(catalog.stream_names)})",
-                source,
-                ref.pos,
-            )
-    seen: Set[Tuple[Optional[str], str]] = set()
-    for item in query.select_items:
-        if isinstance(item, Star):
-            resolved = query.resolve_qualifier(item.qualifier, catalog)
-            if isinstance(resolved, Unresolved) and resolved.kind == "qualifier":
-                report.add("COS101", resolved.message, source, item.pos)
-        elif isinstance(item, AttrRef):
-            _resolve(query, item, catalog, report, source, seen)
-        elif isinstance(item, Aggregate):
-            if item.arg is not None:
-                attr = _resolve(query, item.arg, catalog, report, source, seen)
-                if attr is not None and item.func in ("sum", "avg") and not attr.is_numeric:
-                    report.add(
-                        "COS103",
-                        f"{item.func.upper()} over non-numeric attribute "
-                        f"{item.arg.key} (type {attr.type!r})",
-                        source,
-                        item.pos,
-                    )
-    for attr in query.group_by:
-        _resolve(query, attr, catalog, report, source, seen)
-    # Atoms first: they carry source positions, and the dedup set keeps
-    # the first (positioned) diagnostic per distinct reference.
-    _check_atom_types(query, catalog, report, source, seen)
-    for term in query.predicate.referenced_terms():
-        _resolve(query, AttrRef.parse(term), catalog, report, source, seen)
+    for problem in query_problems(query, catalog):
+        if problem.code.startswith("COS1"):
+            report.add(problem.code, problem.message, source, problem.pos)
     _check_unused(query, report, source)
     return report
 

@@ -20,7 +20,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.cql.predicates import Atom, AttrRef, Conjunction, PredicateError
+from repro.cql.predicates import (
+    Atom,
+    AttrRef,
+    Comparison,
+    Conjunction,
+    DifferenceConstraint,
+    JoinPredicate,
+)
 from repro.cql.schema import Attribute, Catalog, SchemaError, StreamSchema
 
 
@@ -39,6 +46,17 @@ class Unresolved(NamedTuple):
 
     kind: str
     message: str
+
+
+class Problem(NamedTuple):
+    """One error that keeps a query out: the code it has in the
+    analyzer's catalogue (``docs/STATIC_ANALYSIS.md``), a message and
+    the offset into the query text it points at (``None`` when the
+    query carries no text or the problem no position)."""
+
+    code: str
+    message: str
+    pos: Optional[int]
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +297,11 @@ class ContinuousQuery:
     # -- resolution against a catalog -----------------------------------------------
 
     def validate(self, catalog: Catalog) -> None:
-        """Check every stream and attribute reference against ``catalog``,
-        raising :class:`QueryError` on the first that does not resolve."""
-        for ref in self.streams:
-            if ref.stream not in catalog:
-                raise QueryError(f"unknown stream {ref.stream!r}")
-        resolved = [
-            self.resolve_qualifier(item.qualifier, catalog)
-            for item in self.select_items
-            if isinstance(item, Star)
-        ]
-        resolved.extend(self.resolve(attr, catalog) for attr in self.referenced_attributes())
-        for each in resolved:
-            if isinstance(each, Unresolved):
-                raise QueryError(each.message)
+        """Admit the query against ``catalog`` or raise :class:`QueryError`
+        with the first of its :func:`query_problems`."""
+        problems = query_problems(self, catalog)
+        if problems:
+            raise QueryError(problems[0].message)
 
     def resolve_qualifier(
         self, qualifier: str, catalog: Catalog
@@ -314,8 +323,7 @@ class ContinuousQuery:
     ) -> Union[Attribute, Unresolved]:
         """The schema attribute ``attr`` names — the one rule for
         unqualified names, unknown qualifiers and unknown attributes
-        (:meth:`validate` raises the first problem, the analyzer reports
-        each)."""
+        (:func:`query_problems` reads it)."""
         if attr.qualifier is None:
             return Unresolved(
                 "unqualified",
@@ -466,3 +474,114 @@ class ContinuousQuery:
         from repro.cql.text import to_cql
 
         return to_cql(self)
+
+
+# ---------------------------------------------------------------------------
+# Admission
+# ---------------------------------------------------------------------------
+
+#: the problem each kind of unresolved reference is; an unknown stream
+#: is reported once, on its FROM entry
+_CODE_OF_KIND = {"unqualified": "COS105", "qualifier": "COS101", "attribute": "COS102"}
+
+
+def raw_atoms(query: ContinuousQuery) -> List[Atom]:
+    """WHERE atoms as written when provenance exists, else reconstructed."""
+    if query.source is not None and query.source.where_atoms:
+        return list(query.source.where_atoms)
+    return query.predicate.atoms()
+
+
+def query_problems(query: ContinuousQuery, catalog: Catalog) -> List[Problem]:
+    """Every error that keeps ``query`` out of a system over ``catalog``.
+
+    One walk over the query's references, each distinct reference
+    resolved once (:meth:`ContinuousQuery.resolve`): unknown streams,
+    qualifiers and attributes (COS101/102/105), then constraints no
+    value of the attribute's type satisfies (COS103), then a WHERE
+    clause nothing satisfies (COS201).  :meth:`ContinuousQuery.validate`
+    raises the first; ``repro check`` renders them all.
+    """
+    problems: List[Problem] = []
+    for ref in query.streams:
+        if ref.stream not in catalog:
+            problems.append(Problem(
+                "COS101",
+                f"unknown stream {ref.stream!r} "
+                f"(catalog has: {', '.join(catalog.stream_names)})",
+                ref.pos,
+            ))
+    attributes: Dict[str, Optional[Attribute]] = {}
+
+    def attribute(ref: AttrRef, pos: Optional[int]) -> Optional[Attribute]:
+        """What ``ref`` names; its problem is reported once, at ``pos``."""
+        key = ref.key
+        if key not in attributes:
+            resolved = query.resolve(ref, catalog)
+            if isinstance(resolved, Unresolved):
+                code = _CODE_OF_KIND.get(resolved.kind)
+                if code is not None:
+                    problems.append(Problem(code, resolved.message, pos))
+                resolved = None
+            attributes[key] = resolved
+        return attributes[key]
+
+    for item in query.select_items:
+        if isinstance(item, Star):
+            schema = query.resolve_qualifier(item.qualifier, catalog)
+            if isinstance(schema, Unresolved) and schema.kind == "qualifier":
+                problems.append(Problem("COS101", schema.message, item.pos))
+        elif isinstance(item, AttrRef):
+            attribute(item, item.pos)
+        elif item.arg is not None:
+            attr = attribute(item.arg, item.arg.pos)
+            if attr is not None and item.func in ("sum", "avg") and not attr.is_numeric:
+                problems.append(Problem(
+                    "COS103",
+                    f"{item.func.upper()} over non-numeric attribute "
+                    f"{item.arg.key} (type {attr.type!r})",
+                    item.pos,
+                ))
+    for ref in query.group_by:
+        attribute(ref, ref.pos)
+    atoms = raw_atoms(query)
+    for atom in atoms:
+        if isinstance(atom, Comparison):
+            attr = attribute(AttrRef.parse(atom.term), atom.pos)
+            if attr is not None and attr.is_numeric == isinstance(atom.value, str):
+                kind = "string" if attr.is_numeric else "number"
+                problems.append(Problem(
+                    "COS103",
+                    f"{atom.term} has type {attr.type!r} but is compared "
+                    f"against {kind} {atom.value!r}",
+                    atom.pos,
+                ))
+        elif isinstance(atom, JoinPredicate):
+            left = attribute(AttrRef.parse(atom.left), atom.pos)
+            right = attribute(AttrRef.parse(atom.right), atom.pos)
+            if left is not None and right is not None and left.is_numeric != right.is_numeric:
+                problems.append(Problem(
+                    "COS103",
+                    f"equijoin {atom.left} = {atom.right} mixes types "
+                    f"{left.type!r} and {right.type!r}",
+                    atom.pos,
+                ))
+        elif isinstance(atom, DifferenceConstraint):
+            for term in (atom.left, atom.right):
+                attr = attribute(AttrRef.parse(term), atom.pos)
+                if attr is not None and not attr.is_numeric:
+                    problems.append(Problem(
+                        "COS103",
+                        f"difference constraint on non-numeric attribute "
+                        f"{term} (type {attr.type!r})",
+                        atom.pos,
+                    ))
+    if not query.predicate.is_true:
+        solved = query.predicate.solved()
+        if not solved.satisfiable:
+            problems.append(Problem(
+                "COS201",
+                f"WHERE clause can never be satisfied: {solved.unsat_reason}",
+                next((atom.pos for atom in atoms if atom.pos is not None), None),
+            ))
+    return problems

@@ -49,6 +49,7 @@ from repro.cql.predicates import (
     DifferenceConstraint,
     Interval,
     JoinPredicate,
+    PredicateError,
 )
 
 AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
@@ -121,7 +122,7 @@ class _Parser:
         where_atoms: List[Atom] = []
         if self._accept("keyword", "where"):
             where_atoms = self._condition()
-            predicate = Conjunction.from_atoms(where_atoms)
+            predicate = _conjunction(where_atoms)
         group_by: Tuple[AttrRef, ...] = ()
         if self._accept("keyword", "group"):
             self._expect("keyword", "by")
@@ -294,6 +295,11 @@ class _Parser:
         pos: Optional[int] = None,
     ) -> DifferenceConstraint:
         left, right = diff
+        if isinstance(value, str):
+            raise ParseError(
+                f"attribute difference {left.key} - {right.key} compared to "
+                f"string {value!r} at position {pos}"
+            )
         if op == "=":
             interval = Interval.point(value)  # type: ignore[arg-type]
         elif op == "<":
@@ -307,6 +313,21 @@ class _Parser:
         else:
             raise ParseError("'!=' is not supported on attribute differences")
         return DifferenceConstraint(left.key, right.key, interval, pos=pos)
+
+
+def _conjunction(atoms: List[Atom]) -> Conjunction:
+    """The WHERE clause's conjunction; a term bounded by both a string
+    and a number is a :class:`ParseError` at the first atom that mixes
+    them."""
+    try:
+        return Conjunction.from_atoms(atoms)
+    except PredicateError as exc:
+        for end in range(1, len(atoms) + 1):
+            try:
+                Conjunction.from_atoms(atoms[:end])
+            except PredicateError:
+                raise ParseError(f"{exc} at position {atoms[end - 1].pos}") from None
+        raise
 
 
 def parse_query(text: str, name: Optional[str] = None) -> ContinuousQuery:

@@ -176,11 +176,13 @@ class CosmosSystem:
     ) -> SubmittedQuery:
         """Submit a user query from ``user_node``; returns its handle.
 
-        A query naming an unknown stream or attribute raises
-        :class:`~repro.cql.ast.QueryError` before any state changes.
-        Subtler defects (an unsatisfiable predicate) are accepted; the
-        static analyzer (``repro check``) is where to vet queries for
-        them before submitting.
+        A query text that does not parse raises
+        :class:`~repro.cql.parser.ParseError`; a query with an error of
+        :func:`~repro.cql.ast.query_problems` — an unknown stream or
+        attribute, a constraint no value of the attribute's type
+        satisfies, a WHERE clause nothing satisfies — raises
+        :class:`~repro.cql.ast.QueryError`.  Either is raised before any
+        state changes.  Warnings (``repro check``) do not refuse a query.
         """
         if isinstance(query, str):
             query = parse_query(query)

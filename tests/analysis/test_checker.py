@@ -91,8 +91,9 @@ class TestRunCheck:
 
 
 class TestCheckBeforeSubmit:
-    """The static check runs beside the runtime: vet a query with
-    ``analyze_query``, then hand it to ``CosmosSystem.submit``."""
+    """``analyze_query`` and ``CosmosSystem.submit`` read one admission
+    check (``repro.cql.ast.query_problems``): an error the analyzer
+    reports is one ``submit`` refuses, a warning is not."""
 
     @pytest.fixture
     def system(self, line_tree, sensor_catalog):
@@ -108,12 +109,23 @@ class TestCheckBeforeSubmit:
             system.submit(text, user_node=4)
         assert system.queries == []  # nothing was installed
 
-    def test_unsatisfiable_query_flagged_but_accepted(self, system, sensor_catalog):
+    def test_unsatisfiable_query_flagged_and_refused(self, system, sensor_catalog):
         text = (
             "SELECT T.station FROM Temp [Now] T "
             "WHERE T.temperature > 30 AND T.temperature < 10"
         )
-        assert analyze_query(parse_query(text, name="q"), sensor_catalog).has("COS201")
+        [diag] = analyze_query(parse_query(text, name="q"), sensor_catalog).errors
+        assert diag.code == "COS201"
+        with pytest.raises(QueryError, match=diag.message):
+            system.submit(text, user_node=4)
+        assert system.queries == []
+
+    def test_a_warning_does_not_refuse(self, system, sensor_catalog):
+        text = (
+            "SELECT T.station FROM Temp [Now] T "
+            "WHERE T.temperature > 30 AND T.temperature > 10"
+        )
+        assert analyze_query(parse_query(text, name="q"), sensor_catalog).codes() == ["COS202"]
         system.submit(text, user_node=4)
         assert len(system.queries) == 1
 

@@ -189,6 +189,20 @@ class TestWhereClause:
         with pytest.raises(ParseError):
             parse_query("SELECT S.a FROM S WHERE 1 = 1")
 
+    @pytest.mark.parametrize(
+        "text, pos",
+        [
+            ("SELECT T.station FROM ss00 [Now] T "
+             "WHERE T.station > 3 AND T.station = 'abc'", 59),
+            ("SELECT T.station FROM ss00 [Now] T "
+             "WHERE T.station - T.ambient_temperature > 'x'", 41),
+        ],
+        ids=["string-and-number-bounds", "difference-against-string"],
+    )
+    def test_ill_typed_condition_rejected_with_its_position(self, text, pos):
+        with pytest.raises(ParseError, match=f"at position {pos}$"):
+            parse_query(text)
+
     def test_conjunction_chains(self):
         q = parse_query("SELECT S.a FROM S WHERE S.a > 1 AND S.a < 5 AND S.b = 2")
         assert len(q.predicate.intervals) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cql.parser import parse_query
+from repro.cql.parser import ParseError, parse_query
 from repro.cql.predicates import (
     Comparison,
     Conjunction,
@@ -205,6 +205,9 @@ class TestExactBounds:
 class TestMixedTypes:
     def test_mixed_bounds_on_one_term_raise_predicate_error(self):
         with pytest.raises(PredicateError):
+            conj(Comparison("S.a", ">", 1), Comparison("S.a", ">", "x"))
+        # the parser reports it as a syntax error, with its position
+        with pytest.raises(ParseError, match="mixes string and numeric"):
             parse_query("SELECT S.a FROM S S WHERE S.a > 1 AND S.a > 'x'")
         numeric, text = Interval(1, None), Interval("x", None)
         for operation in (numeric.intersect, numeric.contains_interval, numeric.hull):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cql.ast import QueryError
+from repro.cql.schema import Attribute, StreamSchema
 from repro.system.cosmos import CosmosSystem, SystemError_
 from repro.system.distribution import (
     RoundRobinDistribution,
@@ -67,16 +68,25 @@ class TestSubmission:
 
 
 class TestMalformedQueryRejected:
-    """Outside input is validated on every submit: a malformed query
-    raises before anything is installed anywhere."""
+    """Outside input is validated on every submit: a query with an error
+    (an unknown name, a constraint its attribute's type cannot meet, a
+    WHERE clause nothing satisfies) raises before anything is installed
+    anywhere."""
 
     WELL_FORMED = "SELECT T.station FROM Temp [Now] T WHERE T.temperature > 30"
+    #: a stream with a string attribute, for the type errors
+    TAG = StreamSchema(
+        "Tag",
+        [Attribute("station", "int", 0, 9), Attribute("label", "str"),
+         Attribute("timestamp", "timestamp")],
+    )
 
     @pytest.fixture
     def sensors(self, line_tree, sensor_catalog):
         system = CosmosSystem(line_tree, processor_nodes=[2])
         for index, schema in enumerate(sorted(sensor_catalog, key=lambda s: s.name)):
             system.add_source(schema, index % 2)
+        system.add_source(self.TAG, 0)
         system.submit(self.WELL_FORMED, user_node=4, name="ok")
         return system
 
@@ -103,10 +113,25 @@ class TestMalformedQueryRejected:
             "SELECT Z.station FROM Temp [Now] T",
             "SELECT AVG(T.bogus) FROM Temp [Range 10 Second] T",
             "SELECT T.station FROM Temp [Now] T, Wind [Now] T",
+            "SELECT T.station FROM Temp [Now] T WHERE T.station = 'abc'",
+            "SELECT T.station FROM Temp [Now] T WHERE T.station > 'abc'",
+            "SELECT G.label FROM Tag [Now] G WHERE G.label > 3",
+            "SELECT T.station FROM Temp [Now] T, Tag [Now] G WHERE T.station = G.label",
+            "SELECT T.station FROM Temp [Now] T, Tag [Now] G "
+            "WHERE G.label - T.timestamp < 5",
+            "SELECT SUM(G.label) AS n FROM Tag [Range 10 Second] G",
+            "SELECT T.station FROM Temp [Now] T "
+            "WHERE T.temperature > 30 AND T.temperature < 10",
+            "SELECT T.station FROM Temp [Now] T WHERE T.station = 3 AND T.station != 3",
+            "SELECT T.station FROM Temp [Now] T, Wind [Now] W "
+            "WHERE T.timestamp - W.timestamp > 5 AND W.timestamp - T.timestamp > 5",
         ],
         ids=[
             "stream", "attribute", "where-term", "group-by-key", "join-key",
             "qualifier", "aggregate-argument", "duplicate-reference",
+            "string-on-numeric", "string-bound-on-numeric", "number-on-string",
+            "mixed-type-equijoin", "difference-on-string", "sum-of-string",
+            "unsatisfiable-bounds", "unsatisfiable-exclusion", "unsatisfiable-differences",
         ],
     )
     def test_rejected_before_anything_is_installed(self, sensors, text):
@@ -115,14 +140,32 @@ class TestMalformedQueryRejected:
             sensors.submit(text, user_node=4, name="bad")
         assert self.state(sensors) == before
 
-    def test_unsatisfiable_but_well_formed_is_accepted(self, sensors):
-        # it just never produces results; repro check flags it (COS201)
-        sensors.submit(
-            "SELECT T.station FROM Temp [Now] T "
-            "WHERE T.temperature > 30 AND T.temperature < 10",
-            user_node=4,
-        )
-        assert len(sensors.queries) == 2
+    def test_unsatisfiable_query_is_refused(self, sensors):
+        # it could never produce a result: no group, no src: subscription,
+        # no result advertisement
+        before = self.state(sensors)
+        with pytest.raises(QueryError, match="never be satisfied"):
+            sensors.submit(
+                "SELECT T.station FROM Temp [Now] T "
+                "WHERE T.temperature > 30 AND T.temperature < 10",
+                user_node=4,
+            )
+        assert self.state(sensors) == before
+
+    def test_a_mistyped_query_does_not_poison_the_next(self, sensors):
+        # admitted, 'abc' would widen a group's hull into a mixed-type
+        # interval, and grouping the next query on the same stream would
+        # raise from Conjunction.hull
+        with pytest.raises(QueryError, match="compared against string"):
+            sensors.submit(
+                "SELECT T.station FROM Temp [Now] T WHERE T.station = 'abc'",
+                user_node=4, name="mistyped",
+            )
+        for bound in ("T.station > 3", "T.station < 50"):
+            sensors.submit(
+                f"SELECT T.station FROM Temp [Now] T WHERE {bound}", user_node=4
+            )
+        assert len(sensors.queries) == 3
 
 
 class TestDataFlow:

@@ -199,10 +199,21 @@ if git grep -nE "detector\.monitored|\.heartbeat\(" -- src/repro/sim; then
 fi
 
 echo "== layering (the runtime does not import the static analyzer) =="
-# Queries are vetted by `repro check` / analysis.checker.analyze_query before
-# submit; CosmosSystem.submit validates names itself and imports no analyzer.
+# A query is admitted by cql's query_problems (through ContinuousQuery.validate)
+# at submit; `repro check` renders the same problems plus the warnings, so the
+# runtime imports no analyzer.
 if git grep -nF "repro.analysis" -- src/repro ':!src/repro/analysis' ':!src/repro/cli.py'; then
     echo "ci: only src/repro/analysis/ and src/repro/cli.py may mention repro.analysis" >&2
+    exit 1
+fi
+
+echo "== one admission check (repro.cql, repro.analysis) =="
+# query_problems in cql/ast.py resolves a query's references and checks their
+# types and its satisfiability once; the analyzer renders those problems and
+# resolves nothing itself.
+if git grep -nE "query\.resolve\(|_UNRESOLVED_CODES" -- src/repro/analysis; then
+    echo "ci: src/repro/analysis must read cql's query_problems," \
+         "not resolve a query's references itself" >&2
     exit 1
 fi
 
