@@ -1,17 +1,17 @@
 """Static analysis for COSMOS workloads (``repro check``).
 
-Four check families, each with stable diagnostic codes:
+Two check families over a workload, each with stable diagnostic codes:
 
 * ``COS1xx`` — schema: unknown streams/attributes, type clashes,
   unused projections (:mod:`repro.analysis.schema`).
 * ``COS2xx`` — satisfiability: unsatisfiable or vacuous predicates,
-  dead profiles, filters outside declared attribute domains
+  filters outside declared attribute domains
   (:mod:`repro.analysis.satisfiability`, asking the solver of
   :mod:`repro.cql.predicates`).
-* ``COS3xx`` — plans: representative containment and re-tightening
-  recoverability for query groups (:mod:`repro.analysis.plans`).
-* ``COS4xx`` — overlay/routing: non-tree overlays, unreachable
-  subscribers, orphan routing entries (:mod:`repro.analysis.overlay`).
+
+Their errors are the ones ``submit`` refuses a query for
+(:func:`repro.cql.ast.query_problems`); the analyzer renders them and
+adds the warnings.
 
 Four further families lint the package's *own source* instead of a
 workload (``repro check --self``):
@@ -50,7 +50,6 @@ from repro.analysis.checker import (
     analyze_builtin,
     analyze_query,
     analyze_workload,
-    build_network,
     builtin_workload,
 )
 from repro.analysis.diagnostics import (
@@ -88,15 +87,7 @@ from repro.analysis.modelcov import (
     load_corpus,
     summarize,
 )
-from repro.analysis.overlay import (
-    check_network,
-    check_overlay_graph,
-    check_reachability,
-    check_routing_entries,
-)
-from repro.analysis.plans import check_group, check_groups
 from repro.analysis.satisfiability import (
-    check_dead_profiles,
     check_filter,
     check_predicate,
     check_profile_filters,
@@ -178,19 +169,11 @@ __all__ = [
     "analyze_builtin",
     "analyze_query",
     "analyze_workload",
-    "build_network",
     "builtin_workload",
-    "check_dead_profiles",
     "check_filter",
-    "check_group",
-    "check_groups",
-    "check_network",
-    "check_overlay_graph",
     "check_predicate",
     "check_profile",
     "check_profile_filters",
     "check_query",
-    "check_reachability",
-    "check_routing_entries",
     "implies",
 ]

@@ -1,12 +1,11 @@
-"""The analyzer entry points: check queries, workloads and networks.
+"""The analyzer entry points: check queries and workloads.
 
-:func:`analyze_query` runs the per-query checks (COS1xx + COS2xx).
-:func:`analyze_workload` takes a whole workload — catalog plus query
-list — end to end through the *static* pipeline the running system
-would use: per-query checks, source-profile checks, greedy grouping,
-per-group plan checks (COS3xx), and finally a deterministic overlay is
-built (brokers, advertisements, subscriptions — but not a single
-published datagram) and its routing state is checked (COS4xx).
+:func:`analyze_query` runs the per-query checks (COS1xx + COS2xx): the
+errors ``submit`` refuses a query for
+(:func:`repro.cql.ast.query_problems`) and the warnings only the
+analyzer raises.  :func:`analyze_workload` runs them over a whole
+workload — catalog plus query list — and checks the source profile of
+each query that has no error (COS1xx + COS2xx on a CBN profile).
 
 Everything is pure: no network, no SPE execution, no randomness beyond
 the workload's own fixed seeds.
@@ -16,29 +15,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.overlay import check_network
-from repro.analysis.plans import check_groups
 from repro.analysis.satisfiability import (
     check_predicate,
     check_profile_filters,
 )
 from repro.analysis.schema import check_profile, check_query, source_name
-from repro.cbn.network import ContentBasedNetwork
-from repro.core.grouping import GroupingOptimizer, QueryGroup
-from repro.core.merging import MergeError
-from repro.core.profiles import (
-    ProfileCompositionError,
-    direct_result_profile,
-    result_profile,
-    source_profile,
-)
+from repro.core.profiles import ProfileCompositionError, source_profile
 from repro.cql.ast import ContinuousQuery, QueryError
 from repro.cql.parser import parse_query
 from repro.cql.schema import Catalog
-from repro.overlay.tree import DisseminationTree
 from repro.workload.auction import TABLE1_Q1, TABLE1_Q2, TABLE1_Q3, auction_catalog
 from repro.workload.queries import QueryWorkload, WorkloadConfig
 from repro.workload.sensorscope import sensorscope_catalog
@@ -92,7 +80,8 @@ def analyze_query(query: ContinuousQuery, catalog: Catalog) -> Report:
 
 
 def analyze_workload(workload: Workload) -> Report:
-    """Every check family over one workload; see the module docstring."""
+    """The per-query and source-profile checks over one workload; see
+    the module docstring."""
     report = Report()
     catalog = workload.catalog
     clean: List[ContinuousQuery] = []
@@ -109,71 +98,7 @@ def analyze_workload(workload: Workload) -> Report:
             continue  # self-joins etc.: no source profile to check
         report.extend(check_profile(profile, catalog, source=label))
         report.extend(check_profile_filters(profile, catalog, source=label))
-    groups = _group(clean, catalog)
-    report.extend(check_groups(groups, catalog))
-    network = build_network(groups, catalog)
-    report.extend(check_network(network))
     return report
-
-
-def _group(
-    queries: Sequence[ContinuousQuery], catalog: Catalog
-) -> List[QueryGroup]:
-    optimizer = GroupingOptimizer(catalog)
-    for query in queries:
-        if query.name is None:
-            continue  # grouping requires named queries
-        try:
-            optimizer.add(query)
-        except (QueryError, MergeError, ValueError):
-            continue  # self-joins and duplicates stay ungrouped
-    return optimizer.groups
-
-
-def build_network(
-    groups: Sequence[QueryGroup], catalog: Catalog
-) -> ContentBasedNetwork:
-    """A deterministic five-broker line overlay carrying the workload.
-
-    Publishers advertise every catalog stream at one end, each group's
-    representative is fetched by a processor in the middle via its
-    source profile, and each member's user at the other end subscribes
-    the re-tightening result profile against the group's result stream.
-    This is exactly the subscription structure the running system
-    installs, minus any data flow — which is what makes the routing
-    state statically checkable.
-    """
-    nodes = list(range(5))
-    tree = DisseminationTree(
-        edges=[(i, i + 1) for i in range(4)], nodes=nodes
-    )
-    network = ContentBasedNetwork(tree, catalog.copy())
-    publisher_node, processor_node, user_node = 0, 2, 4
-    for schema in catalog:
-        network.advertise(schema.name, publisher_node, schema)
-    for group in groups:
-        result_stream = f"result:{group.group_id}"
-        try:
-            fetch = source_profile(group.representative, catalog)
-        except (QueryError, ProfileCompositionError):
-            continue
-        network.subscribe(fetch, processor_node, f"src:{group.group_id}")
-        network.advertise(result_stream, processor_node)
-        for member in group.members:
-            sid = f"res:{member.name or group.group_id}"
-            if len(group.members) == 1:
-                profile = direct_result_profile(result_stream)
-            else:
-                try:
-                    profile = result_profile(
-                        member, group.representative, catalog, result_stream
-                    )
-                except ProfileCompositionError:
-                    # Unrecoverable members are COS302/303 findings; the
-                    # system would fall back to a direct subscription.
-                    profile = direct_result_profile(result_stream)
-            network.subscribe(profile, user_node, sid)
-    return network
 
 
 def analyze_builtin(name: str) -> Report:

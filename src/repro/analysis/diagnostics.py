@@ -1,11 +1,11 @@
 """Diagnostics emitted by the static analyzer.
 
 Every finding carries a stable code (``COS1xx`` schema, ``COS2xx``
-satisfiability, ``COS3xx`` plan/merging, ``COS4xx`` overlay/routing,
-``COS5xx`` determinism, ``COS7xx`` source style, ``COS81x``
-lifecycle state machines, ``COS9xx`` model checking), a severity, a human-readable message and a *source
-span*: the logical source (a query name, a profile id, a broker node,
-or — for the source-lint families — a file path) plus an optional
+satisfiability, ``COS5xx`` determinism, ``COS7xx`` source style,
+``COS81x`` lifecycle state machines, ``COS9xx`` model checking), a
+severity, a human-readable message and a *source span*: the logical
+source (a query name, a profile id, or — for the source-lint
+families — a file path) plus an optional
 position (a character offset into the query text for the workload
 families, a line number for the source-lint families).  Diagnostics
 render in the conventional ``file:pos: code message`` form so editors
@@ -44,17 +44,7 @@ CODES = {
     # -- COS2xx: satisfiability --------------------------------------------
     "COS201": (Severity.ERROR, "unsatisfiable predicate"),
     "COS202": (Severity.WARNING, "vacuous conjunct"),
-    "COS203": (Severity.WARNING, "dead profile (subsumed)"),
     "COS204": (Severity.WARNING, "filter outside attribute domain"),
-    # -- COS3xx: plan / merging --------------------------------------------
-    "COS301": (Severity.ERROR, "representative does not contain member"),
-    "COS302": (Severity.ERROR, "re-tightening does not reproduce member schema"),
-    "COS303": (Severity.ERROR, "residual attributes missing from representative"),
-    # -- COS4xx: overlay / routing ------------------------------------------
-    "COS401": (Severity.ERROR, "unreachable subscriber"),
-    "COS402": (Severity.ERROR, "overlay is not a tree"),
-    "COS403": (Severity.WARNING, "orphan routing entry"),
-    "COS404": (Severity.WARNING, "stream has no advertised publisher"),
     # -- COS5xx: determinism hazards (source lint) --------------------------
     "COS501": (Severity.ERROR, "nondeterministic entropy source"),
     "COS502": (Severity.ERROR, "wall-clock read in simulated-time code"),
@@ -86,9 +76,9 @@ class DiagnosticError(Exception):
 class Diagnostic:
     """One analyzer finding.
 
-    ``source`` names the analyzed object (query name, profile id,
-    ``"broker:<node>"``); ``pos`` is a character offset into the query
-    text when the parser recorded one.
+    ``source`` names the analyzed object (query name, profile id, file
+    path); ``pos`` is a character offset into the query text when the
+    parser recorded one (a line number for the source-lint families).
     """
 
     code: str

@@ -2,14 +2,14 @@
 
 Every check asks the one decision procedure of
 :mod:`repro.cql.predicates` — the solved form behind
-``Conjunction.is_satisfiable`` / ``implies`` and ``Profile.subsumes`` —
+``Conjunction.is_satisfiable`` / ``implies`` —
 seeded with declared schema attribute domains where "can this ever
 match real data?" is the question.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.schema import attribute_domains, source_name
@@ -132,31 +132,4 @@ def check_profile_filters(
     report = Report()
     for filt in profile.filters:
         report.extend(check_filter(filt, catalog, source))
-    return report
-
-
-def check_dead_profiles(
-    entries: Sequence[Tuple[str, Profile]], source: str = "<interface>"
-) -> Report:
-    """COS203 across the profiles installed on one interface.
-
-    ``entries`` lists ``(entry_id, profile)`` in installation order.  A
-    later profile subsumed by an earlier one contributes no routing
-    decisions — every datagram it would forward is already forwarded —
-    so it is dead weight in the routing table.
-    """
-    report = Report()
-    for j in range(1, len(entries)):
-        later_id, later = entries[j]
-        for i in range(j):
-            earlier_id, earlier = entries[i]
-            if earlier.subsumes(later):
-                report.add(
-                    "COS203",
-                    f"profile {later_id!r} is subsumed by the "
-                    f"already-installed {earlier_id!r}; it adds no "
-                    "routing decisions on this interface",
-                    source,
-                )
-                break
     return report

@@ -1,6 +1,6 @@
 """Shared infrastructure for the source-lint passes (COS5xx-COS7xx).
 
-The workload families (COS1xx-COS4xx) analyze *queries*; the source
+The workload families (COS1xx-COS2xx) analyze *queries*; the source
 families analyze the package's *own Python source*.  This module holds
 what those passes share:
 

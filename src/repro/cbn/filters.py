@@ -10,11 +10,9 @@ on that stream's attributes.  A *profile* is the triple ⟨S, P, F⟩:
   it is covered by *any* filter (disjunction of conjunctions).
 
 Coverage (:meth:`Profile.covers`) is what brokers use to route
-datagrams.  Subsumption (:meth:`Profile.subsumes`, built on the sound
-implication test of the predicate algebra) is what the analyzer reads
-to flag a profile that another on the same interface makes dead
-(COS203); routing tables keep one entry per subscription and do not
-aggregate.
+datagrams.  Subsumption (:meth:`Profile.subsumes`) is built on the
+sound implication test of the predicate algebra; routing tables keep
+one entry per subscription and do not aggregate.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("demo", help="run the quickstart scenario with a status report")
 
     chk = sub.add_parser(
-        "check", help="statically analyse a workload (schema, satisfiability, "
-        "plans, routing) or, with --self, the package's own source"
+        "check", help="statically analyse a workload (schema, satisfiability) "
+        "or, with --self, the package's own source"
     )
     _add_check_flags(chk)
 

@@ -513,11 +513,13 @@ def query_problems(query: ContinuousQuery, catalog: Catalog) -> List[Problem]:
             ))
     attributes: Dict[str, Optional[Attribute]] = {}
 
-    def attribute(ref: AttrRef, pos: Optional[int]) -> Optional[Attribute]:
-        """What ``ref`` names; its problem is reported once, at ``pos``."""
-        key = ref.key
+    def attribute(
+        key: str, pos: Optional[int], ref: Optional[AttrRef] = None
+    ) -> Optional[Attribute]:
+        """What the term ``key`` (``ref``, when parsed) names; its
+        problem is reported once, at ``pos``."""
         if key not in attributes:
-            resolved = query.resolve(ref, catalog)
+            resolved = query.resolve(ref or AttrRef.parse(key), catalog)
             if isinstance(resolved, Unresolved):
                 code = _CODE_OF_KIND.get(resolved.kind)
                 if code is not None:
@@ -532,9 +534,9 @@ def query_problems(query: ContinuousQuery, catalog: Catalog) -> List[Problem]:
             if isinstance(schema, Unresolved) and schema.kind == "qualifier":
                 problems.append(Problem("COS101", schema.message, item.pos))
         elif isinstance(item, AttrRef):
-            attribute(item, item.pos)
+            attribute(item.key, item.pos, item)
         elif item.arg is not None:
-            attr = attribute(item.arg, item.arg.pos)
+            attr = attribute(item.arg.key, item.arg.pos, item.arg)
             if attr is not None and item.func in ("sum", "avg") and not attr.is_numeric:
                 problems.append(Problem(
                     "COS103",
@@ -543,11 +545,11 @@ def query_problems(query: ContinuousQuery, catalog: Catalog) -> List[Problem]:
                     item.pos,
                 ))
     for ref in query.group_by:
-        attribute(ref, ref.pos)
+        attribute(ref.key, ref.pos, ref)
     atoms = raw_atoms(query)
     for atom in atoms:
         if isinstance(atom, Comparison):
-            attr = attribute(AttrRef.parse(atom.term), atom.pos)
+            attr = attribute(atom.term, atom.pos)
             if attr is not None and attr.is_numeric == isinstance(atom.value, str):
                 kind = "string" if attr.is_numeric else "number"
                 problems.append(Problem(
@@ -557,8 +559,8 @@ def query_problems(query: ContinuousQuery, catalog: Catalog) -> List[Problem]:
                     atom.pos,
                 ))
         elif isinstance(atom, JoinPredicate):
-            left = attribute(AttrRef.parse(atom.left), atom.pos)
-            right = attribute(AttrRef.parse(atom.right), atom.pos)
+            left = attribute(atom.left, atom.pos)
+            right = attribute(atom.right, atom.pos)
             if left is not None and right is not None and left.is_numeric != right.is_numeric:
                 problems.append(Problem(
                     "COS103",
@@ -568,7 +570,7 @@ def query_problems(query: ContinuousQuery, catalog: Catalog) -> List[Problem]:
                 ))
         elif isinstance(atom, DifferenceConstraint):
             for term in (atom.left, atom.right):
-                attr = attribute(AttrRef.parse(term), atom.pos)
+                attr = attribute(term, atom.pos)
                 if attr is not None and not attr.is_numeric:
                     problems.append(Problem(
                         "COS103",

@@ -72,11 +72,9 @@ class TestAnalyzeWorkload:
         report = analyze_workload(
             Workload("w", sensor_catalog, [bad, good])
         )
-        assert report.has("COS102")
-        # The bad query is kept out of grouping/overlay construction,
-        # so no cascading COS3xx/COS4xx findings appear.
-        assert not any(c.startswith("COS3") for c in report.codes())
-        assert not any(c.startswith("COS4") for c in report.codes())
+        # The bad query is kept out of the source-profile checks, so its
+        # unknown attribute is reported once, on the query.
+        assert [(d.code, d.source) for d in report] == [("COS102", "bad")]
 
 
 class TestRunCheck:
@@ -183,7 +181,7 @@ class TestRuntimeLayering:
     @pytest.mark.parametrize(
         "text",
         [
-            "import repro.analysis.overlay as overlay",
+            "import repro.analysis.schema as schema",
             "from repro.analysis.checker import analyze_query",
             "from repro import analysis",
             "from ..analysis import checker",

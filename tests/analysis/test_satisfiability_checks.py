@@ -1,11 +1,7 @@
 """COS2xx: seeded satisfiability defects must be flagged."""
 
-from repro.analysis.satisfiability import (
-    check_dead_profiles,
-    check_filter,
-    check_predicate,
-)
-from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
+from repro.analysis.satisfiability import check_filter, check_predicate
+from repro.cbn.filters import Filter
 from repro.cql.parser import parse_query
 from repro.cql.predicates import Comparison, Conjunction
 
@@ -97,33 +93,3 @@ class TestCheckFilter:
             Conjunction.from_atoms([Comparison("x", ">", 5)]),
         )
         assert check_filter(filt, sensor_catalog).is_clean
-
-
-class TestDeadProfiles:
-    def _profile(self, *atoms):
-        return Profile(
-            {"Temp": ALL_ATTRIBUTES},
-            (_filter(*atoms),) if atoms else (),
-        )
-
-    def test_subsumed_later_profile_flagged(self):
-        broad = self._profile(Comparison("temperature", ">", 10))
-        narrow = self._profile(Comparison("temperature", ">", 30))
-        report = check_dead_profiles([("broad", broad), ("narrow", narrow)])
-        assert report.has("COS203")
-
-    def test_install_order_matters(self):
-        broad = self._profile(Comparison("temperature", ">", 10))
-        narrow = self._profile(Comparison("temperature", ">", 30))
-        # The narrow profile first: the broad one is NOT dead (it adds
-        # routing decisions), so nothing to report.
-        report = check_dead_profiles([("narrow", narrow), ("broad", broad)])
-        assert report.is_clean
-
-    def test_projection_blocks_subsumption(self):
-        broad = Profile({"Temp": frozenset({"station"})}, ())
-        narrow = Profile({"Temp": frozenset({"station", "humidity"})}, ())
-        # The "broad" filterless profile carries fewer attributes, so it
-        # cannot serve the narrow subscriber's projection.
-        report = check_dead_profiles([("a", broad), ("b", narrow)])
-        assert report.is_clean

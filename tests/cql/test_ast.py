@@ -14,9 +14,11 @@ from repro.cql.ast import (
     UNBOUNDED,
     Unresolved,
     Window,
+    query_problems,
 )
 from repro.cql.parser import parse_query
 from repro.cql.predicates import AttrRef, Comparison, Conjunction
+from repro.cql.schema import Attribute, Catalog, StreamSchema
 
 
 class TestWindow:
@@ -102,6 +104,77 @@ class TestValidation:
         )
         with pytest.raises(QueryError, match="must be qualified"):
             q.validate(auction_catalog)
+
+
+class TestQueryProblems:
+    """``query_problems``: every admission error, with its analyzer code
+    and the position it points at; ``validate`` raises the first."""
+
+    CATALOG = Catalog(
+        [
+            StreamSchema("A", [Attribute("x", "int"), Attribute("t", "timestamp")]),
+            StreamSchema("B", [Attribute("y", "str"), Attribute("t", "timestamp")]),
+        ]
+    )
+
+    @pytest.mark.parametrize(
+        "text, code, at",
+        [
+            ("SELECT N.x FROM Nope [Now] N", "COS101", "Nope"),
+            ("SELECT Z.* FROM A [Now] A", "COS101", "Z.*"),
+            ("SELECT A.x FROM A [Now] A WHERE A.bogus > 1", "COS102", "A.bogus"),
+            ("SELECT A.x FROM A [Now] A WHERE A.x = 'q'", "COS103", "A.x = 'q'"),
+            ("SELECT B.y FROM B [Now] B WHERE B.y < 3", "COS103", "B.y < 3"),
+            ("SELECT A.x FROM A [Now] A, B [Now] B WHERE A.x = B.y", "COS103", "A.x = B.y"),
+            ("SELECT A.x FROM A [Now] A, B [Now] B WHERE B.y - A.t > 3", "COS103", "B.y - A.t"),
+            ("SELECT SUM(B.y) AS s FROM B [Range 10 Second] B", "COS103", "SUM"),
+            ("SELECT A.x FROM A [Now] A WHERE A.x > 5 AND A.x < 2", "COS201", "A.x > 5"),
+        ],
+        ids=[
+            "stream", "star-qualifier", "attribute", "string-on-numeric",
+            "number-on-string", "mixed-equijoin", "difference-on-string",
+            "sum-of-string", "unsatisfiable",
+        ],
+    )
+    def test_each_error_has_its_code_and_position(self, text, code, at):
+        [problem] = query_problems(parse_query(text), self.CATALOG)
+        assert problem.code == code
+        assert text[problem.pos:].startswith(at)
+        with pytest.raises(QueryError) as raised:
+            parse_query(text).validate(self.CATALOG)
+        assert str(raised.value) == problem.message
+
+    def test_unqualified_attribute(self):
+        query = ContinuousQuery((AttrRef(None, "x"),), (StreamRef("A", NOW),))
+        assert [p.code for p in query_problems(query, self.CATALOG)] == ["COS105"]
+
+    def test_clean_query_has_none(self):
+        query = parse_query("SELECT A.x FROM A [Now] A, B [Now] B WHERE A.t - B.t < 3")
+        assert query_problems(query, self.CATALOG) == []
+
+    def test_validate_raises_the_first_of_several(self):
+        query = parse_query(
+            "SELECT A.nope FROM A [Now] A WHERE A.x = 'q' AND A.t > 5 AND A.t < 2"
+        )
+        problems = query_problems(query, self.CATALOG)
+        assert [p.code for p in problems] == ["COS102", "COS103", "COS201"]
+        with pytest.raises(QueryError, match="no attribute 'nope'"):
+            query.validate(self.CATALOG)
+
+    def test_each_reference_is_resolved_once(self, monkeypatch):
+        query = parse_query(
+            "SELECT A.x, A.t FROM A [Now] A, B [Now] B "
+            "WHERE A.x > 1 AND A.x < 9 AND A.t = B.t AND A.t - B.t < 3"
+        )
+        calls = []
+        resolve = ContinuousQuery.resolve
+        monkeypatch.setattr(
+            ContinuousQuery,
+            "resolve",
+            lambda self, attr, catalog: calls.append(attr.key) or resolve(self, attr, catalog),
+        )
+        assert query_problems(query, self.CATALOG) == []
+        assert sorted(calls) == ["A.t", "A.x", "B.t"]
 
 
 class TestResolve:

@@ -12,12 +12,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.overlay import check_reachability, check_routing_entries
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
 from repro.cql.predicates import Comparison, Conjunction
 from repro.overlay.tree import DisseminationTree
+from tests.routing_audit import orphan_entries, unreachable_subscribers
 
 ATTRS = ["a", "b", "c", "d"]
 
@@ -195,10 +195,10 @@ class TestSubscriptionIds:
         for index, (profile, sid) in enumerate(subscriptions):
             node = data.draw(st.sampled_from(tree.nodes), label=f"sub{index}")
             network.subscribe(profile, node, sid)
-        assert check_routing_entries(network).is_clean
-        assert not check_reachability(network).errors
+        assert orphan_entries(network) == []
+        assert unreachable_subscribers(network) == []
         order = data.draw(st.permutations([sid for __, sid in subscriptions]))
         for sid in order:
             network.unsubscribe(sid)
-            assert check_routing_entries(network).is_clean
+            assert orphan_entries(network) == []
         assert network.routing_state_size() == 0

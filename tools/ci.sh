@@ -183,8 +183,8 @@ fi
 echo "== one Kruskal (repro.overlay, repro.system) =="
 # Topology.minimum_spanning_tree_edges joins fragments: the MST, a repair, a
 # quarantine and a heal each pass the fragments they already know, so spanning-
-# tree completion keeps one union-find (the analyzer's own graph checks aside).
-if git grep -nF "parent[parent[" -- src/repro ':!src/repro/overlay/topology.py' ':!src/repro/analysis'; then
+# tree completion keeps one union-find.
+if git grep -nF "parent[parent[" -- src/repro ':!src/repro/overlay/topology.py'; then
     echo "ci: only overlay/topology.py may run a union-find (one Kruskal joins fragments)" >&2
     exit 1
 fi
@@ -370,19 +370,24 @@ if git grep -nE "waxman|LeastLoadedDistribution|ProximityDistribution|class Brok
 fi
 
 echo "== the analyzer ablation (repro.analysis, tools) =="
-# The COS80x message-flow and COS6xx protocol-contract passes and the lint
-# wrapper were ablated by measurement (EXPERIMENTS.md, "Analyzer ablation"):
-# every defect they flagged that changes behaviour is caught by a test or a
-# chaos oracle.  `repro check --self` is the one lint entry point.
-for gone in src/repro/analysis/flowgraph.py src/repro/analysis/protocol.py tools/lint_repro.py; do
+# The COS80x message-flow and COS6xx protocol-contract passes, the lint
+# wrapper, the COS3xx group audit and the COS4xx routing audit (with COS203
+# and the analyzer's private copy of the subscription wiring) were ablated by
+# measurement (EXPERIMENTS.md, "Analyzer ablation"): every defect they flagged
+# that changes behaviour is caught by a test, a chaos oracle or a pinned run.
+# `repro check --self` is the one lint entry point; the routing audits live on
+# in tests/routing_audit.py as a test oracle.
+for gone in src/repro/analysis/flowgraph.py src/repro/analysis/protocol.py tools/lint_repro.py \
+            src/repro/analysis/plans.py src/repro/analysis/overlay.py; do
     if [ -e "$gone" ]; then
         echo "ci: $gone was deleted by the analyzer ablation and must not come back" >&2
         exit 1
     fi
 done
-if git grep -nE "COS60[0-9]|COS80[0-9]|callback_modules" -- src/repro; then
-    echo "ci: src/repro must not grow the COS60x/COS80x passes," \
-         "their codes or pragmas, or callback_modules= back" >&2
+if git grep -nE "COS60[0-9]|COS80[0-9]|callback_modules|COS3[0-9]{2}|COS4[0-9]{2}|COS203|check_dead_profiles|(^|[^_[:alnum:]])build_network" -- src/repro; then
+    echo "ci: src/repro must not grow the COS60x/COS80x/COS3xx/COS4xx passes," \
+         "COS203, their codes or pragmas, callback_modules= or the analyzer's" \
+         "build_network back" >&2
     exit 1
 fi
 
