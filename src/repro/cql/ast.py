@@ -28,7 +28,7 @@ from repro.cql.predicates import (
     DifferenceConstraint,
     JoinPredicate,
 )
-from repro.cql.schema import Attribute, Catalog, SchemaError, StreamSchema
+from repro.cql.schema import Attribute, Catalog, StreamSchema
 
 
 class QueryError(Exception):
@@ -340,21 +340,6 @@ class ContinuousQuery:
                 f"(have: {', '.join(schema.attribute_names)})",
             )
         return schema.attribute(attr.name)
-
-    def referenced_attributes(self) -> List[AttrRef]:
-        """All attribute references in SELECT and WHERE (not Q.* expansions)."""
-        out: List[AttrRef] = []
-        for item in self.select_items:
-            if isinstance(item, AttrRef):
-                out.append(item)
-            elif isinstance(item, Aggregate) and item.arg is not None:
-                out.append(item.arg)
-        # Sorted: referenced_terms() is a set; the output order feeds
-        # profile composition and diagnostics.
-        for term in sorted(self.predicate.referenced_terms()):
-            out.append(AttrRef.parse(term))
-        out.extend(self.group_by)
-        return out
 
     def projected_attributes(self, catalog: Catalog) -> List[AttrRef]:
         """The SELECT list with every ``Q.*`` expanded, in output order.
