@@ -120,8 +120,7 @@ class TestMalformedQueryRejected:
             "SELECT T.station FROM Temp [Now] T, Tag [Now] G "
             "WHERE G.label - T.timestamp < 5",
             "SELECT SUM(G.label) AS n FROM Tag [Range 10 Second] G",
-            "SELECT T.station FROM Temp [Now] T "
-            "WHERE T.temperature > 30 AND T.temperature < 10",
+            "SELECT T.station FROM Temp [Now] T WHERE T.temperature BETWEEN 30 AND 10",
             "SELECT T.station FROM Temp [Now] T WHERE T.station = 3 AND T.station != 3",
             "SELECT T.station FROM Temp [Now] T, Wind [Now] W "
             "WHERE T.timestamp - W.timestamp > 5 AND W.timestamp - T.timestamp > 5",
