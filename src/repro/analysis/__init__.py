@@ -63,10 +63,10 @@ from repro.analysis.conformance import conformance_violations, transition_key
 from repro.analysis.lifecycle import (
     MachineSpec,
     StateMachine,
+    TableSpec,
     Transition,
     check_lifecycle,
     check_machines,
-    collect_enums,
     extract_lifecycle,
 )
 from repro.analysis.model import (
@@ -131,7 +131,6 @@ __all__ = [
     "check_purity",
     "check_source_module",
     "check_style",
-    "collect_enums",
     "collect_set_returning",
     "conformance_violations",
     "coverage",
@@ -164,6 +163,7 @@ __all__ = [
     "Report",
     "Severity",
     "StateMachine",
+    "TableSpec",
     "Transition",
     "Workload",
     "analyze_builtin",

@@ -10,9 +10,9 @@ on that stream's attributes.  A *profile* is the triple ⟨S, P, F⟩:
   it is covered by *any* filter (disjunction of conjunctions).
 
 Coverage (:meth:`Profile.covers`) is what brokers use to route
-datagrams.  Subsumption (:meth:`Profile.subsumes`) is built on the
-sound implication test of the predicate algebra; routing tables keep
-one entry per subscription and do not aggregate.
+datagrams; routing tables keep one entry per subscription and do not
+aggregate, so nothing here decides whether one profile subsumes
+another.
 """
 
 from __future__ import annotations
@@ -57,18 +57,6 @@ class Filter:
         if datagram.stream != self.stream:
             return False
         return self.condition.evaluate(datagram.payload)
-
-    def subsumes(self, other: "Filter") -> bool:
-        """Does every datagram covered by ``other`` pass this filter?
-
-        Decided by :meth:`~repro.cql.predicates.Conjunction.implies`:
-        sound, and complete for interval, equality and difference
-        constraints over the reals (``!=`` in ``other`` only feeds a
-        point/exclusion analysis).
-        """
-        if self.stream != other.stream:
-            return False
-        return other.condition.implies(self.condition)
 
     def __str__(self) -> str:
         return f"{self.stream}: {self.condition}"
@@ -252,37 +240,6 @@ class Profile:
         for flt in self.filters_for(stream):
             carried |= flt.condition.referenced_terms()
         return frozenset(carried)
-
-    def subsumes(self, other: "Profile") -> bool:
-        """Is ``other`` redundant routing state next to this profile?
-
-        Per stream of ``other``: the stream must be requested here,
-        every filter of ``other`` (or its unconditional request) must be
-        subsumed by some filter here, and — because brokers project
-        early — the attributes *carried* when this profile matches must
-        cover everything ``other`` needs downstream (its projection and
-        the attributes its own filters evaluate).  Sound; each
-        filter-against-filter test is the complete
-        :meth:`Filter.subsumes`, but a filter of ``other`` covered only
-        by the *union* of several filters here is not recognised.
-        """
-        for stream in other.streams:
-            if stream not in self._projections:
-                return False
-            mine = self.carried_attributes(stream)
-            theirs = other.carried_attributes(stream)
-            if mine != ALL_ATTRIBUTES:
-                if theirs == ALL_ATTRIBUTES or not theirs <= mine:
-                    return False
-            my_filters = self.filters_for(stream)
-            their_filters = other.filters_for(stream)
-            if my_filters:
-                if not their_filters:
-                    return False  # they want everything, we filter
-                for their_filter in their_filters:
-                    if not any(f.subsumes(their_filter) for f in my_filters):
-                        return False
-        return True
 
     def restricted_to(self, stream: str) -> "Profile":
         """The sub-profile concerning a single stream."""

@@ -84,12 +84,13 @@ class QueryManager:
         Returns the grouping optimizer's decision.  Nothing derived from
         its group rides along: whoever installs the group reads the
         representative, the result stream and the members' result
-        profiles off the group as it stands then.
+        profiles off the group as it stands then.  The query arrives
+        admitted: :meth:`~repro.system.cosmos.CosmosSystem.submit`
+        validates it once, before placement.
         """
         if query.name is None:
             name = name or f"q{next(self._counter)}"
             query = replace(query, name=name, source=None)
-        query.validate(self.catalog)
         return self.grouping.add(query)
 
     def result_stream_of(self, group: QueryGroup) -> str:

@@ -569,7 +569,7 @@ class VirtualNetwork:
         migration.channel = MigrationChannel(self.state.params)
         for chunk in chunks:
             migration.channel.send(chunk, sim.now)
-        migration.start_drain()
+        migration.step("start_drain")
         self.load.counters.state_chunks_sent += len(chunks)
         self.trace.record(
             f"drain t={sim.now:g} group={migration.group_id} "
@@ -626,12 +626,12 @@ class VirtualNetwork:
             # punctuation, exactly like PR 4's uplink close).
             self._abort_migration(sim, key, "handoff-gaps")
             return
-        migration.cut_over()
+        migration.step("cut_over")
         moved = self._on_twins(
             f"cutting over {key}",
             lambda system: cutover_group(system, migration),
         )
-        migration.complete()
+        migration.step("complete")
         self.load.active.pop(key, None)
         self.load.counters.migrations_completed += 1
         self.last_recovery_time = sim.now
@@ -649,7 +649,7 @@ class VirtualNetwork:
         migration = self.load.active.get(key)
         if migration is None:
             return
-        migration.abort()
+        migration.step("abort")
         resumed: List[str] = []
         if reason != "superseded":
             resumed = self._on_twins(

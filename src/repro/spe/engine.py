@@ -306,25 +306,26 @@ def result_schema(
     SPJ output attributes keep the type/domain of their source
     attribute (named by their qualified key).  Aggregate outputs are
     floats except COUNT (int); grouping attributes keep their source
-    metadata.
+    metadata.  An output named twice (a repeated select item) is one
+    attribute, as it is one column of the rows.
     """
-    attributes: List[Attribute] = []
+    attributes: Dict[str, Attribute] = {}
     if query.is_aggregate:
         for attr in query.group_by:
             source = _source_attribute(query, catalog, attr.qualifier, attr.name)
-            attributes.append(
-                Attribute(attr.key, source.type, source.lo, source.hi, source.width)
-            )
+            attributes.setdefault(attr.key, Attribute(
+                attr.key, source.type, source.lo, source.hi, source.width
+            ))
         for agg in query.aggregates:
             attr_type = "int" if agg.func == "count" else "float"
-            attributes.append(Attribute(agg.name, attr_type))
+            attributes.setdefault(agg.name, Attribute(agg.name, attr_type))
     else:
         for attr in query.projected_attributes(catalog):
             source = _source_attribute(query, catalog, attr.qualifier, attr.name)
-            attributes.append(
-                Attribute(attr.key, source.type, source.lo, source.hi, source.width)
-            )
-    return StreamSchema(stream_name, attributes, rate=1.0)
+            attributes.setdefault(attr.key, Attribute(
+                attr.key, source.type, source.lo, source.hi, source.width
+            ))
+    return StreamSchema(stream_name, list(attributes.values()), rate=1.0)
 
 
 def _source_attribute(

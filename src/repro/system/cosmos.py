@@ -62,6 +62,23 @@ class QueryStatus(enum.Enum):
     DEGRADED = "degraded"
 
 
+#: The query lifecycle: one ``(label, from, to)`` row per step a status
+#: may take, labelled by the function that takes it.  No state is
+#: terminal: an ``ACTIVE`` query stays quarantinable and a ``DEGRADED``
+#: one healable, by both quarantine owners.  :meth:`SubmittedQuery.step`
+#: runs it, and ``repro flow`` reads this literal from the source.
+QUERY_LIFECYCLE = {
+    "initial": "ACTIVE",
+    "terminal": (),
+    "rows": (
+        ("quarantine_for_migration", "ACTIVE", "DEGRADED"),
+        ("resume_after_migration", "DEGRADED", "ACTIVE"),
+        ("quarantine_partitioned", "ACTIVE", "DEGRADED"),
+        ("heal_partition", "DEGRADED", "ACTIVE"),
+    ),
+}
+
+
 @dataclass
 class SubmittedQuery:
     """Handle for one user query living in the system."""
@@ -72,11 +89,25 @@ class SubmittedQuery:
     processor_node: NodeId
     result_stream: str
     results: List[Datagram] = field(default_factory=list)
-    status: QueryStatus = QueryStatus.ACTIVE
+    status: QueryStatus = QueryStatus[QUERY_LIFECYCLE["initial"]]
 
     @property
     def result_count(self) -> int:
         return len(self.results)
+
+    def step(self, label: str) -> None:
+        """Take the lifecycle step ``label`` from the current status.
+
+        The one writer of :attr:`status`; raises :class:`SystemError_`
+        for a step :data:`QUERY_LIFECYCLE` does not list.
+        """
+        for row, source, target in QUERY_LIFECYCLE["rows"]:
+            if row == label and source == self.status.name:
+                self.status = QueryStatus[target]
+                return
+        raise SystemError_(
+            f"query {self.query_id}: no step {label!r} from {self.status.name}"
+        )
 
 
 class CosmosSystem:
@@ -182,7 +213,8 @@ class CosmosSystem:
         attribute, a constraint no value of the attribute's type
         satisfies, a WHERE clause nothing satisfies — raises
         :class:`~repro.cql.ast.QueryError`.  Either is raised before any
-        state changes.  Warnings (``repro check``) do not refuse a query.
+        state changes and before placement reads the query.  Warnings
+        (``repro check``) do not refuse a query.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -192,6 +224,7 @@ class CosmosSystem:
         if query_id in self._queries:
             raise SystemError_(f"duplicate query id {query_id!r}")
         named = replace(query, name=query_id, source=None)
+        named.validate(self.catalog)
         processor = self.distribution.choose(
             named, user_node, sorted(self.processors.values(), key=lambda p: p.node_id)
         )

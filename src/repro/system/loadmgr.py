@@ -249,6 +249,28 @@ class MigrationState(enum.Enum):
     ABORTED = "aborted"
 
 
+#: The migration lifecycle: one ``(label, from, to)`` row per step, and
+#: the states a migration ends in.  The in-flight states may never be
+#: where a group parks: each must finish or roll back.
+#: :meth:`GroupMigration.step` runs it, and ``repro flow`` reads this
+#: literal from the source.
+MIGRATION_LIFECYCLE = {
+    "initial": "PREPARING",
+    "terminal": ("COMPLETED", "ABORTED"),
+    "rows": (
+        # the state handoff began
+        ("start_drain", "PREPARING", "DRAINING"),
+        # the channel closed gap-free
+        ("cut_over", "DRAINING", "CUTOVER"),
+        # the group runs on the target
+        ("complete", "CUTOVER", "COMPLETED"),
+        ("abort", "PREPARING", "ABORTED"),
+        ("abort", "DRAINING", "ABORTED"),
+        ("abort", "CUTOVER", "ABORTED"),
+    ),
+}
+
+
 @dataclass
 class GroupMigration:
     """One in-flight migration of a whole merged query group."""
@@ -261,40 +283,23 @@ class GroupMigration:
     #: protocol owns and must resume, at the target on completion or
     #: back at the source on abort).
     members: List[str] = field(default_factory=list)
-    state: MigrationState = MigrationState.PREPARING
+    state: MigrationState = MigrationState[MIGRATION_LIFECYCLE["initial"]]
     channel: Optional["MigrationChannel"] = None
 
-    def start_drain(self) -> None:
-        """PREPARING -> DRAINING: the state handoff began."""
-        if self.state is not MigrationState.PREPARING:
-            raise LoadManagementError(
-                f"cannot drain migration {self.migration_id} from {self.state.name}"
-            )
-        self.state = MigrationState.DRAINING
+    def step(self, label: str) -> None:
+        """Take the lifecycle step ``label`` from the current state.
 
-    def cut_over(self) -> None:
-        """DRAINING -> CUTOVER: the channel closed gap-free."""
-        if self.state is not MigrationState.DRAINING:
-            raise LoadManagementError(
-                f"cannot cut over migration {self.migration_id} from {self.state.name}"
-            )
-        self.state = MigrationState.CUTOVER
-
-    def complete(self) -> None:
-        """CUTOVER -> COMPLETED: the group runs on the target."""
-        if self.state is not MigrationState.CUTOVER:
-            raise LoadManagementError(
-                f"cannot complete migration {self.migration_id} from {self.state.name}"
-            )
-        self.state = MigrationState.COMPLETED
-
-    def abort(self) -> None:
-        """Any non-terminal state -> ABORTED."""
-        if self.state in (MigrationState.COMPLETED, MigrationState.ABORTED):
-            raise LoadManagementError(
-                f"cannot abort migration {self.migration_id} from {self.state.name}"
-            )
-        self.state = MigrationState.ABORTED
+        The one writer of :attr:`state`; raises
+        :class:`LoadManagementError` for a step
+        :data:`MIGRATION_LIFECYCLE` does not list.
+        """
+        for row, source, target in MIGRATION_LIFECYCLE["rows"]:
+            if row == label and source == self.state.name:
+                self.state = MigrationState[target]
+                return
+        raise LoadManagementError(
+            f"cannot {label} migration {self.migration_id} from {self.state.name}"
+        )
 
     @property
     def key(self) -> str:
@@ -416,7 +421,7 @@ def quarantine_for_migration(
         if handle.status is not QueryStatus.ACTIVE:
             continue
         system.detach_result_subscription(member.name)
-        handle.status = QueryStatus.DEGRADED
+        handle.step("quarantine_for_migration")
         quarantined.append(member.name)
     return quarantined
 
@@ -458,7 +463,7 @@ def resume_after_migration(
             continue
         if handle.user_node not in system.tree:
             continue
-        handle.status = QueryStatus.ACTIVE
+        handle.step("resume_after_migration")
         resumed.append(member_name)
     for group in touched.values():
         system.reconcile_group(processor, group)

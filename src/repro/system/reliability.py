@@ -552,7 +552,7 @@ def quarantine_partitioned(
         if handle.user_node in main:
             continue
         system.detach_result_subscription(query_id)
-        handle.status = QueryStatus.DEGRADED
+        handle.step("quarantine_partitioned")
         state.quarantined[query_id] = handle.user_node
         state.counters.queries_quarantined += 1
         quarantined.append(query_id)
@@ -612,7 +612,7 @@ def heal_partition(system: CosmosSystem) -> List[str]:
         del state.quarantined[query_id]
         if group is None:
             continue
-        handle.status = QueryStatus.ACTIVE
+        handle.step("heal_partition")
         state.counters.queries_resumed += 1
         resumed.append(query_id)
         touched[processor.node_id, group.group_id] = (processor, group)

@@ -1,27 +1,25 @@
-"""COS81x lifecycle extraction: machines, guard narrowing, canaries."""
+"""COS81x lifecycle extraction: table and spec machines, canaries."""
 
 from __future__ import annotations
-
-import ast
 
 import pytest
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.lifecycle import (
-    ENUM_TERMINAL_POLICY,
     MachineSpec,
     StateMachine,
+    TableSpec,
     Transition,
     TransitionSpec,
-    _enum_tests,
     _extract_spec_machine,
+    _extract_table_machine,
     check_lifecycle,
     check_machines,
-    collect_enums,
     extract_lifecycle,
 )
 from repro.analysis.selfcheck import check_modules, default_package_dir
 from repro.analysis.source import load_package, module_from_text
+from repro.system import cosmos, loadmgr
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +60,21 @@ class TestExtraction:
         assert m.initial == ["ACTIVE"]
         assert Transition("quarantine_partitioned", "ACTIVE", "DEGRADED") in m.transitions
         assert Transition("heal_partition", "DEGRADED", "ACTIVE") in m.transitions
-        # The quarantine guard skips non-ACTIVE handles, so there is no
-        # DEGRADED->DEGRADED quarantine edge.
-        assert (
-            Transition("quarantine_partitioned", "DEGRADED", "DEGRADED")
-            not in m.transitions
-        )
+        assert m.terminal == []
+        assert m.origin[0].endswith("system/cosmos.py")
+
+    def test_table_machines_are_the_tables_the_runtime_runs(self, machines):
+        """Each table-backed machine is its runtime table, row for row,
+        over the members of its enum."""
+        for enum, table in (
+            (loadmgr.MigrationState, loadmgr.MIGRATION_LIFECYCLE),
+            (cosmos.QueryStatus, cosmos.QUERY_LIFECYCLE),
+        ):
+            m = machines[enum.__name__]
+            assert m.states == [member.name for member in enum]
+            assert m.initial == [table["initial"]]
+            assert m.terminal == list(table["terminal"])
+            assert m.transitions == [Transition(*row) for row in table["rows"]]
 
     def test_uplink_receiver_machine(self, machines):
         m = machines["uplink-receiver"]
@@ -87,98 +94,13 @@ class TestExtraction:
             assert m.reachable() == set(m.states), m.name
 
 
-class TestGuardNarrowing:
-    def test_early_return_guard_narrows_from_set(self):
-        module = module_from_text(
-            "from __future__ import annotations\n"
-            "import enum\n"
-            "class Phase(enum.Enum):\n"
-            "    A = 'a'\n"
-            "    B = 'b'\n"
-            "class Holder:\n"
-            "    phase: Phase = Phase.A\n"
-            "def promote(h):\n"
-            "    if h.phase is not Phase.A:\n"
-            "        return\n"
-            "    h.phase = Phase.B\n",
-            "pkg/phases.py",
-        )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert machine.name == "Phase"
-        assert machine.transitions == [Transition("promote", "A", "B")]
-
-    def test_if_branch_narrows_from_set(self):
-        module = module_from_text(
-            "from __future__ import annotations\n"
-            "import enum\n"
-            "class Phase(enum.Enum):\n"
-            "    A = 'a'\n"
-            "    B = 'b'\n"
-            "class Holder:\n"
-            "    phase: Phase = Phase.A\n"
-            "def flip(h):\n"
-            "    if h.phase is Phase.B:\n"
-            "        h.phase = Phase.A\n"
-            "    else:\n"
-            "        h.phase = Phase.B\n",
-            "pkg/phases.py",
-        )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert set(machine.transitions) == {
-            Transition("flip", "B", "A"),
-            Transition("flip", "A", "B"),
-        }
-
-    def test_membership_guard_narrows(self):
-        module = module_from_text(
-            "from __future__ import annotations\n"
-            "import enum\n"
-            "class Phase(enum.Enum):\n"
-            "    A = 'a'\n"
-            "    B = 'b'\n"
-            "    C = 'c'\n"
-            "class Holder:\n"
-            "    phase: Phase = Phase.A\n"
-            "def promote(h):\n"
-            "    if h.phase not in (Phase.A, Phase.B):\n"
-            "        return\n"
-            "    h.phase = Phase.C\n",
-            "pkg/phases.py",
-        )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert set(machine.transitions) == {
-            Transition("promote", "A", "C"),
-            Transition("promote", "B", "C"),
-        }
-
-    def test_frozenset_membership_guard_narrows(self):
-        # `in frozenset((...))` reads identically to the bare-tuple
-        # form at runtime; the extractor must narrow it the same way
-        # instead of over-approximating to every state.
-        module = module_from_text(
-            "from __future__ import annotations\n"
-            "import enum\n"
-            "class Phase(enum.Enum):\n"
-            "    A = 'a'\n"
-            "    B = 'b'\n"
-            "    C = 'c'\n"
-            "class Holder:\n"
-            "    phase: Phase = Phase.A\n"
-            "def demote(h):\n"
-            "    if h.phase in frozenset((Phase.B, Phase.C)):\n"
-            "        h.phase = Phase.A\n",
-            "pkg/phases.py",
-        )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert set(machine.transitions) == {
-            Transition("demote", "B", "A"),
-            Transition("demote", "C", "A"),
-        }
-
-
 class TestPristine:
     def test_package_lifecycle_is_clean(self, modules):
         assert check_lifecycle(modules).is_clean
+
+
+_HEAL_ROW = '        ("heal_partition", "DEGRADED", "ACTIVE"),\n'
+_RESUME_ROW = '        ("resume_after_migration", "DEGRADED", "ACTIVE"),\n'
 
 
 class TestCanaries:
@@ -197,36 +119,33 @@ class TestCanaries:
         assert check_modules(mutated).has("COS812")
 
     def test_removing_every_heal_path_fires_cos813(self, modules):
-        """With both DEGRADED->ACTIVE assignments gone (partition heal
-        and migration resume), DEGRADED becomes a trap state the model
+        """With both DEGRADED->ACTIVE rows gone (partition heal and
+        migration resume), DEGRADED becomes a trap state the model
         forbids."""
-        mutated = mutate(
-            modules,
-            "system/reliability.py",
-            "        handle.status = QueryStatus.ACTIVE\n",
-            "",
-        )
-        mutated = mutate(
-            mutated,
-            "system/loadmgr.py",
-            "        handle.status = QueryStatus.ACTIVE\n",
-            "",
-        )
+        mutated = mutate(modules, "system/cosmos.py", _HEAL_ROW, "")
+        mutated = mutate(mutated, "system/cosmos.py", _RESUME_ROW, "")
         report = check_lifecycle(mutated)
         assert report.codes() == ["COS813"]
         assert "DEGRADED" in report.render()
 
     def test_one_surviving_heal_path_keeps_degraded_exitable(self, modules):
-        """The migration resume path alone still exits DEGRADED, so
-        deleting only heal_partition's assignment stays clean — the two
+        """The migration resume row alone still exits DEGRADED, so
+        deleting only heal_partition's row stays clean — the two
         layers genuinely back each other up."""
-        mutated = mutate(
-            modules,
-            "system/reliability.py",
-            "        handle.status = QueryStatus.ACTIVE\n",
-            "",
-        )
+        mutated = mutate(modules, "system/cosmos.py", _HEAL_ROW, "")
         assert check_lifecycle(mutated).is_clean
+
+    def test_a_row_naming_a_state_the_enum_lacks_fires_cos812(self, modules):
+        """A misspelt row never joins the machine (the runtime could
+        not take it either)."""
+        mutated = mutate(
+            modules, "system/cosmos.py", _HEAL_ROW,
+            _HEAL_ROW.replace('"ACTIVE"', '"ACTIV"'),
+        )
+        report = check_lifecycle(mutated)
+        assert report.codes() == ["COS812"]
+        assert "heal_partition" in report.render()
+        assert "ACTIV'" in report.render()
 
     def test_missing_spec_anchor_fires_cos812(self, modules):
         """Renaming the suspicion mutation breaks the anchored
@@ -262,152 +181,6 @@ class TestExtractOnce:
             once = check_machines(machines, report)
             assert once.render() == check_lifecycle(module_set).render()
         assert once.has("COS812")
-
-
-_STATUS_ENUM = (
-    "import enum\n"
-    "class QueryStatus(enum.Enum):\n"
-    "    ACTIVE = 'active'\n"
-    "    DEGRADED = 'degraded'\n"
-    "    QUARANTINED = 'quarantined'\n"
-)
-
-_ENUMS = {"QueryStatus": ["ACTIVE", "DEGRADED", "QUARANTINED"]}
-
-
-def _decode(test_source, enums=_ENUMS):
-    """_enum_tests over one branch test written as source text."""
-    return _enum_tests(ast.parse(test_source, mode="eval").body, enums)
-
-
-class TestCollectEnums:
-    def test_members_in_declaration_order(self):
-        module = module_from_text(_STATUS_ENUM, "repro/system/queries.py")
-        enums = collect_enums([module])
-        assert enums == {
-            "QueryStatus": ["ACTIVE", "DEGRADED", "QUARANTINED"]
-        }
-
-    def test_non_enum_classes_ignored(self):
-        module = module_from_text(
-            "class C:\n    ACTIVE = 1\n", "repro/a.py"
-        )
-        assert collect_enums([module]) == {}
-
-    def test_package_wide_enum_table(self):
-        """An enum declared in one module decodes a guard written in
-        another: the table is collected over the whole module set."""
-        enum_module = module_from_text(_STATUS_ENUM, "repro/system/queries.py")
-        guard_module = module_from_text(
-            "def handle(self, status):\n"
-            "    if status is QueryStatus.ACTIVE:\n"
-            "        return 1\n",
-            "repro/system/handler.py",
-        )
-        assert collect_enums([guard_module]) == {}
-        enums = collect_enums([enum_module, guard_module])
-        assert enums == _ENUMS
-        (guard,) = [
-            node for node in ast.walk(guard_module.tree)
-            if isinstance(node, ast.If)
-        ]
-        assert _enum_tests(guard.test, enums) == (
-            "status", "QueryStatus", {"ACTIVE"}, False
-        )
-        assert _enum_tests(guard.test, {}) is None
-
-    def test_attribute_and_bare_enum_bases_both_count(self):
-        module = module_from_text(
-            "import enum\n"
-            "from enum import Flag, StrEnum\n"
-            "class Level(enum.IntEnum):\n"
-            "    LOW = 1\n"
-            "class Mode(Flag):\n"
-            "    READ = 1\n"
-            "class Name(StrEnum):\n"
-            "    ALPHA = 'alpha'\n",
-            "repro/a.py",
-        )
-        assert collect_enums([module]) == {
-            "Level": ["LOW"],
-            "Mode": ["READ"],
-            "Name": ["ALPHA"],
-        }
-
-    def test_only_uppercase_plain_assignments_are_members(self):
-        """Helpers, annotated attributes and multi-target assignments are
-        not members; an enum left with none is not in the table."""
-        module = module_from_text(
-            "import enum\n"
-            "class Phase(enum.Enum):\n"
-            "    A = 'a'\n"
-            "    label = 'x'\n"
-            "    B: str = 'b'\n"
-            "    C = D = 'c'\n"
-            "    def describe(self):\n"
-            "        return self.value\n"
-            "class Empty(enum.Enum):\n"
-            "    helper = 1\n",
-            "repro/a.py",
-        )
-        assert collect_enums([module]) == {"Phase": ["A"]}
-
-
-class TestEnumTests:
-    def test_identity_test_decodes_either_side(self):
-        assert _decode("h.status is QueryStatus.ACTIVE") == (
-            "h.status", "QueryStatus", {"ACTIVE"}, False
-        )
-        assert _decode("QueryStatus.DEGRADED == h.status") == (
-            "h.status", "QueryStatus", {"DEGRADED"}, False
-        )
-
-    def test_negative_test_is_flagged_negative(self):
-        assert _decode("status is not QueryStatus.ACTIVE") == (
-            "status", "QueryStatus", {"ACTIVE"}, True
-        )
-        assert _decode("status != QueryStatus.ACTIVE")[3] is True
-        assert _decode("status not in (QueryStatus.ACTIVE,)")[3] is True
-
-    def test_membership_tuple_decodes_every_member(self):
-        assert _decode(
-            "status in (QueryStatus.ACTIVE, QueryStatus.DEGRADED)"
-        ) == ("status", "QueryStatus", {"ACTIVE", "DEGRADED"}, False)
-
-    def test_membership_frozenset_decodes_like_the_tuple(self):
-        tuple_form = _decode(
-            "status in (QueryStatus.ACTIVE, QueryStatus.DEGRADED)"
-        )
-        assert _decode(
-            "status in frozenset((QueryStatus.ACTIVE, QueryStatus.DEGRADED))"
-        ) == tuple_form
-        assert _decode(
-            "status in set([QueryStatus.ACTIVE, QueryStatus.DEGRADED])"
-        ) == tuple_form
-
-    def test_or_branches_union_their_members(self):
-        assert _decode(
-            "status is QueryStatus.ACTIVE or status is QueryStatus.DEGRADED"
-        ) == ("status", "QueryStatus", {"ACTIVE", "DEGRADED"}, False)
-        # An `or` over two subjects, or with a negative arm, is no dispatch.
-        assert _decode(
-            "status is QueryStatus.ACTIVE or other is QueryStatus.DEGRADED"
-        ) is None
-        assert _decode(
-            "status is QueryStatus.ACTIVE or status is not QueryStatus.DEGRADED"
-        ) is None
-
-    def test_anything_else_is_undecodable(self):
-        for source in (
-            "status",
-            "status is QueryStatus.REBUILDING",
-            "status is Other.ACTIVE",
-            "f() is QueryStatus.ACTIVE",
-            "status in (QueryStatus.ACTIVE, 1)",
-            "status in frozenset(items)",
-            "a < status < b",
-        ):
-            assert _decode(source) is None, source
 
 
 def _machine(states, initial, terminal, *edges):
@@ -569,54 +342,56 @@ class TestSpecMachines:
         assert report.is_clean
 
 
-_PHASE = (
+_PHASES = module_from_text(
     "import enum\n"
     "class Phase(enum.Enum):\n"
     "    A = 'a'\n"
     "    B = 'b'\n"
+    "    C = 'c'\n"
+    "    label = 'x'\n"
+    "PHASES = {\n"
+    "    'initial': 'A',\n"
+    "    'terminal': ('C',),\n"
+    "    'rows': (('go', 'A', 'B'), ('go', 'B', 'C'), ('go', 'A', 'B')),\n"
+    "}\n",
+    "pkg/phases.py",
 )
+_PHASE_TABLE = TableSpec("Phase", "pkg/phases.py", "PHASES")
 
 
-class TestEnumMachines:
-    def test_class_defaults_are_the_initial_states(self):
-        module = module_from_text(
-            _PHASE
-            + "class Holder:\n"
-            "    phase: Phase = Phase.B\n"
-            "class Other:\n"
-            "    phase: Phase = Phase.A\n",
-            "pkg/phases.py",
-        )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert machine.initial == ["B", "A"]
-        assert machine.transitions == []
+class TestTableMachines:
+    def test_the_enum_gives_the_states_and_the_table_the_rest(self):
+        report = Report()
+        machine = _extract_table_machine(_PHASE_TABLE, [_PHASES], report)
+        assert report.is_clean
+        assert machine.to_dict() == {
+            "name": "Phase",
+            "states": ["A", "B", "C"],
+            "initial": ["A"],
+            "terminal": ["C"],
+            "transitions": [
+                {"label": "go", "source": "A", "target": "B"},
+                {"label": "go", "source": "B", "target": "C"},
+            ],
+        }
         assert machine.origin == ("pkg/phases.py", 2)
+        assert check_machines([machine], report).is_clean
 
-    def test_the_label_is_the_enclosing_function(self):
+    def test_a_module_or_table_that_is_absent_yields_no_machine(self):
+        report = Report()
+        other = module_from_text("x = 1\n", "pkg/other.py")
+        assert _extract_table_machine(_PHASE_TABLE, [other], report) is None
+        renamed = TableSpec("Phase", "pkg/phases.py", "STEPS")
+        assert _extract_table_machine(renamed, [_PHASES], report) is None
+        assert report.is_clean
+
+    def test_a_row_outside_the_enum_is_cos812_and_left_out(self):
         module = module_from_text(
-            _PHASE
-            + "def reset(h):\n"
-            "    h.phase = Phase.A\n"
-            "holder.phase = Phase.B\n",
+            _PHASES.text.replace("('go', 'B', 'C')", "('go', 'B', 'D')"),
             "pkg/phases.py",
         )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert machine.initial == []
-        assert {t.label for t in machine.transitions} == {"reset", "<module>"}
-        assert machine.targets("<module>", "A") == ["B"]
-
-    def test_an_enum_without_policy_may_stop_anywhere(self):
-        module = module_from_text(
-            _PHASE + "def reset(h):\n    h.phase = Phase.A\n",
-            "pkg/phases.py",
-        )
-        (machine,) = extract_lifecycle([module], specs=())
-        assert "Phase" not in ENUM_TERMINAL_POLICY
-        assert machine.terminal == ["A", "B"]
-
-    def test_an_enum_never_assigned_or_defaulted_has_no_machine(self):
-        module = module_from_text(
-            _PHASE + "def is_a(h):\n    return h.phase is Phase.A\n",
-            "pkg/phases.py",
-        )
-        assert extract_lifecycle([module], specs=()) == []
+        report = Report()
+        machine = _extract_table_machine(_PHASE_TABLE, [module], report)
+        assert machine.transitions == [Transition("go", "A", "B")]
+        assert report.codes() == ["COS812"]
+        assert "('go', 'B', 'D')" in report.render()

@@ -127,15 +127,35 @@ class TestRealPackage:
 class TestCanaries:
     def test_deleted_heal_path_is_a_deadlock(self, modules):
         # heal_partition no longer resumes the quarantined query: the
-        # QueryStatus machine loses DEGRADED -> ACTIVE, so the product
-        # strands owner=partition states with no enabled rule.
+        # QueryStatus table loses its DEGRADED -> ACTIVE heal row, so the
+        # product strands owner=partition states with no enabled rule.
         report = _check_doctored(
             modules,
-            "system/reliability.py",
-            "handle.status = QueryStatus.ACTIVE",
-            "pass  # canary",
+            "system/cosmos.py",
+            '        ("heal_partition", "DEGRADED", "ACTIVE"),\n',
+            "",
         )
         assert _codes(report) == ["COS902"]
+
+    def test_deleted_degraded_exits_are_a_trap_and_a_deadlock(self, modules):
+        # Both DEGRADED -> ACTIVE rows go (heal and migration resume):
+        # the lifecycle pass sees a trap state and the model a deadlock.
+        # The same edit makes heal_partition raise at run time
+        # (tests/system/test_lifecycle_tables.py).
+        doctored = _doctor(
+            modules,
+            "system/cosmos.py",
+            '        ("resume_after_migration", "DEGRADED", "ACTIVE"),\n',
+            "",
+        )
+        doctored = _doctor(
+            doctored,
+            "system/cosmos.py",
+            '        ("heal_partition", "DEGRADED", "ACTIVE"),\n',
+            "",
+        )
+        report = check_modules(doctored)
+        assert report.has("COS813") and report.has("COS902")
 
     def test_stripped_cutover_certification_loses_tuples(self, modules):
         # _cutover_migration no longer aborts on handoff gaps: the
@@ -158,8 +178,10 @@ class TestCanaries:
         report = _check_doctored(
             modules,
             "system/loadmgr.py",
-            "self.state = MigrationState.ABORTED",
-            "pass  # canary",
+            '        ("abort", "PREPARING", "ABORTED"),\n'
+            '        ("abort", "DRAINING", "ABORTED"),\n'
+            '        ("abort", "CUTOVER", "ABORTED"),\n',
+            "",
         )
         assert _codes(report) == ["COS903"]
         spins = [d for d in report if d.code == "COS903"]

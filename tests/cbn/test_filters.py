@@ -1,4 +1,4 @@
-"""Filters and ⟨S, P, F⟩ profiles: coverage and subsumption."""
+"""Filters and ⟨S, P, F⟩ profiles: coverage, projection, matching."""
 
 import pytest
 
@@ -24,21 +24,6 @@ class TestFilter:
     def test_trivial_filter_covers_all_of_stream(self):
         f = Filter("S")
         assert f.covers(Datagram("S", {}))
-
-    def test_subsumption(self):
-        broad = Filter("S", cond(Comparison("a", ">", 0)))
-        narrow = Filter("S", cond(Comparison("a", ">", 10)))
-        assert broad.subsumes(narrow)
-        assert not narrow.subsumes(broad)
-
-    def test_subsumption_across_streams_false(self):
-        assert not Filter("S").subsumes(Filter("T"))
-
-    def test_string_against_number_is_not_subsumed(self):
-        numeric = Filter("S", cond(Comparison("a", ">", 10)))
-        text = Filter("S", cond(Comparison("a", "=", "x")))
-        assert not numeric.subsumes(text)
-        assert not text.subsumes(numeric)
 
 
 class TestProfileBasics:
@@ -150,62 +135,6 @@ class TestCoverage:
         p = Profile({"S": ALL_ATTRIBUTES})
         d = Datagram("S", {"a": 1, "b": 2})
         assert p.apply(d) == d
-
-
-class TestSubsumption:
-    def test_identical_profiles_subsume(self):
-        p = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 1)))])
-        assert p.subsumes(p)
-
-    def test_wider_filter_subsumes(self):
-        broad = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 0)))])
-        narrow = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 9)))])
-        assert broad.subsumes(narrow)
-        assert not narrow.subsumes(broad)
-
-    def test_projection_must_cover(self):
-        big = Profile({"S": {"a", "b"}})
-        small = Profile({"S": {"a"}})
-        assert big.subsumes(small)
-        assert not small.subsumes(big)
-
-    def test_all_attributes_absorbs(self):
-        every = Profile({"S": ALL_ATTRIBUTES})
-        some = Profile({"S": {"a"}})
-        assert every.subsumes(some)
-        assert not some.subsumes(every)
-
-    def test_missing_stream_fails(self):
-        p = Profile({"S": ALL_ATTRIBUTES})
-        q = Profile({"S": ALL_ATTRIBUTES, "T": ALL_ATTRIBUTES})
-        assert q.subsumes(p)
-        assert not p.subsumes(q)
-
-    def test_string_against_number_is_not_subsumed(self):
-        numeric = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 10)))])
-        text = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", "=", "x")))])
-        assert not numeric.subsumes(text)
-        assert not text.subsumes(numeric)
-
-    def test_disjunction_subsumes_each_disjunct(self):
-        high = Filter("S", cond(Comparison("a", ">", 5)))
-        low = Filter("S", cond(Comparison("a", "<", -5)))
-        either = Profile({"S": {"a"}}, [high, low])
-        assert either.subsumes(Profile({"S": {"a"}}, [high]))
-        assert either.subsumes(Profile({"S": {"a"}}, [low]))
-
-    def test_one_disjunct_does_not_subsume_the_disjunction(self):
-        high = Filter("S", cond(Comparison("a", ">", 5)))
-        low = Filter("S", cond(Comparison("a", "<", -5)))
-        assert not Profile({"S": {"a"}}, [high]).subsumes(
-            Profile({"S": {"a"}}, [high, low])
-        )
-
-    def test_unconditional_request_not_subsumed_by_filtered(self):
-        filtered = Profile({"S": ALL_ATTRIBUTES}, [Filter("S", cond(Comparison("a", ">", 0)))])
-        everything = Profile({"S": ALL_ATTRIBUTES})
-        assert everything.subsumes(filtered)
-        assert not filtered.subsumes(everything)
 
 
 class TestMisc:

@@ -229,7 +229,7 @@ class TestMixedTypes:
     def test_a_bound_in_one_type_entails_no_ordering_in_the_other(self, op):
         """Strings and numbers are not ordered against each other: the
         decision is "not implied", never an exception (it used to leak
-        ``PredicateError`` out of ``Filter.subsumes``)."""
+        ``PredicateError`` out of a filter-subsumption test)."""
         numeric, text = conj(Comparison("a", ">", 10)), conj(Comparison("a", "=", "x"))
         assert not numeric.implies(conj(Comparison("a", op, "x")))
         assert not text.implies(conj(Comparison("a", op, 10)))

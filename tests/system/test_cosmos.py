@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.cql.ast import QueryError
+from repro.cbn.datagram import Datagram
+from repro.cql.ast import ContinuousQuery, QueryError
+from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, StreamSchema
+from repro.spe.engine import StreamProcessingEngine
 from repro.system.cosmos import CosmosSystem, SystemError_
 from repro.system.distribution import (
+    CostAwareDistribution,
     RoundRobinDistribution,
     StreamAffinityDistribution,
 )
@@ -67,6 +71,37 @@ class TestSubmission:
         assert summary["benefit_ratio"] > 0
 
 
+#: Texts with an error of every kind ``query_problems`` reports.
+MALFORMED = [
+    "SELECT X.station FROM Nope [Now] X",
+    "SELECT T.bogus FROM Temp [Now] T",
+    "SELECT T.station FROM Temp [Now] T WHERE T.bogus > 3",
+    "SELECT AVG(T.temperature) FROM Temp [Range 10 Second] T GROUP BY T.bogus",
+    "SELECT T.station FROM Temp [Now] T, Wind [Now] W WHERE T.station = W.bogus",
+    "SELECT Z.station FROM Temp [Now] T",
+    "SELECT AVG(T.bogus) FROM Temp [Range 10 Second] T",
+    "SELECT T.station FROM Temp [Now] T, Wind [Now] T",
+    "SELECT T.station FROM Temp [Now] T WHERE T.station = 'abc'",
+    "SELECT T.station FROM Temp [Now] T WHERE T.station > 'abc'",
+    "SELECT G.label FROM Tag [Now] G WHERE G.label > 3",
+    "SELECT T.station FROM Temp [Now] T, Tag [Now] G WHERE T.station = G.label",
+    "SELECT T.station FROM Temp [Now] T, Tag [Now] G "
+    "WHERE G.label - T.timestamp < 5",
+    "SELECT SUM(G.label) AS n FROM Tag [Range 10 Second] G",
+    "SELECT T.station FROM Temp [Now] T WHERE T.temperature BETWEEN 30 AND 10",
+    "SELECT T.station FROM Temp [Now] T WHERE T.station = 3 AND T.station != 3",
+    "SELECT T.station FROM Temp [Now] T, Wind [Now] W "
+    "WHERE T.timestamp - W.timestamp > 5 AND W.timestamp - T.timestamp > 5",
+]
+MALFORMED_IDS = [
+    "stream", "attribute", "where-term", "group-by-key", "join-key",
+    "qualifier", "aggregate-argument", "duplicate-reference",
+    "string-on-numeric", "string-bound-on-numeric", "number-on-string",
+    "mixed-type-equijoin", "difference-on-string", "sum-of-string",
+    "unsatisfiable-bounds", "unsatisfiable-exclusion", "unsatisfiable-differences",
+]
+
+
 class TestMalformedQueryRejected:
     """Outside input is validated on every submit: a query with an error
     (an unknown name, a constraint its attribute's type cannot meet, a
@@ -102,42 +137,41 @@ class TestMalformedQueryRejected:
             network.routing_epoch,
         )
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "SELECT X.station FROM Nope [Now] X",
-            "SELECT T.bogus FROM Temp [Now] T",
-            "SELECT T.station FROM Temp [Now] T WHERE T.bogus > 3",
-            "SELECT AVG(T.temperature) FROM Temp [Range 10 Second] T GROUP BY T.bogus",
-            "SELECT T.station FROM Temp [Now] T, Wind [Now] W WHERE T.station = W.bogus",
-            "SELECT Z.station FROM Temp [Now] T",
-            "SELECT AVG(T.bogus) FROM Temp [Range 10 Second] T",
-            "SELECT T.station FROM Temp [Now] T, Wind [Now] T",
-            "SELECT T.station FROM Temp [Now] T WHERE T.station = 'abc'",
-            "SELECT T.station FROM Temp [Now] T WHERE T.station > 'abc'",
-            "SELECT G.label FROM Tag [Now] G WHERE G.label > 3",
-            "SELECT T.station FROM Temp [Now] T, Tag [Now] G WHERE T.station = G.label",
-            "SELECT T.station FROM Temp [Now] T, Tag [Now] G "
-            "WHERE G.label - T.timestamp < 5",
-            "SELECT SUM(G.label) AS n FROM Tag [Range 10 Second] G",
-            "SELECT T.station FROM Temp [Now] T WHERE T.temperature BETWEEN 30 AND 10",
-            "SELECT T.station FROM Temp [Now] T WHERE T.station = 3 AND T.station != 3",
-            "SELECT T.station FROM Temp [Now] T, Wind [Now] W "
-            "WHERE T.timestamp - W.timestamp > 5 AND W.timestamp - T.timestamp > 5",
-        ],
-        ids=[
-            "stream", "attribute", "where-term", "group-by-key", "join-key",
-            "qualifier", "aggregate-argument", "duplicate-reference",
-            "string-on-numeric", "string-bound-on-numeric", "number-on-string",
-            "mixed-type-equijoin", "difference-on-string", "sum-of-string",
-            "unsatisfiable-bounds", "unsatisfiable-exclusion", "unsatisfiable-differences",
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED, ids=MALFORMED_IDS)
     def test_rejected_before_anything_is_installed(self, sensors, text):
         before = self.state(sensors)
         with pytest.raises(QueryError):
             sensors.submit(text, user_node=4, name="bad")
         assert self.state(sensors) == before
+
+    @pytest.mark.parametrize("text", MALFORMED, ids=MALFORMED_IDS)
+    def test_rejected_before_a_priced_placement(self, sensors, text):
+        """A placement policy that prices the query reads only admitted
+        ones: validation runs before ``distribution.choose``."""
+        sensors.distribution = CostAwareDistribution(
+            sensors.tree, sensors.catalog, sensors.sources
+        )
+        before = self.state(sensors)
+        with pytest.raises(QueryError):
+            sensors.submit(text, user_node=4, name="bad")
+        assert self.state(sensors) == before
+
+    def test_a_query_is_validated_once_on_submit(self, sensors, monkeypatch):
+        calls = []
+        validate = ContinuousQuery.validate
+
+        def counted(query, catalog):
+            calls.append(query.name)
+            return validate(query, catalog)
+
+        monkeypatch.setattr(ContinuousQuery, "validate", counted)
+        sensors.submit(
+            "SELECT T.station FROM Temp [Now] T WHERE T.temperature > 35",
+            user_node=3, name="once",
+        )
+        # once at admission; the engine validates the representative it
+        # registers, which is a query of its own
+        assert calls.count("once") == 1
 
     def test_unsatisfiable_query_is_refused(self, sensors):
         # it could never produce a result: no group, no src: subscription,
@@ -168,6 +202,26 @@ class TestMalformedQueryRejected:
 
 
 class TestDataFlow:
+    def test_a_repeated_select_item_is_one_column(self, system):
+        """COS104 warns about a repeated select item and does not refuse
+        it: the query is installed and delivers what a bare engine
+        emits, one column per output name."""
+        text = "SELECT O.itemID, O.itemID FROM OpenAuction [Now] O"
+        handle = system.submit(text, user_node=4, name="twice")
+        assert [q.query_id for q in system.queries] == ["twice"]
+        assert system.grouping_summary()["queries"] == 1.0
+        open_auction(system, 7, 1.0)
+        bare = StreamProcessingEngine(system.catalog)
+        bare.register(parse_query(text), name="twice")
+        (expected,) = bare.push(Datagram(
+            "OpenAuction",
+            {"itemID": 7, "sellerID": 1, "start_price": 10.0, "timestamp": 1.0},
+            1.0,
+        ))
+        assert [list(d.payload.values()) for d in handle.results] == [
+            list(expected.datagram.payload.values())
+        ] == [[7]]
+
     def test_end_to_end_delivery(self, system):
         h1 = system.submit(TABLE1_Q1, user_node=4, name="q1")
         open_auction(system, 1, 0.0)

@@ -97,40 +97,38 @@ class TestMigrationStateMachine:
     def test_happy_path(self):
         m = self.migration()
         assert m.state is MigrationState.PREPARING
-        m.start_drain()
-        m.cut_over()
-        m.complete()
+        for label in ("start_drain", "cut_over", "complete"):
+            m.step(label)
         assert m.state is MigrationState.COMPLETED
 
     def test_abort_from_every_in_flight_state(self):
         for advance in (0, 1, 2):
             m = self.migration()
-            for step in (m.start_drain, m.cut_over)[:advance]:
-                step()
-            m.abort()
+            for label in ("start_drain", "cut_over")[:advance]:
+                m.step(label)
+            m.step("abort")
             assert m.state is MigrationState.ABORTED
 
     def test_out_of_order_transitions_raise(self):
         m = self.migration()
         with pytest.raises(LoadManagementError):
-            m.cut_over()
+            m.step("cut_over")
         with pytest.raises(LoadManagementError):
-            m.complete()
-        m.start_drain()
+            m.step("complete")
+        m.step("start_drain")
         with pytest.raises(LoadManagementError):
-            m.start_drain()
+            m.step("start_drain")
 
     def test_terminal_states_refuse_abort(self):
         m = self.migration()
-        m.start_drain()
-        m.cut_over()
-        m.complete()
+        for label in ("start_drain", "cut_over", "complete"):
+            m.step(label)
         with pytest.raises(LoadManagementError):
-            m.abort()
+            m.step("abort")
         aborted = self.migration()
-        aborted.abort()
+        aborted.step("abort")
         with pytest.raises(LoadManagementError):
-            aborted.abort()
+            aborted.step("abort")
 
     def test_key_is_group_at_source(self):
         assert self.migration().key == "G1@n1"
@@ -270,10 +268,10 @@ class TestCutover:
         migration = GroupMigration(
             "m0", group.group_id, source, target, members=["qa", "qb"]
         )
-        migration.start_drain()
-        migration.cut_over()
+        migration.step("start_drain")
+        migration.step("cut_over")
         resumed = cutover_group(system, migration)
-        migration.complete()
+        migration.step("complete")
         assert resumed == ["qa", "qb"]
         assert qa.processor_node == target and qb.processor_node == target
         assert system.processors[source].group_count == 0

@@ -391,6 +391,57 @@ if git grep -nE "COS60[0-9]|COS80[0-9]|callback_modules|COS3[0-9]{2}|COS4[0-9]{2
     exit 1
 fi
 
+echo "== lifecycles are tables (repro.system, repro.sim, repro.analysis, repro.cbn) =="
+# QUERY_LIFECYCLE (system/cosmos.py) and MIGRATION_LIFECYCLE (system/loadmgr.py)
+# are run by SubmittedQuery.step and GroupMigration.step, the only writers of a
+# query's status and a migration's state; analysis/lifecycle.py reads the two
+# tables and no longer infers machines from enum assignments and guards.
+# Profile.subsumes / Filter.subsumes had no caller once COS203 went.
+python - <<'EOF'
+import ast, pathlib, sys
+
+EXECUTORS = {("SubmittedQuery", "step"), ("GroupMigration", "step")}
+ENUMS = {"QueryStatus", "MigrationState"}
+
+def writes(tree):
+    """(line, class, function) of every lifecycle enum stored in an attribute."""
+    def walk(node, owner, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name, func)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, owner, child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(child, "targets", None) or [child.target]
+                value = child.value
+                while isinstance(value, (ast.Attribute, ast.Subscript, ast.Call)):
+                    value = value.func if isinstance(value, ast.Call) else value.value
+                if (isinstance(value, ast.Name) and value.id in ENUMS
+                        and any(isinstance(t, ast.Attribute) for t in targets)):
+                    yield child.lineno, owner, func
+            yield from walk(child, owner, func)
+    yield from walk(tree, None, None)
+
+bad = []
+for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    for line, owner, func in writes(ast.parse(path.read_text(), str(path))):
+        if (owner, func) not in EXECUTORS:
+            bad.append(f"{path}:{line}: {'.'.join(filter(None, (owner, func)))}")
+if bad:
+    print("\n".join(bad))
+    print("ci: only SubmittedQuery.step / GroupMigration.step may write a QueryStatus"
+          " or MigrationState into an attribute", file=sys.stderr)
+    sys.exit(1)
+EOF
+if git grep -nE "collect_enums|_narrowed_sources|_enum_tests|ENUM_TERMINAL_POLICY" -- src/repro \
+   || git grep -nE "def subsumes\(" -- src/repro/cbn; then
+    echo "ci: src/repro must not grow the enum inference of analysis/lifecycle.py" \
+         "or the deleted Filter/Profile.subsumes of cbn/filters.py back" >&2
+    exit 1
+fi
+
 echo "== repro check =="
 PYTHONPATH=src python -m repro check
 
