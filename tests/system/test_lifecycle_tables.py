@@ -12,16 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cql.schema import Attribute, StreamSchema
-from repro.overlay.topology import Topology
-from repro.overlay.tree import DisseminationTree
 from repro.system import cosmos, loadmgr
-from repro.system.cosmos import (
-    CosmosSystem,
-    QueryStatus,
-    SubmittedQuery,
-    SystemError_,
-)
+from repro.system.cosmos import QueryStatus, SubmittedQuery, SystemError_
 from repro.system.loadmgr import (
     GroupMigration,
     LoadManagementError,
@@ -30,6 +22,7 @@ from repro.system.loadmgr import (
     resume_after_migration,
 )
 from repro.system.reliability import heal_partition, quarantine_partitioned
+from tests.system.test_reliability import build_chain_system
 
 #: (label, from) -> to: quarantine and resume, by either owner.
 QUERY_STEPS = {
@@ -100,31 +93,6 @@ def test_the_tables_list_these_steps_and_nothing_else():
     assert GroupMigration("m", "G", 1, 3).state is MigrationState.PREPARING
 
 
-TEMP = StreamSchema(
-    "Temp",
-    [Attribute("station", "int", 0, 9), Attribute("celsius", "float", -20, 40)],
-    rate=1.0,
-)
-
-
-def _chain():
-    """0 - 1 - 2 - 3 - 4, the processor on 1, users on 2 and 4."""
-    topology = Topology()
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    for u, v in edges:
-        topology.add_edge(u, v, 1.0)
-    tree = DisseminationTree(edges, {e: 1.0 for e in edges})
-    system = CosmosSystem(tree, processor_nodes=[1], topology=topology)
-    system.add_source(TEMP, 0)
-    for index, user in enumerate((2, 4)):
-        system.submit(
-            "SELECT T.celsius FROM Temp [Now] T WHERE T.celsius > 0",
-            user_node=user,
-            name=f"q{index}",
-        )
-    return system
-
-
 class TestWithoutTheHealRows:
     """The runtime half of the canary whose static half is
     ``tests/analysis/test_model.py``: with both ``DEGRADED -> ACTIVE``
@@ -140,7 +108,7 @@ class TestWithoutTheHealRows:
         monkeypatch.setitem(cosmos.QUERY_LIFECYCLE, "rows", rows)
 
     def test_heal_partition_raises(self, no_heal_rows):
-        system = _chain()
+        system, _handles = build_chain_system()
         assert quarantine_partitioned(system, 3) == ["q1"]
         system.topology.add_edge(2, 4, 1.0)  # the partition heals
         with pytest.raises(SystemError_, match="heal_partition"):
@@ -148,7 +116,7 @@ class TestWithoutTheHealRows:
         assert system.query("q1").status is QueryStatus.DEGRADED
 
     def test_resume_after_migration_raises(self, no_heal_rows):
-        system = _chain()
+        system, _handles = build_chain_system()
         group = system.processors[1].manager.grouping.group_of("q0")
         assert quarantine_for_migration(system, 1, group.group_id) == ["q0", "q1"]
         with pytest.raises(SystemError_, match="resume_after_migration"):
