@@ -497,7 +497,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     is byte-identical on every invocation — compare digests to confirm
     a replay); the default sweep runs seeds ``0..N-1`` as a smoke gate.
     On a violation the failing schedule is shrunk to a minimal event
-    list (``--no-shrink`` to skip) and the exit code is 1.
+    list (``--no-shrink`` to skip) and the exit code is 1.  A seed whose
+    run raises prints an ``ERROR`` line with the exception, is recorded
+    with ``ok: false`` and its ``error``, fails the sweep (exit 1) and is
+    not shrunk; the sweep goes on with the next seed.
     """
     import json
     import sys
@@ -530,7 +533,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.nodes is not None:
             config = replace(config, n_nodes=args.nodes)
         schedule = generate_schedule(config)
-        report = run_schedule(config, schedule.events)
+        try:
+            report = run_schedule(config, schedule.events)
+        except Exception as error:
+            # A seed that raises fails the sweep like a violation, is
+            # recorded, and is not shrunk; the later seeds still run.
+            failed = True
+            message = f"{type(error).__name__}: {error}"
+            print(f"chaos seed={seed} ERROR {message}")
+            records.append({"seed": seed, "ok": False, "error": message})
+            continue
         print(report.render())
         if args.trace or args.seed is not None:
             print(report.trace.render())
@@ -579,17 +591,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 for violation in conform:
                     print(f"  {violation}")
         records.append(record)
+    ran = [r for r in records if "error" not in r]
     totals = {
-        "deliveries_checked": sum(r["deliveries"] for r in records),
-        "faults_injected": sum(r["faults_applied"] for r in records),
-        "faults_refused": sum(r["faults_refused"] for r in records),
-        "tuples_injected": sum(r["injects"] for r in records),
-        "tuples_dropped": sum(r["drops"] for r in records),
-        "violations": sum(len(r["violations"]) for r in records),
+        "deliveries_checked": sum(r["deliveries"] for r in ran),
+        "faults_injected": sum(r["faults_applied"] for r in ran),
+        "faults_refused": sum(r["faults_refused"] for r in ran),
+        "tuples_injected": sum(r["injects"] for r in ran),
+        "tuples_dropped": sum(r["drops"] for r in ran),
+        "violations": sum(len(r["violations"]) for r in ran),
     }
     if machines is not None:
         totals["conformance_violations"] = sum(
-            len(r["conformance_violations"]) for r in records
+            len(r["conformance_violations"]) for r in ran
         )
     if args.recovery:
         for key in (
@@ -599,7 +612,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "repairs_applied",
             "queries_quarantined",
         ):
-            totals[key] = sum(r["reliability"][key] for r in records)
+            totals[key] = sum(r["reliability"][key] for r in ran)
     if args.migrate:
         for key in (
             "hotspots_detected",
@@ -608,7 +621,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "migrations_aborted",
             "migrations_retried",
         ):
-            totals[key] = sum(r["health"][key] for r in records)
+            totals[key] = sum(r["health"][key] for r in ran)
     print(
         "chaos totals: "
         + " ".join(f"{key}={value}" for key, value in totals.items())

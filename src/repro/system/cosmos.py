@@ -372,12 +372,17 @@ class CosmosSystem:
 
         ``tuples`` is a sequence of ``(payload, timestamp)`` pairs.  The
         whole batch enters the CBN as one ``publish_many`` call (which
-        routes it tuple by tuple) and each processor's results leave it
-        as one.  Processors still see the tuples in order, and every
-        query handle accumulates exactly the results sequential
-        :meth:`publish` calls would produce; only the interleaving of
-        the returned flat delivery list may differ (grouped per routing
-        batch rather than per source tuple).
+        routes it tuple by tuple); each processor it reaches gets its
+        share in one call and its results leave it as one batch, so a
+        burst reaching one processor routes in two ``publish_many``
+        calls.  Processors still see the tuples in order, every query
+        handle accumulates exactly the results sequential
+        :meth:`publish` calls would produce, and every link carries the
+        same messages and bytes; only the interleaving of the returned
+        flat delivery list (grouped per processor batch rather than per
+        source tuple) and the order in which links are first used may
+        differ.  A push that raises partway through a
+        processor's share propagates, as :meth:`_drive` describes.
         """
         node = self.source_node(stream)
         batch = [
@@ -390,34 +395,57 @@ class CosmosSystem:
 
     def _drive(self, batch: List[Datagram], node: NodeId) -> List[Delivery]:
         """Route a source batch end to end: CBN to processors, SPE
-        evaluation, result publication, CBN to users."""
+        evaluation, result publication, CBN to users.
+
+        Each routed batch is walked once in delivery order.  A user
+        delivery lands on its handle; a delivery to a processor's node
+        is collected, still in delivery order, into that processor's
+        share, and after the walk each share goes to
+        :meth:`Processor.on_source_batch` in one call (processors in the
+        order the batch first reached them).  A processor's results are
+        queued as one batch, routed by one ``publish_many`` from its
+        node.  A processor sits at one broker, and the walk makes a
+        broker's local deliveries together, so a single :meth:`publish`
+        pushes and routes in exactly the per-delivery order.
+
+        A push that raises propagates out of this call: the user
+        deliveries made so far stay on their handles, the pushes before
+        it stay applied, and no share after it is pushed nor any queued
+        result routed.
+        """
         user_deliveries: List[Delivery] = []
         subscribers = self._subscribers
-        # Each pending item is a batch of datagrams injected at one
-        # broker: the source tuples first, then whole result batches
-        # from each SPE evaluation.
-        pending: List[tuple] = [(batch, node)]
-        while pending:
-            batch, origin = pending.pop(0)
+        processors = self.processors
+        # A worklist walked in order while it grows: each processor's
+        # results join it as one batch, injected at the processor's node.
+        pending = [(batch, node)]
+        for batch, origin in pending:
+            # processor node -> its share; made on the first delivery
+            # that is not a user's, so a batch reaching only users (or
+            # nobody) pays nothing for it
+            shares: Optional[Dict[NodeId, List[Delivery]]] = None
             for deliveries in self.network.publish_many(batch, origin):
                 for delivery in deliveries:
                     # Dispatch by the registries the reconciliation
                     # maintains; ids are never parsed back.
-                    sid = delivery.subscription_id
-                    handle = subscribers.get(sid)
+                    handle = subscribers.get(delivery.subscription_id)
                     if handle is not None:
                         handle.results.append(delivery.datagram)
                         user_deliveries.append(delivery)
                         continue
-                    processor = self.processors.get(delivery.node)
-                    if processor is None:
-                        continue
-                    group_id = processor.group_of_subscription(sid)
-                    if group_id is None:
-                        continue
-                    results = processor.on_source_data(delivery.datagram, group_id)
-                    if results:
-                        pending.append((results, processor.node_id))
+                    if shares is None:
+                        shares = {}
+                    share = shares.get(delivery.node)
+                    if share is not None:
+                        share.append(delivery)
+                    elif delivery.node in processors:
+                        shares[delivery.node] = [delivery]
+            if shares is None:
+                continue
+            for processor_node, share in shares.items():
+                results = processors[processor_node].on_source_batch(share)
+                if results:
+                    pending.append((results, processor_node))
         return user_deliveries
 
     def replay(self, feed: Sequence[Datagram]) -> int:

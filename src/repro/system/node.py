@@ -12,11 +12,11 @@ every change to a group ends in.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
-from repro.cbn.network import ContentBasedNetwork
+from repro.cbn.network import ContentBasedNetwork, Delivery
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog, StreamSchema
 from repro.core.grouping import GroupingDecision, GroupingOptimizer, QueryGroup
@@ -37,9 +37,11 @@ class Processor:
     """A server equipped with a stream processing engine.
 
     The processor subscribes to the CBN for the source data of each of
-    its query groups, feeds delivered datagrams through the data
-    wrapper into the SPE, and publishes result tuples back into the
-    CBN under the group's result-stream name.
+    its query groups.  Each routed batch reaches it as one share
+    (:meth:`on_source_batch`): the delivered datagrams go through the
+    data wrapper into the SPE in delivery order, and the share's result
+    tuples, tagged with their groups' result-stream names, go back into
+    the CBN as one batch.
     """
 
     def __init__(
@@ -188,28 +190,34 @@ class Processor:
 
     # -- data layer callbacks ----------------------------------------------------------
 
-    def on_source_data(
-        self, datagram: Datagram, group_id: Optional[str] = None
-    ) -> List[Datagram]:
-        """Feed one delivered source datagram through the SPE.
+    def on_source_batch(self, share: Sequence[Delivery]) -> List[Datagram]:
+        """Feed this processor's share of a routed batch through the SPE.
 
-        ``group_id`` names the query group whose subscription the
-        delivery belongs to; the datagram carries that group's early
-        projection and must only reach that group's representative.
-        Without a group id the datagram is broadcast to every query on
-        its stream (standalone-processor usage).
+        ``share`` holds the CBN's deliveries to this processor, in
+        delivery order, and they are pushed in that order: the engine's
+        clock is processor-wide, so a share is never regrouped by group.
+        Each delivery is dispatched by its subscription id to the group
+        whose source subscription it is; the datagram carries that
+        group's early projection and reaches only that group's
+        representative.  A delivery for no source subscription of this
+        processor (one that raced a withdrawal) is skipped.
 
-        Returns the result datagrams (already tagged with their result
-        stream names), which the caller publishes into the CBN from
-        this node.
+        Returns the result datagrams of the whole share, in push order
+        and tagged with their result stream names; the caller publishes
+        them into the CBN from this node as one batch.  A push that
+        raises propagates: the pushes before it stay applied to the
+        engine and their results are dropped with the rest of the share.
         """
-        engine_tuple = self.data_wrapper.to_engine(datagram)
-        native = self.data_wrapper.from_engine(engine_tuple)
-        if group_id is not None:
-            engine_name = self.engine_name_of(group_id)
-            if engine_name is None:
-                return []
-            results = self.spe.push_to(engine_name, native)
-        else:
-            results = self.spe.push(native)
-        return [result.datagram for result in results]
+        wrapper = self.data_wrapper
+        groups = self._source_groups
+        registered = self._registered
+        spe = self.spe
+        out: List[Datagram] = []
+        for delivery in share:
+            held = registered.get(groups.get(delivery.subscription_id))
+            if held is None:
+                continue
+            native = wrapper.from_engine(wrapper.to_engine(delivery.datagram))
+            for result in spe.push_to(held[2], native):
+                out.append(result.datagram)
+        return out

@@ -98,6 +98,42 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert "violations=1" in out
 
+    def test_a_seed_that_raises_fails_alone(self, capsys, monkeypatch, tmp_path):
+        # A defect that raises inside one seed's run is that seed's
+        # failure: the sweep reports it, runs the other seeds, writes
+        # the artefact and exits 1 without shrinking the raising seed.
+        import json
+
+        import repro.sim as sim
+
+        real = sim.run_schedule
+
+        def rigged(config, events):
+            if config.seed == 1:
+                raise RuntimeError("rigged: seed 1 blew up")
+            return real(config, events)
+
+        def no_shrink(config, events):
+            raise AssertionError("a raising seed must not be shrunk")
+
+        monkeypatch.setattr(sim, "run_schedule", rigged)
+        monkeypatch.setattr(sim, "shrink_failing_schedule", no_shrink)
+        artifact = tmp_path / "sweep.json"
+        assert main(["chaos", "--seeds", "3", "--json", str(artifact)]) == 1
+        out = capsys.readouterr().out
+        seed_lines = [line for line in out.splitlines() if line.startswith("chaos seed=")]
+        assert [line.split()[1] for line in seed_lines] == ["seed=0", "seed=1", "seed=2"]
+        assert seed_lines[1] == "chaos seed=1 ERROR RuntimeError: rigged: seed 1 blew up"
+        payload = json.loads(artifact.read_text())
+        assert payload["ok"] is False
+        assert [r["ok"] for r in payload["seeds"]] == [True, False, True]
+        assert payload["seeds"][1] == {
+            "seed": 1,
+            "ok": False,
+            "error": "RuntimeError: rigged: seed 1 blew up",
+        }
+        assert payload["totals"]["violations"] == 0
+
 
 class TestModelCli:
     def test_text_mode_clean(self, capsys):

@@ -17,6 +17,7 @@ the batched entry points (:meth:`ContentBasedNetwork.publish_many`,
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from repro.overlay.topology import barabasi_albert
 from repro.overlay.tree import DisseminationTree
 from repro.sim.reference import ReferenceNetwork
 from repro.system.cosmos import CosmosSystem
+from repro.system.distribution import RoundRobinDistribution
 from repro.system.fault import FaultError, fail_broker
 
 from tests.properties.test_fastpath_properties import (
@@ -141,27 +143,31 @@ SCHEMA = StreamSchema(
     rate=1.0,
 )
 
-#: Nodes with attached roles (processor, source, users) — never failed.
-PROTECTED = {0, 1, 2, 3}
+#: Nodes with attached roles (processors, source, users) — never failed.
+PROTECTED = set(range(7))
+
+#: Four queries, four groups: round robin puts two groups on each of the
+#: two processors, so every Temp tuple reaches both and each share holds
+#: two groups' copies of it.
+QUERIES = (
+    "SELECT T.celsius FROM Temp [Range 1 Hour] T WHERE T.celsius > 0",
+    "SELECT T.station FROM Temp [Now] T WHERE T.station < 5",
+    "SELECT AVG(T.celsius) FROM Temp [Range 10 Second] T",
+    "SELECT T.station, COUNT(*) FROM Temp [Range 1 Minute] T GROUP BY T.station",
+)
 
 
 def _build_system(seed):
     topo = barabasi_albert(25, 2, random.Random(seed))
     tree = DisseminationTree.minimum_spanning(topo)
-    system = CosmosSystem(tree, processor_nodes=[0], topology=topo)
-    system.add_source(SCHEMA, 1)
+    system = CosmosSystem(tree, processor_nodes=[0, 1], topology=topo)
+    system.distribution = RoundRobinDistribution()
+    system.add_source(SCHEMA, 2)
     handles = [
-        system.submit(
-            "SELECT T.celsius FROM Temp [Range 1 Hour] T WHERE T.celsius > 0",
-            user_node=2,
-            name="qa",
-        ),
-        system.submit(
-            "SELECT T.station FROM Temp [Range 1 Hour] T",
-            user_node=3,
-            name="qb",
-        ),
+        system.submit(text, user_node=3 + index, name=f"q{index}")
+        for index, text in enumerate(QUERIES)
     ]
+    assert [p.group_count for p in system.processors.values()] == [2, 2]
     return system, handles
 
 
@@ -170,8 +176,10 @@ class TestBatchUnderFailures:
     @settings(max_examples=25, deadline=None)
     def test_mid_feed_broker_failure_identical(self, seed, data):
         """A broker failure landing mid-feed: the batched system and
-        the tuple-at-a-time system repair identically and every query
-        handle accumulates identical results."""
+        the tuple-at-a-time system repair identically, every query
+        handle accumulates identical results and every link carries the
+        same traffic.  Both processors hold two groups on the stream, so
+        each batch is split into per-processor shares of two groups."""
         batched_sys, batched_handles = _build_system(seed)
         looped_sys, looped_handles = _build_system(seed)
         clock = itertools.count(1)
@@ -199,6 +207,16 @@ class TestBatchUnderFailures:
             assert [h.results for h in batched_handles] == [
                 h.results for h in looped_handles
             ]
+            # Per-link totals are exact.  The weighted cost is summed in
+            # the order links were first used, and a batch routes each
+            # processor's results together, so it may differ in the last
+            # bit from the tuple-by-tuple order.
+            batched_stats = batched_sys.network.data_stats
+            looped_stats = looped_sys.network.data_stats
+            assert batched_stats.as_dict() == looped_stats.as_dict()
+            assert batched_stats.weighted_cost() == pytest.approx(
+                looped_stats.weighted_cost(), rel=1e-12
+            )
             candidates = sorted(
                 n for n in batched_sys.tree.nodes if n not in PROTECTED
             )

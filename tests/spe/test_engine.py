@@ -487,16 +487,22 @@ class TestJoinStrategy:
         """A processor takes no join flag (section 2's heterogeneous
         engines live behind the wrappers): its engine keys Table 1's q3
         by itemID and must match the scanning reference."""
+        from repro.cbn.network import ContentBasedNetwork
+        from repro.overlay.tree import DisseminationTree
         from repro.system.node import Processor
 
         catalog = auction_catalog()
         feed = _auction_feed(random.Random(7), items=20)
-        proc = Processor(1, catalog)
+        network = ContentBasedNetwork(DisseminationTree([(0, 1)], {(0, 1): 1.0}))
+        for schema in catalog:
+            network.advertise(schema.name, 0, schema)
+        proc = Processor(1, catalog, network=network)
         proc.accept(parse_query(TABLE1_Q3), name="q3")
+        # the whole feed routed as one batch reaches the processor as one share
+        share = [d for per in network.publish_many(feed, 0) for d in per]
         out = [
             (d.timestamp, list(d.payload.values()))
-            for datagram in feed
-            for d in proc.on_source_data(datagram)
+            for d in proc.on_source_batch(share)
         ]
         # the processor runs the canonical form: same columns, other names
         reference = _run(catalog, TABLE1_Q3, feed, join_strategy="nested")

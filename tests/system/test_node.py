@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cbn.datagram import Datagram
-from repro.cbn.network import ContentBasedNetwork
+from repro.cbn.network import ContentBasedNetwork, Delivery
 from repro.core.cost import CostModel
 from repro.core.grouping import GroupingDecision, GroupingOptimizer
 from repro.cql.parser import parse_query
@@ -19,24 +19,20 @@ from repro.workload.auction import (
 )
 
 
-class TestStandaloneProcessor:
-    def test_accept_and_process(self, auction_catalog):
-        proc = Processor(1, auction_catalog)
-        proc.accept(parse_query(TABLE1_Q1), name="q1")
-        assert proc.query_count == 1
-        results = proc.on_source_data(
-            Datagram(
-                "OpenAuction",
-                {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0},
-                0.0,
-            )
-        )
-        assert results == []  # joins need the closing event
-        results = proc.on_source_data(
-            Datagram("ClosedAuction", {"itemID": 1, "buyerID": 2, "timestamp": 60.0}, 60.0)
-        )
-        assert len(results) == 1
+def auction_network(tree):
+    network = ContentBasedNetwork(tree)
+    network.advertise("OpenAuction", 0, OPEN_AUCTION_SCHEMA)
+    network.advertise("ClosedAuction", 0, CLOSED_AUCTION_SCHEMA)
+    return network
 
+
+def feed(proc, network, datagram):
+    """Route ``datagram`` from broker 0; the processor's share goes in."""
+    share = [d for d in network.publish(datagram, 0) if d.node == proc.node_id]
+    return proc.on_source_batch(share)
+
+
+class TestStandaloneProcessor:
     def test_accept_returns_the_optimizers_decision(self, auction_catalog):
         proc = Processor(1, auction_catalog)
         decision = proc.accept(parse_query(TABLE1_Q1), name="q1")
@@ -53,23 +49,40 @@ class TestStandaloneProcessor:
         assert proc.query_count == 2
         assert proc.group_count == 1
 
-    def test_group_scoped_feed(self, auction_catalog):
-        proc = Processor(1, auction_catalog)
-        sub = proc.accept(parse_query(TABLE1_Q1), name="q1")
-        group_id = sub.group.group_id
-        out = proc.on_source_data(
-            Datagram("OpenAuction", {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0}, 0.0),
-            group_id,
-        )
-        assert out == []
-        # Unknown group ids are ignored (subscription raced a withdrawal).
-        assert proc.on_source_data(
-            Datagram("ClosedAuction", {"itemID": 1, "buyerID": 2, "timestamp": 1.0}, 1.0),
-            "g-does-not-exist",
-        ) == []
-
 
 class TestNetworkedProcessor:
+    def test_accept_and_process(self, line_tree, auction_catalog):
+        network = auction_network(line_tree)
+        proc = Processor(2, auction_catalog, network=network)
+        proc.accept(parse_query(TABLE1_Q1), name="q1")
+        assert proc.query_count == 1
+        results = feed(proc, network, Datagram(
+            "OpenAuction",
+            {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0},
+            0.0,
+        ))
+        assert results == []  # joins need the closing event
+        results = feed(proc, network, Datagram(
+            "ClosedAuction", {"itemID": 1, "buyerID": 2, "timestamp": 60.0}, 60.0
+        ))
+        assert len(results) == 1
+
+    def test_a_delivery_for_no_source_subscription_is_skipped(
+        self, line_tree, auction_catalog
+    ):
+        # A subscription that raced a withdrawal: nothing reaches the SPE.
+        network = auction_network(line_tree)
+        proc = Processor(2, auction_catalog, network=network)
+        proc.accept(parse_query(TABLE1_Q1), name="q1")
+        stale = Datagram("ClosedAuction", {"itemID": 1, "buyerID": 2, "timestamp": 60.0}, 60.0)
+        assert proc.on_source_batch([Delivery("src:2:gone:1", 2, stale)]) == []
+        # the engine's clock did not move: an earlier tuple still goes in
+        assert feed(proc, network, Datagram(
+            "OpenAuction",
+            {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0},
+            0.0,
+        )) == []
+
     def test_subscriptions_installed(self, line_tree, auction_catalog):
         network = ContentBasedNetwork(line_tree)
         network.advertise("OpenAuction", 0, OPEN_AUCTION_SCHEMA)
@@ -110,17 +123,16 @@ class TestWrapperIntegration:
         assert sub.query.name == "q1"
         assert proc.query_count == 1
 
-    def test_custom_data_wrapper_roundtrip(self, auction_catalog):
+    def test_custom_data_wrapper_roundtrip(self, line_tree, auction_catalog):
         wrapper = ListDataWrapper(["itemID", "sellerID", "start_price", "timestamp"])
-        proc = Processor(1, auction_catalog, data_wrapper=wrapper)
+        network = auction_network(line_tree)
+        proc = Processor(2, auction_catalog, network=network, data_wrapper=wrapper)
         proc.accept(parse_query("SELECT O.itemID FROM OpenAuction O"), name="q")
-        out = proc.on_source_data(
-            Datagram(
-                "OpenAuction",
-                {"itemID": 5, "sellerID": 1, "start_price": 2.0, "timestamp": 0.0},
-                0.0,
-            )
-        )
+        out = feed(proc, network, Datagram(
+            "OpenAuction",
+            {"itemID": 5, "sellerID": 1, "start_price": 2.0, "timestamp": 0.0},
+            0.0,
+        ))
         assert len(out) == 1
         assert out[0].payload["OpenAuction.itemID"] == 5
 

@@ -94,6 +94,39 @@ if git grep -nE "condition\.evaluate\(payload\) for" -- src/repro/cbn; then
     exit 1
 fi
 
+echo "== a batch crosses each processor once (repro.system) =="
+# CosmosSystem._drive walks a routed batch once, hands each processor its share
+# in one Processor.on_source_batch call and routes that share's results as one
+# publish_many batch: the per-delivery on_source_data is gone, and nothing in
+# the loop over a routed batch's deliveries calls publish_many.
+if git grep -nE "on_source_data" -- src/repro; then
+    echo "ci: src/repro must not grow the per-delivery on_source_data back" >&2
+    exit 1
+fi
+python - <<'EOF'
+import ast, sys
+
+tree = ast.parse(open("src/repro/system/cosmos.py").read())
+drive = [node for node in ast.walk(tree)
+         if isinstance(node, ast.FunctionDef) and node.name == "_drive"]
+
+def publishes(node):
+    return [call.lineno for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "publish_many"]
+
+# the per-delivery loop: a for over what publish_many returned, body and all
+walks = [loop for loop in ast.walk(drive[0]) if isinstance(loop, ast.For)
+         and publishes(loop.iter)] if len(drive) == 1 else []
+if not walks:
+    sys.exit("ci: system/cosmos.py must walk publish_many's deliveries in one _drive")
+inside = sorted({line for loop in walks for statement in loop.body + loop.orelse
+                 for line in publishes(statement)})
+if inside:
+    sys.exit(f"ci: system/cosmos.py:{inside[0]}: _drive calls publish_many inside"
+             " its per-delivery loop; a processor's results leave it as one batch")
+EOF
+
 echo "== data-plane values carry no per-instance dict (repro.cbn, repro.spe) =="
 # Every published tuple builds several Datagrams, Deliveries and QueryResults,
 # and both routers a ForwardDecision per interface they decide on; a dataclass
