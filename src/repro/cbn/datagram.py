@@ -12,11 +12,24 @@ source) monotone sequence number in ``seq``; it is transport metadata
 (gap detection, duplicate suppression), preserved through projection
 and relabelling, and ``None`` everywhere reliability is not in play.
 
-Every published tuple builds several datagrams (the origin's and one per
-early projection), so the value is a slotted class: no per-instance
-``__dict__``, fields stored once through the slot descriptors, and
-assignment or deletion of a field raises ``AttributeError``.  ``copy``,
-``deepcopy`` and ``pickle`` rebuild it through ``__reduce__``.
+Every published tuple builds several datagrams (the origin's, one per
+early projection and one per result row), so the value is a slotted
+class: no per-instance ``__dict__``, fields stored once through the slot
+descriptors, and assignment or deletion of a field raises
+``AttributeError``.  ``copy``, ``deepcopy`` and ``pickle`` rebuild it
+through ``__reduce__``.
+
+A datagram has two constructors.  ``Datagram(stream, payload, timestamp,
+seq)`` copies the payload into a fresh dict and coerces the timestamp to
+``float`` and ``seq`` to ``int``: it is the constructor for a payload the
+caller owns and may still change (publication, workload generators, the
+simulator, wrappers).  :meth:`Datagram.owning` stores what it is handed
+as it is, and is only for the data plane's own copies: its ``payload``
+must be a fresh ``dict`` that the caller just built and keeps no other
+reference to, ``timestamp`` already a ``float`` and ``seq`` an ``int``
+or ``None`` (read off another datagram, they are).  A dict that reaches
+it from outside the data plane would let its owner change a datagram
+after the fact.
 """
 
 from __future__ import annotations
@@ -55,6 +68,26 @@ class Datagram:
         _set_timestamp(self, float(timestamp))
         _set_seq(self, None if seq is None else int(seq))
 
+    @staticmethod
+    def owning(
+        stream: str,
+        payload: Dict[str, Value],
+        timestamp: float,
+        seq: Optional[int] = None,
+    ) -> "Datagram":
+        """A datagram that takes ``payload`` over instead of copying it.
+
+        ``payload`` is a fresh dict nobody else references,
+        ``timestamp`` a ``float`` and ``seq`` an ``int`` or ``None``;
+        nothing is copied or coerced (see the module docstring).
+        """
+        datagram = _new(Datagram)
+        _set_stream(datagram, stream)
+        _set_payload(datagram, payload)
+        _set_timestamp(datagram, timestamp)
+        _set_seq(datagram, seq)
+        return datagram
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Datagram is immutable: cannot set {name!r}")
 
@@ -87,7 +120,7 @@ class Datagram:
         """
         keep = set(attributes)
         payload = {k: v for k, v in self.payload.items() if k in keep}
-        return Datagram(self.stream, payload, self.timestamp, self.seq)
+        return Datagram.owning(self.stream, payload, self.timestamp, self.seq)
 
     def relabel(self, stream: str) -> "Datagram":
         """A copy tagged as belonging to another stream (result streams)."""
@@ -133,6 +166,7 @@ class Datagram:
         return f"Datagram({self.stream}{tag}@{self.timestamp:g}: {items})"
 
 
+_new = object.__new__
 _set_stream = Datagram.stream.__set__  # type: ignore[attr-defined]
 _set_payload = Datagram.payload.__set__  # type: ignore[attr-defined]
 _set_timestamp = Datagram.timestamp.__set__  # type: ignore[attr-defined]

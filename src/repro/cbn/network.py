@@ -613,8 +613,9 @@ class ContentBasedNetwork:
             payload, timestamp, seq = datagram.payload, datagram.timestamp, datagram.seq
             #: one copy per distinct projection, shared by the
             #: deliveries that want it; index -1 is the whole datagram
+            owning = Datagram.owning
             copies = [
-                Datagram(stream, {name: payload[name] for name in view}, timestamp, seq)
+                owning(stream, {name: payload[name] for name in view}, timestamp, seq)
                 for view in route.views
             ]
             copies.append(datagram)

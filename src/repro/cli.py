@@ -328,12 +328,15 @@ def _cmd_check_self(args: argparse.Namespace) -> int:
     if args.as_json:
         payload = report.to_dict()
         payload["forgiven"] = forgiven
+        passes = [
+            {"name": name, "seconds": round(seconds, 6)}
+            for name, seconds in timings.items()
+        ]
+        # the total is the sum of the figures printed, not a separately
+        # rounded sum, so the payload's parts add up to its whole
         payload["analyzer"] = {
-            "passes": [
-                {"name": name, "seconds": round(seconds, 6)}
-                for name, seconds in timings.items()
-            ],
-            "wall_seconds": round(sum(timings.values()), 6),
+            "passes": passes,
+            "wall_seconds": round(sum(entry["seconds"] for entry in passes), 6),
         }
         print(json.dumps(payload, indent=2))
     else:

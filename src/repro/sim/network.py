@@ -258,7 +258,7 @@ class VirtualNetwork:
             return
         payload = dict(event.payload)
         delivered = len(self.primary.publish(event.stream, payload, event.time))
-        self.shadow.publish(event.stream, dict(event.payload), event.time)
+        self.shadow.publish(event.stream, payload, event.time)
         self.effective_feed.append(
             Datagram(event.stream, payload, event.time)
         )
@@ -358,13 +358,9 @@ class VirtualNetwork:
         self._pending.sort(key=lambda item: (item[0], item[1], item[2]))
         delivered = 0
         for sent, stream, seq, payload in self._pending:
-            delivered += len(
-                self.primary.publish(stream, dict(payload), sent, seq=seq)
-            )
-            self.shadow.publish(stream, dict(payload), sent, seq=seq)
-            self.effective_feed.append(
-                Datagram(stream, dict(payload), sent, seq)
-            )
+            delivered += len(self.primary.publish(stream, payload, sent, seq=seq))
+            self.shadow.publish(stream, payload, sent, seq=seq)
+            self.effective_feed.append(Datagram(stream, payload, sent, seq))
         self.counters.deliveries += delivered
         self.trace.record(
             f"flush {len(self._pending)} tuples -> {delivered} deliveries"

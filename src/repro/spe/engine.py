@@ -138,7 +138,7 @@ class _CompiledQuery:
                 aggregate = self._aggregate = self._build_aggregate(self.query)
             rows = aggregate.process(datagram)
             return [
-                Datagram(self.result_stream, row, datagram.timestamp)
+                Datagram.owning(self.result_stream, row, datagram.timestamp)
                 for row in rows
             ]
         if self._join is None:
@@ -150,7 +150,7 @@ class _CompiledQuery:
             row = scan.process(datagram)
             if row is None:
                 return []
-            return [Datagram(self.result_stream, row, datagram.timestamp)]
+            return [Datagram.owning(self.result_stream, row, datagram.timestamp)]
         assert self._select is not None and self._project is not None
         out: List[Datagram] = []
         for binding in self._join.process(qualifier, datagram):
@@ -158,7 +158,7 @@ class _CompiledQuery:
             if selected is None:
                 continue
             row = self._project.process(selected)
-            out.append(Datagram(self.result_stream, row, datagram.timestamp))
+            out.append(Datagram.owning(self.result_stream, row, datagram.timestamp))
         return out
 
 
@@ -269,8 +269,10 @@ class StreamProcessingEngine:
                 results.append(QueryResult(compiled.name, out))
         return results
 
-    def push_to(self, name: str, datagram: Datagram) -> List[QueryResult]:
-        """Feed one tuple to *one* registered query.
+    def push_to(self, name: str, datagram: Datagram) -> List[Datagram]:
+        """Feed one tuple to *one* registered query; returns its result
+        tuples (on the query's result stream, so no query name rides
+        along).
 
         Processors use this when the CBN delivers per-subscription
         copies of a source tuple: each query group's subscription
@@ -281,10 +283,7 @@ class StreamProcessingEngine:
         if compiled is None:
             raise EngineError(f"unknown query {name!r}")
         self._advance_clock(datagram.timestamp)
-        return [
-            QueryResult(name, out)
-            for out in compiled.feed(datagram.stream, datagram)
-        ]
+        return compiled.feed(datagram.stream, datagram)
 
     def run(self, feed: Sequence[Datagram]) -> Dict[str, List[Datagram]]:
         """Convenience: push a whole timestamp-ordered feed.

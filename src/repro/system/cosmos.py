@@ -453,7 +453,7 @@ class CosmosSystem:
         total = 0
         for datagram in feed:
             total += len(
-                self.publish(datagram.stream, dict(datagram.payload), datagram.timestamp)
+                self.publish(datagram.stream, datagram.payload, datagram.timestamp)
             )
         return total
 

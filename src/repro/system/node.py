@@ -184,10 +184,6 @@ class Processor:
         registered = self._registered.get(group_id)
         return registered[2] if registered is not None else None
 
-    def group_of_subscription(self, subscription_id: str) -> Optional[str]:
-        """The group a source subscription of this processor feeds."""
-        return self._source_groups.get(subscription_id)
-
     # -- data layer callbacks ----------------------------------------------------------
 
     def on_source_batch(self, share: Sequence[Delivery]) -> List[Datagram]:
@@ -218,6 +214,5 @@ class Processor:
             if held is None:
                 continue
             native = wrapper.from_engine(wrapper.to_engine(delivery.datagram))
-            for result in spe.push_to(held[2], native):
-                out.append(result.datagram)
+            out.extend(spe.push_to(held[2], native))
         return out

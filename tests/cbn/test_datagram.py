@@ -75,6 +75,75 @@ class TestValueContract:
         assert deep.payload is not d.payload
 
 
+class TestOwning:
+    """``Datagram.owning`` takes over a fresh dict instead of copying it;
+    the value it builds is the one the public constructor builds on the
+    same dict, with the same contract."""
+
+    @staticmethod
+    def fresh():
+        return {"a": 1, "b": 2.5, "s": "x", "flag": True}
+
+    @pytest.mark.parametrize("seq", [None, 5])
+    def test_equals_the_publicly_built_value(self, seq):
+        owned = Datagram.owning("S", self.fresh(), 2.5, seq)
+        public = Datagram("S", self.fresh(), 2.5, seq)
+        assert type(owned) is Datagram
+        assert owned == public and public == owned
+        assert hash(owned) == hash(public)
+        assert repr(owned) == repr(public)
+        assert tuple(owned.payload) == tuple(public.payload)
+        assert owned.size_bytes() == public.size_bytes()
+        widths = {"a": 2, "s": 3}
+        assert owned.size_bytes(widths) == public.size_bytes(widths)
+        assert owned != Datagram("S", self.fresh(), 2.5, 6)
+
+    def test_takes_the_dict_over(self):
+        payload = self.fresh()
+        assert Datagram.owning("S", payload, 1.0).payload is payload
+        assert Datagram("S", payload, 1.0).payload is not payload
+
+    def test_nothing_is_coerced(self):
+        owned = Datagram.owning("S", {"a": 1}, 1.0, 3)
+        assert (owned.stream, owned.timestamp, owned.seq) == ("S", 1.0, 3)
+        assert Datagram.owning("S", {"a": 1}, 1.0).seq is None
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_immutable(self, name):
+        d = Datagram.owning("S", {"a": 1}, 2.0, 5)
+        with pytest.raises(AttributeError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+        assert d == Datagram("S", {"a": 1}, 2.0, 5)
+
+    def test_slotted(self):
+        d = Datagram.owning("S", {"a": 1}, 2.0)
+        assert not hasattr(d, "__dict__")
+        with pytest.raises(AttributeError):
+            d.extra = 1
+
+    @pytest.mark.parametrize("seq", [None, 5])
+    def test_copy_deepcopy_and_pickle_round_trip(self, seq):
+        d = Datagram.owning("S", self.fresh(), 2.5, seq)
+        public = Datagram("S", self.fresh(), 2.5, seq)
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(twin) is Datagram
+            assert twin == d == public
+            assert hash(twin) == hash(public) and repr(twin) == repr(public)
+            assert tuple(twin.payload) == tuple(d.payload)
+        # copies rebuild through the copying constructor
+        assert copy.copy(d).payload is not d.payload
+        assert pickle.dumps(d) == pickle.dumps(public)
+
+    def test_a_projection_owns_a_fresh_dict(self):
+        d = Datagram("S", {"a": 1, "b": 2}, 2.0, 5)
+        p = d.project({"a"})
+        assert p == Datagram("S", {"a": 1}, 2.0, 5)
+        assert p.payload is not d.payload
+        assert d.project({"a", "b"}).payload is not d.payload
+
+
 class TestSequenceNumbers:
     def test_seq_participates_in_equality_and_hash(self):
         a = Datagram("S", {"a": 1}, 2.0, 5)

@@ -252,7 +252,10 @@ class TestPushTo:
         spe.register(parse_query("SELECT T.temp FROM Temp T"), "a")
         spe.register(parse_query("SELECT T.station FROM Temp T"), "b")
         results = spe.push_to("a", temp(0))
-        assert [r.query_name for r in results] == ["a"]
+        assert [(d.stream, sorted(d.payload)) for d in results] == [
+            ("a:results", ["T.temp"])
+        ]
+        assert all(type(d) is Datagram for d in results)
 
     def test_unknown_target(self, catalog):
         with pytest.raises(EngineError):

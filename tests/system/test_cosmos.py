@@ -273,6 +273,85 @@ class TestDataFlow:
         assert system.data_cost() > 0
 
 
+class TestCallerOwnsItsPayload:
+    """A published payload dict stays its caller's: changing it after
+    :meth:`publish` / :meth:`publish_batch` returns changes no datagram
+    the CBN delivered (to a processor or a user), no handle result and
+    no tuple a window holds.  The data plane takes over only the dicts
+    it builds itself (``Datagram.owning``), never one a caller hands in."""
+
+    QUERIES = {
+        "all": "SELECT O.* FROM OpenAuction [Now] O",
+        "join": TABLE1_Q1,
+        "top": "SELECT MAX(O.start_price) AS top FROM OpenAuction [Range 1 Hour] O",
+    }
+
+    @pytest.fixture
+    def delivered(self, system, monkeypatch):
+        """Every datagram the CBN delivers, source and result alike."""
+        seen = []
+        route = system.network.publish_many
+
+        def recorded(batch, node):
+            out = route(batch, node)
+            seen.extend(d.datagram for deliveries in out for d in deliveries)
+            return out
+
+        monkeypatch.setattr(system.network, "publish_many", recorded)
+        return seen
+
+    def submit_all(self, system):
+        return {
+            name: system.submit(text, user_node=4, name=name)
+            for name, text in self.QUERIES.items()
+        }
+
+    @staticmethod
+    def snapshot(system, delivered):
+        return (
+            [repr(d) for d in delivered],
+            {h.query_id: [repr(r) for r in h.results] for h in system.queries},
+        )
+
+    @staticmethod
+    def payloads():
+        # the second is of the first's class: its route is replayed, and a
+        # replay hands a delivery that keeps every attribute the origin's
+        # datagram itself
+        return [
+            {"itemID": 2, "sellerID": 1, "start_price": 5.0, "timestamp": 0.0},
+            {"itemID": 1, "sellerID": 1, "start_price": 10.0, "timestamp": 30.0},
+        ]
+
+    def check(self, system, handles, delivered, payloads):
+        assert handles["all"].result_count == 2
+        assert system.network.route_cache_stats()["hits"] > 0
+        assert any(d.stream == "OpenAuction" for d in delivered)
+        before = self.snapshot(system, delivered)
+        for payload in payloads:
+            payload.update(itemID=666, start_price=-1.0, bogus=1)
+            del payload["sellerID"]
+        assert self.snapshot(system, delivered) == before
+        close_auction(system, 1, 60.0)  # joins the window's tuple
+        assert [
+            r.payload["OpenAuction.start_price"] for r in handles["join"].results
+        ] == [10.0]
+        assert [r.payload["top"] for r in handles["top"].results] == [5.0, 10.0]
+
+    def test_publish(self, system, delivered):
+        handles = self.submit_all(system)
+        payloads = self.payloads()
+        for payload in payloads:
+            system.publish("OpenAuction", payload, payload["timestamp"])
+        self.check(system, handles, delivered, payloads)
+
+    def test_publish_batch(self, system, delivered):
+        handles = self.submit_all(system)
+        payloads = self.payloads()
+        system.publish_batch("OpenAuction", [(p, p["timestamp"]) for p in payloads])
+        self.check(system, handles, delivered, payloads)
+
+
 class TestWithdraw:
     def test_withdraw_stops_delivery(self, system):
         system.submit(TABLE1_Q1, user_node=4, name="q1")

@@ -381,20 +381,21 @@ class TestRandomHistories:
     @staticmethod
     def installed(system):
         """(node, group id) -> (canonical representative, SPE-local name,
-        source subscription id) of every installed group."""
+        source subscription id) of every installed group, the id read off
+        the group -> (profile, subscription id) registry ``commit``
+        keeps, whose entry must be live at the processor's node."""
         live = system.network.subscriptions()
-        return {
-            (node, group.group_id): (
-                group.representative.canonical(system.catalog),
-                processor.engine_name_of(group.group_id),
-                next(
-                    sid for sid in live
-                    if processor.group_of_subscription(sid) == group.group_id
-                ),
-            )
-            for node, processor in system.processors.items()
-            for group in processor.manager.groups
-        }
+        out = {}
+        for node, processor in system.processors.items():
+            for group in processor.manager.groups:
+                profile, sid = processor._source_subscriptions[group.group_id]
+                assert live[sid] == (node, profile), sid
+                out[(node, group.group_id)] = (
+                    group.representative.canonical(system.catalog),
+                    processor.engine_name_of(group.group_id),
+                    sid,
+                )
+        return out
 
     @staticmethod
     def assert_reconciled(system, before, installed):
@@ -416,8 +417,12 @@ class TestRandomHistories:
             assert processor.spe.query_names == sorted(
                 processor.engine_name_of(group.group_id) for group in groups
             )
+            owner = {
+                sid: group_id
+                for group_id, (__, sid) in processor._source_subscriptions.items()
+            }
             sources = [
-                (processor.group_of_subscription(sid), profile)
+                (owner.get(sid), profile)
                 for sid, (at, profile) in live.items()
                 if sid.startswith("src:") and at == node
             ]

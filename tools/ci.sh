@@ -128,11 +128,13 @@ if inside:
 EOF
 
 echo "== data-plane values carry no per-instance dict (repro.cbn, repro.spe) =="
-# Every published tuple builds several Datagrams, Deliveries and QueryResults,
-# and both routers a ForwardDecision per interface they decide on; a dataclass
-# costs a __dict__ (and, frozen, an object.__setattr__ per field) for each.
-# Datagram is a slotted immutable class, Delivery, QueryResult and
-# ForwardDecision are NamedTuples.
+# Every published tuple builds several Datagrams (the origin's, its early
+# projections, its result rows) and Deliveries, and both routers a
+# ForwardDecision per interface they decide on; StreamProcessingEngine.push
+# and run wrap each result in a QueryResult.  A dataclass costs a __dict__
+# (and, frozen, an object.__setattr__ per field) for each.  Datagram is a
+# slotted immutable class, Delivery, QueryResult and ForwardDecision are
+# NamedTuples.
 if git grep -nE -A1 "^@dataclass" -- src/repro \
    | grep -E "class (Datagram|Delivery|QueryResult|ForwardDecision)[(:]"; then
     echo "ci: Datagram, Delivery, QueryResult and ForwardDecision must not be dataclasses" >&2
@@ -154,6 +156,47 @@ else:
     echo "ci: a Datagram must be slotted and immutable, a ForwardDecision slotted" >&2
     exit 1
 fi
+
+echo "== a datagram is built once (repro.cbn, repro.spe) =="
+# The data plane's own copies (a replayed route's projections, Datagram.project,
+# a query's result rows) are dicts it has just built, so they are taken over by
+# Datagram.owning; the copying Datagram(...) is for payloads a caller owns.  A
+# processor reads push_to's result datagrams as they are: no QueryResult wraps
+# them on the way.
+python - <<'EOF'
+import ast, sys
+
+def function(path, owner, name):
+    tree = ast.parse(open(path).read())
+    found = [node for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == owner
+             for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    if len(found) != 1:
+        sys.exit(f"ci: {path}: no single {owner}.{name} to check")
+    return found[0]
+
+def calls(node, callee):
+    return [call.lineno for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == callee]
+
+failures = []
+for path, owner, name in (
+    ("src/repro/cbn/network.py", "ContentBasedNetwork", "_route"),
+    ("src/repro/cbn/datagram.py", "Datagram", "project"),
+    ("src/repro/spe/engine.py", "_CompiledQuery", "feed"),
+):
+    for line in calls(function(path, owner, name), "Datagram"):
+        failures.append(f"{path}:{line}: {owner}.{name} copies a payload it just"
+                        " built through Datagram(...); use Datagram.owning")
+path = "src/repro/spe/engine.py"
+for line in calls(function(path, "StreamProcessingEngine", "push_to"), "QueryResult"):
+    failures.append(f"{path}:{line}: StreamProcessingEngine.push_to wraps its"
+                    " results in QueryResults; return the datagrams")
+if failures:
+    sys.exit("ci: " + "\nci: ".join(failures))
+EOF
 
 echo "== one join, one window (repro.spe) =="
 # spe/windows.py::KeyedWindow is the only operator state, spe/operators.py::WindowJoin
