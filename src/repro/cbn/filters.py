@@ -9,10 +9,11 @@ on that stream's attributes.  A *profile* is the triple ⟨S, P, F⟩:
 * ``F`` — a set of filters; a datagram is covered by the profile when
   it is covered by *any* filter (disjunction of conjunctions).
 
-Coverage (:meth:`Profile.covers`) is what brokers use to route
-datagrams; routing tables keep one entry per subscription and do not
-aggregate, so nothing here decides whether one profile subsumes
-another.
+Coverage (:meth:`Profile.covers`) defines what brokers route; the
+routers read the same outcomes off a stream's outcome bits
+(:class:`repro.cbn.routing.ConditionBits`).  Routing tables keep one
+entry per subscription and do not aggregate, so nothing here decides
+whether one profile subsumes another.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class Matcher:
     filter ``conditions`` (empty means unconditional), the delivered
     ``projection``, the forwarded ``carried`` set
     (:meth:`Profile.carried_attributes`) and whether the projection
-    ``wants_all`` attributes.  Built by :meth:`Profile.matcher`.
+    ``wants_all`` attributes.  Built by :meth:`Profile.matcher`.  It
+    evaluates nothing: a router reads whether its conditions hold off
+    the stream's outcome bits (:class:`repro.cbn.routing.ConditionBits`).
     """
 
     __slots__ = ("conditions", "projection", "carried", "wants_all")
@@ -80,16 +83,6 @@ class Matcher:
         self.projection = profile.projection_for(stream)
         self.carried = profile.carried_attributes(stream)
         self.wants_all = self.projection == ALL_ATTRIBUTES
-
-    def covers(self, payload: Mapping[str, object]) -> bool:
-        """Does a datagram of the stream carrying ``payload`` pass?"""
-        conditions = self.conditions
-        if not conditions:
-            return True
-        for condition in conditions:
-            if condition.evaluate(payload):
-                return True
-        return False
 
 
 class Profile:

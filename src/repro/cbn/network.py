@@ -43,15 +43,16 @@ on cached state: per stream the network memoizes the schema width
 table, each broker's *candidate interfaces* (the neighbours that have
 any entry for the stream), the stream's distinct filter conjunctions
 and a bounded *route cache*.  These facts are the data plane's one
-versioned memo, versioned **per stream**: every routing mutation
+memo, kept **per stream**: every routing mutation
 (install/discard/remove_interface, reached via
 subscribe/unsubscribe/advertise/retree) reports the streams it touched
-through :attr:`RoutingTable.on_change`, which bumps the version of
-exactly those streams, and every catalog registration bumps the catalog
-version, so the next publish only rebuilds the facts of streams that
-actually moved.  They hold no tree: a tree change reaches a stream
-through the entries :meth:`retree` withdraws and lays, so a stream no
-changed edge touched replays warm routes after a repair.
+through :attr:`RoutingTable.on_change`, which drops the facts of
+exactly those streams, and facts built before the last catalog
+registration are rebuilt, so the next publish only rebuilds the facts
+of streams that actually moved.  They hold no tree: a tree change
+reaches a stream through the entries :meth:`retree` withdraws and lays,
+so a stream no changed edge touched replays warm routes after a
+repair.
 
 :meth:`ContentBasedNetwork.publish_many` is the one entry point and
 :meth:`ContentBasedNetwork._route` the one routine behind it.  A
@@ -62,7 +63,9 @@ the payload, read as one bit mask off a per-stream attribute index
 (:class:`~repro.cql.predicates.OutcomeIndex`) — and every decision of
 the hop-by-hop walk (:meth:`_walk`, over :meth:`RoutingTable.decide` /
 :meth:`RoutingTable.local_deliveries`) is a function of that class and
-of the routing state the facts are versioned by.  So the first
+of the routing state the facts are kept for.  The walk evaluates no
+condition: it reads each entry's coverage off those outcome bits
+(:class:`~repro.cbn.routing.ConditionBits`).  So the first
 datagram of a class walks and its route — the links crossed with their
 byte sizes, the deliveries with their projections — is remembered;
 every later one replays it: one index probe per constrained attribute,
@@ -80,7 +83,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import Profile
-from repro.cbn.routing import RoutingTable
+from repro.cbn.routing import ConditionBits, RoutingTable
 from repro.cql.predicates import Conjunction, OutcomeIndex
 from repro.cql.schema import Catalog, StreamSchema
 from repro.overlay.metrics import LinkStats, Tally
@@ -143,6 +146,7 @@ class _Advertisement:
 #: Route classes remembered per stream.  A constant, not an option: the
 #: benchmark's workloads peak at 40 classes on one stream; a stream
 #: with more keeps the first ``_ROUTE_CLASSES`` and walks for the rest.
+#: It bounds the per-stream memo of attribute tuples too.
 _ROUTE_CLASSES = 256
 
 
@@ -181,30 +185,41 @@ class _StreamFacts:
     """Static per-stream facts the publish hot loop needs.
 
     Everything here is a pure function of (the stream's routing
-    entries, catalog) and is rebuilt when the owning network's version
-    of the stream moves: its schema width table, the *candidate
-    interfaces* per broker — the neighbours that have at least one
-    routing entry for the stream, everything else cannot possibly
-    forward — the distinct filter conjunctions of the subscriptions
-    requesting the stream, compiled into one :class:`OutcomeIndex`, and
-    the routes already walked, by datagram class (:meth:`classify`).
-    The tree is not among them: entries are only ever laid along it, so
-    a tree change reaches a stream through the entries it moves.
+    entries, catalog) and is dropped when a routing mutation touches the
+    stream: its schema width table (as of ``catalog_version``), the
+    *candidate interfaces* per broker — the neighbours that have at
+    least one routing entry for the stream, everything else cannot
+    possibly forward — the distinct filter conjunctions of the
+    subscriptions requesting the stream, compiled into one
+    :class:`OutcomeIndex` and numbered for the walk by
+    :class:`ConditionBits`, and the routes already walked, by datagram
+    class (:meth:`classify`).  The tree is not among them: entries are
+    only ever laid along it, so a tree change reaches a stream through
+    the entries it moves.
     """
 
-    __slots__ = ("stream", "widths", "index", "routes", "_candidates")
+    __slots__ = (
+        "stream", "widths", "catalog_version", "index", "bits", "routes",
+        "_candidates", "_unpriced",
+    )
 
     def __init__(
         self,
         stream: str,
         widths: Optional[Dict[str, int]],
+        catalog_version: int,
         conjunctions: Tuple[Conjunction, ...],
     ) -> None:
         self.stream = stream
         self.widths = widths
+        self.catalog_version = catalog_version
         self.index = OutcomeIndex(conjunctions)
+        self.bits = ConditionBits(conjunctions)
         self.routes: Dict[tuple, _Route] = {}
         self._candidates: Dict[NodeId, Tuple[NodeId, ...]] = {}
+        #: attribute tuple -> its names the schema does not price, for
+        #: the first ``_ROUTE_CLASSES`` tuples seen
+        self._unpriced: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     def candidates(self, node: NodeId, table: RoutingTable) -> Tuple[NodeId, ...]:
         """Neighbours of ``node`` with any entry for this stream."""
@@ -223,26 +238,28 @@ class _StreamFacts:
         """The class of ``datagram``: everything about it the walk's
         decisions, projections and byte sizes depend on.
 
-        Every decision is a ``covers`` outcome on the current copy; a
+        Every decision is a coverage outcome on the current copy; a
         conjunction evaluates on a projected copy as on the original
         when its attributes survived and is false when one did not, and
         which attributes survive is fixed by the decisions upstream.
         Sizes add the origin's attribute set, ``seq`` and — for
         attributes the schema does not price — the value's type.  The
         outcomes are one ``int``, bit *i* the *i*-th distinct
-        conjunction's.
+        conjunction's, and the walk decides from them.
         """
         payload = datagram.payload
-        priced = self.widths or {}
-        if payload.keys() <= priced.keys():
-            types: tuple = ()  # the schema prices every attribute: nothing to scan
-        else:
-            types = tuple([type(value) for name, value in payload.items() if name not in priced])
+        attributes = tuple(payload)
+        unpriced = self._unpriced.get(attributes)
+        if unpriced is None:
+            priced = self.widths or {}
+            unpriced = tuple([name for name in attributes if name not in priced])
+            if len(self._unpriced) < _ROUTE_CLASSES:
+                self._unpriced[attributes] = unpriced
         return (
             origin,
-            tuple(payload),
+            attributes,
             datagram.seq is None,
-            types,
+            tuple([type(payload[name]) for name in unpriced]) if unpriced else (),
             self.index.outcomes(payload),
         )
 
@@ -273,17 +290,14 @@ class ContentBasedNetwork:
         #: registration order (the dict is an ordered set).
         self._stream_subscriptions: Dict[str, Dict[str, None]] = {}
         self._advertisements: Dict[str, List[_Advertisement]] = {}
-        #: stream -> (facts, (stream version, catalog version) they were
-        #: built at), for streams somebody requests; each entry
-        #: revalidates lazily against its own stream's version, so churn
-        #: on one stream leaves the others' facts warm.
-        self._facts: Dict[str, Tuple[_StreamFacts, Tuple[int, int]]] = {}
+        #: stream -> its facts, for streams somebody requests and
+        #: published since a routing mutation last touched them (the
+        #: tables' ``on_change`` reports drop them), so churn on one
+        #: stream leaves the others' facts warm.
+        self._facts: Dict[str, _StreamFacts] = {}
         #: datagrams routed by replaying a cached route / by walking
         self._route_hits = 0
         self._route_misses = 0
-        #: stream -> count of routing mutations that touched it (fed by
-        #: the tables' ``on_change`` stream reports).
-        self._stream_versions: Dict[str, int] = {}
         self.data_stats = LinkStats()
         self.control_stats = LinkStats()
         self._register_weights(tree, tree.edges)
@@ -398,11 +412,12 @@ class ContentBasedNetwork:
     # -- the decision cache -------------------------------------------------------
 
     def _bump_epoch(self, streams: Iterable[str]) -> None:
-        """Record a routing mutation touching ``streams``."""
+        """Record a routing mutation touching ``streams``: their facts
+        go, routes included."""
         self._epoch += 1
-        versions = self._stream_versions
+        facts = self._facts
         for stream in streams:
-            versions[stream] = versions.get(stream, 0) + 1
+            facts.pop(stream, None)
 
     @property
     def routing_epoch(self) -> int:
@@ -410,22 +425,20 @@ class ContentBasedNetwork:
         return self._epoch
 
     def _facts_for(self, stream: str) -> _StreamFacts:
-        version = (self._stream_versions.get(stream, 0), self.catalog.version)
-        cached = self._facts.get(stream)
-        if cached is not None and cached[1] == version:
-            return cached[0]
+        facts = self._facts.get(stream)
+        if facts is None or facts.catalog_version != self.catalog.version:
+            facts = self._facts[stream] = self._build_facts(stream)
+        return facts
+
+    def _build_facts(self, stream: str) -> _StreamFacts:
         #: an ordered set: the class key lists outcomes in this order
         conjunctions: Dict[Conjunction, None] = {}
         for sid in self._stream_subscriptions.get(stream, ()):
             for flt in self._subscriptions[sid].profile.filters_for(stream):
                 conjunctions[flt.condition] = None
-        facts = _StreamFacts(
-            stream,
-            self._widths_for(stream),
-            tuple(conjunctions),
+        return _StreamFacts(
+            stream, self._widths_for(stream), self.catalog.version, tuple(conjunctions)
         )
-        self._facts[stream] = (facts, version)
-        return facts
 
     def route_cache_stats(self) -> Dict[str, int]:
         """Datagrams routed by replay (``hits``) and by the walk
@@ -434,7 +447,7 @@ class ContentBasedNetwork:
         return {
             "hits": self._route_hits,
             "misses": self._route_misses,
-            "classes": sum(len(facts.routes) for facts, __ in self._facts.values()),
+            "classes": sum(len(facts.routes) for facts in self._facts.values()),
         }
 
     # -- advertisement --------------------------------------------------------------
@@ -512,9 +525,9 @@ class ContentBasedNetwork:
             if not requesting:
                 # nobody asks for the stream any more: nothing keyed by
                 # its name may outlive it (result-stream names are
-                # fresh per group)
+                # fresh per group; the LOCAL discard below drops its
+                # facts)
                 del self._stream_subscriptions[stream]
-                self._facts.pop(stream, None)
         self._tables[removed.node].discard(RoutingTable.LOCAL, subscription_id)
         self._withdraw(removed, list(removed.footprint))
 
@@ -601,13 +614,12 @@ class ContentBasedNetwork:
         route = facts.routes.get(key)
         if route is None:
             self._route_misses += 1
-            links, deliveries = self._walk(datagram, node, facts)
+            # key[1] is the attribute tuple, key[4] the outcome bits
+            links, deliveries = self._walk(datagram, node, facts, key[4])
             if len(facts.routes) >= _ROUTE_CLASSES:
                 self.data_stats.replay(links)
                 return deliveries
-            route = facts.routes[key] = _Route.of(
-                links, deliveries, tuple(datagram.payload)
-            )
+            route = facts.routes[key] = _Route.of(links, deliveries, key[1])
         else:
             self._route_hits += 1
             payload, timestamp, seq = datagram.payload, datagram.timestamp, datagram.seq
@@ -627,49 +639,54 @@ class ContentBasedNetwork:
         return deliveries
 
     def _walk(
-        self, datagram: Datagram, node: NodeId, facts: _StreamFacts
+        self, datagram: Datagram, node: NodeId, facts: _StreamFacts, outcomes: int
     ) -> Tuple[List[Tuple[Edge, float]], List[Delivery]]:
         """The hop-by-hop walk — the definition of routing.
 
         At every broker the copy is delivered to covering local
         subscribers and forwarded, projected, on each candidate
-        interface behind which a covering profile lives.  Returns the
-        links crossed as ``(canonical edge, bytes)`` in crossing order
-        and the deliveries in delivery order; accounting is the
-        caller's.
+        interface behind which a covering profile lives.  Coverage is
+        read off ``outcomes``, the class's outcome bits on the
+        original: a copy's *live* mask keeps the bits whose conditions
+        reference only attributes that survived into it
+        (:class:`ConditionBits`).  Returns the links crossed as
+        ``(canonical edge, bytes)`` in crossing order and the
+        deliveries in delivery order; accounting is the caller's.
         """
+        stream = datagram.stream
         widths = facts.widths
+        bits = facts.bits
         tables = self._tables
         links: List[Tuple[Edge, float]] = []
         deliveries: List[Delivery] = []
         #: (broker, interface it arrived from, datagram copy, its size
-        #: in bytes or None when not yet needed)
-        stack: List[Tuple[NodeId, Optional[NodeId], Datagram, Optional[float]]] = [
-            (node, None, datagram, None)
+        #: in bytes or None when not yet needed, its live mask)
+        stack: List[Tuple[NodeId, Optional[NodeId], Datagram, Optional[float], int]] = [
+            (node, None, datagram, None, outcomes | bits.always)
         ]
         while stack:
-            here, arrived_from, current, size = stack.pop()
+            here, arrived_from, current, size, live = stack.pop()
             table = tables[here]
-            for sid, projected in table.local_deliveries(current):
+            for sid, projected in table.local_deliveries(current, live, bits):
                 deliveries.append(Delivery(sid, here, projected))
             for neighbor in facts.candidates(here, table):
                 if neighbor == arrived_from:
                     continue
-                decision = table.decide(neighbor, current)
+                decision = table.decide(neighbor, stream, live, bits)
                 if not decision.forward:
                     continue
                 keep = decision.attributes
-                payload = current.payload
-                if keep is None or all(attr in keep for attr in payload):
+                if keep is None or keep.issuperset(current.payload):
                     # Projection keeps everything: reuse the immutable
-                    # datagram (and its already-computed size).
-                    outgoing, out_size = current, size
+                    # datagram (and its already-computed size and mask).
+                    outgoing, out_size, out_live = current, size, live
                 else:
-                    outgoing, out_size = current.project(keep), None
+                    outgoing = current.project(keep)
+                    out_size, out_live = None, bits.surviving(live, outgoing.payload)
                 if out_size is None:
                     out_size = outgoing.size_bytes(widths)
                 links.append((edge_key(here, neighbor), out_size))
-                stack.append((neighbor, here, outgoing, out_size))
+                stack.append((neighbor, here, outgoing, out_size, out_live))
         return links, deliveries
 
     def _widths_for(self, stream: str) -> Optional[Dict[str, int]]:

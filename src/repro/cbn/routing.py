@@ -8,18 +8,23 @@ forwarded copy keeps only the union of the attributes requested by the
 covering downstream profiles (section 3.1).  Every subscription keeps
 its own entry behind every interface its propagation crossed.
 
-The index and the per-profile matcher
--------------------------------------
+The index, the per-profile matcher and the outcome bits
+-------------------------------------------------------
 Each entry is indexed under every stream its profile requests, per
 interface, so :meth:`RoutingTable.decide` and
 :meth:`RoutingTable.local_deliveries` touch only the entries of the
 datagram's stream, in install order, and a bucket goes with its last
-entry.  An entry is evaluated through its profile's
+entry.  An entry is read through its profile's
 :meth:`~repro.cbn.filters.Profile.matcher` for the stream (conditions,
 projection and carried attributes resolved once per profile object, and
-the network lays one object at every hop of a path); a covering entry
-that wants all attributes ends the evaluation, as projection can no
-longer narrow.  A profile never changes, so nothing here is versioned:
+the network lays one object at every hop of a path).  Coverage is not
+evaluated here: the caller hands in the *live* mask of the copy — the
+bits, in the stream's :class:`~repro.cql.predicates.OutcomeIndex`
+order, of the conditions that hold on it — and :class:`ConditionBits`,
+which names the bits each matcher's conditions own; an entry covers the
+copy iff the two share a bit.  A covering entry that wants all
+attributes ends the scan, as projection can no longer narrow.  A
+profile never changes, so nothing here is versioned:
 a mutation reports the streams it touched through ``on_change``, which
 is what the owning network versions its per-stream facts and routes by,
 and a mutation that changes nothing (re-installing the stored profile,
@@ -43,7 +48,8 @@ from typing import (
 )
 
 from repro.cbn.datagram import Datagram
-from repro.cbn.filters import Profile
+from repro.cbn.filters import Matcher, Profile
+from repro.cql.predicates import Conjunction
 from repro.overlay.topology import NodeId
 
 
@@ -59,6 +65,54 @@ class ForwardDecision(NamedTuple):
 
     forward: bool
     attributes: Optional[FrozenSet[str]] = None
+
+
+class ConditionBits(Dict[Matcher, int]):
+    """The outcome bits each entry's conditions own, for one stream.
+
+    Bit *i* stands for ``conjunctions[i]``, the order of the stream's
+    :class:`~repro.cql.predicates.OutcomeIndex`; an unconditional entry
+    owns :attr:`always`, the bit above them, which every copy keeps.
+    As a mapping, a matcher -> the OR of its conditions' bits, filled on
+    first use (a matcher is keyed by identity and never changes).
+
+    A copy's *live* mask is the set of bits whose conditions hold on it.
+    On the original datagram that is its outcome mask plus
+    :attr:`always`.  ``Conjunction.evaluate`` fails a condition whose
+    attribute is missing, so a projected copy keeps exactly the live
+    bits whose conditions reference only attributes that survived
+    (:meth:`surviving`).  An entry covers a copy iff its bits meet the
+    copy's live mask.
+    """
+
+    __slots__ = ("always", "_bits", "_terms")
+
+    def __init__(self, conjunctions: Iterable[Conjunction]) -> None:
+        super().__init__()
+        self._bits: Dict[Conjunction, int] = {}
+        terms: Dict[str, int] = {}
+        for index, conjunction in enumerate(conjunctions):
+            bit = self._bits[conjunction] = 1 << index
+            for term in conjunction.referenced_terms():
+                terms[term] = terms.get(term, 0) | bit
+        self.always = 1 << len(self._bits)
+        #: (attribute, the bits of the conditions referencing it)
+        self._terms = tuple(terms.items())
+
+    def __missing__(self, matcher: Matcher) -> int:
+        bits = 0
+        for condition in matcher.conditions:
+            bits |= self._bits[condition]
+        bits = self[matcher] = bits or self.always
+        return bits
+
+    def surviving(self, live: int, payload: Dict[str, object]) -> int:
+        """``live`` less the bits of every condition that references an
+        attribute ``payload`` lacks."""
+        for term, bits in self._terms:
+            if term not in payload:
+                live &= ~bits
+        return live
 
 
 class RoutingTable:
@@ -184,19 +238,20 @@ class RoutingTable:
 
     # -- forwarding ------------------------------------------------------------
 
-    def decide(self, interface: object, datagram: Datagram) -> ForwardDecision:
-        """Should ``datagram`` be forwarded on ``interface``, and with
-        which attributes retained?"""
-        stream = datagram.stream
+    def decide(
+        self, interface: object, stream: str, live: int, bits: ConditionBits
+    ) -> ForwardDecision:
+        """Should a copy of ``stream`` be forwarded on ``interface``, and
+        with which attributes retained?  ``live`` holds the bits of the
+        conditions true on the copy (:class:`ConditionBits`)."""
         bucket = self._by_stream.get(interface, {}).get(stream)
         if not bucket:
             return ForwardDecision(False)
-        payload = datagram.payload
         needed: Set[str] = set()
         forward = False
         for profile in bucket.values():
             matcher = profile.matcher(stream)
-            if not matcher.covers(payload):
+            if not bits[matcher] & live:
                 continue
             if matcher.wants_all:
                 # Projection can no longer narrow: no later entry can
@@ -209,18 +264,19 @@ class RoutingTable:
         return ForwardDecision(True, frozenset(needed))
 
     def local_deliveries(
-        self, datagram: Datagram
+        self, datagram: Datagram, live: int, bits: ConditionBits
     ) -> List[Tuple[str, Datagram]]:
-        """(subscription_id, projected datagram) for local matches."""
+        """(subscription_id, projected datagram) for the local entries
+        covering ``datagram``; ``live`` holds the bits of the conditions
+        true on it."""
         stream = datagram.stream
         bucket = self._by_stream.get(self.LOCAL, {}).get(stream)
         if not bucket:
             return []
-        payload = datagram.payload
         out: List[Tuple[str, Datagram]] = []
         for entry_id, profile in bucket.items():
             matcher = profile.matcher(stream)
-            if not matcher.covers(payload):
+            if not bits[matcher] & live:
                 continue
             if matcher.wants_all:
                 out.append((entry_id, datagram))

@@ -256,12 +256,12 @@ class VirtualNetwork:
         if self.recovery and event.seq is not None:
             self._apply_inject_reliable(event, sim)
             return
-        payload = dict(event.payload)
+        # one dict of the event's items; both twins copy it on publish
+        datagram = Datagram(event.stream, event.payload, event.time)
+        payload = datagram.payload
         delivered = len(self.primary.publish(event.stream, payload, event.time))
         self.shadow.publish(event.stream, payload, event.time)
-        self.effective_feed.append(
-            Datagram(event.stream, payload, event.time)
-        )
+        self.effective_feed.append(datagram)
         self.counters.injects += 1
         if event.duplicate:
             self.counters.duplicates += 1
@@ -348,7 +348,7 @@ class VirtualNetwork:
         order once the batch quiesces.
         """
         for seq, payload, sent in released:
-            self._pending.append((sent, stream, seq, dict(payload)))
+            self._pending.append((sent, stream, seq, payload))
         return len(released)
 
     def _flush_deliveries(self) -> None:

@@ -436,6 +436,42 @@ class TestRouteCache:
             naive.data_stats.as_dict().items()
         )
 
+    def test_an_attribute_projected_away_upstream_fails_its_condition(self, line_tree):
+        """A walk from broker 1, which never advertised, crosses 1 -> 2
+        projected to u1's ``{a}``.  The LOCAL entry written at 2 filters
+        on ``b``, which the original carries and passes: its outcome bit
+        is set, but ``b`` did not survive into the copy, so — as
+        ``Conjunction.evaluate`` fails a missing attribute — nothing is
+        delivered to it.  (Through ``subscribe`` alone every entry
+        behind a hop also sits on the hop before it, so its attributes
+        are carried; the entry is written into the table directly.)"""
+        on_b = Profile({"S": {"b"}}, [Filter("S", cond(Comparison("b", ">", 0.25)))])
+
+        def build(cls):
+            network = cls(line_tree)
+            network.advertise("S", 0, SCHEMA)
+            network.subscribe(Profile({"S": {"a"}}), 3, "u1")
+            # the publisher's own subscriber: a LOCAL entry, no path
+            network.subscribe(on_b, 0, "u2")
+            network.table(2).install(RoutingTable.LOCAL, "written", on_b)
+            return network
+
+        fast, naive = build(ContentBasedNetwork), build(ReferenceNetwork)
+        assert 1 not in fast.publishers_of("S")
+        datagram = Datagram("S", {"a": 1, "b": 0.5})
+        for __ in range(2):
+            delivered = fast.publish(datagram, 1)
+            assert delivered == naive.publish(datagram, 1)
+            assert [(d.subscription_id, d.node) for d in delivered] == [("u1", 3)]
+        assert fast.route_cache_stats() == {"hits": 1, "misses": 1, "classes": 1}
+        # the same entry behind the origin's own copy is covered
+        assert [d.subscription_id for d in fast.publish(datagram, 2)] == [
+            d.subscription_id for d in naive.publish(datagram, 2)
+        ] == ["written", "u1"]
+        assert list(fast.data_stats.as_dict().items()) == list(
+            naive.data_stats.as_dict().items()
+        )
+
     def test_reference_network_routes_the_same(self, line_tree):
         network = ReferenceNetwork(line_tree)
         network.advertise("S", 0, SCHEMA)
@@ -444,6 +480,52 @@ class TestRouteCache:
         assert [d.subscription_id for d in deliveries] == ["u1"]
         with pytest.raises(NetworkError):
             network.publish(Datagram("S", {"a": 1, "b": 0.5}), 99)
+
+
+class TestStateCeilings:
+    def test_attribute_tuples_beyond_the_cap_keep_the_memo_within_it(self, line_tree):
+        """``classify`` memoises the unpriced names per attribute tuple
+        for the first ``_ROUTE_CLASSES`` tuples of a stream; a stream
+        with 512 distinct tuples — their unpriced values an ``int`` or a
+        ``float``, swapped on the second pass — keeps it at the cap and
+        still routes, byte for byte, like the reference."""
+        from repro.cbn.network import _ROUTE_CLASSES
+
+        extras = [f"x{i}" for i in range(9)]
+
+        def build(cls):
+            network = cls(line_tree)
+            network.advertise("S", 0, SCHEMA)
+            network.subscribe(
+                Profile({"S": {"a", "x0"}}, [Filter("S", cond(Comparison("a", ">", 2)))]),
+                4,
+                "u1",
+            )
+            network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 2, "u2")
+            return network
+
+        def feed(flip):
+            return [
+                Datagram("S", {"a": mask % 5, **{
+                    name: (i if (mask + i + flip) % 2 else i + 0.5)
+                    for i, name in enumerate(extras) if mask >> i & 1
+                }})
+                for mask in range(2 ** len(extras))
+            ]
+
+        fast, naive = build(ContentBasedNetwork), build(ReferenceNetwork)
+        for flip in (0, 1):
+            for datagram in feed(flip):
+                assert fast.publish(datagram, 0) == naive.publish(datagram, 0)
+            facts = fast._facts["S"]
+            assert len(facts._unpriced) == _ROUTE_CLASSES
+            assert len(facts.routes) == _ROUTE_CLASSES
+        assert list(fast.data_stats.as_dict().items()) == list(
+            naive.data_stats.as_dict().items()
+        )
+        assert repr(fast.data_stats.weighted_cost()) == repr(
+            naive.data_stats.weighted_cost()
+        )
 
 
 class TestPublishMany:
@@ -710,7 +792,7 @@ class TestRetree:
         network.subscribe(Profile({"S": {"a"}}), 3, "trunk")
         network.subscribe(Profile({"T": ALL_ATTRIBUTES}), 0, "branch")
         warm = {stream: self.publish_probes(network, stream) for stream in "ST"}
-        facts = {stream: network._facts[stream][0] for stream in "ST"}
+        facts = {stream: network._facts[stream] for stream in "ST"}
         assert "tree" not in type(facts["S"]).__slots__
         was = network.route_cache_stats()
         network.retree(self.tree(self.T2))
@@ -719,7 +801,7 @@ class TestRetree:
         now = network.route_cache_stats()
         assert now["misses"] == was["misses"]
         assert now["hits"] == was["hits"] + len(warm["S"])
-        assert network._facts["S"][0] is facts["S"]
+        assert network._facts["S"] is facts["S"]
 
         fresh = ReferenceNetwork(self.tree(self.T2))
         fresh.advertise("S", 0, self.SCHEMAS[0])
@@ -727,7 +809,7 @@ class TestRetree:
         fresh.subscribe(Profile({"S": {"a"}}), 3, "trunk")
         fresh.subscribe(Profile({"T": ALL_ATTRIBUTES}), 0, "branch")
         assert self.publish_probes(network, "T") == self.publish_probes(fresh, "T")
-        assert network._facts["T"][0] is not facts["T"]
+        assert network._facts["T"] is not facts["T"]
         assert network.route_cache_stats()["misses"] > now["misses"]
         # 7 -> 0 now runs 7-6-5-4-3-2-1-0, no longer over (2, 5)
         crossed = network.data_stats.as_dict()

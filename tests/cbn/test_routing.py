@@ -7,7 +7,7 @@ from repro.cbn import filters
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
-from repro.cbn.routing import RoutingTable
+from repro.cbn.routing import ConditionBits, RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
 from repro.overlay.tree import DisseminationTree
 from repro.sim import reference
@@ -22,19 +22,45 @@ def profile(attrs, *atoms, stream="S"):
     return Profile({stream: attrs}, filters)
 
 
+def coverage(table, datagram):
+    """What a router hands ``table`` for ``datagram``: the
+    :class:`ConditionBits` of the distinct conditions the table's
+    entries hold on its stream, in first-seen order, and the datagram's
+    live mask, each bit by ``Conjunction.evaluate`` on the payload."""
+    conjunctions = {}
+    for interface in table.interfaces:
+        for stored in table.entries(interface).values():
+            for flt in stored.filters_for(datagram.stream):
+                conjunctions[flt.condition] = None
+    bits = ConditionBits(conjunctions)
+    live = bits.always
+    for index, conjunction in enumerate(conjunctions):
+        if conjunction.evaluate(datagram.payload):
+            live |= 1 << index
+    return live, bits
+
+
+def decide(table, interface, datagram):
+    return table.decide(interface, datagram.stream, *coverage(table, datagram))
+
+
+def local_deliveries(table, datagram):
+    return table.local_deliveries(datagram, *coverage(table, datagram))
+
+
 class TestInstallRemove:
     def test_install_and_decide(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}))
-        assert table.decide(1, Datagram("S", {"a": 1})).forward
+        assert decide(table, 1, Datagram("S", {"a": 1})).forward
 
     def test_discard_is_exact(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}))
         table.install(2, "s1", profile({"a"}))
         assert table.discard(1, "s1")
-        assert not table.decide(1, Datagram("S", {"a": 1})).forward
-        assert table.decide(2, Datagram("S", {"a": 1})).forward
+        assert not decide(table, 1, Datagram("S", {"a": 1})).forward
+        assert decide(table, 2, Datagram("S", {"a": 1})).forward
 
     def test_discard_knows_no_id_prefixes(self):
         # The scan this replaced removed "a" and every "a#..." key, so a
@@ -70,36 +96,36 @@ class TestInstallRemove:
         assert table.entries(1) == {"broad": broad, "narrow": narrow}
         assert table.discard(1, "broad")
         assert table.entries(1) == {"narrow": narrow}
-        assert not table.decide(1, Datagram("S", {"a": 1})).forward
-        assert table.decide(1, Datagram("S", {"a": 6})).forward
+        assert not decide(table, 1, Datagram("S", {"a": 1})).forward
+        assert decide(table, 1, Datagram("S", {"a": 6})).forward
 
 
 class TestForwardDecision:
     def test_no_match_no_forward(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, Comparison("a", ">", 100)))
-        decision = table.decide(1, Datagram("S", {"a": 1}))
+        decision = decide(table, 1, Datagram("S", {"a": 1}))
         assert not decision.forward
 
     def test_projection_unions_coverers(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}))
         table.install(1, "s2", profile({"b"}))
-        decision = table.decide(1, Datagram("S", {"a": 1, "b": 2, "c": 3}))
+        decision = decide(table, 1, Datagram("S", {"a": 1, "b": 2, "c": 3}))
         assert decision.forward
         assert decision.attributes == frozenset({"a", "b"})
 
     def test_all_attributes_disables_projection(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile(ALL_ATTRIBUTES))
-        decision = table.decide(1, Datagram("S", {"a": 1}))
+        decision = decide(table, 1, Datagram("S", {"a": 1}))
         assert decision.attributes is None
 
     def test_non_covering_profile_does_not_widen_projection(self):
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}))
         table.install(1, "s2", profile({"zzz"}, Comparison("a", "<", 0)))
-        decision = table.decide(1, Datagram("S", {"a": 1, "zzz": 9}))
+        decision = decide(table, 1, Datagram("S", {"a": 1, "zzz": 9}))
         assert decision.attributes is not None
         assert "zzz" not in decision.attributes
 
@@ -108,7 +134,7 @@ class TestForwardDecision:
         # survive the early projection or the next hop drops the datagram.
         table = RoutingTable(0)
         table.install(1, "s1", profile({"a"}, Comparison("b", ">", 0)))
-        decision = table.decide(1, Datagram("S", {"a": 1, "b": 5}))
+        decision = decide(table, 1, Datagram("S", {"a": 1, "b": 5}))
         assert decision.attributes is not None
         assert "b" in decision.attributes
 
@@ -118,14 +144,14 @@ class TestLocalDeliveries:
         table = RoutingTable(0)
         table.install(RoutingTable.LOCAL, "u1", profile({"a"}))
         table.install(RoutingTable.LOCAL, "u2", profile({"b"}, Comparison("b", ">", 10)))
-        deliveries = dict(table.local_deliveries(Datagram("S", {"a": 1, "b": 20})))
+        deliveries = dict(local_deliveries(table, Datagram("S", {"a": 1, "b": 20})))
         assert dict(deliveries["u1"].payload) == {"a": 1}
         assert dict(deliveries["u2"].payload) == {"b": 20}
 
     def test_uncovered_not_delivered(self):
         table = RoutingTable(0)
         table.install(RoutingTable.LOCAL, "u1", profile({"a"}, Comparison("a", ">", 5)))
-        assert table.local_deliveries(Datagram("S", {"a": 1})) == []
+        assert local_deliveries(table, Datagram("S", {"a": 1})) == []
 
 
 class TestStreamIndex:
@@ -174,7 +200,8 @@ class TestStreamIndex:
         them, entries replaced (by an equal profile or another one) and
         discarded between datagrams — decide and deliver what the
         reference scan does, projected attributes and their order
-        included."""
+        included, on a datagram and on a projected copy of it whose live
+        mask is derived from the datagram's."""
         table = RoutingTable(0)
         interfaces = [RoutingTable.LOCAL, 1, 2]
         for step in range(data.draw(st.integers(1, 24), label="steps")):
@@ -191,13 +218,24 @@ class TestStreamIndex:
                 table.discard(interface, entry)
             else:
                 datagram = draw_datagram(data, f"d{step}")
-                for neighbor in interfaces[1:]:
-                    fast = table.decide(neighbor, datagram)
-                    naive = reference.decide(table, neighbor, datagram)
-                    assert (fast.forward, fast.attributes) == (naive.forward, naive.attributes)
-                assert delivered(table.local_deliveries(datagram)) == delivered(
-                    reference.local_deliveries(table, datagram)
-                )
+                live, bits = coverage(table, datagram)
+                # an upstream hop may have projected attributes away: the
+                # copy keeps the original's live bits whose conditions
+                # reference only attributes that survived
+                kept = data.draw(st.sets(st.sampled_from(ATTRS)), label=f"kept{step}")
+                copy = datagram.project(kept)
+                for current, mask in (
+                    (datagram, live), (copy, bits.surviving(live, copy.payload))
+                ):
+                    for neighbor in interfaces[1:]:
+                        fast = table.decide(neighbor, current.stream, mask, bits)
+                        naive = reference.decide(table, neighbor, current)
+                        assert (fast.forward, fast.attributes) == (
+                            naive.forward, naive.attributes
+                        )
+                    assert delivered(table.local_deliveries(current, mask, bits)) == delivered(
+                        reference.local_deliveries(table, current)
+                    )
 
 
 ATTRS = ["a", "b", "c", "d"]
@@ -314,7 +352,7 @@ class TestChangeReports:
         table.install(RoutingTable.LOCAL, "a", profile({"a", "b"}))
         datagram = Datagram("S", {"a": 1, "b": 2})
         assert list(table.local_profiles()) == ["b", "a"]
-        assert [sid for sid, __ in table.local_deliveries(datagram)] == ["b", "a"]
+        assert [sid for sid, __ in local_deliveries(table, datagram)] == ["b", "a"]
 
     def test_a_bucket_goes_with_its_last_entry(self):
         table = RoutingTable(0)
@@ -322,11 +360,11 @@ class TestChangeReports:
         table.install(1, "b", profile({"a"}, stream="T"))
         table.install(2, "c", profile({"a"}, stream="S"))
         datagram = Datagram("S", {"a": 1})
-        assert table.decide(1, datagram).forward
+        assert decide(table, 1, datagram).forward
         # an interface or stream with no entry answers and keeps nothing
-        assert not table.decide(3, datagram).forward
-        assert table.local_deliveries(datagram) == []
-        assert not table.decide(1, Datagram("U", {"a": 1})).forward
+        assert not decide(table, 3, datagram).forward
+        assert local_deliveries(table, datagram) == []
+        assert not decide(table, 1, Datagram("U", {"a": 1})).forward
         assert {i: set(streams) for i, streams in table._by_stream.items()} == {
             1: {"S", "T"},
             2: {"S"},
@@ -334,7 +372,7 @@ class TestChangeReports:
         table.discard(1, "a")
         assert set(table._by_stream[1]) == {"T"}
         assert table.stream_interfaces("S") == [2]
-        assert not table.decide(1, datagram).forward
+        assert not decide(table, 1, datagram).forward
 
 
 class TestMatcher:
@@ -345,9 +383,31 @@ class TestMatcher:
         assert (matcher.projection, matcher.carried, matcher.wants_all) == (
             frozenset({"a"}), frozenset({"a"}), False
         )
-        assert matcher.covers({"a": 1}) and not matcher.covers({"a": 0})
         unconditional = both.matcher("T")
-        assert unconditional.wants_all and unconditional.covers({})
+        assert unconditional.wants_all and unconditional.conditions == ()
+        bits = ConditionBits(matcher.conditions)
+        assert (bits[matcher], bits[unconditional], bits.always) == (1, 2, 2)
+
+
+class TestConditionBits:
+    def test_an_entry_owns_the_bits_of_its_conditions(self):
+        low, high, other = (cond(Comparison("a", "<", 0)), cond(Comparison("a", ">", 5)),
+                            cond(Comparison("b", "=", 1)))
+        bits = ConditionBits([low, other, high])
+        both = Profile({"S": {"a"}}, [Filter("S", high), Filter("S", low)]).matcher("S")
+        assert bits[both] == 0b101
+        assert bits.always == 0b1000
+        assert dict(bits) == {both: 0b101}
+
+    def test_a_condition_dies_with_an_attribute_it_references(self):
+        one = cond(Comparison("a", ">", 0))
+        two = cond(Comparison("a", ">", 0), Comparison("b", "<", 9))
+        bits = ConditionBits([one, two, Conjunction.true()])
+        live = 0b1111
+        assert bits.surviving(live, {"a": 1, "b": 2}) == live
+        assert bits.surviving(live, {"a": 1}) == 0b1101
+        assert bits.surviving(live, {}) == 0b1100
+        assert bits.surviving(0b1001, {"b": 1}) == 0b1000
 
     def test_a_k_hop_path_builds_one_matcher_per_stream(self, monkeypatch):
         """The network lays one restricted profile object at every hop

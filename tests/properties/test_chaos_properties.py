@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import repro.cbn.network as network_module
 import repro.system.rebuild as rebuild_module
-from repro.cbn.filters import Matcher, Profile
+from repro.cbn.filters import Profile
 from repro.cbn.network import ContentBasedNetwork, _StreamFacts
+from repro.cbn.routing import ConditionBits
 from repro.cql.predicates import Conjunction, Interval, OutcomeIndex
 from repro.sim import (
     ChaosConfig,
@@ -186,11 +187,10 @@ class TestRouteCacheCanary:
         def forgetful(network, subscription_id):
             kept = dict(network._facts)
             unsubscribe(network, subscription_id)
-            for stream, (facts, __) in kept.items():
+            for stream, facts in kept.items():
                 if stream in network._stream_subscriptions:
-                    # re-stamp the old facts — routes included — as current
-                    version = network._stream_versions.get(stream, 0)
-                    network._facts[stream] = (facts, (version, network.catalog.version))
+                    # put the dropped facts — routes and bits included — back
+                    network._facts[stream] = facts
 
         monkeypatch.setattr(ContentBasedNetwork, "unsubscribe", forgetful)
         with pytest.raises(AssertionError):
@@ -201,14 +201,27 @@ class TestRouteCacheCanary:
         enumerate(["origin", "attribute tuple", "seq", "unpriced types", "outcomes"]),
     )
     def test_key_without_a_component_is_caught(self, monkeypatch, at, component):
-        classify = _StreamFacts.classify
+        """The route cache looks classes up without one component; the
+        walk still reads the whole class (its outcome bits included)."""
 
-        def coarse(facts, datagram, origin):
-            key = classify(facts, datagram, origin)
-            assert len(key) == 5 and key[1] == tuple(datagram.payload)
+        def drop(key):
+            assert len(key) == 5
             return key[:at] + key[at + 1:]
 
-        monkeypatch.setattr(_StreamFacts, "classify", coarse)
+        class CoarseRoutes(dict):
+            def get(self, key, default=None):
+                return super().get(drop(key), default)
+
+            def __setitem__(self, key, route):
+                super().__setitem__(drop(key), route)
+
+        init = _StreamFacts.__init__
+
+        def coarse(facts, *args):
+            init(facts, *args)
+            facts.routes = CoarseRoutes()
+
+        monkeypatch.setattr(_StreamFacts, "__init__", coarse)
         # deliveries, byte counts or link order differ — or a replayed
         # projection names an attribute the datagram lacks
         with pytest.raises((AssertionError, KeyError)):
@@ -271,12 +284,16 @@ class TestRouteCacheCanary:
             self.hunt()
 
     def test_matcher_reading_only_its_first_condition_is_caught(self, monkeypatch):
-        """The same disjunction on the production side: a
-        ``Matcher.covers`` that tests only the stream's first condition."""
+        """The same disjunction on the production side: an entry whose
+        coverage test reads only the bit of its profile's first
+        condition for the stream."""
 
-        def first_only(matcher, payload):
-            return not matcher.conditions or matcher.conditions[0].evaluate(payload)
+        def first_only(bits, matcher):
+            owned = bits[matcher] = (
+                bits._bits[matcher.conditions[0]] if matcher.conditions else bits.always
+            )
+            return owned
 
-        monkeypatch.setattr(Matcher, "covers", first_only)
+        monkeypatch.setattr(ConditionBits, "__missing__", first_only)
         with pytest.raises(AssertionError):
             self.hunt()

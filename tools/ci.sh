@@ -94,6 +94,85 @@ if git grep -nE "condition\.evaluate\(payload\) for" -- src/repro/cbn; then
     exit 1
 fi
 
+echo "== a cold route decides from its class (repro.cbn) =="
+# A route-cache miss walks (ContentBasedNetwork._walk) on the outcome bits
+# classify already read off the stream's OutcomeIndex: RoutingTable.decide /
+# local_deliveries test an entry's ConditionBits against the copy's live mask,
+# so nothing the walk or a routing table reaches evaluates a condition, and
+# the matcher's own coverage test (Matcher.covers) is gone.  _facts_for, on
+# every route, only looks the stream's facts up: it builds no version tuple.
+if ! PYTHONPATH=src python - <<'EOF'
+import ast, inspect, sys, textwrap
+
+from repro.cbn import filters, network, routing
+from repro.cbn.datagram import Datagram
+from repro.cql.predicates import Comparison, Conjunction
+from repro.overlay.tree import DisseminationTree
+
+def method(owner, name):
+    return ast.parse(textwrap.dedent(inspect.getsource(getattr(owner, name))))
+
+def evaluates(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("evaluate", "covers")]
+
+def builds(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Tuple, ast.List, ast.Dict, ast.Set, ast.ListComp,
+                                 ast.SetComp, ast.DictComp, ast.GeneratorExp))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("tuple", "list", "dict", "set", "frozenset"))]
+
+failures = []
+if evaluates(ast.parse(inspect.getsource(routing))):
+    failures.append("cbn/routing.py evaluates a condition")
+if evaluates(method(network.ContentBasedNetwork, "_walk")):
+    failures.append("ContentBasedNetwork._walk evaluates a condition")
+if "covers" in vars(filters.Matcher):
+    failures.append("Matcher.covers came back")
+if builds(method(network.ContentBasedNetwork, "_facts_for")):
+    failures.append("ContentBasedNetwork._facts_for builds a tuple or another container")
+
+# Walk a network whose entries filter with intervals, a string bound and !=,
+# through projected hops, with every evaluator patched to raise.
+edges = [(0, 1), (1, 2), (2, 3), (1, 4)]
+net = network.ContentBasedNetwork(DisseminationTree(edges, {e: 1.0 for e in edges}))
+net.advertise("S", 0)
+conditions = [
+    Conjunction.from_atoms([Comparison("a", ">", 1)]),
+    Conjunction.from_atoms([Comparison("b", "!=", 2)]),
+    Conjunction.from_atoms([Comparison("c", "=", "x")]),
+]
+for node, condition, kept in zip((3, 4, 2), conditions, ("a", "b", "c")):
+    net.subscribe(filters.Profile({"S": {kept}}, [filters.Filter("S", condition)]), node)
+net.subscribe(filters.Profile({"S": {"a"}}), 3)
+walks = []
+for payload in ({"a": 5, "b": 1, "c": "x"}, {"a": 0, "b": 2, "c": "y"}):
+    datagram = Datagram("S", payload)
+    facts = net._facts_for("S")
+    walks.append((datagram, facts, facts.classify(datagram, 0)[4]))
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the walk evaluated a condition")
+
+Conjunction.evaluate = filters.Filter.covers = filters.Profile.covers = refuse
+try:
+    delivered = [len(net._walk(datagram, 0, facts, outcomes)[1])
+                 for datagram, facts, outcomes in walks]
+    assert delivered == [4, 1], delivered
+except AssertionError as exc:
+    failures.append(f"a walk: {exc}")
+for failure in failures:
+    print(f"ci: {failure}", file=sys.stderr)
+sys.exit(1 if failures else 0)
+EOF
+then
+    echo "ci: a route-cache miss must decide from the class's outcome bits" \
+         "(see DESIGN.md section 7, \"What a miss costs\")" >&2
+    exit 1
+fi
+
 echo "== a batch crosses each processor once (repro.system) =="
 # CosmosSystem._drive walks a routed batch once, hands each processor its share
 # in one Processor.on_source_batch call and routes that share's results as one
@@ -421,7 +500,7 @@ def refuse(*args, **kwargs):
 
 
 # every branch: outside S, unconditional, a first filter failing, projection
-Profile.matcher = Matcher.__init__ = Matcher.covers = refuse
+Profile.matcher = Matcher.__init__ = refuse
 above = [Filter("S", Conjunction.from_atoms([Comparison("a", ">", v)])) for v in (5, 0)]
 for profile in (Profile({"S": {"a"}}), Profile({"S": {"a"}}, above), Profile({"T": {"a"}})):
     for value in (1, -1):
