@@ -65,7 +65,6 @@ from repro.analysis.lifecycle import (
     StateMachine,
     TableSpec,
     Transition,
-    check_lifecycle,
     check_machines,
     extract_lifecycle,
 )
@@ -97,7 +96,6 @@ from repro.analysis.schema import check_profile, check_query
 from repro.analysis.selfcheck import (
     check_modules,
     check_package,
-    check_source_module,
     default_baseline_path,
     default_package_dir,
 )
@@ -109,7 +107,6 @@ from repro.analysis.source import (
     apply_pragmas,
     load_package,
     load_source,
-    module_from_text,
     parse_code_spec,
     spec_matches,
 )
@@ -123,13 +120,11 @@ __all__ = [
     "SourceModule",
     "apply_pragmas",
     "check_coverage",
-    "check_lifecycle",
     "check_machines",
     "check_model",
     "check_modules",
     "check_package",
     "check_purity",
-    "check_source_module",
     "check_style",
     "collect_set_returning",
     "conformance_violations",
@@ -144,7 +139,6 @@ __all__ = [
     "load_package",
     "load_source",
     "model_summary",
-    "module_from_text",
     "product_dot",
     "summarize",
     "transition_key",

@@ -147,10 +147,6 @@ class Report:
         self._diagnostics.extend(other._diagnostics)
 
     @property
-    def diagnostics(self) -> List[Diagnostic]:
-        return list(self._diagnostics)
-
-    @property
     def errors(self) -> List[Diagnostic]:
         return [d for d in self._diagnostics if d.is_error]
 
@@ -161,12 +157,6 @@ class Report:
     @property
     def is_clean(self) -> bool:
         return not self._diagnostics
-
-    def codes(self) -> List[str]:
-        return [d.code for d in self._diagnostics]
-
-    def has(self, code: str) -> bool:
-        return any(d.code == code for d in self._diagnostics)
 
     def exit_code(self, strict: bool = False) -> int:
         """0 clean, 1 warnings under ``strict``, 2 errors."""

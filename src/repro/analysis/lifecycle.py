@@ -56,13 +56,6 @@ class StateMachine:
     #: Module the machine anchors on (diagnostic source) and its line.
     origin: Tuple[str, int] = ("<unknown>", 0)
 
-    def targets(self, label: str, source: str) -> List[str]:
-        return [
-            t.target
-            for t in self.transitions
-            if t.label == label and t.source == source
-        ]
-
     def reachable(self) -> Set[str]:
         seen = set(self.initial)
         frontier = list(self.initial)
@@ -347,15 +340,6 @@ def extract_lifecycle(
     machines = [_extract_table_machine(t, modules, sink) for t in DEFAULT_TABLES]
     machines += [_extract_spec_machine(spec, modules, sink) for spec in specs]
     return sorted((m for m in machines if m is not None), key=lambda m: m.name)
-
-
-def check_lifecycle(
-    modules: Sequence[SourceModule],
-    specs: Sequence[MachineSpec] = DEFAULT_MACHINE_SPECS,
-) -> Report:
-    """COS811/812/813 over a module set."""
-    report = Report()
-    return check_machines(extract_lifecycle(modules, specs, report), report)
 
 
 def check_machines(machines: Sequence[StateMachine], report: Report) -> Report:

@@ -825,10 +825,6 @@ class Exploration:
     exhausted: bool
     max_depth: int
 
-    @property
-    def index(self) -> Dict[State, int]:
-        return {state: i for i, state in enumerate(self.states)}
-
 
 def explore(
     model: ProductModel,

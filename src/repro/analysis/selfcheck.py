@@ -17,12 +17,6 @@ bounded model check of their composition
    remainder (COS704);
 6. optionally restrict to a ``--code`` selection.
 
-The per-module entry point (:func:`check_source_module`) backs
-single-file uses — mutation canaries, property tests, editor hooks —
-and deliberately excludes the package-level COS81x/COS90x passes:
-machines extracted from one module in isolation would drown in false
-positives.
-
 Each driver entry point accepts an optional ``timings`` dict that is
 filled with per-pass wall-clock seconds (the ``repro check --self
 --json`` analyzer budget that CI gates on).
@@ -32,7 +26,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.lifecycle import check_machines, extract_lifecycle
@@ -68,24 +62,6 @@ def default_baseline_path(package: Optional[Path] = None) -> Path:
     """``tools/cos-baseline.txt`` next to the package's repo root."""
     package = package or default_package_dir()
     return package.parent.parent / "tools" / "cos-baseline.txt"
-
-
-def check_source_module(
-    module: SourceModule,
-    set_returning: Iterable[str] = (),
-    respect_pragmas: bool = True,
-) -> Report:
-    """Every per-module source family over one module.
-
-    The package-wide fact ``set_returning`` defaults to what the module
-    itself declares — sufficient for canaries and tests.
-    """
-    report = Report()
-    report.extend(check_purity(module, set_returning))
-    report.extend(check_style(module))
-    if respect_pragmas:
-        report = apply_pragmas(report, module)
-    return report
 
 
 def _apply_package_pragmas(

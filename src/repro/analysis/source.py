@@ -56,12 +56,6 @@ class SourceModule:
         if not self.lines:
             self.lines = self.text.splitlines()
 
-    def line(self, lineno: int) -> str:
-        """The 1-indexed physical line (empty when out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
 
 def load_source(path: Path, rel: Optional[str] = None) -> SourceModule:
     """Parse one file into a :class:`SourceModule`."""
@@ -71,15 +65,6 @@ def load_source(path: Path, rel: Optional[str] = None) -> SourceModule:
     except SyntaxError as exc:  # pragma: no cover - package always parses
         raise SourceError(f"cannot parse {path}: {exc}") from exc
     return SourceModule(path, rel or path.name, text, tree)
-
-
-def module_from_text(text: str, rel: str = "<module>") -> SourceModule:
-    """A :class:`SourceModule` from a source string (tests, canaries)."""
-    try:
-        tree = ast.parse(text, filename=rel)
-    except SyntaxError as exc:
-        raise SourceError(f"cannot parse {rel}: {exc}") from exc
-    return SourceModule(Path(rel), rel, text, tree)
 
 
 def load_package(
@@ -233,11 +218,6 @@ class Baseline:
         for (rel, code), count in sorted(self._allow.items()):
             lines.append(f"{rel} {code} {count}")
         return "\n".join(lines) + "\n"
-
-    def filter(self, report: Report) -> Tuple[Report, int]:
-        """(report minus baselined findings, how many were forgiven)."""
-        filtered, forgiven, _stale = self.audit(report)
-        return filtered, forgiven
 
     def audit(
         self, report: Report

@@ -60,10 +60,6 @@ class UnicastNetwork:
         self.control_stats = LinkStats(weights)
         self._counter = itertools.count()
 
-    @property
-    def tree(self) -> DisseminationTree:
-        return self._tree
-
     # -- interface mirror of ContentBasedNetwork ---------------------------------
 
     def advertise(self, stream: str, node: NodeId, schema=None) -> None:
@@ -95,21 +91,11 @@ class UnicastNetwork:
         # unknown here — so charge the registration like a profile).
         return subscription_id
 
-    def unsubscribe(self, subscription_id: str) -> None:
-        if subscription_id not in self._subscriptions:
-            raise NetworkError(f"unknown subscription {subscription_id!r}")
-        del self._subscriptions[subscription_id]
-
-    def publish(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
-        """One independent flow per matching subscription."""
-        if node not in self._tree:
-            raise NetworkError(f"unknown broker {node}")
-        return self._route(datagram, node, self._widths_for(datagram.stream))
-
     def publish_many(
         self, datagrams: Iterable[Datagram], node: NodeId
     ) -> List[List[Delivery]]:
-        """Batched :meth:`publish`: one delivery list per datagram.
+        """One independent flow per matching subscription, one delivery
+        list per datagram.
 
         Mirrors :meth:`ContentBasedNetwork.publish_many` so batched
         drivers run unchanged against the baseline; the schema width
@@ -141,10 +127,6 @@ class UnicastNetwork:
                 self.data_stats.record(u, v, size)
             deliveries.append(Delivery(sub.subscription_id, sub.node, projected))
         return deliveries
-
-    @property
-    def subscription_count(self) -> int:
-        return len(self._subscriptions)
 
     def _widths_for(self, stream: str) -> Optional[Dict[str, int]]:
         if stream not in self.catalog:

@@ -23,7 +23,7 @@ A datagram has two constructors.  ``Datagram(stream, payload, timestamp,
 seq)`` copies the payload into a fresh dict and coerces the timestamp to
 ``float`` and ``seq`` to ``int``: it is the constructor for a payload the
 caller owns and may still change (publication, workload generators, the
-simulator, wrappers).  :meth:`Datagram.owning` stores what it is handed
+simulator).  :meth:`Datagram.owning` stores what it is handed
 as it is, and is only for the data plane's own copies: its ``payload``
 must be a fresh ``dict`` that the caller just built and keeps no other
 reference to, ``timestamp`` already a ``float`` and ``seq`` an ``int``
@@ -34,7 +34,7 @@ after the fact.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 Value = Union[int, float, str]
 
@@ -99,13 +99,6 @@ class Datagram:
 
     # -- accessors ---------------------------------------------------------------
 
-    @property
-    def attributes(self) -> FrozenSet[str]:
-        return frozenset(self.payload)
-
-    def value(self, attribute: str) -> Value:
-        return self.payload[attribute]
-
     def __contains__(self, attribute: str) -> bool:
         return attribute in self.payload
 
@@ -121,10 +114,6 @@ class Datagram:
         keep = set(attributes)
         payload = {k: v for k, v in self.payload.items() if k in keep}
         return Datagram.owning(self.stream, payload, self.timestamp, self.seq)
-
-    def relabel(self, stream: str) -> "Datagram":
-        """A copy tagged as belonging to another stream (result streams)."""
-        return Datagram(stream, self.payload, self.timestamp, self.seq)
 
     # -- size accounting -------------------------------------------------------------
 

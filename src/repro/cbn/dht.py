@@ -51,24 +51,10 @@ class ConsistentHashRing:
             point = _hash64(f"node:{node}:{replica}")
             bisect.insort(self._ring, (point, node))
 
-    def remove_node(self, node: NodeId) -> None:
-        if node not in self._nodes:
-            raise DHTError(f"node {node} is not in the ring")
-        self._nodes.discard(node)
-        self._ring = [(p, n) for p, n in self._ring if n != node]
-
-    @property
-    def nodes(self) -> Set[NodeId]:
-        return set(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
     # -- lookup -------------------------------------------------------------------
-
-    def owner(self, key: str) -> NodeId:
-        """The primary node responsible for ``key``."""
-        return self.owners(key, 1)[0]
 
     def owners(self, key: str, count: int) -> List[NodeId]:
         """The first ``count`` distinct nodes clockwise from the key's hash."""
@@ -122,11 +108,3 @@ class DHTStore(Generic[T]):
             if value is not None:
                 return value
         return None
-
-    def fail_node(self, node: NodeId) -> None:
-        """Drop a node and everything it stored."""
-        self._storage.pop(node, None)
-        self._ring.remove_node(node)
-
-    def keys_on(self, node: NodeId) -> Set[str]:
-        return set(self._storage.get(node, {}))

@@ -140,11 +140,6 @@ class Profile:
         return self._streams
 
     @property
-    def projections(self) -> Dict[str, FrozenSet[str]]:
-        """``P``: per-stream projection attribute sets."""
-        return dict(self._projections)
-
-    @property
     def filters(self) -> Tuple[Filter, ...]:
         """``F``: the disjunction of per-stream filters."""
         return self._filters

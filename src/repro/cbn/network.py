@@ -577,25 +577,15 @@ class ContentBasedNetwork:
 
     # -- publication ---------------------------------------------------------------------
 
-    def publish(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
-        """Inject ``datagram`` at broker ``node`` and route it.
-
-        Returns every delivery made to a subscriber, with the
-        per-subscriber projection applied.  Link traffic is recorded on
-        :attr:`data_stats` using schema widths when the stream's schema
-        is in the catalog.
-        """
-        return self.publish_many([datagram], node)[0]
-
     def publish_many(
         self, datagrams: Iterable[Datagram], node: NodeId
     ) -> List[List[Delivery]]:
         """Inject a batch of datagrams at broker ``node``.
 
-        Returns one delivery list per datagram, in order — exactly what
-        per-datagram :meth:`publish` calls would produce, link
-        accounting included: the datagrams are routed one after the
-        other.
+        Returns one delivery list per datagram, in order, each with the
+        per-subscriber projection applied.  The datagrams are routed one
+        after the other, and their link traffic is recorded on
+        :attr:`data_stats`.
         """
         if node not in self._tables:
             raise NetworkError(f"unknown broker {node}")

@@ -14,10 +14,12 @@ Each entry is indexed under every stream its profile requests, per
 interface, so :meth:`RoutingTable.decide` and
 :meth:`RoutingTable.local_deliveries` touch only the entries of the
 datagram's stream, in install order, and a bucket goes with its last
-entry.  An entry is read through its profile's
+entry.  A bucket holds each entry's
 :meth:`~repro.cbn.filters.Profile.matcher` for the stream (conditions,
-projection and carried attributes resolved once per profile object, and
-the network lays one object at every hop of a path).  Coverage is not
+projection and carried attributes), resolved once when the entry is
+installed, so a scan calls no profile (a profile builds one matcher
+per stream, and the network lays one profile object at every hop of a
+path, so the hops of a path share it).  Coverage is not
 evaluated here: the caller hands in the *live* mask of the copy — the
 bits, in the stream's :class:`~repro.cql.predicates.OutcomeIndex`
 order, of the conditions that hold on it — and :class:`ConditionBits`,
@@ -137,9 +139,10 @@ class RoutingTable:
         #: facts on these reports.
         self.on_change = on_change
         self._entries: Dict[object, Dict[str, Profile]] = {}
-        #: interface -> stream -> entry id -> profile (install order
+        #: interface -> stream -> entry id -> the entry profile's
+        #: ``matcher(stream)``, resolved once at install (install order
         #: preserved per bucket, mirroring ``_entries``).
-        self._by_stream: Dict[object, Dict[str, Dict[str, Profile]]] = {}
+        self._by_stream: Dict[object, Dict[str, Dict[str, Matcher]]] = {}
 
     # -- maintenance -----------------------------------------------------------
 
@@ -150,7 +153,7 @@ class RoutingTable:
     def _index_entry(self, interface: object, entry_id: str, profile: Profile) -> None:
         streams = self._by_stream.setdefault(interface, {})
         for stream in profile.streams:
-            streams.setdefault(stream, {})[entry_id] = profile
+            streams.setdefault(stream, {})[entry_id] = profile.matcher(stream)
 
     def _unindex_entry(self, interface: object, entry_id: str, profile: Profile) -> None:
         streams = self._by_stream.get(interface)
@@ -208,9 +211,6 @@ class RoutingTable:
                 touched.update(profile.streams)
             self._touch(touched)
 
-    def profiles(self, interface: object) -> List[Profile]:
-        return list(self._entries.get(interface, {}).values())
-
     def entries(self, interface: object) -> Dict[str, Profile]:
         """Entry-id -> profile behind one interface, in install order."""
         return dict(self._entries.get(interface, {}))
@@ -249,8 +249,7 @@ class RoutingTable:
             return ForwardDecision(False)
         needed: Set[str] = set()
         forward = False
-        for profile in bucket.values():
-            matcher = profile.matcher(stream)
+        for matcher in bucket.values():
             if not bits[matcher] & live:
                 continue
             if matcher.wants_all:
@@ -274,8 +273,7 @@ class RoutingTable:
         if not bucket:
             return []
         out: List[Tuple[str, Datagram]] = []
-        for entry_id, profile in bucket.items():
-            matcher = profile.matcher(stream)
+        for entry_id, matcher in bucket.items():
             if not bits[matcher] & live:
                 continue
             if matcher.wants_all:

@@ -241,22 +241,6 @@ def _add_check_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def run_check(argv: Optional[Sequence[str]] = None) -> int:
-    """The ``repro check`` subcommand, also ``python -m repro.analysis``.
-
-    Exit codes: 0 clean (or warnings without ``--strict``), 1 warnings
-    under ``--strict``, 2 errors (or a usage problem).
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro check",
-        description="static analysis for COSMOS workloads and, with "
-        "--self, the package's own source",
-    )
-    _add_check_flags(parser)
-    args = parser.parse_args(argv)
-    return _cmd_check(args)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.self_lint:
         return _cmd_check_self(args)
@@ -672,9 +656,9 @@ def _cmd_demo() -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "experiments":
-        from repro.experiments.runner import main as run_all
+        from repro.experiments.runner import run_all
 
-        return run_all(["--full"] if args.full else [])
+        return run_all(args.full)
     if args.command == "table1":
         from repro.experiments.runner import table1_report
         from repro.experiments.table1 import run_table1

@@ -24,7 +24,6 @@ from repro.core.grouping import GroupingOptimizer, QueryGroup
 from repro.core.manager import QueryManager
 from repro.core.merging import MergeError, mergeable, merge_queries, representative
 from repro.core.profiles import (
-    direct_result_profile,
     result_profile,
     source_profile,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "QueryGroup",
     "QueryManager",
     "contains",
-    "direct_result_profile",
     "mergeable",
     "merge_queries",
     "representative",

@@ -130,21 +130,6 @@ class CostModel:
         tuple_rate = self._tuple_rate(streams, predicate, aggregates > 0, catalog)
         return tuple_rate * (sum(union.values()) + 8.0 * aggregates)
 
-    def result_tuple_rate(self, query: ContinuousQuery, catalog: Catalog) -> float:
-        """Estimated result tuples/second."""
-        return self._tuple_rate(
-            query.streams, query.predicate, query.is_aggregate, catalog
-        )
-
-    def result_width(self, query: ContinuousQuery, catalog: Catalog) -> float:
-        """Wire width (bytes) of one result tuple."""
-        return self._width(
-            query.streams,
-            self._columns(query, catalog),
-            len(query.aggregates),
-            catalog,
-        )
-
     def source_flow_rate(
         self, query: ContinuousQuery, stream: str, catalog: Catalog
     ) -> float:
@@ -275,10 +260,6 @@ class CostModel:
         if size is None:
             return self.default_equality_selectivity
         return 1.0 / size
-
-    def join_selectivity(self, query: ContinuousQuery, catalog: Catalog) -> float:
-        """Combined selectivity of the query's equijoin links."""
-        return self._join_selectivity(query.streams, query.predicate, catalog)
 
     # -- helpers --------------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
@@ -42,9 +42,6 @@ class QueryGroup:
     column_widths: Dict[str, float] = field(
         default_factory=dict, compare=False, repr=False
     )
-
-    def member_names(self) -> List[str]:
-        return [q.name or "?" for q in self.members]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -221,11 +218,6 @@ class GroupingOptimizer:
             return GroupingDecision(query, group, False, best_delta)
         group = self._new_group(query, query_rate, widths)
         return GroupingDecision(query, group, True, 0.0)
-
-    def add_all(
-        self, queries: Iterable[ContinuousQuery]
-    ) -> List[GroupingDecision]:
-        return [self.add(query) for query in queries]
 
     def remove(self, query_name: str) -> None:
         """Remove a query; its group's representative is recomposed.

@@ -1,14 +1,11 @@
 """Profile composition (sections 3.1 and 4).
 
-Three kinds of data-interest profiles are composed by the query layer:
+Two kinds of data-interest profiles are composed by the query layer:
 
 * :func:`source_profile` — for a processor to retrieve a query's source
   data: the selection predicates applicable to each individual stream
   become the filters, and every attribute the query mentions becomes
   the projection (the paper's ⟨S, P, F⟩ example in section 4).
-* :func:`direct_result_profile` — for a user to retrieve an unshared
-  result stream: the unique result-stream name with no filter and no
-  projection.
 * :func:`result_profile` — for a user whose query was merged into a
   representative: a profile on the representative's result stream that
   *re-tightens* "the constraints that have been loosened in the
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Union
 
-from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
+from repro.cbn.filters import Filter, Profile
 from repro.cql.ast import ContinuousQuery
 from repro.cql.predicates import Atom, AttrRef, Conjunction, atom_terms
 from repro.cql.schema import Catalog
@@ -98,13 +95,6 @@ def _strip_prefix(condition: Conjunction, prefix: str) -> Conjunction:
         if term.startswith(prefix)
     }
     return condition.rename(mapping)
-
-
-def direct_result_profile(
-    result_stream: str, subscriber: Optional[str] = None
-) -> Profile:
-    """Retrieve an unshared result stream: no filter, no projection."""
-    return Profile({result_stream: ALL_ATTRIBUTES}, (), subscriber=subscriber)
 
 
 class PreparedRepresentative:

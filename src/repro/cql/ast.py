@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cql.predicates import (
     Atom,
@@ -99,10 +99,6 @@ class Window:
     @property
     def is_unbounded(self) -> bool:
         return math.isinf(self.size)
-
-    def contains(self, other: "Window") -> bool:
-        """Window containment: every tuple visible in ``other`` is visible here."""
-        return self.size >= other.size
 
     def __str__(self) -> str:
         if self.is_now:
@@ -209,12 +205,6 @@ class QuerySource:
 
     text: str
     where_atoms: Tuple[Atom, ...] = ()
-
-    def span(self, pos: Optional[int], width: int = 20) -> str:
-        """A short excerpt of the query text around ``pos``."""
-        if pos is None or not (0 <= pos < len(self.text)):
-            return ""
-        return self.text[pos : pos + width]
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +425,6 @@ class ContinuousQuery:
             group_by=tuple(remap_attr(a) for a in self.group_by),
             name=self.name,
         )
-
-    # -- window manipulation -------------------------------------------------------------
-
-    def with_windows(self, windows: Mapping[str, Window]) -> "ContinuousQuery":
-        """Return a copy with the windows of the named references replaced."""
-        streams = tuple(
-            StreamRef(ref.stream, windows.get(ref.name, ref.window), ref.alias)
-            for ref in self.streams
-        )
-        return ContinuousQuery(
-            self.select_items, streams, self.predicate, self.group_by, self.name
-        )
-
-    def unbounded(self) -> "ContinuousQuery":
-        """``Q^inf``: this query with every window set to infinity (Theorem 1/2)."""
-        return self.with_windows({ref.name: UNBOUNDED for ref in self.streams})
-
-    def window_of(self, qualifier: str) -> Window:
-        return self.stream_ref(qualifier).window
 
     def __str__(self) -> str:
         from repro.cql.text import to_cql

@@ -337,7 +337,7 @@ def parse_query(text: str, name: Optional[str] = None) -> ContinuousQuery:
     ...     "SELECT O.itemID FROM OpenAuction [Range 3 Hour] O, "
     ...     "ClosedAuction [Now] C WHERE O.itemID = C.itemID"
     ... )
-    >>> q.window_of("O").size
+    >>> q.stream_ref("O").window.size
     10800.0
     """
     query = _Parser(text).parse()

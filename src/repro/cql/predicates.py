@@ -369,8 +369,7 @@ class Conjunction:
     """An immutable conjunction of atomic predicates over string terms.
 
     The empty conjunction is the predicate ``TRUE``.  Construct from
-    atoms with :meth:`from_atoms`, combine with :meth:`and_`, weaken
-    with :meth:`hull`, compare with :meth:`implies`, and evaluate
+    atoms with :meth:`from_atoms`, weaken with :meth:`hull`, compare with :meth:`implies`, and evaluate
     against a value binding with :meth:`evaluate`.
     """
 
@@ -480,20 +479,6 @@ class Conjunction:
 
     # -- combination ------------------------------------------------------------
 
-    def and_(self, other: "Conjunction") -> "Conjunction":
-        """Conjunction of both operands (tighter than each)."""
-        intervals = dict(self._intervals)
-        for term, iv in other._intervals.items():
-            intervals[term] = intervals.get(term, Interval.universal()).intersect(iv)
-        excluded: Dict[str, FrozenSet[Value]] = dict(self._excluded)
-        for term, vals in other._excluded.items():
-            excluded[term] = excluded.get(term, frozenset()) | vals
-        links = set(self._links) | set(other._links)
-        diffs = dict(self._diffs)
-        for pair, iv in other._diffs.items():
-            diffs[pair] = diffs.get(pair, Interval.universal()).intersect(iv)
-        return Conjunction(intervals, excluded, links, diffs)
-
     def hull(self, other: "Conjunction") -> "Conjunction":
         """A conjunction implied by *both* operands (their "loosening").
 
@@ -587,10 +572,6 @@ class Conjunction:
             for pair, iv in self._diffs.items()
         }
         return Conjunction(intervals, excluded, self._links, diffs)
-
-    def is_satisfiable(self) -> bool:
-        """Can any binding (over the reals) satisfy this conjunction?"""
-        return self.solved().satisfiable
 
     def implies(self, other: "Conjunction") -> bool:
         """Does every binding satisfying ``self`` satisfy ``other``?"""
@@ -1011,10 +992,6 @@ class ConstraintSystem:
     def class_interval(self, term: str) -> Optional[Interval]:
         """Intersection of the value intervals of ``term``'s equality class."""
         return self._class_interval.get(self._find(term))
-
-    def domain(self, term: str) -> Interval:
-        """The tightest derivable value interval for ``term``."""
-        return self._domain.get(self._find(term), _UNIVERSAL)
 
     def excluded_values(self, term: str) -> FrozenSet[Value]:
         return frozenset(self._class_excluded.get(self._find(term), ()))

@@ -117,11 +117,6 @@ class StreamSchema:
     def has_attribute(self, name: str) -> bool:
         return name in self._by_name
 
-    @property
-    def tuple_width(self) -> int:
-        """Total wire width of one tuple, in bytes."""
-        return sum(attr.byte_width for attr in self.attributes)
-
     def width_of(self, attribute_names: Iterable[str]) -> int:
         """Wire width of a projection of this schema, in bytes."""
         return sum(self.attribute(name).byte_width for name in attribute_names)
@@ -148,10 +143,6 @@ class Catalog:
         self._schemas[schema.name] = schema
         self.version += 1
 
-    def unregister(self, name: str) -> None:
-        if self._schemas.pop(name, None) is not None:
-            self.version += 1
-
     def get(self, name: str) -> StreamSchema:
         try:
             return self._schemas[name]
@@ -170,6 +161,3 @@ class Catalog:
     @property
     def stream_names(self) -> List[str]:
         return sorted(self._schemas)
-
-    def copy(self) -> "Catalog":
-        return Catalog(self._schemas.values())

@@ -1,9 +1,8 @@
 """Render a query AST back to CQL-like text.
 
 The rendering round-trips through :func:`repro.cql.parser.parse_query`
-(tested in ``tests/cql/test_roundtrip.py``) so representative queries
-produced by the merging machinery can be handed to any SPE through its
-query wrapper as plain text.
+(tested in ``tests/cql/test_roundtrip.py``), so a representative query
+produced by the merging machinery prints as text a CQL engine accepts.
 """
 
 from __future__ import annotations

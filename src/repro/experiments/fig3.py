@@ -57,12 +57,6 @@ class Fig3Result:
             return 0.0
         return 1.0 - self.shared_link_bytes_share / self.shared_link_bytes_nonshare
 
-    @property
-    def total_saving(self) -> float:
-        if self.total_bytes_nonshare == 0:
-            return 0.0
-        return 1.0 - self.total_bytes_share / self.total_bytes_nonshare
-
 
 def _figure3_tree() -> DisseminationTree:
     edges = [(N1, N2), (N2, N3), (N2, N4)]

@@ -1,8 +1,8 @@
-"""Text reporting and the ``python -m repro.experiments`` entry point."""
+"""Text reporting for the experiments, and :func:`run_all` behind
+``repro experiments``."""
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, List, Optional, Sequence
 
 
@@ -89,21 +89,16 @@ def table1_report(result) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run every experiment at default scale and print the reports."""
+def run_all(full: bool = False) -> int:
+    """Run every experiment and print the reports (``repro experiments``);
+    ``full`` runs Figure 4 at paper scale."""
     from repro.experiments.fig3 import run_fig3
     from repro.experiments.fig4 import Fig4Config, run_fig4
     from repro.experiments.table1 import run_table1
 
-    args = list(argv if argv is not None else sys.argv[1:])
     print(table1_report(run_table1()))
     print()
     print(fig3_report(run_fig3()))
     print()
-    config = Fig4Config.paper_scale() if "--full" in args else None
-    print(fig4_report(run_fig4(config)))
+    print(fig4_report(run_fig4(Fig4Config.paper_scale() if full else None)))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

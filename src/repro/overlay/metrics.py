@@ -142,11 +142,6 @@ class LinkStats:
         self._fold()
         return self._usage.get(edge_key(u, v), LinkUsage())
 
-    @property
-    def links_used(self) -> int:
-        self._fold()
-        return len(self._usage)
-
     def total_messages(self) -> int:
         self._fold()
         return sum(usage.messages for usage in self._usage.values())
@@ -162,16 +157,6 @@ class LinkStats:
             usage.bytes * self._weights.get(edge, 1.0)
             for edge, usage in self._usage.items()
         )
-
-    def reset(self) -> None:
-        """Forget all traffic; the next use of any tally is applied in
-        order again."""
-        for tally in self._pending:
-            tally.uses = 0
-        self._pending.clear()
-        self._usage.clear()
-        self._generation = object()
-        self._whole = True
 
     def as_dict(self) -> Dict[Edge, Tuple[int, float]]:
         """Snapshot: edge -> (messages, bytes)."""

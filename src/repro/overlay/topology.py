@@ -12,7 +12,6 @@ experiments are reproducible.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -70,27 +69,11 @@ class Topology:
     def nodes(self) -> List[NodeId]:
         return sorted(self._adjacency)
 
-    @property
-    def edges(self) -> List[Edge]:
-        return sorted(self.weights)
-
     def neighbors(self, node: NodeId) -> Set[NodeId]:
         try:
             return set(self._adjacency[node])
         except KeyError:
             raise TopologyError(f"unknown node {node}") from None
-
-    def degree(self, node: NodeId) -> int:
-        return len(self.neighbors(node))
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return edge_key(u, v) in self.weights
-
-    def weight(self, u: NodeId, v: NodeId) -> float:
-        try:
-            return self.weights[edge_key(u, v)]
-        except KeyError:
-            raise TopologyError(f"no edge between {u} and {v}") from None
 
     def distance(self, u: NodeId, v: NodeId) -> float:
         """Euclidean distance between node positions (1.0 if unknown)."""
@@ -103,25 +86,6 @@ class Topology:
         return len(self._adjacency)
 
     # -- algorithms -------------------------------------------------------------------
-
-    def shortest_path_tree(self, root: NodeId) -> Dict[NodeId, NodeId]:
-        """Parent pointers of the Dijkstra shortest-path tree from ``root``."""
-        parent: Dict[NodeId, NodeId] = {}
-        dist: Dict[NodeId, float] = {root: 0.0}
-        heap: List[Tuple[float, NodeId]] = [(0.0, root)]
-        done: Set[NodeId] = set()
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for other in self._adjacency[node]:
-                nd = d + self.weight(node, other)
-                if nd < dist.get(other, math.inf):
-                    dist[other] = nd
-                    parent[other] = node
-                    heapq.heappush(heap, (nd, other))
-        return parent
 
     def minimum_spanning_tree_edges(
         self, fragments: Optional[Mapping[NodeId, Hashable]] = None

@@ -99,16 +99,6 @@ class DisseminationTree:
         weights = {edge: topology.weights[edge] for edge in edges}
         return cls(edges, weights, nodes=topology.nodes)
 
-    @classmethod
-    def shortest_path(cls, topology: Topology, root: NodeId) -> "DisseminationTree":
-        """A shortest-path tree rooted at ``root`` (per-source trees)."""
-        parent = topology.shortest_path_tree(root)
-        if len(parent) != len(topology) - 1:
-            raise TreeError(f"root {root} cannot reach every node")
-        edges = [edge_key(child, par) for child, par in parent.items()]
-        weights = {edge: topology.weights[edge] for edge in edges}
-        return cls(edges, weights, nodes=topology.nodes)
-
     # -- queries ----------------------------------------------------------------------
 
     def _sorted(self) -> Tuple[Tuple[NodeId, ...], Tuple[Edge, ...]]:
@@ -152,9 +142,6 @@ class DisseminationTree:
     def edge_weights(self) -> Dict[Edge, float]:
         """Edge -> weight for every tree edge (a copy)."""
         return dict(self._weights)
-
-    def total_weight(self) -> float:
-        return sum(self._weights.values())
 
     def __len__(self) -> int:
         return len(self._adjacency)
@@ -235,26 +222,6 @@ class DisseminationTree:
         for source, sink, rate in flows:
             total += rate * self.path_weight(source, sink)
         return total
-
-    def component_via(self, node: NodeId, neighbor: NodeId) -> Set[NodeId]:
-        """All nodes reachable from ``node`` through ``neighbor``.
-
-        This is "the side of edge (node, neighbor) that contains
-        ``neighbor``" — the set of destinations a datagram forwarded on
-        that edge can ultimately reach.
-        """
-        if neighbor not in self._adjacency.get(node, ()):
-            raise TreeError(f"{neighbor} is not a tree neighbour of {node}")
-        seen = {node, neighbor}
-        frontier = [neighbor]
-        while frontier:
-            current = frontier.pop()
-            for other in self._adjacency[current]:
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        seen.discard(node)
-        return seen
 
     # -- mutation (used by the optimizer and fault tolerance) ---------------------------
 

@@ -135,19 +135,6 @@ class ChaosSchedule:
     seed: int
     events: List[ChaosEvent] = field(default_factory=list)
 
-    @property
-    def injects(self) -> List[InjectEvent]:
-        return [e for e in self.events if isinstance(e, InjectEvent)]
-
-    @property
-    def faults(self) -> List[FaultEvent]:
-        return [e for e in self.events if isinstance(e, FaultEvent)]
-
-    def render(self) -> str:
-        lines = [f"schedule seed={self.seed} events={len(self.events)}"]
-        lines.extend(f"  {event.render()}" for event in self.events)
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LinkModel:

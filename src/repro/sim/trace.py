@@ -30,10 +30,6 @@ class ChaosTrace:
     def record(self, line: str) -> None:
         self._lines.append(line)
 
-    @property
-    def lines(self) -> List[str]:
-        return list(self._lines)
-
     def render(self) -> str:
         return "\n".join(self._lines)
 

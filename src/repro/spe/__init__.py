@@ -1,8 +1,10 @@
 """Stream processing engine (SPE) substrate.
 
 COSMOS treats the SPE as a pluggable component: processors may run
-TelegraphCQ, STREAM, Aurora or (in the paper's experiments) GSN, each
-behind a *data wrapper* and a *query wrapper* (section 2).  This
+TelegraphCQ, STREAM, Aurora or (in the paper's experiments) GSN
+(section 2).  A processor talks to its engine through
+:meth:`StreamProcessingEngine.register` (a :class:`ContinuousQuery`) and
+:meth:`StreamProcessingEngine.push_to` (a :class:`Datagram`).  This
 package provides a from-scratch single-site SPE with the semantics the
 query layer relies on:
 
@@ -12,28 +14,16 @@ query layer relies on:
 * select / project / one symmetric window join (Lemma 1 semantics) /
   grouped aggregation (:mod:`repro.spe.operators`);
 * a continuous-query executor fed tuples in timestamp order
-  (:mod:`repro.spe.engine`);
-* the wrapper interfaces that adapt COSMOS datagrams and CQL text to a
-  concrete engine (:mod:`repro.spe.wrappers`).
+  (:mod:`repro.spe.engine`).
 """
 
 from __future__ import annotations
 
 from repro.spe.engine import QueryResult, StreamProcessingEngine
 from repro.spe.windows import KeyedWindow
-from repro.spe.wrappers import (
-    DataWrapper,
-    IdentityDataWrapper,
-    QueryWrapper,
-    TextQueryWrapper,
-)
 
 __all__ = [
-    "DataWrapper",
-    "IdentityDataWrapper",
     "KeyedWindow",
     "QueryResult",
-    "QueryWrapper",
     "StreamProcessingEngine",
-    "TextQueryWrapper",
 ]

@@ -223,16 +223,6 @@ class StreamProcessingEngine:
                 c for c in self._by_stream[stream] if c.name != name
             ]
 
-    @property
-    def query_names(self) -> List[str]:
-        return sorted(self._queries)
-
-    def result_stream_of(self, name: str) -> str:
-        try:
-            return self._queries[name].result_stream
-        except KeyError:
-            raise EngineError(f"unknown query {name!r}") from None
-
     def result_schema_of(self, name: str) -> StreamSchema:
         """Schema of a registered query's result stream.
 

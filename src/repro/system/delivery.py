@@ -24,17 +24,13 @@ members behind them, the one price still outside that routine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cbn.datagram import Datagram
-from repro.cbn.network import ContentBasedNetwork
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
 from repro.core.cost import CostModel
 from repro.core.grouping import QueryGroup
-from repro.core.profiles import result_profile
-from repro.overlay.metrics import LinkStats
 from repro.overlay.topology import Edge, NodeId
 from repro.overlay.tree import DisseminationTree
 
@@ -125,59 +121,3 @@ class DeliveryCostModel:
         if unshared == 0:
             return 0.0
         return (unshared - shared) / unshared
-
-
-# -- measured counterpart ------------------------------------------------------
-
-
-@dataclass
-class MeasuredDelivery:
-    """Outcome of replaying a result feed through a real CBN."""
-
-    #: Per-link data traffic of the shared delivery.
-    stats: LinkStats
-    #: Member query name -> datagrams actually delivered to its user.
-    delivered: Dict[str, int]
-
-
-def measure_shared_delivery(
-    placement: GroupPlacement,
-    tree: DisseminationTree,
-    catalog: Catalog,
-    feed: Sequence[Datagram],
-    result_stream: str,
-) -> MeasuredDelivery:
-    """Measure shared delivery by actually routing a result feed.
-
-    The analytic :meth:`DeliveryCostModel.shared_cost` approximates
-    links with several members downstream by the full representative
-    stream; this helper builds a throwaway
-    :class:`~repro.cbn.network.ContentBasedNetwork` on the same tree,
-    subscribes each member's re-tightening profile at its user node,
-    and replays ``feed`` (datagrams of ``result_stream`` injected at
-    the processor) with the batched
-    :meth:`~repro.cbn.network.ContentBasedNetwork.publish_many`, so
-    tests and benchmarks can check the approximation against measured
-    per-link bytes.
-    """
-    network = ContentBasedNetwork(tree, catalog)
-    network.advertise(result_stream, placement.processor_node)
-    group = placement.group
-    for member in group.members:
-        profile = result_profile(
-            member,
-            group.representative,
-            catalog,
-            result_stream,
-            subscriber=member.name,
-        )
-        network.subscribe(
-            profile,
-            placement.member_nodes[member.name],
-            subscription_id=f"member:{member.name}",
-        )
-    delivered = {member.name: 0 for member in group.members}
-    for deliveries in network.publish_many(feed, placement.processor_node):
-        for delivery in deliveries:
-            delivered[delivery.subscription_id.split(":", 1)[1]] += 1
-    return MeasuredDelivery(network.data_stats, delivered)

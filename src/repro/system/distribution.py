@@ -38,15 +38,8 @@ class DistributionError(Exception):
 
 
 class QueryDistribution:
-    """Policy interface: pick the processor for one user query."""
-
-    def choose(
-        self,
-        query: ContinuousQuery,
-        user_node: NodeId,
-        processors: Sequence[Processor],
-    ) -> Processor:
-        raise NotImplementedError
+    """Policy interface: a subclass's ``choose(query, user_node,
+    processors)`` picks the processor for one user query."""
 
     @staticmethod
     def _require(processors: Sequence[Processor]) -> None:

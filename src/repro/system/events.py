@@ -28,10 +28,6 @@ class EventSimulator:
     def now(self) -> float:
         return self._now
 
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
     def schedule(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at absolute ``time`` (>= now)."""
         if time < self._now:

@@ -177,36 +177,3 @@ def fail_processor(system: CosmosSystem, node: NodeId) -> List[str]:
             f"queries [{lost}] could not be re-homed and were withdrawn"
         ) from failures[0][1]
     return rehomed
-
-
-def fail_node(system: CosmosSystem, node: NodeId) -> List[str]:
-    """Full crash of a node hosting both a processor and routing state.
-
-    Composes the two layers: :func:`fail_processor` first re-homes the
-    node's queries (demoting it to a pure broker), then
-    :func:`fail_broker` removes it from the dissemination tree.  A
-    plain broker falls straight through to :func:`fail_broker`.
-
-    The partial-failure cleanup semantics of :func:`fail_processor` are
-    preserved: when some queries cannot be re-homed, the broker-layer
-    repair still runs (the node is gone either way) and the
-    :class:`FaultError` naming the lost queries is re-raised afterwards.
-    Returns the ids of the re-homed queries.
-    """
-    if node not in system.processors:
-        fail_broker(system, node)
-        return []
-    rehomed: List[str] = []
-    pending: Optional[FaultError] = None
-    try:
-        rehomed = fail_processor(system, node)
-    except FaultError as exc:
-        if node in system.processors:
-            # Nothing was torn down (last processor / unknown node):
-            # the node still stands, so the broker layer must not run.
-            raise
-        pending = exc
-    fail_broker(system, node)
-    if pending is not None:
-        raise pending
-    return rehomed

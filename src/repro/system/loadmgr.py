@@ -346,11 +346,6 @@ class MigrationChannel:
         # barrier must certify the full outstanding set.
         return self.receiver.open_gaps
 
-    @property
-    def transferred(self) -> int:
-        """Chunks released to the target so far."""
-        return self.receiver.expected
-
 
 # ---------------------------------------------------------------------------
 # migration mechanics over a CosmosSystem

@@ -3,15 +3,13 @@
 A *broker* runs only the data layer: it is a position on the
 dissemination tree with no object of its own, and the routing itself
 lives in :class:`~repro.cbn.network.ContentBasedNetwork`.  A *processor*
-additionally runs the query layer: a query manager, a pluggable SPE
-behind its data/query wrappers, and the processor's share of the group
-reconciliation (DESIGN.md section 6): :meth:`Processor.commit`, which
-every change to a group ends in.
+additionally runs the query layer: a query manager, an SPE, and the
+processor's share of the group reconciliation (DESIGN.md section 6):
+:meth:`Processor.commit`, which every change to a group ends in.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cbn.datagram import Datagram
@@ -25,12 +23,6 @@ from repro.core.profiles import source_profile
 from repro.core.cost import CostModel
 from repro.overlay.topology import NodeId
 from repro.spe.engine import StreamProcessingEngine
-from repro.spe.wrappers import (
-    DataWrapper,
-    IdentityDataWrapper,
-    IdentityQueryWrapper,
-    QueryWrapper,
-)
 
 
 class Processor:
@@ -38,10 +30,9 @@ class Processor:
 
     The processor subscribes to the CBN for the source data of each of
     its query groups.  Each routed batch reaches it as one share
-    (:meth:`on_source_batch`): the delivered datagrams go through the
-    data wrapper into the SPE in delivery order, and the share's result
-    tuples, tagged with their groups' result-stream names, go back into
-    the CBN as one batch.
+    (:meth:`on_source_batch`): the delivered datagrams go into the SPE in
+    delivery order, and the share's result tuples, tagged with their
+    groups' result-stream names, go back into the CBN as one batch.
     """
 
     def __init__(
@@ -49,16 +40,12 @@ class Processor:
         node_id: NodeId,
         catalog: Catalog,
         network: Optional[ContentBasedNetwork] = None,
-        data_wrapper: Optional[DataWrapper] = None,
-        query_wrapper: Optional[QueryWrapper] = None,
         grouping: Optional[GroupingOptimizer] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.node_id = node_id
         self.catalog = catalog
         self.network = network
-        self.data_wrapper = data_wrapper or IdentityDataWrapper()
-        self.query_wrapper = query_wrapper or IdentityQueryWrapper()
         self.spe = StreamProcessingEngine(catalog)
         self.manager = QueryManager(
             catalog, grouping=grouping, cost_model=cost_model, namespace=f"n{node_id}"
@@ -74,32 +61,14 @@ class Processor:
         self._source_subscriptions: Dict[str, Tuple[Profile, str]] = {}
         self._source_groups: Dict[str, str] = {}
 
-    @property
-    def query_count(self) -> int:
-        return self.manager.grouping.query_count
-
-    @property
-    def group_count(self) -> int:
-        """Merged query groups on this processor — the load-management
-        layer's unit of placement and migration."""
-        return self.manager.grouping.group_count
-
     # -- query layer ---------------------------------------------------------------
 
     def accept(
         self, query: ContinuousQuery, name: Optional[str] = None
     ) -> GroupingDecision:
-        """Accept a user query and commit its group.
-
-        The query travels through the query wrapper (as it would to a
-        foreign SPE), the manager groups it, and :meth:`commit`
-        installs what the changed group needs.
-        """
-        wrapped = self.query_wrapper.to_engine(query)
-        unwrapped = self.query_wrapper.from_engine(wrapped)
-        if unwrapped.name is None and query.name is not None:
-            unwrapped = replace(unwrapped, name=query.name, source=None)
-        decision = self.manager.submit(unwrapped, name=name)
+        """Accept a user query and commit its group: the manager groups
+        it, and :meth:`commit` installs what the changed group needs."""
+        decision = self.manager.submit(query, name=name)
         self.commit(decision.group.group_id)
         return decision
 
@@ -204,7 +173,6 @@ class Processor:
         raises propagates: the pushes before it stay applied to the
         engine and their results are dropped with the rest of the share.
         """
-        wrapper = self.data_wrapper
         groups = self._source_groups
         registered = self._registered
         spe = self.spe
@@ -213,6 +181,5 @@ class Processor:
             held = registered.get(groups.get(delivery.subscription_id))
             if held is None:
                 continue
-            native = wrapper.from_engine(wrapper.to_engine(delivery.datagram))
-            out.extend(spe.push_to(held[2], native))
+            out.extend(spe.push_to(held[2], delivery.datagram))
         return out

@@ -220,15 +220,6 @@ class UplinkReceiver:
         self._abandoned: Set[int] = set()
         self._known_gaps: Set[int] = set()
 
-    @property
-    def expected(self) -> int:
-        """The next sequence number the receiver will release."""
-        return self._expected
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._buffer)
-
     def outstanding(self, seq: int) -> bool:
         """Whether ``seq`` is still a gap worth NACKing."""
         return (
@@ -375,10 +366,6 @@ class FailureDetector:
         self._shared: Set[NodeId] = set()
         self._shared_deadline = 0.0
         self._suspected: Set[NodeId] = set()
-
-    @property
-    def monitored(self) -> List[NodeId]:
-        return sorted(self._shared.union(self._deadlines))
 
     @property
     def suspected(self) -> List[NodeId]:

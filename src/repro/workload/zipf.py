@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import List, Optional
 
 
 class ZipfSampler:
-    """Draw ranks (or items) from a finite zipfian distribution."""
+    """Draw ranks from a finite zipfian distribution."""
 
     def __init__(self, n: int, skew: float, rng: Optional[random.Random] = None) -> None:
         if n < 1:
@@ -40,18 +38,3 @@ class ZipfSampler:
         """One rank in ``[0, n)``; rank 0 is the most popular."""
         u = self._rng.random()
         return bisect.bisect_left(self._cumulative, u)
-
-    def sample_item(self, items: Sequence[T]) -> T:
-        """One item of ``items`` (must have length ``n``)."""
-        if len(items) != self.n:
-            raise ValueError(
-                f"sampler built for {self.n} ranks, got {len(items)} items"
-            )
-        return items[self.sample()]
-
-    def probability(self, rank: int) -> float:
-        """The probability mass of ``rank``."""
-        if not 0 <= rank < self.n:
-            raise ValueError(f"rank {rank} out of range [0, {self.n})")
-        previous = self._cumulative[rank - 1] if rank > 0 else 0.0
-        return self._cumulative[rank] - previous

@@ -59,7 +59,7 @@ class TestReport:
         b = Report()
         b.add("COS202", "vacuous", "q2")
         a.extend(b)
-        assert a.codes() == ["COS201", "COS202"]
-        assert a.has("COS202") and not a.has("COS101")
+        assert [d.code for d in a] == ["COS201", "COS202"]
+        assert any(d.code == "COS202" for d in a) and not any(d.code == "COS101" for d in a)
         assert len(a) == 2 and not a.is_clean
         assert "1 error(s), 1 warning(s)" in a.render()

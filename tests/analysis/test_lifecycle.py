@@ -13,13 +13,13 @@ from repro.analysis.lifecycle import (
     TransitionSpec,
     _extract_spec_machine,
     _extract_table_machine,
-    check_lifecycle,
     check_machines,
     extract_lifecycle,
 )
 from repro.analysis.selfcheck import check_modules, default_package_dir
-from repro.analysis.source import load_package, module_from_text
+from repro.analysis.source import load_package
 from repro.system import cosmos, loadmgr
+from tests.analysis.canary import check_lifecycle, module_from_text
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +80,14 @@ class TestExtraction:
         m = machines["uplink-receiver"]
         assert m.initial == ["UNSEEN"]
         assert set(m.terminal) == {"RELEASED", "ABANDONED"}
-        assert m.targets("arrive", "UNSEEN") == ["BUFFERED"]
-        assert m.targets("release", "BUFFERED") == ["RELEASED"]
-        assert m.targets("abandon", "GAP") == ["ABANDONED"]
+        assert [t.target for t in m.transitions if (t.label, t.source) == ("arrive", "UNSEEN")] == ["BUFFERED"]
+        assert [t.target for t in m.transitions if (t.label, t.source) == ("release", "BUFFERED")] == ["RELEASED"]
+        assert [t.target for t in m.transitions if (t.label, t.source) == ("abandon", "GAP")] == ["ABANDONED"]
 
     def test_failure_detector_machine(self, machines):
         m = machines["failure-detector"]
-        assert m.targets("suspect", "MONITORED") == ["SUSPECTED"]
-        assert set(m.targets("deregister", "SUSPECTED")) == {"UNKNOWN"}
+        assert [t.target for t in m.transitions if (t.label, t.source) == ("suspect", "MONITORED")] == ["SUSPECTED"]
+        assert set([t.target for t in m.transitions if (t.label, t.source) == ("deregister", "SUSPECTED")]) == {"UNKNOWN"}
 
     def test_every_machine_reaches_every_state(self, machines):
         for m in machines.values():
@@ -114,9 +114,9 @@ class TestCanaries:
             '    DEGRADED = "degraded"\n    REBUILDING = "rebuilding"\n',
         )
         report = check_lifecycle(mutated)
-        assert report.codes() == ["COS812"]
+        assert [d.code for d in report] == ["COS812"]
         assert "REBUILDING" in report.render()
-        assert check_modules(mutated).has("COS812")
+        assert any(d.code == "COS812" for d in check_modules(mutated))
 
     def test_removing_every_heal_path_fires_cos813(self, modules):
         """With both DEGRADED->ACTIVE rows gone (partition heal and
@@ -125,7 +125,7 @@ class TestCanaries:
         mutated = mutate(modules, "system/cosmos.py", _HEAL_ROW, "")
         mutated = mutate(mutated, "system/cosmos.py", _RESUME_ROW, "")
         report = check_lifecycle(mutated)
-        assert report.codes() == ["COS813"]
+        assert [d.code for d in report] == ["COS813"]
         assert "DEGRADED" in report.render()
 
     def test_one_surviving_heal_path_keeps_degraded_exitable(self, modules):
@@ -143,7 +143,7 @@ class TestCanaries:
             _HEAL_ROW.replace('"ACTIVE"', '"ACTIV"'),
         )
         report = check_lifecycle(mutated)
-        assert report.codes() == ["COS812"]
+        assert [d.code for d in report] == ["COS812"]
         assert "heal_partition" in report.render()
         assert "ACTIV'" in report.render()
 
@@ -158,7 +158,7 @@ class TestCanaries:
             "self._suspected_nodes_add",
         )
         report = check_lifecycle(mutated)
-        assert report.has("COS812")
+        assert any(d.code == "COS812" for d in report)
         assert "suspect" in report.render()
 
 
@@ -180,7 +180,7 @@ class TestExtractOnce:
             machines = extract_lifecycle(module_set, report=report)
             once = check_machines(machines, report)
             assert once.render() == check_lifecycle(module_set).render()
-        assert once.has("COS812")
+        assert any(d.code == "COS812" for d in once)
 
 
 def _machine(states, initial, terminal, *edges):
@@ -201,9 +201,9 @@ class TestStateMachine:
             ("go", "A", "B"), ("go", "A", "C"), ("go", "B", "C"),
             ("skip", "A", "C"),
         )
-        assert machine.targets("go", "A") == ["B", "C"]
-        assert machine.targets("skip", "A") == ["C"]
-        assert machine.targets("skip", "B") == []
+        assert [t.target for t in machine.transitions if (t.label, t.source) == ("go", "A")] == ["B", "C"]
+        assert [t.target for t in machine.transitions if (t.label, t.source) == ("skip", "A")] == ["C"]
+        assert [t.target for t in machine.transitions if (t.label, t.source) == ("skip", "B")] == []
 
     def test_reachable_follows_edges_from_the_initial_states(self):
         machine = _machine(
@@ -234,7 +234,7 @@ class TestCheckMachines:
     def test_a_state_nothing_produces_is_cos812(self):
         machine = _machine("ABC", "A", "BC", ("go", "A", "B"))
         report = check_machines([machine], Report())
-        assert report.codes() == ["COS812"]
+        assert [d.code for d in report] == ["COS812"]
         assert "state C has no producing code path" in report.render()
 
     def test_a_produced_but_unreachable_state_is_cos811(self):
@@ -243,14 +243,14 @@ class TestCheckMachines:
             ("go", "A", "B"), ("go", "C", "D"), ("go", "D", "C"),
         )
         report = check_machines([machine], Report())
-        assert report.codes() == ["COS811", "COS811"]
+        assert [d.code for d in report] == ["COS811", "COS811"]
         assert "state C is unreachable" in report.render()
         assert "state D is unreachable" in report.render()
 
     def test_a_trap_state_not_allowed_terminal_is_cos813(self):
         machine = _machine("AB", "A", "A", ("go", "A", "B"))
         report = check_machines([machine], Report())
-        assert report.codes() == ["COS813"]
+        assert [d.code for d in report] == ["COS813"]
         assert "state B has no exit" in report.render()
 
     def test_a_declared_terminal_state_may_have_no_exit(self):
@@ -262,8 +262,8 @@ class TestCheckMachines:
         report.add("COS812", "a broken anchor", "repro/other.py", 1)
         machine = _machine("AB", "A", "A", ("go", "A", "B"))
         assert check_machines([machine], report) is report
-        assert report.codes() == ["COS812", "COS813"]
-        finding = report.diagnostics[-1]
+        assert [d.code for d in report] == ["COS812", "COS813"]
+        finding = list(report)[-1]
         assert (finding.source, finding.pos) == ("repro/toy.py", 7)
 
 
@@ -320,7 +320,7 @@ class TestSpecMachines:
             report,
         )
         assert machine.transitions == []
-        assert report.codes() == ["COS812", "COS812"]
+        assert [d.code for d in report] == ["COS812", "COS812"]
         assert "open() no longer contains" in report.render()
         assert "shut() no longer contains" in report.render()
 
@@ -393,5 +393,5 @@ class TestTableMachines:
         report = Report()
         machine = _extract_table_machine(_PHASE_TABLE, [module], report)
         assert machine.transitions == [Transition("go", "A", "B")]
-        assert report.codes() == ["COS812"]
+        assert [d.code for d in report] == ["COS812"]
         assert "('go', 'B', 'D')" in report.render()

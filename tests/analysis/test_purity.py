@@ -1,12 +1,12 @@
 """COS5xx determinism pass: entropy, clocks, set iteration, id()."""
 
 from repro.analysis.purity import check_purity, collect_set_returning
-from repro.analysis.source import module_from_text
+from tests.analysis.canary import module_from_text
 
 
 def _codes(text, rel="repro/sim/m.py", set_returning=()):
     module = module_from_text(text, rel)
-    return check_purity(module, set_returning).codes()
+    return [d.code for d in check_purity(module, set_returning)]
 
 
 class TestEntropy:
@@ -148,9 +148,9 @@ class TestSetIteration:
         ]
         set_returning = collect_set_returning(mods)
         assert "neighbors" in set_returning
-        assert check_purity(mods[1], set_returning).codes() == ["COS503"]
+        assert [d.code for d in check_purity(mods[1], set_returning)] == ["COS503"]
         # Without the package-wide fact the call is invisible: no flag.
-        assert check_purity(mods[1]).codes() == []
+        assert [d.code for d in check_purity(mods[1])] == []
 
     def test_nested_function_inherits_scope(self):
         text = (

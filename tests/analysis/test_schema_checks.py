@@ -22,7 +22,7 @@ class TestCheckQuery:
     def test_unknown_stream(self, sensor_catalog):
         query = parse_query("SELECT P.x FROM Pressure [Now] P", name="q")
         report = check_query(query, sensor_catalog)
-        assert report.has("COS101")
+        assert any(d.code == "COS101" for d in report)
         assert report.exit_code() == 2
 
     def test_unknown_attribute(self, sensor_catalog):
@@ -30,7 +30,7 @@ class TestCheckQuery:
             "SELECT T.station FROM Temp [Now] T WHERE T.pressure > 5", name="q"
         )
         report = check_query(query, sensor_catalog)
-        assert report.has("COS102")
+        assert any(d.code == "COS102" for d in report)
         # The rendered diagnostic points into the query text.
         [diag] = [d for d in report if d.code == "COS102"]
         assert diag.pos is not None and "pressure" in diag.message
@@ -39,14 +39,14 @@ class TestCheckQuery:
         query = parse_query(
             "SELECT T.station FROM Temp [Now] T WHERE X.station = 1", name="q"
         )
-        assert check_query(query, sensor_catalog).has("COS101")
+        assert any(d.code == "COS101" for d in check_query(query, sensor_catalog))
 
     def test_type_clash_string_vs_numeric(self, sensor_catalog):
         query = parse_query(
             "SELECT T.station FROM Temp [Now] T WHERE T.temperature = 'hot'",
             name="q",
         )
-        assert check_query(query, sensor_catalog).has("COS103")
+        assert any(d.code == "COS103" for d in check_query(query, sensor_catalog))
 
     def test_mixed_type_equijoin(self, sensor_catalog):
         # Temp.timestamp is numeric; join against a string attribute.
@@ -67,21 +67,21 @@ class TestCheckQuery:
         query = parse_query(
             "SELECT A.x, B.y FROM A [Now] A, B [Now] B WHERE A.x = B.y", name="q"
         )
-        assert check_query(query, catalog).has("COS103")
+        assert any(d.code == "COS103" for d in check_query(query, catalog))
 
     def test_duplicate_select_item(self, sensor_catalog):
         query = parse_query(
             "SELECT T.station, T.station FROM Temp [Now] T", name="q"
         )
         report = check_query(query, sensor_catalog)
-        assert report.has("COS104")
+        assert any(d.code == "COS104" for d in report)
         assert report.exit_code() == 0  # warning only
 
     def test_cartesian_join_member(self, sensor_catalog):
         query = parse_query(
             "SELECT T.station FROM Temp [Now] T, Wind [Now] W", name="q"
         )
-        assert check_query(query, sensor_catalog).has("COS104")
+        assert any(d.code == "COS104" for d in check_query(query, sensor_catalog))
 
 
 class TestCheckProfile:
@@ -94,22 +94,22 @@ class TestCheckProfile:
 
     def test_unknown_stream(self, sensor_catalog):
         profile = Profile({"Pressure": ALL_ATTRIBUTES}, ())
-        assert check_profile(profile, sensor_catalog).has("COS101")
+        assert any(d.code == "COS101" for d in check_profile(profile, sensor_catalog))
 
     def test_unknown_projection_attribute(self, sensor_catalog):
         profile = Profile({"Temp": frozenset({"station", "pressure"})}, ())
-        assert check_profile(profile, sensor_catalog).has("COS102")
+        assert any(d.code == "COS102" for d in check_profile(profile, sensor_catalog))
 
     def test_filter_on_unknown_attribute(self, sensor_catalog):
         profile = Profile(
             {"Temp": ALL_ATTRIBUTES},
             (Filter("Temp", Conjunction.from_atoms([Comparison("pressure", ">", 5)])),),
         )
-        assert check_profile(profile, sensor_catalog).has("COS102")
+        assert any(d.code == "COS102" for d in check_profile(profile, sensor_catalog))
 
     def test_filter_type_clash(self, sensor_catalog):
         profile = Profile(
             {"Temp": ALL_ATTRIBUTES},
             (Filter("Temp", Conjunction.from_atoms([Comparison("temperature", "=", "hot")])),),
         )
-        assert check_profile(profile, sensor_catalog).has("COS103")
+        assert any(d.code == "COS103" for d in check_profile(profile, sensor_catalog))

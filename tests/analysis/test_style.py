@@ -1,13 +1,13 @@
 """COS7xx style pass (the migrated L001-L003 rules)."""
 
-from repro.analysis.source import module_from_text
 from repro.analysis.style import check_style
+from tests.analysis.canary import module_from_text
 
 _HEADER = "from __future__ import annotations\n"
 
 
 def _codes(text):
-    return check_style(module_from_text(text, "repro/m.py")).codes()
+    return [d.code for d in check_style(module_from_text(text, "repro/m.py"))]
 
 
 class TestMutableDefaults:

@@ -42,7 +42,7 @@ class TestUnicastNetwork:
             for datagram in datagrams:
                 out.extend(
                     (d.subscription_id, tuple(sorted(d.datagram.payload.items())))
-                    for d in net.publish(datagram, 0)
+                    for d in net.publish_many([datagram], 0)[0]
                 )
             return sorted(out), net.data_stats.total_bytes()
 
@@ -56,7 +56,7 @@ class TestUnicastNetwork:
         net.advertise("S", 0, SCHEMA)
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
         net.subscribe(Profile({"S": {"a"}}), 4, "u2")
-        net.publish(Datagram("S", {"a": 1, "b": 0.1}, 0.0), 0)
+        net.publish_many([Datagram("S", {"a": 1, "b": 0.1}, 0.0)], 0)[0]
         # Two identical flows: the first link carries the content twice.
         assert net.data_stats.usage(0, 1).messages == 2
 
@@ -66,7 +66,7 @@ class TestUnicastNetwork:
             net.advertise("S", 0, SCHEMA)
             for index in range(n_subs):
                 net.subscribe(Profile({"S": {"a"}}), 4, f"u{index}")
-            net.publish(Datagram("S", {"a": 1, "b": 0.1}, 0.0), 0)
+            net.publish_many([Datagram("S", {"a": 1, "b": 0.1}, 0.0)], 0)[0]
             return net.data_stats.total_bytes()
 
         for n in (2, 5, 10):
@@ -74,19 +74,10 @@ class TestUnicastNetwork:
                 n * run(ContentBasedNetwork, n)
             )
 
-    def test_unsubscribe(self, line_tree):
-        net = UnicastNetwork(line_tree)
-        net.advertise("S", 0, SCHEMA)
-        net.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        net.unsubscribe("u1")
-        assert net.publish(Datagram("S", {"a": 1}, 0.0), 0) == []
-        with pytest.raises(NetworkError):
-            net.unsubscribe("u1")
-
     def test_unknown_nodes_rejected(self, line_tree):
         net = UnicastNetwork(line_tree)
         with pytest.raises(NetworkError):
             net.subscribe(Profile({"S": {"a"}}), 99)
         with pytest.raises(NetworkError):
-            net.publish(Datagram("S", {}), 99)
+            net.publish_many([Datagram("S", {})], 99)[0]
 

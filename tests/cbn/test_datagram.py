@@ -15,11 +15,11 @@ class TestBasics:
         payload = {"a": 1}
         d = Datagram("S", payload, 1.0)
         payload["a"] = 99
-        assert d.value("a") == 1
+        assert d.payload["a"] == 1
 
     def test_attributes(self):
         d = Datagram("S", {"a": 1, "b": 2})
-        assert d.attributes == frozenset({"a", "b"})
+        assert frozenset(d.payload) == frozenset({"a", "b"})
         assert "a" in d and "z" not in d
 
     def test_equality_and_hash(self):
@@ -160,7 +160,7 @@ class TestSequenceNumbers:
     def test_project_and_relabel_preserve_seq(self):
         d = Datagram("S", {"a": 1, "b": 2}, 2.0, 5)
         assert d.project({"a"}).seq == 5
-        assert d.relabel("results").seq == 5
+        assert Datagram("results", d.payload, d.timestamp, d.seq).seq == 5
 
     def test_seq_adds_wire_size(self):
         plain = Datagram("S", {"a": 1}, 2.0)
@@ -186,7 +186,7 @@ class TestProjection:
 
     def test_relabel(self):
         d = Datagram("S", {"a": 1}, 5.0)
-        r = d.relabel("results")
+        r = Datagram("results", d.payload, d.timestamp, d.seq)
         assert r.stream == "results"
         assert dict(r.payload) == {"a": 1}
 
@@ -230,7 +230,7 @@ class TestSize:
         assert Datagram("a-much-longer-stream-name", d.payload, 9e9).size_bytes() == (
             d.size_bytes()
         )
-        assert d.relabel("results").size_bytes() == d.size_bytes()
+        assert Datagram("results", d.payload, d.timestamp, d.seq).size_bytes() == d.size_bytes()
 
     def test_widths_of_absent_attributes_ignored(self):
         d = Datagram("S", {"a": 1})

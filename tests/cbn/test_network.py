@@ -36,30 +36,30 @@ def net(line_tree):
 class TestSubscribePublish:
     def test_delivery_to_matching_subscriber(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["u1"]
         assert deliveries[0].node == 4
 
     def test_no_delivery_when_filtered_out(self, net):
         p = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 50)))])
         net.subscribe(p, 4, "u1")
-        assert net.publish(Datagram("S", {"a": 10, "b": 0.1}), 0) == []
+        assert net.publish_many([Datagram("S", {"a": 10, "b": 0.1})], 0)[0] == []
 
     def test_projection_applied_at_delivery(self, net):
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert dict(deliveries[0].datagram.payload) == {"a": 1}
 
     def test_multiple_subscribers_each_get_own_view(self, net):
         net.subscribe(Profile({"S": {"a"}}), 2, "u1")
         net.subscribe(Profile({"S": {"b"}}), 4, "u2")
-        deliveries = {d.subscription_id: d for d in net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)}
+        deliveries = {d.subscription_id: d for d in net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]}
         assert dict(deliveries["u1"].datagram.payload) == {"a": 1}
         assert dict(deliveries["u2"].datagram.payload) == {"b": 0.5}
 
     def test_subscriber_at_publisher_node(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 0, "u1")
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.2}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.2})], 0)[0]
         assert len(deliveries) == 1
         # Local delivery moves no bytes across links.
         assert net.data_stats.total_bytes() == 0
@@ -67,7 +67,7 @@ class TestSubscribePublish:
     def test_unsubscribe_stops_delivery(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
         net.unsubscribe("u1")
-        assert net.publish(Datagram("S", {"a": 1, "b": 0.1}), 0) == []
+        assert net.publish_many([Datagram("S", {"a": 1, "b": 0.1})], 0)[0] == []
 
     def test_unsubscribe_knows_no_id_prefixes(self, net):
         # "a"'s forwarding entries are keyed "a#S" — which is also a
@@ -75,7 +75,7 @@ class TestSubscribePublish:
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "a")
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 3, "a#S")
         net.unsubscribe("a")
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.1}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.1})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["a#S"]
         net.unsubscribe("a#S")
         assert net.routing_state_size() == 0
@@ -87,9 +87,9 @@ class TestSubscribePublish:
             [Filter("S", cond(Comparison("a", ">", 5)))],
         )
         net.subscribe(profile, 3, "u")
-        assert net.publish(Datagram("S", {"a": 1}), 0) == []      # filtered
-        assert len(net.publish(Datagram("S", {"a": 9}), 0)) == 1  # passes
-        assert len(net.publish(Datagram("T", {"a": 1}), 0)) == 1  # unconditional
+        assert net.publish_many([Datagram("S", {"a": 1})], 0)[0] == []      # filtered
+        assert len(net.publish_many([Datagram("S", {"a": 9})], 0)[0]) == 1  # passes
+        assert len(net.publish_many([Datagram("T", {"a": 1})], 0)[0]) == 1  # unconditional
 
     def test_forwarding_entries_keyed_by_entry_id(self, net):
         net.advertise("T", 0)
@@ -105,8 +105,8 @@ class TestSubscribePublish:
         net.advertise("T", 0)
         net.subscribe(Profile({"S": ALL_ATTRIBUTES, "T": ALL_ATTRIBUTES}), 4, sid)
         net.unsubscribe(sid)
-        assert net.publish(Datagram("S", {"a": 1}), 0) == []
-        assert net.publish(Datagram("T", {"a": 1}), 0) == []
+        assert net.publish_many([Datagram("S", {"a": 1})], 0)[0] == []
+        assert net.publish_many([Datagram("T", {"a": 1})], 0)[0] == []
         assert net.routing_state_size() == 0
 
     def test_duplicate_subscription_id_rejected(self, net):
@@ -118,13 +118,13 @@ class TestSubscribePublish:
         with pytest.raises(NetworkError):
             net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 99)
         with pytest.raises(NetworkError):
-            net.publish(Datagram("S", {}), 99)
+            net.publish_many([Datagram("S", {})], 99)[0]
 
 
 class TestDeliveryValue:
     def test_fields_immutability_and_equality(self, net):
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        (delivery,) = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        (delivery,) = net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert Delivery._fields == ("subscription_id", "node", "datagram")
         assert delivery == Delivery("u1", 4, Datagram("S", {"a": 1}))
         assert hash(delivery) == hash(Delivery("u1", 4, Datagram("S", {"a": 1})))
@@ -139,18 +139,18 @@ class TestDeliveryValue:
 class TestTrafficAccounting:
     def test_bytes_counted_per_hop(self, net):
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         # 4 hops from node 0 to node 4, a:int = 4 bytes each.
         assert net.data_stats.total_messages() == 4
         assert net.data_stats.total_bytes() == 16
 
     def test_early_projection_on_first_hop(self, net):
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert net.data_stats.usage(0, 1).bytes == 4  # b already stripped
 
     def test_no_subscribers_no_traffic(self, net):
-        net.publish(Datagram("S", {"a": 1}), 0)
+        net.publish_many([Datagram("S", {"a": 1})], 0)[0]
         assert net.data_stats.total_messages() == 0
 
     def test_shared_path_carries_union(self, star_tree):
@@ -158,7 +158,7 @@ class TestTrafficAccounting:
         net.advertise("S", 1, SCHEMA)
         net.subscribe(Profile({"S": {"a"}}), 3, "u1")
         net.subscribe(Profile({"S": {"b"}}), 4, "u2")
-        net.publish(Datagram("S", {"a": 1, "b": 0.5}), 1)
+        net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 1)[0]
         # Link 1->0 carries the union {a, b} once: 4 + 8 = 12 bytes.
         assert net.data_stats.usage(0, 1).bytes == 12
         assert net.data_stats.usage(0, 3).bytes == 4
@@ -175,7 +175,7 @@ class TestAdvertisementScoping:
         net = ContentBasedNetwork(line_tree)
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
         net.advertise("S", 0, SCHEMA)  # late advertisement re-propagates
-        deliveries = net.publish(Datagram("S", {"a": 1}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["u1"]
 
     def test_multiple_publishers(self, star_tree):
@@ -183,8 +183,8 @@ class TestAdvertisementScoping:
         net.advertise("S", 1, SCHEMA)
         net.advertise("S", 2, SCHEMA)
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 3, "u1")
-        assert len(net.publish(Datagram("S", {"a": 1}), 1)) == 1
-        assert len(net.publish(Datagram("S", {"a": 2}), 2)) == 1
+        assert len(net.publish_many([Datagram("S", {"a": 1})], 1)[0]) == 1
+        assert len(net.publish_many([Datagram("S", {"a": 2})], 2)[0]) == 1
 
 
 class TestOverlappingProfiles:
@@ -197,7 +197,7 @@ class TestOverlappingProfiles:
         )
         net.subscribe(broad, 4, "broad")
         net.subscribe(narrow, 4, "narrow")
-        deliveries = net.publish(Datagram("S", {"a": 60, "b": 0.5}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 60, "b": 0.5})], 0)[0]
         assert {d.subscription_id for d in deliveries} == {"broad", "narrow"}
 
     def test_string_and_numeric_profiles_on_one_attribute_coexist(self, line_tree):
@@ -213,7 +213,7 @@ class TestOverlappingProfiles:
                 sid,
             )
         for payload, expected in (({"a": 15}, {"numeric"}), ({"a": "x"}, {"text"})):
-            deliveries = net.publish(Datagram("S", payload), 0)
+            deliveries = net.publish_many([Datagram("S", payload)], 0)[0]
             assert {d.subscription_id for d in deliveries} == expected
 
 
@@ -230,7 +230,7 @@ class TestOverlappingUnsubscribe:
         net.subscribe(profile, 1, "coverer")
         net.subscribe(profile, 1, "covered")
         net.unsubscribe("coverer")
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["covered"]
 
     def test_chain_of_coverers(self, line_tree):
@@ -250,7 +250,7 @@ class TestOverlappingUnsubscribe:
         net.subscribe(narrower, 4, "u3")
         net.unsubscribe("u1")
         net.unsubscribe("u2")
-        deliveries = net.publish(Datagram("S", {"a": 50, "b": 0.1}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 50, "b": 0.1})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["u3"]
 
 
@@ -272,7 +272,7 @@ class TestAdvertisementDedup:
     def test_duplicate_advertisement_does_not_duplicate_delivery(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
         net.advertise("S", 0, SCHEMA)
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["u1"]
 
     def test_same_stream_second_publisher_recorded(self, net):
@@ -291,16 +291,16 @@ class TestRouteCache:
 
     def test_new_subscription_invalidates_cached_route(self, net):
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)  # warm the cache
+        net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]  # warm the cache
         net.subscribe(Profile({"S": {"b"}}), 2, "u2")
-        deliveries = net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        deliveries = net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert sorted(d.subscription_id for d in deliveries) == ["u1", "u2"]
 
     def test_unsubscribe_invalidates_cached_route(self, net):
         net.subscribe(Profile({"S": ALL_ATTRIBUTES}), 4, "u1")
-        net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)  # warm the cache
+        net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]  # warm the cache
         net.unsubscribe("u1")
-        assert net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0) == []
+        assert net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0] == []
 
     def test_schema_registration_bumps_catalog_version(self, net):
         from repro.cql.schema import Attribute, StreamSchema
@@ -327,10 +327,10 @@ class TestRouteCache:
     def test_second_publication_replays_the_route(self, net):
         net.subscribe(Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 5)))]), 4, "u1")
         assert net.route_cache_stats() == {"hits": 0, "misses": 0, "classes": 0}
-        first = net.publish(Datagram("S", {"a": 9, "b": 0.5}, 1.0), 0)
+        first = net.publish_many([Datagram("S", {"a": 9, "b": 0.5}, 1.0)], 0)[0]
         assert net.route_cache_stats() == {"hits": 0, "misses": 1, "classes": 1}
         # same class (another value on the same side of the filter)
-        second = net.publish(Datagram("S", {"a": 7, "b": 0.1}, 2.0), 0)
+        second = net.publish_many([Datagram("S", {"a": 7, "b": 0.1}, 2.0)], 0)[0]
         assert net.route_cache_stats() == {"hits": 1, "misses": 1, "classes": 1}
         assert [(d.subscription_id, d.node) for d in second] == [
             (d.subscription_id, d.node) for d in first
@@ -338,29 +338,28 @@ class TestRouteCache:
         assert second[0].datagram == Datagram("S", {"a": 7}, 2.0)
         assert net.data_stats.usage(0, 1).messages == 2
         # another class: the other side of the filter, another origin
-        assert net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0) == []
-        net.publish(Datagram("S", {"a": 9, "b": 0.5}), 2)
+        assert net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0] == []
+        net.publish_many([Datagram("S", {"a": 9, "b": 0.5})], 2)[0]
         assert net.route_cache_stats() == {"hits": 1, "misses": 3, "classes": 3}
 
     def test_unrequested_stream_builds_nothing(self, net):
-        assert net.publish(Datagram("S", {"a": 1, "b": 0.5}), 0) == []
+        assert net.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0] == []
         assert net.publish_many([Datagram("nobody", {"x": 1})] * 3, 2) == [[], [], []]
         assert net._facts == {}
         assert net.route_cache_stats() == {"hits": 0, "misses": 0, "classes": 0}
-        assert net.data_stats.links_used == 0
+        assert net.data_stats.as_dict() == {}
 
-    def test_stats_reset_between_two_replays(self, net, line_tree):
+    def test_a_replayed_route_counts_like_the_reference(self, net, line_tree):
         net.subscribe(Profile({"S": {"a"}}), 4, "u1")
         datagram = Datagram("S", {"a": 1, "b": 0.5})
-        net.publish(datagram, 0)
-        net.publish(datagram, 0)
-        net.data_stats.reset()
-        net.publish(datagram, 0)
-        assert net.route_cache_stats()["hits"] == 2
+        net.publish_many([datagram], 0)[0]
+        net.publish_many([datagram], 0)[0]
+        assert net.route_cache_stats()["hits"] == 1
         fresh = ReferenceNetwork(line_tree)
         fresh.advertise("S", 0, SCHEMA)
         fresh.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        fresh.publish(datagram, 0)
+        fresh.publish_many([datagram], 0)[0]
+        fresh.publish_many([datagram], 0)[0]
         assert list(net.data_stats.as_dict().items()) == list(
             fresh.data_stats.as_dict().items()
         )
@@ -390,10 +389,10 @@ class TestRouteCache:
             stream = f"result:{cycle}"
             network.advertise(stream, 0)
             network.subscribe(Profile({stream: ALL_ATTRIBUTES}), 4, f"u{cycle}")
-            assert len(network.publish(Datagram(stream, {"x": cycle}), 0)) == 1
-            assert len(network.publish(Datagram(stream, {"x": cycle}), 0)) == 1
+            assert len(network.publish_many([Datagram(stream, {"x": cycle})], 0)[0]) == 1
+            assert len(network.publish_many([Datagram(stream, {"x": cycle})], 0)[0]) == 1
             network.unsubscribe(f"u{cycle}")
-            assert network.publish(Datagram(stream, {"x": cycle}), 0) == []
+            assert network.publish_many([Datagram(stream, {"x": cycle})], 0)[0] == []
             after_one = after_one or footprint()
         assert footprint() == after_one == (0, 0)
         assert network.route_cache_stats() == {"hits": 200, "misses": 200, "classes": 0}
@@ -426,7 +425,7 @@ class TestRouteCache:
         ]
         for __ in range(2):
             for datagram in feed:
-                assert fast.publish(datagram, 0) == naive.publish(datagram, 0)
+                assert fast.publish_many([datagram], 0)[0] == naive.publish_many([datagram], 0)[0]
         stats = fast.route_cache_stats()
         assert len(feed) > _ROUTE_CLASSES == stats["classes"]
         # the remembered classes replay on the second pass, the rest walk again
@@ -460,13 +459,13 @@ class TestRouteCache:
         assert 1 not in fast.publishers_of("S")
         datagram = Datagram("S", {"a": 1, "b": 0.5})
         for __ in range(2):
-            delivered = fast.publish(datagram, 1)
-            assert delivered == naive.publish(datagram, 1)
+            delivered = fast.publish_many([datagram], 1)[0]
+            assert delivered == naive.publish_many([datagram], 1)[0]
             assert [(d.subscription_id, d.node) for d in delivered] == [("u1", 3)]
         assert fast.route_cache_stats() == {"hits": 1, "misses": 1, "classes": 1}
         # the same entry behind the origin's own copy is covered
-        assert [d.subscription_id for d in fast.publish(datagram, 2)] == [
-            d.subscription_id for d in naive.publish(datagram, 2)
+        assert [d.subscription_id for d in fast.publish_many([datagram], 2)[0]] == [
+            d.subscription_id for d in naive.publish_many([datagram], 2)[0]
         ] == ["written", "u1"]
         assert list(fast.data_stats.as_dict().items()) == list(
             naive.data_stats.as_dict().items()
@@ -476,10 +475,10 @@ class TestRouteCache:
         network = ReferenceNetwork(line_tree)
         network.advertise("S", 0, SCHEMA)
         network.subscribe(Profile({"S": {"a"}}), 4, "u1")
-        deliveries = network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
+        deliveries = network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]
         assert [d.subscription_id for d in deliveries] == ["u1"]
         with pytest.raises(NetworkError):
-            network.publish(Datagram("S", {"a": 1, "b": 0.5}), 99)
+            network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 99)[0]
 
 
 class TestStateCeilings:
@@ -516,7 +515,7 @@ class TestStateCeilings:
         fast, naive = build(ContentBasedNetwork), build(ReferenceNetwork)
         for flip in (0, 1):
             for datagram in feed(flip):
-                assert fast.publish(datagram, 0) == naive.publish(datagram, 0)
+                assert fast.publish_many([datagram], 0)[0] == naive.publish_many([datagram], 0)[0]
             facts = fast._facts["S"]
             assert len(facts._unpriced) == _ROUTE_CLASSES
             assert len(facts.routes) == _ROUTE_CLASSES
@@ -554,7 +553,7 @@ class TestPublishMany:
         feed = [Datagram("S", {"a": i, "b": 0.5}, float(i)) for i in range(4)]
         batched_net, looped_net = build(), build()
         batched = batched_net.publish_many(feed, 0)
-        looped = [looped_net.publish(datagram, 0) for datagram in feed]
+        looped = [looped_net.publish_many([datagram], 0)[0] for datagram in feed]
         assert [
             [(d.subscription_id, d.node, d.datagram) for d in per] for per in batched
         ] == [
@@ -657,8 +656,8 @@ class TestRetree:
             for stream in "ST":
                 for probe in (self.datagram(rng, stream), *self.PROBES[stream]):
                     before = [net.data_stats.as_dict() for net in (network, fresh)]
-                    deliveries = network.publish(probe, origin)
-                    assert deliveries == fresh.publish(probe, origin)
+                    deliveries = network.publish_many([probe], origin)[0]
+                    assert deliveries == fresh.publish_many([probe], origin)[0]
                     delivered += len(deliveries)
                     mine, theirs = (
                         {
@@ -774,11 +773,11 @@ class TestRetree:
             network.retree(self.tree(self.T4))
         assert network.tree is old_tree
         assert network.routing_state_size() == size
-        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == 1
+        assert len(network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]) == 1
 
     def publish_probes(self, network, stream):
         return [
-            network.publish(probe, origin)
+            network.publish_many([probe], origin)[0]
             for origin in network.tree.nodes
             for probe in self.PROBES[stream]
         ]
@@ -815,7 +814,7 @@ class TestRetree:
         crossed = network.data_stats.as_dict()
         assert crossed[(4, 5)][0] and crossed[(2, 5)][0]
         before = crossed[(2, 5)]
-        network.publish(self.PROBES["T"][0], 7)
+        network.publish_many([self.PROBES["T"][0]], 7)[0]
         assert network.data_stats.as_dict()[(2, 5)] == before
 
     def test_broker_7_leaves_returns_and_is_moved_on_warm_routes(self):
@@ -846,7 +845,7 @@ class TestRetree:
                 ads.append(("T", 7))
                 network.advertise("T", 7)
             assert self.assert_like_fresh_build(network, tree, ads, live, rng)
-        from_7 = network.publish(self.PROBES["T"][0], 7)
+        from_7 = network.publish_many([self.PROBES["T"][0]], 7)[0]
         assert {d.subscription_id for d in from_7} == {"far", "low"}
 
     def test_a_dropped_interface_takes_the_routes_across_it(self):
@@ -857,10 +856,10 @@ class TestRetree:
         network.advertise("S", 0, self.SCHEMAS[0])
         network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 3, "u")
         probe = self.PROBES["S"][0]
-        assert len(network.publish(probe, 0)) == len(network.publish(probe, 0)) == 1
+        assert len(network.publish_many([probe], 0)[0]) == len(network.publish_many([probe], 0)[0]) == 1
         network.table(1).remove_interface(2)
-        assert network.publish(probe, 0) == []
-        assert len(network.publish(probe, 2)) == 1
+        assert network.publish_many([probe], 0)[0] == []
+        assert len(network.publish_many([probe], 2)[0]) == 1
 
 
 class TestProportionality:
@@ -885,7 +884,7 @@ class TestProportionality:
         for k, leg in enumerate(legs):
             network.subscribe(Profile({"S": {"a"}}), leg[-1], f"u{k}")
         assert len(network.tree) == 200
-        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS
+        assert len(network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]) == self.LEGS
         return network, legs
 
     @staticmethod
@@ -934,7 +933,7 @@ class TestProportionality:
         # one table per broker on the path tip -> hub, each exactly once
         assert sorted(visits) == [0] + legs[0]
         self.assert_untouched(network, off_path)
-        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS - 1
+        assert len(network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]) == self.LEGS - 1
 
     def test_retree_replays_only_paths_crossing_the_changed_edge(
         self, spider, monkeypatch
@@ -949,7 +948,7 @@ class TestProportionality:
         assert sorted(visits) == [0] + legs[0][:-1]
         self.assert_untouched(network, off_path)
         assert network.table(b).entry_count == 0  # now a stub off the path
-        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS
+        assert len(network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]) == self.LEGS
 
     def test_retree_reads_only_the_footprints_that_cross(self, spider, monkeypatch):
         network, legs = spider
@@ -972,4 +971,4 @@ class TestProportionality:
         network.retree(swapped)
         assert sorted(visits) == [0] + legs[0][:-1]
         self.assert_untouched(network, off_path)
-        assert len(network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)) == self.LEGS
+        assert len(network.publish_many([Datagram("S", {"a": 1, "b": 0.5})], 0)[0]) == self.LEGS

@@ -7,7 +7,7 @@ from repro.cbn import filters
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
-from repro.cbn.routing import ConditionBits, RoutingTable
+from repro.cbn.routing import ConditionBits, ForwardDecision, RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
 from repro.overlay.tree import DisseminationTree
 from repro.sim import reference
@@ -211,7 +211,8 @@ class TestStreamIndex:
             if op == "install":
                 stored = table.entries(interface).get(entry)
                 if stored is not None and data.draw(st.booleans(), label=f"same{step}"):
-                    table.install(interface, entry, Profile(stored.projections, stored.filters))
+                    table.install(interface, entry, Profile(
+                        {s: stored.projection_for(s) for s in stored.streams}, stored.filters))
                 else:
                     table.install(interface, entry, draw_profile(data, f"p{step}"))
             elif op == "discard":
@@ -430,7 +431,43 @@ class TestConditionBits:
             network.subscribe(Profile({"S": {"a"}, "T": {"a"}}), hops, "u")
             for stream in ("S", "T"):
                 for __ in range(2):
-                    assert len(network.publish(Datagram(stream, {"a": 1}), 0)) == 1
+                    assert len(network.publish_many([Datagram(stream, {"a": 1})], 0)[0]) == 1
             # per stream: the path's entries and the subscriber's own one
             assert sorted(stream for __, stream in built) == ["S", "S", "T", "T"]
             assert len(set(built)) == len(built)
+
+
+class TestBucketsHoldMatchers:
+    """A bucket holds each entry's matcher, resolved once at install."""
+
+    def test_a_bucket_holds_the_profiles_matcher_per_stream(self):
+        table = RoutingTable(0)
+        both = Profile({"S": {"a"}, "T": {"b"}})
+        table.install(1, "e", both)
+        assert table._by_stream[1]["S"] == {"e": both.matcher("S")}
+        assert table._by_stream[1]["T"]["e"] is both.matcher("T")
+
+    def test_a_scan_resolves_no_profile(self, monkeypatch):
+        table = RoutingTable(0)
+        table.install(1, "e", profile({"a"}, stream="S"))
+        table.install(RoutingTable.LOCAL, "u", profile({"a"}, stream="S"))
+        datagram = Datagram("S", {"a": 1, "b": 2})
+
+        def refuse(self, stream):
+            raise AssertionError("a scan resolved a profile's matcher")
+
+        monkeypatch.setattr(Profile, "matcher", refuse)
+        bits = ConditionBits([])
+        assert table.decide(1, "S", bits.always, bits) == ForwardDecision(True, frozenset({"a"}))
+        assert [(eid, d.payload) for eid, d in table.local_deliveries(datagram, bits.always, bits)] == [
+            ("u", {"a": 1})
+        ]
+
+    def test_a_replaced_entry_brings_its_new_matcher(self):
+        table = RoutingTable(0)
+        first, second = Profile({"S": {"a"}}), Profile({"S": {"b"}})
+        table.install(1, "e", first)
+        table.install(1, "e", second)
+        assert table._by_stream[1]["S"] == {"e": second.matcher("S")}
+        table.discard(1, "e")
+        assert 1 not in table._by_stream or "S" not in table._by_stream[1]

@@ -67,7 +67,7 @@ class TestBasicGrouping:
         optimizer.add(q("SELECT T.temperature FROM Temp T", "a"))
         group = optimizer.group_of("a")
         assert group is not None
-        assert group.member_names() == ["a"]
+        assert [q.name for q in group.members] == ["a"]
         assert optimizer.group_of("zzz") is None
 
     def test_group_by_id(self, optimizer):
@@ -138,7 +138,7 @@ class TestRemoval:
         assert optimizer.group_count == 1
         optimizer.remove("b")
         group = optimizer.group_of("a")
-        assert group.representative.window_of("Temp").size == 3600
+        assert group.representative.stream_ref("Temp").window.size == 3600
 
     def test_remove_last_member_deletes_group(self, optimizer):
         optimizer.add(q("SELECT T.temperature FROM Temp T", "a"))

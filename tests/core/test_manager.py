@@ -72,7 +72,7 @@ class TestWithdraw:
         manager.submit(parse_query(TABLE1_Q2), name="q2")
         group = manager.withdraw("q2")
         assert group is not None
-        assert group.member_names() == ["q1"]
+        assert [q.name for q in group.members] == ["q1"]
         assert set(manager.result_profiles_of(group)) == {"q1"}
 
     def test_withdraw_unknown_raises(self, manager):

@@ -55,7 +55,7 @@ class TestSPJMerging:
         a = q("SELECT T.temperature FROM Temp [Range 1 Hour] T", "a")
         b = q("SELECT T.temperature FROM Temp [Range 3 Hour] T", "b")
         rep = merge_queries(a, b, sensor_catalog)
-        assert rep.window_of("Temp").size == 3 * 3600
+        assert rep.stream_ref("Temp").window.size == 3 * 3600
 
     def test_predicate_hull(self, sensor_catalog):
         a = q("SELECT T.temperature FROM Temp T WHERE T.temperature >= 0 AND T.temperature <= 10", "a")

@@ -7,7 +7,6 @@ from repro.cbn.filters import ALL_ATTRIBUTES
 from repro.core.merging import merge_queries
 from repro.core.profiles import (
     ProfileCompositionError,
-    direct_result_profile,
     result_profile,
     source_profile,
 )
@@ -75,15 +74,6 @@ class TestSourceProfile:
         query = parse_query("SELECT R.* FROM R")
         profile = source_profile(query, rs_catalog)
         assert profile.projection_for("R") == frozenset({"A", "B", "D"})
-
-
-class TestDirectResultProfile:
-    def test_no_filter_no_projection(self):
-        profile = direct_result_profile("q0:results", subscriber="u")
-        assert profile.streams == frozenset({"q0:results"})
-        assert profile.projection_for("q0:results") == ALL_ATTRIBUTES
-        assert profile.filters == ()
-        assert profile.covers(Datagram("q0:results", {"anything": 1}))
 
 
 class TestResultProfile:

@@ -27,11 +27,6 @@ class TestWindow:
         assert UNBOUNDED.is_unbounded
         assert not Window(10).is_now
 
-    def test_containment(self):
-        assert Window(10).contains(Window(5))
-        assert not Window(5).contains(Window(10))
-        assert UNBOUNDED.contains(Window(1e9))
-
     def test_rendering(self):
         assert str(NOW) == "[Now]"
         assert str(UNBOUNDED) == "[Unbounded]"
@@ -263,8 +258,8 @@ class TestCanonical:
 
     def test_canonical_preserves_windows(self, q1, auction_catalog):
         c = q1.canonical(auction_catalog)
-        assert c.window_of("OpenAuction").size == 3 * 3600
-        assert c.window_of("ClosedAuction") == NOW
+        assert c.stream_ref("OpenAuction").window.size == 3 * 3600
+        assert c.stream_ref("ClosedAuction").window == NOW
 
     def test_canonical_star(self, q1, auction_catalog):
         c = q1.canonical(auction_catalog)
@@ -272,18 +267,9 @@ class TestCanonical:
 
 
 class TestWindowManipulation:
-    def test_unbounded_query(self, q1):
-        inf = q1.unbounded()
-        assert all(ref.window.is_unbounded for ref in inf.streams)
-
-    def test_with_windows(self, q1):
-        replaced = q1.with_windows({"O": Window(60)})
-        assert replaced.window_of("O").size == 60
-        assert replaced.window_of("C") == NOW
-
     def test_window_of_unknown_reference(self, q1):
         with pytest.raises(QueryError):
-            q1.window_of("Z")
+            q1.stream_ref("Z").window
 
 
 class TestAggregateItem:

@@ -241,8 +241,8 @@ class TestTable1Queries:
             "SELECT O.* FROM OpenAuction [Range 3 Hour] O, "
             "ClosedAuction [Now] C WHERE O.itemID = C.itemID"
         )
-        assert q.window_of("O").size == 10800
-        assert q.window_of("C") == NOW
+        assert q.stream_ref("O").window.size == 10800
+        assert q.stream_ref("C").window == NOW
         assert ("C.itemID", "O.itemID") in q.predicate.links
 
     def test_paper_section4_example(self):

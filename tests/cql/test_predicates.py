@@ -146,15 +146,15 @@ class TestImplication:
 
 class TestSatisfiability:
     def test_true_satisfiable(self):
-        assert Conjunction.true().is_satisfiable()
+        assert Conjunction.true().solved().satisfiable
 
     def test_crossed_bounds_unsat(self):
-        assert not conj(Comparison("a", ">", 5), Comparison("a", "<", 5)).is_satisfiable()
+        assert not conj(Comparison("a", ">", 5), Comparison("a", "<", 5)).solved().satisfiable
 
     def test_point_excluded_unsat(self):
         assert not conj(
             Comparison("a", "=", 3), Comparison("a", "!=", 3)
-        ).is_satisfiable()
+        ).solved().satisfiable
 
     def test_link_forces_conflicting_constants_unsat(self):
         c = conj(
@@ -162,7 +162,7 @@ class TestSatisfiability:
             Comparison("a", "=", 1),
             Comparison("b", "=", 2),
         )
-        assert not c.is_satisfiable()
+        assert not c.solved().satisfiable
 
     def test_diff_conflicts_with_value_ranges_unsat(self):
         c = conj(
@@ -170,30 +170,17 @@ class TestSatisfiability:
             Comparison("y", "<=", 0),
             DifferenceConstraint("x", "y", Interval(-5, 5)),
         )
-        assert not c.is_satisfiable()
+        assert not c.solved().satisfiable
 
     def test_linked_terms_with_nonzero_diff_unsat(self):
         c = conj(
             JoinPredicate("x", "y"),
             DifferenceConstraint("x", "y", Interval(1, 2)),
         )
-        assert not c.is_satisfiable()
+        assert not c.solved().satisfiable
 
 
 class TestCombination:
-    def test_and_tightens(self):
-        a = conj(Comparison("a", ">", 0))
-        b = conj(Comparison("a", "<", 10))
-        both = a.and_(b)
-        assert both.intervals["a"] == Interval(0, 10, True, True)
-
-    def test_and_implies_both(self):
-        a = conj(Comparison("a", ">", 0))
-        b = conj(JoinPredicate("a", "b"))
-        both = a.and_(b)
-        assert both.implies(a)
-        assert both.implies(b)
-
     def test_hull_implied_by_both(self):
         a = conj(Comparison("a", ">=", 0), Comparison("a", "<=", 5))
         b = conj(Comparison("a", ">=", 3), Comparison("a", "<=", 9))

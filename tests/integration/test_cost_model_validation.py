@@ -54,6 +54,11 @@ def uniform_feed(rng, streams=("U",)):
     return events
 
 
+def estimated_tuple_rate(query):
+    """The cost model's result tuples per second for ``query``."""
+    return CostModel()._tuple_rate(query.streams, query.predicate, query.is_aggregate, CATALOG)
+
+
 def measured_tuple_rate(query, feed):
     spe = StreamProcessingEngine(CATALOG)
     spe.register(query, "q")
@@ -73,8 +78,7 @@ class TestSingleStreamEstimates:
     )
     def test_estimate_tracks_measurement(self, where, expected_rel_err):
         query = parse_query(f"SELECT U.v FROM U [Range 60] U {where}".strip())
-        model = CostModel()
-        estimate = model.result_tuple_rate(query, CATALOG)
+        estimate = estimated_tuple_rate(query)
         measured = measured_tuple_rate(query, uniform_feed(random.Random(3)))
         assert measured == pytest.approx(estimate, rel=expected_rel_err)
 
@@ -85,8 +89,7 @@ class TestJoinEstimate:
             "SELECT U.v, W.z FROM U [Range 20] U, W [Range 20] W "
             "WHERE U.k = W.k"
         )
-        model = CostModel()
-        estimate = model.result_tuple_rate(query, CATALOG)
+        estimate = estimated_tuple_rate(query)
         measured = measured_tuple_rate(
             query, uniform_feed(random.Random(5), streams=("U", "W"))
         )
@@ -100,13 +103,12 @@ class TestJoinEstimate:
             "SELECT U.v FROM U [Range 60] U WHERE U.v >= 50",
             "SELECT U.v FROM U [Range 60] U WHERE U.v >= 90",
         ]
-        model = CostModel()
         feed = uniform_feed(random.Random(7))
         estimates = []
         measures = []
         for text in texts:
             query = parse_query(text)
-            estimates.append(model.result_tuple_rate(query, CATALOG))
+            estimates.append(estimated_tuple_rate(query))
             measures.append(measured_tuple_rate(query, feed))
         assert estimates == sorted(estimates, reverse=True)
         assert measures == sorted(measures, reverse=True)

@@ -78,7 +78,6 @@ class TestFig3Report:
     def test_zero_division_guard(self):
         result = Fig3Result(0, 0, 0, True, 0.0, 0.0, 0.0, 0.0)
         assert result.shared_link_saving == 0.0
-        assert result.total_saving == 0.0
 
 
 class TestTable1Report:

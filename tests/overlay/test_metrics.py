@@ -22,7 +22,7 @@ class TestLinkStats:
         stats.record(2, 3, 20.0, count=2)
         assert stats.total_messages() == 3
         assert stats.total_bytes() == 30.0
-        assert stats.links_used == 2
+        assert len(stats.as_dict()) == 2
 
     def test_record_count_is_messages_totalling_size(self):
         stats = LinkStats()
@@ -44,12 +44,6 @@ class TestLinkStats:
         stats = LinkStats()
         assert stats.usage(5, 6).messages == 0
 
-    def test_reset(self):
-        stats = LinkStats()
-        stats.record(0, 1, 10.0)
-        stats.reset()
-        assert stats.total_bytes() == 0.0
-
     def test_as_dict(self):
         stats = LinkStats()
         stats.record(0, 1, 10.0)
@@ -67,13 +61,6 @@ class TestReplay:
         # same totals and the same first-use order of the links
         assert list(replayed.as_dict().items()) == list(recorded.as_dict().items())
         assert list(replayed.as_dict()) == [(2, 3), (0, 1)]
-
-    def test_reset_between_two_replays_of_the_same_records(self):
-        stats = LinkStats()
-        stats.replay(self.RECORDS)
-        stats.reset()
-        stats.replay(self.RECORDS)
-        assert stats.as_dict() == {(2, 3): (2, 6.0), (0, 1): (1, 7.0)}
 
     def test_a_usage_is_made_only_for_a_new_link(self, monkeypatch):
         import repro.overlay.metrics as metrics
@@ -120,13 +107,13 @@ FRACTIONAL = st.sampled_from([0.1, 2.5, 1e-3, 7.3])
 
 def tally_history(data, sizes):
     """Drive a tallying and an all-eager accumulator through one random
-    history of walks (a new route, applied in order), hits (a bump),
-    resets and reads, comparing every read exactly."""
+    history of walks (a new route, applied in order), hits (a bump)
+    and reads, comparing every read exactly."""
     tallied, eager = LinkStats(WEIGHTS), LinkStats(WEIGHTS)
     routes = []
     for step in range(data.draw(st.integers(1, 40), label="steps")):
         op = data.draw(
-            st.sampled_from(["walk", "hit", "hit", "hit", "reset", "read"]),
+            st.sampled_from(["walk", "hit", "hit", "hit", "read"]),
             label=f"op{step}",
         )
         if op == "walk" or (op == "hit" and not routes):
@@ -138,9 +125,6 @@ def tally_history(data, sizes):
             tally = data.draw(st.sampled_from(routes), label=f"hit{step}")
             tallied.bump(tally)
             eager.replay(tally.records)
-        elif op == "reset":
-            tallied.reset()
-            eager.reset()
         else:
             reader = data.draw(
                 st.sampled_from(["as_dict", "weighted_cost", "total_bytes", "usage"]),
@@ -154,7 +138,6 @@ def tally_history(data, sizes):
     assert list(tallied.as_dict().items()) == list(eager.as_dict().items())
     assert repr(tallied.weighted_cost()) == repr(eager.weighted_cost())
     assert tallied.total_messages() == eager.total_messages()
-    assert tallied.links_used == eager.links_used
     return tallied
 
 
@@ -180,17 +163,6 @@ class TestTally:
         assert tally.uses == 2 and stats._pending == [tally]
         assert stats.as_dict() == {(2, 3): (3, 15.0), (0, 1): (3, 21.0)}
         assert tally.uses == 0 and stats._pending == []
-
-    def test_a_hit_after_reset_is_applied_in_order(self):
-        stats = LinkStats()
-        first, second = Tally((((0, 1), 1.0),)), Tally((((2, 3), 1.0), ((0, 1), 1.0)))
-        for tally in (first, second, second, first):
-            stats.bump(tally)
-        stats.reset()
-        assert first.uses == second.uses == 0
-        stats.bump(second)
-        stats.bump(first)
-        assert list(stats.as_dict().items()) == [((2, 3), (1, 1.0)), ((0, 1), (2, 2.0))]
 
     def test_a_route_with_a_fractional_size_stays_eager(self):
         stats = LinkStats()

@@ -18,6 +18,7 @@ swap of an idle edge that moves no flow and gains nothing (2 of 400
 random cases).  The oracle prices the current tree afresh each round.
 """
 
+import heapq
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from repro.overlay.optimizer import (
     OverlayOptimizer,
     weighted_traffic_cost,
 )
-from repro.overlay.topology import barabasi_albert
+from repro.overlay.topology import barabasi_albert, edge_key
 from repro.overlay.tree import DisseminationTree, TreeError
 
 
@@ -54,7 +55,7 @@ def reference_optimize(topology, tree, demands, max_rounds, cost_function, max_d
         current_cost = pricer.tree_cost(current, demands)
         best_gain, best_swap = 0.0, None
         for edge in current.edges:
-            for cand in topology.edges:
+            for cand in sorted(topology.weights):
                 weight = topology.weights[cand]
                 try:
                     trial = current.with_edge_swap(edge, cand, weight)
@@ -93,12 +94,12 @@ def random_case(seed):
     topology = barabasi_albert(n, rng.choice([1, 2, 2, 3]), rng)
     exact = rng.random() < 0.5
     if exact:
-        for u, v in topology.edges:
+        for u, v in sorted(topology.weights):
             topology.add_edge(u, v, rng.randint(1, 4))
     if rng.random() < 0.5:
         tree = DisseminationTree.minimum_spanning(topology)
     else:
-        tree = DisseminationTree.shortest_path(topology, rng.randrange(n))
+        tree = shortest_path_tree(topology, rng.randrange(n))
     demands = []
     for __ in range(rng.choice([1, 3, 8, 20, 40])):
         source, sink = rng.randrange(n), rng.randrange(n)
@@ -114,6 +115,27 @@ def random_case(seed):
         cap = max(tree.degree(node) for node in tree.nodes) - rng.randint(0, 1)
         cap = max(cap, 2)
     return topology, tree, demands, rng.randint(1, 4), rng.choice(COST_FUNCTIONS), cap
+
+
+def shortest_path_tree(topology, root):
+    """The Dijkstra shortest-path tree of ``topology`` from ``root``."""
+    parent, dist, heap, done = {}, {root: 0.0}, [(0.0, root)], set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for u, v in sorted(topology.weights):
+            if node not in (u, v):
+                continue
+            other = v if u == node else u
+            nd = d + topology.weights[u, v]
+            if nd < dist.get(other, float("inf")):
+                dist[other], parent[other] = nd, node
+                heapq.heappush(heap, (nd, other))
+    edges = [edge_key(child, par) for child, par in parent.items()]
+    return DisseminationTree(edges, {e: topology.weights[e] for e in edges},
+                             nodes=topology.nodes)
 
 
 def recorded_swaps(monkeypatch):

@@ -26,10 +26,6 @@ class TestConstruction:
         assert sorted(tree.nodes) == sorted(small_topology.nodes)
         assert len(tree.edges) == len(small_topology) - 1
 
-    def test_shortest_path_tree(self, small_topology):
-        tree = DisseminationTree.shortest_path(small_topology, 0)
-        assert len(tree.edges) == len(small_topology) - 1
-
     def test_default_weights(self):
         tree = DisseminationTree([(0, 1)])
         assert tree.weight(0, 1) == 1.0
@@ -118,20 +114,6 @@ class TestFlowCost:
         for source, sink, rate in flows:
             total += rate * small_tree.path_weight(source, sink)
         assert small_tree.flow_cost(flows) == total
-
-
-class TestComponents:
-    def test_component_via(self, line_tree):
-        assert line_tree.component_via(2, 3) == {3, 4}
-        assert line_tree.component_via(2, 1) == {0, 1}
-
-    def test_component_via_star(self, star_tree):
-        assert star_tree.component_via(0, 1) == {1}
-        assert star_tree.component_via(1, 0) == {0, 2, 3, 4}
-
-    def test_component_via_non_neighbor(self, line_tree):
-        with pytest.raises(TreeError):
-            line_tree.component_via(0, 2)
 
 
 class TestMutation:

@@ -57,7 +57,7 @@ def state(system):
         [handle.query_id for handle in system.queries],
         system.grouping_summary(),
         sorted(
-            (node, processor.spe.query_names)
+            (node, sorted(processor.spe._queries))
             for node, processor in system.processors.items()
         ),
         network.subscription_count,

@@ -106,7 +106,7 @@ class TestRoutingEquivalence:
                 expected[sid] = dict(delivered.payload)
         actual = {
             d.subscription_id: dict(d.datagram.payload)
-            for d in network.publish(datagram, publisher)
+            for d in network.publish_many([datagram], publisher)[0]
         }
         assert actual == expected
 
@@ -166,7 +166,7 @@ class TestControlPlaneHistories:
                     if admitted is not None:
                         expected[sid] = dict(admitted.payload)
                 for node in nodes:
-                    delivered = network.publish(datagram, node)
+                    delivered = network.publish_many([datagram], node)[0]
                     assert len(delivered) == len({d.subscription_id for d in delivered})
                     actual = {d.subscription_id: dict(d.datagram.payload) for d in delivered}
                     assert actual == expected, (op, stream, node)

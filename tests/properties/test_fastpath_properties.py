@@ -179,13 +179,13 @@ def interleaved_history(tree, data):
     counter = itertools.count()
 
     def publish(datagram, origin):
-        expected = naive.publish(datagram, origin)
-        assert snapshot(fast.publish(datagram, origin)) == snapshot(expected)
+        expected = naive.publish_many([datagram], origin)[0]
+        assert snapshot(fast.publish_many([datagram], origin)[0]) == snapshot(expected)
         assert_same_accounting(fast, naive)
         # nothing mutated: the second publication replays the first
         before = fast.route_cache_stats()
-        assert snapshot(fast.publish(datagram, origin)) == snapshot(expected)
-        assert snapshot(naive.publish(datagram, origin)) == snapshot(expected)
+        assert snapshot(fast.publish_many([datagram], origin)[0]) == snapshot(expected)
+        assert snapshot(naive.publish_many([datagram], origin)[0]) == snapshot(expected)
         assert_same_accounting(fast, naive)
         after = fast.route_cache_stats()
         requested = datagram.stream in live.values()
@@ -281,6 +281,6 @@ class TestFastPathEquivalence:
             for index in range(n_datagrams)
         ]
         batched = fast.publish_many(feed, publisher)
-        looped = [naive.publish(datagram, publisher) for datagram in feed]
+        looped = [naive.publish_many([datagram], publisher)[0] for datagram in feed]
         assert [snapshot(per) for per in batched] == [snapshot(per) for per in looped]
         assert_same_accounting(fast, naive)

@@ -48,7 +48,7 @@ TIED_WEIGHTS = (1.0, 2.0, 3.0)
 def _tied_topology(n_nodes, seed):
     topo = barabasi_albert(n_nodes, 2, random.Random(seed))
     rng = random.Random(f"{seed}:weights")
-    for edge in topo.edges:
+    for edge in sorted(topo.weights):
         topo.weights[edge] = rng.choice(TIED_WEIGHTS)
     return topo
 

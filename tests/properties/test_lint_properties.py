@@ -14,9 +14,8 @@ Two directions pin the analyzer's contract:
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.analysis.canary import check_source_module, module_from_text
 
-from repro.analysis.selfcheck import check_source_module
-from repro.analysis.source import module_from_text
 
 _HEADER = (
     "from __future__ import annotations\n"
@@ -103,7 +102,7 @@ class TestPlantedHazards:
         body = list(statements)
         body.insert(min(position, len(body)), snippet)
         report = _check(_HEADER + "".join(body))
-        assert report.codes() == [code], report.render()
+        assert [d.code for d in report] == [code], report.render()
 
     @given(
         statements=safe_statements(max_size=3),
@@ -119,7 +118,7 @@ class TestPlantedHazards:
             body.append(snippet.replace("hz", f"hz{index}"))
             expected.append(code)
         report = _check(_HEADER + "".join(body))
-        assert sorted(report.codes()) == sorted(expected), report.render()
+        assert sorted([d.code for d in report]) == sorted(expected), report.render()
 
 
 class TestSafeGrammar:

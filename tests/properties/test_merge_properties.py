@@ -105,8 +105,8 @@ class TestMergeInvariants:
     @settings(max_examples=60, deadline=None)
     def test_windows_take_member_maximum(self, m1, m2):
         rep = merge_queries(m1, m2, CATALOG, name="rep")
-        assert rep.window_of("S").size == max(
-            m1.window_of("S").size, m2.window_of("S").size
+        assert rep.stream_ref("S").window.size == max(
+            m1.stream_ref("S").window.size, m2.stream_ref("S").window.size
         )
 
     @given(single_stream_queries("m1"), single_stream_queries("m2"))

@@ -49,7 +49,7 @@ def test_walked_transitions_exist_in_the_static_model(seed, mode):
     report = run_chaos(config)
     transitions: dict = {}
     violations = conformance_violations(
-        report.trace.lines,
+        report.trace.render().splitlines(),
         _MACHINES,
         report.reliability,
         recovery,

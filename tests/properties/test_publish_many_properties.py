@@ -72,7 +72,7 @@ class TestPublishManyEquivalence:
             batch = feed[cursor:cursor + size]
             cursor += size
             batched.extend(fast.publish_many(batch, publisher))
-        looped = [naive.publish(datagram, publisher) for datagram in feed]
+        looped = [naive.publish_many([datagram], publisher)[0] for datagram in feed]
         assert [snapshot(per) for per in batched] == [snapshot(per) for per in looped]
         assert_same_accounting(fast, naive)
 
@@ -129,7 +129,7 @@ class TestPublishManyEquivalence:
                                              label=f"batch{index}"))
                 ]
                 batched = fast.publish_many(batch, origin)
-                looped = [naive.publish(d, origin) for d in batch]
+                looped = [naive.publish_many([d], origin)[0] for d in batch]
                 assert [snapshot(per) for per in batched] == [
                     snapshot(per) for per in looped
                 ]
@@ -167,7 +167,7 @@ def _build_system(seed):
         system.submit(text, user_node=3 + index, name=f"q{index}")
         for index, text in enumerate(QUERIES)
     ]
-    assert [p.group_count for p in system.processors.values()] == [2, 2]
+    assert [p.manager.grouping.group_count for p in system.processors.values()] == [2, 2]
     return system, handles
 
 

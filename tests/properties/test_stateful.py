@@ -97,7 +97,7 @@ class CBNMachine(RuleBasedStateMachine):
         datagram = Datagram("S", {"a": a, "b": b}, 0.0)
         actual = {
             d.subscription_id: dict(d.datagram.payload)
-            for d in self.network.publish(datagram, 0)
+            for d in self.network.publish_many([datagram], 0)[0]
         }
         expected = {}
         for sid, profile in self.live.items():

@@ -57,7 +57,7 @@ def inject(time, seq, station=3):
 
 
 def trace_kinds(vnet):
-    return [line.split(" ", 1)[0] for line in vnet.trace.lines]
+    return [line.split(" ", 1)[0] for line in vnet.trace.render().splitlines()]
 
 
 class TestModeValidation:
@@ -95,7 +95,7 @@ class TestInertness:
         vnet = VirtualNetwork(build=build_pair, recovery=True)
         assert vnet.load is None
         vnet.execute([MigrationEvent(1.0, "scan")])
-        assert vnet.trace.lines == ["migrate t=1 scan -> inert"]
+        assert vnet.trace.render().splitlines() == ["migrate t=1 scan -> inert"]
 
 
 class TestHappyPath:
@@ -111,10 +111,10 @@ class TestHappyPath:
         )
         # t=1 start, t=3 drain (prepare_delay=2), t=6 cutover (+3).
         assert "migrate_start t=1 group=g0 n1->n3 quarantined [q]" in (
-            vnet.trace.lines
+            vnet.trace.render().splitlines()
         )
-        assert "drain t=3 group=g0 n1->n3 chunks=2" in vnet.trace.lines
-        assert "cutover t=6 group=g0 n1->n3 moved [q]" in vnet.trace.lines
+        assert "drain t=3 group=g0 n1->n3 chunks=2" in vnet.trace.render().splitlines()
+        assert "cutover t=6 group=g0 n1->n3 moved [q]" in vnet.trace.render().splitlines()
         assert vnet.load.counters.migrations_started == 1
         assert vnet.load.counters.migrations_completed == 1
         assert vnet.load.counters.migrations_aborted == 0
@@ -150,14 +150,14 @@ class TestTargetFailure:
         # backoff retries at t=10 (+4) and t=18 (+8) exhaust
         # max_migrate_attempts=3 and the group aborts home.
         assert "migrate_retry t=6 group=g0 target=n3 attempt=2" in (
-            vnet.trace.lines
+            vnet.trace.render().splitlines()
         )
         assert "migrate_retry t=10 group=g0 target=n3 attempt=3" in (
-            vnet.trace.lines
+            vnet.trace.render().splitlines()
         )
         assert (
             "migrate_abort t=18 group=g0 n1->n3 target-lost resumed [q]"
-            in vnet.trace.lines
+            in vnet.trace.render().splitlines()
         )
         assert vnet.load.counters.migrations_retried == 2
         assert vnet.load.counters.migrations_aborted == 1
@@ -180,7 +180,7 @@ class TestSourceFailure:
             ]
         )
         abort = next(
-            line for line in vnet.trace.lines if line.startswith("migrate_abort")
+            line for line in vnet.trace.render().splitlines() if line.startswith("migrate_abort")
         )
         assert "source-lost" in abort
         assert vnet.load.counters.migrations_aborted == 1
@@ -208,7 +208,7 @@ class TestSourceFailure:
             ]
         )
         abort = next(
-            line for line in vnet.trace.lines if line.startswith("migrate_abort")
+            line for line in vnet.trace.render().splitlines() if line.startswith("migrate_abort")
         )
         assert abort.endswith("superseded resumed [-]")
         assert vnet.load.counters.migrations_aborted == 1
@@ -226,7 +226,7 @@ class TestDoubleMigration:
                 MigrationEvent(1.5, "rebalance"),  # same group, still moving
             ]
         )
-        assert "migrate_skip t=1.5 node=1 reason=in-flight" in vnet.trace.lines
+        assert "migrate_skip t=1.5 node=1 reason=in-flight" in vnet.trace.render().splitlines()
         assert vnet.load.counters.migrations_started == 1
         assert vnet.load.counters.migrations_completed == 1
 

@@ -105,7 +105,7 @@ class TestRecoveryRuns:
 
     def test_crashes_are_detector_driven(self):
         report = run_chaos(RECOVERY)
-        lines = report.trace.lines
+        lines = report.trace.render().splitlines()
         assert any("-> crashed" in line for line in lines)
         assert any(line.startswith("suspect ") for line in lines)
         assert any(
@@ -136,7 +136,7 @@ class TestRecoveryRuns:
         assert report.ok, "\n".join(report.violations)
         assert any(
             line.startswith("punct ") and "-> 2 gaps" in line
-            for line in report.trace.lines
+            for line in report.trace.render().splitlines()
         )
 
     def test_report_render_names_recovery(self):
@@ -194,11 +194,11 @@ class TestRecoveryShrinking:
         assert report.violations == []
         assert not any(
             line.startswith("abandon") and "seq=95 " in line
-            for line in report.trace.lines
+            for line in report.trace.render().splitlines()
         )
         assert any(
             line.startswith("retransmit") and "seq=95 " in line
-            for line in report.trace.lines
+            for line in report.trace.render().splitlines()
         )
 
 
@@ -229,7 +229,7 @@ class TestDegradedMode:
         vnet.execute([FaultEvent(1.0, "broker", 2)])
         assert vnet.counters.faults_applied == 1
         assert vnet.counters.faults_refused == 0
-        assert any("-> degraded [q]" in line for line in vnet.trace.lines)
+        assert any("-> degraded [q]" in line for line in vnet.trace.render().splitlines())
         for system in vnet.systems:
             assert system.query("q").status is QueryStatus.DEGRADED
         assert vnet.state.counters.queries_quarantined == 1
@@ -244,8 +244,8 @@ class TestDegradedMode:
         monkeypatch.setattr("repro.sim.network.fail_broker", refuse)
         vnet = VirtualNetwork(build=build_chain, recovery=True)
         vnet.execute([FaultEvent(1.0, "broker", 2)])
-        assert not any("degraded" in line for line in vnet.trace.lines)
-        assert any("-> retry 2" in line for line in vnet.trace.lines)
+        assert not any("degraded" in line for line in vnet.trace.render().splitlines())
+        assert any("-> retry 2" in line for line in vnet.trace.render().splitlines())
         assert vnet.counters.faults_refused == 1
         assert vnet.state.counters.queries_quarantined == 0
         for system in vnet.systems:

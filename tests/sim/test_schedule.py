@@ -112,17 +112,3 @@ class TestMergeAndRender:
         b = [FaultEvent(2.0, "broker", 9), DropEvent(7.0, "Temp")]
         merged = merge_events(a, b)
         assert [e.time for e in merged] == [2.0, 5.0, 7.0]
-
-    def test_render_is_deterministic_text(self):
-        schedule = ChaosSchedule(
-            seed=7,
-            events=[
-                FaultEvent(2.0, "broker", 9),
-                InjectEvent(5.0, "Temp", (("celsius", 1.5), ("station", 2))),
-            ],
-        )
-        assert schedule.render() == (
-            "schedule seed=7 events=2\n"
-            "  fail_broker t=2 node=9\n"
-            "  inject t=5 Temp[celsius=1.5,station=2]"
-        )

@@ -92,7 +92,7 @@ class TestRegistration:
     def test_result_stream_default(self, catalog):
         spe = StreamProcessingEngine(catalog)
         spe.register(parse_query("SELECT T.temp FROM Temp T"), "q7")
-        assert spe.result_stream_of("q7") == "q7:results"
+        assert spe._queries["q7"].result_stream == "q7:results"
 
     def test_aggregate_join_unsupported(self, catalog):
         spe = StreamProcessingEngine(catalog)
@@ -272,7 +272,7 @@ class TestQueryResultValue:
         assert result == QueryResult("a", result.datagram)
         assert hash(result) == hash(QueryResult("a", result.datagram))
         assert result != QueryResult("b", result.datagram)
-        assert result != QueryResult("a", result.datagram.relabel("other"))
+        assert result != QueryResult("a", Datagram("other", result.datagram.payload, result.datagram.timestamp, result.datagram.seq))
         for name in QueryResult._fields:
             with pytest.raises(AttributeError):
                 setattr(result, name, None)

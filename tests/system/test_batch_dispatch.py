@@ -99,7 +99,7 @@ def feed_burst(system, pushes):
 class TestOneCrossingPerProcessor:
     def test_a_burst_to_one_processor_routes_in_two_calls(self, monkeypatch):
         system, handles = build(processors=(0,))
-        assert system.processors[0].group_count >= 2
+        assert system.processors[0].manager.grouping.group_count >= 2
         calls = []
         real = ContentBasedNetwork.publish_many
 

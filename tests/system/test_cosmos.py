@@ -131,7 +131,7 @@ class TestMalformedQueryRejected:
         return (
             [handle.query_id for handle in system.queries],
             system.grouping_summary(),
-            system.processors[2].spe.query_names,
+            sorted(system.processors[2].spe._queries),
             network.subscription_count,
             network.routing_state_size(),
             network.routing_epoch,

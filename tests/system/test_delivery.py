@@ -74,39 +74,3 @@ class TestCosts:
     def test_empty_placements(self, sensor_catalog, star_tree):
         model = DeliveryCostModel(star_tree, sensor_catalog)
         assert model.benefit_ratio([]) == 0.0
-
-
-class TestMeasuredDelivery:
-    def test_members_receive_retightened_feed(
-        self, sensor_catalog, star_tree, placed_group
-    ):
-        from repro.cbn.datagram import Datagram
-        from repro.system.delivery import measure_shared_delivery
-
-        feed = [
-            Datagram("rep:out", {"Temp.temperature": value}, float(index))
-            for index, value in enumerate([15.0, 25.0, 30.0, 12.0])
-        ]
-        measured = measure_shared_delivery(
-            placed_group, star_tree, sensor_catalog, feed, "rep:out"
-        )
-        # Member "a" keeps > 10 (all four tuples), member "b" re-tightens
-        # to > 20 (two tuples) — the CBN narrows at the branch point.
-        assert measured.delivered == {"a": 4, "b": 2}
-        assert measured.stats.total_bytes() > 0
-
-    def test_shared_link_carries_feed_once(
-        self, sensor_catalog, star_tree, placed_group
-    ):
-        from repro.cbn.datagram import Datagram
-        from repro.system.delivery import measure_shared_delivery
-
-        feed = [Datagram("rep:out", {"Temp.temperature": 25.0}, 0.0)]
-        measured = measure_shared_delivery(
-            placed_group, star_tree, sensor_catalog, feed, "rep:out"
-        )
-        # Processor 1 -> hub 0 is shared by both users: one message, not
-        # one per member (the non-shared baseline would send two).
-        assert measured.stats.usage(1, 0).messages == 1
-        assert measured.stats.usage(0, 3).messages == 1
-        assert measured.stats.usage(0, 4).messages == 1

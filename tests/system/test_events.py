@@ -51,7 +51,7 @@ class TestScheduling:
         assert processed == 1
         assert log == [1]
         assert sim.now == 5.0
-        assert sim.pending == 1
+        assert len(sim._queue) == 1
 
     def test_events_can_schedule_events(self):
         sim = EventSimulator()
@@ -91,7 +91,7 @@ class TestRunUntilClock:
         sim.schedule(12.0, lambda: None)
         assert sim.run(until=3.0) == 0
         assert sim.now == 10.0
-        assert sim.pending == 1
+        assert len(sim._queue) == 1
 
     def test_consecutive_runs_accumulate(self):
         sim = EventSimulator()
@@ -113,7 +113,7 @@ class TestStep:
         assert sim.step() == 1.0
         assert log == ["a"]
         assert sim.now == 1.0
-        assert sim.pending == 1
+        assert len(sim._queue) == 1
 
     def test_step_on_empty_returns_none(self):
         sim = EventSimulator(start=4.0)

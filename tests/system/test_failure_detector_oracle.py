@@ -99,7 +99,7 @@ def test_random_histories_match_the_per_node_oracle(seed):
     shared, oracle = FailureDetector(PARAMS), PerNodeDetector(PARAMS)
     for index, step in enumerate(random_history(rng)):
         assert apply(shared, step) == apply(oracle, step), (index, step)
-        assert shared.monitored == oracle.monitored, (index, step)
+        assert sorted(shared._shared.union(shared._deadlines)) == oracle.monitored, (index, step)
         assert shared.suspected == oracle.suspected, (index, step)
 
 

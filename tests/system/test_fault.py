@@ -14,7 +14,6 @@ from repro.system.fault import (
     FaultError,
     PartitionError,
     fail_broker,
-    fail_node,
     fail_processor,
     repair_tree,
 )
@@ -140,9 +139,8 @@ class TestBrokerFailure:
         victim = next(n for n in system.tree.nodes if n not in {0, 1, 2, 3, 4})
         fail_broker(system, victim)
         tree, network = system.tree, system.network
-        for fail in (fail_broker, fail_node):
-            with pytest.raises(FaultError, match="not in the tree"):
-                fail(system, victim)
+        with pytest.raises(FaultError, match="not in the tree"):
+            fail_broker(system, victim)
         assert system.tree is tree and system.network is network
 
     def test_processor_cannot_fail_as_broker(self, running_system):
@@ -252,56 +250,6 @@ class TestRehomingStateCarryOver:
         assert system.query("q2").result_count >= 1
 
 
-class TestFailNode:
-    def test_plain_broker_falls_through(self, running_system):
-        system, __, __ = running_system
-        protected = {0, 1, 2, 3, 4}
-        victim = next(n for n in system.tree.nodes if n not in protected)
-        assert fail_node(system, victim) == []
-        assert victim not in system.tree
-
-    def test_processor_node_loses_both_roles(self, running_system):
-        system, h1, __ = running_system
-        victim = h1.processor_node
-        rehomed = fail_node(system, victim)
-        assert sorted(rehomed) == ["q1", "q2"]
-        assert victim not in system.processors
-        assert victim not in system.tree
-        # Delivery resumes end to end on the surviving processor.
-        publish_pair(system, 9, 0.0, 1800.0)
-        assert system.query("q1").result_count == 1
-
-    def test_last_processor_still_protected(self, line_tree):
-        system = CosmosSystem(line_tree, processor_nodes=[2])
-        with pytest.raises(FaultError):
-            fail_node(system, 2)
-        # Nothing was torn down: the node keeps both roles.
-        assert 2 in system.processors
-        assert 2 in system.tree
-
-    def test_partial_rehoming_still_removes_the_node(
-        self, running_system, monkeypatch
-    ):
-        system, h1, __ = running_system
-        victim = h1.processor_node
-        original = Processor.accept
-
-        def flaky(self, query, name=None):
-            if query.name == "q1":
-                raise RuntimeError("injected re-homing failure")
-            return original(self, query, name=name)
-
-        # fail_processor re-homes each orphan through Processor.accept
-        monkeypatch.setattr(Processor, "accept", flaky)
-        # The processor layer's partial-failure error survives, but the
-        # broker layer still runs: the node is gone from the tree.
-        with pytest.raises(FaultError, match="q1"):
-            fail_node(system, victim)
-        assert victim not in system.processors
-        assert victim not in system.tree
-        assert system.query("q2").processor_node != victim
-
-
 class TestPublishManyUnderFailure:
     """Batched and per-datagram publication stay identical while the
     tree is repeatedly repaired around failed brokers.
@@ -357,7 +305,7 @@ class TestPublishManyUnderFailure:
         failed = set()
         for round_index in range(4):
             feed = self._round_feed(round_index)
-            per_datagram = [system_a.network.publish(d, 2) for d in feed]
+            per_datagram = [system_a.network.publish_many([d], 2)[0] for d in feed]
             batched = system_b.network.publish_many(feed, 2)
             assert [self._snapshot(per) for per in per_datagram] == [
                 self._snapshot(per) for per in batched
@@ -434,7 +382,9 @@ class TestRepairKeepsOffPathRoutesWarm:
             120.0,
         )
         assert opened.result_count == 2
-        assert compiled == []  # OpenAuction and its results never crossed 8
+        # OpenAuction and its results never crossed 8: the repair re-laid only
+        # ClosedAuction's entries, whose matchers are resolved as they install
+        assert compiled and {stream for __, stream in compiled} == {"ClosedAuction"}
         after = system.network.route_cache_stats()
         # the tuple and its result both replayed a route cached before
         assert after["misses"] == before["misses"]

@@ -145,7 +145,7 @@ class TestMigrationChannel:
             for i in range(3)
         ]
         assert released == [1, 1, 1]
-        assert channel.transferred == 3
+        assert channel.receiver._expected == 3
         assert channel.close(3.0) == []
 
     def test_lost_chunk_surfaces_as_gap(self):
@@ -274,8 +274,8 @@ class TestCutover:
         migration.step("complete")
         assert resumed == ["qa", "qb"]
         assert qa.processor_node == target and qb.processor_node == target
-        assert system.processors[source].group_count == 0
-        assert system.processors[target].group_count == 1
+        assert system.processors[source].manager.grouping.group_count == 0
+        assert system.processors[target].manager.grouping.group_count == 1
         # Zero loss: post-move tuples flow to both members.
         system.publish("Temp", {"station": 5, "celsius": 21.0}, 2.0)
         assert qa.result_count == 1 and qb.result_count == 1
@@ -291,7 +291,7 @@ class TestCutover:
         processor = system.processors[qa.processor_node]
         members = processor.release_group(group.group_id)
         assert [m.name for m in members] == ["qa", "qb"]
-        assert processor.group_count == 0
+        assert processor.manager.grouping.group_count == 0
         with pytest.raises(KeyError):
             processor.release_group(group.group_id)
 

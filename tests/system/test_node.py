@@ -9,7 +9,6 @@ from repro.core.grouping import GroupingDecision, GroupingOptimizer
 from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, StreamSchema
 from repro.spe.engine import StreamProcessingEngine
-from repro.spe.wrappers import ListDataWrapper, TextQueryWrapper
 from repro.system.node import Processor
 from repro.workload.auction import (
     CLOSED_AUCTION_SCHEMA,
@@ -28,7 +27,7 @@ def auction_network(tree):
 
 def feed(proc, network, datagram):
     """Route ``datagram`` from broker 0; the processor's share goes in."""
-    share = [d for d in network.publish(datagram, 0) if d.node == proc.node_id]
+    share = [d for d in network.publish_many([datagram], 0)[0] if d.node == proc.node_id]
     return proc.on_source_batch(share)
 
 
@@ -46,8 +45,8 @@ class TestStandaloneProcessor:
         proc = Processor(0, sensor_catalog)
         proc.accept(parse_query("SELECT T.station FROM Temp [Now] T"), name="a")
         proc.accept(parse_query("SELECT T.station FROM Temp [Now] T"), name="b")
-        assert proc.query_count == 2
-        assert proc.group_count == 1
+        assert proc.manager.grouping.query_count == 2
+        assert proc.manager.grouping.group_count == 1
 
 
 class TestNetworkedProcessor:
@@ -55,7 +54,7 @@ class TestNetworkedProcessor:
         network = auction_network(line_tree)
         proc = Processor(2, auction_catalog, network=network)
         proc.accept(parse_query(TABLE1_Q1), name="q1")
-        assert proc.query_count == 1
+        assert proc.manager.grouping.query_count == 1
         results = feed(proc, network, Datagram(
             "OpenAuction",
             {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0},
@@ -90,10 +89,7 @@ class TestNetworkedProcessor:
         proc = Processor(2, auction_catalog, network=network)
         proc.accept(parse_query(TABLE1_Q1), name="q1")
         # The processor's source subscription now routes auction data.
-        deliveries = network.publish(
-            Datagram("OpenAuction", {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0}, 0.0),
-            0,
-        )
+        deliveries = network.publish_many([Datagram("OpenAuction", {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0}, 0.0)], 0)[0]
         assert any(d.node == 2 for d in deliveries)
 
     def test_group_change_replaces_subscription(self, line_tree, auction_catalog):
@@ -116,25 +112,35 @@ class TestNetworkedProcessor:
         assert network.publishers_of(proc.manager.result_stream_of(sub.group)) == [2]
 
 
-class TestWrapperIntegration:
-    def test_text_query_wrapper_used(self, auction_catalog):
-        proc = Processor(1, auction_catalog, query_wrapper=TextQueryWrapper())
-        sub = proc.accept(parse_query(TABLE1_Q1), name="q1")
-        assert sub.query.name == "q1"
-        assert proc.query_count == 1
+class TestEngineBoundary:
+    """A processor talks to its SPE in datagrams and query ASTs."""
 
-    def test_custom_data_wrapper_roundtrip(self, line_tree, auction_catalog):
-        wrapper = ListDataWrapper(["itemID", "sellerID", "start_price", "timestamp"])
+    def test_a_delivered_datagram_reaches_the_engine_as_it_is(
+        self, line_tree, auction_catalog, monkeypatch
+    ):
         network = auction_network(line_tree)
-        proc = Processor(2, auction_catalog, network=network, data_wrapper=wrapper)
+        proc = Processor(2, auction_catalog, network=network)
         proc.accept(parse_query("SELECT O.itemID FROM OpenAuction O"), name="q")
-        out = feed(proc, network, Datagram(
+        pushed = []
+        push_to = proc.spe.push_to
+        monkeypatch.setattr(proc.spe, "push_to", lambda name, datagram: (
+            pushed.append(datagram) or push_to(name, datagram)))
+        share = [d for d in network.publish_many([Datagram(
             "OpenAuction",
             {"itemID": 5, "sellerID": 1, "start_price": 2.0, "timestamp": 0.0},
             0.0,
-        ))
-        assert len(out) == 1
-        assert out[0].payload["OpenAuction.itemID"] == 5
+        )], 0)[0] if d.node == 2]
+        out = proc.on_source_batch(share)
+        assert [d.datagram for d in share] == pushed
+        assert all(a is b for a, b in zip(pushed, (d.datagram for d in share)))
+        assert [r.payload["OpenAuction.itemID"] for r in out] == [5]
+
+    def test_the_accepted_query_is_the_one_grouped(self, auction_catalog):
+        proc = Processor(1, auction_catalog)
+        query = parse_query(TABLE1_Q1)
+        decision = proc.accept(query, name="q1")
+        assert decision.query.name == "q1"
+        assert proc.manager.grouping.group_of("q1").members == [decision.query]
 
 
 class TestSPEState:
@@ -144,7 +150,7 @@ class TestSPEState:
         proc = Processor(1, auction_catalog)
         proc.accept(parse_query(TABLE1_Q1), name="q1")
         proc.accept(parse_query(TABLE1_Q2), name="q2")
-        assert len(proc.spe.query_names) == 1
+        assert len(sorted(proc.spe._queries)) == 1
 
     def test_result_schema_provided(self, auction_catalog):
         # What the processor advertises: the SPE's schema of the
@@ -159,7 +165,7 @@ class TestSPEState:
         proc = Processor(1, auction_catalog)
         proc.accept(parse_query(TABLE1_Q1), name="q1")
         assert proc.withdraw("q1") is None
-        assert proc.spe.query_names == []
+        assert sorted(proc.spe._queries) == []
         assert proc.engine_name_of("g0") is None
 
     def test_withdraw_member_runs_the_recomposed_representative(
@@ -169,9 +175,9 @@ class TestSPEState:
         proc.accept(parse_query(TABLE1_Q1), name="q1")
         proc.accept(parse_query(TABLE1_Q2), name="q2")
         group = proc.withdraw("q2")
-        assert group.member_names() == ["q1"]
+        assert [q.name for q in group.members] == ["q1"]
         # The SPE now runs the recomposed (narrower) representative.
-        assert proc.spe.query_names == [proc.engine_name_of(group.group_id)]
+        assert sorted(proc.spe._queries) == [proc.engine_name_of(group.group_id)]
 
     def test_merging_disabled_runs_a_query_each(self, auction_catalog):
         proc = Processor(
@@ -183,8 +189,8 @@ class TestSPEState:
         )
         proc.accept(parse_query(TABLE1_Q1), name="q1")
         proc.accept(parse_query(TABLE1_Q2), name="q2")
-        assert proc.group_count == 2
-        assert len(proc.spe.query_names) == 2
+        assert proc.manager.grouping.group_count == 2
+        assert len(sorted(proc.spe._queries)) == 2
 
 
 class TestEndToEndThroughProcessor:
@@ -206,7 +212,7 @@ class TestEndToEndThroughProcessor:
         split = {"q1": 0, "q2": 0}
         for datagram in feed:
             for result in proc.spe.push(datagram):
-                out = result.datagram.relabel(result_stream)
+                out = Datagram(result_stream, result.datagram.payload, result.datagram.timestamp, result.datagram.seq)
                 for name, profile in (("q1", p1), ("q2", p2)):
                     if profile.apply(out) is not None:
                         split[name] += 1
@@ -296,7 +302,7 @@ class TestCommit:
             "register": 0, "deregister": 1,
             "subscribe": 0, "unsubscribe": 1, "advertise": 0,
         }
-        assert proc.spe.query_names == []
+        assert sorted(proc.spe._queries) == []
         assert not any(
             sid.startswith("src:") for sid in proc.network.subscriptions()
         )

@@ -205,7 +205,7 @@ class TestRefreshSkip:
         arm = system.network.control_stats.usage(*self.ARM).messages
         b = system.submit(warm(second), user_node=3, name="b")
         group = system.processors[a.processor_node].manager.grouping.group_of("a")
-        assert group.member_names() == ["a", "b"]
+        assert [q.name for q in group.members] == ["a", "b"]
         laid = system.network.control_stats.usage(*self.ARM).messages - arm
         return system, a, b, installed, laid
 
@@ -414,7 +414,7 @@ class TestRandomHistories:
         for node, processor in system.processors.items():
             manager = processor.manager
             groups = manager.groups
-            assert processor.spe.query_names == sorted(
+            assert sorted(processor.spe._queries) == sorted(
                 processor.engine_name_of(group.group_id) for group in groups
             )
             owner = {

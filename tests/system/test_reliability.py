@@ -79,14 +79,14 @@ class TestUplinkReceiver:
         offer = receiver.offer(0, {"a": 0}, 1.0)
         assert offer.released == [(0, {"a": 0}, 1.0)]
         assert not offer.duplicate and not offer.fresh_gaps
-        assert receiver.expected == 1
+        assert receiver._expected == 1
 
     def test_out_of_order_buffers_and_reports_gap(self):
         receiver = UplinkReceiver()
         offer = receiver.offer(2, {"a": 2}, 3.0)
         assert offer.released == []
         assert offer.fresh_gaps == [0, 1]
-        assert receiver.occupancy == 1
+        assert len(receiver._buffer) == 1
         # The same gaps are not reported twice.
         assert receiver.offer(3, {"a": 3}, 4.0).fresh_gaps == []
 
@@ -95,7 +95,7 @@ class TestUplinkReceiver:
         receiver.offer(1, {"a": 1}, 2.0)
         offer = receiver.offer(0, {"a": 0}, 1.0)
         assert [seq for seq, __, __ in offer.released] == [0, 1]
-        assert receiver.occupancy == 0
+        assert len(receiver._buffer) == 0
 
     def test_duplicate_below_watermark_suppressed(self):
         receiver = UplinkReceiver()
@@ -114,7 +114,7 @@ class TestUplinkReceiver:
         receiver.offer(1, {"a": 1}, 2.0)
         released = receiver.abandon(0)
         assert [seq for seq, __, __ in released] == [1]
-        assert receiver.expected == 2
+        assert receiver._expected == 2
         assert receiver.counters.gaps_abandoned == 1
 
     def test_announce_exposes_trailing_gaps(self):
@@ -145,7 +145,7 @@ class TestUplinkReceiver:
             released.extend(receiver.offer(seq, {"a": seq}, float(seq)).released)
         assert [seq for seq, __, __ in released] == [1, 2, 3, 4]
         assert receiver.counters.gaps_abandoned == 1
-        assert receiver.occupancy == 0
+        assert len(receiver._buffer) == 0
         assert receiver.counters.reorder_peak == 3
 
 
@@ -194,15 +194,15 @@ class TestFailureDetector:
         detector.register(7, 0.0)
         detector.deregister(7)
         assert detector.check(100.0) == []
-        assert detector.monitored == []
+        assert sorted(detector._shared.union(detector._deadlines)) == []
 
     def test_unmonitored_nodes_ignored_by_sweep(self):
         detector = FailureDetector()
         detector.sweep(0.0, silent={99})  # never registered: no-op
-        assert detector.monitored == []
+        assert sorted(detector._shared.union(detector._deadlines)) == []
         detector.register(7, 0.0)
         detector.sweep(5.0, silent={99})
-        assert detector.monitored == [7]
+        assert sorted(detector._shared.union(detector._deadlines)) == [7]
 
     def test_check_returns_sorted(self):
         detector = FailureDetector()

@@ -80,7 +80,7 @@ class TestTrafficDemands:
             for ref in rep.streams
         ]
         open_auction = system.catalog.get("OpenAuction")
-        assert pulls[0][2] < open_auction.rate * open_auction.tuple_width
+        assert pulls[0][2] < open_auction.rate * sum(a.byte_width for a in open_auction.attributes)
 
 
 class TestReorganize:

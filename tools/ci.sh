@@ -4,6 +4,12 @@ set -e
 
 cd "$(dirname "$0")/.."
 
+# What CI's own entry points reach, for the census ("what runs stays"): the
+# chaos, check and model steps below run under tools/census.py record.
+census_dir=$(mktemp -d)
+trap 'rm -rf "$census_dir"' EXIT
+census="python tools/census.py record $census_dir"
+
 echo "== layering (repro.cql owns the predicate algebra and imports no higher layer) =="
 if git grep -nE "^(from|import) repro\.(analysis|cbn|core|system)" -- src/repro/cql; then
     echo "ci: src/repro/cql must not import repro.analysis/cbn/core/system" >&2
@@ -598,7 +604,7 @@ if git grep -nE "collect_enums|_narrowed_sources|_enum_tests|ENUM_TERMINAL_POLIC
 fi
 
 echo "== repro check =="
-PYTHONPATH=src python -m repro check
+PYTHONPATH=src $census check -- -m repro check
 
 echo "== repro check --self (COS5xx/7xx/81x/90x source lint, <10s budget) =="
 PYTHONPATH=src python -m repro check --self --strict --json > BENCH_selfcheck.json
@@ -653,16 +659,16 @@ print("%s seed 0: %d operations, 0 failed, tuples_per_s %.0f"
 done
 
 echo "== chaos scale smoke (1000-node overlay, recovery + conformance) =="
-PYTHONPATH=src python -m repro chaos --seeds 3 --nodes 1000 --recovery --conform --json BENCH_chaos_scale.json
+PYTHONPATH=src $census chaos-scale -- -m repro chaos --seeds 3 --nodes 1000 --recovery --conform --json BENCH_chaos_scale.json
 
 echo "== chaos smoke (seeded fault injection + conformance) =="
-PYTHONPATH=src python -m repro chaos --seeds 25 --conform --json BENCH_chaos.json
+PYTHONPATH=src $census chaos -- -m repro chaos --seeds 25 --conform --json BENCH_chaos.json
 
 echo "== chaos recovery smoke (self-healing, exact delivery + conformance oracles) =="
-PYTHONPATH=src python -m repro chaos --seeds 25 --recovery --conform --json BENCH_chaos_recovery.json
+PYTHONPATH=src $census chaos-recovery -- -m repro chaos --seeds 25 --recovery --conform --json BENCH_chaos_recovery.json
 
 echo "== chaos migration smoke (live group migration under faults, zero-loss) =="
-PYTHONPATH=src python -m repro chaos --seeds 25 --recovery --migrate --conform --json BENCH_chaos_migration.json
+PYTHONPATH=src $census chaos-migration -- -m repro chaos --seeds 25 --recovery --migrate --conform --json BENCH_chaos_migration.json
 python - <<'EOF'
 import json
 payload = json.load(open("BENCH_chaos_migration.json"))
@@ -680,7 +686,7 @@ print(f"migration sweep: {total} live migrations, zero loss, zero violations")
 EOF
 
 echo "== bounded model check + chaos coverage (COS901-905, >=90% gate) =="
-PYTHONPATH=src python -m repro model --strict --json \
+PYTHONPATH=src $census model -- -m repro model --strict --json \
     --coverage BENCH_chaos.json BENCH_chaos_recovery.json \
                BENCH_chaos_migration.json BENCH_chaos_scale.json \
     > BENCH_modelcov.json
@@ -704,6 +710,16 @@ print(
     f"{cov['transitions_baselined']} baselined)"
 )
 EOF
+
+echo "== what runs stays (every def under src/repro is reached, or ledgered with a reason) =="
+# tools/census.py adds the entry points not recorded above (check --self, flow,
+# table1, fig3, demo, one bench/run.py --smoke per workload, examples/) and
+# fails on an unreached def tools/census-baseline.txt does not name, or on a
+# ledger entry that is reached now.  check --self runs again under the hook:
+# its wall-time budget above is measured without it.  The census is
+# function-level and exempts dunders, so the named "must not come back" gates
+# above stay.
+python tools/census.py --records "$census_dir"
 
 echo "== pinned artefacts (the sweeps above rewrote them; a refactor must not move a trace digest) =="
 # BENCH_selfcheck.json carries wall time and stays out.
