@@ -78,9 +78,10 @@ class ConsistentHashRing:
 class DHTStore(Generic[T]):
     """A replicated key-value store layered on a hash ring.
 
-    Values live on the key's owner nodes; node failures lose only the
-    replicas stored there (re-registration restores them), mirroring
-    how a real DHT would behave without implementing churn transfer.
+    Values live on the key's ``replicas`` owner nodes; a read takes the
+    first owner that holds the key, so a node joining the ring as a
+    key's new primary (which holds nothing) is read past until the key
+    is put again: there is no churn transfer.
     """
 
     def __init__(self, ring: ConsistentHashRing, replicas: int = 1) -> None:

@@ -34,8 +34,8 @@ class Tally:
     record, used any number of times by one :class:`LinkStats`.
 
     ``uses`` are the uses counted since that accumulator last folded;
-    ``generation`` is the token of the accumulation period the records
-    were last applied one by one in (``None``: never).
+    ``generation`` is the token of the accumulator the records were
+    last applied one by one to (``None``: never).
     """
 
     __slots__ = ("records", "uses", "generation")
@@ -56,14 +56,14 @@ class LinkStats:
 
     Links enter in first-use order, the summation order of
     :meth:`weighted_cost`.  A :class:`Tally` keeps that order and every
-    total exact while deferring its additions: its first use in an
-    accumulation period is applied in order, so its links already exist
-    when later uses are folded in (``messages += n``, ``bytes += size *
+    total exact while deferring its additions: its first use on an
+    accumulator is applied in order, so its links already exist when
+    later uses are folded in (``messages += n``, ``bytes += size *
     n``); and uses are only deferred while every byte total is a whole
     number, so adding them later, in any order, gives the same floats.
     (Sums stay below 2**53; a whole-number size times a count is then
     the repeated sum.)  The first size that is not a whole number folds
-    what is pending and makes every later use eager until :meth:`reset`.
+    what is pending and makes every later use eager.
     """
 
     def __init__(self, weights: Optional[Mapping[Edge, float]] = None) -> None:
@@ -76,7 +76,7 @@ class LinkStats:
         }
         #: tallies with uses not yet folded into ``_usage``
         self._pending: List[Tally] = []
-        #: a fresh token per accumulation period (construction, reset)
+        #: this accumulator's token: a tally holding it had its first use applied here
         self._generation = object()
         #: every byte total is a whole number (uses may be deferred)
         self._whole = True
@@ -105,16 +105,15 @@ class LinkStats:
         """Record one message of ``size`` bytes per ``(canonical edge,
         size)`` record, in order.
 
-        A :class:`LinkUsage` is only made for a link never seen (since
-        the last :meth:`reset`); none is handed out, so callers may keep
-        ``records`` and replay them.
+        A :class:`LinkUsage` is only made for a link never seen; none is
+        handed out, so callers may keep ``records`` and replay them.
         """
         for edge, size in records:
             self._add(edge, 1, size)
 
     def bump(self, tally: Tally) -> None:
         """One more use of ``tally``: applied now when it is the first
-        in this accumulation period (or totals are not whole numbers),
+        on this accumulator (or totals are not whole numbers),
         otherwise counted and folded before the next read."""
         if tally.generation is self._generation and self._whole:
             if not tally.uses:

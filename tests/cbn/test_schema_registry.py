@@ -64,3 +64,35 @@ class TestDHT:
         reg = DHTSchemaRegistry(small_tree, replicas=3)
         reg.register(schema("S"), 0)
         assert reg.lookup("S", 5).name == "S"
+
+    def test_registration_charges_the_path_to_each_replica(self, line_tree):
+        reg = DHTSchemaRegistry(line_tree, replicas=2)
+        reg.register(schema("S"), 0)
+        owners = reg._store.ring.owners("S", 2)
+        assert reg.stats.total_messages() == sum(
+            len(line_tree.path_edges(0, owner)) for owner in owners)
+
+    def test_a_lookup_pays_request_and_response_along_the_path(self, line_tree):
+        reg = DHTSchemaRegistry(line_tree)
+        reg.register(schema("S"), 0)
+        primary = reg._store.ring.owners("S", 1)[0]
+        asker = 4 if primary != 4 else 0
+        hops = len(line_tree.path_edges(asker, primary))
+        before = (reg.stats.total_messages(), reg.stats.total_bytes())
+        reg.lookup("S", asker)
+        assert (reg.stats.total_messages() - before[0],
+                reg.stats.total_bytes() - before[1]) == (2 * hops, hops * (16.0 + 64.0))
+
+    def test_a_lookup_at_the_primary_is_free(self, line_tree):
+        reg = DHTSchemaRegistry(line_tree)
+        reg.register(schema("S"), 0)
+        before = reg.stats.total_messages()
+        assert reg.lookup("S", reg._store.ring.owners("S", 1)[0]).name == "S"
+        assert reg.stats.total_messages() == before
+
+    def test_a_missed_lookup_pays_only_the_request(self, line_tree):
+        reg = DHTSchemaRegistry(line_tree)
+        primary = reg._store.ring.owners("nope", 1)[0]
+        asker = 4 if primary != 4 else 0
+        assert reg.lookup("nope", asker) is None
+        assert reg.stats.total_messages() == len(line_tree.path_edges(asker, primary))

@@ -51,6 +51,32 @@ class TestTopology:
         t.add_edge(0, 1)
         assert t.weights[edge_key(0, 1)] == 5.0
 
+    def test_neighbors(self):
+        t = Topology()
+        t.add_edge(0, 1)
+        t.add_edge(0, 2)
+        assert t.neighbors(0) == {1, 2}
+        assert t.neighbors(1) == {0}
+
+    def test_neighbors_are_a_copy(self):
+        t = Topology()
+        t.add_edge(0, 1)
+        t.neighbors(0).add(7)
+        assert t.neighbors(0) == {1}
+
+    def test_neighbors_of_an_unknown_node_raise(self):
+        t = Topology()
+        t.add_edge(0, 1)
+        with pytest.raises(TopologyError):
+            t.neighbors(2)
+
+    def test_re_adding_an_edge_replaces_its_weight(self):
+        t = Topology()
+        t.add_edge(0, 1, 5.0)
+        t.add_edge(1, 0, 2.0)
+        assert t.weights == {(0, 1): 2.0}
+        assert t.neighbors(0) == {1} and t.neighbors(1) == {0}
+
     def test_connectivity(self):
         """The generator assertions' helper sees an isolated node."""
         t = Topology()

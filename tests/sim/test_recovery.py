@@ -8,6 +8,7 @@ from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, StreamSchema
 from repro.sim import (
     ChaosConfig,
+    DropEvent,
     FaultEvent,
     InjectEvent,
     PunctuationEvent,
@@ -290,3 +291,43 @@ class TestNackBackoff:
         assert max(timers.delays) == params.nack_cap
         assert timers.delays[-1] == params.nack_cap
         assert timers.delays == sorted(timers.delays)
+
+
+class TestNackGiveUp:
+    """A gap whose retransmission is still on the wire when the last
+    NACK's timer fires is abandoned; the late copy is then suppressed."""
+
+    def run(self, max_nacks, retransmit_rtt):
+        params = ReliabilityParams(nack_delay=1.0, nack_backoff=2.0, nack_cap=2.0,
+                                   max_nacks=max_nacks, retransmit_rtt=retransmit_rtt)
+        vnet = VirtualNetwork(build=build_chain, recovery=True, params=params)
+        vnet.execute([
+            DropEvent(1.0, "Temp", seq=0, payload=(("station", 1),), sent=1.0),
+            InjectEvent(2.0, "Temp", (("station", 2),), seq=1, sent=2.0),
+        ])
+        return vnet, vnet.trace.render().splitlines()
+
+    def test_the_last_nack_gives_up_on_a_slow_retransmit(self):
+        vnet, lines = self.run(max_nacks=1, retransmit_rtt=5.0)
+        assert [line for line in lines if line.startswith(("nack", "abandon", "retransmit"))] == [
+            "nack t=3 Temp seq=0 attempt=1",
+            "abandon t=5 Temp seq=0 -> 1 released",
+            "retransmit t=8 Temp seq=0 -> 0 released suppressed",
+        ]
+        counters = vnet.state.counters
+        assert (counters.gaps_abandoned, counters.duplicates_suppressed) == (1, 1)
+        assert vnet.counters.deliveries == 1
+
+    def test_a_gap_is_abandoned_only_after_max_nacks(self):
+        __, lines = self.run(max_nacks=3, retransmit_rtt=20.0)
+        nacks = [line for line in lines if line.startswith("nack")]
+        assert [line.rsplit(" ", 1)[1] for line in nacks] == [
+            "attempt=1", "attempt=2", "attempt=3"]
+        abandon = lines.index("abandon t=9 Temp seq=0 -> 1 released")
+        assert abandon > lines.index(nacks[-1])
+
+    def test_a_retransmit_inside_the_budget_heals_the_gap(self):
+        vnet, lines = self.run(max_nacks=1, retransmit_rtt=1.0)
+        assert not any(line.startswith("abandon") for line in lines)
+        assert vnet.state.counters.gaps_abandoned == 0
+        assert vnet.counters.deliveries == 2

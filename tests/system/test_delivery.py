@@ -74,3 +74,45 @@ class TestCosts:
     def test_empty_placements(self, sensor_catalog, star_tree):
         model = DeliveryCostModel(star_tree, sensor_catalog)
         assert model.benefit_ratio([]) == 0.0
+
+
+class TestSharedResultDelivery:
+    """What the cost model approximates, measured on the live system:
+    two grouped queries, processor and source at node 1, users at 3, 4."""
+
+    @pytest.fixture
+    def system(self, sensor_catalog, star_tree):
+        from repro.system.cosmos import CosmosSystem
+
+        system = CosmosSystem(star_tree, processor_nodes=[1])
+        system.add_source(sensor_catalog.get("Temp"), 1)
+        system.submit("SELECT T.temperature FROM Temp T WHERE T.temperature > 10",
+                      user_node=3, name="a")
+        system.submit("SELECT T.temperature FROM Temp T WHERE T.temperature > 20",
+                      user_node=4, name="b")
+        assert system.grouping_summary()["groups"] == 1.0
+        return system
+
+    def publish(self, system, temperatures):
+        for index, value in enumerate(temperatures):
+            system.publish("Temp", {"station": 1, "temperature": value,
+                                    "humidity": 50.0, "timestamp": float(index)},
+                           float(index))
+
+    def test_members_receive_the_retightened_feed(self, system):
+        self.publish(system, [15.0, 25.0, 30.0, 12.0])
+        # the group's feed carries all four; "b" re-tightens to > 20
+        # where its branch leaves the shared path
+        assert [r.payload["Temp.temperature"] for r in system.query("a").results] == [
+            15.0, 25.0, 30.0, 12.0]
+        assert [r.payload["Temp.temperature"] for r in system.query("b").results] == [
+            25.0, 30.0]
+
+    def test_the_shared_link_carries_each_result_once(self, system):
+        self.publish(system, [25.0])
+        stats = system.network.data_stats
+        # processor 1 -> hub 0 is shared by both users: one message, not
+        # one per member
+        assert stats.usage(1, 0).messages == 1
+        assert stats.usage(0, 3).messages == 1
+        assert stats.usage(0, 4).messages == 1

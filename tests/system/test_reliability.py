@@ -13,6 +13,7 @@ from repro.system.reliability import (
     ReliabilityParams,
     SequencedUplink,
     UplinkReceiver,
+    _components,
     attach_reliability,
     heal_partition,
     quarantine_partitioned,
@@ -267,6 +268,32 @@ class TestQuarantine:
         system = CosmosSystem(line_tree, processor_nodes=[1])
         with pytest.raises(FaultError, match="topology"):
             quarantine_partitioned(system, 3)
+
+
+class TestComponents:
+    def test_an_excluded_cut_vertex_splits_the_topology(self):
+        topo = Topology()
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+            topo.add_edge(u, v, 1.0)
+        assert _components(topo, {2}) == [{0, 1}, {3, 4}]
+        assert _components(topo, set()) == [{0, 1, 2, 3, 4}]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_partition_the_survivors(self, seed):
+        import random
+
+        from repro.overlay.topology import barabasi_albert
+
+        rng = random.Random(seed)
+        topo = barabasi_albert(40, 1, rng)
+        excluded = set(rng.sample(sorted(topo.nodes), 6))
+        components = _components(topo, excluded)
+        assert sum(map(len, components)) == len(set().union(*components))
+        assert set().union(*components) == set(topo.nodes) - excluded
+        where = {node: index for index, part in enumerate(components) for node in part}
+        for node, index in where.items():
+            # no surviving link joins two components
+            assert {where[n] for n in topo.neighbors(node) if n in where} <= {index}
 
 
 class TestHeal:

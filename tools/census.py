@@ -12,9 +12,12 @@ calls them) and only counted.
 Every def that nothing reached must be named, by itself, its class or
 its module, in the ledger ``tools/census-baseline.txt`` with one reason
 from a closed list (see ``REASONS``); anything else fails the gate, and
-so does a ledger entry whose defs are now reached (stale).  A
-``cold-path`` entry names the transition of ``tools/modelcov-baseline.txt``
-it waits on, so driving that transition shrinks both ledgers.
+so does a ledger entry whose defs are now reached (stale).  An entry
+naming a module or a class (or a def with nested defs) states how many
+defs it covers (``defs=N``), and the gate fails when that changes, so a
+def added there later is seen.  A ``cold-path`` entry names the
+transition of ``tools/modelcov-baseline.txt`` it waits on, so driving
+that transition shrinks both ledgers.
 
 Usage::
 
@@ -216,6 +219,7 @@ class Entry(NamedTuple):
     reason: str
     detail: str      # a cold-path entry's transition, e.g. "abort PREPARING->ABORTED"
     line: int
+    size: Optional[int] = None  # "defs=N": how many defs a module or class entry covers
 
     def covers(self, definition: Def) -> bool:
         path, __, qualname = self.name.partition("::")
@@ -230,9 +234,12 @@ def read_ledger(text: str) -> List[Entry]:
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            name, __, rest = line.partition(" ")
-            reason, __, detail = rest.strip().partition(" ")
-            entries.append(Entry(name, reason, detail.strip(), number))
+            name, reason, *detail = line.split()
+            size = re.fullmatch(r"defs=(\d+)", detail[-1]) if detail else None
+            if size:
+                detail.pop()
+            entries.append(Entry(name, reason, " ".join(detail), number,
+                                 int(size.group(1)) if size else None))
     return entries
 
 
@@ -258,6 +265,17 @@ def census(defs: Sequence[Def], reached: Set[str], ledger: Sequence[Entry],
         covered = [d for d in defs if entry.covers(d) and not d.dunder]
         if not covered:
             failures.append(f"{where}: names no def under src/repro")
+        # an entry covering more than the def it names pins how many, so a
+        # def added to a ledgered module or class cannot hide behind it
+        named = entry.name.partition("::")[2]
+        if entry.size is not None or any(d.qualname != named for d in covered):
+            if entry.size is None:
+                failures.append(f"{where}: covers {len(covered)} defs: state how "
+                                f"many, defs={len(covered)}")
+            elif entry.size != len(covered):
+                failures.append(f"{where}: covers {len(covered)} defs, not "
+                                f"defs={entry.size}: delete a def added here that "
+                                "nothing runs, or correct the count")
         live = [d.qualname for d in covered if d.key in reached]
         if live:
             failures.append(f"{where}: stale, reached now: {', '.join(live)}")
