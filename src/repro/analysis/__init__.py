@@ -22,12 +22,9 @@ workload (``repro check --self``):
 * ``COS7xx`` — style: mutable default arguments, bare ``except``,
   missing ``from __future__ import annotations``
   (:mod:`repro.analysis.style`), the package's one lint.
-* ``COS81x`` — the lifecycle state machines extracted package-wide
-  (:mod:`repro.analysis.lifecycle`: unreachable/unproduced/stuck
-  states).  The extracted machines double as a dynamic oracle:
-  :mod:`repro.analysis.conformance` replays chaos traces against them
-  (``repro chaos --conform``), and ``repro flow`` dumps them as
-  JSON/DOT.
+* ``COS81x`` — the lifecycle tables the runtime runs, read from the
+  source (:mod:`repro.analysis.lifecycle`: unreachable/unproduced/stuck
+  states); ``repro flow`` dumps them as JSON/DOT.
 * ``COS9xx`` — bounded model checking: the extracted machines composed
   with an explicit environment automaton into a product automaton and
   exhaustively explored (:mod:`repro.analysis.model`: tuple loss after
@@ -59,9 +56,7 @@ from repro.analysis.diagnostics import (
     Report,
     Severity,
 )
-from repro.analysis.conformance import conformance_violations, transition_key
 from repro.analysis.lifecycle import (
-    MachineSpec,
     StateMachine,
     TableSpec,
     Transition,
@@ -78,13 +73,13 @@ from repro.analysis.model import (
     product_dot,
 )
 from repro.analysis.modelcov import (
-    SILENT_LABELS,
     MachineCoverage,
     check_coverage,
     coverage,
     default_coverage_baseline,
     load_corpus,
     summarize,
+    transition_key,
 )
 from repro.analysis.satisfiability import (
     check_filter,
@@ -127,7 +122,6 @@ __all__ = [
     "check_purity",
     "check_style",
     "collect_set_returning",
-    "conformance_violations",
     "coverage",
     "build_product",
     "explore",
@@ -151,9 +145,7 @@ __all__ = [
     "DiagnosticError",
     "Exploration",
     "MachineCoverage",
-    "MachineSpec",
     "ProductModel",
-    "SILENT_LABELS",
     "Report",
     "Severity",
     "StateMachine",

@@ -1,13 +1,12 @@
 """COS90x: bounded model checking of the composed protocol machines.
 
-:mod:`repro.analysis.lifecycle` extracts five state machines from the
+:mod:`repro.analysis.lifecycle` reads five lifecycle tables from the
 source (the uplink receiver, the failure detector, node supervision,
-``QueryStatus`` and ``MigrationState``); the conformance pass replays
-chaos traces against each machine *in isolation*.  Nothing in either
-pass proves that the machines **compose** safely — that the migration
-protocol cannot cut over past a lossy handoff channel, that a
-quarantined query can always be resumed, that the repair loop cannot
-spin forever without making progress.
+``QueryStatus`` and ``MigrationState``), and the runtime refuses any
+step a table does not list.  Neither proves that the machines
+**compose** safely — that the migration protocol cannot cut over past a
+lossy handoff channel, that a quarantined query can always be resumed,
+that the repair loop cannot spin forever without making progress.
 
 This module closes that gap.  It composes the extracted machines with
 an explicit *environment automaton* — the adversarial moves chaos can
@@ -43,27 +42,20 @@ abort path, uncertified cutover) already manifest at scope 1, and the
 bounded product stays a few thousand states, explored in well under a
 second inside the ``repro check --self`` budget.
 
-:mod:`repro.analysis.modelcov` maps chaos-conformance walks onto the
-same machines for COS905 transition coverage; ``repro model`` is the
-CLI surface (``--depth``, ``--json``, ``--dot``, ``--coverage``).
+:mod:`repro.analysis.modelcov` maps the chaos runs' executor counts
+onto the same machines for COS905 transition coverage; ``repro model``
+is the CLI surface (``--depth``, ``--json``, ``--dot``, ``--coverage``).
 """
 
 from __future__ import annotations
 
+import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.lifecycle import StateMachine, _func_source
+from repro.analysis.lifecycle import StateMachine
 from repro.analysis.source import SourceModule
 
 State = Tuple[str, ...]
@@ -795,13 +787,16 @@ def build_product(
     )
 
 
-def _anchor_holds(
-    anchor: Anchor, modules: Sequence[SourceModule]
-) -> bool:
+def _anchor_holds(anchor: Anchor, modules: Sequence[SourceModule]) -> bool:
+    """Whether the first function ``anchor.func`` of a module ending in
+    ``anchor.module`` contains ``anchor.needle``."""
     for module in modules:
         if module.rel.endswith(anchor.module):
-            source = _func_source(module, anchor.func)
-            if source is not None and anchor.needle in source:
+            func = next((node for node in ast.walk(module.tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and node.name == anchor.func), None)
+            lines = module.lines[func.lineno - 1 : func.end_lineno] if func else ()
+            if anchor.needle in "\n".join(lines):
                 return True
     return False
 

@@ -2,35 +2,21 @@
 
 :mod:`repro.analysis.model` proves what the composed machines *can*
 do; this module measures what the chaos sweeps actually *did*.  Every
-``repro chaos --conform --json`` artifact records, per seed, the
-machine transitions its conformance NFA walk exercised
-(``conformance_transitions``, keyed ``"label src->tgt"``).  Aggregated
-over a corpus and mapped onto the product automaton's reachable
-machine transitions, the difference is the interesting set: protocol
-paths the model proves reachable that no chaos seed has ever taken.
+``repro chaos --json`` artifact records, per seed, the rows the run's
+lifecycle executors took (``transitions``, keyed ``"label src->tgt"``;
+:class:`repro.system.lifecycle.Lifecycle` counts them as it steps, so
+they are exact).  Aggregated over a corpus and mapped onto the product
+automaton's reachable machine transitions, the difference is the
+interesting set: protocol paths the model proves reachable that no
+chaos seed has ever taken.
 
 Each such transition is a **COS905** warning — baseline-ledger-able in
 ``tools/modelcov-baseline.txt``, so known-cold paths (abandonment
 needs a NACK-budget exhaustion the sweeps never reach; migration
 aborts need a mid-drain target loss) carry reviewed reasons instead of
-silently shrinking the gate.
-
-The coverage *denominator* is deliberately narrower than the machine
-transition set:
-
-* ε-labels (:data:`repro.analysis.conformance.EPSILON_LABELS`) never
-  appear in traces — the NFA closes over them, so their counts are
-  witness-heuristic, not observations;
-* :data:`SILENT_LABELS` are real protocol steps with no trace record
-  at all (detector heartbeats, the operator-driven partition heal);
-* transitions the product automaton never drives (``unmodeled``) are
-  reported for transparency but not demanded from the corpus.
-
-Exercised counts use witness semantics (see
-:class:`repro.analysis.conformance._Walker`): an edge counts when some
-model-consistent replay of the trace uses it.  That can only shrink
-the COS905 set — a transition with zero witnesses is certainly
-unexercised.
+silently shrinking the gate.  The denominator is every transition the
+product automaton drives; the ones it never drives (``unmodeled``) are
+reported but not demanded from the corpus.
 """
 
 from __future__ import annotations
@@ -38,23 +24,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.conformance import EPSILON_LABELS, transition_key
 from repro.analysis.diagnostics import Report
 from repro.analysis.model import Exploration, ProductModel
 
-#: Labels that are genuine machine transitions but produce no trace
-#: record: the walker can never observe them, so demanding corpus
-#: coverage for them would make the gate unsatisfiable.
-SILENT_LABELS: Dict[str, Tuple[str, ...]] = {
-    # Heartbeats are the detector's steady state; traces record only
-    # their *absence* (suspect records).
-    "failure-detector": ("heartbeat",),
-    # heal_partition is operator-facing: chaos runs end while the
-    # partition stands, so no trace line ever witnesses the resume.
-    "QueryStatus": ("heal_partition",),
-}
+
+def transition_key(label: str, source: str, target: str) -> str:
+    """The ``"label source->target"`` key of a transition: how the
+    executors count their rows and how COS905 names them."""
+    return f"{label} {source}->{target}"
 
 
 @dataclass
@@ -63,13 +42,10 @@ class MachineCoverage:
 
     machine: str
     origin: Tuple[str, int]
-    #: Denominator: model-reachable, non-ε, non-silent transition keys.
+    #: Denominator: the model-reachable transition keys.
     total: List[str]
     #: key -> corpus count, restricted to ``total``.
     exercised: Dict[str, int]
-    #: Keys excluded as ε / silent (shown, never demanded).
-    epsilon: List[str]
-    silent: List[str]
     #: Machine transitions the product automaton never drives.
     unmodeled: List[str]
 
@@ -86,8 +62,6 @@ class MachineCoverage:
             "total": list(self.total),
             "exercised": dict(sorted(self.exercised.items())),
             "cold": list(self.cold),
-            "epsilon": list(self.epsilon),
-            "silent": list(self.silent),
             "unmodeled": list(self.unmodeled),
         }
 
@@ -98,14 +72,13 @@ class CorpusStats:
 
     artifacts: int
     seeds: int
-    #: Artifacts without per-seed transition counts (pre-COS9xx files
-    #: or sweeps run without ``--conform``).
+    #: Artifacts without per-seed transition counts.
     skipped: int
     counts: Dict[str, Dict[str, int]]
 
 
 def load_corpus(paths: Sequence[Path]) -> CorpusStats:
-    """Aggregate ``conformance_transitions`` over chaos artifacts.
+    """Aggregate the per-seed ``transitions`` of chaos artifacts.
 
     ``paths`` may mix files and directories (directories contribute
     their ``*.json`` files, sorted).  Records lacking transition
@@ -132,7 +105,7 @@ def load_corpus(paths: Sequence[Path]) -> CorpusStats:
         artifacts += 1
         saw = False
         for record in records:
-            transitions = record.get("conformance_transitions")
+            transitions = record.get("transitions")
             if not isinstance(transitions, dict):
                 continue
             saw = True
@@ -162,26 +135,15 @@ def coverage(
         if machine.name in seen_machines:
             continue
         seen_machines.add(machine.name)
-        epsilon_labels = set(EPSILON_LABELS.get(machine.name, ()))
-        silent_labels = set(SILENT_LABELS.get(machine.name, ()))
         all_keys = {
             (t.label, t.source, t.target) for t in machine.transitions
         }
         driven = reachable.get(machine.name, set())
         total: List[str] = []
-        epsilon: List[str] = []
-        silent: List[str] = []
         unmodeled: List[str] = []
         for label, source, target in sorted(all_keys):
             key = transition_key(label, source, target)
-            if label in epsilon_labels:
-                epsilon.append(key)
-            elif label in silent_labels:
-                silent.append(key)
-            elif (label, source, target) not in driven:
-                unmodeled.append(key)
-            else:
-                total.append(key)
+            (total if (label, source, target) in driven else unmodeled).append(key)
         bucket = corpus.counts.get(machine.name, {})
         exercised = {
             key: bucket[key] for key in total if bucket.get(key, 0) > 0
@@ -192,8 +154,6 @@ def coverage(
                 origin=machine.origin,
                 total=total,
                 exercised=exercised,
-                epsilon=epsilon,
-                silent=silent,
                 unmodeled=unmodeled,
             )
         )
@@ -214,7 +174,7 @@ def check_coverage(
                 f"machine {result.machine}: transition {key!r} is "
                 "statically reachable in the product model but never "
                 f"exercised by the chaos corpus ({corpus.seeds} "
-                "conforming seed(s)) — add a schedule that drives it "
+                "seed(s)) — add a schedule that drives it "
                 "or baseline it with a reason",
                 rel,
                 line,

@@ -114,7 +114,7 @@ def check_modules(
         combined.extend(per_module)
     mark = _clock()
     # The machines are extracted once: the lifecycle check reads them
-    # (broken spec anchors are COS812 from the extraction itself), and
+    # (a row naming no state is COS812 from the extraction itself), and
     # the bounded model check composes the same list (COS90x).
     lifecycle = Report()
     machines = extract_lifecycle(modules, report=lifecycle)

@@ -9,7 +9,7 @@
     python -m repro demo                   # the quickstart scenario + monitor
     python -m repro check [--workload W] [--strict]   # workload static analysis
     python -m repro check --self [--strict] [--code SPEC] [--json]  # source lint
-    python -m repro chaos [--seed N | --seeds N] [--nodes N] [--recovery] [--conform] [--trace] [--json PATH]
+    python -m repro chaos [--seed N | --seeds N] [--nodes N] [--recovery] [--migrate] [--trace] [--json PATH]
     python -m repro flow [--json | --dot]  # extracted lifecycle state machines
 """
 
@@ -91,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--recovery)",
     )
     ch.add_argument(
-        "--conform",
-        action="store_true",
-        help="replay each run's trace against the statically extracted "
-        "protocol state machines (repro flow); an observed transition "
-        "absent from the model fails the run",
-    )
-    ch.add_argument(
         "--trace", action="store_true", help="print every run's event trace"
     )
     ch.add_argument(
@@ -164,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         nargs="+",
         default=None,
-        help="chaos --conform --json artifact(s) or directories of "
+        help="chaos --json artifact(s) or directories of "
         "them; flags model transitions the corpus never exercised "
         "(COS905)",
     )
@@ -375,7 +368,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     Composes the extracted lifecycle machines with the environment
     automaton, explores the product exhaustively (or to ``--depth``),
     and reports COS901-904.  With ``--coverage`` the aggregated
-    ``conformance_transitions`` of the given chaos artifacts are
+    executor ``transitions`` of the given chaos artifacts are
     mapped onto the model and never-exercised transitions become
     COS905 warnings, minus the coverage baseline ledger.
     """
@@ -466,7 +459,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
             f"coverage: {coverage_payload['transitions_exercised']}/"
             f"{coverage_payload['transitions_total']} model "
             f"transition(s) exercised by {coverage_payload['seeds']} "
-            f"conforming seed(s) "
+            f"seed(s) "
             f"(raw {coverage_payload['coverage_raw']:.0%}, gated "
             f"{coverage_payload['coverage_gated']:.0%} after "
             f"{forgiven} baselined)"
@@ -503,11 +496,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         return 2
     seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
-    machines = None
-    if args.conform:
-        from repro.analysis.conformance import conformance_violations
-
-        machines = _extract_machines()
     records = []
     failed = False
     for seed in seeds:
@@ -557,26 +545,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.recovery:
             record["convergence_time"] = report.convergence_time
             record["reliability"] = report.reliability
-        if machines is not None:
-            transitions: dict = {}
-            conform = conformance_violations(
-                report.trace.render().splitlines(),
-                machines,
-                report.reliability,
-                args.recovery,
-                load=report.health,
-                transitions=transitions,
-            )
-            record["conformance_violations"] = conform
-            record["conformance_transitions"] = {
-                machine: dict(sorted(bucket.items()))
-                for machine, bucket in sorted(transitions.items())
-            }
-            if conform:
-                failed = True
-                print(f"seed {seed}: {len(conform)} conformance violation(s)")
-                for violation in conform:
-                    print(f"  {violation}")
+        record["transitions"] = report.transitions
         records.append(record)
     ran = [r for r in records if "error" not in r]
     totals = {
@@ -587,10 +556,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "tuples_dropped": sum(r["drops"] for r in ran),
         "violations": sum(len(r["violations"]) for r in ran),
     }
-    if machines is not None:
-        totals["conformance_violations"] = sum(
-            len(r["conformance_violations"]) for r in ran
-        )
     if args.recovery:
         for key in (
             "retransmits",

@@ -77,6 +77,7 @@ from repro.system.fault import (
     fail_broker,
     fail_processor,
 )
+from repro.system.lifecycle import Lifecycle
 from repro.system.loadmgr import (
     GroupMigration,
     LoadParams,
@@ -105,6 +106,27 @@ class ChaosExecutionError(Exception):
     """Raised when the twins diverge structurally mid-run (a harness bug
     or a nondeterministic repair path — either way, not a normal oracle
     violation)."""
+
+
+#: Supervision of one chaos node: crash, heartbeat-driven suspicion,
+#: repair with retry/degrade/give-up, plus the lossy-mode immediate
+#: fail-and-repair labels.  :attr:`VirtualNetwork.supervision` runs it,
+#: and ``repro flow`` reads this literal from the source.
+NODE_SUPERVISION = {
+    "states": ("LIVE", "CRASHED", "SUSPECTED", "REMOVED"),
+    "initial": "LIVE",
+    "terminal": ("LIVE", "REMOVED"),
+    "rows": (
+        ("crash", "LIVE", "CRASHED"),
+        ("fail_applied", "LIVE", "REMOVED"),
+        ("fail_refused", "LIVE", "LIVE"),
+        ("suspect", "CRASHED", "SUSPECTED"),
+        ("repair_applied", "SUSPECTED", "REMOVED"),
+        ("repair_retry", "SUSPECTED", "SUSPECTED"),
+        ("degraded", "SUSPECTED", "REMOVED"),
+        ("gave_up", "SUSPECTED", "REMOVED"),
+    ),
+}
 
 
 @dataclass
@@ -166,7 +188,11 @@ class VirtualNetwork:
             )
         self.primary = self.build()
         self.shadow = as_reference(self.build())
-        self._crashed: Dict[int, str] = {}
+        #: node -> its supervision state; a live node is not stored, so
+        #: the keys are the nodes that went down
+        self.supervision = Lifecycle(NODE_SUPERVISION, ChaosExecutionError, "node")
+        #: node -> what crashed there ("broker" / "processor")
+        self._crash_kind: Dict[int, str] = {}
         #: Ordering stage: released-but-unpublished (sent, stream, seq,
         #: payload), flushed to the SPE in send-time order at batch end.
         self._pending: List[tuple] = []
@@ -194,6 +220,31 @@ class VirtualNetwork:
 
     def routing_epoch(self) -> int:
         return self.primary.network.routing_epoch
+
+    def transitions(self) -> Dict[str, Dict[str, int]]:
+        """The rows the run's lifecycle executors took, by machine:
+        ``"label from->to"`` -> count (the primary's query handles; the
+        migration channels' receivers are not counted)."""
+        executors = {
+            "QueryStatus": [self.primary.lifecycle],
+            "node-supervision": [self.supervision],
+        }
+        if self.state is not None:
+            executors["failure-detector"] = [self.state.detector.leases]
+            executors["uplink-receiver"] = [
+                receiver.slots for receiver in self.state.receivers.values()
+            ]
+        if self.load is not None:
+            executors["MigrationState"] = [self.load.lifecycle]
+        counts: Dict[str, Dict[str, int]] = {}
+        for machine, lifecycles in sorted(executors.items()):
+            bucket: Dict[str, int] = {}
+            for lifecycle in lifecycles:
+                for row, count in lifecycle.counts.items():
+                    bucket[row] = bucket.get(row, 0) + count
+            if bucket:
+                counts[machine] = dict(sorted(bucket.items()))
+        return counts
 
     def execute(self, events: Sequence[ChaosEvent]) -> ChaosCounters:
         """Run ``events`` through the simulator in global time order.
@@ -277,13 +328,15 @@ class VirtualNetwork:
             self.state.uplink(event.stream).record(
                 event.seq, dict(event.payload or ()), event.sent or event.time
             )
+            self.state.receiver(event.stream).slots.step(event.seq, "drop")
         self.trace.record(event.render())
 
     def _apply_fault(self, event: FaultEvent) -> None:
         if self.recovery:
             # Nothing repairs here: the node just goes silent, and the
             # heartbeat sweep must notice on its own.
-            self._crashed[event.node] = event.kind
+            self.supervision.step(event.node, "crash")
+            self._crash_kind[event.node] = event.kind
             self.trace.record(f"{event.render()} -> crashed")
             return
 
@@ -299,8 +352,10 @@ class VirtualNetwork:
 
         outcome = self._on_twins(f"on {event.render()}", fail)
         if outcome == "applied":
+            self.supervision.step(event.node, "fail_applied")
             self.counters.faults_applied += 1
         else:
+            self.supervision.step(event.node, "fail_refused")
             self.counters.faults_refused += 1
         self.trace.record(f"{event.render()} -> {outcome}")
 
@@ -383,6 +438,7 @@ class VirtualNetwork:
         receiver = self.state.receiver(stream)
         if not receiver.outstanding(gap):
             return  # healed (or abandoned) while the timer was pending
+        receiver.slots.step(gap, "nack")
         self.state.counters.nacks_sent += 1
         item = self.state.uplink(stream).retransmit(gap)
         if item is None:
@@ -417,7 +473,7 @@ class VirtualNetwork:
         payload: Dict[str, object],
         sent: float,
     ) -> None:
-        offer = self.state.receiver(stream).offer(seq, payload, sent)
+        offer = self.state.receiver(stream).offer(seq, payload, sent, "retransmit")
         released = self._release(stream, offer.released)
         if offer.released:
             self.last_recovery_time = sim.now
@@ -456,7 +512,7 @@ class VirtualNetwork:
         loads = [
             load
             for load in SystemMonitor(self.primary).processor_loads()
-            if load.node_id not in self._crashed
+            if load.node_id not in self.supervision.states
         ]
         if event.kind == "scan":
             hot = self.load.detector.observe(loads)
@@ -484,7 +540,7 @@ class VirtualNetwork:
     def _plan_migration(self, sim: EventSimulator, source_node: int) -> None:
         """Quarantine the source's hottest group and start its move."""
         processor = self.primary.processors.get(source_node)
-        if processor is None or source_node in self._crashed:
+        if processor is None or source_node in self.supervision.states:
             self.trace.record(
                 f"migrate_skip t={sim.now:g} node={source_node} reason=no-source"
             )
@@ -504,7 +560,7 @@ class VirtualNetwork:
                 f"migrate_skip t={sim.now:g} node={source_node} reason=in-flight"
             )
             return
-        exclude = set(self._crashed) | {source_node}
+        exclude = set(self.supervision.states) | {source_node}
         target = choose_target(self.primary, group, exclude)
         if target is None:
             self.trace.record(
@@ -530,6 +586,7 @@ class VirtualNetwork:
             source_node=source_node,
             target_node=target,
             members=list(quarantined),
+            lifecycle=self.load.lifecycle,
         )
         self.load.active[key] = migration
         self.load.counters.migrations_started += 1
@@ -553,7 +610,7 @@ class VirtualNetwork:
             # elsewhere and resumed them there; this move is obsolete.
             self._abort_migration(sim, key, "superseded")
             return
-        if migration.source_node in self._crashed:
+        if migration.source_node in self.supervision.states:
             self._abort_migration(sim, key, "source-lost")
             return
         chunks = capture_group_state(
@@ -588,12 +645,12 @@ class VirtualNetwork:
         if migration.source_node not in self.primary.processors:
             self._abort_migration(sim, key, "superseded")
             return
-        if migration.source_node in self._crashed:
+        if migration.source_node in self.supervision.states:
             self._abort_migration(sim, key, "source-lost")
             return
         target_live = (
             migration.target_node in self.primary.processors
-            and migration.target_node not in self._crashed
+            and migration.target_node not in self.supervision.states
         )
         if not target_live:
             if attempt < self.load.params.max_migrate_attempts:
@@ -669,14 +726,15 @@ class VirtualNetwork:
         now = sim.now
         detector = self.state.detector
         # Every live node answers implicitly; only the crashed stay silent.
-        detector.sweep(now, self._crashed)
+        detector.sweep(now, self.supervision.states)
         for node in detector.check(now):
+            self.supervision.step(node, "suspect")
             self.state.counters.nodes_suspected += 1
             self.trace.record(f"suspect t={now:g} node={node}")
             self._repair(sim, node, attempt=1)
 
     def _repair(self, sim: EventSimulator, node: int, attempt: int) -> None:
-        kind = self._crashed.get(node, "broker")
+        kind = self._crash_kind[node]
         errors: List[FaultError] = []
 
         def repair(system: CosmosSystem) -> str:
@@ -692,6 +750,7 @@ class VirtualNetwork:
 
         outcome = self._on_twins(f"repairing node {node}", repair)
         if outcome == "repaired":
+            self.supervision.step(node, "repair_applied")
             self.counters.faults_applied += 1
             self.state.counters.repairs_applied += 1
             self.state.detector.deregister(node)
@@ -704,6 +763,7 @@ class VirtualNetwork:
             self._degrade(sim, node)
             return
         if attempt < self.state.params.max_repair_attempts:
+            self.supervision.step(node, "repair_retry")
             self.state.counters.repairs_retried += 1
             self.trace.record(
                 f"repair t={sim.now:g} fail_{kind} node={node} -> "
@@ -714,6 +774,7 @@ class VirtualNetwork:
                 lambda: self._repair(sim, node, attempt + 1),
             )
             return
+        self.supervision.step(node, "gave_up")
         self.counters.faults_refused += 1
         self.state.detector.deregister(node)
         self.trace.record(
@@ -727,6 +788,7 @@ class VirtualNetwork:
             f"degrading node {node}",
             lambda system: quarantine_partitioned(system, node),
         )
+        self.supervision.step(node, "degraded")
         self.counters.faults_applied += 1
         self.state.detector.deregister(node)
         self.last_recovery_time = sim.now

@@ -381,6 +381,9 @@ class ChaosReport:
     #: Post-run :meth:`~repro.system.monitor.SystemMonitor.health`
     #: snapshot of the primary (reliability + load-management block).
     health: Optional[Dict[str, object]] = None
+    #: The rows the run's lifecycle executors took, by machine
+    #: (:meth:`~repro.sim.network.VirtualNetwork.transitions`).
+    transitions: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -463,6 +466,7 @@ def run_schedule(
             vnet.state.counters.as_dict() if vnet.state is not None else None
         ),
         health=SystemMonitor(vnet.primary).health(),
+        transitions=vnet.transitions(),
     )
 
 

@@ -40,6 +40,7 @@ from repro.system.distribution import (
     QueryDistribution,
     StreamAffinityDistribution,
 )
+from repro.system.lifecycle import Lifecycle
 from repro.system.node import Processor
 
 
@@ -66,7 +67,8 @@ class QueryStatus(enum.Enum):
 #: may take, labelled by the function that takes it.  No state is
 #: terminal: an ``ACTIVE`` query stays quarantinable and a ``DEGRADED``
 #: one healable, by both quarantine owners.  :meth:`SubmittedQuery.step`
-#: runs it, and ``repro flow`` reads this literal from the source.
+#: runs it (through the system's :class:`Lifecycle`), and ``repro flow``
+#: reads this literal from the source.
 QUERY_LIFECYCLE = {
     "initial": "ACTIVE",
     "terminal": (),
@@ -90,6 +92,12 @@ class SubmittedQuery:
     result_stream: str
     results: List[Datagram] = field(default_factory=list)
     status: QueryStatus = QueryStatus[QUERY_LIFECYCLE["initial"]]
+    #: The executor that counts this query's steps: its system's.
+    lifecycle: Lifecycle = field(
+        default_factory=lambda: Lifecycle(QUERY_LIFECYCLE, SystemError_),
+        repr=False,
+        compare=False,
+    )
 
     @property
     def result_count(self) -> int:
@@ -101,13 +109,9 @@ class SubmittedQuery:
         The one writer of :attr:`status`; raises :class:`SystemError_`
         for a step :data:`QUERY_LIFECYCLE` does not list.
         """
-        for row, source, target in QUERY_LIFECYCLE["rows"]:
-            if row == label and source == self.status.name:
-                self.status = QueryStatus[target]
-                return
-        raise SystemError_(
-            f"query {self.query_id}: no step {label!r} from {self.status.name}"
-        )
+        self.status = QueryStatus[
+            self.lifecycle.take(label, self.status.name, f"query {self.query_id}")
+        ]
 
 
 class CosmosSystem:
@@ -165,6 +169,8 @@ class CosmosSystem:
         #: Load-management state (:func:`repro.system.loadmgr.attach_load_manager`);
         #: ``None`` until a load manager attaches one.
         self.load = None
+        #: Runs every handle's :data:`QUERY_LIFECYCLE` steps and counts them.
+        self.lifecycle = Lifecycle(QUERY_LIFECYCLE, SystemError_)
 
     def _make_processor(self, node: NodeId) -> Processor:
         threshold = 0.0 if self.merging else float("inf")
@@ -235,6 +241,7 @@ class CosmosSystem:
             user_node=user_node,
             processor_node=processor.node_id,
             result_stream=processor.manager.result_stream_of(group),
+            lifecycle=self.lifecycle,
         )
         self._queries[query_id] = handle
         self.reconcile_group(processor, group)

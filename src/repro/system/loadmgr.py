@@ -55,6 +55,7 @@ from repro.core.grouping import QueryGroup
 from repro.overlay.topology import NodeId
 from repro.overlay.tree import Demand
 from repro.system.cosmos import CosmosSystem, QueryStatus
+from repro.system.lifecycle import Lifecycle
 from repro.system.reliability import (
     ReliabilityCounters,
     ReliabilityParams,
@@ -285,6 +286,12 @@ class GroupMigration:
     members: List[str] = field(default_factory=list)
     state: MigrationState = MigrationState[MIGRATION_LIFECYCLE["initial"]]
     channel: Optional["MigrationChannel"] = None
+    #: The executor that counts this migration's steps: its load state's.
+    lifecycle: Lifecycle = field(
+        default_factory=lambda: Lifecycle(MIGRATION_LIFECYCLE, LoadManagementError),
+        repr=False,
+        compare=False,
+    )
 
     def step(self, label: str) -> None:
         """Take the lifecycle step ``label`` from the current state.
@@ -293,13 +300,9 @@ class GroupMigration:
         :class:`LoadManagementError` for a step
         :data:`MIGRATION_LIFECYCLE` does not list.
         """
-        for row, source, target in MIGRATION_LIFECYCLE["rows"]:
-            if row == label and source == self.state.name:
-                self.state = MigrationState[target]
-                return
-        raise LoadManagementError(
-            f"cannot {label} migration {self.migration_id} from {self.state.name}"
-        )
+        self.state = MigrationState[
+            self.lifecycle.take(label, self.state.name, f"migration {self.migration_id}")
+        ]
 
     @property
     def key(self) -> str:
@@ -522,6 +525,10 @@ class LoadState:
     detector: HotspotDetector = field(default=None)  # type: ignore[assignment]
     #: in-flight migrations, keyed by ``GroupMigration.key``
     active: Dict[str, GroupMigration] = field(default_factory=dict)
+    #: Runs every migration's :data:`MIGRATION_LIFECYCLE` steps and counts them.
+    lifecycle: Lifecycle = field(
+        default_factory=lambda: Lifecycle(MIGRATION_LIFECYCLE, LoadManagementError)
+    )
 
     def __post_init__(self) -> None:
         if self.detector is None:

@@ -51,6 +51,7 @@ from repro.overlay.topology import NodeId, Topology
 from repro.system import rebuild
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.fault import FaultError, spanning_tree
+from repro.system.lifecycle import Lifecycle
 
 
 class ReliabilityError(Exception):
@@ -197,6 +198,35 @@ class Offer:
     fresh_gaps: List[int] = field(default_factory=list)
 
 
+#: The uplink receiver's per-sequence-number slot protocol.  UNSEEN is
+#: a slot nothing happened to yet; LOST means the wire ate the send;
+#: GAP means the receiver knows the number is missing; BUFFERED holds
+#: an out-of-order arrival; RELEASED/ABANDONED are the two outcomes.
+#: :attr:`UplinkReceiver.slots` runs it, and ``repro flow`` reads this
+#: literal from the source.
+UPLINK_RECEIVER = {
+    "states": ("UNSEEN", "LOST", "GAP", "BUFFERED", "RELEASED", "ABANDONED"),
+    "initial": "UNSEEN",
+    "terminal": ("RELEASED", "ABANDONED"),
+    "rows": (
+        ("arrive", "UNSEEN", "BUFFERED"),
+        ("arrive", "GAP", "BUFFERED"),
+        # A late first copy can overtake its own abandonment.
+        ("arrive", "ABANDONED", "BUFFERED"),
+        ("drop", "UNSEEN", "LOST"),
+        ("gap_detect", "UNSEEN", "GAP"),
+        ("gap_detect", "LOST", "GAP"),
+        ("nack", "GAP", "GAP"),
+        ("retransmit", "GAP", "BUFFERED"),
+        ("retransmit", "ABANDONED", "BUFFERED"),
+        ("duplicate", "BUFFERED", "BUFFERED"),
+        ("duplicate", "RELEASED", "RELEASED"),
+        ("abandon", "GAP", "ABANDONED"),
+        ("release", "BUFFERED", "RELEASED"),
+    ),
+}
+
+
 class UplinkReceiver:
     """Receiver half of one (stream, source) reliable uplink.
 
@@ -206,6 +236,11 @@ class UplinkReceiver:
     When the buffer exceeds ``reorder_limit`` the low-watermark flush
     abandons the lowest outstanding gaps until occupancy is back under
     the bound — bounded memory beats completeness.
+
+    Each sequence number is a slot of :data:`UPLINK_RECEIVER`, run by
+    :attr:`slots`.  It stores only the slots at or above the watermark
+    that something happened to: below it every slot is RELEASED or
+    ABANDONED, and the watermark alone says so.
     """
 
     def __init__(
@@ -216,16 +251,15 @@ class UplinkReceiver:
         self.params = params or ReliabilityParams()
         self.counters = counters or ReliabilityCounters()
         self._expected = 0
+        #: the BUFFERED slots' (payload, sent)
         self._buffer: Dict[int, Tuple[Dict[str, object], float]] = {}
-        self._abandoned: Set[int] = set()
-        self._known_gaps: Set[int] = set()
+        self.slots = Lifecycle(UPLINK_RECEIVER, ReliabilityError, "slot")
 
     def outstanding(self, seq: int) -> bool:
         """Whether ``seq`` is still a gap worth NACKing."""
-        return (
-            seq >= self._expected
-            and seq not in self._buffer
-            and seq not in self._abandoned
+        return seq >= self._expected and self.slots.states.get(seq) not in (
+            "BUFFERED",
+            "ABANDONED",
         )
 
     @property
@@ -237,7 +271,9 @@ class UplinkReceiver:
         the full outstanding set — what a barrier that must certify
         gap-free delivery (the migration cutover) has to inspect.
         """
-        return sorted(self._known_gaps)
+        return sorted(
+            seq for seq, state in self.slots.states.items() if state == "GAP"
+        )
 
     def missing(self) -> List[int]:
         """Every outstanding gap below the highest buffered arrival."""
@@ -247,25 +283,39 @@ class UplinkReceiver:
         return [
             seq
             for seq in range(self._expected, top)
-            if seq not in self._buffer and seq not in self._abandoned
+            if self.slots.states.get(seq) not in ("BUFFERED", "ABANDONED")
         ]
 
     def offer(
-        self, seq: int, payload: Dict[str, object], sent: float
+        self,
+        seq: int,
+        payload: Dict[str, object],
+        sent: float,
+        label: str = "arrive",
     ) -> Offer:
-        """Hand one arrival to the receiver; returns what it unlocked."""
+        """Hand one arrival to the receiver; returns what it unlocked.
+
+        ``label`` says how it came: ``"arrive"`` (the send itself or a
+        wire duplicate) or ``"retransmit"`` (the answer to a NACK).
+        """
         if seq < 0:
             raise ReliabilityError(f"negative sequence number {seq}")
-        if seq < self._expected or seq in self._buffer:
-            # Below the watermark everything was already released or
-            # abandoned; either way a second copy must not be delivered.
+        if seq < self._expected:
+            # Below the watermark the slot was released (or abandoned)
+            # and is no longer stored; a second copy is not delivered.
+            self.slots.take("duplicate", "RELEASED", seq)
             self.counters.duplicates_suppressed += 1
-            self._abandoned.discard(seq)
             return Offer(released=[], duplicate=True)
+        if seq in self._buffer:
+            self.slots.step(seq, "duplicate")
+            self.counters.duplicates_suppressed += 1
+            return Offer(released=[], duplicate=True)
+        self.slots.step(seq, label)
         self._buffer[seq] = (dict(payload), float(sent))
         released = self._flush()
-        fresh = [gap for gap in self.missing() if gap not in self._known_gaps]
-        self._known_gaps.update(fresh)
+        fresh = [gap for gap in self.missing() if self.slots.states.get(gap) != "GAP"]
+        for gap in fresh:
+            self.slots.step(gap, "gap_detect")
         if len(self._buffer) > self.params.reorder_limit:
             released.extend(self._force_flush())
         self._note_occupancy()
@@ -284,19 +334,17 @@ class UplinkReceiver:
         fresh = [
             seq
             for seq in range(self._expected, top + 1)
-            if seq not in self._buffer
-            and seq not in self._abandoned
-            and seq not in self._known_gaps
+            if self.slots.states.get(seq, "UNSEEN") in ("UNSEEN", "LOST")
         ]
-        self._known_gaps.update(fresh)
+        for seq in fresh:
+            self.slots.step(seq, "gap_detect")
         return fresh
 
     def abandon(self, seq: int) -> List[Tuple[int, Dict[str, object], float]]:
         """Give up on a gap; returns arrivals it was blocking."""
         if seq < self._expected or seq in self._buffer:
             return []
-        self._abandoned.add(seq)
-        self._known_gaps.discard(seq)
+        self.slots.step(seq, "abandon")
         self.counters.gaps_abandoned += 1
         released = self._flush()
         self._note_occupancy()
@@ -305,17 +353,15 @@ class UplinkReceiver:
     def _flush(self) -> List[Tuple[int, Dict[str, object], float]]:
         released: List[Tuple[int, Dict[str, object], float]] = []
         while True:
-            if self._expected in self._buffer:
-                payload, sent = self._buffer.pop(self._expected)
-                self._known_gaps.discard(self._expected)
-                # A late arrival can overtake its own abandonment; the
-                # buffered copy wins and the abandonment mark is stale.
-                self._abandoned.discard(self._expected)
-                released.append((self._expected, payload, sent))
-            elif self._expected in self._abandoned:
-                self._abandoned.discard(self._expected)
-            else:
+            seq = self._expected
+            if seq in self._buffer:
+                payload, sent = self._buffer.pop(seq)
+                self.slots.step(seq, "release")
+                released.append((seq, payload, sent))
+            elif self.slots.states.get(seq) != "ABANDONED":
                 break
+            # the watermark passes the slot: it needs no storing
+            self.slots.forget(seq)
             self._expected += 1
         return released
 
@@ -325,9 +371,8 @@ class UplinkReceiver:
         while len(self._buffer) > self.params.reorder_limit:
             lowest = min(self._buffer)
             for gap in range(self._expected, lowest):
-                if gap not in self._abandoned:
-                    self._abandoned.add(gap)
-                    self._known_gaps.discard(gap)
+                if self.slots.states.get(gap) != "ABANDONED":
+                    self.slots.step(gap, "abandon")
                     self.counters.gaps_abandoned += 1
             released.extend(self._flush())
         return released
@@ -343,6 +388,24 @@ class UplinkReceiver:
 # ---------------------------------------------------------------------------
 
 
+#: The heartbeat failure detector's lease states per node.
+#: :attr:`FailureDetector.leases` runs it, and ``repro flow`` reads this
+#: literal from the source.
+FAILURE_DETECTOR = {
+    "states": ("UNKNOWN", "MONITORED", "SUSPECTED"),
+    "initial": "UNKNOWN",
+    "terminal": ("UNKNOWN", "MONITORED"),
+    "rows": (
+        ("register", "UNKNOWN", "MONITORED"),
+        ("register", "SUSPECTED", "MONITORED"),
+        ("heartbeat", "MONITORED", "MONITORED"),
+        ("suspect", "MONITORED", "SUSPECTED"),
+        ("deregister", "MONITORED", "UNKNOWN"),
+        ("deregister", "SUSPECTED", "UNKNOWN"),
+    ),
+}
+
+
 class FailureDetector:
     """Lease-based heartbeat failure detector.
 
@@ -354,7 +417,9 @@ class FailureDetector:
     is monitored.  :meth:`check` moves nodes whose lease expired into
     the suspected set and returns them (sorted, once each) so the
     supervisor can repair deterministically.  Time comes from the
-    caller — the detector never reads a clock.
+    caller — the detector never reads a clock.  Each node's state is a
+    key of :attr:`leases`, which runs :data:`FAILURE_DETECTOR` and
+    counts a sweep's heartbeats in one go.
     """
 
     def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
@@ -365,21 +430,23 @@ class FailureDetector:
         #: Nodes that answered the last sweep, and their one deadline.
         self._shared: Set[NodeId] = set()
         self._shared_deadline = 0.0
-        self._suspected: Set[NodeId] = set()
+        self.leases = Lifecycle(FAILURE_DETECTOR, ReliabilityError, "node")
 
     @property
     def suspected(self) -> List[NodeId]:
-        return sorted(self._suspected)
+        return sorted(
+            node for node, state in self.leases.states.items()
+            if state == "SUSPECTED"
+        )
 
     def register(self, node: NodeId, now: float) -> None:
-        self._shared.discard(node)
+        self.leases.step(node, "register")
         self._deadlines[node] = now + self.params.lease
-        self._suspected.discard(node)
 
     def deregister(self, node: NodeId) -> None:
+        self.leases.step(node, "deregister")
         self._shared.discard(node)
         self._deadlines.pop(node, None)
-        self._suspected.discard(node)
 
     def sweep(self, now: float, silent: Collection[NodeId]) -> None:
         """One heartbeat round at ``now``: every monitored node outside
@@ -395,6 +462,8 @@ class FailureDetector:
             del self._deadlines[node]
         self._shared.update(answered)
         self._shared_deadline = now + self.params.lease
+        if self._shared:
+            self.leases.take("heartbeat", "MONITORED", times=len(self._shared))
 
     def check(self, now: float) -> List[NodeId]:
         """Nodes whose lease expired since the last check (sorted)."""
@@ -407,7 +476,7 @@ class FailureDetector:
         newly.sort()
         for node in newly:
             self._deadlines.pop(node, None)
-            self._suspected.add(node)
+            self.leases.step(node, "suspect")
         return newly
 
 

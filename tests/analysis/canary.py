@@ -12,12 +12,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.lifecycle import (
-    DEFAULT_MACHINE_SPECS,
-    MachineSpec,
-    check_machines,
-    extract_lifecycle,
-)
+from repro.analysis.lifecycle import check_machines, extract_lifecycle
 from repro.analysis.purity import check_purity
 from repro.analysis.source import SourceError, SourceModule, apply_pragmas
 from repro.analysis.style import check_style
@@ -47,10 +42,7 @@ def check_source_module(
     return report
 
 
-def check_lifecycle(
-    modules: Sequence[SourceModule],
-    specs: Sequence[MachineSpec] = DEFAULT_MACHINE_SPECS,
-) -> Report:
+def check_lifecycle(modules: Sequence[SourceModule]) -> Report:
     """COS811/812/813 over a module set."""
     report = Report()
-    return check_machines(extract_lifecycle(modules, specs, report), report)
+    return check_machines(extract_lifecycle(modules, report), report)

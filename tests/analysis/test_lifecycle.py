@@ -1,4 +1,4 @@
-"""COS81x lifecycle extraction: table and spec machines, canaries."""
+"""COS81x lifecycle extraction: the five tables the runtime runs, canaries."""
 
 from __future__ import annotations
 
@@ -6,19 +6,17 @@ import pytest
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.lifecycle import (
-    MachineSpec,
     StateMachine,
     TableSpec,
     Transition,
-    TransitionSpec,
-    _extract_spec_machine,
     _extract_table_machine,
     check_machines,
     extract_lifecycle,
 )
 from repro.analysis.selfcheck import check_modules, default_package_dir
 from repro.analysis.source import load_package
-from repro.system import cosmos, loadmgr
+from repro.sim import network
+from repro.system import cosmos, loadmgr, reliability
 from tests.analysis.canary import check_lifecycle, module_from_text
 
 
@@ -47,13 +45,14 @@ def mutate(modules, rel_suffix, old, new, count=1):
 
 
 class TestExtraction:
-    def test_at_least_three_machines(self, machines):
-        assert {
+    def test_the_five_tables(self, machines):
+        assert list(machines) == [
+            "MigrationState",
             "QueryStatus",
-            "uplink-receiver",
             "failure-detector",
             "node-supervision",
-        } <= set(machines)
+            "uplink-receiver",
+        ]
 
     def test_query_status_machine(self, machines):
         m = machines["QueryStatus"]
@@ -75,6 +74,21 @@ class TestExtraction:
             assert m.initial == [table["initial"]]
             assert m.terminal == list(table["terminal"])
             assert m.transitions == [Transition(*row) for row in table["rows"]]
+
+    def test_keyed_machines_are_the_literals_beside_their_code(self, machines):
+        """A keyed table lists its own states; the machine is the
+        literal, row for row, declared where its executor runs."""
+        for name, module, table in (
+            ("uplink-receiver", "system/reliability.py", reliability.UPLINK_RECEIVER),
+            ("failure-detector", "system/reliability.py", reliability.FAILURE_DETECTOR),
+            ("node-supervision", "sim/network.py", network.NODE_SUPERVISION),
+        ):
+            m = machines[name]
+            assert m.states == list(table["states"])
+            assert m.initial == [table["initial"]]
+            assert m.terminal == list(table["terminal"])
+            assert m.transitions == [Transition(*row) for row in table["rows"]]
+            assert m.origin[0].endswith(module) and m.origin[1] > 1
 
     def test_uplink_receiver_machine(self, machines):
         m = machines["uplink-receiver"]
@@ -147,19 +161,20 @@ class TestCanaries:
         assert "heal_partition" in report.render()
         assert "ACTIV'" in report.render()
 
-    def test_missing_spec_anchor_fires_cos812(self, modules):
-        """Renaming the suspicion mutation breaks the anchored
-        MONITORED->SUSPECTED transition (and SUSPECTED turns
-        unreachable)."""
+    def test_a_keyed_row_naming_an_unlisted_state_fires_cos812(self, modules):
+        """A keyed table's states are its own ``states``: a row into a
+        state they lack never joins the machine, and with it gone
+        SUSPECTED has no producing row either."""
         mutated = mutate(
             modules,
             "system/reliability.py",
-            "self._suspected.add",
-            "self._suspected_nodes_add",
+            '("suspect", "MONITORED", "SUSPECTED")',
+            '("suspect", "MONITORED", "SUSPECT")',
         )
         report = check_lifecycle(mutated)
-        assert any(d.code == "COS812" for d in report)
-        assert "suspect" in report.render()
+        assert [d.code for d in report] == ["COS812", "COS812"]
+        assert "'SUSPECT')" in report.render()
+        assert "state SUSPECTED has no producing code path" in report.render()
 
 
 class TestExtractOnce:
@@ -172,8 +187,8 @@ class TestExtractOnce:
         canary = mutate(
             modules,
             "system/reliability.py",
-            "self._suspected.add",
-            "self._suspected_nodes_add",
+            '("suspect", "MONITORED", "SUSPECTED")',
+            '("suspect", "MONITORED", "SUSPECT")',
         )
         for module_set in (modules, canary):
             report = Report()
@@ -259,87 +274,12 @@ class TestCheckMachines:
 
     def test_findings_join_the_given_report_at_the_machine_origin(self):
         report = Report()
-        report.add("COS812", "a broken anchor", "repro/other.py", 1)
+        report.add("COS812", "a row naming no state", "repro/other.py", 1)
         machine = _machine("AB", "A", "A", ("go", "A", "B"))
         assert check_machines([machine], report) is report
         assert [d.code for d in report] == ["COS812", "COS813"]
         finding = list(report)[-1]
         assert (finding.source, finding.pos) == ("repro/toy.py", 7)
-
-
-_HOME = module_from_text(
-    "class Box:\n"
-    "    def open(self):\n"
-    "        self._open = True\n"
-    "    def close(self):\n"
-    "        self._open = False\n",
-    "repro/box.py",
-)
-
-
-def _box_spec(*templates):
-    return MachineSpec(
-        name="box",
-        module="repro/box.py",
-        states=("SHUT", "OPEN"),
-        initial=("SHUT",),
-        terminal=("SHUT",),
-        transitions=tuple(
-            TransitionSpec(label, source, target, "repro/box.py", func, needle)
-            for label, source, target, func, needle in templates
-        ),
-    )
-
-
-class TestSpecMachines:
-    def test_anchored_transitions_are_admitted(self):
-        report = Report()
-        machine = _extract_spec_machine(
-            _box_spec(
-                ("open", "SHUT", "OPEN", "open", "self._open = True"),
-                ("close", "OPEN", "SHUT", "close", "self._open = False"),
-            ),
-            [_HOME],
-            report,
-        )
-        assert report.is_clean
-        assert machine.origin == ("repro/box.py", 1)
-        assert machine.transitions == [
-            Transition("open", "SHUT", "OPEN"),
-            Transition("close", "OPEN", "SHUT"),
-        ]
-
-    def test_a_missing_needle_or_method_drops_the_edge_as_cos812(self):
-        report = Report()
-        machine = _extract_spec_machine(
-            _box_spec(
-                ("open", "SHUT", "OPEN", "open", "self._opened = True"),
-                ("close", "OPEN", "SHUT", "shut", "self._open = False"),
-            ),
-            [_HOME],
-            report,
-        )
-        assert machine.transitions == []
-        assert [d.code for d in report] == ["COS812", "COS812"]
-        assert "open() no longer contains" in report.render()
-        assert "shut() no longer contains" in report.render()
-
-    def test_two_anchors_for_one_edge_admit_it_once(self):
-        machine = _extract_spec_machine(
-            _box_spec(
-                ("open", "SHUT", "OPEN", "open", "self._open = True"),
-                ("open", "SHUT", "OPEN", "open", "def open"),
-            ),
-            [_HOME],
-            Report(),
-        )
-        assert machine.transitions == [Transition("open", "SHUT", "OPEN")]
-
-    def test_a_spec_whose_module_is_absent_yields_no_machine(self):
-        other = module_from_text("x = 1\n", "repro/other.py")
-        report = Report()
-        assert _extract_spec_machine(_box_spec(), [other], report) is None
-        assert report.is_clean
 
 
 _PHASES = module_from_text(
@@ -384,6 +324,26 @@ class TestTableMachines:
         renamed = TableSpec("Phase", "pkg/phases.py", "STEPS")
         assert _extract_table_machine(renamed, [_PHASES], report) is None
         assert report.is_clean
+
+    def test_a_table_listing_its_states_needs_no_enum(self):
+        module = module_from_text(
+            "STEPS = {\n"
+            "    'states': ('B', 'A'),\n"
+            "    'initial': 'A',\n"
+            "    'terminal': ('B',),\n"
+            "    'rows': (('go', 'A', 'B'),),\n"
+            "}\n",
+            "pkg/steps.py",
+        )
+        report = Report()
+        machine = _extract_table_machine(
+            TableSpec("steps", "pkg/steps.py", "STEPS"), [module], report
+        )
+        assert report.is_clean
+        assert (machine.name, machine.states, machine.origin) == (
+            "steps", ["B", "A"], ("pkg/steps.py", 1)
+        )
+        assert machine.transitions == [Transition("go", "A", "B")]
 
     def test_a_row_outside_the_enum_is_cos812_and_left_out(self):
         module = module_from_text(

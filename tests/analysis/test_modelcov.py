@@ -9,7 +9,6 @@ import pytest
 from repro.analysis.lifecycle import extract_lifecycle
 from repro.analysis.model import build_product, explore
 from repro.analysis.modelcov import (
-    SILENT_LABELS,
     check_coverage,
     coverage,
     default_coverage_baseline,
@@ -42,7 +41,7 @@ class TestCorpusLoading:
             [
                 {
                     "seed": 0,
-                    "conformance_transitions": {
+                    "transitions": {
                         "uplink-receiver": {"arrive UNSEEN->BUFFERED": 2}
                     },
                 }
@@ -54,7 +53,7 @@ class TestCorpusLoading:
             [
                 {
                     "seed": 1,
-                    "conformance_transitions": {
+                    "transitions": {
                         "uplink-receiver": {"arrive UNSEEN->BUFFERED": 3},
                         "node-supervision": {"crash LIVE->CRASHED": 1},
                     },
@@ -76,7 +75,7 @@ class TestCorpusLoading:
         _artifact(
             tmp_path,
             "sweep.json",
-            [{"seed": 0, "conformance_transitions": {"m": {"k": 1}}}],
+            [{"seed": 0, "transitions": {"m": {"k": 1}}}],
         )
         corpus = load_corpus([tmp_path])
         assert corpus.artifacts == 1
@@ -115,7 +114,7 @@ class TestCoverage:
             [
                 {
                     "seed": 0,
-                    "conformance_transitions": {
+                    "transitions": {
                         "uplink-receiver": {"arrive UNSEEN->BUFFERED": 7}
                     },
                 }
@@ -127,15 +126,18 @@ class TestCoverage:
         assert uplink.exercised == {"arrive UNSEEN->BUFFERED": 7}
         assert "arrive UNSEEN->BUFFERED" not in uplink.cold
 
-    def test_silent_and_epsilon_labels_not_demanded(self, explored):
+    def test_internal_steps_are_demanded_and_undriven_ones_are_not(self, explored):
+        """The executors count every row they take, so the steps no
+        trace line names (heartbeats, registrations, gap detection,
+        release) are demanded like any other; what the product never
+        drives is reported, not demanded."""
         model, exploration = explored
-        results = coverage(model, exploration, load_corpus([]))
-        (detector,) = [r for r in results if r.machine == "failure-detector"]
-        assert any(key.startswith("heartbeat ") for key in detector.silent)
-        assert any(key.startswith("register ") for key in detector.epsilon)
-        for key in detector.silent + detector.epsilon:
-            assert key not in detector.total
-        assert "failure-detector" in SILENT_LABELS
+        results = {r.machine: r for r in coverage(model, exploration, load_corpus([]))}
+        detector, uplink = results["failure-detector"], results["uplink-receiver"]
+        assert {"heartbeat MONITORED->MONITORED", "register UNKNOWN->MONITORED"} <= set(detector.total)
+        assert {"gap_detect LOST->GAP", "release BUFFERED->RELEASED"} <= set(uplink.total)
+        assert "deregister MONITORED->UNKNOWN" in detector.unmodeled
+        assert not set(detector.unmodeled) & set(detector.total)
 
     def test_summary_gating(self, explored):
         model, exploration = explored
@@ -175,7 +177,7 @@ class TestCheckedInBaseline:
             pytest.skip("chaos sweep artifacts not generated")
         corpus = load_corpus(present)
         if corpus.seeds == 0:
-            pytest.skip("artifacts predate conformance_transitions")
+            pytest.skip("artifacts carry no transition counts")
         results = coverage(model, exploration, corpus)
         report = check_coverage(results, corpus)
         baseline = Baseline.load(default_coverage_baseline())

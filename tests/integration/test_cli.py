@@ -52,26 +52,23 @@ class TestChaosCli:
         assert payload["seeds"][0]["reliability"]["retransmits"] >= 0
         assert "convergence_time" in payload["seeds"][0]
 
-    def test_conform_sweep_records_transition_counts(self, capsys, tmp_path):
-        artifact = tmp_path / "conform.json"
+    def test_sweep_records_the_executors_transition_counts(self, capsys, tmp_path):
+        artifact = tmp_path / "sweep.json"
         assert main(
-            [
-                "chaos",
-                "--seeds",
-                "2",
-                "--recovery",
-                "--conform",
-                "--json",
-                str(artifact),
-            ]
+            ["chaos", "--seeds", "2", "--recovery", "--json", str(artifact)]
         ) == 0
         import json
 
         payload = json.loads(artifact.read_text())
         for record in payload["seeds"]:
-            assert record["conformance_violations"] == []
-            transitions = record["conformance_transitions"]
+            transitions = record["transitions"]
             assert "uplink-receiver" in transitions
+            # the internal steps are counted too, exactly
+            assert transitions["failure-detector"]["heartbeat MONITORED->MONITORED"] > 0
+            assert transitions["uplink-receiver"]["release BUFFERED->RELEASED"] == (
+                sum(count for key, count in transitions["uplink-receiver"].items()
+                    if key.startswith(("arrive ", "retransmit ")))
+            )
             for bucket in transitions.values():
                 for key, count in bucket.items():
                     label, _, arrow = key.partition(" ")
@@ -174,7 +171,6 @@ class TestModelCli:
                 "2",
                 "--recovery",
                 "--migrate",
-                "--conform",
                 "--json",
                 str(artifact),
             ]
@@ -207,7 +203,6 @@ class TestModelCli:
                 "--seeds",
                 "2",
                 "--recovery",
-                "--conform",
                 "--json",
                 str(artifact),
             ]

@@ -8,7 +8,10 @@ there before, kept as the oracle: one deadline per node, renewed by a
 ``heartbeat`` per answering node, and a sweep that walks every monitored
 node.  Both must agree, step by step, on what ``check`` returns and on
 ``monitored`` and ``suspected`` — and a chaos run must replay the same
-trace with either one behind it.
+trace with either one behind it.  The shared detector also runs the
+``FAILURE_DETECTOR`` table, so it refuses what the table does not list
+(registering a monitored node, deregistering an unknown one) and leaves
+its state as it was; the oracle skips those steps.
 """
 
 import random
@@ -17,7 +20,13 @@ import pytest
 
 from repro.sim import ChaosConfig, run_chaos
 from repro.system import reliability
-from repro.system.reliability import FailureDetector, ReliabilityParams
+from repro.system.lifecycle import Lifecycle
+from repro.system.reliability import (
+    FAILURE_DETECTOR,
+    FailureDetector,
+    ReliabilityError,
+    ReliabilityParams,
+)
 
 
 class PerNodeDetector:
@@ -27,6 +36,9 @@ class PerNodeDetector:
         self.params = params or ReliabilityParams()
         self._deadlines = {}
         self._suspected = set()
+        #: what a chaos run reads the detector's counts from; the oracle
+        #: takes no row
+        self.leases = Lifecycle(FAILURE_DETECTOR, ReliabilityError)
 
     @property
     def monitored(self):
@@ -97,10 +109,20 @@ def apply(detector, step):
 def test_random_histories_match_the_per_node_oracle(seed):
     rng = random.Random(f"detector:{seed}")
     shared, oracle = FailureDetector(PARAMS), PerNodeDetector(PARAMS)
+    refused = 0
     for index, step in enumerate(random_history(rng)):
-        assert apply(shared, step) == apply(oracle, step), (index, step)
+        monitored = step[1] in oracle._deadlines
+        if step[0] == "register" and monitored or (
+            step[0] == "deregister" and not monitored and step[1] not in oracle._suspected
+        ):
+            with pytest.raises(ReliabilityError, match=step[0]):
+                apply(shared, step)
+            refused += 1
+        else:
+            assert apply(shared, step) == apply(oracle, step), (index, step)
         assert sorted(shared._shared.union(shared._deadlines)) == oracle.monitored, (index, step)
         assert shared.suspected == oracle.suspected, (index, step)
+    assert refused
 
 
 def test_chaos_trace_is_the_same_with_the_oracle_detector(monkeypatch):

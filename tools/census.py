@@ -66,12 +66,11 @@ LEDGER_CAP = 60
 
 _CHAOS = ("-m", "repro", "chaos")
 _SWEEPS = (
-    ("chaos", ("--seeds", "25", "--conform"), "BENCH_chaos.json"),
-    ("chaos-recovery", ("--seeds", "25", "--recovery", "--conform"),
-     "BENCH_chaos_recovery.json"),
-    ("chaos-migration", ("--seeds", "25", "--recovery", "--migrate", "--conform"),
+    ("chaos", ("--seeds", "25"), "BENCH_chaos.json"),
+    ("chaos-recovery", ("--seeds", "25", "--recovery"), "BENCH_chaos_recovery.json"),
+    ("chaos-migration", ("--seeds", "25", "--recovery", "--migrate"),
      "BENCH_chaos_migration.json"),
-    ("chaos-scale", ("--seeds", "3", "--nodes", "1000", "--recovery", "--conform"),
+    ("chaos-scale", ("--seeds", "3", "--nodes", "1000", "--recovery"),
      "BENCH_chaos_scale.json"),
 )
 _WORKLOADS = ("sensor-fanout", "burst-scale", "join-window", "query-churn",
