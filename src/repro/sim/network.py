@@ -55,7 +55,7 @@ order, so recovery traces replay byte-identically too.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.cbn.datagram import Datagram
@@ -131,17 +131,31 @@ NODE_SUPERVISION = {
 
 @dataclass
 class ChaosCounters:
-    """What a run did, for CI gates and BENCH output."""
+    """What a run did, for CI gates and BENCH output: the fields count
+    what no lifecycle row does, the fault outcomes are rows of the
+    run's :data:`NODE_SUPERVISION` executor."""
 
+    supervision: Lifecycle = field(repr=False, compare=False)
     injects: int = 0
     duplicates: int = 0
     drops: int = 0
-    faults_applied: int = 0
-    faults_refused: int = 0
     deliveries: int = 0
+    #: :meth:`as_dict`'s keys, in the order the sweeps serialise them
+    KEYS = ("injects", "duplicates", "drops", "faults_applied", "faults_refused",
+            "deliveries")
+
+    @property
+    def faults_applied(self) -> int:
+        """Crashes that removed their node (at once, repaired or degraded)."""
+        return self.supervision.taken("fail_applied", "repair_applied", "degraded")
+
+    @property
+    def faults_refused(self) -> int:
+        """Crashes whose node stayed (refused, or given up on)."""
+        return self.supervision.taken("fail_refused", "gave_up")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {key: getattr(self, key) for key in self.KEYS}
 
 
 @dataclass
@@ -166,12 +180,13 @@ class VirtualNetwork:
     primary: CosmosSystem = field(init=False)
     shadow: CosmosSystem = field(init=False)
     trace: ChaosTrace = field(init=False, default_factory=ChaosTrace)
-    counters: ChaosCounters = field(init=False, default_factory=ChaosCounters)
+    counters: ChaosCounters = field(init=False)
     #: The tuples that actually entered the system (post-perturbation,
     #: duplicates included; post-release in recovery mode), in
     #: injection order — the oracle's input.
     effective_feed: List[Datagram] = field(init=False, default_factory=list)
-    #: Shared protocol brain (primary's ReliabilityState) in recovery mode.
+    #: The primary's ReliabilityState in recovery mode: the one protocol
+    #: brain whose decisions both twins apply.
     state: Optional[ReliabilityState] = field(init=False, default=None)
     #: Shared load-management brain in migration mode; ``None`` keeps the
     #: whole migration machinery inert (``system.load`` stays unset).
@@ -191,6 +206,7 @@ class VirtualNetwork:
         #: node -> its supervision state; a live node is not stored, so
         #: the keys are the nodes that went down
         self.supervision = Lifecycle(NODE_SUPERVISION, ChaosExecutionError, "node")
+        self.counters = ChaosCounters(self.supervision)
         #: node -> what crashed there ("broker" / "processor")
         self._crash_kind: Dict[int, str] = {}
         #: Ordering stage: released-but-unpublished (sent, stream, seq,
@@ -198,6 +214,7 @@ class VirtualNetwork:
         self._pending: List[tuple] = []
         if self.recovery:
             self.state = attach_reliability(self.primary, self.params)
+            self.state.supervision = self.supervision
             attach_reliability(self.shadow, self.state.params)
             for node in self.primary.tree.nodes:
                 self.state.detector.register(node, 0.0)
@@ -353,10 +370,8 @@ class VirtualNetwork:
         outcome = self._on_twins(f"on {event.render()}", fail)
         if outcome == "applied":
             self.supervision.step(event.node, "fail_applied")
-            self.counters.faults_applied += 1
         else:
             self.supervision.step(event.node, "fail_refused")
-            self.counters.faults_refused += 1
         self.trace.record(f"{event.render()} -> {outcome}")
 
     # -- reliable uplink ----------------------------------------------------------
@@ -439,7 +454,6 @@ class VirtualNetwork:
         if not receiver.outstanding(gap):
             return  # healed (or abandoned) while the timer was pending
         receiver.slots.step(gap, "nack")
-        self.state.counters.nacks_sent += 1
         item = self.state.uplink(stream).retransmit(gap)
         if item is None:
             # The sender never sent this number (a shrunken schedule cut
@@ -447,7 +461,6 @@ class VirtualNetwork:
             self._abandon(sim.now, stream, gap)
             return
         payload, sent = item
-        self.state.counters.retransmits += 1
         self.trace.record(
             f"nack t={sim.now:g} {stream} seq={gap} attempt={attempt}"
         )
@@ -686,7 +699,6 @@ class VirtualNetwork:
         )
         migration.step("complete")
         self.load.active.pop(key, None)
-        self.load.counters.migrations_completed += 1
         self.last_recovery_time = sim.now
         names = ",".join(moved) or "-"
         self.trace.record(
@@ -712,7 +724,6 @@ class VirtualNetwork:
                 ),
             )
         self.load.active.pop(key, None)
-        self.load.counters.migrations_aborted += 1
         names = ",".join(resumed) or "-"
         self.trace.record(
             f"migrate_abort t={sim.now:g} group={migration.group_id} "
@@ -729,7 +740,6 @@ class VirtualNetwork:
         detector.sweep(now, self.supervision.states)
         for node in detector.check(now):
             self.supervision.step(node, "suspect")
-            self.state.counters.nodes_suspected += 1
             self.trace.record(f"suspect t={now:g} node={node}")
             self._repair(sim, node, attempt=1)
 
@@ -751,8 +761,6 @@ class VirtualNetwork:
         outcome = self._on_twins(f"repairing node {node}", repair)
         if outcome == "repaired":
             self.supervision.step(node, "repair_applied")
-            self.counters.faults_applied += 1
-            self.state.counters.repairs_applied += 1
             self.state.detector.deregister(node)
             self.last_recovery_time = sim.now
             self.trace.record(
@@ -764,7 +772,6 @@ class VirtualNetwork:
             return
         if attempt < self.state.params.max_repair_attempts:
             self.supervision.step(node, "repair_retry")
-            self.state.counters.repairs_retried += 1
             self.trace.record(
                 f"repair t={sim.now:g} fail_{kind} node={node} -> "
                 f"retry {attempt + 1} ({errors[0]})"
@@ -775,7 +782,6 @@ class VirtualNetwork:
             )
             return
         self.supervision.step(node, "gave_up")
-        self.counters.faults_refused += 1
         self.state.detector.deregister(node)
         self.trace.record(
             f"repair t={sim.now:g} fail_{kind} node={node} -> "
@@ -789,7 +795,6 @@ class VirtualNetwork:
             lambda system: quarantine_partitioned(system, node),
         )
         self.supervision.step(node, "degraded")
-        self.counters.faults_applied += 1
         self.state.detector.deregister(node)
         self.last_recovery_time = sim.now
         names = ",".join(quarantined) or "-"

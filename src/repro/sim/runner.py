@@ -376,7 +376,8 @@ class ChaosReport:
     #: Simulated time of the last self-healing action (recovery mode);
     #: ``None`` when no recovery was ever needed (or lossy mode).
     convergence_time: Optional[float] = None
-    #: Reliability counters snapshot (recovery mode only).
+    #: :meth:`~repro.system.monitor.SystemMonitor.reliability_counts`
+    #: of the primary (recovery mode only).
     reliability: Optional[Dict[str, int]] = None
     #: Post-run :meth:`~repro.system.monitor.SystemMonitor.health`
     #: snapshot of the primary (reliability + load-management block).
@@ -455,6 +456,7 @@ def run_schedule(
     violations.extend(check_chronology(vnet.primary))
     violations.extend(check_no_orphans(vnet.shadow))
     violations.extend(compare_systems(vnet.primary, vnet.shadow))
+    monitor = SystemMonitor(vnet.primary)
     return ChaosReport(
         config=config,
         violations=violations,
@@ -463,9 +465,9 @@ def run_schedule(
         routing_epoch=vnet.routing_epoch(),
         convergence_time=vnet.last_recovery_time,
         reliability=(
-            vnet.state.counters.as_dict() if vnet.state is not None else None
+            monitor.reliability_counts() if vnet.state is not None else None
         ),
-        health=SystemMonitor(vnet.primary).health(),
+        health=monitor.health(),
         transitions=vnet.transitions(),
     )
 

@@ -26,7 +26,6 @@ from repro.system.monitor import SystemMonitor
 from repro.system.node import Processor
 from repro.system.reliability import (
     FailureDetector,
-    ReliabilityCounters,
     ReliabilityParams,
     ReliabilityState,
     SequencedUplink,
@@ -47,7 +46,6 @@ __all__ = [
     "Processor",
     "QueryDistribution",
     "QueryStatus",
-    "ReliabilityCounters",
     "ReliabilityParams",
     "ReliabilityState",
     "RoundRobinDistribution",

@@ -7,8 +7,9 @@ DESIGN.md section 16).  :class:`Lifecycle` indexes the rows once, takes
 a step only where a row lists it, and counts the rows it takes: a step
 the table does not list raises and changes nothing, so a protocol
 breach shows where it happens, and the counts are exactly what a run
-did (``repro chaos --json``, COS905 coverage).  ``repro flow`` reads the
-same literals from the source.
+did (``repro chaos --json``, COS905 coverage, and every activity count
+``SystemMonitor.health()`` reports for a row).  ``repro flow`` reads
+the same literals from the source.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ class Lifecycle:
         else:
             self.states[key] = target
         return target
+
+    def taken(self, *labels: str) -> int:
+        """The steps taken along rows labelled ``labels``, from any state."""
+        return sum(
+            n for row, n in self.counts.items() if row.partition(" ")[0] in labels
+        )
 
     def forget(self, key: Hashable) -> None:
         """Stop storing ``key``: its owner knows its state without it

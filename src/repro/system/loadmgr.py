@@ -37,18 +37,17 @@ load landscape shifts.  Submission-time placement lives in
   deterministically.
 
 :func:`attach_load_manager` hangs a shared :class:`LoadState` on a
-:class:`~repro.system.cosmos.CosmosSystem` the same way
-:func:`~repro.system.reliability.attach_reliability` does; the monitor's
-``health()`` picks the counters up from there.  Migration deliberately
-keeps its own counters (:class:`LoadCounters`) — the reliability
-counters are conformance-checked *exactly* against chaos traces and
-must not absorb migration traffic.
+:class:`~repro.system.cosmos.CosmosSystem`; the monitor's ``health()``
+reads it from there, migrations completed and aborted as rows of
+:data:`MIGRATION_LIFECYCLE`.  A migration's state handoff runs its own
+receiver, outside the reliability state, so no reliability count sees
+migration traffic.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.grouping import QueryGroup
@@ -57,7 +56,6 @@ from repro.overlay.tree import Demand
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.lifecycle import Lifecycle
 from repro.system.reliability import (
-    ReliabilityCounters,
     ReliabilityParams,
     SequencedUplink,
     UplinkReceiver,
@@ -106,24 +104,14 @@ class LoadParams:
 
 @dataclass
 class LoadCounters:
-    """Aggregate load-management activity, exposed via ``health()``.
-
-    Deliberately separate from
-    :class:`~repro.system.reliability.ReliabilityCounters`: those are
-    cross-checked *exactly* against chaos traces by the conformance
-    checker, so migration traffic gets its own ledger (cross-checked
-    exactly against the migration trace records instead).
-    """
+    """Load-management activity no row of :attr:`LoadState.lifecycle`
+    counts (a cutover retry stays in ``DRAINING``), exposed via
+    ``health()``; ``migrations_started`` also names migrations."""
 
     hotspots_detected: int = 0
     migrations_started: int = 0
-    migrations_completed: int = 0
-    migrations_aborted: int = 0
     migrations_retried: int = 0
     state_chunks_sent: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +302,9 @@ class MigrationChannel:
     """The state-handoff transport of one migration.
 
     A dedicated :class:`~repro.system.reliability.SequencedUplink` /
-    :class:`~repro.system.reliability.UplinkReceiver` pair (own counters
-    — migration traffic must not pollute the exactly-conformance-checked
-    reliability ledger) carries the group's state chunks source to
+    :class:`~repro.system.reliability.UplinkReceiver` pair, outside the
+    deployment's reliability state (so no ``health()`` count sees
+    migration traffic), carries the group's state chunks source to
     target.  :meth:`close` is the gap-closing punctuation of PR 4's
     protocol: it announces the top sequence number and returns any
     still-open gaps — an empty list *is* the cutover barrier.
@@ -324,9 +312,7 @@ class MigrationChannel:
 
     def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
         self.uplink = SequencedUplink()
-        self.receiver = UplinkReceiver(
-            params or ReliabilityParams(), ReliabilityCounters()
-        )
+        self.receiver = UplinkReceiver(params)
 
     def send(self, chunk: Dict[str, object], now: float) -> int:
         """Stamp and offer one state chunk; returns tuples released."""
@@ -514,10 +500,10 @@ def cutover_group(
 class LoadState:
     """Everything the load manager knows about one deployment.
 
-    Like :class:`~repro.system.reliability.ReliabilityState`, one state
-    object is deliberately shareable between chaos twins: detection and
-    placement decisions are made once and applied to both, so the
-    twins cannot diverge on load-management nondeterminism.
+    One state object is deliberately shareable between chaos twins:
+    detection and placement decisions are made once and applied to
+    both, so the twins cannot diverge on load-management
+    nondeterminism.
     """
 
     params: LoadParams = field(default_factory=LoadParams)

@@ -94,47 +94,73 @@ class SystemMonitor:
 
     # -- reliability ---------------------------------------------------------------
 
+    def reliability_counts(self) -> Dict[str, int]:
+        """What the attached
+        :class:`~repro.system.reliability.ReliabilityState` did (zeros
+        without one).  Each count but ``retransmits`` (NACKs a sender
+        answered) and the reorder buffers' occupancy and peak is read
+        off a lifecycle executor's rows (``Lifecycle.taken``)."""
+        from repro.system.reliability import ReliabilityState
+
+        system = self._system
+        state = system.reliability or ReliabilityState()
+        receivers = state.receivers.values()
+        supervision = state.supervision
+
+        def slots(label: str) -> int:
+            return sum(receiver.slots.taken(label) for receiver in receivers)
+
+        def supervised(label: str) -> int:
+            return supervision.taken(label) if supervision is not None else 0
+
+        return {
+            "nacks_sent": slots("nack"),
+            "retransmits": sum(uplink.retransmits for uplink in state.uplinks.values()),
+            "duplicates_suppressed": slots("duplicate"),
+            "reorder_occupancy": sum(receiver.occupancy for receiver in receivers),
+            "reorder_peak": max((r.reorder_peak for r in receivers), default=0),
+            "gaps_abandoned": slots("abandon"),
+            "nodes_suspected": state.detector.leases.taken("suspect"),
+            "repairs_applied": supervised("repair_applied"),
+            "repairs_retried": supervised("repair_retry"),
+            "queries_quarantined": system.lifecycle.taken("quarantine_partitioned"),
+            "queries_resumed": system.lifecycle.taken("heal_partition"),
+        }
+
     def health(self) -> Dict[str, object]:
         """Reliability- and load-layer health in one flat mapping.
 
-        Counter values come from the attached
-        :class:`~repro.system.reliability.ReliabilityState` and
-        :class:`~repro.system.loadmgr.LoadState`; without one, the
-        corresponding counters read zero and the node/query lists are
-        empty (an unmonitored system is trivially healthy).  The key
-        set is stable either way, so sweeps can aggregate blindly.
+        The :meth:`reliability_counts` and the attached
+        :class:`~repro.system.reliability.ReliabilityState`'s lists,
+        then the attached :class:`~repro.system.loadmgr.LoadState`'s
+        counts (completed and aborted migrations are rows of its
+        lifecycle executor) and lists.  Without a state its counts read
+        zero and its lists are empty (an unmonitored system is
+        trivially healthy); the keys and their order are stable either
+        way, so sweeps can aggregate blindly.
         """
-        state = self._system.reliability
-        if state is None:
-            from repro.system.reliability import ReliabilityCounters
+        from repro.system.loadmgr import LoadState
+        from repro.system.reliability import ReliabilityState
 
-            counters = ReliabilityCounters().as_dict()
-            suspected: List[int] = []
-            quarantined: List[str] = []
-        else:
-            counters = state.counters.as_dict()
-            suspected = state.detector.suspected
-            quarantined = sorted(state.quarantined)
-        out: Dict[str, object] = dict(counters)
-        out["suspected_nodes"] = suspected
-        out["quarantined_queries"] = quarantined
-        out["degraded_queries"] = sum(
-            1
-            for handle in self._system.queries
-            if handle.status.name == "DEGRADED"
-        )
-        load = self._system.load
-        if load is None:
-            from repro.system.loadmgr import LoadCounters
-
-            out.update(LoadCounters().as_dict())
-            out["hot_processors"] = []
-            out["migrations_in_flight"] = 0
-        else:
-            out.update(load.counters.as_dict())
-            out["hot_processors"] = load.detector.hot
-            out["migrations_in_flight"] = len(load.active)
-        return out
+        system = self._system
+        state = system.reliability or ReliabilityState()
+        load = system.load or LoadState()
+        return {
+            **self.reliability_counts(),
+            "suspected_nodes": state.detector.suspected,
+            "quarantined_queries": sorted(state.quarantined),
+            "degraded_queries": sum(
+                1 for handle in system.queries if handle.status.name == "DEGRADED"
+            ),
+            "hotspots_detected": load.counters.hotspots_detected,
+            "migrations_started": load.counters.migrations_started,
+            "migrations_completed": load.lifecycle.taken("complete"),
+            "migrations_aborted": load.lifecycle.taken("abort"),
+            "migrations_retried": load.counters.migrations_retried,
+            "state_chunks_sent": load.counters.state_chunks_sent,
+            "hot_processors": load.detector.hot,
+            "migrations_in_flight": len(load.active),
+        }
 
     # -- reporting -------------------------------------------------------------------
 

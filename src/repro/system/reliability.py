@@ -31,9 +31,10 @@ deterministically over the :class:`~repro.system.events.EventSimulator`:
   into the caller; :func:`heal_partition` resumes them once the
   partition heals.
 
-:func:`attach_reliability` hangs a shared :class:`ReliabilityState` on
-a :class:`~repro.system.cosmos.CosmosSystem`, where
-:class:`~repro.system.monitor.SystemMonitor.health` picks it up.
+:func:`attach_reliability` hangs a :class:`ReliabilityState` on a
+:class:`~repro.system.cosmos.CosmosSystem`, where
+:class:`~repro.system.monitor.SystemMonitor.health` picks it up and
+reads what the layer did off the row counts of the executors above.
 
 The adaptive load manager (:mod:`repro.system.loadmgr`) builds on this
 layer: live group migration reuses the sequenced uplink as its state
@@ -44,7 +45,7 @@ they move.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro.overlay.topology import NodeId, Topology
@@ -59,7 +60,7 @@ class ReliabilityError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parameters and counters
+# parameters
 # ---------------------------------------------------------------------------
 
 
@@ -102,26 +103,6 @@ class ReliabilityParams:
         return self.heartbeat_period * self.lease_misses
 
 
-@dataclass
-class ReliabilityCounters:
-    """Aggregate reliability activity, exposed via monitor ``health()``."""
-
-    nacks_sent: int = 0
-    retransmits: int = 0
-    duplicates_suppressed: int = 0
-    reorder_occupancy: int = 0
-    reorder_peak: int = 0
-    gaps_abandoned: int = 0
-    nodes_suspected: int = 0
-    repairs_applied: int = 0
-    repairs_retried: int = 0
-    queries_quarantined: int = 0
-    queries_resumed: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-
 # ---------------------------------------------------------------------------
 # sequenced transport
 # ---------------------------------------------------------------------------
@@ -140,6 +121,9 @@ class SequencedUplink:
         self._next = 0
         #: seq -> (payload mapping, original send time)
         self._history: Dict[int, Tuple[Dict[str, object], float]] = {}
+        #: NACKs answered; a retransmission the original overtook is a
+        #: receiver ``duplicate`` row, so this is no row's count.
+        self.retransmits = 0
 
     @property
     def next_seq(self) -> int:
@@ -179,6 +163,7 @@ class SequencedUplink:
         item = self._history.get(seq)
         if item is None:
             return None
+        self.retransmits += 1
         payload, sent = item
         return dict(payload), sent
 
@@ -243,17 +228,19 @@ class UplinkReceiver:
     ABANDONED, and the watermark alone says so.
     """
 
-    def __init__(
-        self,
-        params: Optional[ReliabilityParams] = None,
-        counters: Optional[ReliabilityCounters] = None,
-    ) -> None:
+    def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
         self.params = params or ReliabilityParams()
-        self.counters = counters or ReliabilityCounters()
         self._expected = 0
         #: the BUFFERED slots' (payload, sent)
         self._buffer: Dict[int, Tuple[Dict[str, object], float]] = {}
         self.slots = Lifecycle(UPLINK_RECEIVER, ReliabilityError, "slot")
+        #: The most arrivals the reorder buffer held after an offer.
+        self.reorder_peak = 0
+
+    @property
+    def occupancy(self) -> int:
+        """Arrivals the reorder buffer holds now."""
+        return len(self._buffer)
 
     def outstanding(self, seq: int) -> bool:
         """Whether ``seq`` is still a gap worth NACKing."""
@@ -304,11 +291,9 @@ class UplinkReceiver:
             # Below the watermark the slot was released (or abandoned)
             # and is no longer stored; a second copy is not delivered.
             self.slots.take("duplicate", "RELEASED", seq)
-            self.counters.duplicates_suppressed += 1
             return Offer(released=[], duplicate=True)
         if seq in self._buffer:
             self.slots.step(seq, "duplicate")
-            self.counters.duplicates_suppressed += 1
             return Offer(released=[], duplicate=True)
         self.slots.step(seq, label)
         self._buffer[seq] = (dict(payload), float(sent))
@@ -318,7 +303,7 @@ class UplinkReceiver:
             self.slots.step(gap, "gap_detect")
         if len(self._buffer) > self.params.reorder_limit:
             released.extend(self._force_flush())
-        self._note_occupancy()
+        self.reorder_peak = max(self.reorder_peak, len(self._buffer))
         return Offer(released=released, fresh_gaps=fresh)
 
     def announce(self, top: int) -> List[int]:
@@ -345,10 +330,7 @@ class UplinkReceiver:
         if seq < self._expected or seq in self._buffer:
             return []
         self.slots.step(seq, "abandon")
-        self.counters.gaps_abandoned += 1
-        released = self._flush()
-        self._note_occupancy()
-        return released
+        return self._flush()
 
     def _flush(self) -> List[Tuple[int, Dict[str, object], float]]:
         released: List[Tuple[int, Dict[str, object], float]] = []
@@ -373,14 +355,8 @@ class UplinkReceiver:
             for gap in range(self._expected, lowest):
                 if self.slots.states.get(gap) != "ABANDONED":
                     self.slots.step(gap, "abandon")
-                    self.counters.gaps_abandoned += 1
             released.extend(self._flush())
         return released
-
-    def _note_occupancy(self) -> None:
-        self.counters.reorder_occupancy = len(self._buffer)
-        if len(self._buffer) > self.counters.reorder_peak:
-            self.counters.reorder_peak = len(self._buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +465,22 @@ class FailureDetector:
 class ReliabilityState:
     """Everything the reliability layer knows about one deployment.
 
-    One state object is deliberately shareable between twin systems
-    (fast-path / naive-scan): transport and detection decisions are
-    made once and applied to both, so the twins cannot diverge on
-    protocol nondeterminism.
+    What the layer did is the row counts of the executors it holds
+    (receivers' ``slots``, the detector's ``leases``,
+    :attr:`supervision`).  The chaos harness drives only the primary
+    twin's state and applies each decision to both twins.
     """
 
     params: ReliabilityParams = field(default_factory=ReliabilityParams)
-    counters: ReliabilityCounters = field(default_factory=ReliabilityCounters)
     uplinks: Dict[str, SequencedUplink] = field(default_factory=dict)
     receivers: Dict[str, UplinkReceiver] = field(default_factory=dict)
     detector: FailureDetector = field(default=None)  # type: ignore[assignment]
     failed_nodes: Set[NodeId] = field(default_factory=set)
     #: query id -> stranded user node, while DEGRADED
     quarantined: Dict[str, NodeId] = field(default_factory=dict)
+    #: The chaos harness's ``NODE_SUPERVISION`` executor, whose repair
+    #: rows ``health()`` reports; ``None`` where nothing supervises.
+    supervision: Optional[Lifecycle] = None
 
     def __post_init__(self) -> None:
         if self.detector is None:
@@ -515,22 +493,15 @@ class ReliabilityState:
 
     def receiver(self, stream: str) -> UplinkReceiver:
         if stream not in self.receivers:
-            self.receivers[stream] = UplinkReceiver(self.params, self.counters)
+            self.receivers[stream] = UplinkReceiver(self.params)
         return self.receivers[stream]
 
 
 def attach_reliability(
-    system: CosmosSystem,
-    params: Optional[ReliabilityParams] = None,
-    state: Optional[ReliabilityState] = None,
+    system: CosmosSystem, params: Optional[ReliabilityParams] = None
 ) -> ReliabilityState:
-    """Attach (or share) a reliability state on ``system``.
-
-    Pass an existing ``state`` to share one protocol brain between twin
-    systems; otherwise a fresh state is created from ``params``.
-    """
-    if state is None:
-        state = ReliabilityState(params=params or ReliabilityParams())
+    """Attach a fresh reliability state, built from ``params``, on ``system``."""
+    state = ReliabilityState(params=params or ReliabilityParams())
     system.reliability = state
     return state
 
@@ -610,7 +581,6 @@ def quarantine_partitioned(
         system.detach_result_subscription(query_id)
         handle.step("quarantine_partitioned")
         state.quarantined[query_id] = handle.user_node
-        state.counters.queries_quarantined += 1
         quarantined.append(query_id)
     rebuild.rebuild_network(
         system, spanning_tree(system.topology, {node: node for node in main})
@@ -669,7 +639,6 @@ def heal_partition(system: CosmosSystem) -> List[str]:
         if group is None:
             continue
         handle.step("heal_partition")
-        state.counters.queries_resumed += 1
         resumed.append(query_id)
         touched[processor.node_id, group.group_id] = (processor, group)
     for processor, group in touched.values():

@@ -112,8 +112,8 @@ class TestHappyPath:
         assert "drain t=3 group=g0 n1->n3 chunks=2" in vnet.trace.render().splitlines()
         assert "cutover t=6 group=g0 n1->n3 moved [q]" in vnet.trace.render().splitlines()
         assert vnet.load.counters.migrations_started == 1
-        assert vnet.load.counters.migrations_completed == 1
-        assert vnet.load.counters.migrations_aborted == 0
+        assert vnet.load.lifecycle.taken("complete") == 1
+        assert vnet.load.lifecycle.taken("abort") == 0
         assert vnet.load.counters.state_chunks_sent == 2
         assert vnet.load.active == {}
         for system in vnet.systems:
@@ -156,8 +156,8 @@ class TestTargetFailure:
             in vnet.trace.render().splitlines()
         )
         assert vnet.load.counters.migrations_retried == 2
-        assert vnet.load.counters.migrations_aborted == 1
-        assert vnet.load.counters.migrations_completed == 0
+        assert vnet.load.lifecycle.taken("abort") == 1
+        assert vnet.load.lifecycle.taken("complete") == 0
         assert vnet.load.active == {}
         for system in vnet.systems:
             handle = system.query("q")
@@ -179,8 +179,8 @@ class TestSourceFailure:
             line for line in vnet.trace.render().splitlines() if line.startswith("migrate_abort")
         )
         assert "source-lost" in abort
-        assert vnet.load.counters.migrations_aborted == 1
-        assert vnet.load.counters.migrations_completed == 0
+        assert vnet.load.lifecycle.taken("abort") == 1
+        assert vnet.load.lifecycle.taken("complete") == 0
         # The detector-driven repair then re-homes the query off the
         # dead processor; the run ends healthy on the survivor.
         handle = vnet.primary.query("q")
@@ -207,7 +207,7 @@ class TestSourceFailure:
             line for line in vnet.trace.render().splitlines() if line.startswith("migrate_abort")
         )
         assert abort.endswith("superseded resumed [-]")
-        assert vnet.load.counters.migrations_aborted == 1
+        assert vnet.load.lifecycle.taken("abort") == 1
         handle = vnet.primary.query("q")
         assert handle.status is QueryStatus.ACTIVE
         assert handle.processor_node == 3
@@ -224,7 +224,7 @@ class TestDoubleMigration:
         )
         assert "migrate_skip t=1.5 node=1 reason=in-flight" in vnet.trace.render().splitlines()
         assert vnet.load.counters.migrations_started == 1
-        assert vnet.load.counters.migrations_completed == 1
+        assert vnet.load.lifecycle.taken("complete") == 1
 
 
 class TestEndToEnd:

@@ -20,9 +20,14 @@ from repro.sim import (
 )
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.fault import FaultError
+from repro.system.monitor import SystemMonitor
 from repro.system.reliability import ReliabilityParams, heal_partition
 
 RECOVERY = ChaosConfig(seed=0, recovery=True)
+
+
+def health(vnet):
+    return SystemMonitor(vnet.primary).health()
 
 
 class TestScheduleAnnotations:
@@ -233,7 +238,7 @@ class TestDegradedMode:
         assert any("-> degraded [q]" in line for line in vnet.trace.render().splitlines())
         for system in vnet.systems:
             assert system.query("q").status is QueryStatus.DEGRADED
-        assert vnet.state.counters.queries_quarantined == 1
+        assert health(vnet)["queries_quarantined"] == 1
 
     def test_only_a_partition_error_degrades(self, monkeypatch):
         # The mode switch is typed: a repair refusal that merely
@@ -248,7 +253,7 @@ class TestDegradedMode:
         assert not any("degraded" in line for line in vnet.trace.render().splitlines())
         assert any("-> retry 2" in line for line in vnet.trace.render().splitlines())
         assert vnet.counters.faults_refused == 1
-        assert vnet.state.counters.queries_quarantined == 0
+        assert health(vnet)["queries_quarantined"] == 0
         for system in vnet.systems:
             assert system.query("q").status is QueryStatus.ACTIVE
 
@@ -314,8 +319,8 @@ class TestNackGiveUp:
             "abandon t=5 Temp seq=0 -> 1 released",
             "retransmit t=8 Temp seq=0 -> 0 released suppressed",
         ]
-        counters = vnet.state.counters
-        assert (counters.gaps_abandoned, counters.duplicates_suppressed) == (1, 1)
+        counts = health(vnet)
+        assert (counts["gaps_abandoned"], counts["duplicates_suppressed"]) == (1, 1)
         assert vnet.counters.deliveries == 1
 
     def test_a_gap_is_abandoned_only_after_max_nacks(self):
@@ -329,5 +334,33 @@ class TestNackGiveUp:
     def test_a_retransmit_inside_the_budget_heals_the_gap(self):
         vnet, lines = self.run(max_nacks=1, retransmit_rtt=1.0)
         assert not any(line.startswith("abandon") for line in lines)
-        assert vnet.state.counters.gaps_abandoned == 0
+        assert health(vnet)["gaps_abandoned"] == 0
         assert vnet.counters.deliveries == 2
+
+
+class TestRetransmitsAreTheSenders:
+    """``retransmits`` counts the NACKs a sender answered; the receiver's
+    ``retransmit`` row counts only the retransmissions that filled a slot."""
+
+    def test_a_retransmission_the_original_overtook_is_a_duplicate(self):
+        # seq 1 exposes gap 0 at t=1; its NACK fires at t=5 and the
+        # sender answers it, but the original (sent at t=0.5, slow on
+        # the wire) arrives at t=6, before the retransmission at t=7.
+        # The sender counts the retransmission it sent; the receiver
+        # counts no ``retransmit`` row (it filled no slot) and one late
+        # copy suppressed below the watermark.
+        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet.execute([
+            InjectEvent(1.0, "Temp", (("station", 1),), seq=1, sent=1.0),
+            InjectEvent(6.0, "Temp", (("station", 0),), seq=0, sent=0.5),
+        ])
+        assert "retransmit t=7 Temp seq=0 -> 0 released suppressed" in (
+            vnet.trace.render().splitlines()
+        )
+        slots = vnet.state.receiver("Temp").slots
+        assert health(vnet)["retransmits"] == 1
+        assert slots.taken("retransmit") == 0
+        assert slots.counts["duplicate RELEASED->RELEASED"] == 1
+        assert health(vnet)["duplicates_suppressed"] == 1
+        assert vnet.counters.deliveries == 2
+

@@ -37,7 +37,7 @@ class PerNodeDetector:
         self._deadlines = {}
         self._suspected = set()
         #: what a chaos run reads the detector's counts from; the oracle
-        #: takes no row
+        #: counts only its suspicions (``health()``'s ``nodes_suspected``)
         self.leases = Lifecycle(FAILURE_DETECTOR, ReliabilityError)
 
     @property
@@ -72,6 +72,7 @@ class PerNodeDetector:
         for node in newly:
             del self._deadlines[node]
             self._suspected.add(node)
+            self.leases.take("suspect", "MONITORED", node)
         return newly
 
 

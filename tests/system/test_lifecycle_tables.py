@@ -213,6 +213,9 @@ def test_a_step_counts_its_row_and_a_refused_one_counts_nothing():
         "suspect CRASHED->SUSPECTED": 1,
         "fail_refused LIVE->LIVE": 1,
     }
+    # taken() sums rows by label, whatever states they joined
+    assert lifecycle.taken("crash", "fail_refused") == 2
+    assert lifecycle.taken("repair_applied") == 0
 
 
 def test_a_sweep_counts_its_heartbeats_in_bulk():
@@ -252,6 +255,7 @@ def test_a_lossy_feed_leaves_no_slot_below_the_watermark():
     assert counts["abandon GAP->ABANDONED"] == 400 - len(sent)
     duplicates = sum(n for row, n in counts.items() if row.startswith("duplicate"))
     assert duplicates == len(arrivals) - len(sent) > 0
+    assert receiver.slots.taken("duplicate") == duplicates
 
 
 def test_chaos_seed_0_counts_the_same_rows_twice_in_one_process():

@@ -330,4 +330,4 @@ class TestLoadState:
         state = LoadState(params=params)
         assert state.detector.params is params
         assert state.active == {}
-        assert state.counters.as_dict()["migrations_started"] == 0
+        assert state.counters.migrations_started == 0

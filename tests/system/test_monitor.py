@@ -90,16 +90,42 @@ class TestHealth:
         from repro.system.reliability import attach_reliability
 
         state = attach_reliability(busy_system)
-        state.counters.retransmits = 3
-        state.counters.duplicates_suppressed = 2
+        receiver = state.receiver("Temp")
+        receiver.offer(2, {"a": 2}, 3.0)  # seqs 0 and 1 become gaps
+        receiver.offer(2, {"a": 2}, 3.0)  # a wire duplicate
+        receiver.slots.step(0, "nack")
+        state.uplink("Temp").record(0, {"a": 0}, 1.0)
+        state.uplink("Temp").retransmit(0)  # the sender answers the NACK
+        receiver.abandon(1)  # seq 2 still waits on seq 0
         state.detector.register(7, 0.0)
         state.detector.check(100.0)
         state.quarantined["q2"] = 3
         health = SystemMonitor(busy_system).health()
-        assert health["retransmits"] == 3
-        assert health["duplicates_suppressed"] == 2
+        assert health["nacks_sent"] == 1
+        assert health["retransmits"] == 1
+        assert health["duplicates_suppressed"] == 1
+        assert health["gaps_abandoned"] == 1
+        assert (health["reorder_occupancy"], health["reorder_peak"]) == (1, 1)
+        assert health["nodes_suspected"] == 1
         assert health["suspected_nodes"] == [7]
         assert health["quarantined_queries"] == ["q2"]
+        # nothing handed the state a supervision executor: no repairs
+        assert (health["repairs_applied"], health["repairs_retried"]) == (0, 0)
+
+    def test_reorder_occupancy_is_the_states_not_the_last_receivers(
+        self, busy_system
+    ):
+        # One stream still holds three out-of-order arrivals when
+        # another releases an in-order one: the state holds three.
+        from repro.system.reliability import attach_reliability
+
+        state = attach_reliability(busy_system)
+        for seq in (1, 2, 3):
+            state.receiver("A").offer(seq, {"a": seq}, float(seq))
+        state.receiver("B").offer(0, {"b": 0}, 4.0)
+        health = SystemMonitor(busy_system).health()
+        assert health["reorder_occupancy"] == 3
+        assert health["reorder_peak"] == 3
 
     def test_degraded_queries_counted_from_handles(self, busy_system):
         from repro.system.cosmos import QueryStatus

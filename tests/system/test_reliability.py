@@ -103,7 +103,7 @@ class TestUplinkReceiver:
         receiver.offer(0, {"a": 0}, 1.0)
         offer = receiver.offer(0, {"a": 0}, 1.0)
         assert offer.duplicate and offer.released == []
-        assert receiver.counters.duplicates_suppressed == 1
+        assert receiver.slots.taken("duplicate") == 1
 
     def test_duplicate_of_buffered_arrival_suppressed(self):
         receiver = UplinkReceiver()
@@ -116,7 +116,7 @@ class TestUplinkReceiver:
         released = receiver.abandon(0)
         assert [seq for seq, __, __ in released] == [1]
         assert receiver._expected == 2
-        assert receiver.counters.gaps_abandoned == 1
+        assert receiver.slots.taken("abandon") == 1
 
     def test_announce_exposes_trailing_gaps(self):
         receiver = UplinkReceiver()
@@ -145,9 +145,9 @@ class TestUplinkReceiver:
         for seq in range(1, 5):  # seq 0 never arrives
             released.extend(receiver.offer(seq, {"a": seq}, float(seq)).released)
         assert [seq for seq, __, __ in released] == [1, 2, 3, 4]
-        assert receiver.counters.gaps_abandoned == 1
+        assert receiver.slots.taken("abandon") == 1
         assert len(receiver._buffer) == 0
-        assert receiver.counters.reorder_peak == 3
+        assert receiver.reorder_peak == 3
 
 
 class TestFailureDetector:
@@ -255,7 +255,7 @@ class TestQuarantine:
         system, __ = build_chain_system()
         state = attach_reliability(system)
         quarantine_partitioned(system, 3)
-        assert state.counters.queries_quarantined == 1
+        assert system.lifecycle.taken("quarantine_partitioned") == 1
         assert state.quarantined == {"q1": 4}
         assert 3 in state.failed_nodes
 

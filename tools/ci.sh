@@ -649,6 +649,44 @@ if git grep -nE "collect_enums|_narrowed_sources|_enum_tests|ENUM_TERMINAL_POLIC
     exit 1
 fi
 
+echo "== a count is kept once (repro.system, repro.sim) =="
+# An activity count that a lifecycle row also counts is read off the executor
+# (Lifecycle.taken; SystemMonitor.reliability_counts / health, ChaosCounters'
+# fault properties), never kept beside it: ReliabilityCounters was deleted, and
+# no attribute named after one of those counts may be stored or augmented.
+if git grep -nw "ReliabilityCounters" -- src/repro; then
+    echo "ci: ReliabilityCounters was deleted; its counts are rows of the" \
+         "lifecycle executors (SystemMonitor.reliability_counts)" >&2
+    exit 1
+fi
+python - <<'EOF'
+import ast, pathlib, sys
+
+VIEWS = {
+    "nacks_sent", "duplicates_suppressed", "gaps_abandoned", "nodes_suspected",
+    "repairs_applied", "repairs_retried", "queries_quarantined", "queries_resumed",
+    "migrations_completed", "migrations_aborted", "faults_applied", "faults_refused",
+}
+
+bad = []
+for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Attribute) and target.attr in VIEWS:
+                bad.append(f"{path}:{node.lineno}: .{target.attr}")
+if bad:
+    print("\n".join(bad))
+    print("ci: these counts are lifecycle rows; read them with Lifecycle.taken"
+          " instead of keeping a second copy", file=sys.stderr)
+    sys.exit(1)
+EOF
+
 echo "== repro check =="
 PYTHONPATH=src $census check -- -m repro check
 
