@@ -60,7 +60,6 @@ CODES = {
     "COS812": (Severity.ERROR, "lifecycle state/transition with no producing code path"),
     "COS813": (Severity.ERROR, "lifecycle state has no exit where one is required"),
     # -- COS90x: bounded model checking of the composed machines ------------
-    "COS901": (Severity.ERROR, "tuple-loss state reachable after the close barrier"),
     "COS902": (Severity.ERROR, "deadlock: non-terminal product state with no enabled transition"),
     "COS903": (Severity.ERROR, "livelock: reachable cycle with no progress action and no exit"),
     "COS904": (Severity.ERROR, "cross-machine invariant violated in a reachable product state"),

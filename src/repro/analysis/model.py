@@ -4,9 +4,9 @@
 source (the uplink receiver, the failure detector, node supervision,
 ``QueryStatus`` and ``MigrationState``), and the runtime refuses any
 step a table does not list.  Neither proves that the machines
-**compose** safely — that the migration protocol cannot cut over past a
-lossy handoff channel, that a quarantined query can always be resumed,
-that the repair loop cannot spin forever without making progress.
+**compose** safely — that a quarantined query can always be resumed,
+that a migration whose target is down can always roll back, that the
+repair loop cannot spin forever without making progress.
 
 This module closes that gap.  It composes the extracted machines with
 an explicit *environment automaton* — the adversarial moves chaos can
@@ -15,16 +15,6 @@ partition heal, migration probes) plus small budgets that keep the
 state space finite — into a product automaton, and explores it
 exhaustively with bounded BFS over canonicalized states:
 
-* **COS901** — a tuple-loss-after-close-barrier state is reachable:
-  the migration reaches ``CUTOVER``/``COMPLETED`` while its handoff
-  channel still has a lost, open-gap or abandoned chunk.  The guard
-  that forbids this (cutover requires the channel fully ``RELEASED``)
-  is only admitted when its *source anchors* verify — the code that
-  certifies the barrier (``MigrationChannel.close`` returning open
-  gaps, ``_cutover_migration`` aborting on ``handoff-gaps``) must
-  still exist, or the model drops the guard and the loss state
-  becomes reachable.  Deleting the certification in the source is
-  therefore caught by the checker, not hidden by the model.
 * **COS902** — deadlock: a product state outside the acceptable
   quiescent set with no enabled transition.
 * **COS903** — livelock: a reachable cycle with no progress action
@@ -34,13 +24,14 @@ exhaustively with bounded BFS over canonicalized states:
   query coexisting with a completed migration, a seq abandoned after
   it was released, a ``SUSPECTED`` detector entry for a live node).
 
-The model is *small-scope*: one data-plane slot, one migration with
-its handoff channel, one supervised node, one query group, and 0/1
+The model is *small-scope*: one data-plane slot, one migration, one
+supervised node (the migration's target: cutover waits for it to be
+``LIVE``, as ``_cutover_migration`` does), one query group, and 0/1
 budgets for duplication, crashes and probes.  That is deliberate —
 the protocol bugs these checks target (missing heal path, missing
-abort path, uncertified cutover) already manifest at scope 1, and the
-bounded product stays a few thousand states, explored in well under a
-second inside the ``repro check --self`` budget.
+abort path) already manifest at scope 1, and the bounded product
+stays a few hundred states, explored in well under a second inside
+the ``repro check --self`` budget.
 
 :mod:`repro.analysis.modelcov` maps the chaos runs' executor counts
 onto the same machines for COS905 transition coverage; ``repro model``
@@ -49,14 +40,12 @@ is the CLI surface (``--depth``, ``--json``, ``--dot``, ``--coverage``).
 
 from __future__ import annotations
 
-import ast
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.lifecycle import StateMachine
-from repro.analysis.source import SourceModule
 
 State = Tuple[str, ...]
 
@@ -85,12 +74,6 @@ class Component:
     initial: str
     quiescent: FrozenSet[str]
     extra_states: Tuple[str, ...] = ()
-    #: ``(variable, values)`` — when that variable currently holds one
-    #: of the values, this component is unconditionally quiescent: its
-    #: lifetime ended with the owning protocol step (an aborted
-    #: migration tears its handoff channel down; the source retains
-    #: the authoritative state, so unreleased chunks are moot).
-    released_when: Optional[Tuple[str, Tuple[str, ...]]] = None
 
     @property
     def states(self) -> Tuple[str, ...]:
@@ -126,25 +109,11 @@ class Move:
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """A source certification: ``needle`` must appear in ``func`` of
-    the module whose rel path ends with ``module``."""
-
-    module: str
-    func: str
-    needle: str
-
-
-@dataclass(frozen=True)
 class Rule:
     """One action of the product automaton.
 
     ``guards`` constrain current component/env values; ``moves`` are
     the synchronized machine steps; ``sets`` assign env vars.
-    ``certified_guards`` are guards that only apply when every anchor
-    in ``anchors`` verifies against the source — when an anchor fails
-    the guard is dropped (recorded on the model) and the rule fires
-    unguarded, exposing whatever the certification was preventing.
     """
 
     action: str
@@ -152,8 +121,6 @@ class Rule:
     moves: Tuple[Move, ...] = ()
     guards: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     sets: Tuple[Tuple[str, str], ...] = ()
-    certified_guards: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-    anchors: Tuple[Anchor, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -178,9 +145,6 @@ class ProductModel:
     #: (rule action, reason) for rules whose components are missing
     #: from the machine set (the rule is omitted entirely).
     dropped: List[Tuple[str, str]] = field(default_factory=list)
-    #: (rule action, anchor, reason) for certified guards that did not
-    #: verify against the source and were therefore dropped.
-    uncertified: List[Tuple[str, Anchor]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._index = {
@@ -227,9 +191,6 @@ class ProductModel:
         for name, allowed in rule.guards:
             if state[self._index[name]] not in allowed:
                 return None
-        for name, allowed in rule.certified_guards:
-            if state[self._index[name]] not in allowed:
-                return None
         values = list(state)
         for move in rule.moves:
             idx = self._index[move.component]
@@ -243,22 +204,11 @@ class ProductModel:
             values[self._index[name]] = value
         return tuple(values)
 
-    def _released(self, component: Component, state: State) -> bool:
-        if component.released_when is None:
-            return False
-        name, values = component.released_when
-        try:
-            return state[self._index[name]] in values
-        except KeyError:
-            return False
-
     def acceptable(self, state: State) -> bool:
         """Whether every component rests in a quiescent state (env
         vars are unconstrained — a spent budget is not a defect)."""
         for i, component in enumerate(self.components):
-            if state[i] not in component.quiescent and not self._released(
-                component, state
-            ):
+            if state[i] not in component.quiescent:
                 return False
         return True
 
@@ -295,31 +245,17 @@ class ProductModel:
 # the COSMOS product: five machines + environment
 # ---------------------------------------------------------------------------
 
-#: Machine-name -> product component(s) it instantiates.  The uplink
-#: receiver appears twice: once as the data-plane slot, once as the
-#: migration handoff channel (same protocol, different role).
+#: Machine-name -> the product component it instantiates:
+#: (component, machine, extra quiescent beyond machine.terminal,
+#: extra states).
 _COMPONENT_PLAN: Tuple[
-    Tuple[
-        str,
-        str,
-        Tuple[str, ...],
-        Tuple[str, ...],
-        Optional[Tuple[str, Tuple[str, ...]]],
-    ],
-    ...,
+    Tuple[str, str, Tuple[str, ...], Tuple[str, ...]], ...
 ] = (
-    # (component, machine, extra quiescent beyond machine.terminal,
-    #  extra states, released_when)
-    ("slot", "uplink-receiver", ("UNSEEN",), (), None),
-    # An aborted (or never-started) migration tears its channel down:
-    # the source keeps the authoritative state, so unreleased chunks
-    # stop mattering.  CUTOVER/COMPLETED are deliberately absent —
-    # unreleased chunks past the barrier are the COS901 loss state.
-    ("channel", "uplink-receiver", ("UNSEEN",), (), ("migration", ("-", "ABORTED"))),
-    ("detector", "failure-detector", (), (), None),
-    ("node", "node-supervision", (), (), None),
-    ("query", "QueryStatus", ("ACTIVE",), (), None),
-    ("migration", "MigrationState", ("-",), ("-",), None),
+    ("slot", "uplink-receiver", ("UNSEEN",), ()),
+    ("detector", "failure-detector", (), ()),
+    ("node", "node-supervision", (), ()),
+    ("query", "QueryStatus", ("ACTIVE",), ()),
+    ("migration", "MigrationState", ("-",), ("-",)),
 )
 
 _ENV_PLAN: Tuple[EnvVar, ...] = (
@@ -330,16 +266,6 @@ _ENV_PLAN: Tuple[EnvVar, ...] = (
     EnvVar("delivered", ("no", "yes"), "no"),
     EnvVar("owner", ("none", "partition", "migration"), "none"),
 )
-
-#: The cutover barrier certification: cutover may assume the channel
-#: is fully RELEASED only while the source still (a) reports open gaps
-#: from ``MigrationChannel.close`` and (b) aborts the migration on
-#: them in ``_cutover_migration``.
-_CUTOVER_ANCHORS = (
-    Anchor("system/loadmgr.py", "close", "open_gaps"),
-    Anchor("sim/network.py", "_cutover_migration", "handoff-gaps"),
-)
-
 
 def _product_rules() -> Tuple[Rule, ...]:
     """The environment automaton, one rule per adversarial or protocol
@@ -552,69 +478,27 @@ def _product_rules() -> Tuple[Rule, ...]:
             sets=(("probes", "1"), ("owner", "migration")),
         ),
         Rule(
-            "drain_ok",
+            # The drain captures the group's state at the source.
+            "drain",
             progress=True,
-            guards=(("channel", ("UNSEEN",)),),
-            moves=(
-                Move("migration", "start_drain", "DRAINING"),
-                Move("channel", "arrive", "BUFFERED"),
-            ),
+            moves=(Move("migration", "start_drain", "DRAINING"),),
         ),
         Rule(
-            # The drained state chunk is lost in flight.
-            "drain_lost",
-            progress=True,
-            guards=(("channel", ("UNSEEN",)),),
-            moves=(
-                Move("migration", "start_drain", "DRAINING"),
-                Move("channel", "drop", "LOST"),
-            ),
-        ),
-        Rule(
-            # close() punctuates the channel: the lost chunk becomes a
-            # known gap.
-            "channel_expose",
-            progress=False,
-            guards=(("channel", ("LOST",)), ("migration", ("DRAINING",))),
-            moves=(Move("channel", "gap_detect", "GAP"),),
-        ),
-        Rule(
-            "channel_nack",
-            progress=False,
-            guards=(("channel", ("GAP",)), ("migration", ("DRAINING",))),
-            moves=(Move("channel", "nack", "GAP"),),
-        ),
-        Rule(
-            "channel_retransmit",
-            progress=True,
-            guards=(("channel", ("GAP",)), ("migration", ("DRAINING",))),
-            moves=(Move("channel", "retransmit", "BUFFERED"),),
-        ),
-        Rule(
-            "channel_abandon",
-            progress=True,
-            guards=(("channel", ("GAP",)), ("migration", ("DRAINING",))),
-            moves=(Move("channel", "abandon", "ABANDONED"),),
-        ),
-        Rule(
-            "channel_release",
-            progress=True,
-            guards=(("channel", ("BUFFERED",)),),
-            moves=(Move("channel", "release", "RELEASED"),),
-        ),
-        Rule(
-            # Cutover retry while the target is unreachable: capped
-            # backoff, no state change — pure (lack of) progress.
+            # Cutover retry while the target is down: capped backoff,
+            # no state change — pure (lack of) progress.
             "migrate_retry",
             progress=False,
-            guards=(("migration", ("DRAINING",)),),
+            guards=(
+                ("migration", ("DRAINING",)),
+                ("node", ("CRASHED", "SUSPECTED", "REMOVED")),
+            ),
         ),
         Rule(
+            # _cutover_migration cuts over only while the target is up.
             "cutover",
             progress=True,
+            guards=(("node", ("LIVE",)),),
             moves=(Move("migration", "cut_over", "CUTOVER"),),
-            certified_guards=(("channel", ("RELEASED",)),),
-            anchors=_CUTOVER_ANCHORS,
         ),
         Rule(
             "complete",
@@ -627,8 +511,8 @@ def _product_rules() -> Tuple[Rule, ...]:
             sets=(("owner", "none"),),
         ),
         Rule(
-            # Any in-flight abort (source lost, target lost, handoff
-            # gaps, superseded): the quarantined group is resumed.
+            # Any in-flight abort (source lost, target lost,
+            # superseded): the quarantined group is resumed.
             "abort",
             progress=True,
             guards=(("owner", ("migration",)),),
@@ -685,17 +569,8 @@ _INVARIANTS: Tuple[Invariant, ...] = (
 )
 
 
-def build_product(
-    machines: Sequence[StateMachine],
-    modules: Optional[Sequence[SourceModule]] = None,
-) -> ProductModel:
+def build_product(machines: Sequence[StateMachine]) -> ProductModel:
     """The COSMOS product automaton over the extracted ``machines``.
-
-    ``modules`` — when given — is used to verify certification
-    anchors; certified guards whose anchors no longer match the source
-    are dropped (and recorded in ``model.uncertified``).  Without
-    modules the anchors are assumed intact (pure-machine composition,
-    used by unit tests that doctor the machines directly).
 
     Rules touching a machine absent from ``machines`` are dropped and
     recorded in ``model.dropped`` so partial machine sets (scratch
@@ -703,7 +578,7 @@ def build_product(
     """
     by_name = {machine.name: machine for machine in machines}
     components: List[Component] = []
-    for comp_name, machine_name, extra_quiescent, extra_states, released in (
+    for comp_name, machine_name, extra_quiescent, extra_states in (
         _COMPONENT_PLAN
     ):
         machine = by_name.get(machine_name)
@@ -721,51 +596,23 @@ def build_product(
                 initial=initial,
                 quiescent=frozenset(machine.terminal) | set(extra_quiescent),
                 extra_states=extra_states,
-                released_when=released,
             )
         )
     present = {c.name for c in components}
-    components = [
-        c
-        if c.released_when is None or c.released_when[0] in present
-        else Component(
-            c.name, c.machine, c.initial, c.quiescent, c.extra_states
-        )
-        for c in components
-    ]
     env = [var for var in _ENV_PLAN]
     known = present | {var.name for var in env}
 
     dropped: List[Tuple[str, str]] = []
-    uncertified: List[Tuple[str, Anchor]] = []
     rules: List[Rule] = []
     for rule in _product_rules():
         touched = {move.component for move in rule.moves}
         touched |= {name for name, _ in rule.guards}
-        touched |= {name for name, _ in rule.certified_guards}
         missing = sorted(name for name in touched if name not in known)
         if missing:
             dropped.append(
                 (rule.action, f"missing component(s): {', '.join(missing)}")
             )
             continue
-        if rule.certified_guards and rule.anchors:
-            holds = modules is None or all(
-                _anchor_holds(anchor, modules) for anchor in rule.anchors
-            )
-            if not holds:
-                for anchor in rule.anchors:
-                    if modules is not None and not _anchor_holds(
-                        anchor, modules
-                    ):
-                        uncertified.append((rule.action, anchor))
-                rule = Rule(
-                    rule.action,
-                    rule.progress,
-                    moves=rule.moves,
-                    guards=rule.guards,
-                    sets=rule.sets,
-                )
         rules.append(rule)
 
     invariants = [
@@ -783,22 +630,7 @@ def build_product(
         rules=rules,
         invariants=invariants,
         dropped=dropped,
-        uncertified=uncertified,
     )
-
-
-def _anchor_holds(anchor: Anchor, modules: Sequence[SourceModule]) -> bool:
-    """Whether the first function ``anchor.func`` of a module ending in
-    ``anchor.module`` contains ``anchor.needle``."""
-    for module in modules:
-        if module.rel.endswith(anchor.module):
-            func = next((node for node in ast.walk(module.tree) if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node.name == anchor.func), None)
-            lines = module.lines[func.lineno - 1 : func.end_lineno] if func else ()
-            if anchor.needle in "\n".join(lines):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -884,19 +716,6 @@ def explore(
 _EXEMPLARS = 3
 
 
-def _loss_after_barrier(model: ProductModel, state: State) -> bool:
-    try:
-        migration = state[model.slot("migration")]
-        channel = state[model.slot("channel")]
-    except KeyError:
-        return False
-    return migration in ("CUTOVER", "COMPLETED") and channel in (
-        "LOST",
-        "GAP",
-        "ABANDONED",
-    )
-
-
 def _origin_of(model: ProductModel, component: str) -> Tuple[str, int]:
     try:
         return model.component(component).machine.origin
@@ -910,9 +729,7 @@ def _blocking_origin(
     """Anchor a deadlock/livelock on the first non-quiescent component
     (the machine whose missing exit is the defect)."""
     for i, component in enumerate(model.components):
-        if state[i] not in component.quiescent and not model._released(
-            component, state
-        ):
+        if state[i] not in component.quiescent:
             return component.machine.origin
     return ("<model>", 0)
 
@@ -974,35 +791,11 @@ def check_model(
     depth: Optional[int] = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Tuple[Report, Exploration]:
-    """Explore (unless given) and run the COS901–904 checks."""
+    """Explore (unless given) and run the COS902–904 checks."""
     if exploration is None:
         exploration = explore(model, depth=depth, max_states=max_states)
     report = Report()
     states = exploration.states
-
-    # COS901 — loss past the close barrier.
-    loss = [s for s in states if _loss_after_barrier(model, s)]
-    if loss:
-        rel, line = _origin_of(model, "migration")
-        detail = "; ".join(
-            model.render_state(s) for s in loss[:_EXEMPLARS]
-        )
-        cause = ""
-        if model.uncertified:
-            missing = ", ".join(
-                f"{anchor.func}() lost {anchor.needle!r}"
-                for _action, anchor in model.uncertified
-            )
-            cause = f" (certification anchor missing: {missing})"
-        report.add(
-            "COS901",
-            f"{len(loss)} reachable state(s) lose tuples past the "
-            f"close barrier — the migration cuts over while the "
-            f"handoff channel still has unreleased chunks{cause}; "
-            f"e.g. {detail}",
-            rel,
-            line,
-        )
 
     # COS902/COS903 are liveness claims: only sound when the frontier
     # was not truncated.
@@ -1179,25 +972,12 @@ def model_summary(
             for v in model.env
         ],
         "rules": [
-            {
-                "action": r.action,
-                "progress": r.progress,
-                "certified": bool(r.anchors),
-            }
+            {"action": r.action, "progress": r.progress}
             for r in model.rules
         ],
         "dropped_rules": [
             {"action": action, "reason": reason}
             for action, reason in model.dropped
-        ],
-        "uncertified": [
-            {
-                "action": action,
-                "module": anchor.module,
-                "func": anchor.func,
-                "needle": anchor.needle,
-            }
-            for action, anchor in model.uncertified
         ],
         "states": len(exploration.states),
         "edges": len(exploration.edges),

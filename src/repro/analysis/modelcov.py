@@ -28,6 +28,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.model import Exploration, ProductModel
+from repro.analysis.source import SourceError
 
 
 def transition_key(label: str, source: str, target: str) -> str:
@@ -68,57 +69,47 @@ class MachineCoverage:
 
 @dataclass
 class CorpusStats:
-    """What the corpus loader managed to read."""
+    """The corpus's aggregated row counts."""
 
     artifacts: int
     seeds: int
-    #: Artifacts without per-seed transition counts.
-    skipped: int
     counts: Dict[str, Dict[str, int]]
 
 
 def load_corpus(paths: Sequence[Path]) -> CorpusStats:
     """Aggregate the per-seed ``transitions`` of chaos artifacts.
 
-    ``paths`` may mix files and directories (directories contribute
-    their ``*.json`` files, sorted).  Records lacking transition
-    counts are skipped, not fatal — old artifacts stay readable.
+    Raises :class:`~repro.analysis.source.SourceError` naming the file
+    (and the seed) for an artifact that is not readable JSON, holds no
+    ``seeds`` list, or holds a seed without ``transitions``: a corpus
+    that silently shrank would read as coverage it does not have.
     """
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.json")))
-        else:
-            files.append(path)
     counts: Dict[str, Dict[str, int]] = {}
-    artifacts = seeds = skipped = 0
-    for file in files:
+    seeds = 0
+    for path in paths:
         try:
-            payload = json.loads(file.read_text())
-        except (OSError, ValueError):
-            skipped += 1
-            continue
-        records = payload.get("seeds")
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise SourceError(
+                f"{path}: not a readable chaos artifact ({exc})"
+            ) from exc
+        records = payload.get("seeds") if isinstance(payload, dict) else None
         if not isinstance(records, list):
-            skipped += 1
-            continue
-        artifacts += 1
-        saw = False
+            raise SourceError(f"{path}: no 'seeds' list")
         for record in records:
+            if not isinstance(record, dict):
+                raise SourceError(f"{path}: seed record {record!r} is not an object")
             transitions = record.get("transitions")
             if not isinstance(transitions, dict):
-                continue
-            saw = True
+                raise SourceError(
+                    f"{path}: seed {record.get('seed')} has no 'transitions'"
+                )
             seeds += 1
             for machine, bucket in transitions.items():
                 target = counts.setdefault(machine, {})
                 for key, count in bucket.items():
                     target[key] = target.get(key, 0) + int(count)
-        if not saw:
-            skipped += 1
-    return CorpusStats(
-        artifacts=artifacts, seeds=seeds, skipped=skipped, counts=counts
-    )
+    return CorpusStats(artifacts=len(paths), seeds=seeds, counts=counts)
 
 
 def coverage(
@@ -198,7 +189,6 @@ def summarize(
     return {
         "artifacts": corpus.artifacts,
         "seeds": corpus.seeds,
-        "skipped_artifacts": corpus.skipped,
         "transitions_total": total,
         "transitions_exercised": exercised,
         "transitions_cold": cold,

@@ -121,9 +121,7 @@ def check_modules(
     check_machines(machines, lifecycle)
     spent["lifecycle"] = _clock() - mark
     mark = _clock()
-    model_report, _exploration = check_model(
-        build_product(machines, modules)
-    )
+    model_report, _exploration = check_model(build_product(machines))
     spent["model"] = _clock() - mark
     for package_report in (lifecycle, model_report):
         if respect_pragmas:

@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mo = sub.add_parser(
         "model",
         help="bounded model check of the composed protocol machines "
-        "(COS901-904) and, with --coverage, chaos-corpus transition "
+        "(COS902-904) and, with --coverage, chaos-corpus transition "
         "coverage (COS905)",
     )
     mo.add_argument(
@@ -157,9 +157,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         nargs="+",
         default=None,
-        help="chaos --json artifact(s) or directories of "
-        "them; flags model transitions the corpus never exercised "
-        "(COS905)",
+        help="chaos --json artifact(s); flags model transitions the "
+        "corpus never exercised (COS905); an artifact that is not "
+        "readable JSON, has no seeds, or has a seed without "
+        "transitions is an input error (exit 2)",
     )
     mo.add_argument(
         "--baseline",
@@ -367,7 +368,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
     Composes the extracted lifecycle machines with the environment
     automaton, explores the product exhaustively (or to ``--depth``),
-    and reports COS901-904.  With ``--coverage`` the aggregated
+    and reports COS902-904.  With ``--coverage`` the aggregated
     executor ``transitions`` of the given chaos artifacts are
     mapped onto the model and never-exercised transitions become
     COS905 warnings, minus the coverage baseline ledger.
@@ -398,7 +399,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         print(f"repro model: {exc}", file=sys.stderr)
         return 2
     machines = extract_lifecycle(modules)
-    model = build_product(machines, modules)
+    model = build_product(machines)
     report, exploration = check_model(model, depth=args.depth)
 
     if args.dot:
@@ -408,7 +409,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
     forgiven = 0
     coverage_payload = None
     if args.coverage:
-        corpus = load_corpus([Path(p) for p in args.coverage])
+        try:
+            corpus = load_corpus([Path(p) for p in args.coverage])
+        except SourceError as exc:
+            print(f"repro model: {exc}", file=sys.stderr)
+            return 2
         results = coverage(model, exploration, corpus)
         coverage_report = check_coverage(results, corpus)
         baseline_path = (
@@ -448,12 +453,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
         f"edge(s), max depth {summary['max_depth']}, "
         + ("exhausted" if summary["exhausted"] else "TRUNCATED")
     )
-    if model.uncertified:
-        for action, anchor in model.uncertified:
-            print(
-                f"uncertified: {action} guard dropped — {anchor.func}() "
-                f"in {anchor.module} lost {anchor.needle!r}"
-            )
     if coverage_payload is not None:
         print(
             f"coverage: {coverage_payload['transitions_exercised']}/"

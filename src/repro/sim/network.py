@@ -82,7 +82,6 @@ from repro.system.loadmgr import (
     GroupMigration,
     LoadParams,
     LoadState,
-    MigrationChannel,
     attach_load_manager,
     capture_group_state,
     choose_target,
@@ -240,8 +239,7 @@ class VirtualNetwork:
 
     def transitions(self) -> Dict[str, Dict[str, int]]:
         """The rows the run's lifecycle executors took, by machine:
-        ``"label from->to"`` -> count (the primary's query handles; the
-        migration channels' receivers are not counted)."""
+        ``"label from->to"`` -> count (the primary's query handles)."""
         executors = {
             "QueryStatus": [self.primary.lifecycle],
             "node-supervision": [self.supervision],
@@ -273,9 +271,8 @@ class VirtualNetwork:
         """
         sim = EventSimulator()
         if self.recovery:
-            # The sender retains a reliable send when it sends it (as
-            # SequencedUplink.stamp does), so a NACK for a tuple still
-            # in flight is answered.
+            # The sender retains a reliable send when it sends it, so a
+            # NACK for a tuple still in flight is answered.
             sends = [e for e in events if isinstance(e, InjectEvent)
                      and e.seq is not None and not e.duplicate]
             for event in sends:
@@ -614,7 +611,7 @@ class VirtualNetwork:
         )
 
     def _drain_migration(self, sim: EventSimulator, key: str) -> None:
-        """Hand the group's state to the target over the channel."""
+        """Capture the group's state at the source (the drain)."""
         migration = self.load.active.get(key)
         if migration is None:
             return
@@ -632,9 +629,6 @@ class VirtualNetwork:
         if not chunks:
             self._abort_migration(sim, key, "superseded")
             return
-        migration.channel = MigrationChannel(self.state.params)
-        for chunk in chunks:
-            migration.channel.send(chunk, sim.now)
         migration.step("start_drain")
         self.load.counters.state_chunks_sent += len(chunks)
         self.trace.record(
@@ -650,8 +644,8 @@ class VirtualNetwork:
     def _cutover_migration(
         self, sim: EventSimulator, key: str, attempt: int
     ) -> None:
-        """Close the channel gap-free and re-home the group, with
-        capped-backoff retries while the target is down."""
+        """Re-home the group once the target is up, with capped-backoff
+        retries while it is down."""
         migration = self.load.active.get(key)
         if migration is None:
             return
@@ -684,13 +678,6 @@ class VirtualNetwork:
                 )
                 return
             self._abort_migration(sim, key, "target-lost")
-            return
-        gaps = migration.channel.close(sim.now) if migration.channel else [0]
-        if gaps:
-            # Unreachable with the in-process channel; kept as the
-            # protocol's defensive barrier (cutover only on a gap-free
-            # punctuation, exactly like PR 4's uplink close).
-            self._abort_migration(sim, key, "handoff-gaps")
             return
         migration.step("cut_over")
         moved = self._on_twins(

@@ -22,14 +22,11 @@ load landscape shifts.  Submission-time placement lives in
   machine (``PREPARING -> DRAINING -> CUTOVER -> COMPLETED``, with
   ``ABORTED`` reachable from every non-terminal state).  The group is
   quarantined through the same ``DEGRADED`` lifecycle the partition
-  path uses (:func:`quarantine_for_migration`), its state is handed
-  off over a dedicated sequenced uplink (:class:`MigrationChannel`,
-  reusing :class:`~repro.system.reliability.SequencedUplink` /
-  :class:`~repro.system.reliability.UplinkReceiver`); the channel's
-  gap-closing punctuation (:meth:`MigrationChannel.close`) marks the
-  cutover point, after which :func:`cutover_group` re-registers the
-  members on the target and :func:`resume_after_migration` heals them
-  back to ``ACTIVE`` (both install subscriptions only through
+  path uses (:func:`quarantine_for_migration`), its state is captured
+  at the source (:func:`capture_group_state`, the drain), and once the
+  target is up :func:`cutover_group` re-registers the members on the
+  target in process and :func:`resume_after_migration` heals them back
+  to ``ACTIVE`` (both install subscriptions only through
   :meth:`CosmosSystem.reconcile_group`).  Retry/abort policy (capped
   exponential backoff towards a possibly-crashed target,
   abort-to-source) is the caller's job — the chaos executor in
@@ -39,9 +36,7 @@ load landscape shifts.  Submission-time placement lives in
 :func:`attach_load_manager` hangs a shared :class:`LoadState` on a
 :class:`~repro.system.cosmos.CosmosSystem`; the monitor's ``health()``
 reads it from there, migrations completed and aborted as rows of
-:data:`MIGRATION_LIFECYCLE`.  A migration's state handoff runs its own
-receiver, outside the reliability state, so no reliability count sees
-migration traffic.
+:data:`MIGRATION_LIFECYCLE`.
 """
 
 from __future__ import annotations
@@ -55,11 +50,6 @@ from repro.overlay.topology import NodeId
 from repro.overlay.tree import Demand
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.lifecycle import Lifecycle
-from repro.system.reliability import (
-    ReliabilityParams,
-    SequencedUplink,
-    UplinkReceiver,
-)
 
 
 class LoadManagementError(Exception):
@@ -225,10 +215,10 @@ class MigrationState(enum.Enum):
     """Lifecycle of one live group migration.
 
     ``PREPARING`` — group quarantined at the source, waiting for the
-    drain.  ``DRAINING`` — state chunks in flight over the migration
-    channel.  ``CUTOVER`` — channel punctuation closed gap-free; the
-    group is being re-registered on the target.  ``COMPLETED`` and
-    ``ABORTED`` are terminal.
+    drain.  ``DRAINING`` — the group's state is captured, waiting for
+    the target to be up.  ``CUTOVER`` — the group is being
+    re-registered on the target.  ``COMPLETED`` and ``ABORTED`` are
+    terminal.
     """
 
     PREPARING = "preparing"
@@ -247,9 +237,9 @@ MIGRATION_LIFECYCLE = {
     "initial": "PREPARING",
     "terminal": ("COMPLETED", "ABORTED"),
     "rows": (
-        # the state handoff began
+        # the group's state was captured at the source
         ("start_drain", "PREPARING", "DRAINING"),
-        # the channel closed gap-free
+        # the target is up
         ("cut_over", "DRAINING", "CUTOVER"),
         # the group runs on the target
         ("complete", "CUTOVER", "COMPLETED"),
@@ -273,7 +263,6 @@ class GroupMigration:
     #: back at the source on abort).
     members: List[str] = field(default_factory=list)
     state: MigrationState = MigrationState[MIGRATION_LIFECYCLE["initial"]]
-    channel: Optional["MigrationChannel"] = None
     #: The executor that counts this migration's steps: its load state's.
     lifecycle: Lifecycle = field(
         default_factory=lambda: Lifecycle(MIGRATION_LIFECYCLE, LoadManagementError),
@@ -298,44 +287,6 @@ class GroupMigration:
         return f"{self.group_id}@n{self.source_node}"
 
 
-class MigrationChannel:
-    """The state-handoff transport of one migration.
-
-    A dedicated :class:`~repro.system.reliability.SequencedUplink` /
-    :class:`~repro.system.reliability.UplinkReceiver` pair, outside the
-    deployment's reliability state (so no ``health()`` count sees
-    migration traffic), carries the group's state chunks source to
-    target.  :meth:`close` is the gap-closing punctuation of PR 4's
-    protocol: it announces the top sequence number and returns any
-    still-open gaps — an empty list *is* the cutover barrier.
-    """
-
-    def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
-        self.uplink = SequencedUplink()
-        self.receiver = UplinkReceiver(params)
-
-    def send(self, chunk: Dict[str, object], now: float) -> int:
-        """Stamp and offer one state chunk; returns tuples released."""
-        seq = self.uplink.stamp(dict(chunk), now)
-        offer = self.receiver.offer(seq, dict(chunk), now)
-        return len(offer.released)
-
-    def close(self, now: float) -> List[int]:
-        """Punctuate the channel; returns the still-open gaps.
-
-        An empty return means every chunk was released in sequence —
-        the target holds the complete state and cutover may proceed.
-        """
-        top = self.uplink.next_seq - 1
-        if top < 0:
-            return []
-        self.receiver.announce(top)
-        # The punctuation reports *fresh* gaps only; a mid-stream gap
-        # already flagged by a later arrival is no less open.  The
-        # barrier must certify the full outstanding set.
-        return self.receiver.open_gaps
-
-
 # ---------------------------------------------------------------------------
 # migration mechanics over a CosmosSystem
 # ---------------------------------------------------------------------------
@@ -344,12 +295,14 @@ class MigrationChannel:
 def capture_group_state(
     system: CosmosSystem, node: NodeId, group_id: str
 ) -> List[Dict[str, object]]:
-    """Serialise a group's handoff state into ordered chunks.
+    """The drain's snapshot of a group, as ordered chunks.
 
     One header chunk (group identity, membership size, SPE engine name)
     followed by one chunk per member (name and accumulated result
-    count).  Returns ``[]`` when the group is gone — the caller treats
-    that as a superseded migration.
+    count).  The drain counts the chunks; nothing reads them yet, since
+    the cutover re-registers the members in process.  Returns ``[]``
+    when the group is gone — the caller treats that as a superseded
+    migration.
     """
     processor = system.processors.get(node)
     if processor is None:

@@ -37,10 +37,8 @@ deterministically over the :class:`~repro.system.events.EventSimulator`:
 reads what the layer did off the row counts of the executors above.
 
 The adaptive load manager (:mod:`repro.system.loadmgr`) builds on this
-layer: live group migration reuses the sequenced uplink as its state
-handoff channel (the gap-free close punctuation is the cutover
-barrier) and the same ``DEGRADED`` quarantine to freeze members while
-they move.
+layer: live group migration reuses the same ``DEGRADED`` quarantine to
+freeze members while they move.
 """
 
 from __future__ import annotations
@@ -111,29 +109,18 @@ class ReliabilityParams:
 class SequencedUplink:
     """Sender half of one (stream, source) reliable uplink.
 
-    Stamps outgoing tuples with monotone sequence numbers and retains
-    them for retransmission.  Retention is unbounded here; a real
+    Retains sent tuples, under the sequence numbers the chaos scheduler
+    assigned them, for retransmission.  Retention is unbounded here; a real
     deployment would trim on cumulative acknowledgement, which the
     chaos harness does not need (runs are finite).
     """
 
     def __init__(self) -> None:
-        self._next = 0
         #: seq -> (payload mapping, original send time)
         self._history: Dict[int, Tuple[Dict[str, object], float]] = {}
         #: NACKs answered; a retransmission the original overtook is a
         #: receiver ``duplicate`` row, so this is no row's count.
         self.retransmits = 0
-
-    @property
-    def next_seq(self) -> int:
-        return self._next
-
-    def stamp(self, payload: Dict[str, object], sent: float) -> int:
-        """Assign the next sequence number to ``payload`` and retain it."""
-        seq = self._next
-        self.record(seq, payload, sent)
-        return seq
 
     def record(self, seq: int, payload: Dict[str, object], sent: float) -> None:
         """Retain a tuple under an externally assigned sequence number.
@@ -149,8 +136,6 @@ class SequencedUplink:
         if seq in self._history:
             raise ReliabilityError(f"sequence number {seq} reused")
         self._history[seq] = (dict(payload), float(sent))
-        if seq >= self._next:
-            self._next = seq + 1
 
     def retransmit(self, seq: int) -> Optional[Tuple[Dict[str, object], float]]:
         """The retained (payload, sent) for ``seq``; ``None`` if never sent.
@@ -247,19 +232,6 @@ class UplinkReceiver:
         return seq >= self._expected and self.slots.states.get(seq) not in (
             "BUFFERED",
             "ABANDONED",
-        )
-
-    @property
-    def open_gaps(self) -> List[int]:
-        """Every detected-but-unresolved gap, sorted.
-
-        Unlike the *fresh* gaps :meth:`offer` and :meth:`announce`
-        report (each gap exactly once, for NACK scheduling), this is
-        the full outstanding set — what a barrier that must certify
-        gap-free delivery (the migration cutover) has to inspect.
-        """
-        return sorted(
-            seq for seq, state in self.slots.states.items() if state == "GAP"
         )
 
     def missing(self) -> List[int]:

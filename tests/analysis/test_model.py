@@ -1,17 +1,19 @@
 """COS90x: bounded model checking of the composed protocol machines.
 
 The canary tests doctor *source text* (not the model): deleting the
-heal path, the cutover certification or the abort path from the real
-modules must surface as COS902/COS901/COS903 through re-extraction —
-that is the property that makes the checker a regression tripwire
-rather than a self-consistent artifact.
+heal path or the abort path from the real modules must surface as
+COS902/COS903 through re-extraction — that is the property that makes
+the checker a regression tripwire rather than a self-consistent
+artifact.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.diagnostics import Severity
 from repro.analysis.lifecycle import extract_lifecycle
 from repro.analysis.model import (
     DEFAULT_MAX_STATES,
@@ -39,8 +41,8 @@ def machines(modules):
 
 
 @pytest.fixture(scope="module")
-def checked(machines, modules):
-    model = build_product(machines, modules)
+def checked(machines):
+    model = build_product(machines)
     report, exploration = check_model(model)
     return model, report, exploration
 
@@ -71,7 +73,7 @@ def _doctor(modules, rel_suffix, old, new):
 def _check_doctored(modules, rel_suffix, old, new):
     doctored = _doctor(modules, rel_suffix, old, new)
     machines = extract_lifecycle(doctored)
-    report, _exploration = check_model(build_product(machines, doctored))
+    report, _exploration = check_model(build_product(machines))
     return report
 
 
@@ -83,24 +85,24 @@ class TestRealPackage:
         assert exploration.max_depth >= 10
         assert 100 < len(exploration.states) < DEFAULT_MAX_STATES
 
-    def test_all_six_components_composed(self, checked):
+    def test_all_five_components_composed(self, checked):
         model, _report, _exploration = checked
         assert [c.name for c in model.components] == [
             "slot",
-            "channel",
             "detector",
             "node",
             "query",
             "migration",
         ]
         assert model.dropped == []
-        assert model.uncertified == []
 
-    def test_cutover_guard_is_certified(self, checked):
-        model, _report, _exploration = checked
-        (cutover,) = [r for r in model.rules if r.action == "cutover"]
-        assert cutover.certified_guards == (("channel", ("RELEASED",)),)
-        assert cutover.anchors
+    def test_committed_model_block_is_current(self, checked):
+        """``BENCH_modelcov.json`` records the product this code builds."""
+        model, _report, exploration = checked
+        committed = Path(__file__).resolve().parents[2] / "BENCH_modelcov.json"
+        payload = json.loads(committed.read_text())
+        summary = json.loads(json.dumps(model_summary(model, exploration)))
+        assert summary == payload["model"]
 
     def test_every_rule_fires_somewhere(self, checked):
         model, _report, exploration = checked
@@ -123,6 +125,47 @@ class TestRealPackage:
         report = check_modules(modules, timings=timings)
         assert "model" in timings
         assert not [d for d in report if d.code.startswith("COS90")]
+
+
+def _fired(model, exploration, action):
+    """The source states of every edge ``action`` labels."""
+    return [
+        exploration.states[src]
+        for src, rule_idx, _dst in exploration.edges
+        if model.rules[rule_idx].action == action
+    ]
+
+
+class TestTargetGuard:
+    """The node is the migration's target: ``_cutover_migration`` cuts
+    over only while it is up and retries only while it is down."""
+
+    def test_cutover_waits_for_a_live_target(self, checked):
+        model, _report, exploration = checked
+        node = model.slot("node")
+        assert {s[node] for s in _fired(model, exploration, "cutover")} == {"LIVE"}
+        migration = model.slot("migration")
+        waiting = [
+            s for s in exploration.states
+            if s[migration] == "DRAINING" and s[node] != "LIVE"
+        ]
+        assert waiting
+        (cutover,) = [r for r in model.rules if r.action == "cutover"]
+        assert all(model.enabled(cutover, s) is None for s in waiting)
+
+    def test_retry_spins_only_while_the_target_is_down(self, checked):
+        model, _report, exploration = checked
+        node = model.slot("node")
+        down = {s[node] for s in _fired(model, exploration, "migrate_retry")}
+        assert down == {"CRASHED", "SUSPECTED", "REMOVED"}
+
+    def test_a_lost_target_aborts_the_migration(self, checked):
+        model, _report, exploration = checked
+        node, migration = model.slot("node"), model.slot("migration")
+        assert any(
+            s[migration] == "DRAINING" and s[node] == "REMOVED"
+            for s in _fired(model, exploration, "abort")
+        )
 
 
 class TestCanaries:
@@ -158,24 +201,9 @@ class TestCanaries:
         report = check_modules(doctored)
         assert any(d.code == "COS813" for d in report) and any(d.code == "COS902" for d in report)
 
-    def test_stripped_cutover_certification_loses_tuples(self, modules):
-        # _cutover_migration no longer aborts on handoff gaps: the
-        # anchor fails, the RELEASED guard is dropped, and cutover
-        # becomes reachable past a lossy channel.
-        report = _check_doctored(
-            modules,
-            "sim/network.py",
-            '"handoff-gaps"',
-            '"handoff-skipped"',
-        )
-        assert "COS901" in _codes(report)
-        (loss,) = [d for d in report if d.code == "COS901"]
-        assert loss.severity is Severity.ERROR
-        assert "certification anchor missing" in loss.message
-
     def test_orphaned_abort_exit_is_a_livelock(self, modules):
         # The migration can no longer abort: a draining migration whose
-        # channel cannot be released spins on migrate_retry forever.
+        # target was removed spins on migrate_retry forever.
         report = _check_doctored(
             modules,
             "system/loadmgr.py",
@@ -186,7 +214,12 @@ class TestCanaries:
         )
         assert _codes(report) == ["COS903"]
         spins = [d for d in report if d.code == "COS903"]
-        assert any("migrate_retry" in d.message for d in spins)
+        assert spins and all(
+            "migrate_retry" in d.message
+            and "node=REMOVED" in d.message
+            and "migration=DRAINING" in d.message
+            for d in spins
+        )
 
 
 class TestInvariants:
@@ -220,8 +253,8 @@ class TestInvariants:
 
 
 class TestBoundsAndPartialModels:
-    def test_depth_bound_truncates_and_mutes_liveness(self, machines, modules):
-        model = build_product(machines, modules)
+    def test_depth_bound_truncates_and_mutes_liveness(self, machines):
+        model = build_product(machines)
         report, exploration = check_model(model, depth=2)
         assert not exploration.exhausted
         assert exploration.max_depth == 2
@@ -229,8 +262,8 @@ class TestBoundsAndPartialModels:
         # checker must stay silent rather than guess.
         assert not [d for d in report if d.code in ("COS902", "COS903")]
 
-    def test_state_cap_truncates(self, machines, modules):
-        model = build_product(machines, modules)
+    def test_state_cap_truncates(self, machines):
+        model = build_product(machines)
         exploration = explore(model, max_states=50)
         assert not exploration.exhausted
         assert len(exploration.states) == 50
@@ -238,22 +271,14 @@ class TestBoundsAndPartialModels:
     def test_partial_machine_set_drops_rules(self, machines):
         uplink_only = [m for m in machines if m.name == "uplink-receiver"]
         model = build_product(uplink_only)
-        assert [c.name for c in model.components] == ["slot", "channel"]
+        assert [c.name for c in model.components] == ["slot"]
         assert model.dropped
         dropped_actions = {action for action, _reason in model.dropped}
         assert "cutover" in dropped_actions
         report, exploration = check_model(model)
         assert exploration.exhausted
-        # The channel's conditional release names the absent migration
-        # component, so it is stripped; without drain rules the channel
-        # never starts, and the slot protocol alone is clean.
+        # The slot protocol alone is clean.
         assert _codes(report) == []
-
-    def test_anchors_assumed_intact_without_modules(self, machines):
-        model = build_product(machines)
-        assert model.uncertified == []
-        (cutover,) = [r for r in model.rules if r.action == "cutover"]
-        assert cutover.certified_guards
 
 
 class TestRendering:
@@ -274,5 +299,5 @@ class TestRendering:
         assert summary["dropped_rules"] == []
         actions = [r["action"] for r in summary["rules"]]
         assert "cutover" in actions and "heal" in actions
-        (cutover,) = [r for r in summary["rules"] if r["action"] == "cutover"]
-        assert cutover["certified"] is True
+        assert all(set(r) == {"action", "progress"} for r in summary["rules"])
+        assert "uncertified" not in summary

@@ -16,14 +16,14 @@ from repro.analysis.modelcov import (
     summarize,
 )
 from repro.analysis.selfcheck import default_package_dir
-from repro.analysis.source import Baseline, load_package
+from repro.analysis.source import Baseline, SourceError, load_package
 
 
 @pytest.fixture(scope="module")
 def explored():
     modules = load_package(default_package_dir())
     machines = extract_lifecycle(modules)
-    model = build_product(machines, modules)
+    model = build_product(machines)
     return model, explore(model)
 
 
@@ -63,7 +63,6 @@ class TestCorpusLoading:
         corpus = load_corpus([first, second])
         assert corpus.artifacts == 2
         assert corpus.seeds == 2
-        assert corpus.skipped == 0
         assert corpus.counts["uplink-receiver"] == {
             "arrive UNSEEN->BUFFERED": 5
         }
@@ -71,24 +70,31 @@ class TestCorpusLoading:
             "crash LIVE->CRASHED": 1
         }
 
-    def test_directory_input(self, tmp_path):
-        _artifact(
-            tmp_path,
-            "sweep.json",
-            [{"seed": 0, "transitions": {"m": {"k": 1}}}],
-        )
-        corpus = load_corpus([tmp_path])
-        assert corpus.artifacts == 1
-        assert corpus.counts == {"m": {"k": 1}}
-
-    def test_old_artifacts_are_skipped_not_fatal(self, tmp_path):
-        pre = _artifact(tmp_path, "old.json", [{"seed": 0, "ok": True}])
-        bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        corpus = load_corpus([pre, bad])
-        assert corpus.artifacts == 1  # parsed, but contributed nothing
-        assert corpus.seeds == 0
-        assert corpus.skipped == 2
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("{not json", "not a readable chaos artifact"),
+            ("[]", "no 'seeds' list"),
+            ('{"ok": true}', "no 'seeds' list"),
+            ('{"seeds": [4]}', "seed record 4 is not an object"),
+            ('{"seeds": [{"seed": 4, "ok": false, "error": "boom"}]}',
+             "seed 4 has no 'transitions'"),
+        ],
+        ids=[
+            "not-json",
+            "not-an-object",
+            "no-seeds",
+            "seed-not-an-object",
+            "seed-without-transitions",
+        ],
+    )
+    def test_an_artifact_without_transitions_is_fatal(self, tmp_path, text, needle):
+        good = _artifact(tmp_path, "good.json", [{"seed": 0, "transitions": {}}])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(SourceError) as raised:
+            load_corpus([good, bad])
+        assert str(bad) in str(raised.value) and needle in str(raised.value)
 
 
 class TestCoverage:

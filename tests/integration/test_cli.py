@@ -148,10 +148,17 @@ class TestModelCli:
         model = payload["model"]
         assert model["exhausted"] is True
         assert model["dropped_rules"] == []
-        assert model["uncertified"] == []
+        assert "uncertified" not in model
         assert {c["name"] for c in model["components"]} == {
-            "slot", "channel", "detector", "node", "query", "migration"
+            "slot", "detector", "node", "query", "migration"
         }
+
+    def test_an_unreadable_coverage_artifact_exits_2(self, capsys, tmp_path):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        assert main(["model", "--coverage", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro model: ") and "broken.json" in err
 
     def test_dot_mode(self, capsys):
         assert main(["model", "--dot"]) == 0

@@ -22,7 +22,7 @@ from repro.sim import ChaosConfig, run_chaos
 
 _MODULES = load_package(default_package_dir())
 _MACHINES = extract_lifecycle(_MODULES)
-_MODEL = build_product(_MACHINES, _MODULES)
+_MODEL = build_product(_MACHINES)
 _EDGE_KEYS = {
     machine.name: {
         transition_key(t.label, t.source, t.target)

@@ -10,7 +10,6 @@ from repro.system.loadmgr import (
     LoadManagementError,
     LoadParams,
     LoadState,
-    MigrationChannel,
     MigrationState,
     attach_load_manager,
     capture_group_state,
@@ -132,28 +131,6 @@ class TestMigrationStateMachine:
 
     def test_key_is_group_at_source(self):
         assert self.migration().key == "G1@n1"
-
-
-class TestMigrationChannel:
-    def test_empty_channel_closes_gap_free(self):
-        assert MigrationChannel().close(0.0) == []
-
-    def test_in_order_handoff_releases_everything(self):
-        channel = MigrationChannel()
-        released = [
-            channel.send({"kind": "member", "name": f"q{i}"}, float(i))
-            for i in range(3)
-        ]
-        assert released == [1, 1, 1]
-        assert channel.receiver._expected == 3
-        assert channel.close(3.0) == []
-
-    def test_lost_chunk_surfaces_as_gap(self):
-        channel = MigrationChannel()
-        channel.uplink.stamp({"kind": "header"}, 0.0)  # seq 0, never offered
-        seq = channel.uplink.stamp({"kind": "member"}, 1.0)
-        channel.receiver.offer(seq, {"kind": "member"}, 1.0)
-        assert channel.close(2.0) == [0]
 
 
 @pytest.fixture

@@ -38,11 +38,13 @@ class TestParams:
 
 
 class TestSequencedUplink:
-    def test_stamp_assigns_monotone_numbers(self):
+    def test_record_retains_each_number(self):
         uplink = SequencedUplink()
-        assert uplink.stamp({"a": 1}, 1.0) == 0
-        assert uplink.stamp({"a": 2}, 2.0) == 1
-        assert uplink.next_seq == 2
+        uplink.record(0, {"a": 1}, 1.0)
+        uplink.record(1, {"a": 2}, 2.0)
+        assert uplink.retransmit(0) == ({"a": 1}, 1.0)
+        assert uplink.retransmit(1) == ({"a": 2}, 2.0)
+        assert uplink.retransmit(2) is None
 
     def test_record_out_of_order_is_allowed(self):
         # The simulator learns of sends in arrival order, which may
@@ -50,7 +52,7 @@ class TestSequencedUplink:
         uplink = SequencedUplink()
         uplink.record(3, {"a": 3}, 3.0)
         uplink.record(1, {"a": 1}, 1.0)
-        assert uplink.next_seq == 4
+        assert uplink.retransmit(3) == ({"a": 3}, 3.0)
         assert uplink.retransmit(1) == ({"a": 1}, 1.0)
 
     def test_reuse_raises(self):
