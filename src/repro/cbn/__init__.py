@@ -22,11 +22,7 @@ from repro.cbn.datagram import Datagram
 from repro.cbn.dht import ConsistentHashRing
 from repro.cbn.filters import Filter, Profile
 from repro.cbn.network import ContentBasedNetwork, Delivery
-from repro.cbn.schema_registry import (
-    DHTSchemaRegistry,
-    FloodedSchemaRegistry,
-    SchemaRegistry,
-)
+from repro.cbn.schema_registry import DHTSchemaRegistry, FloodedSchemaRegistry
 
 __all__ = [
     "ConsistentHashRing",
@@ -37,5 +33,4 @@ __all__ = [
     "Filter",
     "FloodedSchemaRegistry",
     "Profile",
-    "SchemaRegistry",
 ]

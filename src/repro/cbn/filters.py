@@ -131,6 +131,8 @@ class Profile:
         #: (:meth:`_filters_by_stream`).
         self._per_stream: Optional[Dict[str, Tuple[Filter, ...]]] = None
         self._matchers: Dict[str, Matcher] = {}
+        #: stream -> :meth:`restricted_to` it, built on first use
+        self._restricted: Optional[Dict[str, "Profile"]] = None
 
     # -- the triple ------------------------------------------------------------------
 
@@ -230,12 +232,23 @@ class Profile:
         return frozenset(carried)
 
     def restricted_to(self, stream: str) -> "Profile":
-        """The sub-profile concerning a single stream."""
-        return Profile(
-            {stream: self.projection_for(stream)},
-            self.filters_for(stream),
-            subscriber=self.subscriber,
-        )
+        """The sub-profile concerning a single stream: what the network
+        lays at the hops toward a publisher of ``stream`` for a profile
+        that requests several streams (one that requests only ``stream``
+        is laid itself, being equal to it).  Built on first use and
+        kept, as a profile never changes, so every hop and propagation
+        of the stream shares one copy and its one :meth:`matcher`."""
+        restricted = self._restricted
+        if restricted is None:
+            restricted = self._restricted = {}
+        copy = restricted.get(stream)
+        if copy is None:
+            copy = restricted[stream] = Profile(
+                {stream: self.projection_for(stream)},
+                self.filters_for(stream),
+                subscriber=self.subscriber,
+            )
+        return copy
 
     def size_estimate(self) -> int:
         """Rough wire size of the profile itself (subscription traffic)."""

@@ -21,10 +21,13 @@ The control plane
 Routing state is soft state that subscribers, processors and the overlay
 optimizer rewrite continuously, so maintaining it costs in proportion to
 the change, not to the population.  Every subscription carries its
-*footprint*: per ``(stream, publisher)`` it was propagated toward, the
-hops — ``(broker, interface)`` — at which that propagation laid an
-entry; a ``stream -> subscription ids`` registry says who requests a
-stream.  The footprint is the only way forwarding entries are removed
+*footprint*: the ``(stream, publisher)`` keys it was propagated toward.
+Each propagation laid an entry at every hop — ``(broker, interface)`` —
+of the current tree's path from the subscriber to the publisher, and
+:meth:`retree` re-lays every path a tree change moves, so the path is
+read off the tree when it is needed and the footprint stores no hop; a
+``stream -> subscription ids`` registry says who requests a stream.  The
+footprint is the only way forwarding entries are removed
 (:meth:`RoutingTable.discard`, exact): :meth:`unsubscribe` visits the
 tables on the subscription's own paths, and :meth:`retree` keeps every
 table and re-lays exactly the paths that cross an edge the new tree
@@ -35,6 +38,12 @@ its subscriber, and :func:`entry_owner` names the subscription — so it
 reads no footprint but the crossing subscriptions'.  There is no
 full-walk or full-replay fallback; the oracle in the tests is a fresh
 build on the current tree.
+
+An entry holds a profile object the hops share: a subscription that
+requests one stream lays its own profile (and so its one matcher, which
+its LOCAL entry uses too) at every hop of every path; one that requests
+several lays, per stream, the one restriction of its profile to that
+stream (:meth:`Profile.restricted_to`).
 
 The data plane
 --------------
@@ -131,10 +140,13 @@ class _Subscription:
     subscription_id: str
     node: NodeId
     profile: Profile
-    #: The *footprint*: per propagation, the hops it laid entries at, in
-    #: laying order.  The only record of where this subscription's
-    #: forwarding entries are, so the only way they are removed.
-    footprint: Dict[_PathKey, Tuple[Hop, ...]] = field(default_factory=dict)
+    #: The *footprint*: the propagations that laid forwarding entries, in
+    #: laying order (an ordered set).  Each laid one at every hop of the
+    #: current tree's path from ``node`` to its publisher
+    #: (:meth:`ContentBasedNetwork._paths`), so the keys are the only
+    #: record of where this subscription's forwarding entries are, and so
+    #: the only way they are removed.
+    footprint: Dict[_PathKey, None] = field(default_factory=dict)
 
 
 @dataclass
@@ -300,6 +312,9 @@ class ContentBasedNetwork:
         self._route_misses = 0
         self.data_stats = LinkStats()
         self.control_stats = LinkStats()
+        #: canonical edge -> the one tuple every route's records name it
+        #: by, for each link ever priced
+        self._edges: Dict[Edge, Edge] = {}
         self._register_weights(tree, tree.edges)
         self._counter = itertools.count()
 
@@ -313,12 +328,13 @@ class ContentBasedNetwork:
         return RoutingTable(node, on_change=self._bump_epoch)
 
     def _register_weights(self, tree: DisseminationTree, edges: Iterable[Edge]) -> None:
-        """Price the links ``edges`` of ``tree`` on both accumulators (a
-        link that already has a cost keeps it)."""
+        """Price the links ``edges`` (canonical) of ``tree`` on both
+        accumulators (a link that already has a cost keeps it)."""
         for edge in edges:
             weight = tree.weight(*edge)
             self.data_stats.add_weight(edge, weight)
             self.control_stats.add_weight(edge, weight)
+            self._edges.setdefault(edge, edge)
 
     def retree(self, tree: DisseminationTree) -> None:
         """Move the network onto ``tree``, in place, as a diff.
@@ -378,12 +394,10 @@ class ContentBasedNetwork:
         for sid, sub in self._subscriptions.items():
             if sid not in crossing:
                 continue
-            keys = [
-                key
-                for key, hops in sub.footprint.items()
-                if not crossed.isdisjoint(hops)
-            ]
-            self._withdraw(sub, keys)
+            # on the old tree, each path read once
+            paths = self._paths(sub)
+            keys = [key for key, hops in paths.items() if not crossed.isdisjoint(hops)]
+            self._withdraw(sub, keys, paths)
             replay.append((sub, keys))
         for node in departed:
             del self._tables[node]
@@ -529,10 +543,27 @@ class ContentBasedNetwork:
                 # facts)
                 del self._stream_subscriptions[stream]
         self._tables[removed.node].discard(RoutingTable.LOCAL, subscription_id)
-        self._withdraw(removed, list(removed.footprint))
+        self._withdraw(removed, list(removed.footprint), self._paths(removed))
 
-    def _withdraw(self, sub: _Subscription, keys: Iterable[_PathKey]) -> None:
-        """Take the propagations ``keys`` out of ``sub``'s footprint.
+    def _paths(self, sub: _Subscription) -> Dict[_PathKey, List[Hop]]:
+        """Per propagation in ``sub``'s footprint, the hops it laid
+        entries at: the current tree's path from the subscriber to the
+        publisher, each hop ``(broker, interface toward the
+        subscriber)``."""
+        paths = {}
+        for stream, publisher in sub.footprint:
+            path = self._tree.path(sub.node, publisher)
+            paths[stream, publisher] = list(zip(path[1:], path))
+        return paths
+
+    def _withdraw(
+        self,
+        sub: _Subscription,
+        keys: Iterable[_PathKey],
+        paths: Dict[_PathKey, List[Hop]],
+    ) -> None:
+        """Take the propagations ``keys`` out of ``sub``'s footprint;
+        ``paths`` is :meth:`_paths` of the footprint before.
 
         Paths of one stream share their prefix (and so their entries):
         an entry goes only when no propagation left in the footprint
@@ -540,23 +571,28 @@ class ContentBasedNetwork:
         """
         vacated: Dict[str, Set[Hop]] = {}
         for key in keys:
-            vacated.setdefault(key[0], set()).update(sub.footprint.pop(key))
-        for (stream, __), hops in sub.footprint.items():
-            if stream in vacated:
-                vacated[stream].difference_update(hops)
+            del sub.footprint[key]
+            vacated.setdefault(key[0], set()).update(paths[key])
+        for key in sub.footprint:
+            if key[0] in vacated:
+                vacated[key[0]].difference_update(paths[key])
         for stream, hops in vacated.items():
             entry = entry_id(sub.subscription_id, stream)
             for node, interface in hops:
                 self._tables[node].discard(interface, entry)
 
     def _lay(self, sub: _Subscription, stream: str, hops: Iterable[Hop]) -> None:
-        """Install ``sub``'s entry for ``stream`` — the profile
-        restricted to ``stream`` — at every hop."""
-        restricted = sub.profile.restricted_to(stream)
+        """Install ``sub``'s entry for ``stream`` at every hop: the
+        subscription's own profile when ``stream`` is all it requests,
+        else its one restriction to ``stream``.  Either way the hops
+        share one profile object and its one matcher."""
+        profile = sub.profile
+        if len(profile.streams) > 1:
+            profile = profile.restricted_to(stream)
         entry = entry_id(sub.subscription_id, stream)
-        size = float(restricted.size_estimate())
+        size = float(profile.size_estimate())
         for here, toward_sub in hops:
-            self._tables[here].install(toward_sub, entry, restricted)
+            self._tables[here].install(toward_sub, entry, profile)
             self.control_stats.record(toward_sub, here, size)
 
     def _propagate_toward(
@@ -571,9 +607,8 @@ class ContentBasedNetwork:
         if publisher == sub.node:
             return
         path = self._tree.path(sub.node, publisher)
-        hops = tuple(zip(path[1:], path))
-        sub.footprint[stream, publisher] = hops
-        self._lay(sub, stream, hops)
+        sub.footprint[stream, publisher] = None
+        self._lay(sub, stream, zip(path[1:], path))
 
     # -- publication ---------------------------------------------------------------------
 
@@ -647,6 +682,7 @@ class ContentBasedNetwork:
         widths = facts.widths
         bits = facts.bits
         tables = self._tables
+        edges = self._edges
         links: List[Tuple[Edge, float]] = []
         deliveries: List[Delivery] = []
         #: (broker, interface it arrived from, datagram copy, its size
@@ -675,7 +711,7 @@ class ContentBasedNetwork:
                     out_size, out_live = None, bits.surviving(live, outgoing.payload)
                 if out_size is None:
                     out_size = outgoing.size_bytes(widths)
-                links.append((edge_key(here, neighbor), out_size))
+                links.append((edges[edge_key(here, neighbor)], out_size))
                 stack.append((neighbor, here, outgoing, out_size, out_live))
         return links, deliveries
 

@@ -18,8 +18,9 @@ entry.  A bucket holds each entry's
 :meth:`~repro.cbn.filters.Profile.matcher` for the stream (conditions,
 projection and carried attributes), resolved once when the entry is
 installed, so a scan calls no profile (a profile builds one matcher
-per stream, and the network lays one profile object at every hop of a
-path, so the hops of a path share it).  Coverage is not
+per stream, and the network lays one profile object per subscription and
+stream at every hop — the subscription's own when it requests one
+stream, so its LOCAL entry shares the matcher too).  Coverage is not
 evaluated here: the caller hands in the *live* mask of the copy — the
 bits, in the stream's :class:`~repro.cql.predicates.OutcomeIndex`
 order, of the conditions that hold on it — and :class:`ConditionBits`,

@@ -6,10 +6,10 @@ information of the streams will be flooded to every node upon its
 arrival. Otherwise, we use a DHT architecture to store the schema
 information while using the unique stream name as the hashing key."*
 
-Both strategies share the :class:`SchemaRegistry` interface and account
-for the control traffic they generate on a dissemination tree, so the
-flooding-vs-DHT trade-off can be measured (see
-``benchmarks/test_ablations.py``).
+Both strategies offer the same three members — ``register(schema,
+node)``, ``lookup(name, node)`` and the ``stats`` of the control traffic
+they generate on a dissemination tree — so the flooding-vs-DHT
+trade-off can be measured (see ``benchmarks/test_ablations.py``).
 """
 
 from __future__ import annotations
@@ -26,21 +26,7 @@ from repro.overlay.topology import NodeId
 _SCHEMA_MESSAGE_BYTES = 64.0
 
 
-class SchemaRegistry:
-    """Interface: register a schema at a node, look one up from a node."""
-
-    def register(self, schema: StreamSchema, node: NodeId) -> None:
-        raise NotImplementedError
-
-    def lookup(self, name: str, node: NodeId) -> Optional[StreamSchema]:
-        raise NotImplementedError
-
-    @property
-    def stats(self) -> LinkStats:
-        raise NotImplementedError
-
-
-class FloodedSchemaRegistry(SchemaRegistry):
+class FloodedSchemaRegistry:
     """Every schema advertisement floods the dissemination tree.
 
     Lookups are then free (every node holds a full catalog), but each
@@ -71,7 +57,7 @@ class FloodedSchemaRegistry(SchemaRegistry):
         return self._stats
 
 
-class DHTSchemaRegistry(SchemaRegistry):
+class DHTSchemaRegistry:
     """Schemas stored in a DHT keyed by stream name.
 
     Registration routes one message from the registering node to each

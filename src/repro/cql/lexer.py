@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, List, NamedTuple, Optional, Union
 
 
@@ -84,7 +85,8 @@ def tokenize(text: str) -> List[Token]:
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
+            # one string object per spelling, however many queries name it
+            word = sys.intern(text[i:j])
             kind = "keyword" if word.lower() in KEYWORDS else "ident"
             tokens.append(Token(kind, word, word, i))
             i = j

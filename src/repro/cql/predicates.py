@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -277,18 +278,19 @@ class AttrRef:
     predicate algebra.  ``pos`` is the character offset of the reference
     in the query text it was parsed from (``None`` for programmatically
     built references); it is excluded from equality so provenance never
-    affects predicate semantics.
+    affects predicate semantics.  :attr:`key` is built once, at
+    construction, and interned: every reference to one attribute, in
+    every query, hands out the same string object.
     """
 
     qualifier: Optional[str]
     name: str
     pos: Optional[int] = field(default=None, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        if self.qualifier is None:
-            return self.name
-        return f"{self.qualifier}.{self.name}"
+    def __post_init__(self) -> None:
+        key = self.name if self.qualifier is None else f"{self.qualifier}.{self.name}"
+        object.__setattr__(self, "key", sys.intern(key))
 
     @staticmethod
     def parse(text: str) -> "AttrRef":

@@ -526,6 +526,101 @@ class TestStateCeilings:
             naive.data_stats.weighted_cost()
         )
 
+    @staticmethod
+    def five_hop_line():
+        """0 - 1 - 2 - 3 - 4 - 5: "S" and "T" published at 0."""
+        edges = [(i, i + 1) for i in range(5)]
+        network = ContentBasedNetwork(DisseminationTree(edges, {e: 1.0 for e in edges}))
+        network.advertise("S", 0, SCHEMA)
+        network.advertise("T", 0)
+        return network
+
+    @staticmethod
+    def laid(network, entry):
+        """The profile objects stored under ``entry``, hop by hop."""
+        return [
+            profiles[entry]
+            for node in sorted(network.tree.nodes)
+            for interface in network.table(node).interfaces
+            if entry in (profiles := network.table(node).entries(interface))
+        ]
+
+    def test_a_single_stream_profile_is_laid_itself_with_one_matcher(self, monkeypatch):
+        from repro.cbn import filters
+
+        built = []
+        init = filters.Matcher.__init__
+
+        def counting(matcher, *args):
+            built.append(args)
+            init(matcher, *args)
+
+        monkeypatch.setattr(filters.Matcher, "__init__", counting)
+        network = self.five_hop_line()
+        profile = Profile({"S": {"a"}}, [Filter("S", cond(Comparison("a", ">", 2)))])
+        network.subscribe(profile, 5, "u")
+        hops = self.laid(network, entry_id("u", "S"))
+        assert len(hops) == 5 and all(laid is profile for laid in hops)
+        assert network.table(5).local_profiles() == {"u": profile}
+        datagram = Datagram("S", {"a": 3, "b": 0.5})
+        assert len(network.publish_many([datagram], 0)[0]) == 1
+        assert len(network.publish_many([datagram], 0)[0]) == 1
+        # the LOCAL entry and the five hops share one matcher
+        assert [stream for __, stream in built] == ["S"]
+        # what the control plane charges is what a restricted copy weighs
+        copy = Profile({"S": profile.projection_for("S")}, profile.filters_for("S"))
+        assert profile.size_estimate() == copy.size_estimate()
+        assert network.control_stats.total_bytes() == 5 * copy.size_estimate()
+
+    def test_a_two_stream_profile_lays_one_restricted_copy_per_stream(self):
+        network = self.five_hop_line()
+        network.advertise("T", 2)
+        profile = Profile(
+            {"S": {"a"}, "T": ALL_ATTRIBUTES},
+            [Filter("S", cond(Comparison("a", ">", 2))), Filter("T", cond(Comparison("x", "<", 9)))],
+        )
+        network.subscribe(profile, 5, "u")
+        by_stream = {
+            stream: self.laid(network, entry_id("u", stream)) for stream in ("S", "T")
+        }
+        # "T" is propagated toward two publishers whose paths share the
+        # hops 5 -> 2: each hop holds the one copy
+        assert [len(hops) for hops in by_stream.values()] == [5, 5]
+        for stream, hops in by_stream.items():
+            restricted = profile.restricted_to(stream)
+            assert restricted.streams == {stream} and restricted != profile
+            assert all(laid is restricted for laid in hops)
+        assert profile.restricted_to("S") is not profile.restricted_to("T")
+
+    def test_a_footprint_holds_keys_and_no_hops(self):
+        network = self.five_hop_line()
+        network.advertise("S", 3)
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 5, "u")
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 0, "v")
+        footprints = {
+            sid: network._subscriptions[sid].footprint for sid in ("u", "v")
+        }
+        # v sits on the publisher at 0: no propagation toward it
+        assert footprints == {"u": {("S", 0): None, ("S", 3): None}, "v": {("S", 3): None}}
+        network.unsubscribe("u")
+        network.unsubscribe("v")
+        assert network.routing_state_size() == 0
+
+    def test_names_are_built_once(self):
+        from repro.cql.lexer import tokenize
+        from repro.cql.predicates import AttrRef
+
+        assert AttrRef("S", "a").key is AttrRef("S", "a").key
+        assert AttrRef(None, "temperature").key == "temperature"
+        first = tokenize("SELECT O.price FROM OpenAuction O WHERE O.price > 1")
+        second = tokenize("select o.price from OpenAuction o")
+        spelled = {}
+        for token in first + second:
+            if token.kind in ("ident", "keyword"):
+                assert spelled.setdefault(token.text, token.text) is token.text
+                assert token.value is token.text
+        assert spelled.keys() >= {"price", "OpenAuction", "O", "o", "SELECT", "select"}
+
 
 class TestPublishMany:
     def test_one_delivery_list_per_datagram(self, net):

@@ -4,9 +4,11 @@ Two rule-based machines drive the stateful components through random
 interleavings of their operations and check the global invariants after
 every step:
 
-* the CBN: subscribe / unsubscribe / publish — every publication must
-  deliver exactly what direct profile evaluation predicts, at any point
-  in any operation sequence;
+* the CBN: subscribe / unsubscribe / publish / retree — every
+  publication must deliver exactly what direct profile evaluation
+  predicts, and every subscription's entries must sit exactly on the
+  current tree's paths toward the publishers, at any point in any
+  operation sequence;
 * the grouping optimizer: add / remove / extract / reoptimize —
   bookkeeping stays consistent, the structure index holds exactly the
   live groups, and every member stays contained in its representative.
@@ -25,7 +27,8 @@ from hypothesis.stateful import (
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
-from repro.cbn.network import ContentBasedNetwork
+from repro.cbn.network import ContentBasedNetwork, entry_id
+from repro.cbn.routing import RoutingTable
 from repro.core.containment import contains
 from repro.core.cost import CostModel
 from repro.core.grouping import GroupingOptimizer
@@ -36,23 +39,36 @@ from repro.overlay.tree import DisseminationTree
 
 ATTRS = ["a", "b"]
 
+#: Spanning trees of the ring 0 - 1 - 2 - 3 - 4 - 5 - 0 with the chord
+#: 0 - 3: the line, the line rotated, and two through the chord.
+RING_TREES = [
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    [(1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+    [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)],
+    [(0, 1), (0, 3), (2, 3), (3, 4), (5, 0)],
+]
 
-def _line_tree(n=6):
-    edges = [(i, i + 1) for i in range(n - 1)]
+#: where "S" is advertised: paths toward them share a prefix
+PUBLISHERS = (0, 3)
+
+
+def _tree(edges):
     return DisseminationTree(edges, {e: 1.0 for e in edges})
 
 
 class CBNMachine(RuleBasedStateMachine):
-    """Random subscribe/unsubscribe/publish sequences on one tree."""
+    """Random subscribe/unsubscribe/publish/retree sequences over the
+    spanning trees of a ring with a chord."""
 
     subscriptions = Bundle("subscriptions")
 
     def __init__(self):
         super().__init__()
-        self.tree = _line_tree()
-        self.network = ContentBasedNetwork(self.tree)
-        self.network.advertise("S", 0)
+        self.network = ContentBasedNetwork(_tree(RING_TREES[0]))
+        for publisher in PUBLISHERS:
+            self.network.advertise("S", publisher)
         self.live = {}
+        self.nodes = {}
         self.counter = 0
 
     @rule(
@@ -77,6 +93,7 @@ class CBNMachine(RuleBasedStateMachine):
         self.counter += 1
         self.network.subscribe(profile, node, sid)
         self.live[sid] = profile
+        self.nodes[sid] = node
         return sid
 
     @rule(sid=subscriptions)
@@ -84,20 +101,25 @@ class CBNMachine(RuleBasedStateMachine):
         if sid in self.live:
             self.network.unsubscribe(sid)
             del self.live[sid]
+            del self.nodes[sid]
+
+    @rule(index=st.integers(min_value=0, max_value=len(RING_TREES) - 1))
+    def retree(self, index):
+        self.network.retree(_tree(RING_TREES[index]))
 
     @rule(
         a=st.integers(min_value=-5, max_value=5),
         b=st.integers(min_value=-5, max_value=5),
-        publisher=st.integers(min_value=0, max_value=5),
+        publisher=st.sampled_from(PUBLISHERS),
     )
     def publish(self, a, b, publisher):
-        # Note: scoped propagation targets the advertised publisher at
-        # node 0; publishing elsewhere is legal but may deliver less, so
-        # correctness is asserted for the advertised origin.
+        # Note: scoped propagation targets the advertised publishers;
+        # publishing elsewhere is legal but may deliver less, so
+        # correctness is asserted for the advertised origins.
         datagram = Datagram("S", {"a": a, "b": b}, 0.0)
         actual = {
             d.subscription_id: dict(d.datagram.payload)
-            for d in self.network.publish_many([datagram], 0)[0]
+            for d in self.network.publish_many([datagram], publisher)[0]
         }
         expected = {}
         for sid, profile in self.live.items():
@@ -110,6 +132,32 @@ class CBNMachine(RuleBasedStateMachine):
     def routing_state_bounded(self):
         # Entries never exceed (subscriptions x streams x nodes).
         assert self.network.routing_state_size() <= len(self.live) * 2 * 6
+
+    @invariant()
+    def entries_sit_exactly_on_the_current_paths(self):
+        # What keys-only footprints rely on: a subscription's entries lie
+        # on the current tree's path toward each advertised publisher,
+        # behind the interface pointing back at it, and nowhere else.
+        network = self.network
+        tree = network.tree
+        expected = {}
+        for sid, node in self.nodes.items():
+            expected[sid, "local"] = {(node, RoutingTable.LOCAL)}
+            hops = expected[entry_id(sid, "S"), "S"] = set()
+            for publisher in PUBLISHERS:
+                path = tree.path(node, publisher)
+                hops.update(zip(path[1:], path))
+            assert network._subscriptions[sid].footprint.keys() == {
+                ("S", publisher) for publisher in PUBLISHERS if publisher != node
+            }
+        actual = {}
+        for node in tree.nodes:
+            table = network.table(node)
+            for interface in table.interfaces:
+                for entry in table.entries(interface):
+                    kind = "local" if interface is RoutingTable.LOCAL else "S"
+                    actual.setdefault((entry, kind), set()).add((node, interface))
+        assert actual == {key: hops for key, hops in expected.items() if hops}
 
 
 class GroupingMachine(RuleBasedStateMachine):

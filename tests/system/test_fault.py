@@ -337,8 +337,8 @@ class TestPublishManyUnderFailure:
 
 class TestRepairKeepsOffPathRoutesWarm:
     """A repair redoes the routing state on the paths it broke, so a
-    stream routed elsewhere keeps replaying its cached routes and no
-    matcher is built for it."""
+    stream routed elsewhere is not reported to the network's facts and
+    keeps replaying its cached routes."""
 
     def test_stream_off_the_failed_path_compiles_nothing(self, monkeypatch):
         from repro.cbn import filters
@@ -366,6 +366,16 @@ class TestRepairKeepsOffPathRoutesWarm:
         publish_pair(system, 1, 0.0, 60.0)
         assert (opened.result_count, closed.result_count) == (1, 1)
 
+        # every stream a routing change reports, at every surviving table
+        reported = []
+        for node in tree.nodes:
+            table = system.network.table(node)
+
+            def report(streams, bump=table.on_change):
+                reported.extend(streams)
+                bump(streams)
+
+            table.on_change = report
         compiled = []
         init = filters.Matcher.__init__
 
@@ -375,6 +385,11 @@ class TestRepairKeepsOffPathRoutesWarm:
 
         monkeypatch.setattr(filters.Matcher, "__init__", counting)
         fail_broker(system, 8)
+        # OpenAuction and its results never crossed 8: the repair re-laid
+        # only ClosedAuction's entries (three withdrawn, two laid through
+        # 7-9), with the profile and matcher they already had
+        assert sorted(reported) == ["ClosedAuction"] * 5
+        assert compiled == []
         before = system.network.route_cache_stats()
         system.publish(
             "OpenAuction",
@@ -382,12 +397,15 @@ class TestRepairKeepsOffPathRoutesWarm:
             120.0,
         )
         assert opened.result_count == 2
-        # OpenAuction and its results never crossed 8: the repair re-laid only
-        # ClosedAuction's entries, whose matchers are resolved as they install
-        assert compiled and {stream for __, stream in compiled} == {"ClosedAuction"}
         after = system.network.route_cache_stats()
         # the tuple and its result both replayed a route cached before
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 2
         system.publish("ClosedAuction", {"itemID": 2, "buyerID": 1, "timestamp": 180.0}, 180.0)
-        assert closed.result_count == 2 and compiled  # re-laid through 7-9
+        assert closed.result_count == 2  # re-laid through 7-9
+        last = system.network.route_cache_stats()
+        # ClosedAuction's facts went with its entries: its tuple walked,
+        # while its result, routed off the failed path, replayed
+        assert last["misses"] == after["misses"] + 1
+        assert last["hits"] == after["hits"] + 1
+        assert compiled == []

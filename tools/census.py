@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """What runs stays: a reachability census of ``src/repro``.
 
-Runs the non-test entry points CI already runs under a "call" hook
-(``sys.setprofile``), and diffs the code objects they reached
-(``co_filename``, ``co_firstlineno``) against every ``def`` under
-``src/repro``.  A def is matched by its first line, which for a
-decorated def is its first decorator's line: that is what
+Runs the non-test entry points CI already runs, and its archived-table
+step, under a "call" hook (``sys.setprofile``), and diffs the code
+objects they reached (``co_filename``, ``co_firstlineno``) against every
+``def`` under ``src/repro``.  A def is matched by its first line, which
+for a decorated def is its first decorator's line: that is what
 ``co_firstlineno`` holds.  Dunder methods are exempt (the interpreter
 calls them) and only counted.
 
@@ -31,9 +31,9 @@ Usage::
         it reached to DIR/LABEL.txt; stdout and the exit status are the
         command's own
 
-``tools/ci.sh`` records its chaos, ``check`` and ``model`` steps with
-``record`` and then runs the census on that directory, so no step runs
-twice.
+``tools/ci.sh`` records its chaos, ``check``, ``model`` and archived-table
+steps with ``record`` and then runs the census on that directory, so no
+step runs twice.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ REASONS = {
     "failure-only": "runs only when a fault or a bug surfaces",
     "cold-path": "a protocol path the chaos corpus does not drive yet",
     "query-class": "a query-class feature no workload draws yet",
-    "ablation": "reached only by the archived ablation tables or fig4",
+    "ablation": "reached only by fig4, which no CI step runs (minutes long)",
     "cli-format": "an output format no CI step asks for",
 }
 LEDGER_CAP = 60
@@ -77,6 +77,12 @@ _WORKLOADS = ("sensor-fanout", "burst-scale", "join-window", "query-churn",
               "fault-repair", "chaos-migrate")
 _EXAMPLES = ("auction_monitoring", "baseline_comparison", "live_simulation",
              "overlay_adaptation", "quickstart", "sensor_network")
+#: the archived tables: every ablation, the unicast baseline and Table 1.
+#: pytest-benchmark switches ``sys.setprofile`` off while it times, so the
+#: hook sees them only with timing disabled (the tables are the same).
+_ARCHIVED_TABLES = ("-m", "pytest", "-q", "--benchmark-disable",
+                   "benchmarks/test_ablations.py", "benchmarks/test_baseline_unicast.py",
+                   "benchmarks/test_table1_queries.py::test_table1_end_to_end")
 
 
 def entry_points(out: Path) -> List[Tuple[str, List[str]]]:
@@ -94,6 +100,7 @@ def entry_points(out: Path) -> List[Tuple[str, List[str]]]:
         ("table1", ["-m", "repro", "table1"]),
         ("fig3", ["-m", "repro", "fig3"]),
         ("demo", ["-m", "repro", "demo"]),
+        ("archived-tables", list(_ARCHIVED_TABLES)),
     ]
     points += [(f"bench-{w}", ["bench/run.py", "--workload", w, "--smoke"])
                for w in _WORKLOADS]

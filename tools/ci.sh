@@ -721,7 +721,9 @@ python -m pytest bench -q
 echo "== archived tables (every ablation, the unicast baseline and Table 1: regenerated, must not move) =="
 # The grouping tables (policies, periodic re-grouping, window widening, Table 1)
 # move with any change to a grouping decision, so such a change cannot pass silently.
-PYTHONPATH=src:. python -m pytest -q \
+# Recorded for the census; pytest-benchmark switches sys.setprofile off while it
+# times, so timing is disabled (the tables regenerate byte-identically either way).
+PYTHONPATH=src:. $census archived-tables -- -m pytest -q --benchmark-disable \
     benchmarks/test_ablations.py \
     benchmarks/test_baseline_unicast.py \
     benchmarks/test_table1_queries.py::test_table1_end_to_end
