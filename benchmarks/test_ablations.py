@@ -117,7 +117,7 @@ def _grouping_policy_run(policy: str, n: int = 600, skew: float = 1.5) -> float:
     )
     if policy == "none":
         optimizer = GroupingOptimizer(
-            catalog, CostModel(), merge_threshold=float("inf")
+            catalog, CostModel(), merging=False
         )
     elif policy == "duplicates":
         optimizer = _DuplicatesOnlyOptimizer(catalog, CostModel())

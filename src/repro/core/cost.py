@@ -14,9 +14,10 @@ implements that estimator with textbook System-R style assumptions:
   T_j) * join_selectivity`` result tuples per second (every arrival on
   stream *i* meets the windowed contents of the other streams).
 
-``[Now]`` windows are priced with a configurable epsilon (tuples are
-simultaneous within one application tick) and unbounded windows are
-capped at a configurable horizon so estimates stay finite.
+``[Now]`` windows are priced with an epsilon (:data:`NOW_EPSILON`:
+tuples are simultaneous within one application tick) and unbounded
+windows are capped at a horizon (:data:`HORIZON`) so estimates stay
+finite.
 
 :meth:`CostModel.group_flows` turns those rates into the flows of a
 query group hosted at one node — the one enumeration that placement,
@@ -27,7 +28,6 @@ migration, the overlay optimizer and Figure 4 price (DESIGN.md section
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cql.ast import ContinuousQuery, QueryError, StreamRef
@@ -37,28 +37,24 @@ from repro.overlay.topology import NodeId
 from repro.overlay.tree import Demand
 
 
-@dataclass
+#: Effective size (seconds) of a ``[Now]`` window: tuples count as
+#: simultaneous within one application tick.
+NOW_EPSILON = 1.0
+#: Cap (seconds) applied to unbounded windows.
+HORIZON = 86400.0
+#: Selectivity of an equality on an attribute without a declared finite
+#: domain.
+DEFAULT_EQUALITY_SELECTIVITY = 0.01
+#: Wire width of the implicit per-stream timestamp attribute.
+DEFAULT_TIMESTAMP_WIDTH = 8
+
+
 class CostModel:
     """Estimator for result-stream rates (bytes/second).
 
-    Parameters
-    ----------
-    now_epsilon:
-        Effective size (seconds) of a ``[Now]`` window: tuples count as
-        simultaneous within one application tick.
-    horizon:
-        Cap (seconds) applied to unbounded windows.
-    default_equality_selectivity:
-        Selectivity of an equality on an attribute without a declared
-        finite domain.
-    default_timestamp_width:
-        Wire width of the implicit per-stream timestamp attribute.
+    Its estimates read the module constants above (at call time, so a
+    test substitutes one with ``monkeypatch.setattr``).
     """
-
-    now_epsilon: float = 1.0
-    horizon: float = 86400.0
-    default_equality_selectivity: float = 0.01
-    default_timestamp_width: int = 8
 
     # -- public API -------------------------------------------------------------
 
@@ -191,8 +187,8 @@ class CostModel:
     def effective_window(self, size: float) -> float:
         """Window size as priced by the model (epsilon/horizon applied)."""
         if math.isinf(size):
-            return self.horizon
-        return max(size, self.now_epsilon)
+            return HORIZON
+        return max(size, NOW_EPSILON)
 
     def stream_selectivity(
         self,
@@ -258,7 +254,7 @@ class CostModel:
         """Selectivity of ``attr = constant``."""
         size = self._domain_size(attribute)
         if size is None:
-            return self.default_equality_selectivity
+            return DEFAULT_EQUALITY_SELECTIVITY
         return 1.0 / size
 
     # -- helpers --------------------------------------------------------------------------
@@ -326,18 +322,18 @@ class CostModel:
             if sizes:
                 selectivity *= 1.0 / max(sizes)
             else:
-                selectivity *= self.default_equality_selectivity
+                selectivity *= DEFAULT_EQUALITY_SELECTIVITY
         return selectivity
 
     def _attribute_width(
         self, streams: Sequence[StreamRef], attr: AttrRef, catalog: Catalog
     ) -> float:
         if attr.qualifier is None:
-            return float(self.default_timestamp_width)
+            return float(DEFAULT_TIMESTAMP_WIDTH)
         schema = catalog.get(_stream_of(streams, attr.qualifier))
         attribute = self._lookup_attribute(schema, attr.name)
         if attribute is None:
-            return float(self.default_timestamp_width)
+            return float(DEFAULT_TIMESTAMP_WIDTH)
         return float(attribute.byte_width)
 
     def _term_domain_size(

@@ -69,21 +69,20 @@ class GroupingOptimizer:
     the group with the largest positive delta, or founds a singleton
     group when none is positive.
 
-    ``merge_threshold`` requires a minimum positive delta before a
-    merge is accepted (0.0 reproduces the paper's "maximum benefit"
-    rule; ``float("inf")`` turns merging off, and then no candidate is
-    planned).
+    ``merging=False`` turns merging off (the "non-share" baseline of
+    Figure 3): no candidate is planned and every query founds its own
+    group.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         cost_model: Optional[CostModel] = None,
-        merge_threshold: float = 0.0,
+        merging: bool = True,
     ) -> None:
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
-        self.merge_threshold = merge_threshold
+        self.merging = merging
         self._groups: Dict[str, QueryGroup] = {}
         #: structure key -> the ids of the live groups under it, so a new
         #: query is only evaluated against mergeable groups.
@@ -185,10 +184,11 @@ class GroupingOptimizer:
         query_rate = self.cost_model.result_rate(query, self.catalog)
         widths = self.cost_model.column_widths(query, self.catalog)
         aggregates = len(query.aggregates)
-        best_delta = self.merge_threshold
+        best_delta = 0.0
         best: Optional[Tuple[QueryGroup, MergePlan, float]] = None
         key = self._structure_key(query)
-        for group_id in self._index.get(key, ()):
+        candidates = self._index.get(key, ()) if self.merging else ()
+        for group_id in candidates:
             # the key is the mergeability relation: no structural re-check
             group = self._groups[group_id]
             rep = group.representative

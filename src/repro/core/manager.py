@@ -40,10 +40,9 @@ class QueryManager:
         Source stream schemas known to this processor.
     grouping:
         Optional pre-configured grouping optimizer; a default one is
-        created otherwise.  Pass an optimizer with
-        ``merge_threshold=float('inf')`` to disable merging entirely
-        (the "non-share" baseline of Figure 3); it then plans no
-        candidate merge.
+        created otherwise.  Pass an optimizer with ``merging=False``
+        to disable merging entirely (the "non-share" baseline of
+        Figure 3); it then plans no candidate merge.
     """
 
     def __init__(

@@ -239,7 +239,6 @@ def representative(
     queries: Sequence[ContinuousQuery],
     catalog: Catalog,
     name: Optional[str] = None,
-    verify: bool = True,
 ) -> ContinuousQuery:
     """Compose the representative query of a group.
 
@@ -247,11 +246,8 @@ def representative(
     incompatible or some member would not be recoverable from the
     representative's result stream.  The returned query is canonical
     (qualifiers are stream names) and satisfies ``member ⊑ rep`` for
-    every member.
-
-    ``verify=False`` skips the final containment/recoverability check
-    (the construction guarantees both; the check exists as a defensive
-    double-entry bookkeeping pass and is O(members)).
+    every member.  The construction guarantees containment and
+    recoverability; a final O(members) check verifies both anyway.
 
     Composition is associative: ``representative([rep_old, q])`` where
     ``rep_old`` is itself a representative extends a group one query at
@@ -261,7 +257,7 @@ def representative(
     """
     plan = merge_plan(queries, catalog)
     rep = plan.build(name)
-    if verify and len(plan.members) > 1:
+    if len(plan.members) > 1:
         _check_recoverable(plan.members, rep, catalog)
     return rep
 

@@ -69,6 +69,7 @@ from repro.sim.schedule import (
     PunctuationEvent,
 )
 from repro.sim.trace import ChaosTrace
+from repro.system import reliability
 from repro.system.cosmos import CosmosSystem
 from repro.system.events import EventSimulator
 from repro.system.fault import (
@@ -80,7 +81,6 @@ from repro.system.fault import (
 from repro.system.lifecycle import Lifecycle
 from repro.system.loadmgr import (
     GroupMigration,
-    LoadParams,
     LoadState,
     attach_load_manager,
     capture_group_state,
@@ -91,7 +91,6 @@ from repro.system.loadmgr import (
 )
 from repro.system.monitor import SystemMonitor
 from repro.system.reliability import (
-    ReliabilityParams,
     ReliabilityState,
     attach_reliability,
     quarantine_partitioned,
@@ -99,6 +98,47 @@ from repro.system.reliability import (
 
 
 T = TypeVar("T")
+
+
+# The supervisor's timings: the receiver and the detector only report
+# gaps and silent nodes, and when to NACK, retry a repair or step a
+# migration is decided here.  Read at call time, so a test substitutes
+# one with ``monkeypatch.setattr``.  Against a default ``ChaosConfig``
+# (``tests/system/test_reliability.py::TestTimingBudget``): a fault at
+# ``0.6 * duration`` is detected and its repair retries spent before the
+# epilogue; prepare plus drain ends before a crash at or after the
+# migration's start can be detected (the cutover retry ladder does not,
+# and a source repaired meanwhile supersedes the move); NACK recovery is
+# bounded by quiescence, not time, since the closing punctuation is
+# NACKed after the epilogue starts and :meth:`VirtualNetwork.execute`
+# runs every timer before the convergence check.
+
+#: Delay before the first NACK for a detected gap.
+NACK_DELAY = 4.0
+#: Multiplier applied to the NACK delay after each unanswered NACK.
+NACK_BACKOFF = 2.0
+#: Ceiling on the NACK delay (capped exponential backoff).
+NACK_CAP = 32.0
+#: NACKs for one gap before it is abandoned.
+MAX_NACKS = 6
+#: Simulated round-trip of a NACK + retransmission.
+RETRANSMIT_RTT = 2.0
+#: Delay before retrying a repair attempt that raised (times the attempt).
+REPAIR_BACKOFF = 4.0
+#: Repair attempts per suspected node before giving up.
+MAX_REPAIR_ATTEMPTS = 4
+#: Seconds between migration start (quarantine) and the state drain.
+PREPARE_DELAY = 2.0
+#: Seconds between the state drain and the cutover attempt.
+DRAIN_DELAY = 3.0
+#: Delay before the first cutover retry when the target is dead.
+MIGRATE_BACKOFF = 4.0
+#: Multiplier applied to the retry delay after each failed attempt.
+MIGRATE_BACKOFF_BASE = 2.0
+#: Ceiling on the retry delay (capped exponential backoff).
+MIGRATE_CAP = 32.0
+#: Cutover attempts before the migration aborts back to the source.
+MAX_MIGRATE_ATTEMPTS = 3
 
 
 class ChaosExecutionError(Exception):
@@ -174,8 +214,6 @@ class VirtualNetwork:
     #: Execute migration probes (requires ``recovery``: zero-loss
     #: migration rides the ordering stage's deferred publication).
     migrate: bool = False
-    params: Optional[ReliabilityParams] = None
-    load_params: Optional[LoadParams] = None
     primary: CosmosSystem = field(init=False)
     shadow: CosmosSystem = field(init=False)
     trace: ChaosTrace = field(init=False, default_factory=ChaosTrace)
@@ -212,13 +250,13 @@ class VirtualNetwork:
         #: payload), flushed to the SPE in send-time order at batch end.
         self._pending: List[tuple] = []
         if self.recovery:
-            self.state = attach_reliability(self.primary, self.params)
+            self.state = attach_reliability(self.primary)
             self.state.supervision = self.supervision
-            attach_reliability(self.shadow, self.state.params)
+            attach_reliability(self.shadow)
             for node in self.primary.tree.nodes:
                 self.state.detector.register(node, 0.0)
         if self.migrate:
-            self.load = attach_load_manager(self.primary, self.load_params)
+            self.load = attach_load_manager(self.primary)
             attach_load_manager(self.shadow, state=self.load)
 
     @property
@@ -291,11 +329,10 @@ class VirtualNetwork:
     def _schedule_sweeps(
         self, sim: EventSimulator, events: Sequence[ChaosEvent]
     ) -> None:
-        params = self.state.params
-        period = params.heartbeat_period
+        period = reliability.HEARTBEAT_PERIOD
         first = min(event.time for event in events)
         last = max(event.time for event in events)
-        horizon = last + params.lease + 2.0 * period
+        horizon = last + reliability.lease() + 2.0 * period
         tick = max(1, int(first // period))
         while tick * period <= horizon:
             sim.schedule(tick * period, lambda s=sim: self._sweep(s))
@@ -437,11 +474,7 @@ class VirtualNetwork:
     def _schedule_nack(
         self, sim: EventSimulator, stream: str, gap: int, attempt: int
     ) -> None:
-        params = self.state.params
-        delay = min(
-            params.nack_delay * (params.nack_backoff ** (attempt - 1)),
-            params.nack_cap,
-        )
+        delay = min(NACK_DELAY * (NACK_BACKOFF ** (attempt - 1)), NACK_CAP)
         sim.schedule_in(delay, lambda: self._nack(sim, stream, gap, attempt))
 
     def _nack(
@@ -462,18 +495,15 @@ class VirtualNetwork:
             f"nack t={sim.now:g} {stream} seq={gap} attempt={attempt}"
         )
         sim.schedule_in(
-            self.state.params.retransmit_rtt,
+            RETRANSMIT_RTT,
             lambda: self._retransmit_arrival(sim, stream, gap, payload, sent),
         )
-        if attempt < self.state.params.max_nacks:
+        if attempt < MAX_NACKS:
             self._schedule_nack(sim, stream, gap, attempt + 1)
         else:
             # Last NACK in flight; if even its retransmission is lost
             # the gap is abandoned when the final timer fires.
-            sim.schedule_in(
-                self.state.params.nack_cap,
-                lambda: self._give_up(sim, stream, gap),
-            )
+            sim.schedule_in(NACK_CAP, lambda: self._give_up(sim, stream, gap))
 
     def _retransmit_arrival(
         self,
@@ -606,8 +636,7 @@ class VirtualNetwork:
             f"n{source_node}->n{target} quarantined [{names}]"
         )
         sim.schedule_in(
-            self.load.params.prepare_delay,
-            lambda: self._drain_migration(sim, migration.key),
+            PREPARE_DELAY, lambda: self._drain_migration(sim, migration.key)
         )
 
     def _drain_migration(self, sim: EventSimulator, key: str) -> None:
@@ -637,8 +666,7 @@ class VirtualNetwork:
             f"chunks={len(chunks)}"
         )
         sim.schedule_in(
-            self.load.params.drain_delay,
-            lambda: self._cutover_migration(sim, key, attempt=1),
+            DRAIN_DELAY, lambda: self._cutover_migration(sim, key, attempt=1)
         )
 
     def _cutover_migration(
@@ -660,12 +688,10 @@ class VirtualNetwork:
             and migration.target_node not in self.supervision.states
         )
         if not target_live:
-            if attempt < self.load.params.max_migrate_attempts:
-                params = self.load.params
+            if attempt < MAX_MIGRATE_ATTEMPTS:
                 delay = min(
-                    params.migrate_backoff
-                    * (params.migrate_backoff_base ** (attempt - 1)),
-                    params.migrate_cap,
+                    MIGRATE_BACKOFF * (MIGRATE_BACKOFF_BASE ** (attempt - 1)),
+                    MIGRATE_CAP,
                 )
                 self.load.counters.migrations_retried += 1
                 self.trace.record(
@@ -757,15 +783,14 @@ class VirtualNetwork:
         if kind == "broker" and isinstance(errors[0], PartitionError):
             self._degrade(sim, node)
             return
-        if attempt < self.state.params.max_repair_attempts:
+        if attempt < MAX_REPAIR_ATTEMPTS:
             self.supervision.step(node, "repair_retry")
             self.trace.record(
                 f"repair t={sim.now:g} fail_{kind} node={node} -> "
                 f"retry {attempt + 1} ({errors[0]})"
             )
             sim.schedule_in(
-                self.state.params.repair_backoff * attempt,
-                lambda: self._repair(sim, node, attempt + 1),
+                REPAIR_BACKOFF * attempt, lambda: self._repair(sim, node, attempt + 1)
             )
             return
         self.supervision.step(node, "gave_up")

@@ -26,7 +26,6 @@ from repro.system.monitor import SystemMonitor
 from repro.system.node import Processor
 from repro.system.reliability import (
     FailureDetector,
-    ReliabilityParams,
     ReliabilityState,
     SequencedUplink,
     UplinkReceiver,
@@ -46,7 +45,6 @@ __all__ = [
     "Processor",
     "QueryDistribution",
     "QueryStatus",
-    "ReliabilityParams",
     "ReliabilityState",
     "RoundRobinDistribution",
     "ScheduledSource",

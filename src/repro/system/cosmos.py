@@ -128,8 +128,8 @@ class CosmosSystem:
         fault-tolerance repair logic (:mod:`repro.system.fault`).
     merging:
         When ``False``, every query forms its own group (the non-share
-        baseline of Figure 3) — implemented by an infinite merge
-        threshold on each processor's grouping optimizer.
+        baseline of Figure 3); passed to each processor's grouping
+        optimizer, which then plans no candidate merge.
     """
 
     def __init__(
@@ -173,10 +173,7 @@ class CosmosSystem:
         self.lifecycle = Lifecycle(QUERY_LIFECYCLE, SystemError_)
 
     def _make_processor(self, node: NodeId) -> Processor:
-        threshold = 0.0 if self.merging else float("inf")
-        grouping = GroupingOptimizer(
-            self.catalog, self.cost_model, merge_threshold=threshold
-        )
+        grouping = GroupingOptimizer(self.catalog, self.cost_model, self.merging)
         return Processor(
             node, self.catalog, network=self.network, grouping=grouping,
             cost_model=self.cost_model,

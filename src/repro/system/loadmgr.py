@@ -57,39 +57,21 @@ class LoadManagementError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parameters and counters
+# thresholds and counters
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoadParams:
-    """Tunables of the load-management layer.
+# The detector compares one processor's merged representative output
+# rate against the mean across live processors; the gap between the two
+# ratios is hysteresis, so a load hovering at the threshold cannot flap.
+# The migration timings the chaos executor schedules sit beside it, in
+# :mod:`repro.sim.network`.  Read at call time, so a test substitutes
+# one with ``monkeypatch.setattr``.
 
-    The detector ratios compare one processor's merged representative
-    output rate against the mean across live processors; hysteresis
-    (``overload_ratio`` to trigger, ``clear_ratio`` to re-arm) keeps a
-    load hovering at the threshold from flapping.  The migration delays
-    are sized well under the chaos harness's heartbeat lease, so a
-    migration triggered before a crash is detected still resolves
-    (complete or abort) before the repair path re-homes the group.
-    """
-
-    #: merged_rate / mean ratio at which a processor becomes hot.
-    overload_ratio: float = 1.25
-    #: Ratio the processor must fall below before it can re-trigger.
-    clear_ratio: float = 1.05
-    #: Seconds between migration start (quarantine) and the state drain.
-    prepare_delay: float = 2.0
-    #: Seconds between the state drain and the cutover attempt.
-    drain_delay: float = 3.0
-    #: Delay before the first cutover retry when the target is dead.
-    migrate_backoff: float = 4.0
-    #: Multiplier applied to the retry delay after each failed attempt.
-    migrate_backoff_base: float = 2.0
-    #: Ceiling on the retry delay (capped exponential backoff).
-    migrate_cap: float = 32.0
-    #: Cutover attempts before the migration aborts back to the source.
-    max_migrate_attempts: int = 3
+#: merged_rate / mean ratio at which a processor becomes hot.
+OVERLOAD_RATIO = 1.25
+#: Ratio the processor must fall below before it can re-trigger.
+CLEAR_RATIO = 1.05
 
 
 @dataclass
@@ -116,12 +98,11 @@ class HotspotDetector:
     :meth:`observe` returns the processors that *newly* crossed the
     overload ratio this observation.  A processor already flagged hot
     stays latched (and is not re-reported) until its ratio falls below
-    ``clear_ratio``; single-processor deployments are never hot (there
+    :data:`CLEAR_RATIO`; single-processor deployments are never hot (there
     is nowhere to shed load to).
     """
 
-    def __init__(self, params: Optional[LoadParams] = None) -> None:
-        self.params = params or LoadParams()
+    def __init__(self) -> None:
         self._hot: Set[NodeId] = set()
 
     @property
@@ -144,10 +125,10 @@ class HotspotDetector:
         for load in sorted(loads, key=lambda l: l.node_id):
             ratio = load.merged_rate / mean
             if load.node_id in self._hot:
-                if ratio < self.params.clear_ratio:
+                if ratio < CLEAR_RATIO:
                     self._hot.discard(load.node_id)
                 continue
-            if ratio >= self.params.overload_ratio:
+            if ratio >= OVERLOAD_RATIO:
                 self._hot.add(load.node_id)
                 newly.append(load.node_id)
         return newly
@@ -459,9 +440,8 @@ class LoadState:
     nondeterminism.
     """
 
-    params: LoadParams = field(default_factory=LoadParams)
     counters: LoadCounters = field(default_factory=LoadCounters)
-    detector: HotspotDetector = field(default=None)  # type: ignore[assignment]
+    detector: HotspotDetector = field(default_factory=HotspotDetector)
     #: in-flight migrations, keyed by ``GroupMigration.key``
     active: Dict[str, GroupMigration] = field(default_factory=dict)
     #: Runs every migration's :data:`MIGRATION_LIFECYCLE` steps and counts them.
@@ -469,22 +449,16 @@ class LoadState:
         default_factory=lambda: Lifecycle(MIGRATION_LIFECYCLE, LoadManagementError)
     )
 
-    def __post_init__(self) -> None:
-        if self.detector is None:
-            self.detector = HotspotDetector(self.params)
-
 
 def attach_load_manager(
-    system: CosmosSystem,
-    params: Optional[LoadParams] = None,
-    state: Optional[LoadState] = None,
+    system: CosmosSystem, state: Optional[LoadState] = None
 ) -> LoadState:
     """Attach (or share) a load-management state on ``system``.
 
     Pass an existing ``state`` to share one brain between twin systems;
-    otherwise a fresh state is created from ``params``.
+    otherwise a fresh state is created.
     """
     if state is None:
-        state = LoadState(params=params or LoadParams())
+        state = LoadState()
     system.load = state
     return state

@@ -18,7 +18,7 @@ deterministically over the :class:`~repro.system.events.EventSimulator`:
   only report which sequence numbers are missing, so the protocol state
   stays replayable.
 * **Heartbeat failure detection** — :class:`FailureDetector` grants
-  each registered node a lease of ``heartbeat_period * lease_misses``,
+  each registered node a lease of ``HEARTBEAT_PERIOD * LEASE_MISSES``,
   renewed by each heartbeat sweep it answers (one deadline shared by
   every answering node, so a sweep costs the silent ones only); a node
   whose lease expires is *suspected* and the supervisor invokes the
@@ -58,47 +58,28 @@ class ReliabilityError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parameters
+# timing and sizing
 # ---------------------------------------------------------------------------
 
+# Sized for the chaos harness's timing budget: faults land in
+# ``[0.2, 0.6] * duration`` and the epilogue starts at ``duration + 2 *
+# max_delay + 1``, so detection (at most a lease plus one sweep period
+# after the crash) ends before the epilogue.  The NACK, repair and
+# migration timings the supervisor schedules, and the rest of the
+# budget, are in :mod:`repro.sim.network`.  Read at call time, so a test
+# substitutes one with ``monkeypatch.setattr``.
 
-@dataclass(frozen=True)
-class ReliabilityParams:
-    """Tunable timing and sizing parameters of the reliability layer.
+#: Seconds between heartbeat sweeps.
+HEARTBEAT_PERIOD = 5.0
+#: Missed periods before a node is suspected.
+LEASE_MISSES = 3
+#: Reorder-buffer entries held before the low-watermark force flush.
+REORDER_LIMIT = 64
 
-    Defaults are sized for the chaos harness timing budget: faults land
-    in ``[0.2, 0.6] * duration`` and the epilogue starts at
-    ``duration + 2 * max_delay + 1``, so detection
-    (``heartbeat_period * lease_misses`` after the crash) and NACK
-    recovery (worst case ``sum of backoffs + retransmit_rtt``) both
-    complete before the convergence check.
-    """
 
-    #: Seconds between heartbeat sweeps.
-    heartbeat_period: float = 5.0
-    #: Missed periods before a node is suspected (lease = period * misses).
-    lease_misses: int = 3
-    #: Delay before the first NACK for a detected gap.
-    nack_delay: float = 4.0
-    #: Multiplier applied to the NACK delay after each unanswered NACK.
-    nack_backoff: float = 2.0
-    #: Ceiling on the NACK delay (capped exponential backoff).
-    nack_cap: float = 32.0
-    #: NACKs for one gap before the receiver abandons it.
-    max_nacks: int = 6
-    #: Simulated round-trip of a NACK + retransmission.
-    retransmit_rtt: float = 2.0
-    #: Reorder-buffer entries held before the low-watermark force flush.
-    reorder_limit: int = 64
-    #: Delay before retrying a repair attempt that raised.
-    repair_backoff: float = 4.0
-    #: Repair attempts per suspected node before giving up.
-    max_repair_attempts: int = 4
-
-    @property
-    def lease(self) -> float:
-        """Heartbeat lease duration: ``heartbeat_period * lease_misses``."""
-        return self.heartbeat_period * self.lease_misses
+def lease() -> float:
+    """Heartbeat lease duration: ``HEARTBEAT_PERIOD * LEASE_MISSES``."""
+    return HEARTBEAT_PERIOD * LEASE_MISSES
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +124,7 @@ class SequencedUplink:
         ``None`` tells the receiver the gap can never heal (the sender
         has no such tuple — e.g. a shrunken chaos schedule removed the
         send), so it should abandon the gap immediately instead of
-        backing off through ``max_nacks``.
+        backing off through ``MAX_NACKS``.
         """
         item = self._history.get(seq)
         if item is None:
@@ -203,7 +184,7 @@ class UplinkReceiver:
     Delivers tuples in sequence order: in-order arrivals release
     immediately, out-of-order arrivals wait in a bounded reorder buffer
     until the gap below them heals (retransmission) or is abandoned.
-    When the buffer exceeds ``reorder_limit`` the low-watermark flush
+    When the buffer exceeds :data:`REORDER_LIMIT` the low-watermark flush
     abandons the lowest outstanding gaps until occupancy is back under
     the bound — bounded memory beats completeness.
 
@@ -213,8 +194,7 @@ class UplinkReceiver:
     ABANDONED, and the watermark alone says so.
     """
 
-    def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
-        self.params = params or ReliabilityParams()
+    def __init__(self) -> None:
         self._expected = 0
         #: the BUFFERED slots' (payload, sent)
         self._buffer: Dict[int, Tuple[Dict[str, object], float]] = {}
@@ -273,7 +253,7 @@ class UplinkReceiver:
         fresh = [gap for gap in self.missing() if self.slots.states.get(gap) != "GAP"]
         for gap in fresh:
             self.slots.step(gap, "gap_detect")
-        if len(self._buffer) > self.params.reorder_limit:
+        if len(self._buffer) > REORDER_LIMIT:
             released.extend(self._force_flush())
         self.reorder_peak = max(self.reorder_peak, len(self._buffer))
         return Offer(released=released, fresh_gaps=fresh)
@@ -322,7 +302,7 @@ class UplinkReceiver:
     def _force_flush(self) -> List[Tuple[int, Dict[str, object], float]]:
         """Low-watermark flush: abandon the oldest gaps until bounded."""
         released: List[Tuple[int, Dict[str, object], float]] = []
-        while len(self._buffer) > self.params.reorder_limit:
+        while len(self._buffer) > REORDER_LIMIT:
             lowest = min(self._buffer)
             for gap in range(self._expected, lowest):
                 if self.slots.states.get(gap) != "ABANDONED":
@@ -357,8 +337,8 @@ FAILURE_DETECTOR = {
 class FailureDetector:
     """Lease-based heartbeat failure detector.
 
-    Each registered node holds a lease of ``heartbeat_period *
-    lease_misses`` seconds, renewed by every :meth:`sweep` it answers.
+    Each registered node holds a :func:`lease` of ``HEARTBEAT_PERIOD *
+    LEASE_MISSES`` seconds, renewed by every :meth:`sweep` it answers.
     All nodes that answered the last sweep hold the *same* deadline, so
     they share one: a sweep touches only the nodes that did not answer
     (and those registered since), and costs what fails rather than what
@@ -370,8 +350,7 @@ class FailureDetector:
     counts a sweep's heartbeats in one go.
     """
 
-    def __init__(self, params: Optional[ReliabilityParams] = None) -> None:
-        self.params = params or ReliabilityParams()
+    def __init__(self) -> None:
         #: Nodes with a deadline of their own: registered since the last
         #: sweep, or silent at it.
         self._deadlines: Dict[NodeId, float] = {}
@@ -389,7 +368,7 @@ class FailureDetector:
 
     def register(self, node: NodeId, now: float) -> None:
         self.leases.step(node, "register")
-        self._deadlines[node] = now + self.params.lease
+        self._deadlines[node] = now + lease()
 
     def deregister(self, node: NodeId) -> None:
         self.leases.step(node, "deregister")
@@ -409,7 +388,7 @@ class FailureDetector:
         for node in answered:
             del self._deadlines[node]
         self._shared.update(answered)
-        self._shared_deadline = now + self.params.lease
+        self._shared_deadline = now + lease()
         if self._shared:
             self.leases.take("heartbeat", "MONITORED", times=len(self._shared))
 
@@ -443,20 +422,16 @@ class ReliabilityState:
     twin's state and applies each decision to both twins.
     """
 
-    params: ReliabilityParams = field(default_factory=ReliabilityParams)
     uplinks: Dict[str, SequencedUplink] = field(default_factory=dict)
     receivers: Dict[str, UplinkReceiver] = field(default_factory=dict)
-    detector: FailureDetector = field(default=None)  # type: ignore[assignment]
+    # looked up when a state is built, so a test may substitute the class
+    detector: FailureDetector = field(default_factory=lambda: FailureDetector())
     failed_nodes: Set[NodeId] = field(default_factory=set)
     #: query id -> stranded user node, while DEGRADED
     quarantined: Dict[str, NodeId] = field(default_factory=dict)
     #: The chaos harness's ``NODE_SUPERVISION`` executor, whose repair
     #: rows ``health()`` reports; ``None`` where nothing supervises.
     supervision: Optional[Lifecycle] = None
-
-    def __post_init__(self) -> None:
-        if self.detector is None:
-            self.detector = FailureDetector(self.params)
 
     def uplink(self, stream: str) -> SequencedUplink:
         if stream not in self.uplinks:
@@ -465,15 +440,13 @@ class ReliabilityState:
 
     def receiver(self, stream: str) -> UplinkReceiver:
         if stream not in self.receivers:
-            self.receivers[stream] = UplinkReceiver(self.params)
+            self.receivers[stream] = UplinkReceiver()
         return self.receivers[stream]
 
 
-def attach_reliability(
-    system: CosmosSystem, params: Optional[ReliabilityParams] = None
-) -> ReliabilityState:
-    """Attach a fresh reliability state, built from ``params``, on ``system``."""
-    state = ReliabilityState(params=params or ReliabilityParams())
+def attach_reliability(system: CosmosSystem) -> ReliabilityState:
+    """Attach a fresh reliability state on ``system``."""
+    state = ReliabilityState()
     system.reliability = state
     return state
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core import cost
 from repro.core.cost import CostModel
 from repro.cql.parser import parse_query
 from repro.cql.predicates import Interval
@@ -59,8 +60,11 @@ class TestSelectivity:
         assert model.equality_selectivity(attr) == pytest.approx(0.1)
 
     def test_unknown_domain_uses_default(self):
-        model = CostModel(default_equality_selectivity=0.05)
-        assert model.equality_selectivity(Attribute("a", "float")) == 0.05
+        model = CostModel()
+        assert (
+            model.equality_selectivity(Attribute("a", "float"))
+            == cost.DEFAULT_EQUALITY_SELECTIVITY
+        )
 
     def test_unknown_domain_interval_halves_per_side(self):
         model = CostModel()
@@ -129,12 +133,10 @@ class TestJoinRate:
         )
 
     def test_now_window_priced_with_epsilon(self, catalog):
-        model = CostModel(now_epsilon=2.0)
-        assert model.effective_window(0.0) == 2.0
+        assert CostModel().effective_window(0.0) == cost.NOW_EPSILON
 
     def test_unbounded_capped_at_horizon(self, catalog):
-        model = CostModel(horizon=1000.0)
-        assert model.effective_window(math.inf) == 1000.0
+        assert CostModel().effective_window(math.inf) == cost.HORIZON
 
     def test_aggregate_rate_is_filtered_arrival_rate(self, catalog):
         model = CostModel()

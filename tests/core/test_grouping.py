@@ -123,7 +123,7 @@ class TestInvariants:
 class TestThreshold:
     def test_infinite_threshold_disables_merging(self, sensor_catalog):
         optimizer = GroupingOptimizer(
-            sensor_catalog, CostModel(), merge_threshold=float("inf")
+            sensor_catalog, CostModel(), merging=False
         )
         optimizer.add(q("SELECT T.temperature FROM Temp T", "a"))
         optimizer.add(q("SELECT T.temperature FROM Temp T", "b"))

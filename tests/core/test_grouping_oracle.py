@@ -45,7 +45,7 @@ class BuildThenPrice(GroupingOptimizer):
             raise ValueError(f"duplicate query name {query.name!r}")
         query = query.canonical(self.catalog)
         query_rate = self.cost_model.result_rate(query, self.catalog)
-        best_delta = self.merge_threshold
+        best_delta = 0.0
         best = None
         for group in list(self._groups.values()):
             # every live group, not the index bucket: the oracle does not
@@ -57,7 +57,6 @@ class BuildThenPrice(GroupingOptimizer):
                     [group.representative, query],
                     self.catalog,
                     name=f"{group.group_id}:rep",
-                    verify=False,
                 )
             except MergeError:
                 continue
@@ -212,9 +211,7 @@ def test_a_plan_prices_what_it_builds(seed, skew, joins, aggregates, streams):
     for left in canonical:
         for right in canonical:
             try:
-                built = representative(
-                    [left, right], catalog, name="rep", verify=False
-                )
+                built = representative([left, right], catalog, name="rep")
             except MergeError:
                 with pytest.raises(MergeError):
                     merge_plan([left, right], catalog)
@@ -296,7 +293,7 @@ def test_the_floor_plans_few_candidates(monkeypatch):
 
 def test_merging_off_plans_nothing(monkeypatch):
     catalog, queries = population(0, 0.0, 0.0, 0.0, 6, count=200)
-    optimizer = GroupingOptimizer(catalog, CostModel(), merge_threshold=float("inf"))
+    optimizer = GroupingOptimizer(catalog, CostModel(), merging=False)
     considered, planned = count_plans(monkeypatch, optimizer, queries)
     assert considered > 0 and planned == 0
     assert optimizer.group_count == len(queries)

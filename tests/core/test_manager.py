@@ -124,7 +124,7 @@ class TestMergingDisabled:
         manager = QueryManager(
             auction_catalog,
             grouping=GroupingOptimizer(
-                auction_catalog, CostModel(), merge_threshold=float("inf")
+                auction_catalog, CostModel(), merging=False
             ),
         )
         manager.submit(parse_query(TABLE1_Q1), name="q1")

@@ -16,7 +16,7 @@ from repro.sim import (
     generate_schedule,
     run_chaos,
 )
-from repro.sim.network import LoadParams
+from repro.sim import network
 from repro.system.cosmos import CosmosSystem, QueryStatus
 
 MIGRATE = ChaosConfig(seed=0, recovery=True, migrate=True)
@@ -187,16 +187,12 @@ class TestSourceFailure:
         assert handle.status is QueryStatus.ACTIVE
         assert handle.processor_node == 3
 
-    def test_repair_first_supersedes_the_migration(self):
+    def test_repair_first_supersedes_the_migration(self, monkeypatch):
         # Stretch the prepare window past the failure detector's
         # repair: by drain time the crash repair already re-homed the
         # group, so the move aborts as superseded (nothing to resume).
-        vnet = VirtualNetwork(
-            build=build_pair,
-            recovery=True,
-            migrate=True,
-            load_params=LoadParams(prepare_delay=30.0),
-        )
+        monkeypatch.setattr(network, "PREPARE_DELAY", 30.0)
+        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
         vnet.execute(
             [
                 MigrationEvent(1.0, "rebalance"),

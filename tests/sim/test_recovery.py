@@ -21,7 +21,8 @@ from repro.sim import (
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.fault import FaultError
 from repro.system.monitor import SystemMonitor
-from repro.system.reliability import ReliabilityParams, heal_partition
+from repro.sim import network
+from repro.system.reliability import heal_partition
 
 RECOVERY = ChaosConfig(seed=0, recovery=True)
 
@@ -279,22 +280,23 @@ class _Timers:
 class TestNackBackoff:
     @pytest.mark.parametrize(
         "given",
-        [None, ReliabilityParams(nack_delay=1.0, nack_backoff=3.0, nack_cap=5.0)],
+        [{}, {"NACK_DELAY": 1.0, "NACK_BACKOFF": 3.0, "NACK_CAP": 5.0}],
         ids=["default", "tight-cap"],
     )
-    def test_a_nack_is_never_scheduled_past_the_cap(self, given):
-        # The NACK delay grows by nack_backoff per unanswered attempt and
-        # is capped at nack_cap, so retransmission pressure under loss
+    def test_a_nack_is_never_scheduled_past_the_cap(self, given, monkeypatch):
+        # The NACK delay grows by NACK_BACKOFF per unanswered attempt and
+        # is capped at NACK_CAP, so retransmission pressure under loss
         # stays bounded however many attempts a gap has used.
-        vnet = VirtualNetwork(build=build_chain, recovery=True, params=given)
-        params = vnet.state.params
+        for name, value in given.items():
+            monkeypatch.setattr(network, name, value)
+        vnet = VirtualNetwork(build=build_chain, recovery=True)
         timers = _Timers()
         for attempt in (1, 2, 3, 5, 10, 60):
             vnet._schedule_nack(timers, "Temp", 0, attempt)
-        assert timers.delays[0] == params.nack_delay
-        assert timers.delays[1] == params.nack_delay * params.nack_backoff
-        assert max(timers.delays) == params.nack_cap
-        assert timers.delays[-1] == params.nack_cap
+        assert timers.delays[0] == network.NACK_DELAY
+        assert timers.delays[1] == network.NACK_DELAY * network.NACK_BACKOFF
+        assert max(timers.delays) == network.NACK_CAP
+        assert timers.delays[-1] == network.NACK_CAP
         assert timers.delays == sorted(timers.delays)
 
 
@@ -302,18 +304,20 @@ class TestNackGiveUp:
     """A gap whose retransmission is still on the wire when the last
     NACK's timer fires is abandoned; the late copy is then suppressed."""
 
-    def run(self, max_nacks, retransmit_rtt):
-        params = ReliabilityParams(nack_delay=1.0, nack_backoff=2.0, nack_cap=2.0,
-                                   max_nacks=max_nacks, retransmit_rtt=retransmit_rtt)
-        vnet = VirtualNetwork(build=build_chain, recovery=True, params=params)
+    def run(self, monkeypatch, max_nacks, retransmit_rtt):
+        timings = {"NACK_DELAY": 1.0, "NACK_BACKOFF": 2.0, "NACK_CAP": 2.0,
+                   "MAX_NACKS": max_nacks, "RETRANSMIT_RTT": retransmit_rtt}
+        for name, value in timings.items():
+            monkeypatch.setattr(network, name, value)
+        vnet = VirtualNetwork(build=build_chain, recovery=True)
         vnet.execute([
             DropEvent(1.0, "Temp", seq=0, payload=(("station", 1),), sent=1.0),
             InjectEvent(2.0, "Temp", (("station", 2),), seq=1, sent=2.0),
         ])
         return vnet, vnet.trace.render().splitlines()
 
-    def test_the_last_nack_gives_up_on_a_slow_retransmit(self):
-        vnet, lines = self.run(max_nacks=1, retransmit_rtt=5.0)
+    def test_the_last_nack_gives_up_on_a_slow_retransmit(self, monkeypatch):
+        vnet, lines = self.run(monkeypatch, max_nacks=1, retransmit_rtt=5.0)
         assert [line for line in lines if line.startswith(("nack", "abandon", "retransmit"))] == [
             "nack t=3 Temp seq=0 attempt=1",
             "abandon t=5 Temp seq=0 -> 1 released",
@@ -323,16 +327,16 @@ class TestNackGiveUp:
         assert (counts["gaps_abandoned"], counts["duplicates_suppressed"]) == (1, 1)
         assert vnet.counters.deliveries == 1
 
-    def test_a_gap_is_abandoned_only_after_max_nacks(self):
-        __, lines = self.run(max_nacks=3, retransmit_rtt=20.0)
+    def test_a_gap_is_abandoned_only_after_max_nacks(self, monkeypatch):
+        __, lines = self.run(monkeypatch, max_nacks=3, retransmit_rtt=20.0)
         nacks = [line for line in lines if line.startswith("nack")]
         assert [line.rsplit(" ", 1)[1] for line in nacks] == [
             "attempt=1", "attempt=2", "attempt=3"]
         abandon = lines.index("abandon t=9 Temp seq=0 -> 1 released")
         assert abandon > lines.index(nacks[-1])
 
-    def test_a_retransmit_inside_the_budget_heals_the_gap(self):
-        vnet, lines = self.run(max_nacks=1, retransmit_rtt=1.0)
+    def test_a_retransmit_inside_the_budget_heals_the_gap(self, monkeypatch):
+        vnet, lines = self.run(monkeypatch, max_nacks=1, retransmit_rtt=1.0)
         assert not any(line.startswith("abandon") for line in lines)
         assert health(vnet)["gaps_abandoned"] == 0
         assert vnet.counters.deliveries == 2

@@ -25,15 +25,13 @@ from repro.system.reliability import (
     FAILURE_DETECTOR,
     FailureDetector,
     ReliabilityError,
-    ReliabilityParams,
 )
 
 
 class PerNodeDetector:
     """One lease per node, renewed one heartbeat at a time."""
 
-    def __init__(self, params=None):
-        self.params = params or ReliabilityParams()
+    def __init__(self):
         self._deadlines = {}
         self._suspected = set()
         #: what a chaos run reads the detector's counts from; the oracle
@@ -49,7 +47,7 @@ class PerNodeDetector:
         return sorted(self._suspected)
 
     def register(self, node, now):
-        self._deadlines[node] = now + self.params.lease
+        self._deadlines[node] = now + reliability.lease()
         self._suspected.discard(node)
 
     def deregister(self, node):
@@ -58,7 +56,7 @@ class PerNodeDetector:
 
     def heartbeat(self, node, now):
         if node in self._deadlines:
-            self._deadlines[node] = now + self.params.lease
+            self._deadlines[node] = now + reliability.lease()
 
     def sweep(self, now, silent):
         for node in self.monitored:
@@ -74,9 +72,6 @@ class PerNodeDetector:
             self._suspected.add(node)
             self.leases.take("suspect", "MONITORED", node)
         return newly
-
-
-PARAMS = ReliabilityParams(heartbeat_period=5.0, lease_misses=3)
 
 
 def random_history(rng, steps=300, universe=12):
@@ -109,7 +104,7 @@ def apply(detector, step):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_histories_match_the_per_node_oracle(seed):
     rng = random.Random(f"detector:{seed}")
-    shared, oracle = FailureDetector(PARAMS), PerNodeDetector(PARAMS)
+    shared, oracle = FailureDetector(), PerNodeDetector()
     refused = 0
     for index, step in enumerate(random_history(rng)):
         monitored = step[1] in oracle._deadlines
@@ -136,8 +131,8 @@ def test_chaos_trace_is_the_same_with_the_oracle_detector(monkeypatch):
     shared = run_chaos(config)
     created = []
 
-    def per_node(params=None):
-        created.append(PerNodeDetector(params))
+    def per_node():
+        created.append(PerNodeDetector())
         return created[-1]
 
     monkeypatch.setattr(reliability, "FailureDetector", per_node)

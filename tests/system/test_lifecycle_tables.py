@@ -33,7 +33,6 @@ from repro.system.loadmgr import (
 from repro.system.reliability import (
     FailureDetector,
     ReliabilityError,
-    ReliabilityParams,
     UplinkReceiver,
     heal_partition,
     quarantine_partitioned,
@@ -221,7 +220,7 @@ def test_a_step_counts_its_row_and_a_refused_one_counts_nothing():
 def test_a_sweep_counts_its_heartbeats_in_bulk():
     """Every node that answered renews its lease as one count of the
     heartbeat row: no node's state is stepped or stored again."""
-    detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+    detector = FailureDetector()
     for node in range(5):
         detector.register(node, 0.0)
     states = dict(detector.leases.states)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cql.schema import Attribute, StreamSchema
+from repro.system import loadmgr
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.loadmgr import (
     GroupMigration,
     HotspotDetector,
     LoadManagementError,
-    LoadParams,
     LoadState,
     MigrationState,
     attach_load_manager,
@@ -83,9 +83,11 @@ class TestHotspotDetector:
         assert detector.observe(loads((1, 1.0), (2, 1.0))) == []
         assert detector.hot == []
 
-    def test_custom_thresholds(self):
-        detector = HotspotDetector(LoadParams(overload_ratio=2.0))
-        assert detector.observe(loads((0, 5.0), (1, 4.0), (2, 4.0))) == []
+    def test_the_threshold_is_read_when_observing(self, monkeypatch):
+        detector = HotspotDetector()
+        monkeypatch.setattr(loadmgr, "OVERLOAD_RATIO", 2.0)
+        # 7 / 5 = 1.4: hot at the default 1.25, not at 2.0
+        assert detector.observe(loads((0, 7.0), (1, 4.0), (2, 4.0))) == []
         assert detector.observe(loads((0, 20.0), (1, 4.0), (2, 4.0))) == [0]
 
 
@@ -275,10 +277,9 @@ class TestCutover:
 
 class TestAttachLoadManager:
     def test_attach_creates_and_installs_state(self, system):
-        state = attach_load_manager(system, LoadParams(overload_ratio=1.5))
+        state = attach_load_manager(system)
         assert system.load is state
-        assert state.params.overload_ratio == 1.5
-        assert state.detector.params is state.params
+        assert isinstance(state.detector, HotspotDetector)
 
     def test_twins_share_one_state(self, system, line_tree):
         twin = CosmosSystem(line_tree, processor_nodes=[1, 3])
@@ -302,9 +303,8 @@ class TestAttachLoadManager:
 
 
 class TestLoadState:
-    def test_post_init_builds_detector_from_params(self):
-        params = LoadParams(clear_ratio=1.2)
-        state = LoadState(params=params)
-        assert state.detector.params is params
+    def test_a_fresh_state_has_a_detector_and_nothing_in_flight(self):
+        state = LoadState()
+        assert state.detector.hot == []
         assert state.active == {}
         assert state.counters.migrations_started == 0

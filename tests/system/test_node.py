@@ -184,7 +184,7 @@ class TestSPEState:
             1,
             auction_catalog,
             grouping=GroupingOptimizer(
-                auction_catalog, CostModel(), merge_threshold=float("inf")
+                auction_catalog, CostModel(), merging=False
             ),
         )
         proc.accept(parse_query(TABLE1_Q1), name="q1")

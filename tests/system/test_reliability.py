@@ -5,12 +5,13 @@ import pytest
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import Topology
 from repro.overlay.tree import DisseminationTree
+from repro.sim import ChaosConfig, network
+from repro.system import reliability
 from repro.system.cosmos import CosmosSystem, QueryStatus
 from repro.system.fault import FaultError
 from repro.system.reliability import (
     FailureDetector,
     ReliabilityError,
-    ReliabilityParams,
     SequencedUplink,
     UplinkReceiver,
     _components,
@@ -26,15 +27,38 @@ TEMP = StreamSchema(
 )
 
 
-class TestParams:
-    def test_lease_is_period_times_misses(self):
-        params = ReliabilityParams(heartbeat_period=2.0, lease_misses=4)
-        assert params.lease == 8.0
+class TestTimingBudget:
+    """The chaos harness's timing budget, computed from the timing
+    constants and the default :class:`ChaosConfig`."""
 
-    def test_defaults_fit_the_chaos_timing_budget(self):
-        params = ReliabilityParams()
-        # Detection after a crash: at most lease + one sweep period.
-        assert params.lease + params.heartbeat_period <= 21.0
+    config = ChaosConfig(seed=0)
+
+    def test_detection_and_every_repair_retry_end_before_the_epilogue(self):
+        # The last fault lands at 0.6 * duration and is suspected at most
+        # a lease plus one sweep period later; each failed repair then
+        # waits REPAIR_BACKOFF times its attempt number.
+        last_fault = 0.6 * self.config.duration
+        detected = last_fault + reliability.lease() + reliability.HEARTBEAT_PERIOD
+        retries = sum(
+            network.REPAIR_BACKOFF * attempt
+            for attempt in range(1, network.MAX_REPAIR_ATTEMPTS)
+        )
+        assert detected + retries < self.config.epilogue_start
+
+    def test_a_migration_to_a_live_target_resolves_before_a_crash_is_detected(self):
+        # A node that crashes after a migration started answered the
+        # sweep before its crash, so it is suspected no sooner than a
+        # lease less one sweep period later.
+        earliest_detection = reliability.lease() - reliability.HEARTBEAT_PERIOD
+        assert network.PREPARE_DELAY + network.DRAIN_DELAY < earliest_detection
+
+    def test_the_closing_punctuation_is_nacked_after_the_epilogue_starts(self):
+        # So NACK recovery is bounded by quiescence, not by time: the
+        # main phase's execute runs every timer before the convergence
+        # check.
+        punctuation = self.config.duration + 2.0 * self.config.max_delay
+        first_nack = punctuation + network.NACK_DELAY
+        assert punctuation < self.config.epilogue_start < first_nack
 
 
 class TestSequencedUplink:
@@ -141,8 +165,9 @@ class TestUplinkReceiver:
         receiver.offer(0, {"a": 0}, 1.0)
         assert not receiver.outstanding(0)
 
-    def test_reorder_limit_forces_low_watermark_flush(self):
-        receiver = UplinkReceiver(ReliabilityParams(reorder_limit=3))
+    def test_reorder_limit_forces_low_watermark_flush(self, monkeypatch):
+        monkeypatch.setattr(reliability, "REORDER_LIMIT", 3)
+        receiver = UplinkReceiver()
         released = []
         for seq in range(1, 5):  # seq 0 never arrives
             released.extend(receiver.offer(seq, {"a": seq}, float(seq)).released)
@@ -151,24 +176,36 @@ class TestUplinkReceiver:
         assert len(receiver._buffer) == 0
         assert receiver.reorder_peak == 3
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 25")
+    def test_a_late_copy_of_a_force_abandoned_seq_is_no_duplicate(self):
+        # Seqs 1..REORDER_LIMIT + 1 overflow the buffer: seq 0 is
+        # force-abandoned and the watermark passes it.  Its only copy
+        # then arrives; it was never delivered, so it is not a duplicate.
+        receiver = UplinkReceiver()
+        for seq in range(1, reliability.REORDER_LIMIT + 2):
+            receiver.offer(seq, {"a": seq}, float(seq))
+        assert receiver.slots.taken("abandon") == 1
+        receiver.offer(0, {"a": 0}, 0.0)
+        assert receiver.slots.taken("duplicate") == 0
+
 
 class TestFailureDetector:
     def test_suspects_after_lease_expiry(self):
-        detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+        detector = FailureDetector()
         detector.register(7, 0.0)
         assert detector.check(10.0) == []
         assert detector.check(15.0) == [7]
         assert detector.suspected == [7]
 
     def test_sweep_renews_lease(self):
-        detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+        detector = FailureDetector()
         detector.register(7, 0.0)
         detector.sweep(10.0, silent=())
         assert detector.check(15.0) == []
         assert detector.check(25.0) == [7]
 
     def test_silent_node_keeps_its_deadline(self):
-        detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+        detector = FailureDetector()
         for node in (3, 7):
             detector.register(node, 0.0)
         detector.sweep(5.0, silent=())
@@ -179,7 +216,7 @@ class TestFailureDetector:
         assert detector.check(30.0) == [3]
 
     def test_registration_after_a_sweep_has_its_own_lease(self):
-        detector = FailureDetector(ReliabilityParams(heartbeat_period=5.0, lease_misses=3))
+        detector = FailureDetector()
         detector.register(3, 0.0)
         detector.sweep(5.0, silent=())
         detector.register(7, 8.0)

@@ -698,6 +698,35 @@ if bad:
     sys.exit(1)
 EOF
 
+echo "== constants, not options (repro.system, repro.sim, repro.core) =="
+# A timing or estimate that no deployment varies is a module constant beside
+# the code that reads it (DESIGN.md section 18); a test substitutes one with
+# monkeypatch.setattr.  The parameter objects that carried them, the float
+# merge threshold (now GroupingOptimizer(merging=)) and representative's
+# verify flag were deleted.
+if git grep -nwE "ReliabilityParams|LoadParams|load_params|merge_threshold|now_epsilon|default_equality_selectivity|default_timestamp_width" -- src/repro; then
+    echo "ci: src/repro must not grow the reliability, load or cost parameter" \
+         "objects or the merge threshold back; a setting no deployment varies" \
+         "is a module constant" >&2
+    exit 1
+fi
+python - <<'EOF'
+import ast, pathlib, sys
+
+bad = []
+for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == "representative":
+            names = [a.arg for a in node.args.args + node.args.kwonlyargs]
+            if "verify" in names:
+                bad.append(f"{path}:{node.lineno}: representative(verify=)")
+if bad:
+    print("\n".join(bad))
+    print("ci: representative's recoverability check always runs; its verify"
+          " flag must not come back", file=sys.stderr)
+    sys.exit(1)
+EOF
+
 echo "== repro check =="
 PYTHONPATH=src $census check -- -m repro check
 
