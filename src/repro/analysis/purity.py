@@ -1,7 +1,7 @@
 """COS5xx — determinism hazards in the package's own source.
 
 The reproduction's dynamic guarantees (byte-identical chaos traces,
-pinned replay digests, twin-system equivalence) all assume the code
+pinned replay digests, fast-vs-naive equivalence) all assume the code
 under them is *deterministic*: no entropy, no wall clock, no
 iteration order leaking from hash-based containers into ordered
 outputs.  This pass walks a module's AST and flags the four hazard

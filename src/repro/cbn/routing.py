@@ -32,7 +32,7 @@ a mutation reports the streams it touched through ``on_change``, which
 is what the owning network versions its per-stream facts and routes by,
 and a mutation that changes nothing (re-installing the stored profile,
 discarding an absent entry) reports nothing.  The scan-everything
-reference the property tests and the chaos twin compare against lives
+reference the property tests and the chaos runs compare against lives
 in :mod:`repro.sim.reference`.
 """
 

@@ -4,9 +4,10 @@ Layered on the repo's own building blocks — the
 :class:`~repro.system.events.EventSimulator` for global time ordering,
 the real fault-tolerance entry points for crash/repair — this package
 turns a single seed into a fully resolved chaos schedule (lossy source
-links, broker/processor crashes), executes it against production/reference
-twin systems, and checks delivery against an oracle that computes
-ground truth directly from the queries and the effective input feed.
+links, broker/processor crashes), executes it against one system whose
+every publication is also scanned by the naive reference data plane, and
+checks delivery against an oracle that computes ground truth directly
+from the queries and the effective input feed.
 Failing seeds replay byte-identically and shrink to minimal schedules.
 """
 

@@ -1,11 +1,12 @@
-"""The virtual network: chaos schedules executed against twin systems.
+"""The virtual network: chaos schedules executed against one system.
 
-:class:`VirtualNetwork` wraps a pair of :class:`CosmosSystem` twins —
-one routing through the production CBN data plane, one through the naive
-reference scan of :mod:`repro.sim.reference` — and drives both through
-the *same* resolved chaos schedule via the
-:class:`~repro.system.events.EventSimulator`'s
-``step()`` API.  Tuple injections go end to end through
+:class:`VirtualNetwork` drives one :class:`CosmosSystem` through a
+resolved chaos schedule via the
+:class:`~repro.system.events.EventSimulator`'s ``step()`` API.  Its
+network is re-classed by :func:`~repro.sim.reference.check_publications`,
+so every publication the production data plane routes is also scanned by
+the naive reference over the same tables, and any difference is
+recorded for the oracle.  Tuple injections go end to end through
 ``CosmosSystem.publish``; crash events route through the real
 fault-tolerance entry points (``fail_broker`` / ``fail_processor``),
 so the chaos harness exercises exactly the repair code production
@@ -13,9 +14,7 @@ would run, never a simulation-only shortcut.
 
 A crash whose repair finds the survivors physically partitioned is
 *refused* (``FaultError``) and recorded as such — a legitimate outcome,
-not a violation.  The twins share one topology and tree, so a refusal
-in one twin must occur in the other; divergence there is itself a bug
-and raises immediately.
+not a violation.
 
 Every executed event appends one canonical line to the run's
 :class:`~repro.sim.trace.ChaosTrace` (payloads pre-sorted by the
@@ -26,9 +25,8 @@ makes replays byte-identical across processes.
 the self-healing path of :mod:`repro.system.reliability` instead of
 booking losses:
 
-* injections travel a reliable sequenced uplink — one shared protocol
-  brain decides releases/suppressions once and applies them to both
-  twins, so transport nondeterminism cannot diverge them;
+* injections travel a reliable sequenced uplink, whose receiver
+  decides releases and suppressions;
 * drops are recorded on the sender and healed by receiver-driven NACK /
   retransmit timers with capped exponential backoff; end-of-phase
   source punctuation (``seq<=top``) exposes trailing drops that no
@@ -56,10 +54,10 @@ order, so recovery traces replay byte-identically too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Dict, List, Optional, Sequence
 
 from repro.cbn.datagram import Datagram
-from repro.sim.reference import as_reference
+from repro.sim.reference import check_publications
 from repro.sim.schedule import (
     ChaosEvent,
     DropEvent,
@@ -95,9 +93,6 @@ from repro.system.reliability import (
     attach_reliability,
     quarantine_partitioned,
 )
-
-
-T = TypeVar("T")
 
 
 # The supervisor's timings: the receiver and the detector only report
@@ -142,8 +137,8 @@ MAX_MIGRATE_ATTEMPTS = 3
 
 
 class ChaosExecutionError(Exception):
-    """Raised when the twins diverge structurally mid-run (a harness bug
-    or a nondeterministic repair path — either way, not a normal oracle
+    """Raised when the harness is misconfigured or a supervision step is
+    not in :data:`NODE_SUPERVISION` (a harness bug, not an oracle
     violation)."""
 
 
@@ -199,34 +194,30 @@ class ChaosCounters:
 
 @dataclass
 class VirtualNetwork:
-    """Twin COSMOS systems driven by one chaos schedule.
+    """One COSMOS system driven by a chaos schedule.
 
-    ``build`` provisions one complete system (topology, tree, sources,
-    queries) and must be deterministic: it is called twice, and the
-    second result becomes the shadow twin on the reference data plane —
-    the twins *must* be structurally identical for the
-    production-vs-reference oracle to be meaningful.
+    ``system`` is provisioned (topology, tree, sources, queries) and has
+    published nothing yet: from here on each of its publications is
+    checked against the reference scan, and its per-link accounting is
+    compared with the scan's.
     """
 
-    build: Callable[[], CosmosSystem]
+    system: CosmosSystem
     #: Run the schedule through the self-healing reliability path.
     recovery: bool = False
     #: Execute migration probes (requires ``recovery``: zero-loss
     #: migration rides the ordering stage's deferred publication).
     migrate: bool = False
-    primary: CosmosSystem = field(init=False)
-    shadow: CosmosSystem = field(init=False)
     trace: ChaosTrace = field(init=False, default_factory=ChaosTrace)
     counters: ChaosCounters = field(init=False)
     #: The tuples that actually entered the system (post-perturbation,
     #: duplicates included; post-release in recovery mode), in
     #: injection order — the oracle's input.
     effective_feed: List[Datagram] = field(init=False, default_factory=list)
-    #: The primary's ReliabilityState in recovery mode: the one protocol
-    #: brain whose decisions both twins apply.
+    #: The system's reliability state in recovery mode.
     state: Optional[ReliabilityState] = field(init=False, default=None)
-    #: Shared load-management brain in migration mode; ``None`` keeps the
-    #: whole migration machinery inert (``system.load`` stays unset).
+    #: The system's load-management state in migration mode; ``None``
+    #: keeps the whole migration machinery inert (``system.load`` unset).
     load: Optional[LoadState] = field(init=False, default=None)
     #: Simulated time of the last self-healing action (repair applied,
     #: retransmission released, gap abandoned); ``None`` = never needed.
@@ -238,8 +229,7 @@ class VirtualNetwork:
                 "migrate=True requires recovery=True (zero-loss "
                 "migration rides the recovery ordering stage)"
             )
-        self.primary = self.build()
-        self.shadow = as_reference(self.build())
+        check_publications(self.system)
         #: node -> its supervision state; a live node is not stored, so
         #: the keys are the nodes that went down
         self.supervision = Lifecycle(NODE_SUPERVISION, ChaosExecutionError, "node")
@@ -250,36 +240,21 @@ class VirtualNetwork:
         #: payload), flushed to the SPE in send-time order at batch end.
         self._pending: List[tuple] = []
         if self.recovery:
-            self.state = attach_reliability(self.primary)
+            self.state = attach_reliability(self.system)
             self.state.supervision = self.supervision
-            attach_reliability(self.shadow)
-            for node in self.primary.tree.nodes:
+            for node in self.system.tree.nodes:
                 self.state.detector.register(node, 0.0)
         if self.migrate:
-            self.load = attach_load_manager(self.primary)
-            attach_load_manager(self.shadow, state=self.load)
-
-    @property
-    def systems(self) -> List[CosmosSystem]:
-        return [self.primary, self.shadow]
-
-    def _on_twins(self, what: str, action: Callable[[CosmosSystem], T]) -> T:
-        """Apply ``action`` to both twins; their outcomes must agree."""
-        primary, shadow = [action(system) for system in self.systems]
-        if primary != shadow:
-            raise ChaosExecutionError(
-                f"twins diverged {what}: {[primary, shadow]}"
-            )
-        return primary
+            self.load = attach_load_manager(self.system)
 
     def routing_epoch(self) -> int:
-        return self.primary.network.routing_epoch
+        return self.system.network.routing_epoch
 
     def transitions(self) -> Dict[str, Dict[str, int]]:
         """The rows the run's lifecycle executors took, by machine:
-        ``"label from->to"`` -> count (the primary's query handles)."""
+        ``"label from->to"`` -> count."""
         executors = {
-            "QueryStatus": [self.primary.lifecycle],
+            "QueryStatus": [self.system.lifecycle],
             "node-supervision": [self.supervision],
         }
         if self.state is not None:
@@ -358,11 +333,9 @@ class VirtualNetwork:
         if self.recovery and event.seq is not None:
             self._apply_inject_reliable(event, sim)
             return
-        # one dict of the event's items; both twins copy it on publish
+        # one dict of the event's items; the system copies it on publish
         datagram = Datagram(event.stream, event.payload, event.time)
-        payload = datagram.payload
-        delivered = len(self.primary.publish(event.stream, payload, event.time))
-        self.shadow.publish(event.stream, payload, event.time)
+        delivered = len(self.system.publish(event.stream, datagram.payload, event.time))
         self.effective_feed.append(datagram)
         self.counters.injects += 1
         if event.duplicate:
@@ -391,21 +364,17 @@ class VirtualNetwork:
             self.trace.record(f"{event.render()} -> crashed")
             return
 
-        def fail(system: CosmosSystem) -> str:
-            try:
-                if event.kind == "broker":
-                    fail_broker(system, event.node)
-                else:
-                    fail_processor(system, event.node)
-                return "applied"
-            except FaultError as exc:
-                return f"refused ({exc})"
-
-        outcome = self._on_twins(f"on {event.render()}", fail)
-        if outcome == "applied":
-            self.supervision.step(event.node, "fail_applied")
-        else:
+        try:
+            if event.kind == "broker":
+                fail_broker(self.system, event.node)
+            else:
+                fail_processor(self.system, event.node)
+        except FaultError as exc:
+            outcome = f"refused ({exc})"
             self.supervision.step(event.node, "fail_refused")
+        else:
+            outcome = "applied"
+            self.supervision.step(event.node, "fail_applied")
         self.trace.record(f"{event.render()} -> {outcome}")
 
     # -- reliable uplink ----------------------------------------------------------
@@ -462,8 +431,7 @@ class VirtualNetwork:
         self._pending.sort(key=lambda item: (item[0], item[1], item[2]))
         delivered = 0
         for sent, stream, seq, payload in self._pending:
-            delivered += len(self.primary.publish(stream, payload, sent, seq=seq))
-            self.shadow.publish(stream, payload, sent, seq=seq)
+            delivered += len(self.system.publish(stream, payload, sent, seq=seq))
             self.effective_feed.append(Datagram(stream, payload, sent, seq))
         self.counters.deliveries += delivered
         self.trace.record(
@@ -542,16 +510,14 @@ class VirtualNetwork:
         ``scan`` feeds the hotspot detector a live-processor load
         snapshot and plans one migration per newly hot processor;
         ``rebalance`` unconditionally plans one off the busiest live
-        processor that hosts any group.  All decisions read the primary
-        only (the shared-brain pattern); mutations are applied to both
-        twins inside :meth:`_plan_migration`.
+        processor that hosts any group.
         """
         if self.load is None:
             self.trace.record(f"{event.render()} -> inert")
             return
         loads = [
             load
-            for load in SystemMonitor(self.primary).processor_loads()
+            for load in SystemMonitor(self.system).processor_loads()
             if load.node_id not in self.supervision.states
         ]
         if event.kind == "scan":
@@ -579,7 +545,7 @@ class VirtualNetwork:
 
     def _plan_migration(self, sim: EventSimulator, source_node: int) -> None:
         """Quarantine the source's hottest group and start its move."""
-        processor = self.primary.processors.get(source_node)
+        processor = self.system.processors.get(source_node)
         if processor is None or source_node in self.supervision.states:
             self.trace.record(
                 f"migrate_skip t={sim.now:g} node={source_node} reason=no-source"
@@ -601,17 +567,14 @@ class VirtualNetwork:
             )
             return
         exclude = set(self.supervision.states) | {source_node}
-        target = choose_target(self.primary, group, exclude)
+        target = choose_target(self.system, group, exclude)
         if target is None:
             self.trace.record(
                 f"migrate_skip t={sim.now:g} node={source_node} reason=no-target"
             )
             return
-        quarantined = self._on_twins(
-            f"quarantining {key}",
-            lambda system: quarantine_for_migration(
-                system, source_node, group.group_id
-            ),
+        quarantined = quarantine_for_migration(
+            self.system, source_node, group.group_id
         )
         if not quarantined:
             # Every member already degraded (e.g. partition-owned):
@@ -644,7 +607,7 @@ class VirtualNetwork:
         migration = self.load.active.get(key)
         if migration is None:
             return
-        if migration.source_node not in self.primary.processors:
+        if migration.source_node not in self.system.processors:
             # The crash-repair path already re-homed the group's members
             # elsewhere and resumed them there; this move is obsolete.
             self._abort_migration(sim, key, "superseded")
@@ -653,7 +616,7 @@ class VirtualNetwork:
             self._abort_migration(sim, key, "source-lost")
             return
         chunks = capture_group_state(
-            self.primary, migration.source_node, migration.group_id
+            self.system, migration.source_node, migration.group_id
         )
         if not chunks:
             self._abort_migration(sim, key, "superseded")
@@ -677,14 +640,14 @@ class VirtualNetwork:
         migration = self.load.active.get(key)
         if migration is None:
             return
-        if migration.source_node not in self.primary.processors:
+        if migration.source_node not in self.system.processors:
             self._abort_migration(sim, key, "superseded")
             return
         if migration.source_node in self.supervision.states:
             self._abort_migration(sim, key, "source-lost")
             return
         target_live = (
-            migration.target_node in self.primary.processors
+            migration.target_node in self.system.processors
             and migration.target_node not in self.supervision.states
         )
         if not target_live:
@@ -706,10 +669,7 @@ class VirtualNetwork:
             self._abort_migration(sim, key, "target-lost")
             return
         migration.step("cut_over")
-        moved = self._on_twins(
-            f"cutting over {key}",
-            lambda system: cutover_group(system, migration),
-        )
+        moved = cutover_group(self.system, migration)
         migration.step("complete")
         self.load.active.pop(key, None)
         self.last_recovery_time = sim.now
@@ -730,11 +690,8 @@ class VirtualNetwork:
         migration.step("abort")
         resumed: List[str] = []
         if reason != "superseded":
-            resumed = self._on_twins(
-                f"aborting {key}",
-                lambda system: resume_after_migration(
-                    system, migration.source_node, migration.members
-                ),
+            resumed = resume_after_migration(
+                self.system, migration.source_node, migration.members
             )
         self.load.active.pop(key, None)
         names = ",".join(resumed) or "-"
@@ -758,21 +715,14 @@ class VirtualNetwork:
 
     def _repair(self, sim: EventSimulator, node: int, attempt: int) -> None:
         kind = self._crash_kind[node]
-        errors: List[FaultError] = []
-
-        def repair(system: CosmosSystem) -> str:
-            try:
-                if kind == "broker":
-                    fail_broker(system, node)
-                else:
-                    fail_processor(system, node)
-                return "repaired"
-            except FaultError as exc:
-                errors.append(exc)
-                return f"error ({exc})"
-
-        outcome = self._on_twins(f"repairing node {node}", repair)
-        if outcome == "repaired":
+        try:
+            if kind == "broker":
+                fail_broker(self.system, node)
+            else:
+                fail_processor(self.system, node)
+        except FaultError as exc:
+            error = exc
+        else:
             self.supervision.step(node, "repair_applied")
             self.state.detector.deregister(node)
             self.last_recovery_time = sim.now
@@ -780,14 +730,14 @@ class VirtualNetwork:
                 f"repair t={sim.now:g} fail_{kind} node={node} -> applied"
             )
             return
-        if kind == "broker" and isinstance(errors[0], PartitionError):
+        if kind == "broker" and isinstance(error, PartitionError):
             self._degrade(sim, node)
             return
         if attempt < MAX_REPAIR_ATTEMPTS:
             self.supervision.step(node, "repair_retry")
             self.trace.record(
                 f"repair t={sim.now:g} fail_{kind} node={node} -> "
-                f"retry {attempt + 1} ({errors[0]})"
+                f"retry {attempt + 1} ({error})"
             )
             sim.schedule_in(
                 REPAIR_BACKOFF * attempt, lambda: self._repair(sim, node, attempt + 1)
@@ -797,15 +747,12 @@ class VirtualNetwork:
         self.state.detector.deregister(node)
         self.trace.record(
             f"repair t={sim.now:g} fail_{kind} node={node} -> "
-            f"gave up ({errors[0]})"
+            f"gave up ({error})"
         )
 
     def _degrade(self, sim: EventSimulator, node: int) -> None:
         """Partitioned survivors: quarantine instead of refusing."""
-        quarantined = self._on_twins(
-            f"degrading node {node}",
-            lambda system: quarantine_partitioned(system, node),
-        )
+        quarantined = quarantine_partitioned(self.system, node)
         self.supervision.step(node, "degraded")
         self.state.detector.deregister(node)
         self.last_recovery_time = sim.now

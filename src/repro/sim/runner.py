@@ -201,10 +201,9 @@ def query_ids(config: ChaosConfig) -> List[str]:
 
 
 def build_system(config: ChaosConfig) -> CosmosSystem:
-    """Provision one chaos twin: topology, tree, sources and queries.
+    """Provision one chaos system: topology, tree, sources and queries.
 
-    Pure — the VirtualNetwork calls this twice to get structurally
-    identical twins.
+    Pure: equal configs build structurally identical systems.
     """
     layout = _layout(config)
     topology = barabasi_albert(config.n_nodes, 2, config.rng("topology"))
@@ -377,10 +376,10 @@ class ChaosReport:
     #: ``None`` when no recovery was ever needed (or lossy mode).
     convergence_time: Optional[float] = None
     #: :meth:`~repro.system.monitor.SystemMonitor.reliability_counts`
-    #: of the primary (recovery mode only).
+    #: of the system (recovery mode only).
     reliability: Optional[Dict[str, int]] = None
     #: Post-run :meth:`~repro.system.monitor.SystemMonitor.health`
-    #: snapshot of the primary (reliability + load-management block).
+    #: snapshot of the system (reliability + load-management block).
     health: Optional[Dict[str, object]] = None
     #: The rows the run's lifecycle executors took, by machine
     #: (:meth:`~repro.sim.network.VirtualNetwork.transitions`).
@@ -424,7 +423,7 @@ def run_schedule(
     suppressed, reorderings repaired, with zero tolerated losses.
     """
     vnet = VirtualNetwork(
-        build=lambda: build_system(config),
+        build_system(config),
         recovery=config.recovery,
         migrate=config.migrate,
     )
@@ -441,7 +440,7 @@ def run_schedule(
         )
     ids = [
         query_id for query_id in query_ids(config)
-        if vnet.primary.find_query(query_id) is not None
+        if vnet.system.find_query(query_id) is not None
     ]
     if len(ids) != len(query_ids(config)):
         lost = sorted(set(query_ids(config)) - set(ids))
@@ -451,12 +450,11 @@ def run_schedule(
         if config.recovery
         else vnet.effective_feed
     )
-    violations.extend(check_ground_truth(vnet.primary, oracle_feed, ids))
-    violations.extend(check_no_orphans(vnet.primary))
-    violations.extend(check_chronology(vnet.primary))
-    violations.extend(check_no_orphans(vnet.shadow))
-    violations.extend(compare_systems(vnet.primary, vnet.shadow))
-    monitor = SystemMonitor(vnet.primary)
+    violations.extend(check_ground_truth(vnet.system, oracle_feed, ids))
+    violations.extend(check_no_orphans(vnet.system))
+    violations.extend(check_chronology(vnet.system))
+    violations.extend(compare_systems(vnet.system))
+    monitor = SystemMonitor(vnet.system)
     return ChaosReport(
         config=config,
         violations=violations,

@@ -33,7 +33,7 @@ load landscape shifts.  Submission-time placement lives in
   :mod:`repro.sim.network` drives it over the event simulator,
   deterministically.
 
-:func:`attach_load_manager` hangs a shared :class:`LoadState` on a
+:func:`attach_load_manager` hangs a :class:`LoadState` on a
 :class:`~repro.system.cosmos.CosmosSystem`; the monitor's ``health()``
 reads it from there, migrations completed and aborted as rows of
 :data:`MIGRATION_LIFECYCLE`.
@@ -432,12 +432,10 @@ def cutover_group(
 
 @dataclass
 class LoadState:
-    """Everything the load manager knows about one deployment.
-
-    One state object is deliberately shareable between chaos twins:
-    detection and placement decisions are made once and applied to
-    both, so the twins cannot diverge on load-management
-    nondeterminism.
+    """Everything the load manager knows about one deployment: its
+    hotspot detector, counters and in-flight migrations.  The chaos
+    harness makes the detection and placement decisions; the protocol
+    functions below apply them to the system.
     """
 
     counters: LoadCounters = field(default_factory=LoadCounters)
@@ -450,15 +448,8 @@ class LoadState:
     )
 
 
-def attach_load_manager(
-    system: CosmosSystem, state: Optional[LoadState] = None
-) -> LoadState:
-    """Attach (or share) a load-management state on ``system``.
-
-    Pass an existing ``state`` to share one brain between twin systems;
-    otherwise a fresh state is created.
-    """
-    if state is None:
-        state = LoadState()
+def attach_load_manager(system: CosmosSystem) -> LoadState:
+    """Attach a fresh load-management state on ``system``."""
+    state = LoadState()
     system.load = state
     return state

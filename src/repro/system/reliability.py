@@ -418,8 +418,8 @@ class ReliabilityState:
 
     What the layer did is the row counts of the executors it holds
     (receivers' ``slots``, the detector's ``leases``,
-    :attr:`supervision`).  The chaos harness drives only the primary
-    twin's state and applies each decision to both twins.
+    :attr:`supervision`).  The chaos harness drives it and applies each
+    decision to the system.
     """
 
     uplinks: Dict[str, SequencedUplink] = field(default_factory=dict)

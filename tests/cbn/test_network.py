@@ -12,7 +12,8 @@ from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.tree import DisseminationTree
-from repro.sim.reference import ReferenceNetwork
+
+from tests.reference_network import ReferenceNetwork
 
 
 def cond(*atoms):

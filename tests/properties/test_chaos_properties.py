@@ -2,12 +2,13 @@
 
 The harness under test is :mod:`repro.sim`: a seed deterministically
 becomes a chaos schedule (lossy source links + broker/processor
-crash-and-repair), which runs against fast-path/naive twin systems
-under four oracle invariants — exact ground-truth delivery, no orphan
+crash-and-repair), which runs against one system whose every
+publication is also scanned by the naive reference, under four oracle
+invariants — exact ground-truth delivery, no orphan
 queries/subscriptions after repair, per-query result chronology, and
 fast-path == naive equivalence.  The canary tests then break the repair
-path on purpose and demand the oracles notice: a chaos suite that
-cannot fail is not testing anything.  The same goes for the route cache
+path or the routing index on purpose and demand the oracles notice: a
+chaos suite that cannot fail is not testing anything.  The same goes for the route cache
 of the data plane: its canaries plant a cache that forgets to
 invalidate or that keys too coarsely, or a coverage test (on either
 side) that reads only a stream's first filter, and demand that the
@@ -22,15 +23,19 @@ import repro.cbn.network as network_module
 import repro.system.rebuild as rebuild_module
 from repro.cbn.filters import Profile
 from repro.cbn.network import ContentBasedNetwork, _StreamFacts
-from repro.cbn.routing import ConditionBits
+from repro.cbn.routing import ConditionBits, RoutingTable
 from repro.cql.predicates import Conjunction, Interval, OutcomeIndex
 from repro.sim import (
     ChaosConfig,
+    VirtualNetwork,
+    build_system,
+    compare_systems,
     generate_schedule,
     run_chaos,
     run_schedule,
     shrink_failing_schedule,
 )
+from repro.sim.reference import CheckedNetwork
 from repro.sim.schedule import FaultEvent
 
 from tests.properties.test_fastpath_properties import (
@@ -157,6 +162,34 @@ class TestMutationCanary:
         assert len(minimal) == 1
         assert isinstance(minimal[0], FaultEvent)
         assert not run_schedule(config, minimal).ok
+
+    def test_stale_bucket_entry_is_caught(self, monkeypatch):
+        """A discarded routing entry left in its per-stream bucket still
+        matches on the fast path but not in the scan.  On this seed no
+        live query's results show it; the per-publication check does."""
+        monkeypatch.setattr(
+            RoutingTable, "_unindex_entry", lambda self, interface, entry_id, profile: None
+        )
+        report = run_chaos(ChaosConfig(seed=1, recovery=True))
+        assert any(v.startswith("fast-vs-naive:") for v in report.violations)
+
+
+class TestPublicationCheck:
+    def test_check_survives_repairs_and_migrations(self):
+        config = ChaosConfig(seed=3, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_system(config), recovery=True, migrate=True)
+        events = generate_schedule(config).events
+        vnet.execute([e for e in events if e.time < config.epilogue_start])
+        vnet.execute([e for e in events if e.time >= config.epilogue_start])
+        assert vnet.counters.faults_applied >= 1
+        assert vnet.load.lifecycle.taken("complete") >= 1
+        network = vnet.system.network
+        assert type(network) is CheckedNetwork
+        assert network.checked >= len(vnet.effective_feed)
+        reference = list(network.reference_stats.as_dict().items())
+        assert reference
+        assert reference == list(network.data_stats.as_dict().items())
+        assert compare_systems(vnet.system) == []
 
 
 class TestRouteCacheCanary:

@@ -8,8 +8,8 @@ operations, a ``ContentBasedNetwork`` must produce exactly the
 deliveries (same subscribers, brokers, payloads and order), the same
 per-link ``data_stats`` *in the same first-use order* (the summation
 order of ``weighted_cost``) and the same ``routing_state_size()`` as
-the ``repro.sim.reference.ReferenceNetwork`` scan, which never sees the
-cache.
+the ``tests/reference_network.py::ReferenceNetwork`` scan, which never
+sees the cache.
 
 The cache is what is tested: every datagram is published twice in a
 row, and the second publication must be a replayed route (asserted
@@ -38,7 +38,8 @@ from repro.cbn.network import ContentBasedNetwork
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.tree import DisseminationTree
-from repro.sim.reference import ReferenceNetwork
+
+from tests.reference_network import ReferenceNetwork
 
 ATTRS = ["a", "b", "c", "d"]
 STREAMS = ["S", "T"]

@@ -25,7 +25,6 @@ from repro.cbn.network import ContentBasedNetwork
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import barabasi_albert
 from repro.overlay.tree import DisseminationTree
-from repro.sim.reference import ReferenceNetwork
 from repro.system.cosmos import CosmosSystem
 from repro.system.distribution import RoundRobinDistribution
 from repro.system.fault import FaultError, fail_broker
@@ -38,6 +37,7 @@ from tests.properties.test_fastpath_properties import (
     random_trees,
     snapshot,
 )
+from tests.reference_network import ReferenceNetwork
 
 
 class TestPublishManyEquivalence:

@@ -7,7 +7,8 @@ from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import Topology
 from repro.overlay.tree import DisseminationTree
 from repro.sim.network import VirtualNetwork
-from repro.sim.reference import ReferenceNetwork, as_reference
+from repro.sim.oracle import compare_systems
+from repro.sim.reference import CheckedNetwork
 from repro.sim.runner import (
     ChaosConfig,
     build_system,
@@ -24,16 +25,14 @@ CONFIG = ChaosConfig(seed=11)
 
 
 class TestBuildSystem:
-    def test_twins_are_structurally_identical(self):
-        fast = build_system(CONFIG)
-        naive = as_reference(build_system(CONFIG))
-        assert isinstance(naive.network, ReferenceNetwork)
-        assert sorted(fast.tree.edges) == sorted(naive.tree.edges)
-        assert sorted(fast.network.subscriptions()) == sorted(
-            naive.network.subscriptions()
-        )
-        assert [h.query_id for h in fast.queries] == [
-            h.query_id for h in naive.queries
+    def test_build_is_pure(self):
+        first, second = build_system(CONFIG), build_system(CONFIG)
+        assert first is not second and first.network is not second.network
+        assert type(first.network) is type(second.network)
+        assert sorted(first.tree.edges) == sorted(second.tree.edges)
+        assert first.network.subscriptions() == second.network.subscriptions()
+        assert [(h.query_id, h.processor_node) for h in first.queries] == [
+            (h.query_id, h.processor_node) for h in second.queries
         ]
 
     def test_queries_are_single_stream(self):
@@ -82,15 +81,19 @@ class TestGenerateSchedule:
 
 
 class TestVirtualNetwork:
-    def test_inject_reaches_both_twins(self):
-        vnet = VirtualNetwork(build=lambda: build_system(CONFIG))
+    def test_inject_is_checked_against_the_scan(self):
+        vnet = VirtualNetwork(build_system(CONFIG))
+        network = vnet.system.network
+        assert isinstance(network, CheckedNetwork)
         event = InjectEvent(1.0, "Temp", (("celsius", 35.0), ("station", 0)))
         vnet.execute([event])
         assert vnet.counters.injects == 1
         assert len(vnet.effective_feed) == 1
-        fast = [h.result_count for h in vnet.primary.queries]
-        naive = [h.result_count for h in vnet.shadow.queries]
-        assert fast == naive
+        assert vnet.counters.deliveries > 0
+        # the source tuple, then each processor's results
+        assert network.checked >= 2
+        assert network.reference_stats.as_dict()
+        assert compare_systems(vnet.system) == []
 
     def test_partitioned_repair_is_recorded_as_refused(self):
         def build_line():
@@ -115,7 +118,7 @@ class TestVirtualNetwork:
             )
             return system
 
-        vnet = VirtualNetwork(build=build_line)
+        vnet = VirtualNetwork(build_line())
         # Node 1 is a physical cut vertex: the repair must refuse.
         vnet.execute([FaultEvent(1.0, "broker", 1)])
         assert vnet.counters.faults_refused == 1
@@ -125,7 +128,7 @@ class TestVirtualNetwork:
         vnet.execute(
             [InjectEvent(2.0, "Temp", (("station", 1),))]
         )
-        assert vnet.primary.query("q").result_count == 1
+        assert vnet.system.query("q").result_count == 1
 
 
 class TestRunner:

@@ -63,7 +63,7 @@ class TestModeValidation:
 
     def test_network_requires_recovery(self):
         with pytest.raises(ChaosExecutionError):
-            VirtualNetwork(build=build_pair, migrate=True)
+            VirtualNetwork(build_pair(), migrate=True)
 
 
 class TestInertness:
@@ -88,7 +88,7 @@ class TestInertness:
         )
 
     def test_probe_without_load_state_is_inert(self):
-        vnet = VirtualNetwork(build=build_pair, recovery=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True)
         assert vnet.load is None
         vnet.execute([MigrationEvent(1.0, "scan")])
         assert vnet.trace.render().splitlines() == ["migrate t=1 scan -> inert"]
@@ -96,7 +96,7 @@ class TestInertness:
 
 class TestHappyPath:
     def test_rebalance_moves_the_group_with_zero_loss(self):
-        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True, migrate=True)
         vnet.execute(
             [
                 inject(0.5, seq=0),
@@ -116,23 +116,22 @@ class TestHappyPath:
         assert vnet.load.lifecycle.taken("abort") == 0
         assert vnet.load.counters.state_chunks_sent == 2
         assert vnet.load.active == {}
-        for system in vnet.systems:
-            handle = system.query("q")
-            assert handle.status is QueryStatus.ACTIVE
-            assert handle.processor_node == 3
-            # Zero loss: the mid-quarantine tuple was deferred by the
-            # ordering stage and delivered after the resume.
-            assert handle.result_count == 3
+        handle = vnet.system.query("q")
+        assert handle.status is QueryStatus.ACTIVE
+        assert handle.processor_node == 3
+        # Zero loss: the mid-quarantine tuple was deferred by the
+        # ordering stage and delivered after the resume.
+        assert handle.result_count == 3
 
     def test_migration_counts_as_recovery_activity(self):
-        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True, migrate=True)
         vnet.execute([MigrationEvent(1.0, "rebalance")])
         assert vnet.last_recovery_time == 6.0
 
 
 class TestTargetFailure:
     def test_retries_then_aborts_home_with_zero_loss(self):
-        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True, migrate=True)
         vnet.execute(
             [
                 inject(0.5, seq=0),
@@ -159,16 +158,15 @@ class TestTargetFailure:
         assert vnet.load.lifecycle.taken("abort") == 1
         assert vnet.load.lifecycle.taken("complete") == 0
         assert vnet.load.active == {}
-        for system in vnet.systems:
-            handle = system.query("q")
-            assert handle.status is QueryStatus.ACTIVE
-            assert handle.processor_node == 1  # back at the source
-            assert handle.result_count == 3  # nothing lost in the abort
+        handle = vnet.system.query("q")
+        assert handle.status is QueryStatus.ACTIVE
+        assert handle.processor_node == 1  # back at the source
+        assert handle.result_count == 3  # nothing lost in the abort
 
 
 class TestSourceFailure:
     def test_drain_on_a_crashed_source_aborts(self):
-        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True, migrate=True)
         vnet.execute(
             [
                 MigrationEvent(1.0, "rebalance"),
@@ -183,7 +181,7 @@ class TestSourceFailure:
         assert vnet.load.lifecycle.taken("complete") == 0
         # The detector-driven repair then re-homes the query off the
         # dead processor; the run ends healthy on the survivor.
-        handle = vnet.primary.query("q")
+        handle = vnet.system.query("q")
         assert handle.status is QueryStatus.ACTIVE
         assert handle.processor_node == 3
 
@@ -192,7 +190,7 @@ class TestSourceFailure:
         # repair: by drain time the crash repair already re-homed the
         # group, so the move aborts as superseded (nothing to resume).
         monkeypatch.setattr(network, "PREPARE_DELAY", 30.0)
-        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True, migrate=True)
         vnet.execute(
             [
                 MigrationEvent(1.0, "rebalance"),
@@ -204,14 +202,14 @@ class TestSourceFailure:
         )
         assert abort.endswith("superseded resumed [-]")
         assert vnet.load.lifecycle.taken("abort") == 1
-        handle = vnet.primary.query("q")
+        handle = vnet.system.query("q")
         assert handle.status is QueryStatus.ACTIVE
         assert handle.processor_node == 3
 
 
 class TestDoubleMigration:
     def test_second_probe_skips_the_in_flight_group(self):
-        vnet = VirtualNetwork(build=build_pair, recovery=True, migrate=True)
+        vnet = VirtualNetwork(build_pair(), recovery=True, migrate=True)
         vnet.execute(
             [
                 MigrationEvent(1.0, "rebalance"),

@@ -12,7 +12,8 @@ from repro.sim.oracle import (
     compare_systems,
     expected_results,
 )
-from repro.sim.reference import as_reference
+from repro.cbn.network import ContentBasedNetwork
+from repro.sim.reference import check_publications
 from repro.sim.runner import ChaosConfig, build_system, query_ids
 from repro.system.cosmos import QueryStatus
 
@@ -140,9 +141,30 @@ class TestSystemChecks:
         )
         assert check_chronology(system)
 
-    def test_twin_comparison(self):
-        fast = build_system(ChaosConfig(seed=1))
-        naive = as_reference(build_system(ChaosConfig(seed=1)))
-        assert compare_systems(fast, naive) == []
-        fast.publish("Temp", {"station": 0, "celsius": 30.0}, 1.0)
-        assert compare_systems(fast, naive)
+    def test_fast_vs_naive_comparison(self, monkeypatch):
+        system = build_system(ChaosConfig(seed=1))
+        network = check_publications(system)
+        system.publish("Temp", {"station": 0, "celsius": 30.0}, 1.0)
+        assert network.checked and network.reference_stats.as_dict()
+        assert compare_systems(system) == []
+        # a router that delivers nothing and crosses no link
+        monkeypatch.setattr(ContentBasedNetwork, "_route", lambda *args: [])
+        system.publish("Temp", {"station": 0, "celsius": 30.0}, 2.0)
+        mismatch, accounting = compare_systems(system)
+        assert mismatch.startswith(
+            f"fast-vs-naive: publication {network.checked} (Temp from node "
+        )
+        assert "diverged: 0 deliveries" in mismatch
+        assert accounting == "fast-vs-naive: data-layer traffic accounting diverged"
+
+    def test_accounting_is_compared_in_first_use_order(self):
+        system = build_system(ChaosConfig(seed=1))
+        network = check_publications(system)
+        first, second = sorted(system.tree.edges)[:2]
+        network.data_stats.record(*first, 8.0)
+        network.data_stats.record(*second, 8.0)
+        network.reference_stats.record(*second, 8.0)
+        network.reference_stats.record(*first, 8.0)
+        assert compare_systems(system) == [
+            "fast-vs-naive: data-layer traffic accounting diverged"
+        ]

@@ -28,7 +28,7 @@ RECOVERY = ChaosConfig(seed=0, recovery=True)
 
 
 def health(vnet):
-    return SystemMonitor(vnet.primary).health()
+    return SystemMonitor(vnet.system).health()
 
 
 class TestScheduleAnnotations:
@@ -230,15 +230,14 @@ def build_chain():
 
 class TestDegradedMode:
     def test_partition_degrades_instead_of_refusing(self):
-        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet = VirtualNetwork(build_chain(), recovery=True)
         # Crash the cut vertex; the sweep suspects it, the repair finds
         # the survivors partitioned and quarantines the stranded query.
         vnet.execute([FaultEvent(1.0, "broker", 2)])
         assert vnet.counters.faults_applied == 1
         assert vnet.counters.faults_refused == 0
         assert any("-> degraded [q]" in line for line in vnet.trace.render().splitlines())
-        for system in vnet.systems:
-            assert system.query("q").status is QueryStatus.DEGRADED
+        assert vnet.system.query("q").status is QueryStatus.DEGRADED
         assert health(vnet)["queries_quarantined"] == 1
 
     def test_only_a_partition_error_degrades(self, monkeypatch):
@@ -249,22 +248,21 @@ class TestDegradedMode:
             raise FaultError(f"node {node} says its disk is partitioned")
 
         monkeypatch.setattr("repro.sim.network.fail_broker", refuse)
-        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet = VirtualNetwork(build_chain(), recovery=True)
         vnet.execute([FaultEvent(1.0, "broker", 2)])
         assert not any("degraded" in line for line in vnet.trace.render().splitlines())
         assert any("-> retry 2" in line for line in vnet.trace.render().splitlines())
         assert vnet.counters.faults_refused == 1
         assert health(vnet)["queries_quarantined"] == 0
-        for system in vnet.systems:
-            assert system.query("q").status is QueryStatus.ACTIVE
+        assert vnet.system.query("q").status is QueryStatus.ACTIVE
 
     def test_degraded_query_resumes_on_heal(self):
-        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet = VirtualNetwork(build_chain(), recovery=True)
         vnet.execute([FaultEvent(1.0, "broker", 2)])
-        for system in vnet.systems:
-            system.topology.add_edge(1, 3, 1.0)
-            assert heal_partition(system) == ["q"]
-            assert system.query("q").status is QueryStatus.ACTIVE
+        system = vnet.system
+        system.topology.add_edge(1, 3, 1.0)
+        assert heal_partition(system) == ["q"]
+        assert system.query("q").status is QueryStatus.ACTIVE
 
 
 class _Timers:
@@ -289,7 +287,7 @@ class TestNackBackoff:
         # stays bounded however many attempts a gap has used.
         for name, value in given.items():
             monkeypatch.setattr(network, name, value)
-        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet = VirtualNetwork(build_chain(), recovery=True)
         timers = _Timers()
         for attempt in (1, 2, 3, 5, 10, 60):
             vnet._schedule_nack(timers, "Temp", 0, attempt)
@@ -309,7 +307,7 @@ class TestNackGiveUp:
                    "MAX_NACKS": max_nacks, "RETRANSMIT_RTT": retransmit_rtt}
         for name, value in timings.items():
             monkeypatch.setattr(network, name, value)
-        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet = VirtualNetwork(build_chain(), recovery=True)
         vnet.execute([
             DropEvent(1.0, "Temp", seq=0, payload=(("station", 1),), sent=1.0),
             InjectEvent(2.0, "Temp", (("station", 2),), seq=1, sent=2.0),
@@ -353,7 +351,7 @@ class TestRetransmitsAreTheSenders:
         # The sender counts the retransmission it sent; the receiver
         # counts no ``retransmit`` row (it filled no slot) and one late
         # copy suppressed below the watermark.
-        vnet = VirtualNetwork(build=build_chain, recovery=True)
+        vnet = VirtualNetwork(build_chain(), recovery=True)
         vnet.execute([
             InjectEvent(1.0, "Temp", (("station", 1),), seq=1, sent=1.0),
             InjectEvent(6.0, "Temp", (("station", 0),), seq=0, sent=0.5),

@@ -281,13 +281,6 @@ class TestAttachLoadManager:
         assert system.load is state
         assert isinstance(state.detector, HotspotDetector)
 
-    def test_twins_share_one_state(self, system, line_tree):
-        twin = CosmosSystem(line_tree, processor_nodes=[1, 3])
-        twin.add_source(TEMP, 0)
-        state = attach_load_manager(system)
-        assert attach_load_manager(twin, state=state) is state
-        assert twin.load is system.load
-
     def test_health_exposes_load_keys_with_and_without_state(self, system):
         bare = SystemMonitor(system).health()
         attach_load_manager(system)

@@ -477,11 +477,12 @@ if git grep -nE "_plans|_plan\(|_stream_versions|self\.epoch" -- src/repro/cbn/r
     exit 1
 fi
 
-echo "== the reference twin stays a scan (repro.sim, repro.cbn) =="
-# sim/reference.py is the naive data plane the router and the chaos twin are
-# checked against: it evaluates every entry of every interface that holds one
-# through Profile.covers / Profile.apply, so it reads no index, route or
-# outcome bits, and coverage never goes through the routers' Matcher.
+echo "== the reference stays a scan (repro.sim, repro.cbn) =="
+# sim/reference.py is the naive data plane every chaos publication and the
+# property suites' ReferenceNetwork are checked against: it evaluates every
+# entry of every interface that holds one through Profile.covers /
+# Profile.apply, so it reads no index, route or outcome bits, and coverage
+# never goes through the routers' Matcher.
 if git grep -nE "matcher|Matcher|stream_interfaces|_by_stream|OutcomeIndex|_facts|\.decide\(|\.local_deliveries\(" \
        -- src/repro/sim/reference.py; then
     echo "ci: sim/reference.py must scan profiles, not read the router's index," \
@@ -514,6 +515,27 @@ for profile in (Profile({"S": {"a"}}), Profile({"S": {"a"}}, above), Profile({"T
 EOF
 then
     echo "ci: Profile.covers / Profile.apply must not reach Profile.matcher" >&2
+    exit 1
+fi
+
+echo "== one system under chaos (repro.sim, repro.system) =="
+# The chaos harness runs one system and scans each of its publications over
+# the same tables (sim/reference.py::CheckedNetwork): the data plane never
+# writes a routing table, so a second system on the scan checked nothing
+# more.  The shadow twin, the helper that applied every event to both, the
+# re-classing that made a system the twin and the load-manager brain they
+# shared were deleted and must not come back.
+if git grep -nE "shadow|_on_twins|as_reference" -- src/repro/sim; then
+    echo "ci: src/repro/sim must not grow the shadow twin back" >&2
+    exit 1
+fi
+if ! PYTHONPATH=src python - <<'EOF'
+import inspect, sys
+from repro.system.loadmgr import attach_load_manager
+sys.exit("state" in inspect.signature(attach_load_manager).parameters)
+EOF
+then
+    echo "ci: attach_load_manager must not take a shared state back" >&2
     exit 1
 fi
 
